@@ -306,12 +306,8 @@ class BundleRing:
         ring = self.fiber_ring
         self._degrees = []
         for d in range(self.fiber_cap + 1):
-            if d <= n:
-                monomials = tuple(ring._degrees[d].monomials)
-                planned = set(ring.basis_monomials(d))
-            else:
-                monomials = tuple(_face_monomials(ring.ray_count, ring.faces, d))
-                planned = set()
+            monomials = tuple(_face_monomials(ring.ray_count, ring.faces, d))
+            planned = set(ring.basis_monomials(d)) if d <= n else set()
             index = {m: i for i, m in enumerate(monomials)}
             rows = []
             if d >= 1:

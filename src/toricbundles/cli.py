@@ -1,9 +1,10 @@
 """Command-line front end: validation, twisting, Chern reports, corpus runs.
 
 Exit codes: 0 success, 1 parse/validation error, 2 mathematical
-inconsistency (a failed comparison or corpus finding).  Reports are
-deterministic; ``--format machine`` emits JSON with a schema tag,
-``--format human`` a plain-text summary.
+inconsistency (a failed comparison or corpus finding, or a
+RingConsistencyError such as a base presentation whose claimed basis
+does not hold).  Reports are deterministic; ``--format machine`` emits
+JSON with a schema tag, ``--format human`` a plain-text summary.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import sys
 
 from . import bundlering, chern, corpus, equivariant
-from .cohomology import build_ring, h_vector
+from .cohomology import RingConsistencyError, build_ring, h_vector
 from .fan import validate
 from .formats import (
     ParseError,
@@ -344,6 +345,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except RingConsistencyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FINDING
 
 
 def entry() -> None:

@@ -7,6 +7,22 @@ live here.  Monomials are exponent tuples over the ray indices, ordered
 lexicographically with smaller ray indices first, and the elimination
 walks columns left to right, so bases and coefficient vectors are
 bit-stable across runs.
+
+A ring with linear relations eliminates over the squarefree face
+monomials of each degree (one column per face of that size), not over
+every face monomial.  A monomial with a repeated exponent is first
+rewritten into squarefree face monomials through the relations: on the
+first maximal cone sigma containing its support the relations solve for
+each x_rho of sigma as an integer combination of the x_rho' outside
+sigma, and trading one repeated factor this way lowers (degree - support
+size), so the rewrite terminates.  The degree-d relation rows are the
+rewritten products of the squarefree degree-(d-1) face monomials with
+each relation.  Unit-pivot elimination certifies that this quotient is
+free on the planned basis, of rank h_d; it surjects onto H^{2d}, which is
+free of the same rank, so the two are isomorphic and bases and
+coefficients are the ones elimination over all face monomials gives.  A
+face ring has no relations, squarefree monomials do not span it, and it
+keeps every face monomial as a column.
 """
 
 from __future__ import annotations
@@ -17,7 +33,12 @@ from functools import cache
 from math import comb
 
 from .fan import Fan, require_smooth_complete
-from .lattice import IntVector, determinant
+from .lattice import (
+    IntVector,
+    NotUnimodularError,
+    determinant,
+    invert_unimodular,
+)
 
 Monomial = tuple[int, ...]
 Poly = dict[Monomial, int]
@@ -86,6 +107,18 @@ def _face_monomials(ray_count: int, faces, degree: int) -> list[Monomial]:
 
     grow(0, degree, [0] * ray_count, frozenset())
     return sorted(out, reverse=True)
+
+
+def _squarefree_monomials(ray_count: int, faces, degree: int) -> list[Monomial]:
+    """The degree-d squarefree face monomials, in _face_monomials order."""
+    return sorted(
+        (
+            tuple(1 if i in face else 0 for i in range(ray_count))
+            for face in faces
+            if len(face) == degree
+        ),
+        reverse=True,
+    )
 
 
 def graded_eliminate(rows, ncols: int, allowed=None):
@@ -255,8 +288,12 @@ class GradedQuotientRing:
     materialized; for rings of smooth complete fans the cap is the lattice
     rank and everything above it vanishes, for face rings (no linear
     relations) pieces are nonzero in every degree and the cap is a
-    truncation requested by the caller.  Instances are immutable after
-    construction and safe to share between threads.
+    truncation requested by the caller.  With relations, the columns of
+    each graded piece are its squarefree face monomials and every other
+    monomial is rewritten into them (see the module docstring); without,
+    they are all face monomials.  Instances are immutable after
+    construction, apart from caches filled on first use, and safe to share
+    between threads.
     """
 
     def __init__(self, ray_count, dim, nonfaces, relations, max_cones,
@@ -272,25 +309,45 @@ class GradedQuotientRing:
         self.faces = _faces(self.max_cones)
         self._degrees: list[_Degree] = []
         self._point = None
+        self._cone_inverses: dict[frozenset, tuple] = {}
+        memo: dict = {}
         for d in range(degree_cap + 1):
-            self._degrees.append(self._build_degree(d))
+            self._degrees.append(self._build_degree(d, memo))
 
-    def _build_degree(self, d: int) -> _Degree:
-        monomials = tuple(_face_monomials(self.ray_count, self.faces, d))
+    def _build_degree(self, d: int, memo: dict) -> _Degree:
+        enumerate_columns = (
+            _squarefree_monomials if self.relations else _face_monomials
+        )
+        monomials = tuple(enumerate_columns(self.ray_count, self.faces, d))
         index = {m: i for i, m in enumerate(monomials)}
         rows = []
         if d >= 1 and self.relations:
-            lower = self._degrees[d - 1].monomials
-            for mono in lower:
-                for rel in self.relations:
-                    vec = {}
-                    for rho, coeff in enumerate(rel):
-                        if coeff == 0:
-                            continue
-                        bumped = mono[:rho] + (mono[rho] + 1,) + mono[rho + 1:]
-                        pos = index.get(bumped)
+            # Row (tau, rel) is the normal form of x_tau * rel: x_tau * x_rho
+            # is a column for rho outside tau, and for rho in tau one
+            # rewrite step of x_rho (on the first maximal cone containing
+            # tau) gives columns x_tau * x_rho'.
+            for tau in self._degrees[d - 1].monomials:
+                support = frozenset(i for i, e in enumerate(tau) if e)
+                rewrite = self._cone_rewrite(support, memo)
+                wider = {}
+                for rho, e in enumerate(tau):
+                    if not e:
+                        pos = index.get(tau[:rho] + (1,) + tau[rho + 1:])
                         if pos is not None:
-                            vec[pos] = vec.get(pos, 0) + coeff
+                            wider[rho] = pos
+                for rel in self.relations:
+                    vec: dict[int, int] = {}
+                    for rho, coeff in enumerate(rel):
+                        if not coeff:
+                            continue
+                        if tau[rho]:
+                            for other, a in rewrite[rho]:
+                                pos = wider.get(other)
+                                if pos is not None:
+                                    vec[pos] = vec.get(pos, 0) + coeff * a
+                        elif rho in wider:
+                            vec[wider[rho]] = vec.get(wider[rho], 0) + coeff
+                    vec = {pos: c for pos, c in vec.items() if c}
                     if vec:
                         rows.append((vec, None))
         allowed = None
@@ -315,6 +372,107 @@ class GradedQuotientRing:
         basis = tuple(i for i in range(len(monomials)) if i not in pivot_cols)
         return _Degree(monomials, index, tuple(pivots), basis)
 
+    # -- rewriting into columns ----------------------------------------------
+
+    def _cone_rewrite(self, support: frozenset, memo: dict) -> dict:
+        """Solve the relations on the first maximal cone containing support.
+
+        Returns {rho in the cone: ((rho', a), ...)} with x_rho equal to the
+        sum of a * x_rho' over rays rho' outside the cone.  The ring keeps
+        only the cone's inverse matrix; the rewrite itself lives in the
+        caller's ``memo``, so it is freed when the call returns.
+        """
+        cone = next(c for c in self.max_cones if support <= c)
+        rewrite = memo.get(cone)
+        if rewrite is None:
+            rays = sorted(cone)
+            inverse = self._cone_inverses.get(cone)
+            if inverse is None:
+                inverse = self._invert_on(rays)
+                self._cone_inverses[cone] = inverse
+            rewrite = {}
+            for row, rho in zip(inverse, rays):
+                terms = []
+                for other in range(self.ray_count):
+                    if other in cone:
+                        continue
+                    a = -sum(inv * rel[other]
+                             for inv, rel in zip(row, self.relations))
+                    if a:
+                        terms.append((other, a))
+                rewrite[rho] = tuple(terms)
+            memo[cone] = rewrite
+        return rewrite
+
+    def _invert_on(self, rays: list[int]):
+        """Inverse of the relation matrix restricted to a cone's rays."""
+        if len(self.relations) != len(rays):
+            raise RingConsistencyError(
+                f"{len(self.relations)} linear relations cannot be solved "
+                f"on the {len(rays)} rays of cone {rays}"
+            )
+        try:
+            return invert_unimodular(
+                tuple(tuple(rel[rho] for rho in rays) for rel in self.relations)
+            )
+        except NotUnimodularError as exc:
+            raise RingConsistencyError(
+                f"linear relations are not unimodular on cone {rays}: {exc}"
+            ) from exc
+
+    def _normal_form(self, mono: Monomial, support: frozenset,
+                     memo: dict) -> Poly:
+        """A face monomial as a combination of column monomials.
+
+        ``memo`` caches normal forms and cone rewrites for one call.
+        """
+        if not self.relations or max(mono, default=0) <= 1:
+            return {mono: 1}
+        out = memo.get(mono)
+        if out is None:
+            rho = next(i for i, e in enumerate(mono) if e > 1)
+            lowered = mono[:rho] + (mono[rho] - 1,) + mono[rho + 1:]
+            out = {}
+            for other, a in self._cone_rewrite(support, memo)[rho]:
+                wider = support | {other}
+                if wider not in self.faces:
+                    continue
+                bumped = lowered[:other] + (1,) + lowered[other + 1:]
+                for m, c in self._normal_form(bumped, wider, memo).items():
+                    new = out.get(m, 0) + a * c
+                    if new:
+                        out[m] = new
+                    else:
+                        del out[m]
+            memo[mono] = out
+        return out
+
+    def _add_normal_form(self, terms: Poly, mono: Monomial, coeff: int,
+                         memo: dict) -> None:
+        """Add coeff times the normal form of mono into terms, in place.
+
+        Monomials whose support is not a face vanish.
+        """
+        support = frozenset(i for i, e in enumerate(mono) if e)
+        if support not in self.faces:
+            return
+        for m, c in self._normal_form(mono, support, memo).items():
+            new = terms.get(m, 0) + coeff * c
+            if new:
+                terms[m] = new
+            else:
+                del terms[m]
+
+    def _reduce_terms(self, terms: Poly) -> "CohomologyClass":
+        """Reduce a combination of column monomials of degree <= the cap."""
+        buckets: list[dict] = [{} for _ in range(self.degree_cap + 1)]
+        for mono, coeff in terms.items():
+            d = sum(mono)
+            buckets[d][self._degrees[d].index[mono]] = coeff
+        return CohomologyClass(self, tuple(
+            self._reduce_degree(d, bucket) for d, bucket in enumerate(buckets)
+        ))
+
     # -- structure ---------------------------------------------------------
 
     @property
@@ -337,6 +495,8 @@ class GradedQuotientRing:
 
     def _reduce_degree(self, d: int, vec: dict) -> tuple[int, ...]:
         deg = self._degrees[d]
+        if not vec:
+            return (0,) * deg.rank
         work = dict(vec)
         for col, row, _ in deg.pivots:
             c = work.get(col)
@@ -355,25 +515,16 @@ class GradedQuotientRing:
         Monomials above the degree cap are dropped: for rings of complete
         fans they vanish, for truncated face rings that is the truncation.
         """
-        buckets: dict[int, dict] = {}
+        memo: dict = {}
+        terms: Poly = {}
         for mono, coeff in poly.items():
             if coeff == 0:
                 continue
             if len(mono) != self.ray_count:
                 raise ValueError("monomial length does not match ray count")
-            d = sum(mono)
-            if d > self.degree_cap:
-                continue
-            support = frozenset(i for i, e in enumerate(mono) if e > 0)
-            if support not in self.faces:
-                continue
-            pos = self._degrees[d].index[mono]
-            bucket = buckets.setdefault(d, {})
-            bucket[pos] = bucket.get(pos, 0) + coeff
-        parts = []
-        for d in range(self.degree_cap + 1):
-            parts.append(self._reduce_degree(d, buckets.get(d, {})))
-        return CohomologyClass(self, tuple(parts))
+            if sum(mono) <= self.degree_cap:
+                self._add_normal_form(terms, tuple(mono), coeff, memo)
+        return self._reduce_terms(terms)
 
     def zero(self) -> "CohomologyClass":
         return self.reduce_poly({})
@@ -389,35 +540,22 @@ class GradedQuotientRing:
     def multiply(self, a: "CohomologyClass", b: "CohomologyClass") -> "CohomologyClass":
         if a.ring is not self or b.ring is not self:
             raise ValueError("classes live in different rings")
-        buckets: dict[int, dict] = {}
+        memo: dict = {}
+        terms: Poly = {}
+        bases = [self.basis_monomials(d) for d in range(self.degree_cap + 1)]
         for d1, part1 in enumerate(a.parts):
-            basis1 = self._degrees[d1]
-            for i1, c1 in enumerate(part1):
+            for m1, c1 in zip(bases[d1], part1):
                 if c1 == 0:
                     continue
-                m1 = basis1.monomials[basis1.basis_positions[i1]]
                 for d2, part2 in enumerate(b.parts):
-                    d = d1 + d2
-                    if d > self.degree_cap:
+                    if d1 + d2 > self.degree_cap:
                         continue
-                    basis2 = self._degrees[d2]
-                    for i2, c2 in enumerate(part2):
+                    for m2, c2 in zip(bases[d2], part2):
                         if c2 == 0:
                             continue
-                        m2 = basis2.monomials[basis2.basis_positions[i2]]
                         prod = tuple(x + y for x, y in zip(m1, m2))
-                        support = frozenset(
-                            i for i, e in enumerate(prod) if e > 0
-                        )
-                        if support not in self.faces:
-                            continue
-                        pos = self._degrees[d].index[prod]
-                        bucket = buckets.setdefault(d, {})
-                        bucket[pos] = bucket.get(pos, 0) + c1 * c2
-        parts = []
-        for d in range(self.degree_cap + 1):
-            parts.append(self._reduce_degree(d, buckets.get(d, {})))
-        return CohomologyClass(self, tuple(parts))
+                        self._add_normal_form(terms, prod, c1 * c2, memo)
+        return self._reduce_terms(terms)
 
     # -- integration -------------------------------------------------------
 

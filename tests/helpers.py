@@ -4,11 +4,15 @@ The oracles deliberately avoid the library's reduction machinery: the
 determinant oracle expands over permutations, and the surface oracle
 computes c1^2 from the classical fan-walk rules (adjacent divisors meet
 once, self-intersections from the wall relation v_prev + v_next = a*v).
+``AllFaceMonomialRing`` is the reference for rings with linear relations:
+it eliminates over every face monomial of each degree, as the library did
+before it rewrote repeated exponents into squarefree face monomials.
 """
 
 from itertools import permutations
 
 from toricbundles import make_fan, product_fan
+from toricbundles.cohomology import _face_monomials, graded_eliminate
 
 
 def p1():
@@ -17,6 +21,19 @@ def p1():
 
 def p2():
     return make_fan(2, [[1, 0], [0, 1], [-1, -1]], [[0, 1], [0, 2], [1, 2]])
+
+
+def projective_space(n):
+    rays = [[int(i == j) for j in range(n)] for i in range(n)] + [[-1] * n]
+    cones = [[j for j in range(n + 1) if j != i] for i in range(n + 1)]
+    return make_fan(n, rays, cones)
+
+
+def p1_power(n):
+    fan = p1()
+    for _ in range(n - 1):
+        fan = product_fan(fan, p1())
+    return fan
 
 
 def square_fan():
@@ -98,3 +115,73 @@ def surface_c1_squared(fan):
         assert tuple(a * e for e in v) == s
         total_self += -a
     return total_self + 2 * len(cones)
+
+
+class AllFaceMonomialRing:
+    """Reference elimination over every face monomial of each degree.
+
+    Rebuilds a library ring's graded pieces from its faces, relations and
+    basis plan, with one column per face monomial and one row per (face
+    monomial of degree d-1, relation); reduction and multiplication work
+    on those columns directly, so no monomial is ever rewritten.
+    """
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.degrees = []
+        for d in range(ring.degree_cap + 1):
+            monomials = _face_monomials(ring.ray_count, ring.faces, d)
+            index = {m: i for i, m in enumerate(monomials)}
+            rows = []
+            if d >= 1:
+                for mono in self.degrees[d - 1][0]:
+                    for rel in ring.relations:
+                        vec = {}
+                        for rho, coeff in enumerate(rel):
+                            bumped = mono[:rho] + (mono[rho] + 1,) + mono[rho + 1:]
+                            if coeff and bumped in index:
+                                vec[index[bumped]] = coeff
+                        if vec:
+                            rows.append((vec, None))
+            allowed = None
+            if ring.basis_plan is not None:
+                planned = {index[m] for m in ring.basis_plan.get(d, set())}
+                allowed = set(range(len(monomials))) - planned
+            pivots = graded_eliminate(rows, len(monomials), allowed)
+            assert allowed is None or len(pivots) == len(allowed)
+            pivot_cols = {col for col, _, _ in pivots}
+            basis = [i for i in range(len(monomials)) if i not in pivot_cols]
+            self.degrees.append((monomials, index, pivots, basis))
+
+    def betti(self):
+        return [len(deg[3]) for deg in self.degrees]
+
+    def basis_monomials(self, d):
+        monomials, _, _, basis = self.degrees[d]
+        return [monomials[i] for i in basis]
+
+    def reduce(self, poly):
+        """Per-degree coefficient tuples of a polynomial's normal form."""
+        parts = []
+        for d, (_, index, pivots, basis) in enumerate(self.degrees):
+            work = {}
+            for mono, coeff in poly.items():
+                if sum(mono) == d and mono in index:
+                    work[index[mono]] = work.get(index[mono], 0) + coeff
+            for col, row, _ in pivots:
+                c = work.get(col, 0)
+                for k, v in row.items():
+                    work[k] = work.get(k, 0) - c * v
+            parts.append(tuple(work.get(i, 0) for i in basis))
+        return tuple(parts)
+
+    def multiply(self, a_parts, b_parts):
+        """Product of two classes given by coefficient tuples."""
+        poly = {}
+        for d1, part1 in enumerate(a_parts):
+            for m1, c1 in zip(self.basis_monomials(d1), part1):
+                for d2, part2 in enumerate(b_parts):
+                    for m2, c2 in zip(self.basis_monomials(d2), part2):
+                        prod = tuple(x + y for x, y in zip(m1, m2))
+                        poly[prod] = poly.get(prod, 0) + c1 * c2
+        return self.reduce(poly)

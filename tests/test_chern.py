@@ -1,6 +1,16 @@
+from math import comb, factorial
+
 import pytest
 
-from helpers import dp6, p1, p2, square_fan, surface_c1_squared
+from helpers import (
+    dp6,
+    p1,
+    p1_power,
+    p2,
+    projective_space,
+    square_fan,
+    surface_c1_squared,
+)
 from toricbundles import (
     build_ring,
     chern_numbers,
@@ -22,6 +32,23 @@ def test_total_chern_p1():
     ring = build_ring(p1())
     c = total_chern_intrinsic(ring)
     assert c.parts == ((1,), (2,))
+
+
+@pytest.mark.parametrize("name,fan,betti,cones,c1_power", [
+    ("P7", projective_space(7), [1] * 8, 8, 8 ** 7),
+    ("(P1)^6", p1_power(6), [comb(6, k) for k in range(7)], 2 ** 6,
+     2 ** 6 * factorial(6)),
+], ids=["P7", "(P1)^6"])
+def test_high_dimension_closed_forms(name, fan, betti, cones, c1_power):
+    # P^n: Betti all 1, n+1 cones, c1^n = (n+1)^n;
+    # (P1)^n: Betti binomial, 2^n cones, c1^n = 2^n n!
+    n = fan.dim
+    assert len(fan.max_cones) == cones
+    ring = build_ring(fan)
+    assert ring.betti() == betti
+    numbers = chern_numbers(ring, total_chern_intrinsic(ring))
+    assert numbers[(n,)] == cones
+    assert numbers[(1,) * n] == c1_power
 
 
 def test_total_chern_p2():

@@ -195,6 +195,38 @@ def test_cmd_bundle(tmp_path, capsys):
     assert "c2 = 4" in out
 
 
+TORSION_PRESENTATION = """\
+name torsion
+top_degree 4
+generators
+h 2
+relations
+2*h^2
+basis
+0 : 1
+2 : h
+4 : h^2
+integration 1
+chern
+1 + 3*h + 3*h^2
+"""
+
+
+def test_cmd_bundle_inconsistent_presentation_is_a_finding(tmp_path, capsys):
+    # 2*h^2 = 0 leaves Z/2 in degree 4, so the claimed basis h^2 fails
+    # certification: a one-line error and exit 2, not a traceback
+    pres = write(tmp_path, "torsion.pres", TORSION_PRESENTATION)
+    lam = write(tmp_path, "lam.tw", "classes\nh\n")
+    fan = write(tmp_path, "p1.fan", P1_FAN)
+    assert run_cli(tmp_path, "bundle", pres, lam, fan) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: base presentation 'torsion'")
+    assert "degree 4" in lines[0]
+
+
 def test_cmd_corpus_machine_byte_stable(capsys):
     assert main(["--format", "machine", "corpus"]) == 0
     first = capsys.readouterr().out

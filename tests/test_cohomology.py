@@ -211,3 +211,18 @@ def test_point_class_consistency_error_detection():
     )
     with pytest.raises(RingConsistencyError):
         ring.point_class()
+
+
+def test_torsion_relations_fail_certification():
+    # doubled relations leave Z/2 torsion in degree 2: no unit-pivot basis
+    from toricbundles.cohomology import GradedQuotientRing, fixed_point_basis_plan
+
+    f = p2()
+    doubled = [tuple(2 * c for c in rel) for rel in linear_relations(f)]
+    with pytest.raises(RingConsistencyError):
+        GradedQuotientRing(
+            ray_count=3, dim=2, nonfaces=minimal_nonfaces(f),
+            relations=doubled, max_cones=f.max_cones, degree_cap=2,
+            basis_plan=fixed_point_basis_plan(3, 2, f.max_cones, f.rays,
+                                              [1, 1, 1]),
+        )

@@ -193,10 +193,11 @@ def test_ordinary_ring_with_nonstandard_charmap():
 def test_congruent_mod_form_basics():
     a = t(2, 0) * t(2, 0)
     b = t(2, 0) * t(2, 1)
-    assert congruent_mod_form(a, b, (1, -1)) is False or True  # smoke: runs
     # t1^2 - t1*t2 = t1 (t1 - t2) vanishes mod (1, -1)
-    assert congruent_mod_form(a, b, (1, -1))
+    assert congruent_mod_form(a, b, (1, -1)) is True
     assert not congruent_mod_form(a, b, (0, 1))
+    # t1^2 - t2^2 leaves -t2^2 mod t1
+    assert congruent_mod_form(a, t(2, 1) * t(2, 1), (1, 0)) is False
 
 
 def test_weight_polynomial_repr_stable():
