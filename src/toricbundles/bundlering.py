@@ -11,21 +11,30 @@ with the Stanley-Reisner relations and the inhomogeneous linear relations
 
 making a free base-module on the fiber monomial basis.  The sign is
 pinned by the mandatory agreement with the twisted-fan route.
+
+Both rings here run on the engine of ``cohomology``: one GradedPiece per
+degree, certified against the claimed (presentation) or the fiber
+ring's (bundle) basis.  Base classes are CohomologyClass instances, and
+a BundleClass is a CohomologyClass whose coefficients are base classes;
+it differs only in taking components by total degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
-from .chern import partitions
+from .chern import chern_numbers
 from .cohomology import (
     CohomologyClass,
+    GradedPiece,
     Monomial,
     Poly,
     RingConsistencyError,
     _face_monomials,
+    basis_products,
     build_ring,
-    graded_eliminate,
+    face_monomial_sum,
     linear_relations,
 )
 from .fan import Fan, require_smooth_complete
@@ -56,7 +65,7 @@ class BasePresentation:
     from the relations with unit pivots, degree 0 must be the unit, the
     top degree must have rank one and integration value +-1) and raises
     RingConsistencyError when they fail.  Degrees above ``top_degree``
-    are zero by contract.
+    are zero by contract.  Its classes are CohomologyClass instances.
     """
 
     def __init__(self, name: str, generators, relations, basis,
@@ -70,7 +79,9 @@ class BasePresentation:
             raise ValueError("top degree must be a nonnegative even integer")
         self.top_degree = top_degree
         self.half_top = top_degree // 2
-        self.relations = tuple(dict(r) for r in relations)
+        # A zero relation imposes nothing and has no degree.
+        relations = ({m: c for m, c in rel.items() if c} for rel in relations)
+        self.relations = tuple(rel for rel in relations if rel)
         for rel in self.relations:
             degs = {self._half_degree(m) for m in rel}
             if len(degs) > 1:
@@ -83,50 +94,26 @@ class BasePresentation:
             raise RingConsistencyError(
                 "top basis element must integrate to +-1"
             )
-        self._degrees = []
+        self._degrees: list[GradedPiece] = []
         weights = [d // 2 for _, d in self.generators]
         for k in range(self.half_top + 1):
-            monomials = tuple(_weighted_monomials(weights, k))
+            monomials = _weighted_monomials(weights, k)
             index = {m: i for i, m in enumerate(monomials)}
-            claimed = self.basis.get(k, ())
-            positions = []
-            for mono in claimed:
-                if mono not in index:
-                    raise RingConsistencyError(
-                        f"claimed basis monomial {mono} has wrong degree {2 * k}"
-                    )
-                positions.append(index[mono])
             rows = []
             for rel in self.relations:
                 rel_deg = self._half_degree(next(iter(rel)))
                 if rel_deg > k:
                     continue
                 for mono in _weighted_monomials(weights, k - rel_deg):
-                    vec = {}
-                    for rmono, coeff in rel.items():
-                        prod = tuple(a + b for a, b in zip(rmono, mono))
-                        pos = index[prod]
-                        vec[pos] = vec.get(pos, 0) + coeff
-                    if vec:
-                        rows.append((vec, None))
-            allowed = set(range(len(monomials))) - set(positions)
-            try:
-                pivots = graded_eliminate(rows, len(monomials), allowed)
-            except RingConsistencyError as exc:
-                raise RingConsistencyError(
-                    f"base presentation {name!r} is inconsistent in degree "
-                    f"{2 * k}: {exc}"
-                ) from exc
-            if len(pivots) != len(allowed):
-                raise RingConsistencyError(
-                    f"base presentation {name!r}: degree {2 * k} rank is not "
-                    f"{len(positions)} as claimed"
-                )
-            self._degrees.append((monomials, index, tuple(pivots),
-                                  tuple(positions)))
-        if self.rank(0) != 1 or self._degrees[0][0][self._degrees[0][3][0]] != (
-            (0,) * len(self.generators)
-        ):
+                    rows.append(({
+                        index[tuple(map(add, rmono, mono))]: coeff
+                        for rmono, coeff in rel.items()
+                    }, None))
+            self._degrees.append(GradedPiece.build(
+                monomials, index, rows, self.basis.get(k, ()),
+                f"base presentation {name!r}, degree {2 * k}",
+            ))
+        if self.basis_monomials(0) != ((0,) * len(self.generators),):
             raise RingConsistencyError("degree 0 basis must be the unit")
         if self.rank(self.half_top) != 1:
             raise RingConsistencyError("top degree must have rank one")
@@ -136,74 +123,41 @@ class BasePresentation:
         return sum(e * (d // 2) for e, (_, d) in zip(mono, self.generators))
 
     def rank(self, k: int) -> int:
-        return len(self._degrees[k][3])
+        return self._degrees[k].rank
 
     def basis_monomials(self, k: int) -> tuple[Monomial, ...]:
-        monomials, _, _, positions = self._degrees[k]
-        return tuple(monomials[i] for i in positions)
+        return self._degrees[k].basis_monomials()
 
     # -- classes -------------------------------------------------------------
 
-    def reduce_poly(self, poly: Poly) -> "PresentedClass":
-        buckets: dict[int, dict] = {}
+    def reduce_poly(self, poly: Poly) -> CohomologyClass:
+        buckets: list[dict] = [{} for _ in self._degrees]
         for mono, coeff in poly.items():
-            if coeff == 0:
-                continue
             mono = tuple(mono)
             k = self._half_degree(mono)
-            if k > self.half_top:
-                continue
-            pos = self._degrees[k][1][mono]
-            bucket = buckets.setdefault(k, {})
-            bucket[pos] = bucket.get(pos, 0) + coeff
-        return PresentedClass(self, tuple(
-            self._reduce_degree(k, buckets.get(k, {}))
-            for k in range(self.half_top + 1)
+            if coeff and k <= self.half_top:
+                buckets[k][self._degrees[k].index[mono]] = coeff
+        return CohomologyClass(self, tuple(
+            piece.reduce(bucket) for piece, bucket in zip(self._degrees, buckets)
         ))
 
-    def _reduce_degree(self, k: int, vec: dict) -> tuple[int, ...]:
-        _, _, pivots, positions = self._degrees[k]
-        work = dict(vec)
-        for col, row, _ in pivots:
-            c = work.get(col)
-            if c:
-                for kk, v in row.items():
-                    new = work.get(kk, 0) - c * v
-                    if new:
-                        work[kk] = new
-                    else:
-                        work.pop(kk, None)
-        return tuple(work.get(i, 0) for i in positions)
-
-    def zero(self) -> "PresentedClass":
+    def zero(self) -> CohomologyClass:
         return self.reduce_poly({})
 
-    def unit(self) -> "PresentedClass":
+    def unit(self) -> CohomologyClass:
         return self.reduce_poly({(0,) * len(self.generators): 1})
 
-    def multiply(self, a: "PresentedClass", b: "PresentedClass") -> "PresentedClass":
-        if a.base is not self or b.base is not self:
+    def multiply(self, a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
+        if a.ring is not self or b.ring is not self:
             raise ValueError("classes live over different base presentations")
         poly: Poly = {}
-        for k1, part1 in enumerate(a.parts):
-            basis1 = self.basis_monomials(k1)
-            for m1, c1 in zip(basis1, part1):
-                if c1 == 0:
-                    continue
-                for k2, part2 in enumerate(b.parts):
-                    if k1 + k2 > self.half_top:
-                        continue
-                    basis2 = self.basis_monomials(k2)
-                    for m2, c2 in zip(basis2, part2):
-                        if c2 == 0:
-                            continue
-                        prod = tuple(x + y for x, y in zip(m1, m2))
-                        poly[prod] = poly.get(prod, 0) + c1 * c2
+        for _, prod, c1, c2 in basis_products(self._degrees, a.parts, b.parts):
+            poly[prod] = poly.get(prod, 0) + c1 * c2
         return self.reduce_poly(poly)
 
-    def integrate(self, cls: "PresentedClass") -> int:
+    def integrate(self, cls: CohomologyClass) -> int:
         """Integration functional on a class concentrated in the top degree."""
-        if cls.base is not self:
+        if cls.ring is not self:
             raise ValueError("class lives over a different base presentation")
         for k, part in enumerate(cls.parts):
             if k != self.half_top and any(part):
@@ -212,63 +166,10 @@ class BasePresentation:
 
 
 @dataclass(frozen=True)
-class PresentedClass:
-    """Per-degree coefficients over the claimed bases of a BasePresentation."""
-
-    base: BasePresentation
-    parts: tuple[tuple[int, ...], ...]
-
-    def component(self, k: int) -> "PresentedClass":
-        parts = tuple(
-            part if kk == k else (0,) * len(part)
-            for kk, part in enumerate(self.parts)
-        )
-        return PresentedClass(self.base, parts)
-
-    def coefficients(self, k: int) -> tuple[int, ...]:
-        return self.parts[k]
-
-    def is_zero(self) -> bool:
-        return all(not any(part) for part in self.parts)
-
-    def degrees(self):
-        return [k for k, part in enumerate(self.parts) if any(part)]
-
-    def __add__(self, other):
-        if self.base is not other.base:
-            raise ValueError("classes live over different base presentations")
-        return PresentedClass(self.base, tuple(
-            tuple(x + y for x, y in zip(p, q))
-            for p, q in zip(self.parts, other.parts)
-        ))
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, scalar: int):
-        return PresentedClass(self.base, tuple(
-            tuple(scalar * x for x in p) for p in self.parts
-        ))
-
-    def __mul__(self, other):
-        return self.base.multiply(self, other)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PresentedClass)
-            and self.base is other.base
-            and self.parts == other.parts
-        )
-
-    def __hash__(self):
-        return hash((id(self.base), self.parts))
-
-
-@dataclass(frozen=True)
 class TwistingClasses:
     """One degree-2 base class per fiber lattice coordinate."""
 
-    classes: tuple[PresentedClass, ...]
+    classes: tuple[CohomologyClass, ...]
 
     def __post_init__(self):
         for cls in self.classes:
@@ -283,7 +184,7 @@ class BundleRing:
     A free base-module with basis the fiber monomial basis; fiber
     monomials of any degree reduce via the twisted linear relations, each
     reduction step trading one fiber degree for a degree-2 base factor
-    lambda_i.
+    lambda_i.  ``dim`` is the complex dimension of the total space.
     """
 
     def __init__(self, base: BasePresentation, lam: TwistingClasses, fiber: Fan):
@@ -293,7 +194,7 @@ class BundleRing:
                 f"{len(lam.classes)} twisting classes for a rank-{fiber.dim} fiber"
             )
         for cls in lam.classes:
-            if cls.base is not base:
+            if cls.ring is not base:
                 raise ValueError("twisting classes must live over the base")
         self.base = base
         self.lam = lam.classes
@@ -301,18 +202,18 @@ class BundleRing:
         self.fiber_ring = build_ring(fiber)
         n = fiber.dim
         self.fiber_cap = 2 * n
-        self.total_half_top = base.half_top + n
+        self.dim = base.half_top + n
         relations = linear_relations(fiber)
         ring = self.fiber_ring
-        self._degrees = []
+        self._degrees: list[GradedPiece] = []
         for d in range(self.fiber_cap + 1):
-            monomials = tuple(_face_monomials(ring.ray_count, ring.faces, d))
-            planned = set(ring.basis_monomials(d)) if d <= n else set()
+            monomials = _face_monomials(ring.ray_count, ring.faces, d)
             index = {m: i for i, m in enumerate(monomials)}
             rows = []
             if d >= 1:
-                lower = self._degrees[d - 1][0]
-                for mono in lower:
+                # Row (mono, i) is mono * relation i; its payload records
+                # both, so reduction knows which lambda_i to carry down.
+                for mono in self._degrees[d - 1].monomials:
                     for i, rel in enumerate(relations):
                         vec = {}
                         for rho, coeff in enumerate(rel):
@@ -321,35 +222,23 @@ class BundleRing:
                             bumped = mono[:rho] + (mono[rho] + 1,) + mono[rho + 1:]
                             pos = index.get(bumped)
                             if pos is not None:
-                                vec[pos] = vec.get(pos, 0) + coeff
+                                vec[pos] = coeff
                         if vec:
                             rows.append((vec, {(i, mono): 1}))
-            allowed = set(range(len(monomials))) - {
-                index[m] for m in planned
-            }
-            pivots = graded_eliminate(rows, len(monomials), allowed)
-            if len(pivots) != len(allowed):
-                raise RingConsistencyError(
-                    f"bundle ring fiber degree {d} is not free of the "
-                    "expected rank"
-                )
-            basis_positions = tuple(
-                i for i in range(len(monomials))
-                if i not in {c for c, _, _ in pivots}
-            )
-            self._degrees.append((monomials, index, tuple(pivots),
-                                  basis_positions))
-        if sum(len(deg[3]) for deg in self._degrees) != len(fiber.max_cones):
+            planned = ring.basis_monomials(d) if d <= n else ()
+            self._degrees.append(GradedPiece.build(
+                monomials, index, rows, planned, f"bundle ring fiber degree {d}"
+            ))
+        if sum(piece.rank for piece in self._degrees) != len(fiber.max_cones):
             raise RingConsistencyError(
                 "bundle ring rank differs from the fiber maximal-cone count"
             )
 
     def rank(self, d: int) -> int:
-        return len(self._degrees[d][3])
+        return self._degrees[d].rank
 
-    def basis_monomials(self, d: int):
-        monomials, _, _, positions = self._degrees[d]
-        return tuple(monomials[i] for i in positions)
+    def basis_monomials(self, d: int) -> tuple[Monomial, ...]:
+        return self._degrees[d].basis_monomials()
 
     # -- reduction -----------------------------------------------------------
 
@@ -365,12 +254,11 @@ class BundleRing:
         }
         zero = self.base.zero()
         for d in range(self.fiber_cap, 0, -1):
-            monomials, index, pivots, _ = self._degrees[d]
-            lower_index = self._degrees[d - 1][1]
+            lower_index = self._degrees[d - 1].index
             vec_d = work[d]
-            for col, vec, payload in pivots:
+            for col, vec, payload in self._degrees[d].pivots:
                 c = vec_d.get(col)
-                if c is None or c.is_zero():
+                if not c:
                     vec_d.pop(col, None)
                     continue
                 for pos, coeff in vec.items():
@@ -382,17 +270,15 @@ class BundleRing:
                     prev = work[d - 1].get(pos, zero)
                     work[d - 1][pos] = prev + carry
         parts = []
-        for d in range(self.fiber_cap + 1):
-            monomials, index, pivots, positions = self._degrees[d]
-            vec_d = work[d]
-            pivot_cols = {c for c, _, _ in pivots}
+        for piece, vec_d in zip(self._degrees, work.values()):
+            pivot_cols = {c for c, _, _ in piece.pivots}
             for pos, cls in vec_d.items():
-                if pos in pivot_cols and not cls.is_zero():
+                if pos in pivot_cols and cls:
                     raise RingConsistencyError(
                         "bundle reduction left residue on a pivot column"
                     )
             parts.append(tuple(
-                vec_d.get(pos, zero) for pos in positions
+                vec_d.get(pos, zero) for pos in piece.basis_positions
             ))
         return BundleClass(self, tuple(parts))
 
@@ -405,28 +291,14 @@ class BundleRing:
     def multiply(self, a: "BundleClass", b: "BundleClass") -> "BundleClass":
         if a.ring is not self or b.ring is not self:
             raise ValueError("classes live in different bundle rings")
+        zero = self.base.zero()
         buckets: dict[int, dict] = {}
-        for d1, part1 in enumerate(a.parts):
-            basis1 = self.basis_monomials(d1)
-            for m1, c1 in zip(basis1, part1):
-                if c1.is_zero():
-                    continue
-                for d2, part2 in enumerate(b.parts):
-                    d = d1 + d2
-                    if d > self.fiber_cap:
-                        continue
-                    basis2 = self.basis_monomials(d2)
-                    index = self._degrees[d][1]
-                    for m2, c2 in zip(basis2, part2):
-                        if c2.is_zero():
-                            continue
-                        prod = tuple(x + y for x, y in zip(m1, m2))
-                        pos = index.get(prod)
-                        if pos is None:
-                            continue  # support is not a face
-                        bucket = buckets.setdefault(d, {})
-                        prev = bucket.get(pos, self.base.zero())
-                        bucket[pos] = prev + c1 * c2
+        for d, prod, c1, c2 in basis_products(self._degrees, a.parts, b.parts):
+            pos = self._degrees[d].index.get(prod)
+            if pos is None:
+                continue  # support is not a face
+            bucket = buckets.setdefault(d, {})
+            bucket[pos] = bucket.get(pos, zero) + c1 * c2
         return self.reduce_raw(buckets)
 
     def integrate(self, cls: "BundleClass") -> int:
@@ -439,14 +311,14 @@ class BundleRing:
         if cls.ring is not self:
             raise ValueError("class lives in a different bundle ring")
         n = self.fiber.dim
-        top = self.total_half_top
         for d, part in enumerate(cls.parts):
             for c in part:
                 for k, base_part in enumerate(c.parts):
-                    if any(base_part) and d + k != top:
+                    if any(base_part) and d + k != self.dim:
                         raise ValueError(
                             "integrate expects a class of top total degree "
-                            f"{2 * top}, found a component in degree {2 * (d + k)}"
+                            f"{2 * self.dim}, found a component in degree "
+                            f"{2 * (d + k)}"
                         )
         if self.rank(n) != 1:
             raise RingConsistencyError("fiber top degree must have rank one")
@@ -463,53 +335,19 @@ def _unit_top_class(ring) -> CohomologyClass:
     return CohomologyClass(ring, parts)
 
 
-@dataclass(frozen=True)
-class BundleClass:
+class BundleClass(CohomologyClass):
     """Element of a BundleRing: base classes indexed by the fiber basis."""
-
-    ring: BundleRing
-    parts: tuple[tuple[PresentedClass, ...], ...]
 
     def component(self, k: int) -> "BundleClass":
         """Homogeneous piece of total cohomological degree 2k."""
-        out = []
-        for d, part in enumerate(self.parts):
-            kk = k - d
-            out.append(tuple(
-                c.component(kk) if 0 <= kk <= self.ring.base.half_top
-                else 0 * c
+        half_top = self.ring.base.half_top
+        return BundleClass(self.ring, tuple(
+            tuple(
+                c.component(k - d) if 0 <= k - d <= half_top else 0 * c
                 for c in part
-            ))
-        return BundleClass(self.ring, tuple(out))
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for part in self.parts for c in part)
-
-    def __add__(self, other):
-        if self.ring is not other.ring:
-            raise ValueError("classes live in different bundle rings")
-        return BundleClass(self.ring, tuple(
-            tuple(x + y for x, y in zip(p, q))
-            for p, q in zip(self.parts, other.parts)
+            )
+            for d, part in enumerate(self.parts)
         ))
-
-    def __rmul__(self, scalar: int):
-        return BundleClass(self.ring, tuple(
-            tuple(scalar * c for c in part) for part in self.parts
-        ))
-
-    def __mul__(self, other):
-        return self.ring.multiply(self, other)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BundleClass)
-            and self.ring is other.ring
-            and self.parts == other.parts
-        )
-
-    def __hash__(self):
-        return hash((id(self.ring), self.parts))
 
 
 def build_bundle_ring(base: BasePresentation, lam: TwistingClasses,
@@ -520,20 +358,12 @@ def build_bundle_ring(base: BasePresentation, lam: TwistingClasses,
 def total_chern_general(ring: BundleRing) -> BundleClass:
     """Image of c(TB) times the product of (1 + x_tau) over fiber rays."""
     pulled = ring.reduce_raw({0: {0: ring.base.chern}})
-    buckets: dict[int, dict] = {}
     unit = ring.base.unit()
-    for face in ring.fiber_ring.faces:
-        d = len(face)
-        if d > ring.fiber_cap:
-            continue
-        mono = tuple(
-            1 if i in face else 0 for i in range(ring.fiber.ray_count)
-        )
-        pos = ring._degrees[d][1][mono]
-        bucket = buckets.setdefault(d, {})
-        bucket[pos] = unit
-    factor = ring.reduce_raw(buckets)
-    return pulled * factor
+    buckets: dict[int, dict] = {}
+    for mono in face_monomial_sum(ring.fiber_ring.faces, ring.fiber.ray_count):
+        d = sum(mono)
+        buckets.setdefault(d, {})[ring._degrees[d].index[mono]] = unit
+    return pulled * ring.reduce_raw(buckets)
 
 
 def integrate_bundle(ring: BundleRing, cls: BundleClass) -> int:
@@ -543,14 +373,7 @@ def integrate_bundle(ring: BundleRing, cls: BundleClass) -> int:
 def chern_numbers_bundle(ring: BundleRing,
                          total: BundleClass) -> dict[tuple[int, ...], int]:
     """Chern numbers of the total space via the presented-base route."""
-    n = ring.total_half_top
-    out = {}
-    for part in partitions(n):
-        cls = ring.unit()
-        for k in part:
-            cls = cls * total.component(k)
-        out[part] = ring.integrate(cls.component(n))
-    return out
+    return chern_numbers(ring, total)
 
 
 def fiber_restriction(ring: BundleRing, cls: BundleClass) -> CohomologyClass:
@@ -580,14 +403,9 @@ def presentation_from_fan(f: Fan, name: str = "") -> BasePresentation:
                 poly[mono] = coeff
         relations.append(poly)
     basis = {
-        k: tuple(ring.basis_monomials(k)) for k in range(f.dim + 1)
+        k: ring.basis_monomials(k) for k in range(f.dim + 1)
     }
     integration = ring.integrate(_unit_top_class(ring))
-    chern_poly: Poly = {}
-    for face in ring.faces:
-        if len(face) <= f.dim:
-            mono = tuple(1 if i in face else 0 for i in range(f.ray_count))
-            chern_poly[mono] = 1
     return BasePresentation(
         name=name or f"H*({f.ray_count} rays, dim {f.dim})",
         generators=generators,
@@ -595,7 +413,7 @@ def presentation_from_fan(f: Fan, name: str = "") -> BasePresentation:
         basis=basis,
         top_degree=2 * f.dim,
         integration=integration,
-        chern=chern_poly,
+        chern=face_monomial_sum(ring.faces, f.ray_count),
     )
 
 

@@ -15,25 +15,17 @@ from .cohomology import (
     CohomologyClass,
     GradedQuotientRing,
     RingConsistencyError,
+    _faces,
     build_ring,
+    face_monomial_sum,
 )
 from .fan import Fan
 from .twist import PiecewiseLinearMap, TwistDecomposition, twisted_fan
 
 
 def total_chern_intrinsic(ring: GradedQuotientRing) -> CohomologyClass:
-    """Reduced product of (1 + x_rho) over all rays.
-
-    The expansion is the sum of all squarefree face monomials, so it is
-    assembled directly from the face list and reduced once.
-    """
-    poly = {}
-    for face in ring.faces:
-        if len(face) > ring.degree_cap:
-            continue
-        mono = tuple(1 if i in face else 0 for i in range(ring.ray_count))
-        poly[mono] = 1
-    return ring.reduce_poly(poly)
+    """Reduced product of (1 + x_rho) over all rays."""
+    return ring.reduce_poly(face_monomial_sum(ring.faces, ring.ray_count))
 
 
 class PullbackMap:
@@ -100,26 +92,13 @@ def pullback(decomp: TwistDecomposition, base_ring: GradedQuotientRing,
 def _fiber_factor(decomp: TwistDecomposition, fiber: Fan,
                   twisted_ring: GradedQuotientRing) -> CohomologyClass:
     """Product of (1 + x_tau) over the embedded fiber rays."""
-    fiber_faces = {frozenset()}
-    for cone in fiber.max_cones:
-        fiber_faces |= {
-            frozenset(s)
-            for s in _subsets(sorted(cone))
-        }
-    poly = {}
-    for face in fiber_faces:
-        mono = [0] * twisted_ring.ray_count
-        for tau in face:
-            mono[decomp.fiber_ray_of[tau]] = 1
-        poly[tuple(mono)] = 1
-    return twisted_ring.reduce_poly(poly)
-
-
-def _subsets(items):
-    out = [()]
-    for x in items:
-        out += [s + (x,) for s in out]
-    return out
+    embedded = {
+        frozenset(decomp.fiber_ray_of[tau] for tau in face)
+        for face in _faces(fiber.max_cones)
+    }
+    return twisted_ring.reduce_poly(
+        face_monomial_sum(embedded, twisted_ring.ray_count)
+    )
 
 
 def total_chern_bundle_formula(decomp: TwistDecomposition, base: Fan,
@@ -149,9 +128,12 @@ def partitions(n: int):
     return sorted(gen(n, n))
 
 
-def chern_numbers(ring: GradedQuotientRing,
-                  total: CohomologyClass) -> dict[tuple[int, ...], int]:
-    """Integrals of all monomials in the Chern classes, keyed by partition."""
+def chern_numbers(ring, total: CohomologyClass) -> dict[tuple[int, ...], int]:
+    """Integrals of all monomials in the Chern classes, keyed by partition.
+
+    ``ring`` is a GradedQuotientRing or a BundleRing; ``ring.dim`` is the
+    complex dimension.
+    """
     n = ring.dim
     out = {}
     for part in partitions(n):
@@ -160,6 +142,14 @@ def chern_numbers(ring: GradedQuotientRing,
             cls = cls * total.component(k)
         out[part] = ring.integrate(cls.component(n))
     return out
+
+
+def numbers_payload(numbers: dict) -> dict[str, int]:
+    """Chern numbers keyed by their partition written as '2+1+1'."""
+    return {
+        "+".join(str(i) for i in part): value
+        for part, value in sorted(numbers.items())
+    }
 
 
 def euler_characteristic(f: Fan) -> int:
@@ -210,14 +200,8 @@ class ComparisonReport:
                 }
                 for dc in self.degrees
             ],
-            "chern_numbers_intrinsic": {
-                "+".join(str(i) for i in part): value
-                for part, value in sorted(self.intrinsic_numbers.items())
-            },
-            "chern_numbers_bundle": {
-                "+".join(str(i) for i in part): value
-                for part, value in sorted(self.bundle_numbers.items())
-            },
+            "chern_numbers_intrinsic": numbers_payload(self.intrinsic_numbers),
+            "chern_numbers_bundle": numbers_payload(self.bundle_numbers),
             "euler_expected": self.euler_expected,
             "euler_intrinsic": self.euler_intrinsic,
         }

@@ -24,6 +24,7 @@ from .formats import (
     parse_pair,
     parse_plmap,
     parse_twisting,
+    polynomial_to_text,
 )
 from .twist import principal_classes, twisted_fan
 
@@ -55,19 +56,16 @@ def _emit(args, command: str, payload: dict, human_lines: list[str]) -> None:
         _write(args, "\n".join(human_lines) + "\n")
 
 
-def _monomial_str(exps) -> str:
-    factors = [
-        f"x{i}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exps) if e
-    ]
-    return "*".join(factors) if factors else "1"
-
-
 def _class_payload(cls) -> dict:
     ring = cls.ring
+    names = [f"x{i}" for i in range(ring.ray_count)]
     out = {}
     for d, part in enumerate(cls.parts):
         out[str(2 * d)] = {
-            "basis": [_monomial_str(m) for m in ring.basis_monomials(d)],
+            "basis": [
+                polynomial_to_text({m: 1}, names)
+                for m in ring.basis_monomials(d)
+            ],
             "coefficients": list(part),
         }
     return out
@@ -76,21 +74,16 @@ def _class_payload(cls) -> dict:
 def _class_lines(cls, label: str) -> list[str]:
     lines = [label]
     ring = cls.ring
+    names = [f"x{i}" for i in range(ring.ray_count)]
     for d, part in enumerate(cls.parts):
         terms = [
-            (f"{c}*" if c not in (1,) else "") + _monomial_str(m)
+            (f"{c}*" if c not in (1,) else "")
+            + polynomial_to_text({m: 1}, names)
             for m, c in zip(ring.basis_monomials(d), part)
             if c
         ]
         lines.append(f"  degree {2 * d}: " + (" + ".join(terms) if terms else "0"))
     return lines
-
-
-def _numbers_payload(numbers: dict) -> dict:
-    return {
-        "+".join(str(i) for i in part): value
-        for part, value in sorted(numbers.items())
-    }
 
 
 def _numbers_lines(numbers: dict) -> list[str]:
@@ -158,7 +151,7 @@ def cmd_chern(args) -> int:
     euler = chern.euler_characteristic(fan)
     payload = {
         "total_chern": _class_payload(total),
-        "chern_numbers": _numbers_payload(numbers),
+        "chern_numbers": chern.numbers_payload(numbers),
         "euler_characteristic": euler,
         "gauss_bonnet": ring.integrate(total.component(fan.dim)) == euler,
     }
@@ -226,8 +219,8 @@ def cmd_bundle(args) -> int:
         "fiber_rank_per_degree": [
             ring.rank(d) for d in range(fiber.dim + 1)
         ],
-        "chern_numbers": _numbers_payload(numbers),
-        "total_dimension": ring.total_half_top,
+        "chern_numbers": chern.numbers_payload(numbers),
+        "total_dimension": ring.dim,
     }
     lines = [
         f"base: {base.name}",

@@ -8,6 +8,14 @@ lexicographically with smaller ray indices first, and the elimination
 walks columns left to right, so bases and coefficient vectors are
 bit-stable across runs.
 
+This is also the engine of the presented base and the bundle ring in
+``bundlering``: every ring stores one GradedPiece per degree (columns,
+unit pivots certifying a planned basis, one integer ``reduce``),
+``basis_products`` is the one product loop over two classes' basis
+terms, CohomologyClass is the one class type, and face_monomial_sum is
+the one expansion of prod (1 + x_rho).  Minimal non-faces are grown from
+the face set, and a ring computes them only when they are read.
+
 A ring with linear relations eliminates over the squarefree face
 monomials of each degree (one column per face of that size), not over
 every face monomial.  A monomial with a repeated exponent is first
@@ -29,8 +37,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from math import comb
+from operator import add
+from typing import NamedTuple
 
 from .fan import Fan, require_smooth_complete
 from .lattice import (
@@ -55,16 +65,25 @@ class RingConsistencyError(RuntimeError):
 
 def minimal_nonfaces(f: Fan) -> list[frozenset[int]]:
     """Inclusion-minimal ray sets contained in no maximal cone."""
-    nonfaces = []
-    for size in range(1, f.ray_count + 1):
-        for subset in itertools.combinations(range(f.ray_count), size):
-            s = frozenset(subset)
-            if any(s <= cone for cone in f.max_cones):
+    return _minimal_nonfaces(_faces(f.max_cones), f.ray_count)
+
+
+def _minimal_nonfaces(faces, ray_count: int) -> list[frozenset[int]]:
+    """Minimal non-faces of a face set, by size, then lexicographically.
+
+    A minimal non-face is a non-face tau + {rho} (tau a face) whose facets
+    are all faces, so only face-sized candidates are tried, never every
+    subset of the rays.
+    """
+    found = set()
+    for tau in faces:
+        for rho in range(ray_count):
+            if rho in tau:
                 continue
-            if any(nf < s for nf in nonfaces):
-                continue
-            nonfaces.append(s)
-    return nonfaces
+            s = tau | {rho}
+            if s not in faces and all(s - {x} in faces for x in tau):
+                found.add(s)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
 def linear_relations(f: Fan) -> list[IntVector]:
@@ -80,6 +99,18 @@ def _faces(max_cones) -> set[frozenset[int]]:
             for subset in itertools.combinations(cone, size):
                 faces.add(frozenset(subset))
     return faces
+
+
+def face_monomial_sum(faces, ray_count: int) -> Poly:
+    """The sum of x_tau over the faces tau: prod_rho (1 + x_rho) expanded.
+
+    Every other squarefree monomial of the expansion has a non-face support
+    and vanishes in the Stanley-Reisner quotient.
+    """
+    return {
+        tuple(1 if i in face else 0 for i in range(ray_count)): 1
+        for face in faces
+    }
 
 
 def _face_monomials(ray_count: int, faces, degree: int) -> list[Monomial]:
@@ -121,13 +152,13 @@ def _squarefree_monomials(ray_count: int, faces, degree: int) -> list[Monomial]:
     )
 
 
-def graded_eliminate(rows, ncols: int, allowed=None):
+def graded_eliminate(rows, allowed):
     """Exact integer elimination with unit pivots.
 
     ``rows`` is a list of ``(vec, payload)`` where ``vec`` is a sparse
     ``{column: int}`` dict and ``payload`` an arbitrary sparse dict combined
     linearly alongside it.  Pivot columns are chosen left to right among
-    ``allowed`` (all columns when None); a column whose residual gcd is not
+    ``allowed``; a column whose residual gcd is not
     a unit is deferred, and scanning repeats until a pass makes no
     progress.  When the complement of ``allowed`` is a genuine basis of the
     quotient, every allowed column has residual gcd 1 and the elimination
@@ -153,7 +184,7 @@ def graded_eliminate(rows, ncols: int, allowed=None):
         for vec, payload in rows
         if vec
     ]
-    candidates = sorted(allowed) if allowed is not None else range(ncols)
+    candidates = sorted(allowed)
     pivots = []
     pivot_cols = set()
     progress = True
@@ -269,16 +300,99 @@ def fixed_point_basis_plan(ray_count, dim, max_cones, vectors, h_expected):
     )
 
 
-@dataclass(frozen=True)
-class _Degree:
+class GradedPiece(NamedTuple):
+    """One degree of a graded ring: columns, unit pivots and the basis.
+
+    ``monomials`` are the column monomials and ``index`` their positions;
+    ``pivots`` come from graded_eliminate and ``basis_positions`` are the
+    columns left without a pivot.  Every ring in the package, the bundle
+    ring included, stores one piece per degree.
+    """
+
     monomials: tuple[Monomial, ...]
     index: dict
     pivots: tuple
     basis_positions: tuple[int, ...]
 
+    @classmethod
+    def build(cls, monomials, index, rows, planned, label: str) -> "GradedPiece":
+        """Eliminate ``rows`` over the columns outside the planned basis.
+
+        ``planned`` lists the basis monomials the elimination must
+        certify; None (a ring without linear relations) keeps every
+        column.  ``label`` names the ring and degree in every error.
+        """
+        if planned is None:
+            return cls(tuple(monomials), index, (), tuple(range(len(monomials))))
+        positions = set()
+        for mono in planned:
+            pos = index.get(mono)
+            if pos is None:
+                raise RingConsistencyError(
+                    f"{label}: basis monomial {mono} is not a column "
+                    "monomial of this degree"
+                )
+            if pos in positions:
+                raise RingConsistencyError(
+                    f"{label}: basis monomial {mono} is listed twice"
+                )
+            positions.add(pos)
+        allowed = set(range(len(monomials))) - positions
+        try:
+            pivots = graded_eliminate(rows, allowed)
+        except RingConsistencyError as exc:
+            raise RingConsistencyError(f"{label}: {exc}") from exc
+        if len(pivots) != len(allowed):
+            raise RingConsistencyError(
+                f"{label}: rank is not {len(positions)} as planned, only "
+                f"{len(pivots)} of the other {len(allowed)} columns got "
+                "unit pivots"
+            )
+        basis = tuple(sorted(positions))
+        return cls(tuple(monomials), index, tuple(pivots), basis)
+
     @property
     def rank(self) -> int:
         return len(self.basis_positions)
+
+    def basis_monomials(self) -> tuple[Monomial, ...]:
+        return tuple(self.monomials[i] for i in self.basis_positions)
+
+    def reduce(self, vec: dict) -> tuple[int, ...]:
+        """Basis coefficients of an integer combination {column: coeff}."""
+        if not vec:
+            return (0,) * len(self.basis_positions)
+        work = dict(vec)
+        for col, row, _ in self.pivots:
+            c = work.get(col)
+            if c:
+                for k, v in row.items():
+                    new = work.get(k, 0) - c * v
+                    if new:
+                        work[k] = new
+                    else:
+                        work.pop(k, None)
+        return tuple(work.get(i, 0) for i in self.basis_positions)
+
+
+def basis_products(pieces, a_parts, b_parts):
+    """Yield (degree, m1*m2, c1, c2) over the nonzero basis terms of a and b.
+
+    Coefficients are integers or classes; zero ones are falsy and skipped.
+    Products above the top piece are skipped.
+    """
+    bases = [piece.basis_monomials() for piece in pieces]
+    top = len(pieces) - 1
+    for d1, part1 in enumerate(a_parts):
+        if not any(part1):
+            continue
+        for m1, c1 in zip(bases[d1], part1):
+            if not c1:
+                continue
+            for d2 in range(top - d1 + 1):
+                for m2, c2 in zip(bases[d2], b_parts[d2]):
+                    if c2:
+                        yield d1 + d2, tuple(map(add, m1, m2)), c1, c2
 
 
 class GradedQuotientRing:
@@ -296,29 +410,34 @@ class GradedQuotientRing:
     between threads.
     """
 
-    def __init__(self, ray_count, dim, nonfaces, relations, max_cones,
-                 degree_cap, basis_plan=None, name=""):
+    def __init__(self, ray_count, dim, relations, max_cones, degree_cap,
+                 basis_plan=None):
         self.ray_count = ray_count
         self.dim = dim
-        self.nonfaces = tuple(frozenset(nf) for nf in nonfaces)
         self.relations = tuple(tuple(r) for r in relations)
         self.max_cones = tuple(frozenset(c) for c in max_cones)
         self.degree_cap = degree_cap
         self.basis_plan = basis_plan
-        self.name = name
+        if self.relations and basis_plan is None:
+            raise ValueError("a ring with linear relations needs a basis plan")
         self.faces = _faces(self.max_cones)
-        self._degrees: list[_Degree] = []
+        self._degrees: list[GradedPiece] = []
         self._point = None
         self._cone_inverses: dict[frozenset, tuple] = {}
         memo: dict = {}
         for d in range(degree_cap + 1):
             self._degrees.append(self._build_degree(d, memo))
 
-    def _build_degree(self, d: int, memo: dict) -> _Degree:
+    @cached_property
+    def nonfaces(self) -> list[frozenset[int]]:
+        """Minimal non-faces (Stanley-Reisner generators), on first use."""
+        return _minimal_nonfaces(self.faces, self.ray_count)
+
+    def _build_degree(self, d: int, memo: dict) -> GradedPiece:
         enumerate_columns = (
             _squarefree_monomials if self.relations else _face_monomials
         )
-        monomials = tuple(enumerate_columns(self.ray_count, self.faces, d))
+        monomials = enumerate_columns(self.ray_count, self.faces, d)
         index = {m: i for i, m in enumerate(monomials)}
         rows = []
         if d >= 1 and self.relations:
@@ -350,27 +469,8 @@ class GradedQuotientRing:
                     vec = {pos: c for pos, c in vec.items() if c}
                     if vec:
                         rows.append((vec, None))
-        allowed = None
-        if self.basis_plan is not None:
-            planned = self.basis_plan.get(d, set())
-            positions = set()
-            for mono in planned:
-                pos = index.get(mono)
-                if pos is None:
-                    raise RingConsistencyError(
-                        f"planned basis monomial {mono} is not a face monomial"
-                    )
-                positions.add(pos)
-            allowed = set(range(len(monomials))) - positions
-        pivots = graded_eliminate(rows, len(monomials), allowed)
-        if allowed is not None and len(pivots) != len(allowed):
-            raise RingConsistencyError(
-                f"degree {d}: prescribed basis leaves {len(allowed)} columns "
-                f"to eliminate but only {len(pivots)} got unit pivots"
-            )
-        pivot_cols = {col for col, _, _ in pivots}
-        basis = tuple(i for i in range(len(monomials)) if i not in pivot_cols)
-        return _Degree(monomials, index, tuple(pivots), basis)
+        planned = None if self.basis_plan is None else self.basis_plan.get(d, ())
+        return GradedPiece.build(monomials, index, rows, planned, f"degree {d}")
 
     # -- rewriting into columns ----------------------------------------------
 
@@ -470,7 +570,7 @@ class GradedQuotientRing:
             d = sum(mono)
             buckets[d][self._degrees[d].index[mono]] = coeff
         return CohomologyClass(self, tuple(
-            self._reduce_degree(d, bucket) for d, bucket in enumerate(buckets)
+            piece.reduce(bucket) for piece, bucket in zip(self._degrees, buckets)
         ))
 
     # -- structure ---------------------------------------------------------
@@ -484,30 +584,13 @@ class GradedQuotientRing:
         """Basis ranks per even degree; index k is cohomological degree 2k."""
         return [self._degrees[d].rank for d in range(self.degree_cap + 1)]
 
-    def basis_monomials(self, d: int) -> list[Monomial]:
-        deg = self._degrees[d]
-        return [deg.monomials[i] for i in deg.basis_positions]
+    def basis_monomials(self, d: int) -> tuple[Monomial, ...]:
+        return self._degrees[d].basis_monomials()
 
     def is_face(self, support) -> bool:
         return frozenset(support) in self.faces
 
     # -- reduction ---------------------------------------------------------
-
-    def _reduce_degree(self, d: int, vec: dict) -> tuple[int, ...]:
-        deg = self._degrees[d]
-        if not vec:
-            return (0,) * deg.rank
-        work = dict(vec)
-        for col, row, _ in deg.pivots:
-            c = work.get(col)
-            if c:
-                for k, v in row.items():
-                    new = work.get(k, 0) - c * v
-                    if new:
-                        work[k] = new
-                    else:
-                        work.pop(k, None)
-        return tuple(work.get(i, 0) for i in deg.basis_positions)
 
     def reduce_poly(self, poly: Poly) -> "CohomologyClass":
         """Normal form of an integer polynomial in the ray generators.
@@ -542,19 +625,8 @@ class GradedQuotientRing:
             raise ValueError("classes live in different rings")
         memo: dict = {}
         terms: Poly = {}
-        bases = [self.basis_monomials(d) for d in range(self.degree_cap + 1)]
-        for d1, part1 in enumerate(a.parts):
-            for m1, c1 in zip(bases[d1], part1):
-                if c1 == 0:
-                    continue
-                for d2, part2 in enumerate(b.parts):
-                    if d1 + d2 > self.degree_cap:
-                        continue
-                    for m2, c2 in zip(bases[d2], part2):
-                        if c2 == 0:
-                            continue
-                        prod = tuple(x + y for x, y in zip(m1, m2))
-                        self._add_normal_form(terms, prod, c1 * c2, memo)
+        for _, prod, c1, c2 in basis_products(self._degrees, a.parts, b.parts):
+            self._add_normal_form(terms, prod, c1 * c2, memo)
         return self._reduce_terms(terms)
 
     # -- integration -------------------------------------------------------
@@ -567,8 +639,8 @@ class GradedQuotientRing:
                 mono = tuple(
                     1 if i in cone else 0 for i in range(self.ray_count)
                 )
-                vec = {self._degrees[n].index[mono]: 1}
-                this = self._reduce_degree(n, vec)
+                top = self._degrees[n]
+                this = top.reduce({top.index[mono]: 1})
                 if reduced is None:
                     reduced = this
                 elif this != reduced:
@@ -607,10 +679,15 @@ class GradedQuotientRing:
 
 @dataclass(frozen=True)
 class CohomologyClass:
-    """Per-degree integer coefficients over the ring's chosen monomial basis."""
+    """Per-degree coefficients over a ring's basis monomials.
 
-    ring: GradedQuotientRing
-    parts: tuple[tuple[int, ...], ...]
+    The ring is a GradedQuotientRing or a BasePresentation, with integer
+    coefficients, or a BundleRing (see BundleClass), whose coefficients
+    are classes over its base.  A class is falsy exactly when it is zero.
+    """
+
+    ring: object
+    parts: tuple[tuple, ...]
 
     def component(self, k: int) -> "CohomologyClass":
         """The homogeneous piece in cohomological degree 2k."""
@@ -624,12 +701,15 @@ class CohomologyClass:
         return self.parts[k]
 
     def is_zero(self) -> bool:
-        return all(not any(part) for part in self.parts)
+        return not self
+
+    def __bool__(self) -> bool:
+        return any(map(any, self.parts))
 
     def __add__(self, other: "CohomologyClass") -> "CohomologyClass":
         if self.ring is not other.ring:
             raise ValueError("classes live in different rings")
-        return CohomologyClass(
+        return type(self)(
             self.ring,
             tuple(
                 tuple(x + y for x, y in zip(p, q))
@@ -641,7 +721,7 @@ class CohomologyClass:
         return self + (-1) * other
 
     def __rmul__(self, scalar: int) -> "CohomologyClass":
-        return CohomologyClass(
+        return type(self)(
             self.ring,
             tuple(tuple(scalar * x for x in p) for p in self.parts),
         )
@@ -674,7 +754,6 @@ def build_ring(f: Fan) -> GradedQuotientRing:
     ring = GradedQuotientRing(
         ray_count=f.ray_count,
         dim=f.dim,
-        nonfaces=minimal_nonfaces(f),
         relations=linear_relations(f),
         max_cones=f.max_cones,
         degree_cap=f.dim,

@@ -17,10 +17,11 @@ from .cohomology import (
     CohomologyClass,
     GradedQuotientRing,
     build_ring,
+    face_monomial_sum,
     fixed_point_basis_plan,
     h_vector,
-    minimal_nonfaces,
 )
+from .formats import polynomial_to_text
 from .lattice import IntVector, hermite_normal_form, invert_unimodular
 from .twist import CharacteristicPair, validate_pair
 
@@ -109,28 +110,9 @@ class WeightPolynomial:
         return out
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for exps, coeff in sorted(
-            self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0])
-        ):
-            factors = [
-                f"t{k + 1}" + (f"^{e}" if e > 1 else "")
-                for k, e in enumerate(exps)
-                if e
-            ]
-            mono = "*".join(factors) if factors else "1"
-            if coeff == 1 and factors:
-                bits.append(mono)
-            elif coeff == -1 and factors:
-                bits.append(f"-{mono}")
-            else:
-                bits.append(f"{coeff}*{mono}" if factors else str(coeff))
-        out = bits[0]
-        for b in bits[1:]:
-            out += f" - {b[1:]}" if b.startswith("-") else f" + {b}"
-        return out
+        return polynomial_to_text(
+            self.terms, [f"t{k + 1}" for k in range(self.nvars)]
+        )
 
 
 def face_ring(p: CharacteristicPair, degree_bound=None) -> GradedQuotientRing:
@@ -148,7 +130,6 @@ def face_ring(p: CharacteristicPair, degree_bound=None) -> GradedQuotientRing:
     return GradedQuotientRing(
         ray_count=f.ray_count,
         dim=f.dim,
-        nonfaces=minimal_nonfaces(f),
         relations=(),
         max_cones=f.max_cones,
         degree_cap=bound // 2,
@@ -159,13 +140,7 @@ def equivariant_total_chern(p: CharacteristicPair,
                             degree_bound=None) -> CohomologyClass:
     """Reduced product of (1 + x_rho) in the (truncated) face ring."""
     ring = face_ring(p, degree_bound)
-    poly = {}
-    for face in ring.faces:
-        if len(face) > ring.degree_cap:
-            continue
-        mono = tuple(1 if i in face else 0 for i in range(ring.ray_count))
-        poly[mono] = 1
-    return ring.reduce_poly(poly)
+    return ring.reduce_poly(face_monomial_sum(ring.faces, ring.ray_count))
 
 
 def fixed_point_weights(p: CharacteristicPair, sigma) -> tuple[IntVector, ...]:
@@ -301,7 +276,6 @@ def ordinary_ring(p: CharacteristicPair) -> GradedQuotientRing:
     return GradedQuotientRing(
         ray_count=f.ray_count,
         dim=f.dim,
-        nonfaces=minimal_nonfaces(f),
         relations=relations,
         max_cones=f.max_cones,
         degree_cap=f.dim,

@@ -7,9 +7,12 @@ once, self-intersections from the wall relation v_prev + v_next = a*v).
 ``AllFaceMonomialRing`` is the reference for rings with linear relations:
 it eliminates over every face monomial of each degree, as the library did
 before it rewrote repeated exponents into squarefree face monomials.
+``subset_minimal_nonfaces`` is the reference for minimal non-faces: it
+tries every subset of the rays, as the library did before it grew them
+from the faces.
 """
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 from toricbundles import make_fan, product_fan
 from toricbundles.cohomology import _face_monomials, graded_eliminate
@@ -46,6 +49,34 @@ def dp6():
         [[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]],
         [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]],
     )
+
+
+def star_surface(ray_count, rng):
+    """A smooth complete surface: star subdivisions of P2 at random 2-cones.
+
+    Rays stay in cyclic order, so the maximal cones are consecutive pairs.
+    """
+    rays = [(1, 0), (0, 1), (-1, -1)]
+    while len(rays) < ray_count:
+        i = rng.randrange(len(rays))
+        a, b = rays[i], rays[(i + 1) % len(rays)]
+        rays.insert(i + 1, (a[0] + b[0], a[1] + b[1]))
+    n = len(rays)
+    return make_fan(2, rays, [[i, (i + 1) % n] for i in range(n)])
+
+
+def subset_minimal_nonfaces(fan):
+    """Minimal non-faces by trying all 2^rays subsets, smallest first."""
+    nonfaces = []
+    for size in range(1, fan.ray_count + 1):
+        for subset in combinations(range(fan.ray_count), size):
+            s = frozenset(subset)
+            if any(s <= cone for cone in fan.max_cones):
+                continue
+            if any(nf < s for nf in nonfaces):
+                continue
+            nonfaces.append(s)
+    return nonfaces
 
 
 def permutation_determinant(m):
@@ -143,12 +174,10 @@ class AllFaceMonomialRing:
                                 vec[index[bumped]] = coeff
                         if vec:
                             rows.append((vec, None))
-            allowed = None
-            if ring.basis_plan is not None:
-                planned = {index[m] for m in ring.basis_plan.get(d, set())}
-                allowed = set(range(len(monomials))) - planned
-            pivots = graded_eliminate(rows, len(monomials), allowed)
-            assert allowed is None or len(pivots) == len(allowed)
+            planned = {index[m] for m in ring.basis_plan.get(d, set())}
+            allowed = set(range(len(monomials))) - planned
+            pivots = graded_eliminate(rows, allowed)
+            assert len(pivots) == len(allowed)
             pivot_cols = {col for col, _, _ in pivots}
             basis = [i for i in range(len(monomials)) if i not in pivot_cols]
             self.degrees.append((monomials, index, pivots, basis))
@@ -158,7 +187,7 @@ class AllFaceMonomialRing:
 
     def basis_monomials(self, d):
         monomials, _, _, basis = self.degrees[d]
-        return [monomials[i] for i in basis]
+        return tuple(monomials[i] for i in basis)
 
     def reduce(self, poly):
         """Per-degree coefficient tuples of a polynomial's normal form."""

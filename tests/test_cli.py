@@ -1,8 +1,9 @@
 import json
+import random
 
 import pytest
 
-from helpers import p1, p2
+from helpers import p1, p2, star_surface
 from toricbundles import make_plmap, tautological_pair, twisted_fan
 from toricbundles.cli import main
 from toricbundles.formats import (
@@ -16,6 +17,7 @@ from toricbundles.formats import (
     parse_polynomial,
     parse_twisting,
     plmap_to_text,
+    polynomial_to_text,
 )
 
 P1_FAN = """\
@@ -100,6 +102,20 @@ def test_polynomial_parsing():
     assert parse_polynomial("h - h", gens, 2) == {}
     with pytest.raises(ParseError, match="unknown generator"):
         parse_polynomial("z", gens, 2)
+
+
+def test_polynomial_text_roundtrip():
+    rng = random.Random("polynomial text")
+    names = ["h", "k", "x2"]
+    gens = {name: i for i, name in enumerate(names)}
+    assert polynomial_to_text({}, names) == "0"
+    for _ in range(200):
+        poly = {}
+        for _ in range(rng.randint(0, 5)):
+            mono = tuple(rng.randint(0, 3) for _ in names)
+            poly[mono] = rng.choice([-7, -2, -1, 1, 1, 2, 5])
+        text = polynomial_to_text(poly, names)
+        assert parse_polynomial(text, gens, len(names)) == poly, text
 
 
 def test_presentation_and_twisting_files():
@@ -225,6 +241,73 @@ def test_cmd_bundle_inconsistent_presentation_is_a_finding(tmp_path, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("error: base presentation 'torsion'")
     assert "degree 4" in lines[0]
+
+
+def test_cmd_bundle_zero_relation_imposes_nothing(tmp_path, capsys):
+    lam = write(tmp_path, "lam.tw", LAMBDA_2H)
+    fan = write(tmp_path, "p1.fan", P1_FAN)
+    plain = write(tmp_path, "p1.pres", P1_PRESENTATION)
+    assert main(["--format", "machine", "bundle", str(plain), str(lam),
+                 str(fan)]) == 0
+    expected = capsys.readouterr().out
+    for zero in ("0", "h - h"):
+        text = P1_PRESENTATION.replace("relations\n", f"relations\n{zero}\n")
+        pres = write(tmp_path, "zero.pres", text)
+        assert main(["--format", "machine", "bundle", str(pres), str(lam),
+                     str(fan)]) == 0
+        assert capsys.readouterr().out == expected
+
+
+P2_PRESENTATION = """\
+name P2
+top_degree 4
+generators
+x0 2
+x1 2
+x2 2
+relations
+x0*x1*x2
+-x2 + x0
+-x2 + x1
+basis
+0 : 1
+2 : x2
+4 : x0*x2
+integration 1
+chern
+1 + x2 + x1 + x0 + x1*x2 + x0*x2 + x0*x1
+"""
+
+
+def test_cmd_bundle_repeated_basis_monomial_is_a_finding(tmp_path, capsys):
+    lam = write(tmp_path, "lam.tw", "classes\nx0\n")
+    fan = write(tmp_path, "p1.fan", P1_FAN)
+    good = write(tmp_path, "p2.pres", P2_PRESENTATION)
+    assert main(["--format", "machine", "bundle", str(good), str(lam),
+                 str(fan)]) == 0
+    assert json.loads(capsys.readouterr().out)["chern_numbers"]["1+1+1"] == 56
+    # x2 listed twice claims rank 2 in degree 2 and once gave 1+1+1 = 832
+    pres = write(tmp_path, "dup.pres",
+                 P2_PRESENTATION.replace("2 : x2\n", "2 : x2 x2\n"))
+    assert run_cli(tmp_path, "bundle", pres, lam, fan) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: base presentation 'P2'")
+    assert "degree 2" in lines[0]
+    assert "(0, 0, 1)" in lines[0]
+
+
+def test_cmd_chern_many_ray_surface(tmp_path, capsys):
+    # c1^2 = 12 - rays and c2 = rays; the minimal non-faces of 40 rays
+    # must come from the faces, not from 2^40 subsets
+    fan = star_surface(40, random.Random("40-ray surface"))
+    path = write(tmp_path, "surface.fan", fan_to_text(fan))
+    assert main(["--format", "machine", "chern", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["chern_numbers"] == {"1+1": -28, "2": 40}
+    assert payload["gauss_bonnet"] is True
 
 
 def test_cmd_corpus_machine_byte_stable(capsys):

@@ -1,8 +1,19 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dp6, p1, p2, square_fan
+from helpers import (
+    dp6,
+    p1,
+    p1_power,
+    p2,
+    projective_space,
+    square_fan,
+    star_surface,
+    subset_minimal_nonfaces,
+)
 from toricbundles import (
     RingConsistencyError,
     build_ring,
@@ -12,6 +23,7 @@ from toricbundles import (
     minimal_nonfaces,
     product_fan,
 )
+from toricbundles.corpus import corpus_fans
 from toricbundles.twist import make_plmap, twisted_fan
 
 
@@ -42,6 +54,19 @@ def test_minimal_nonfaces_examples():
         frozenset({0, 1}),
         frozenset({2, 3}),
     ]
+
+
+def test_minimal_nonfaces_match_subset_reference():
+    # same lists in the same order (by size, then lexicographically), for
+    # the module function and for the ring's property alike
+    rng = random.Random("minimal nonfaces")
+    fans = [f for _, f in corpus_fans()]
+    fans += [projective_space(n) for n in range(1, 6)] + [p1_power(3)]
+    fans += [star_surface(14, rng) for _ in range(10)]
+    for f in fans:
+        expected = subset_minimal_nonfaces(f)
+        assert minimal_nonfaces(f) == expected
+        assert build_ring(f).nonfaces == expected
 
 
 def test_linear_relations_examples():
@@ -206,7 +231,7 @@ def test_point_class_consistency_error_detection():
 
     f = p2()
     ring = GradedQuotientRing(
-        ray_count=3, dim=2, nonfaces=minimal_nonfaces(f), relations=(),
+        ray_count=3, dim=2, relations=(),
         max_cones=f.max_cones, degree_cap=2,
     )
     with pytest.raises(RingConsistencyError):
@@ -221,8 +246,20 @@ def test_torsion_relations_fail_certification():
     doubled = [tuple(2 * c for c in rel) for rel in linear_relations(f)]
     with pytest.raises(RingConsistencyError):
         GradedQuotientRing(
-            ray_count=3, dim=2, nonfaces=minimal_nonfaces(f),
-            relations=doubled, max_cones=f.max_cones, degree_cap=2,
+            ray_count=3, dim=2, relations=doubled,
+            max_cones=f.max_cones, degree_cap=2,
             basis_plan=fixed_point_basis_plan(3, 2, f.max_cones, f.rays,
                                               [1, 1, 1]),
+        )
+
+
+def test_relations_need_a_basis_plan():
+    # without a plan the relation rows would be silently ignored
+    from toricbundles.cohomology import GradedQuotientRing
+
+    f = p2()
+    with pytest.raises(ValueError, match="basis plan"):
+        GradedQuotientRing(
+            ray_count=3, dim=2, relations=linear_relations(f),
+            max_cones=f.max_cones, degree_cap=2,
         )
