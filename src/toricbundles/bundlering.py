@@ -14,9 +14,15 @@ pinned by the mandatory agreement with the twisted-fan route.
 
 Both rings here run on the engine of ``cohomology``: one GradedPiece per
 degree, certified against the claimed (presentation) or the fiber
-ring's (bundle) basis.  Base classes are CohomologyClass instances, and
-a BundleClass is a CohomologyClass whose coefficients are base classes;
-it differs only in taking components by total degree.
+ring's (bundle) basis.  The bundle ring is the fiber's GradedQuotientRing
+with base classes as coefficients: the same squarefree columns in fiber
+degrees 0..n, the same cone rewrite and normal form, whose rewrite of
+x_rho gains the constant mu_rho = -sum_j inv[rho][j] lambda_j, and the
+same ``GradedPiece.reduce``, walked top degree first, whose pivots carry
+the lambda cofactors of their rows one fiber degree down.  Base classes
+are CohomologyClass instances, and a BundleClass is a CohomologyClass
+whose coefficients are base classes; it differs only in taking
+components by total degree.
 """
 
 from __future__ import annotations
@@ -28,10 +34,10 @@ from .chern import chern_numbers
 from .cohomology import (
     CohomologyClass,
     GradedPiece,
+    GradedQuotientRing,
     Monomial,
     Poly,
     RingConsistencyError,
-    _face_monomials,
     basis_products,
     build_ring,
     face_monomial_sum,
@@ -151,7 +157,9 @@ class BasePresentation:
         if a.ring is not self or b.ring is not self:
             raise ValueError("classes live over different base presentations")
         poly: Poly = {}
-        for _, prod, c1, c2 in basis_products(self._degrees, a.parts, b.parts):
+        for prod, c1, c2 in basis_products(
+            self._degrees, a.parts, b.parts, self.half_top
+        ):
             poly[prod] = poly.get(prod, 0) + c1 * c2
         return self.reduce_poly(poly)
 
@@ -178,14 +186,34 @@ class TwistingClasses:
                     raise ValueError("twisting classes must be pure degree 2")
 
 
-class BundleRing:
+class BundleClass(CohomologyClass):
+    """Element of a BundleRing: base classes indexed by the fiber basis."""
+
+    def component(self, k: int) -> "BundleClass":
+        """Homogeneous piece of total cohomological degree 2k."""
+        half_top = self.ring.base.half_top
+        return BundleClass(self.ring, tuple(
+            tuple(
+                c.component(k - d) if 0 <= k - d <= half_top else 0 * c
+                for c in part
+            )
+            for d, part in enumerate(self.parts)
+        ))
+
+
+class BundleRing(GradedQuotientRing):
     """Cohomology of a toric variety bundle over a presented base.
 
-    A free base-module with basis the fiber monomial basis; fiber
-    monomials of any degree reduce via the twisted linear relations, each
-    reduction step trading one fiber degree for a degree-2 base factor
-    lambda_i.  ``dim`` is the complex dimension of the total space.
+    The fiber ring with base-class coefficients, certified against the
+    fiber ring's basis plan.  Relation i is sum_rho rel_i[rho] x_rho +
+    lambda_i = 0, so on a cone the rewrite of its k-th ray gains the
+    constant mu_k = -sum_j inv[k][j] lambda_j, and row (tau, i) carries
+    the cofactors c_j = delta_ij - sum_{rho in tau} rel_i[rho] inv[k_rho][j]
+    of lambda_j x_tau.  ``dim`` is the complex dimension of the total
+    space; fiber monomials of higher degree vanish.
     """
+
+    _class_type = BundleClass
 
     def __init__(self, base: BasePresentation, lam: TwistingClasses, fiber: Fan):
         require_smooth_complete(fiber, "build_bundle_ring fiber")
@@ -197,111 +225,36 @@ class BundleRing:
             if cls.ring is not base:
                 raise ValueError("twisting classes must live over the base")
         self.base = base
-        self.lam = lam.classes
         self.fiber = fiber
         self.fiber_ring = build_ring(fiber)
-        n = fiber.dim
-        self.fiber_cap = 2 * n
-        self.dim = base.half_top + n
-        relations = linear_relations(fiber)
-        ring = self.fiber_ring
-        self._degrees: list[GradedPiece] = []
-        for d in range(self.fiber_cap + 1):
-            monomials = _face_monomials(ring.ray_count, ring.faces, d)
-            index = {m: i for i, m in enumerate(monomials)}
-            rows = []
-            if d >= 1:
-                # Row (mono, i) is mono * relation i; its payload records
-                # both, so reduction knows which lambda_i to carry down.
-                for mono in self._degrees[d - 1].monomials:
-                    for i, rel in enumerate(relations):
-                        vec = {}
-                        for rho, coeff in enumerate(rel):
-                            if coeff == 0:
-                                continue
-                            bumped = mono[:rho] + (mono[rho] + 1,) + mono[rho + 1:]
-                            pos = index.get(bumped)
-                            if pos is not None:
-                                vec[pos] = coeff
-                        if vec:
-                            rows.append((vec, {(i, mono): 1}))
-            planned = ring.basis_monomials(d) if d <= n else ()
-            self._degrees.append(GradedPiece.build(
-                monomials, index, rows, planned, f"bundle ring fiber degree {d}"
-            ))
-        if sum(piece.rank for piece in self._degrees) != len(fiber.max_cones):
-            raise RingConsistencyError(
-                "bundle ring rank differs from the fiber maximal-cone count"
-            )
+        self._zero = base.zero()
+        self._one = base.unit()
+        self._lam = lam.classes
+        super().__init__(
+            fiber.ray_count, fiber.dim, linear_relations(fiber),
+            fiber.max_cones, fiber.dim, self.fiber_ring.basis_plan,
+        )
+        self.dim = self.monomial_cap = base.half_top + fiber.dim
+
+    def _rewrite_constant(self, inverse_row) -> CohomologyClass:
+        mu = self._zero
+        for inv, lam in zip(inverse_row, self._lam):
+            mu = mu - inv * lam
+        return mu
+
+    def _row_payload(self, tau_pos, tau, i, rewrite) -> dict:
+        cofactors = [int(j == i) for j in range(len(self._lam))]
+        rel = self.relations[i]
+        for rho, e in enumerate(tau):
+            if e and rel[rho]:
+                for j, inv in enumerate(rewrite[rho][1]):
+                    cofactors[j] -= rel[rho] * inv
+        return {(j, tau_pos): c for j, c in enumerate(cofactors) if c}
 
     def rank(self, d: int) -> int:
         return self._degrees[d].rank
 
-    def basis_monomials(self, d: int) -> tuple[Monomial, ...]:
-        return self._degrees[d].basis_monomials()
-
-    # -- reduction -----------------------------------------------------------
-
-    def reduce_raw(self, buckets) -> "BundleClass":
-        """Reduce {fiber degree -> {raw monomial position -> base class}}.
-
-        Pivot rows carry their provenance (relation index, lower monomial);
-        using relation i against a class c pushes the carry -c*lambda_i
-        onto the lower monomial, cascading down the fiber degrees.
-        """
-        work = {
-            d: dict(buckets.get(d, {})) for d in range(self.fiber_cap + 1)
-        }
-        zero = self.base.zero()
-        for d in range(self.fiber_cap, 0, -1):
-            lower_index = self._degrees[d - 1].index
-            vec_d = work[d]
-            for col, vec, payload in self._degrees[d].pivots:
-                c = vec_d.get(col)
-                if not c:
-                    vec_d.pop(col, None)
-                    continue
-                for pos, coeff in vec.items():
-                    prev = vec_d.get(pos, zero)
-                    vec_d[pos] = prev - coeff * c
-                for (i, mono), mult in payload.items():
-                    carry = (-mult) * (self.lam[i] * c)
-                    pos = lower_index[mono]
-                    prev = work[d - 1].get(pos, zero)
-                    work[d - 1][pos] = prev + carry
-        parts = []
-        for piece, vec_d in zip(self._degrees, work.values()):
-            pivot_cols = {c for c, _, _ in piece.pivots}
-            for pos, cls in vec_d.items():
-                if pos in pivot_cols and cls:
-                    raise RingConsistencyError(
-                        "bundle reduction left residue on a pivot column"
-                    )
-            parts.append(tuple(
-                vec_d.get(pos, zero) for pos in piece.basis_positions
-            ))
-        return BundleClass(self, tuple(parts))
-
-    def zero(self) -> "BundleClass":
-        return self.reduce_raw({})
-
-    def unit(self) -> "BundleClass":
-        return self.reduce_raw({0: {0: self.base.unit()}})
-
-    def multiply(self, a: "BundleClass", b: "BundleClass") -> "BundleClass":
-        if a.ring is not self or b.ring is not self:
-            raise ValueError("classes live in different bundle rings")
-        zero = self.base.zero()
-        buckets: dict[int, dict] = {}
-        for d, prod, c1, c2 in basis_products(self._degrees, a.parts, b.parts):
-            pos = self._degrees[d].index.get(prod)
-            if pos is None:
-                continue  # support is not a face
-            bucket = buckets.setdefault(d, {})
-            bucket[pos] = bucket.get(pos, zero) + c1 * c2
-        return self.reduce_raw(buckets)
-
-    def integrate(self, cls: "BundleClass") -> int:
+    def integrate(self, cls: BundleClass) -> int:
         """Fiber-first integration of a class of top total degree.
 
         Pushes forward along the fiber (only the top fiber basis monomial
@@ -320,34 +273,10 @@ class BundleRing:
                             f"{2 * self.dim}, found a component in degree "
                             f"{2 * (d + k)}"
                         )
-        if self.rank(n) != 1:
-            raise RingConsistencyError("fiber top degree must have rank one")
-        top_integral = self.fiber_ring.integrate(_unit_top_class(self.fiber_ring))
-        return top_integral * self.base.integrate(cls.parts[n][0])
-
-
-def _unit_top_class(ring) -> CohomologyClass:
-    """The class with coefficient 1 on the top-degree basis monomial."""
-    parts = tuple(
-        (1,) if d == ring.dim else (0,) * len(ring.basis_monomials(d))
-        for d in range(ring.degree_cap + 1)
-    )
-    return CohomologyClass(ring, parts)
-
-
-class BundleClass(CohomologyClass):
-    """Element of a BundleRing: base classes indexed by the fiber basis."""
-
-    def component(self, k: int) -> "BundleClass":
-        """Homogeneous piece of total cohomological degree 2k."""
-        half_top = self.ring.base.half_top
-        return BundleClass(self.ring, tuple(
-            tuple(
-                c.component(k - d) if 0 <= k - d <= half_top else 0 * c
-                for c in part
-            )
-            for d, part in enumerate(self.parts)
-        ))
+        top = self.fiber_ring.reduce_poly({self.basis_monomials(n)[0]: 1})
+        return self.fiber_ring.integrate(top) * self.base.integrate(
+            cls.parts[n][0]
+        )
 
 
 def build_bundle_ring(base: BasePresentation, lam: TwistingClasses,
@@ -357,13 +286,9 @@ def build_bundle_ring(base: BasePresentation, lam: TwistingClasses,
 
 def total_chern_general(ring: BundleRing) -> BundleClass:
     """Image of c(TB) times the product of (1 + x_tau) over fiber rays."""
-    pulled = ring.reduce_raw({0: {0: ring.base.chern}})
-    unit = ring.base.unit()
-    buckets: dict[int, dict] = {}
-    for mono in face_monomial_sum(ring.fiber_ring.faces, ring.fiber.ray_count):
-        d = sum(mono)
-        buckets.setdefault(d, {})[ring._degrees[d].index[mono]] = unit
-    return pulled * ring.reduce_raw(buckets)
+    pulled = ring.reduce_poly({(0,) * ring.ray_count: ring.base.chern})
+    fiber_sum = face_monomial_sum(ring.faces, ring.ray_count)
+    return pulled * ring.reduce_poly(dict.fromkeys(fiber_sum, ring.base.unit()))
 
 
 def integrate_bundle(ring: BundleRing, cls: BundleClass) -> int:
@@ -405,7 +330,7 @@ def presentation_from_fan(f: Fan, name: str = "") -> BasePresentation:
     basis = {
         k: ring.basis_monomials(k) for k in range(f.dim + 1)
     }
-    integration = ring.integrate(_unit_top_class(ring))
+    integration = ring.integrate(ring.reduce_poly({basis[f.dim][0]: 1}))
     return BasePresentation(
         name=name or f"H*({f.ray_count} rays, dim {f.dim})",
         generators=generators,

@@ -191,8 +191,9 @@ def cmd_compare(args) -> int:
 def cmd_equivariant(args) -> int:
     pair = parse_pair(_read(args.pair))
     report = equivariant.masuda_check(pair)
-    bound = args.degree_bound
-    total = equivariant.equivariant_total_chern(pair, bound)
+    total = report.total
+    if args.degree_bound is not None:
+        total = equivariant.equivariant_total_chern(pair, args.degree_bound)
     payload = report.to_dict()
     payload["equivariant_total_chern"] = _class_payload(total)
     lines = [f"masuda check: {'pass' if report.passed else 'FAIL'}"]

@@ -10,10 +10,12 @@ bit-stable across runs.
 
 This is also the engine of the presented base and the bundle ring in
 ``bundlering``: every ring stores one GradedPiece per degree (columns,
-unit pivots certifying a planned basis, one integer ``reduce``),
+unit pivots certifying a planned basis, one ``reduce``),
 ``basis_products`` is the one product loop over two classes' basis
 terms, CohomologyClass is the one class type, and face_monomial_sum is
-the one expansion of prod (1 + x_rho).  Minimal non-faces are grown from
+the one expansion of prod (1 + x_rho).  The bundle ring is a
+GradedQuotientRing whose relations have the twisting classes as
+constants (see ``bundlering``).  Minimal non-faces are grown from
 the face set, and a ring computes them only when they are read.
 
 A ring with linear relations eliminates over the squarefree face
@@ -358,323 +360,60 @@ class GradedPiece(NamedTuple):
     def basis_monomials(self) -> tuple[Monomial, ...]:
         return tuple(self.monomials[i] for i in self.basis_positions)
 
-    def reduce(self, vec: dict) -> tuple[int, ...]:
-        """Basis coefficients of an integer combination {column: coeff}."""
+    def reduce(self, vec: dict, zero=0, lam=(), lower=None) -> tuple:
+        """Basis coefficients of a combination {column: coefficient}.
+
+        Coefficients are integers, or base classes in the bundle ring, whose
+        pivots carry a payload {(j, pos): c_j}: their row also holds
+        sum_j c_j * lambda_j times column pos one degree down, so using the
+        pivot with coefficient c adds -c * c_j * lambda_j to ``lower[pos]``.
+        ``zero`` fills the basis positions the combination misses.
+        """
         if not vec:
-            return (0,) * len(self.basis_positions)
+            return (zero,) * len(self.basis_positions)
         work = dict(vec)
-        for col, row, _ in self.pivots:
+        for col, row, payload in self.pivots:
             c = work.get(col)
             if c:
                 for k, v in row.items():
-                    new = work.get(k, 0) - c * v
+                    new = work.get(k, zero) - v * c
                     if new:
                         work[k] = new
                     else:
                         work.pop(k, None)
-        return tuple(work.get(i, 0) for i in self.basis_positions)
+                for (j, pos), cj in payload.items():
+                    _add_term(lower, pos, -cj * (lam[j] * c))
+        return tuple(work.get(i, zero) for i in self.basis_positions)
 
 
-def basis_products(pieces, a_parts, b_parts):
-    """Yield (degree, m1*m2, c1, c2) over the nonzero basis terms of a and b.
+def _add_term(terms: dict, key, value) -> None:
+    """terms[key] += value, dropping zeros; values are ints or classes."""
+    if key in terms:
+        value = terms[key] + value
+    if value:
+        terms[key] = value
+    else:
+        terms.pop(key, None)
+
+
+def basis_products(pieces, a_parts, b_parts, cap: int):
+    """Yield (m1*m2, c1, c2) over the nonzero basis terms of a and b.
 
     Coefficients are integers or classes; zero ones are falsy and skipped.
-    Products above the top piece are skipped.
+    Products of degree above ``cap`` vanish (or are truncated away) and are
+    skipped.
     """
     bases = [piece.basis_monomials() for piece in pieces]
-    top = len(pieces) - 1
     for d1, part1 in enumerate(a_parts):
         if not any(part1):
             continue
         for m1, c1 in zip(bases[d1], part1):
             if not c1:
                 continue
-            for d2 in range(top - d1 + 1):
+            for d2 in range(min(cap - d1, len(pieces) - 1) + 1):
                 for m2, c2 in zip(bases[d2], b_parts[d2]):
                     if c2:
-                        yield d1 + d2, tuple(map(add, m1, m2)), c1, c2
-
-
-class GradedQuotientRing:
-    """Z[x_rho]/(Stanley-Reisner ideal + integer linear relations).
-
-    ``degree_cap`` bounds the monomial degree of the graded pieces that are
-    materialized; for rings of smooth complete fans the cap is the lattice
-    rank and everything above it vanishes, for face rings (no linear
-    relations) pieces are nonzero in every degree and the cap is a
-    truncation requested by the caller.  With relations, the columns of
-    each graded piece are its squarefree face monomials and every other
-    monomial is rewritten into them (see the module docstring); without,
-    they are all face monomials.  Instances are immutable after
-    construction, apart from caches filled on first use, and safe to share
-    between threads.
-    """
-
-    def __init__(self, ray_count, dim, relations, max_cones, degree_cap,
-                 basis_plan=None):
-        self.ray_count = ray_count
-        self.dim = dim
-        self.relations = tuple(tuple(r) for r in relations)
-        self.max_cones = tuple(frozenset(c) for c in max_cones)
-        self.degree_cap = degree_cap
-        self.basis_plan = basis_plan
-        if self.relations and basis_plan is None:
-            raise ValueError("a ring with linear relations needs a basis plan")
-        self.faces = _faces(self.max_cones)
-        self._degrees: list[GradedPiece] = []
-        self._point = None
-        self._cone_inverses: dict[frozenset, tuple] = {}
-        memo: dict = {}
-        for d in range(degree_cap + 1):
-            self._degrees.append(self._build_degree(d, memo))
-
-    @cached_property
-    def nonfaces(self) -> list[frozenset[int]]:
-        """Minimal non-faces (Stanley-Reisner generators), on first use."""
-        return _minimal_nonfaces(self.faces, self.ray_count)
-
-    def _build_degree(self, d: int, memo: dict) -> GradedPiece:
-        enumerate_columns = (
-            _squarefree_monomials if self.relations else _face_monomials
-        )
-        monomials = enumerate_columns(self.ray_count, self.faces, d)
-        index = {m: i for i, m in enumerate(monomials)}
-        rows = []
-        if d >= 1 and self.relations:
-            # Row (tau, rel) is the normal form of x_tau * rel: x_tau * x_rho
-            # is a column for rho outside tau, and for rho in tau one
-            # rewrite step of x_rho (on the first maximal cone containing
-            # tau) gives columns x_tau * x_rho'.
-            for tau in self._degrees[d - 1].monomials:
-                support = frozenset(i for i, e in enumerate(tau) if e)
-                rewrite = self._cone_rewrite(support, memo)
-                wider = {}
-                for rho, e in enumerate(tau):
-                    if not e:
-                        pos = index.get(tau[:rho] + (1,) + tau[rho + 1:])
-                        if pos is not None:
-                            wider[rho] = pos
-                for rel in self.relations:
-                    vec: dict[int, int] = {}
-                    for rho, coeff in enumerate(rel):
-                        if not coeff:
-                            continue
-                        if tau[rho]:
-                            for other, a in rewrite[rho]:
-                                pos = wider.get(other)
-                                if pos is not None:
-                                    vec[pos] = vec.get(pos, 0) + coeff * a
-                        elif rho in wider:
-                            vec[wider[rho]] = vec.get(wider[rho], 0) + coeff
-                    vec = {pos: c for pos, c in vec.items() if c}
-                    if vec:
-                        rows.append((vec, None))
-        planned = None if self.basis_plan is None else self.basis_plan.get(d, ())
-        return GradedPiece.build(monomials, index, rows, planned, f"degree {d}")
-
-    # -- rewriting into columns ----------------------------------------------
-
-    def _cone_rewrite(self, support: frozenset, memo: dict) -> dict:
-        """Solve the relations on the first maximal cone containing support.
-
-        Returns {rho in the cone: ((rho', a), ...)} with x_rho equal to the
-        sum of a * x_rho' over rays rho' outside the cone.  The ring keeps
-        only the cone's inverse matrix; the rewrite itself lives in the
-        caller's ``memo``, so it is freed when the call returns.
-        """
-        cone = next(c for c in self.max_cones if support <= c)
-        rewrite = memo.get(cone)
-        if rewrite is None:
-            rays = sorted(cone)
-            inverse = self._cone_inverses.get(cone)
-            if inverse is None:
-                inverse = self._invert_on(rays)
-                self._cone_inverses[cone] = inverse
-            rewrite = {}
-            for row, rho in zip(inverse, rays):
-                terms = []
-                for other in range(self.ray_count):
-                    if other in cone:
-                        continue
-                    a = -sum(inv * rel[other]
-                             for inv, rel in zip(row, self.relations))
-                    if a:
-                        terms.append((other, a))
-                rewrite[rho] = tuple(terms)
-            memo[cone] = rewrite
-        return rewrite
-
-    def _invert_on(self, rays: list[int]):
-        """Inverse of the relation matrix restricted to a cone's rays."""
-        if len(self.relations) != len(rays):
-            raise RingConsistencyError(
-                f"{len(self.relations)} linear relations cannot be solved "
-                f"on the {len(rays)} rays of cone {rays}"
-            )
-        try:
-            return invert_unimodular(
-                tuple(tuple(rel[rho] for rho in rays) for rel in self.relations)
-            )
-        except NotUnimodularError as exc:
-            raise RingConsistencyError(
-                f"linear relations are not unimodular on cone {rays}: {exc}"
-            ) from exc
-
-    def _normal_form(self, mono: Monomial, support: frozenset,
-                     memo: dict) -> Poly:
-        """A face monomial as a combination of column monomials.
-
-        ``memo`` caches normal forms and cone rewrites for one call.
-        """
-        if not self.relations or max(mono, default=0) <= 1:
-            return {mono: 1}
-        out = memo.get(mono)
-        if out is None:
-            rho = next(i for i, e in enumerate(mono) if e > 1)
-            lowered = mono[:rho] + (mono[rho] - 1,) + mono[rho + 1:]
-            out = {}
-            for other, a in self._cone_rewrite(support, memo)[rho]:
-                wider = support | {other}
-                if wider not in self.faces:
-                    continue
-                bumped = lowered[:other] + (1,) + lowered[other + 1:]
-                for m, c in self._normal_form(bumped, wider, memo).items():
-                    new = out.get(m, 0) + a * c
-                    if new:
-                        out[m] = new
-                    else:
-                        del out[m]
-            memo[mono] = out
-        return out
-
-    def _add_normal_form(self, terms: Poly, mono: Monomial, coeff: int,
-                         memo: dict) -> None:
-        """Add coeff times the normal form of mono into terms, in place.
-
-        Monomials whose support is not a face vanish.
-        """
-        support = frozenset(i for i, e in enumerate(mono) if e)
-        if support not in self.faces:
-            return
-        for m, c in self._normal_form(mono, support, memo).items():
-            new = terms.get(m, 0) + coeff * c
-            if new:
-                terms[m] = new
-            else:
-                del terms[m]
-
-    def _reduce_terms(self, terms: Poly) -> "CohomologyClass":
-        """Reduce a combination of column monomials of degree <= the cap."""
-        buckets: list[dict] = [{} for _ in range(self.degree_cap + 1)]
-        for mono, coeff in terms.items():
-            d = sum(mono)
-            buckets[d][self._degrees[d].index[mono]] = coeff
-        return CohomologyClass(self, tuple(
-            piece.reduce(bucket) for piece, bucket in zip(self._degrees, buckets)
-        ))
-
-    # -- structure ---------------------------------------------------------
-
-    @property
-    def top_degree(self) -> int:
-        """Top cohomological degree 2*dim."""
-        return 2 * self.dim
-
-    def betti(self) -> list[int]:
-        """Basis ranks per even degree; index k is cohomological degree 2k."""
-        return [self._degrees[d].rank for d in range(self.degree_cap + 1)]
-
-    def basis_monomials(self, d: int) -> tuple[Monomial, ...]:
-        return self._degrees[d].basis_monomials()
-
-    def is_face(self, support) -> bool:
-        return frozenset(support) in self.faces
-
-    # -- reduction ---------------------------------------------------------
-
-    def reduce_poly(self, poly: Poly) -> "CohomologyClass":
-        """Normal form of an integer polynomial in the ray generators.
-
-        Monomials above the degree cap are dropped: for rings of complete
-        fans they vanish, for truncated face rings that is the truncation.
-        """
-        memo: dict = {}
-        terms: Poly = {}
-        for mono, coeff in poly.items():
-            if coeff == 0:
-                continue
-            if len(mono) != self.ray_count:
-                raise ValueError("monomial length does not match ray count")
-            if sum(mono) <= self.degree_cap:
-                self._add_normal_form(terms, tuple(mono), coeff, memo)
-        return self._reduce_terms(terms)
-
-    def zero(self) -> "CohomologyClass":
-        return self.reduce_poly({})
-
-    def unit(self) -> "CohomologyClass":
-        return self.reduce_poly({(0,) * self.ray_count: 1})
-
-    def generator(self, rho: int) -> "CohomologyClass":
-        """The degree-2 class of the divisor attached to ray rho."""
-        mono = tuple(1 if i == rho else 0 for i in range(self.ray_count))
-        return self.reduce_poly({mono: 1})
-
-    def multiply(self, a: "CohomologyClass", b: "CohomologyClass") -> "CohomologyClass":
-        if a.ring is not self or b.ring is not self:
-            raise ValueError("classes live in different rings")
-        memo: dict = {}
-        terms: Poly = {}
-        for _, prod, c1, c2 in basis_products(self._degrees, a.parts, b.parts):
-            self._add_normal_form(terms, prod, c1 * c2, memo)
-        return self._reduce_terms(terms)
-
-    # -- integration -------------------------------------------------------
-
-    def _point_data(self):
-        if self._point is None:
-            n = self.dim
-            reduced = None
-            for cone in self.max_cones:
-                mono = tuple(
-                    1 if i in cone else 0 for i in range(self.ray_count)
-                )
-                top = self._degrees[n]
-                this = top.reduce({top.index[mono]: 1})
-                if reduced is None:
-                    reduced = this
-                elif this != reduced:
-                    raise RingConsistencyError(
-                        "maximal cones yield different point classes"
-                    )
-            if reduced is None or len(reduced) != 1 or reduced[0] not in (1, -1):
-                raise RingConsistencyError(
-                    f"top degree is not generated by the point class: {reduced}"
-                )
-            self._point = reduced[0]
-        return self._point
-
-    def point_class(self) -> "CohomologyClass":
-        """The class of a point: product of the rays of any maximal cone."""
-        sign = self._point_data()
-        parts = [
-            (sign,) if d == self.dim else (0,) * self._degrees[d].rank
-            for d in range(self.degree_cap + 1)
-        ]
-        return CohomologyClass(self, tuple(parts))
-
-    def integrate(self, cls: "CohomologyClass") -> int:
-        """Pair a homogeneous top-degree class with the fundamental class."""
-        if cls.ring is not self:
-            raise ValueError("class lives in a different ring")
-        for d, part in enumerate(cls.parts):
-            if d != self.dim and any(part):
-                raise ValueError(
-                    "integrate expects a class concentrated in the top degree; "
-                    "take component(dim) of a total class first"
-                )
-        sign = self._point_data()
-        return cls.parts[self.dim][0] * sign if cls.parts[self.dim] else 0
+                        yield tuple(map(add, m1, m2)), c1, c2
 
 
 @dataclass(frozen=True)
@@ -738,6 +477,322 @@ class CohomologyClass:
 
     def __hash__(self):
         return hash((id(self.ring), self.parts))
+
+
+class GradedQuotientRing:
+    """Z[x_rho]/(Stanley-Reisner ideal + integer linear relations).
+
+    ``degree_cap`` bounds the monomial degree of the graded pieces that are
+    materialized; for rings of smooth complete fans the cap is the lattice
+    rank and everything above it vanishes, for face rings (no linear
+    relations) pieces are nonzero in every degree and the cap is a
+    truncation requested by the caller.  ``monomial_cap`` is the degree
+    above which monomials are dropped, here the same.  With relations, the
+    columns of each graded piece are its squarefree face monomials and
+    every other monomial is rewritten into them (see the module
+    docstring); without, they are all face monomials.  Instances are
+    immutable after construction, apart from caches filled on first use,
+    and safe to share between threads.
+
+    The bundle ring subclasses it with base-class coefficients (``_zero``,
+    ``_one``, ``_class_type``) and twisting classes ``_lam``, which enter
+    through ``_rewrite_constant`` and ``_row_payload``.
+    """
+
+    _zero = 0
+    _one = 1
+    _lam: tuple = ()
+    _class_type = CohomologyClass
+
+    def __init__(self, ray_count, dim, relations, max_cones, degree_cap,
+                 basis_plan=None):
+        self.ray_count = ray_count
+        self.dim = dim
+        self.relations = tuple(tuple(r) for r in relations)
+        self.max_cones = tuple(frozenset(c) for c in max_cones)
+        self.degree_cap = degree_cap
+        self.monomial_cap = degree_cap
+        self.basis_plan = basis_plan
+        if self.relations and basis_plan is None:
+            raise ValueError("a ring with linear relations needs a basis plan")
+        self.faces = _faces(self.max_cones)
+        self._degrees: list[GradedPiece] = []
+        self._point = None
+        self._cone_inverses: dict[frozenset, tuple] = {}
+        memo: dict = {}
+        for d in range(degree_cap + 1):
+            self._degrees.append(self._build_degree(d, memo))
+
+    @cached_property
+    def nonfaces(self) -> list[frozenset[int]]:
+        """Minimal non-faces (Stanley-Reisner generators), on first use."""
+        return _minimal_nonfaces(self.faces, self.ray_count)
+
+    def _build_degree(self, d: int, memo: dict) -> GradedPiece:
+        enumerate_columns = (
+            _squarefree_monomials if self.relations else _face_monomials
+        )
+        monomials = enumerate_columns(self.ray_count, self.faces, d)
+        index = {m: i for i, m in enumerate(monomials)}
+        rows = []
+        if d >= 1 and self.relations:
+            # Row (tau, rel) is the normal form of x_tau * rel: x_tau * x_rho
+            # is a column for rho outside tau, and for rho in tau one
+            # rewrite step of x_rho (on the first maximal cone containing
+            # tau) gives columns x_tau * x_rho', plus the rewrite constant
+            # times x_tau, which only the row payload sees.
+            for tau_pos, tau in enumerate(self._degrees[d - 1].monomials):
+                support = frozenset(i for i, e in enumerate(tau) if e)
+                rewrite = self._cone_rewrite(support, memo)
+                wider = {}
+                for rho, e in enumerate(tau):
+                    if not e:
+                        pos = index.get(tau[:rho] + (1,) + tau[rho + 1:])
+                        if pos is not None:
+                            wider[rho] = pos
+                for i, rel in enumerate(self.relations):
+                    vec: dict[int, int] = {}
+                    for rho, coeff in enumerate(rel):
+                        if not coeff:
+                            continue
+                        if tau[rho]:
+                            for other, a in rewrite[rho][0]:
+                                pos = wider.get(other)
+                                if pos is not None:
+                                    vec[pos] = vec.get(pos, 0) + coeff * a
+                        elif rho in wider:
+                            vec[wider[rho]] = vec.get(wider[rho], 0) + coeff
+                    vec = {pos: c for pos, c in vec.items() if c}
+                    if vec:
+                        payload = self._row_payload(tau_pos, tau, i, rewrite)
+                        rows.append((vec, payload))
+        planned = None if self.basis_plan is None else self.basis_plan.get(d, ())
+        return GradedPiece.build(monomials, index, rows, planned, f"degree {d}")
+
+    def _row_payload(self, tau_pos: int, tau: Monomial, i: int,
+                     rewrite: dict):
+        """What row (tau, relation i) carries besides its columns: nothing."""
+        return None
+
+    # -- rewriting into columns ----------------------------------------------
+
+    def _cone_rewrite(self, support: frozenset, memo: dict) -> dict:
+        """Solve the relations on the first maximal cone containing support.
+
+        Returns {rho in the cone: (terms, inverse_row, constant)}: x_rho is
+        the sum of a * x_rho' over the terms (rho', a), rays outside the
+        cone, plus the constant, which ``_rewrite_constant`` makes from
+        rho's row of the inverse relation matrix.  The ring keeps only the
+        cone's inverse matrix; the rewrite itself lives in the caller's
+        ``memo``, so it is freed when the call returns.
+        """
+        cone = next(c for c in self.max_cones if support <= c)
+        rewrite = memo.get(cone)
+        if rewrite is None:
+            rays = sorted(cone)
+            inverse = self._cone_inverses.get(cone)
+            if inverse is None:
+                inverse = self._invert_on(rays)
+                self._cone_inverses[cone] = inverse
+            rewrite = {}
+            for row, rho in zip(inverse, rays):
+                terms = []
+                for other in range(self.ray_count):
+                    if other in cone:
+                        continue
+                    a = -sum(inv * rel[other]
+                             for inv, rel in zip(row, self.relations))
+                    if a:
+                        terms.append((other, a))
+                rewrite[rho] = (tuple(terms), row, self._rewrite_constant(row))
+            memo[cone] = rewrite
+        return rewrite
+
+    def _rewrite_constant(self, inverse_row):
+        """The constant of a cone rewrite: None, the relations have none."""
+        return None
+
+    def _invert_on(self, rays: list[int]):
+        """Inverse of the relation matrix restricted to a cone's rays."""
+        if len(self.relations) != len(rays):
+            raise RingConsistencyError(
+                f"{len(self.relations)} linear relations cannot be solved "
+                f"on the {len(rays)} rays of cone {rays}"
+            )
+        try:
+            return invert_unimodular(
+                tuple(tuple(rel[rho] for rho in rays) for rel in self.relations)
+            )
+        except NotUnimodularError as exc:
+            raise RingConsistencyError(
+                f"linear relations are not unimodular on cone {rays}: {exc}"
+            ) from exc
+
+    def _normal_form(self, mono: Monomial, support: frozenset,
+                     memo: dict) -> dict:
+        """A face monomial as a combination of column monomials.
+
+        ``memo`` caches normal forms and cone rewrites for one call.
+        """
+        if not self.relations or max(mono, default=0) <= 1:
+            return {mono: self._one}
+        out = memo.get(mono)
+        if out is None:
+            rho = next(i for i, e in enumerate(mono) if e > 1)
+            lowered = mono[:rho] + (mono[rho] - 1,) + mono[rho + 1:]
+            terms, _, constant = self._cone_rewrite(support, memo)[rho]
+            out = {}
+            for other, a in terms:
+                wider = support | {other}
+                if wider not in self.faces:
+                    continue
+                bumped = lowered[:other] + (1,) + lowered[other + 1:]
+                for m, c in self._normal_form(bumped, wider, memo).items():
+                    _add_term(out, m, a * c)
+            if constant:
+                for m, c in self._normal_form(lowered, support, memo).items():
+                    _add_term(out, m, c * constant)
+            memo[mono] = out
+        return out
+
+    def _add_normal_form(self, terms: dict, mono: Monomial, coeff,
+                         memo: dict) -> None:
+        """Add coeff times the normal form of mono into terms, in place.
+
+        Monomials whose support is not a face vanish.
+        """
+        support = frozenset(i for i, e in enumerate(mono) if e)
+        if support not in self.faces:
+            return
+        if self.relations and max(mono, default=0) > 1:
+            for m, c in self._normal_form(mono, support, memo).items():
+                _add_term(terms, m, coeff * c)
+        else:
+            _add_term(terms, mono, coeff)
+
+    def _reduce_terms(self, terms: dict) -> "CohomologyClass":
+        """Reduce a combination of column monomials, top degree first."""
+        buckets: list[dict] = [{} for _ in self._degrees]
+        for mono, coeff in terms.items():
+            d = sum(mono)
+            buckets[d][self._degrees[d].index[mono]] = coeff
+        parts = []
+        for d in range(self.degree_cap, -1, -1):
+            lower = buckets[d - 1] if d else None
+            parts.append(self._degrees[d].reduce(
+                buckets[d], self._zero, self._lam, lower
+            ))
+        return self._class_type(self, tuple(reversed(parts)))
+
+    # -- structure ---------------------------------------------------------
+
+    @property
+    def top_degree(self) -> int:
+        """Top cohomological degree 2*dim."""
+        return 2 * self.dim
+
+    def betti(self) -> list[int]:
+        """Basis ranks per even degree; index k is cohomological degree 2k."""
+        return [self._degrees[d].rank for d in range(self.degree_cap + 1)]
+
+    def basis_monomials(self, d: int) -> tuple[Monomial, ...]:
+        return self._degrees[d].basis_monomials()
+
+    def is_face(self, support) -> bool:
+        return frozenset(support) in self.faces
+
+    # -- reduction ---------------------------------------------------------
+
+    def reduce_poly(self, poly: dict) -> "CohomologyClass":
+        """Normal form of a polynomial in the ray generators.
+
+        Monomials above ``monomial_cap`` are dropped: for rings of complete
+        fans they vanish, for truncated face rings that is the truncation.
+        """
+        memo: dict = {}
+        terms: dict = {}
+        for mono, coeff in poly.items():
+            if not coeff:
+                continue
+            if len(mono) != self.ray_count:
+                raise ValueError("monomial length does not match ray count")
+            if sum(mono) <= self.monomial_cap:
+                self._add_normal_form(terms, tuple(mono), coeff, memo)
+        return self._reduce_terms(terms)
+
+    def zero(self) -> "CohomologyClass":
+        return self.reduce_poly({})
+
+    def unit(self) -> "CohomologyClass":
+        return self.reduce_poly({(0,) * self.ray_count: self._one})
+
+    def generator(self, rho: int) -> "CohomologyClass":
+        """The degree-2 class of the divisor attached to ray rho."""
+        mono = tuple(1 if i == rho else 0 for i in range(self.ray_count))
+        return self.reduce_poly({mono: self._one})
+
+    def multiply(self, a: "CohomologyClass", b: "CohomologyClass") -> "CohomologyClass":
+        if a.ring is not self or b.ring is not self:
+            raise ValueError("classes live in different rings")
+        memo: dict = {}
+        terms: dict = {}
+        for prod, c1, c2 in basis_products(
+            self._degrees, a.parts, b.parts, self.monomial_cap
+        ):
+            self._add_normal_form(terms, prod, c1 * c2, memo)
+        return self._reduce_terms(terms)
+
+    # -- integration -------------------------------------------------------
+
+    def _point_data(self):
+        if self._point is None:
+            n = self.dim
+            if n > self.degree_cap:
+                raise ValueError(
+                    f"ring is truncated at degree {2 * self.degree_cap}, "
+                    f"below its top degree {2 * n}: it has no point class"
+                )
+            reduced = None
+            for cone in self.max_cones:
+                mono = tuple(
+                    1 if i in cone else 0 for i in range(self.ray_count)
+                )
+                top = self._degrees[n]
+                this = top.reduce({top.index[mono]: 1})
+                if reduced is None:
+                    reduced = this
+                elif this != reduced:
+                    raise RingConsistencyError(
+                        "maximal cones yield different point classes"
+                    )
+            if reduced is None or len(reduced) != 1 or reduced[0] not in (1, -1):
+                raise RingConsistencyError(
+                    f"top degree is not generated by the point class: {reduced}"
+                )
+            self._point = reduced[0]
+        return self._point
+
+    def point_class(self) -> "CohomologyClass":
+        """The class of a point: product of the rays of any maximal cone."""
+        sign = self._point_data()
+        parts = [
+            (sign,) if d == self.dim else (0,) * self._degrees[d].rank
+            for d in range(self.degree_cap + 1)
+        ]
+        return CohomologyClass(self, tuple(parts))
+
+    def integrate(self, cls: "CohomologyClass") -> int:
+        """Pair a homogeneous top-degree class with the fundamental class."""
+        if cls.ring is not self:
+            raise ValueError("class lives in a different ring")
+        for d, part in enumerate(cls.parts):
+            if d != self.dim and any(part):
+                raise ValueError(
+                    "integrate expects a class concentrated in the top degree; "
+                    "take component(dim) of a total class first"
+                )
+        sign = self._point_data()
+        return cls.parts[self.dim][0] * sign if cls.parts[self.dim] else 0
 
 
 @cache

@@ -204,9 +204,14 @@ class FixedPointCheck:
 
 @dataclass(frozen=True)
 class MasudaReport:
-    """Per-fixed-point comparison of the restricted equivariant Chern class."""
+    """Per-fixed-point comparison of the restricted equivariant Chern class.
+
+    ``total`` is the equivariant total Chern class that was restricted, in
+    the face ring of the default degree bound.
+    """
 
     checks: tuple[FixedPointCheck, ...]
+    total: CohomologyClass
 
     @property
     def passed(self) -> bool:
@@ -255,7 +260,7 @@ def masuda_check(p: CharacteristicPair) -> MasudaReport:
                 expected=rhs,
             )
         )
-    return MasudaReport(checks=tuple(checks))
+    return MasudaReport(checks=tuple(checks), total=total)
 
 
 @cache

@@ -299,12 +299,21 @@ def parse_base_presentation(text: str) -> BasePresentation:
         degree = _ints(left, lineno)[0]
         if degree % 2:
             raise ParseError(lineno, "basis degrees must be even")
+        if not 0 <= degree <= top:
+            raise ParseError(
+                lineno, f"basis degree {degree} is outside 0..{top}"
+            )
+        if degree // 2 in basis:
+            raise ParseError(lineno, f"basis degree {degree} is listed twice")
         monos = []
         for token in right.split():
             term = parse_polynomial(token, gen_index, nvars, lineno)
             if len(term) != 1 or set(term.values()) != {1}:
                 raise ParseError(lineno, f"{token!r} is not a monomial")
-            monos.append(next(iter(term)))
+            mono = next(iter(term))
+            if sum(e * d for e, (_, d) in zip(mono, generators)) != degree:
+                raise ParseError(lineno, f"{token!r} is not of degree {degree}")
+            monos.append(mono)
         basis[degree // 2] = monos
     lineno, rest = cur.expect_keyword("integration")
     if len(rest) != 1:

@@ -7,6 +7,10 @@ once, self-intersections from the wall relation v_prev + v_next = a*v).
 ``AllFaceMonomialRing`` is the reference for rings with linear relations:
 it eliminates over every face monomial of each degree, as the library did
 before it rewrote repeated exponents into squarefree face monomials.
+``AllFaceMonomialBundleRing`` is the same reference for the bundle ring:
+every face monomial up to fiber degree 2n is a column, and reduction
+carries the lambda terms down degree by degree, as the library did before
+the bundle ring ran on the fiber ring's squarefree columns.
 ``subset_minimal_nonfaces`` is the reference for minimal non-faces: it
 tries every subset of the rays, as the library did before it grew them
 from the faces.
@@ -14,8 +18,14 @@ from the faces.
 
 from itertools import combinations, permutations
 
-from toricbundles import make_fan, product_fan
-from toricbundles.cohomology import _face_monomials, graded_eliminate
+from toricbundles import BasePresentation, build_ring, make_fan, product_fan
+from toricbundles.bundlering import BundleClass
+from toricbundles.cohomology import (
+    _face_monomials,
+    face_monomial_sum,
+    graded_eliminate,
+    linear_relations,
+)
 
 
 def p1():
@@ -63,6 +73,32 @@ def star_surface(ray_count, rng):
         rays.insert(i + 1, (a[0] + b[0], a[1] + b[1]))
     n = len(rays)
     return make_fan(2, rays, [[i, (i + 1) % n] for i in range(n)])
+
+
+def p1_presentation():
+    """Z[h]/(h^2) with c(TB) = 1 + 2h."""
+    return BasePresentation(
+        name="P1",
+        generators=[("h", 2)],
+        relations=[{(2,): 1}],
+        basis={0: [(0,)], 1: [(1,)]},
+        top_degree=2,
+        integration=1,
+        chern={(0,): 1, (1,): 2},
+    )
+
+
+def p2_presentation():
+    """Z[h]/(h^3) with c(TB) = 1 + 3h + 3h^2."""
+    return BasePresentation(
+        name="P2",
+        generators=[("h", 2)],
+        relations=[{(3,): 1}],
+        basis={0: [(0,)], 1: [(1,)], 2: [(2,)]},
+        top_degree=4,
+        integration=1,
+        chern={(0,): 1, (1,): 3, (2,): 3},
+    )
 
 
 def subset_minimal_nonfaces(fan):
@@ -214,3 +250,115 @@ class AllFaceMonomialRing:
                         prod = tuple(x + y for x, y in zip(m1, m2))
                         poly[prod] = poly.get(prod, 0) + c1 * c2
         return self.reduce(poly)
+
+
+class AllFaceMonomialBundleRing:
+    """Reference bundle ring over every face monomial up to fiber degree 2n.
+
+    Row (mono, i) is mono times the fiber part of relation i, tagged with
+    that pair; the sum of a row and lambda_i * mono is zero in the ring.
+    Reduction walks the fiber degrees top-down, and using row (mono, i)
+    with coefficient c carries -c * lambda_i onto mono one degree lower.
+    Classes are the library's BundleClass, so ``chern_numbers`` and class
+    arithmetic run on it unchanged.
+    """
+
+    def __init__(self, base, lam, fiber):
+        self.base = base
+        self.lam = lam.classes
+        self.fiber_ring = build_ring(fiber)
+        self.n = fiber.dim
+        self.dim = base.half_top + fiber.dim
+        self.ray_count = fiber.ray_count
+        relations = linear_relations(fiber)
+        self.degrees = []
+        for d in range(2 * self.n + 1):
+            monomials = _face_monomials(
+                fiber.ray_count, self.fiber_ring.faces, d
+            )
+            index = {m: i for i, m in enumerate(monomials)}
+            rows = []
+            if d >= 1:
+                for mono in self.degrees[d - 1][0]:
+                    for i, rel in enumerate(relations):
+                        vec = {}
+                        for rho, coeff in enumerate(rel):
+                            bumped = mono[:rho] + (mono[rho] + 1,) + mono[rho + 1:]
+                            if coeff and bumped in index:
+                                vec[index[bumped]] = coeff
+                        if vec:
+                            rows.append((vec, {(i, mono): 1}))
+            planned = set()
+            if d <= self.n:
+                planned = {
+                    index[m] for m in self.fiber_ring.basis_monomials(d)
+                }
+            allowed = set(range(len(monomials))) - planned
+            pivots = graded_eliminate(rows, allowed)
+            assert len(pivots) == len(allowed)
+            self.degrees.append((monomials, index, pivots, sorted(planned)))
+
+    def rank(self, d):
+        return len(self.degrees[d][3])
+
+    def basis_monomials(self, d):
+        monomials, _, _, basis = self.degrees[d]
+        return tuple(monomials[i] for i in basis)
+
+    def reduce_poly(self, poly):
+        """The class of {fiber monomial of degree <= 2n: base class}."""
+        zero = self.base.zero()
+        work = [{} for _ in self.degrees]
+        for mono, cls in poly.items():
+            d = sum(mono)
+            if not self.fiber_ring.is_face(i for i, e in enumerate(mono) if e):
+                continue  # a Stanley-Reisner monomial
+            assert d < len(self.degrees), "reference columns stop at 2n"
+            pos = self.degrees[d][1][mono]
+            work[d][pos] = work[d].get(pos, zero) + cls
+        for d in range(len(self.degrees) - 1, 0, -1):
+            lower_index = self.degrees[d - 1][1]
+            for col, vec, payload in self.degrees[d][2]:
+                c = work[d].get(col)
+                if not c:
+                    continue
+                for pos, coeff in vec.items():
+                    work[d][pos] = work[d].get(pos, zero) - coeff * c
+                for (i, mono), mult in payload.items():
+                    pos = lower_index[mono]
+                    carry = (-mult) * (self.lam[i] * c)
+                    work[d - 1][pos] = work[d - 1].get(pos, zero) + carry
+        return BundleClass(self, tuple(
+            tuple(work[d].get(i, zero) for i in self.degrees[d][3])
+            for d in range(self.n + 1)
+        ))
+
+    def unit(self):
+        return self.reduce_poly({(0,) * self.ray_count: self.base.unit()})
+
+    def multiply(self, a, b):
+        poly = {}
+        for d1, part1 in enumerate(a.parts):
+            for m1, c1 in zip(self.basis_monomials(d1), part1):
+                for d2, part2 in enumerate(b.parts):
+                    for m2, c2 in zip(self.basis_monomials(d2), part2):
+                        if c1 and c2:
+                            prod = tuple(x + y for x, y in zip(m1, m2))
+                            term = c1 * c2
+                            poly[prod] = poly[prod] + term if prod in poly else term
+        return self.reduce_poly(poly)
+
+    def integrate(self, cls):
+        """Fiber integral of the top basis monomial times the base integral."""
+        top = self.basis_monomials(self.n)[0]
+        fiber_point = self.fiber_ring.integrate(
+            self.fiber_ring.reduce_poly({top: 1})
+        )
+        return fiber_point * self.base.integrate(cls.parts[self.n][0])
+
+    def total_chern(self):
+        """c(TB) times the sum of the fiber face monomials."""
+        unit = self.base.unit()
+        fiber_sum = face_monomial_sum(self.fiber_ring.faces, self.ray_count)
+        pulled = self.reduce_poly({(0,) * self.ray_count: self.base.chern})
+        return pulled * self.reduce_poly(dict.fromkeys(fiber_sum, unit))

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from helpers import p1, p2, star_surface
-from toricbundles import make_plmap, tautological_pair, twisted_fan
+from toricbundles import equivariant, make_plmap, tautological_pair, twisted_fan
 from toricbundles.cli import main
 from toricbundles.formats import (
     ParseError,
@@ -201,6 +201,26 @@ def test_cmd_equivariant(tmp_path, capsys):
     assert "masuda check: pass" in out
 
 
+def test_cmd_equivariant_builds_the_face_ring_once(tmp_path, capsys,
+                                                  monkeypatch):
+    pair_path = write(tmp_path, "p2.pair", pair_to_text(tautological_pair(p2())))
+    assert main(["--format", "machine", "equivariant", "--degree-bound", "4",
+                 str(pair_path)]) == 0
+    explicit = capsys.readouterr().out
+    builds = []
+    real = equivariant.face_ring
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(equivariant, "face_ring", counting)
+    assert main(["--format", "machine", "equivariant", str(pair_path)]) == 0
+    assert len(builds) == 1
+    # the class the Masuda check restricted is the one reported
+    assert capsys.readouterr().out == explicit
+
+
 def test_cmd_bundle(tmp_path, capsys):
     pres = write(tmp_path, "p1.pres", P1_PRESENTATION)
     lam = write(tmp_path, "lam.tw", LAMBDA_2H)
@@ -297,6 +317,44 @@ def test_cmd_bundle_repeated_basis_monomial_is_a_finding(tmp_path, capsys):
     assert lines[0].startswith("error: base presentation 'P2'")
     assert "degree 2" in lines[0]
     assert "(0, 0, 1)" in lines[0]
+
+
+P2_H_PRESENTATION = """\
+name P2
+top_degree 4
+generators
+h 2
+relations
+h^3
+basis
+0 : 1
+2 : h
+4 : h^2
+integration 1
+chern
+1 + 3*h + 3*h^2
+"""
+
+
+@pytest.mark.parametrize("bad_line,lineno,message", [
+    ("2 : h\n2 : h", 10, "basis degree 2 is listed twice"),
+    ("2 : h^2", 9, "'h^2' is not of degree 2"),
+    ("2 : h\n8 : h^4", 10, "basis degree 8 is outside 0..4"),
+    ("-2 : h\n2 : h", 9, "basis degree -2 is outside 0..4"),
+])
+def test_cmd_bundle_rejects_malformed_basis_lines(tmp_path, capsys, bad_line,
+                                                  lineno, message):
+    lam = write(tmp_path, "lam.tw", "classes\nh\n")
+    fan = write(tmp_path, "p1.fan", P1_FAN)
+    good = write(tmp_path, "p2.pres", P2_H_PRESENTATION)
+    assert run_cli(tmp_path, "bundle", good, lam, fan) == 0
+    capsys.readouterr()
+    pres = write(tmp_path, "bad.pres",
+                 P2_H_PRESENTATION.replace("2 : h", bad_line))
+    assert run_cli(tmp_path, "bundle", pres, lam, fan) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parse error: line {lineno}: {message}\n"
 
 
 def test_cmd_chern_many_ray_surface(tmp_path, capsys):

@@ -38,6 +38,14 @@ def test_face_ring_ranks():
     assert face_ring(tautological_pair(p2()), degree_bound=0).betti() == [1]
 
 
+def test_truncated_face_ring_has_no_point_class():
+    ring = face_ring(tautological_pair(p2()), degree_bound=0)
+    with pytest.raises(ValueError, match="truncated at degree 0.*top degree 4"):
+        ring.point_class()
+    with pytest.raises(ValueError, match="truncated at degree 0.*top degree 4"):
+        ring.integrate(ring.zero())
+
+
 def test_face_ring_rejects_odd_bound():
     with pytest.raises(ValueError):
         face_ring(tautological_pair(p1()), degree_bound=3)

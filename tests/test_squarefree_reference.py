@@ -1,9 +1,13 @@
-"""Rings with linear relations against the all-face-monomial reference.
+"""Rings with linear relations against the all-face-monomial references.
 
 The library eliminates over squarefree face monomials and rewrites every
 other monomial into them; ``AllFaceMonomialRing`` eliminates over every
 face monomial.  Both certify the same planned basis, so bases, ranks,
-normal forms and products must agree exactly.
+normal forms and products must agree exactly.  The bundle ring does the
+same with base-class coefficients and the twisting classes as rewrite
+constants and carries; ``AllFaceMonomialBundleRing`` keeps every face
+monomial up to fiber degree 2n instead, and the two must agree on bases,
+ranks, products, reductions, total Chern classes and Chern numbers.
 """
 
 import random
@@ -11,15 +15,31 @@ import random
 import pytest
 
 from helpers import (
+    AllFaceMonomialBundleRing,
     AllFaceMonomialRing,
     dp6,
     p1,
     p1_power,
+    p1_presentation,
     p2,
+    p2_presentation,
     projective_space,
 )
-from toricbundles import CharacteristicPair, build_ring, product_fan
-from toricbundles.corpus import corpus_fans, hirzebruch
+from toricbundles import (
+    CharacteristicPair,
+    TwistingClasses,
+    build_bundle_ring,
+    build_ring,
+    chern_numbers,
+    chern_numbers_bundle,
+    presentation_from_fan,
+    principal_classes,
+    product_fan,
+    total_chern_general,
+    twisting_from_principal,
+)
+from toricbundles.bundlering import BundleClass
+from toricbundles.corpus import corpus_fans, corpus_instances, hirzebruch
 from toricbundles.equivariant import ordinary_ring
 
 
@@ -89,3 +109,90 @@ def test_squarefree_columns_match_all_face_monomials(name, make_ring):
     assert rewritten > 0 or ring.degree_cap < 2
     for a, b in zip(classes, classes[1:] + classes[:1]):
         assert (a * b).parts == ref.multiply(a.parts, b.parts)
+
+
+def _bundle_cases():
+    cases = []
+    for inst in corpus_instances():
+        pres = presentation_from_fan(inst.base)
+        lam = twisting_from_principal(pres, principal_classes(inst.phi))
+        cases.append((inst.name, pres, lam, inst.fiber))
+    for base in (p1_presentation(), p2_presentation()):
+        for fiber_name, fiber in (("P3", projective_space(3)),
+                                  ("(P1)^2", p1_power(2))):
+            lam = TwistingClasses(classes=tuple(
+                base.reduce_poly({(1,): k}) for k in (2, -1, 3)[:fiber.dim]
+            ))
+            cases.append((f"{base.name} hand/{fiber_name}", base, lam, fiber))
+    return cases
+
+
+BUNDLE_CASES = _bundle_cases()
+
+
+def random_base_class(base, rng):
+    poly = {}
+    for k in range(base.half_top + 1):
+        for mono in base.basis_monomials(k):
+            poly[mono] = rng.randint(-3, 3)
+    return base.reduce_poly(poly)
+
+
+def random_fiber_poly(ring, rng, terms=6):
+    """Fiber monomials up to degree 2n, repeated exponents, base coefficients."""
+    n = ring.fiber.dim
+    faces = sorted(ring.faces, key=lambda f: (len(f), sorted(f)))
+    poly = {}
+    for _ in range(terms):
+        face = sorted(rng.choice(faces))
+        exps = [0] * ring.ray_count
+        for rho in face:
+            exps[rho] = 1
+        if face:
+            for _ in range(rng.randint(0, 2 * n - len(face))):
+                exps[rng.choice(face)] += 1
+        poly[tuple(exps)] = random_base_class(ring.base, rng)
+    for nonface in ring.nonfaces[:2]:
+        mono = tuple(1 if i in nonface else 0 for i in range(ring.ray_count))
+        poly[mono] = random_base_class(ring.base, rng)
+    return poly
+
+
+@pytest.mark.parametrize("name,base,lam,fiber", BUNDLE_CASES,
+                         ids=[case[0] for case in BUNDLE_CASES])
+def test_bundle_ring_matches_all_face_monomial_reference(name, base, lam,
+                                                         fiber):
+    ring = build_bundle_ring(base, lam, fiber)
+    ref = AllFaceMonomialBundleRing(base, lam, fiber)
+    n = fiber.dim
+    assert any(lam.classes) or name.endswith("untwisted")
+    assert [ring.rank(d) for d in range(n + 1)] == [
+        ref.rank(d) for d in range(n + 1)
+    ]
+    unit = base.unit()
+    basis = []
+    for d in range(n + 1):
+        assert ring.basis_monomials(d) == ref.basis_monomials(d)
+        basis += ring.basis_monomials(d)
+    for m1 in basis:
+        for m2 in basis:
+            prod = ring.reduce_poly({m1: unit}) * ring.reduce_poly({m2: unit})
+            expected = ref.reduce_poly({m1: unit}) * ref.reduce_poly({m2: unit})
+            assert prod.parts == expected.parts, (m1, m2)
+    rng = random.Random(f"bundle reference {name}")
+    rewritten = 0
+    for _ in range(6):
+        poly = random_fiber_poly(ring, rng)
+        rewritten += sum(1 for m in poly if max(m) > 1)
+        cls = ring.reduce_poly(poly)
+        expected = ref.reduce_poly(poly)
+        assert cls.parts == expected.parts
+        other = ring.reduce_poly(random_fiber_poly(ring, rng))
+        assert (cls * other).parts == ref.multiply(
+            expected, BundleClass(ref, other.parts)
+        ).parts
+    assert rewritten > 0
+    total = total_chern_general(ring)
+    ref_total = ref.total_chern()
+    assert total.parts == ref_total.parts
+    assert chern_numbers_bundle(ring, total) == chern_numbers(ref, ref_total)
