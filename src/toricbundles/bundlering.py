@@ -254,6 +254,10 @@ class BundleRing(GradedQuotientRing):
     def rank(self, d: int) -> int:
         return self._degrees[d].rank
 
+    def point_class(self):
+        raise ValueError("the bundle ring has no point class: pair classes "
+                         "with integrate")
+
     def integrate(self, cls: BundleClass) -> int:
         """Fiber-first integration of a class of top total degree.
 

@@ -74,13 +74,7 @@ class PullbackMap:
     def apply(self, cls: CohomologyClass) -> CohomologyClass:
         if cls.ring is not self.base_ring:
             raise ValueError("class does not live on the base ring")
-        poly = {}
-        for d, part in enumerate(cls.parts):
-            basis = self.base_ring.basis_monomials(d)
-            for mono, coeff in zip(basis, part):
-                if coeff:
-                    poly[mono] = coeff
-        return self.twisted_ring.reduce_poly(self._map_poly(poly))
+        return self.twisted_ring.reduce_poly(self._map_poly(cls.to_poly()))
 
 
 def pullback(decomp: TwistDecomposition, base_ring: GradedQuotientRing,

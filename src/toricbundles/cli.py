@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import bundlering, chern, corpus, equivariant
 from .cohomology import RingConsistencyError, build_ring, h_vector
@@ -194,16 +195,19 @@ def cmd_equivariant(args) -> int:
     total = report.total
     if args.degree_bound is not None:
         total = equivariant.equivariant_total_chern(pair, args.degree_bound)
-    payload = report.to_dict()
-    payload["equivariant_total_chern"] = _class_payload(total)
-    lines = [f"masuda check: {'pass' if report.passed else 'FAIL'}"]
-    for check in report.checks:
-        mark = "ok" if check.passed else "FAIL"
-        lines.append(
-            f"  fixed point {list(check.cone)}: restricted {check.restricted!r}"
-            f" expected {check.expected!r} [{mark}]"
-        )
-    lines += _class_lines(total, "equivariant total Chern class (truncated):")
+    payload, lines = {}, []
+    if args.format == "machine":
+        payload = report.to_dict()
+        payload["equivariant_total_chern"] = _class_payload(total)
+    else:
+        lines.append(f"masuda check: {'pass' if report.passed else 'FAIL'}")
+        for check in report.checks:
+            mark = "ok" if check.passed else "FAIL"
+            lines.append(
+                f"  fixed point {list(check.cone)}: restricted "
+                f"{check.restricted!r} expected {check.expected!r} [{mark}]"
+            )
+        lines += _class_lines(total, "equivariant total Chern class (truncated):")
     _emit(args, "equivariant", payload, lines)
     return EXIT_OK if report.passed else EXIT_FINDING
 
@@ -261,7 +265,9 @@ def cmd_corpus(args) -> int:
     return EXIT_OK if not failures else EXIT_FINDING
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="toricbundles",
         description=(
@@ -329,8 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except ParseError as exc:

@@ -57,11 +57,11 @@ Poly = dict[Monomial, int]
 
 
 class RingConsistencyError(RuntimeError):
-    """An internal invariant of a ring computation failed.
+    """An internal invariant of a ring or twisted-fan computation failed.
 
     Signals wrong input data (torsion, inconsistent point classes, a base
-    presentation that is not what it claims) rather than a recoverable
-    condition.
+    presentation that is not what it claims) or a construction that fails
+    its own validation, rather than a recoverable condition.
     """
 
 
@@ -438,6 +438,15 @@ class CohomologyClass:
 
     def coefficients(self, k: int) -> tuple[int, ...]:
         return self.parts[k]
+
+    def to_poly(self) -> dict:
+        """The nonzero terms, as {basis monomial: coefficient}."""
+        return {
+            mono: coeff
+            for d, part in enumerate(self.parts)
+            for mono, coeff in zip(self.ring.basis_monomials(d), part)
+            if coeff
+        }
 
     def is_zero(self) -> bool:
         return not self

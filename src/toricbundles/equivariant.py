@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from operator import add
 
 from .cohomology import (
     CohomologyClass,
@@ -22,7 +23,7 @@ from .cohomology import (
     h_vector,
 )
 from .formats import polynomial_to_text
-from .lattice import IntVector, hermite_normal_form, invert_unimodular
+from .lattice import IntVector, hermite_normal_form, invert_unimodular, transpose
 from .twist import CharacteristicPair, validate_pair
 
 
@@ -42,11 +43,10 @@ class WeightPolynomial:
     @staticmethod
     def linear(coeffs: IntVector) -> "WeightPolynomial":
         n = len(coeffs)
-        terms = {}
-        for k, c in enumerate(coeffs):
-            if c:
-                terms[tuple(1 if i == k else 0 for i in range(n))] = c
-        return WeightPolynomial(n, terms)
+        return WeightPolynomial(n, {
+            tuple(int(i == k) for i in range(n)): c
+            for k, c in enumerate(coeffs)
+        })
 
     def _check(self, other):
         if not isinstance(other, WeightPolynomial) or other.nvars != self.nvars:
@@ -60,11 +60,7 @@ class WeightPolynomial:
         return WeightPolynomial(self.nvars, terms)
 
     def __sub__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            terms[k] = terms.get(k, 0) - v
-        return WeightPolynomial(self.nvars, terms)
+        return self + (-1) * other
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -75,7 +71,7 @@ class WeightPolynomial:
         terms = {}
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
+                k = tuple(map(add, k1, k2))
                 terms[k] = terms.get(k, 0) + v1 * v2
         return WeightPolynomial(self.nvars, terms)
 
@@ -95,19 +91,36 @@ class WeightPolynomial:
         return not self.terms
 
     def substitute(self, forms: list[IntVector]) -> "WeightPolynomial":
-        """Replace each t_k by an integer linear form in new variables."""
+        """Replace each t_k by an integer linear form in new variables.
+
+        The one expansion of products of linear forms.  Monomials are
+        expanded in sorted order, each from its memoised prefix:
+        x^e = x^(e - e_k) t_k for the last variable t_k of x^e costs one
+        product with a linear form.
+        """
         if len(forms) != self.nvars:
             raise ValueError("need one linear form per variable")
         nvars = len(forms[0]) if forms else 0
-        out = WeightPolynomial(nvars)
-        for exps, coeff in self.terms.items():
-            term = WeightPolynomial.constant(nvars, coeff)
-            for k, e in enumerate(exps):
-                linear = WeightPolynomial.linear(forms[k])
-                for _ in range(e):
-                    term = term * linear
-            out = out + term
-        return out
+        linear = [[(j, c) for j, c in enumerate(f) if c] for f in forms]
+        memo = {(0,) * self.nvars: {(0,) * nvars: 1}}
+
+        def expand(exps):
+            if exps not in memo:
+                k = max(i for i, e in enumerate(exps) if e)
+                prefix = expand(exps[:k] + (exps[k] - 1,) + exps[k + 1:])
+                product = {}
+                for m, v in prefix.items():
+                    for j, c in linear[k]:
+                        key = m[:j] + (m[j] + 1,) + m[j + 1:]
+                        product[key] = product.get(key, 0) + v * c
+                memo[exps] = product
+            return memo[exps]
+
+        out = {}
+        for exps in sorted(self.terms):
+            for m, v in expand(exps).items():
+                out[m] = out.get(m, 0) + self.terms[exps] * v
+        return WeightPolynomial(nvars, out)
 
     def __repr__(self):
         return polynomial_to_text(
@@ -152,11 +165,7 @@ def fixed_point_weights(p: CharacteristicPair, sigma) -> tuple[IntVector, ...]:
     sigma = frozenset(sigma)
     if sigma not in p.complex.max_cones:
         raise ValueError(f"{sorted(sigma)} is not a maximal cone of the pair")
-    inverse = invert_unimodular(p.charmap_matrix(sigma))
-    n = p.complex.dim
-    return tuple(
-        tuple(inverse[k][i] for k in range(n)) for i in range(n)
-    )
+    return transpose(invert_unimodular(p.charmap_matrix(sigma)))
 
 
 def restrict_to_fixed_point(p: CharacteristicPair, cls: CohomologyClass,
@@ -167,27 +176,19 @@ def restrict_to_fixed_point(p: CharacteristicPair, cls: CohomologyClass,
     goes to the linear form of the dual-basis weight u_i.
     """
     sigma = frozenset(sigma)
-    weights = fixed_point_weights(p, sigma)
+    return _restrict(p, cls.to_poly(), sigma, fixed_point_weights(p, sigma))
+
+
+def _restrict(p, poly: dict, sigma, weights) -> WeightPolynomial:
+    # The terms supported in the cone, in its variables; one substitution.
     rays = sorted(sigma)
-    ray_to_weight = dict(zip(rays, weights))
-    ring = cls.ring
-    n = p.complex.dim
-    out = WeightPolynomial(n)
-    for d, part in enumerate(cls.parts):
-        basis = ring.basis_monomials(d)
-        for mono, coeff in zip(basis, part):
-            if coeff == 0:
-                continue
-            support = [i for i, e in enumerate(mono) if e]
-            if any(i not in sigma for i in support):
-                continue
-            term = WeightPolynomial.constant(n, coeff)
-            for i in support:
-                linear = WeightPolynomial.linear(ray_to_weight[i])
-                for _ in range(mono[i]):
-                    term = term * linear
-            out = out + term
-    return out
+    outside = [r for r in range(p.complex.ray_count) if r not in sigma]
+    local = {
+        tuple(map(mono.__getitem__, rays)): coeff
+        for mono, coeff in poly.items()
+        if not any(map(mono.__getitem__, outside))
+    }
+    return WeightPolynomial(len(rays), local).substitute(weights)
 
 
 @dataclass(frozen=True)
@@ -218,19 +219,18 @@ class MasudaReport:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "fixed_points": [
-                {
-                    "cone": list(c.cone),
-                    "weights": [list(w) for w in c.weights],
-                    "restricted": repr(c.restricted),
-                    "expected": repr(c.expected),
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
-        }
+        fixed_points = []
+        for c in self.checks:
+            # Equal polynomials print identically: render a passed one once.
+            restricted = repr(c.restricted)
+            fixed_points.append({
+                "cone": list(c.cone),
+                "weights": [list(w) for w in c.weights],
+                "restricted": restricted,
+                "expected": restricted if c.passed else repr(c.expected),
+                "passed": c.passed,
+            })
+        return {"passed": self.passed, "fixed_points": fixed_points}
 
 
 def masuda_check(p: CharacteristicPair) -> MasudaReport:
@@ -241,25 +241,18 @@ def masuda_check(p: CharacteristicPair) -> MasudaReport:
     integer weight polynomials.
     """
     validate_pair(p)
-    n = p.complex.dim
+    one = WeightPolynomial.constant(p.complex.dim, 1)
     total = equivariant_total_chern(p)
+    poly = total.to_poly()
     checks = []
     for sigma in p.complex.max_cones:
         weights = fixed_point_weights(p, sigma)
-        lhs = restrict_to_fixed_point(p, total, sigma)
-        rhs = WeightPolynomial.constant(n, 1)
+        rhs = one
         for w in weights:
-            rhs = rhs * (
-                WeightPolynomial.constant(n, 1) + WeightPolynomial.linear(w)
-            )
-        checks.append(
-            FixedPointCheck(
-                cone=tuple(sorted(sigma)),
-                weights=weights,
-                restricted=lhs,
-                expected=rhs,
-            )
-        )
+            rhs = rhs * (one + WeightPolynomial.linear(w))
+        checks.append(FixedPointCheck(
+            tuple(sorted(sigma)), weights, _restrict(p, poly, sigma, weights), rhs
+        ))
     return MasudaReport(checks=tuple(checks), total=total)
 
 
@@ -298,15 +291,7 @@ def forget(p: CharacteristicPair, cls: CohomologyClass,
     equivariant total Chern class is the ordinary one.
     """
     ring = target if target is not None else ordinary_ring(p)
-    poly = {}
-    for d, part in enumerate(cls.parts):
-        if d > ring.degree_cap:
-            break
-        basis = cls.ring.basis_monomials(d)
-        for mono, coeff in zip(basis, part):
-            if coeff:
-                poly[mono] = poly.get(mono, 0) + coeff
-    return ring.reduce_poly(poly)
+    return ring.reduce_poly(cls.to_poly())
 
 
 def congruent_mod_form(a: WeightPolynomial, b: WeightPolynomial,
@@ -321,8 +306,6 @@ def congruent_mod_form(a: WeightPolynomial, b: WeightPolynomial,
     h, u = hermite_normal_form(column)
     if h[0] != (1,):
         raise ValueError(f"linear form {form} is not primitive")
-    n = len(form)
     # t_k -> sum_j u[j][k] y_j turns the form into y_1.
-    substitution = [tuple(u[j][k] for j in range(n)) for k in range(n)]
-    image = (a - b).substitute(substitution)
+    image = (a - b).substitute(transpose(u))
     return all(exps[0] > 0 for exps in image.terms)

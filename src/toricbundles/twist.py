@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .cohomology import RingConsistencyError
 from .fan import Fan, require_smooth_complete, validate
 from .lattice import IntVector, determinant, vector
 
@@ -89,7 +90,7 @@ def twisted_fan(base: Fan, fiber: Fan, phi: PiecewiseLinearMap) -> TwistDecompos
     twisted = Fan(dim=base.dim + fiber.dim, rays=tuple(rays), max_cones=tuple(cones))
     report = validate(twisted)
     if not report.all_good:
-        raise AssertionError(
+        raise RingConsistencyError(
             "twisted fan of smooth complete data failed validation: "
             + "; ".join(report.diagnostics)
         )

@@ -14,6 +14,10 @@ the bundle ring ran on the fiber ring's squarefree columns.
 ``subset_minimal_nonfaces`` is the reference for minimal non-faces: it
 tries every subset of the rays, as the library did before it grew them
 from the faces.
+``naive_restrict`` and ``naive_substitute`` are the references for
+fixed-point localization: they expand every monomial as a fresh product
+of linear forms, as the library did before one memoised substitution per
+cone.
 """
 
 from itertools import combinations, permutations
@@ -26,6 +30,7 @@ from toricbundles.cohomology import (
     graded_eliminate,
     linear_relations,
 )
+from toricbundles.equivariant import WeightPolynomial, fixed_point_weights
 
 
 def p1():
@@ -362,3 +367,38 @@ class AllFaceMonomialBundleRing:
         fiber_sum = face_monomial_sum(self.fiber_ring.faces, self.ray_count)
         pulled = self.reduce_poly({(0,) * self.ray_count: self.base.chern})
         return pulled * self.reduce_poly(dict.fromkeys(fiber_sum, unit))
+
+
+def naive_substitute(poly, forms):
+    """Replace each t_k of a WeightPolynomial by a linear form, term by term."""
+    nvars = len(forms[0]) if forms else 0
+    out = WeightPolynomial(nvars)
+    for exps, coeff in poly.terms.items():
+        term = WeightPolynomial.constant(nvars, coeff)
+        for k, e in enumerate(exps):
+            linear = WeightPolynomial.linear(forms[k])
+            for _ in range(e):
+                term = term * linear
+        out = out + term
+    return out
+
+
+def naive_restrict(pair, cls, sigma):
+    """Restriction of a face-ring class to the fixed point of a cone,
+    one fresh product of dual-basis weights per basis monomial."""
+    sigma = frozenset(sigma)
+    ray_to_weight = dict(zip(sorted(sigma), fixed_point_weights(pair, sigma)))
+    n = pair.complex.dim
+    out = WeightPolynomial(n)
+    for d, part in enumerate(cls.parts):
+        for mono, coeff in zip(cls.ring.basis_monomials(d), part):
+            support = [i for i, e in enumerate(mono) if e]
+            if coeff == 0 or any(i not in sigma for i in support):
+                continue
+            term = WeightPolynomial.constant(n, coeff)
+            for i in support:
+                linear = WeightPolynomial.linear(ray_to_weight[i])
+                for _ in range(mono[i]):
+                    term = term * linear
+            out = out + term
+    return out

@@ -126,6 +126,15 @@ def test_integrate_bundle_point_and_degree_mismatch():
         integrate_bundle(ring, ring.unit())
 
 
+def test_bundle_ring_has_no_point_class():
+    base = p1_presentation()
+    lam = TwistingClasses(classes=(base.reduce_poly({(1,): 1}),))
+    ring = build_bundle_ring(base, lam, p1())
+    with pytest.raises(ValueError, match="bundle ring has no point class.*"
+                                         "integrate"):
+        ring.point_class()
+
+
 def test_cross_mode_agreement_on_corpus():
     for inst in corpus_instances():
         pres = presentation_from_fan(inst.base)

@@ -4,8 +4,16 @@ import random
 import pytest
 
 from helpers import p1, p2, star_surface
-from toricbundles import equivariant, make_plmap, tautological_pair, twisted_fan
-from toricbundles.cli import main
+from toricbundles import (
+    equivariant,
+    make_plmap,
+    tautological_pair,
+    twist,
+    twisted_fan,
+)
+from toricbundles.cli import build_parser, main
+from toricbundles.cohomology import RingConsistencyError
+from toricbundles.fan import ValidationReport
 from toricbundles.formats import (
     ParseError,
     fan_to_text,
@@ -166,6 +174,27 @@ def test_cmd_twist_writes_fan_file(tmp_path, capsys):
     assert twisted == expected
 
 
+def test_cmd_twist_failing_validation_is_a_finding(tmp_path, capsys,
+                                                  monkeypatch):
+    failing = ValidationReport(
+        simplicial=True, smooth=True, complete=False, well_formed=True,
+        diagnostics=("a generic point lies in no cone",),
+    )
+    monkeypatch.setattr(twist, "validate", lambda fan: failing)
+    phi = make_plmap(1, [[1], [0]])
+    with pytest.raises(RingConsistencyError, match="failed validation"):
+        twisted_fan(p1(), p1(), phi)
+    base = write(tmp_path, "p1.fan", P1_FAN)
+    phi_path = write(tmp_path, "phi.plm", PHI_A1)
+    assert run_cli(tmp_path, "twist", base, base, phi_path) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: twisted fan of smooth complete data failed validation: "
+        "a generic point lies in no cone\n"
+    )
+
+
 def test_cmd_compare_human_and_exit(tmp_path, capsys):
     base = write(tmp_path, "p1.fan", P1_FAN)
     phi = write(tmp_path, "phi.plm", PHI_A1)
@@ -219,6 +248,68 @@ def test_cmd_equivariant_builds_the_face_ring_once(tmp_path, capsys,
     assert len(builds) == 1
     # the class the Masuda check restricted is the one reported
     assert capsys.readouterr().out == explicit
+
+
+def test_masuda_failure_is_reported_at_the_corrupted_cones(tmp_path, capsys,
+                                                          monkeypatch):
+    # one more x0 in the total class breaks the check exactly at the
+    # fixed points of the cones through ray 0
+    pair = tautological_pair(p2())
+    honest = equivariant.equivariant_total_chern
+
+    def corrupted(p, degree_bound=None):
+        total = honest(p, degree_bound)
+        return total + total.ring.generator(0)
+
+    monkeypatch.setattr(equivariant, "equivariant_total_chern", corrupted)
+    report = equivariant.masuda_check(pair)
+    assert [c.passed for c in report.checks] == [
+        0 not in c.cone for c in report.checks
+    ]
+    assert sum(not c.passed for c in report.checks) == 2
+    pair_path = write(tmp_path, "p2.pair", pair_to_text(pair))
+    assert main(["--format", "machine", "equivariant", str(pair_path)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is False
+    for point in payload["fixed_points"]:
+        assert point["passed"] is (0 not in point["cone"])
+        assert (point["restricted"] == point["expected"]) is point["passed"]
+    assert run_cli(tmp_path, "equivariant", pair_path) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "masuda check: FAIL"
+    assert sum(line.endswith(" [FAIL]") for line in lines) == 2
+
+
+def test_main_is_reentrant_across_commands(tmp_path, capsys):
+    # one shared parser serves every call: running the commands back to
+    # back gives what each gives from a parser of its own
+    fan = str(write(tmp_path, "p1.fan", P1_FAN))
+    pair = str(write(tmp_path, "p2.pair", pair_to_text(tautological_pair(p2()))))
+    report = tmp_path / "report.txt"
+    runs = [
+        ["--format", "machine", "--output", str(report), "validate", fan],
+        ["chern", fan],
+        ["--format", "machine", "equivariant", "--degree-bound", "2", pair],
+        ["validate", fan],
+        ["--format", "machine", "chern", fan],
+        ["equivariant", pair],
+    ]
+
+    def outcome(call, argv):
+        code = call(argv)
+        text = report.read_text() if report.exists() else ""
+        report.unlink(missing_ok=True)
+        return code, capsys.readouterr().out, text
+
+    def fresh(argv):
+        args = build_parser.__wrapped__().parse_args(argv)
+        return args.handler(args)
+
+    shared = [outcome(main, argv) for argv in runs]
+    alone = [outcome(fresh, argv) for argv in reversed(runs)][::-1]
+    assert shared == alone
+    assert [code for code, _, _ in shared] == [0] * len(runs)
+    assert shared[0][2] and not shared[0][1]
 
 
 def test_cmd_bundle(tmp_path, capsys):
