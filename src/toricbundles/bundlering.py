@@ -12,14 +12,18 @@ with the Stanley-Reisner relations and the inhomogeneous linear relations
 making a free base-module on the fiber monomial basis.  The sign is
 pinned by the mandatory agreement with the twisted-fan route.
 
-Both rings here run on the engine of ``cohomology``: one GradedPiece per
-degree, certified against the claimed (presentation) or the fiber
-ring's (bundle) basis.  The bundle ring is the fiber's GradedQuotientRing
-with base classes as coefficients: the same squarefree columns in fiber
-degrees 0..n, the same cone rewrite and normal form, whose rewrite of
-x_rho gains the constant mu_rho = -sum_j inv[rho][j] lambda_j, and the
-same ``GradedPiece.reduce``, walked top degree first, whose pivots carry
-the lambda cofactors of their rows one fiber degree down.  Base classes
+Both rings here run on the ring skeleton of ``cohomology``
+(GradedRing): one GradedPiece per degree, certified against the claimed
+(presentation) or the fiber ring's (bundle) basis, and one reduce_poly,
+multiply and integrate.  The presentation supplies the three hooks
+directly: weighted degrees, every weighted monomial a column (the
+identity normal form) and ``integration_value``.  The bundle ring is the
+fiber's GradedQuotientRing with base classes as coefficients: the same
+squarefree columns in fiber degrees 0..n, the same cone rewrite and
+normal form, whose rewrite of x_rho gains the constant
+mu_rho = -sum_j inv[rho][j] lambda_j, and the same ``GradedPiece.reduce``,
+walked top degree first, whose pivots carry the lambda cofactors of
+their rows one fiber degree down.  Base classes
 are CohomologyClass instances, and a BundleClass is a CohomologyClass
 whose coefficients are base classes; it differs only in taking
 components by total degree.
@@ -28,17 +32,17 @@ components by total degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from operator import add, mul
 
 from .chern import chern_numbers
 from .cohomology import (
     CohomologyClass,
     GradedPiece,
     GradedQuotientRing,
+    GradedRing,
     Monomial,
     Poly,
     RingConsistencyError,
-    basis_products,
     build_ring,
     face_monomial_sum,
     linear_relations,
@@ -46,7 +50,7 @@ from .cohomology import (
 from .fan import Fan, require_smooth_complete
 
 
-def _weighted_monomials(weights: list[int], half_degree: int) -> list[Monomial]:
+def _weighted_monomials(weights: tuple, half_degree: int) -> list[Monomial]:
     """Exponent tuples with given weighted half-degree, x_0-heavy first."""
     out = []
 
@@ -63,7 +67,7 @@ def _weighted_monomials(weights: list[int], half_degree: int) -> list[Monomial]:
     return sorted(out, reverse=True)
 
 
-class BasePresentation:
+class BasePresentation(GradedRing):
     """User-supplied graded ring data for the base of a bundle.
 
     The presentation is trusted input; construction runs the cheap
@@ -71,7 +75,9 @@ class BasePresentation:
     from the relations with unit pivots, degree 0 must be the unit, the
     top degree must have rank one and integration value +-1) and raises
     RingConsistencyError when they fail.  Degrees above ``top_degree``
-    are zero by contract.  Its classes are CohomologyClass instances.
+    are zero by contract.  The constructor checks and the piece build
+    are its own; the ring operations are GradedRing's.  ``dim`` and
+    ``half_top`` are half the top degree.
     """
 
     def __init__(self, name: str, generators, relations, basis,
@@ -83,13 +89,14 @@ class BasePresentation:
                 raise ValueError(f"generator {g} must have positive even degree")
         if top_degree < 0 or top_degree % 2:
             raise ValueError("top degree must be a nonnegative even integer")
-        self.top_degree = top_degree
-        self.half_top = top_degree // 2
+        self.dim = self.half_top = self.monomial_cap = top_degree // 2
+        self._nvars = len(self.generators)
+        self._weights = tuple(d // 2 for _, d in self.generators)
         # A zero relation imposes nothing and has no degree.
         relations = ({m: c for m, c in rel.items() if c} for rel in relations)
         self.relations = tuple(rel for rel in relations if rel)
         for rel in self.relations:
-            degs = {self._half_degree(m) for m in rel}
+            degs = {self._degree(m) for m in rel}
             if len(degs) > 1:
                 raise ValueError("relation polynomials must be homogeneous")
         self.basis = {
@@ -100,17 +107,16 @@ class BasePresentation:
             raise RingConsistencyError(
                 "top basis element must integrate to +-1"
             )
-        self._degrees: list[GradedPiece] = []
-        weights = [d // 2 for _, d in self.generators]
+        self._degrees = []
         for k in range(self.half_top + 1):
-            monomials = _weighted_monomials(weights, k)
+            monomials = _weighted_monomials(self._weights, k)
             index = {m: i for i, m in enumerate(monomials)}
             rows = []
             for rel in self.relations:
-                rel_deg = self._half_degree(next(iter(rel)))
+                rel_deg = self._degree(next(iter(rel)))
                 if rel_deg > k:
                     continue
-                for mono in _weighted_monomials(weights, k - rel_deg):
+                for mono in _weighted_monomials(self._weights, k - rel_deg):
                     rows.append(({
                         index[tuple(map(add, rmono, mono))]: coeff
                         for rmono, coeff in rel.items()
@@ -119,58 +125,18 @@ class BasePresentation:
                 monomials, index, rows, self.basis.get(k, ()),
                 f"base presentation {name!r}, degree {2 * k}",
             ))
-        if self.basis_monomials(0) != ((0,) * len(self.generators),):
+        if self.basis_monomials(0) != ((0,) * self._nvars,):
             raise RingConsistencyError("degree 0 basis must be the unit")
         if self.rank(self.half_top) != 1:
             raise RingConsistencyError("top degree must have rank one")
         self.chern = self.reduce_poly(chern)
 
-    def _half_degree(self, mono: Monomial) -> int:
-        return sum(e * (d // 2) for e, (_, d) in zip(mono, self.generators))
+    def _degree(self, mono: Monomial) -> int:
+        """The weighted half-degree of a monomial."""
+        return sum(map(mul, mono, self._weights))
 
-    def rank(self, k: int) -> int:
-        return self._degrees[k].rank
-
-    def basis_monomials(self, k: int) -> tuple[Monomial, ...]:
-        return self._degrees[k].basis_monomials()
-
-    # -- classes -------------------------------------------------------------
-
-    def reduce_poly(self, poly: Poly) -> CohomologyClass:
-        buckets: list[dict] = [{} for _ in self._degrees]
-        for mono, coeff in poly.items():
-            mono = tuple(mono)
-            k = self._half_degree(mono)
-            if coeff and k <= self.half_top:
-                buckets[k][self._degrees[k].index[mono]] = coeff
-        return CohomologyClass(self, tuple(
-            piece.reduce(bucket) for piece, bucket in zip(self._degrees, buckets)
-        ))
-
-    def zero(self) -> CohomologyClass:
-        return self.reduce_poly({})
-
-    def unit(self) -> CohomologyClass:
-        return self.reduce_poly({(0,) * len(self.generators): 1})
-
-    def multiply(self, a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
-        if a.ring is not self or b.ring is not self:
-            raise ValueError("classes live over different base presentations")
-        poly: Poly = {}
-        for prod, c1, c2 in basis_products(
-            self._degrees, a.parts, b.parts, self.half_top
-        ):
-            poly[prod] = poly.get(prod, 0) + c1 * c2
-        return self.reduce_poly(poly)
-
-    def integrate(self, cls: CohomologyClass) -> int:
-        """Integration functional on a class concentrated in the top degree."""
-        if cls.ring is not self:
-            raise ValueError("class lives over a different base presentation")
-        for k, part in enumerate(cls.parts):
-            if k != self.half_top and any(part):
-                raise ValueError("integrate expects a top-degree class")
-        return cls.parts[self.half_top][0] * self.integration_value
+    def _point_data(self) -> int:
+        return self.integration_value
 
 
 @dataclass(frozen=True)
@@ -250,9 +216,6 @@ class BundleRing(GradedQuotientRing):
                 for j, inv in enumerate(rewrite[rho][1]):
                     cofactors[j] -= rel[rho] * inv
         return {(j, tau_pos): c for j, c in enumerate(cofactors) if c}
-
-    def rank(self, d: int) -> int:
-        return self._degrees[d].rank
 
     def point_class(self):
         raise ValueError("the bundle ring has no point class: pair classes "

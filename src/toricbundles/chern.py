@@ -131,8 +131,8 @@ def chern_numbers(ring, total: CohomologyClass) -> dict[tuple[int, ...], int]:
     n = ring.dim
     out = {}
     for part in partitions(n):
-        cls = ring.unit()
-        for k in part:
+        cls = total.component(part[0]) if part else ring.unit()
+        for k in part[1:]:
             cls = cls * total.component(k)
         out[part] = ring.integrate(cls.component(n))
     return out

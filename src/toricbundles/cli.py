@@ -20,12 +20,12 @@ from .fan import validate
 from .formats import (
     ParseError,
     fan_to_text,
+    monomial_to_text,
     parse_base_presentation,
     parse_fan,
     parse_pair,
     parse_plmap,
     parse_twisting,
-    polynomial_to_text,
 )
 from .twist import principal_classes, twisted_fan
 
@@ -63,10 +63,7 @@ def _class_payload(cls) -> dict:
     out = {}
     for d, part in enumerate(cls.parts):
         out[str(2 * d)] = {
-            "basis": [
-                polynomial_to_text({m: 1}, names)
-                for m in ring.basis_monomials(d)
-            ],
+            "basis": [monomial_to_text(m, names) for m in ring.basis_monomials(d)],
             "coefficients": list(part),
         }
     return out
@@ -79,7 +76,7 @@ def _class_lines(cls, label: str) -> list[str]:
     for d, part in enumerate(cls.parts):
         terms = [
             (f"{c}*" if c not in (1,) else "")
-            + polynomial_to_text({m: 1}, names)
+            + monomial_to_text(m, names)
             for m, c in zip(ring.basis_monomials(d), part)
             if c
         ]

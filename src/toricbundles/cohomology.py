@@ -8,14 +8,17 @@ lexicographically with smaller ray indices first, and the elimination
 walks columns left to right, so bases and coefficient vectors are
 bit-stable across runs.
 
-This is also the engine of the presented base and the bundle ring in
-``bundlering``: every ring stores one GradedPiece per degree (columns,
-unit pivots certifying a planned basis, one ``reduce``),
-``basis_products`` is the one product loop over two classes' basis
-terms, CohomologyClass is the one class type, and face_monomial_sum is
-the one expansion of prod (1 + x_rho).  The bundle ring is a
-GradedQuotientRing whose relations have the twisting classes as
-constants (see ``bundlering``).  Minimal non-faces are grown from
+GradedRing is the one ring skeleton, also of the presented base and the
+bundle ring in ``bundlering``: every ring stores one GradedPiece per
+degree (columns, unit pivots certifying a planned basis, one
+``reduce``), and reduce_poly, multiply (over ``basis_products``, the one
+product loop), integrate and the ranks are written once.  Rings differ in
+three hooks: the degree of a monomial, its normal form (the cone rewrite
+here, the identity on a presentation) and the sign of the top basis
+monomial's integral.  CohomologyClass is the one class type, and
+face_monomial_sum is the one expansion of prod (1 + x_rho).  The bundle
+ring is a GradedQuotientRing whose relations have the twisting classes
+as constants (see ``bundlering``).  Minimal non-faces are grown from
 the face set, and a ring computes them only when they are read.
 
 A ring with linear relations eliminates over the squarefree face
@@ -420,9 +423,11 @@ def basis_products(pieces, a_parts, b_parts, cap: int):
 class CohomologyClass:
     """Per-degree coefficients over a ring's basis monomials.
 
-    The ring is a GradedQuotientRing or a BasePresentation, with integer
-    coefficients, or a BundleRing (see BundleClass), whose coefficients
-    are classes over its base.  A class is falsy exactly when it is zero.
+    The ring is any GradedRing: a GradedQuotientRing or a BasePresentation,
+    with integer coefficients, or a BundleRing (see BundleClass), whose
+    coefficients are classes over its base.  Products and integrals go
+    through the ring's one skeleton.  A class is falsy exactly when it is
+    zero.
     """
 
     ring: object
@@ -488,7 +493,111 @@ class CohomologyClass:
         return hash((id(self.ring), self.parts))
 
 
-class GradedQuotientRing:
+class GradedRing:
+    """The one ring skeleton: reduce, multiply, integrate and ranks.
+
+    A ring stores one GradedPiece per degree in ``_degrees``, its variable
+    count ``_nvars``, its complex dimension ``dim`` and ``monomial_cap``,
+    the degree above which monomials vanish.  Subclasses differ in three
+    hooks: ``_degree`` of a monomial, ``_add_normal_form`` (a monomial
+    rewritten into column monomials, with a per-call memo) and
+    ``_point_data``, the integral (+-1) of the top basis monomial.
+    Coefficients are ``_zero``/``_one``, classes ``_class_type``, and
+    ``_lam`` are the twisting classes the bundle ring's pivots carry.
+    """
+
+    _zero = 0
+    _one = 1
+    _lam: tuple = ()
+    _class_type = CohomologyClass
+    _degrees: list[GradedPiece]
+
+    def _degree(self, mono: Monomial) -> int:
+        return sum(mono)
+
+    def _add_normal_form(self, terms: dict, mono: Monomial, coeff,
+                         memo: dict) -> None:
+        """Add coeff times mono into terms: every monomial is a column."""
+        _add_term(terms, mono, coeff)
+
+    @property
+    def top_degree(self) -> int:
+        """Top cohomological degree 2*dim."""
+        return 2 * self.dim
+
+    def rank(self, d: int) -> int:
+        return self._degrees[d].rank
+
+    def betti(self) -> list[int]:
+        """Basis ranks per even degree; index k is cohomological degree 2k."""
+        return [piece.rank for piece in self._degrees]
+
+    def basis_monomials(self, d: int) -> tuple[Monomial, ...]:
+        return self._degrees[d].basis_monomials()
+
+    def _reduce_terms(self, terms: dict) -> "CohomologyClass":
+        """Reduce a combination of column monomials, top degree first."""
+        buckets: list[dict] = [{} for _ in self._degrees]
+        for mono, coeff in terms.items():
+            d = self._degree(mono)
+            buckets[d][self._degrees[d].index[mono]] = coeff
+        parts = list(self._degrees)
+        for d in range(len(parts) - 1, -1, -1):
+            lower = buckets[d - 1] if d else None
+            parts[d] = parts[d].reduce(buckets[d], self._zero, self._lam, lower)
+        return self._class_type(self, tuple(parts))
+
+    def reduce_poly(self, poly: dict) -> "CohomologyClass":
+        """Normal form of a polynomial in the ring's variables.
+
+        Monomials above ``monomial_cap`` are dropped: for rings of complete
+        fans and presentations they vanish, for truncated face rings that
+        is the truncation.
+        """
+        memo: dict = {}
+        terms: dict = {}
+        for mono, coeff in poly.items():
+            if not coeff:
+                continue
+            if len(mono) != self._nvars:
+                raise ValueError("monomial length does not match variable count")
+            mono = tuple(mono)
+            if self._degree(mono) <= self.monomial_cap:
+                self._add_normal_form(terms, mono, coeff, memo)
+        return self._reduce_terms(terms)
+
+    def zero(self) -> "CohomologyClass":
+        return self.reduce_poly({})
+
+    def unit(self) -> "CohomologyClass":
+        return self.reduce_poly({(0,) * self._nvars: self._one})
+
+    def multiply(self, a: "CohomologyClass", b: "CohomologyClass") -> "CohomologyClass":
+        if a.ring is not self or b.ring is not self:
+            raise ValueError("classes live in different rings")
+        memo: dict = {}
+        terms: dict = {}
+        for prod, c1, c2 in basis_products(
+            self._degrees, a.parts, b.parts, self.monomial_cap
+        ):
+            self._add_normal_form(terms, prod, c1 * c2, memo)
+        return self._reduce_terms(terms)
+
+    def integrate(self, cls: "CohomologyClass") -> int:
+        """Pair a homogeneous top-degree class with the fundamental class."""
+        if cls.ring is not self:
+            raise ValueError("class lives in a different ring")
+        for d, part in enumerate(cls.parts):
+            if d != self.dim and any(part):
+                raise ValueError(
+                    "integrate expects a class concentrated in the top degree; "
+                    "take component(dim) of a total class first"
+                )
+        sign = self._point_data()
+        return cls.parts[self.dim][0] * sign if cls.parts[self.dim] else 0
+
+
+class GradedQuotientRing(GradedRing):
     """Z[x_rho]/(Stanley-Reisner ideal + integer linear relations).
 
     ``degree_cap`` bounds the monomial degree of the graded pieces that are
@@ -503,29 +612,23 @@ class GradedQuotientRing:
     immutable after construction, apart from caches filled on first use,
     and safe to share between threads.
 
-    The bundle ring subclasses it with base-class coefficients (``_zero``,
-    ``_one``, ``_class_type``) and twisting classes ``_lam``, which enter
-    through ``_rewrite_constant`` and ``_row_payload``.
+    Its hooks: the plain degree, the cone rewrite as normal form and the
+    point class's sign.  The bundle ring subclasses it, and its twisting
+    classes enter through ``_rewrite_constant`` and ``_row_payload``.
     """
-
-    _zero = 0
-    _one = 1
-    _lam: tuple = ()
-    _class_type = CohomologyClass
 
     def __init__(self, ray_count, dim, relations, max_cones, degree_cap,
                  basis_plan=None):
-        self.ray_count = ray_count
+        self.ray_count = self._nvars = ray_count
         self.dim = dim
         self.relations = tuple(tuple(r) for r in relations)
         self.max_cones = tuple(frozenset(c) for c in max_cones)
-        self.degree_cap = degree_cap
-        self.monomial_cap = degree_cap
+        self.degree_cap = self.monomial_cap = degree_cap
         self.basis_plan = basis_plan
         if self.relations and basis_plan is None:
             raise ValueError("a ring with linear relations needs a basis plan")
         self.faces = _faces(self.max_cones)
-        self._degrees: list[GradedPiece] = []
+        self._degrees = []
         self._point = None
         self._cone_inverses: dict[frozenset, tuple] = {}
         memo: dict = {}
@@ -679,77 +782,13 @@ class GradedQuotientRing:
         else:
             _add_term(terms, mono, coeff)
 
-    def _reduce_terms(self, terms: dict) -> "CohomologyClass":
-        """Reduce a combination of column monomials, top degree first."""
-        buckets: list[dict] = [{} for _ in self._degrees]
-        for mono, coeff in terms.items():
-            d = sum(mono)
-            buckets[d][self._degrees[d].index[mono]] = coeff
-        parts = []
-        for d in range(self.degree_cap, -1, -1):
-            lower = buckets[d - 1] if d else None
-            parts.append(self._degrees[d].reduce(
-                buckets[d], self._zero, self._lam, lower
-            ))
-        return self._class_type(self, tuple(reversed(parts)))
-
-    # -- structure ---------------------------------------------------------
-
-    @property
-    def top_degree(self) -> int:
-        """Top cohomological degree 2*dim."""
-        return 2 * self.dim
-
-    def betti(self) -> list[int]:
-        """Basis ranks per even degree; index k is cohomological degree 2k."""
-        return [self._degrees[d].rank for d in range(self.degree_cap + 1)]
-
-    def basis_monomials(self, d: int) -> tuple[Monomial, ...]:
-        return self._degrees[d].basis_monomials()
-
     def is_face(self, support) -> bool:
         return frozenset(support) in self.faces
-
-    # -- reduction ---------------------------------------------------------
-
-    def reduce_poly(self, poly: dict) -> "CohomologyClass":
-        """Normal form of a polynomial in the ray generators.
-
-        Monomials above ``monomial_cap`` are dropped: for rings of complete
-        fans they vanish, for truncated face rings that is the truncation.
-        """
-        memo: dict = {}
-        terms: dict = {}
-        for mono, coeff in poly.items():
-            if not coeff:
-                continue
-            if len(mono) != self.ray_count:
-                raise ValueError("monomial length does not match ray count")
-            if sum(mono) <= self.monomial_cap:
-                self._add_normal_form(terms, tuple(mono), coeff, memo)
-        return self._reduce_terms(terms)
-
-    def zero(self) -> "CohomologyClass":
-        return self.reduce_poly({})
-
-    def unit(self) -> "CohomologyClass":
-        return self.reduce_poly({(0,) * self.ray_count: self._one})
 
     def generator(self, rho: int) -> "CohomologyClass":
         """The degree-2 class of the divisor attached to ray rho."""
         mono = tuple(1 if i == rho else 0 for i in range(self.ray_count))
         return self.reduce_poly({mono: self._one})
-
-    def multiply(self, a: "CohomologyClass", b: "CohomologyClass") -> "CohomologyClass":
-        if a.ring is not self or b.ring is not self:
-            raise ValueError("classes live in different rings")
-        memo: dict = {}
-        terms: dict = {}
-        for prod, c1, c2 in basis_products(
-            self._degrees, a.parts, b.parts, self.monomial_cap
-        ):
-            self._add_normal_form(terms, prod, c1 * c2, memo)
-        return self._reduce_terms(terms)
 
     # -- integration -------------------------------------------------------
 
@@ -784,24 +823,10 @@ class GradedQuotientRing:
     def point_class(self) -> "CohomologyClass":
         """The class of a point: product of the rays of any maximal cone."""
         sign = self._point_data()
-        parts = [
-            (sign,) if d == self.dim else (0,) * self._degrees[d].rank
-            for d in range(self.degree_cap + 1)
-        ]
-        return CohomologyClass(self, tuple(parts))
-
-    def integrate(self, cls: "CohomologyClass") -> int:
-        """Pair a homogeneous top-degree class with the fundamental class."""
-        if cls.ring is not self:
-            raise ValueError("class lives in a different ring")
-        for d, part in enumerate(cls.parts):
-            if d != self.dim and any(part):
-                raise ValueError(
-                    "integrate expects a class concentrated in the top degree; "
-                    "take component(dim) of a total class first"
-                )
-        sign = self._point_data()
-        return cls.parts[self.dim][0] * sign if cls.parts[self.dim] else 0
+        return CohomologyClass(self, tuple(
+            (sign,) if d == self.dim else (0,) * rank
+            for d, rank in enumerate(self.betti())
+        ))
 
 
 @cache

@@ -204,6 +204,8 @@ def validate(f: Fan) -> ValidationReport:
                 break
 
     complete = len(f.max_cones) > 0
+    if not complete:
+        diagnostics.append("fan has no maximal cones")
     adjacency = {k: set() for k in range(len(f.max_cones))}
     for wall, containing in walls(f):
         if len(containing) != 2:

@@ -240,25 +240,27 @@ def parse_polynomial(s: str, generators: dict[str, int], nvars: int,
     return {k: v for k, v in poly.items() if v}
 
 
+def monomial_to_text(exps, names) -> str:
+    """A monomial as 'x0^2*x3', or '1' when every exponent is 0."""
+    return "*".join(
+        names[i] + (f"^{e}" if e > 1 else "") for i, e in enumerate(exps) if e
+    ) or "1"
+
+
 def polynomial_to_text(poly: Poly, names) -> str:
     if not poly:
         return "0"
     bits = []
     for exps, coeff in sorted(poly.items(), key=lambda kv: (sum(kv[0]), kv[0])):
-        factors = [
-            names[i] + (f"^{e}" if e > 1 else "")
-            for i, e in enumerate(exps)
-            if e
-        ]
-        mono = "*".join(factors) if factors else "1"
-        if factors and coeff == 1:
-            bits.append(mono)
-        elif factors and coeff == -1:
-            bits.append(f"-{mono}")
-        elif factors:
-            bits.append(f"{coeff}*{mono}")
-        else:
+        mono = monomial_to_text(exps, names)
+        if not any(exps):
             bits.append(str(coeff))
+        elif coeff == 1:
+            bits.append(mono)
+        elif coeff == -1:
+            bits.append(f"-{mono}")
+        else:
+            bits.append(f"{coeff}*{mono}")
     out = bits[0]
     for b in bits[1:]:
         out += f" - {b[1:]}" if b.startswith("-") else f" + {b}"

@@ -106,6 +106,28 @@ def p2_presentation():
     )
 
 
+# The P2 presentation by its three ray classes, as a presentation file.
+P2_PRESENTATION = """\
+name P2
+top_degree 4
+generators
+x0 2
+x1 2
+x2 2
+relations
+x0*x1*x2
+-x2 + x0
+-x2 + x1
+basis
+0 : 1
+2 : x2
+4 : x0*x2
+integration 1
+chern
+1 + x2 + x1 + x0 + x1*x2 + x0*x2 + x0*x1
+"""
+
+
 def subset_minimal_nonfaces(fan):
     """Minimal non-faces by trying all 2^rays subsets, smallest first."""
     nonfaces = []

@@ -19,7 +19,7 @@ from toricbundles import (
 )
 from toricbundles.bundlering import fiber_restriction
 from toricbundles.cohomology import RingConsistencyError
-from toricbundles.corpus import corpus_instances
+from toricbundles.corpus import corpus_fans, corpus_instances
 
 
 def test_presentation_rejects_wrong_basis_claim():
@@ -184,3 +184,33 @@ def test_arity_mismatch_rejected():
     lam = TwistingClasses(classes=(base.zero(), base.zero()))
     with pytest.raises(ValueError):
         build_bundle_ring(base, lam, p1())
+
+
+def test_presentation_rejects_monomial_of_wrong_length():
+    base = p2_presentation()
+    with pytest.raises(ValueError, match="monomial length"):
+        base.reduce_poly({(1, 0): 1})
+
+
+@pytest.mark.parametrize("name,fan", corpus_fans())
+def test_presentation_from_fan_matches_fan_ring(name, fan):
+    # the presented ring runs on the weighted-degree hooks, the fan ring on
+    # the cone rewrite: products of basis monomials and integrals agree
+    ring = build_ring(fan)
+    pres = presentation_from_fan(fan)
+    basis = [m for d in range(fan.dim + 1) for m in ring.basis_monomials(d)]
+    assert basis == [
+        m for d in range(fan.dim + 1) for m in pres.basis_monomials(d)
+    ]
+    for a in basis:
+        for b in basis:
+            ring_product = ring.reduce_poly({a: 1}) * ring.reduce_poly({b: 1})
+            pres_product = pres.reduce_poly({a: 1}) * pres.reduce_poly({b: 1})
+            assert ring_product.parts == pres_product.parts
+    for top in ring.basis_monomials(fan.dim):
+        assert ring.integrate(ring.reduce_poly({top: 1})) == pres.integrate(
+            pres.reduce_poly({top: 1})
+        )
+    assert chern_numbers(pres, pres.chern) == chern_numbers(
+        ring, total_chern_intrinsic(ring)
+    )

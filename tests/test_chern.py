@@ -12,6 +12,7 @@ from helpers import (
     surface_c1_squared,
 )
 from toricbundles import (
+    Fan,
     build_ring,
     chern_numbers,
     compare,
@@ -227,3 +228,9 @@ def test_pullback_rejects_mismatched_rings():
     twisted_ring = build_ring(decomp.twisted)
     with pytest.raises(ValueError):
         PullbackMap(decomp, base_ring, twisted_ring)
+
+
+def test_chern_numbers_of_the_point():
+    # the empty partition of a dimension-0 ring integrates the unit
+    ring = build_ring(Fan(0, (), (frozenset(),)))
+    assert chern_numbers(ring, total_chern_intrinsic(ring)) == {(): 1}

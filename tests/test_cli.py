@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from helpers import p1, p2, star_surface
+from helpers import P2_PRESENTATION, p1, p2, star_surface
 from toricbundles import (
+    chern,
     equivariant,
     make_plmap,
     tautological_pair,
@@ -17,6 +18,7 @@ from toricbundles.fan import ValidationReport
 from toricbundles.formats import (
     ParseError,
     fan_to_text,
+    monomial_to_text,
     pair_to_text,
     parse_base_presentation,
     parse_fan,
@@ -112,6 +114,15 @@ def test_polynomial_parsing():
         parse_polynomial("z", gens, 2)
 
 
+def test_monomial_text():
+    names = ["x0", "x1", "x2"]
+    assert monomial_to_text((0, 0, 0), names) == "1"
+    assert monomial_to_text((2, 0, 1), names) == "x0^2*x2"
+    assert polynomial_to_text({(2, 0, 1): -3, (0, 0, 0): 1}, names) == (
+        "1 - 3*x0^2*x2"
+    )
+
+
 def test_polynomial_text_roundtrip():
     rng = random.Random("polynomial text")
     names = ["h", "k", "x2"]
@@ -154,6 +165,22 @@ def test_cmd_validate_exit_codes(tmp_path, capsys):
     assert run_cli(tmp_path, "validate", bad) == 1
     out = capsys.readouterr().out
     assert "complete:    False" in out
+
+
+def test_cmd_fan_without_maximal_cones_names_the_cause(tmp_path, capsys):
+    empty = write(tmp_path, "empty.fan", P1_INCOMPLETE.replace("max_cones\n0\n",
+                                                            "max_cones\n"))
+    assert run_cli(tmp_path, "validate", empty) == 1
+    out = capsys.readouterr().out
+    assert "complete:    False" in out
+    assert "  - fan has no maximal cones" in out
+    assert run_cli(tmp_path, "chern", empty) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: build_ring requires a well-formed smooth complete fan; "
+        "fan has no maximal cones\n"
+    )
 
 
 def test_cmd_validate_parse_error(tmp_path, capsys):
@@ -203,6 +230,40 @@ def test_cmd_compare_human_and_exit(tmp_path, capsys):
     assert "verdict: equal" in out
     assert "c1 c1 = 8" in out
     assert "c2 = 4" in out
+
+
+def test_cmd_compare_reports_a_top_degree_mismatch(tmp_path, capsys,
+                                                   monkeypatch):
+    # one point class more on the bundle route: only the top degree
+    # differs, and c_2 of that route is one above the intrinsic c_2
+    formula = chern.total_chern_bundle_formula
+
+    def one_point_more(*args):
+        total = formula(*args)
+        return total + total.ring.point_class()
+
+    monkeypatch.setattr(chern, "total_chern_bundle_formula", one_point_more)
+    base = write(tmp_path, "p1.fan", P1_FAN)
+    phi = write(tmp_path, "phi.plm", PHI_A1)
+    assert run_cli(tmp_path, "compare", base, base, phi) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "verdict: NOT EQUAL"
+    assert [line.endswith("[MISMATCH]") for line in lines[1:4]] == [
+        False, False, True
+    ]
+    i = lines.index("Chern numbers (intrinsic route):")
+    assert lines[i + 1:i + 6] == [
+        "  c1 c1 = 8", "  c2 = 4",
+        "Chern numbers (bundle-formula route):", "  c1 c1 = 8", "  c2 = 5",
+    ]
+    assert main(["--format", "machine", "compare", str(base), str(base),
+                 str(phi)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["equal"] is False
+    assert [d["equal"] for d in payload["degrees"]] == [True, True, False]
+    assert payload["chern_numbers_bundle"]["2"] == (
+        payload["chern_numbers_intrinsic"]["2"] + 1
+    )
 
 
 def test_cmd_chern_machine_output_stable(tmp_path, capsys):
@@ -367,27 +428,6 @@ def test_cmd_bundle_zero_relation_imposes_nothing(tmp_path, capsys):
         assert main(["--format", "machine", "bundle", str(pres), str(lam),
                      str(fan)]) == 0
         assert capsys.readouterr().out == expected
-
-
-P2_PRESENTATION = """\
-name P2
-top_degree 4
-generators
-x0 2
-x1 2
-x2 2
-relations
-x0*x1*x2
--x2 + x0
--x2 + x1
-basis
-0 : 1
-2 : x2
-4 : x0*x2
-integration 1
-chern
-1 + x2 + x1 + x0 + x1*x2 + x0*x2 + x0*x1
-"""
 
 
 def test_cmd_bundle_repeated_basis_monomial_is_a_finding(tmp_path, capsys):

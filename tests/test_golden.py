@@ -1,0 +1,93 @@
+"""Reports compared byte for byte with the files in tests/golden/.
+
+Each case writes its inputs (built here from the corpus constructors and
+the P2 presentation text) to a temporary directory, runs ``cli.main``
+with ``--output`` and compares the report with
+``tests/golden/<case>.<format>.txt``.  A change that is meant to alter a
+report regenerates the files with ``PYTHONPATH=src python
+tests/test_golden.py`` and shows the new bytes in its diff.
+"""
+
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from helpers import P2_PRESENTATION
+from toricbundles import corpus
+from toricbundles.cli import main
+from toricbundles.formats import fan_to_text, pair_to_text, plmap_to_text
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _instance(name):
+    return next(i for i in corpus.corpus_instances() if i.name == name)
+
+
+def _inputs(case):
+    """{file name: text} and the command arguments naming those files."""
+    if case in ("chern-dP6", "cohomology-dP6"):
+        command = case.split("-")[0]
+        return {"dp6.fan": fan_to_text(corpus.del_pezzo_6())}, [command, "dp6.fan"]
+    if case == "compare-p2-p1-mixed-twist":
+        inst = _instance("p2/p1 mixed twist")
+        files = {
+            "base.fan": fan_to_text(inst.base),
+            "fiber.fan": fan_to_text(inst.fiber),
+            "phi.plm": plmap_to_text(inst.phi),
+        }
+        return files, ["compare", "base.fan", "fiber.fan", "phi.plm"]
+    if case == "equivariant-p1-p2-twist":
+        pair = dict(corpus.corpus_pairs())["pair[p1/p2 twist]"]
+        return {"p.pair": pair_to_text(pair)}, ["equivariant", "p.pair"]
+    if case == "bundle-p2-over-p2":
+        files = {
+            "p2.pres": P2_PRESENTATION,
+            "lam.tw": "classes\nx2\n2*x2\n",
+            "p2.fan": fan_to_text(corpus.projective_plane()),
+        }
+        return files, ["bundle", "p2.pres", "lam.tw", "p2.fan"]
+    assert case == "corpus"
+    return {}, ["corpus"]
+
+
+CASES = [
+    (case, fmt)
+    for case in (
+        "chern-dP6",
+        "cohomology-dP6",
+        "compare-p2-p1-mixed-twist",
+        "equivariant-p1-p2-twist",
+        "bundle-p2-over-p2",
+    )
+    for fmt in ("machine", "human")
+] + [("corpus", "machine")]
+
+
+def _report(case, fmt, directory: Path) -> str:
+    files, argv = _inputs(case)
+    for name, text in files.items():
+        (directory / name).write_text(text)
+    argv = [str(directory / a) if a in files else a for a in argv]
+    out = directory / "report.txt"
+    assert main(["--format", fmt, "--output", str(out)] + argv) == 0
+    return out.read_text()
+
+
+@pytest.mark.parametrize("case,fmt", CASES)
+def test_report_matches_golden_file(case, fmt, tmp_path):
+    expected = (GOLDEN / f"{case}.{fmt}.txt").read_text()
+    assert _report(case, fmt, tmp_path) == expected
+
+
+def regenerate() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for case, fmt in CASES:
+        with tempfile.TemporaryDirectory() as directory:
+            text = _report(case, fmt, Path(directory))
+        (GOLDEN / f"{case}.{fmt}.txt").write_text(text)
+
+
+if __name__ == "__main__":
+    regenerate()
