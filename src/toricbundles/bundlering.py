@@ -130,6 +130,11 @@ class BasePresentation(GradedRing):
         if self.rank(self.half_top) != 1:
             raise RingConsistencyError("top degree must have rank one")
         self.chern = self.reduce_poly(chern)
+        if self.chern.parts[0] != (1,):
+            raise RingConsistencyError(
+                "total Chern class must start with 1, not "
+                f"{self.chern.parts[0][0]}"
+            )
 
     def _degree(self, mono: Monomial) -> int:
         """The weighted half-degree of a monomial."""

@@ -11,8 +11,9 @@ bit-stable across runs.
 GradedRing is the one ring skeleton, also of the presented base and the
 bundle ring in ``bundlering``: every ring stores one GradedPiece per
 degree (columns, unit pivots certifying a planned basis, one
-``reduce``), and reduce_poly, multiply (over ``basis_products``, the one
-product loop), integrate and the ranks are written once.  Rings differ in
+``reduce``), and reduce_poly, multiply (the sum of ``basis_products``,
+the one product loop, brought to normal form by reduce_poly), integrate
+and the ranks are written once.  Rings differ in
 three hooks: the degree of a monomial, its normal form (the cone rewrite
 here, the identity on a presentation) and the sign of the top basis
 monomial's integral.  CohomologyClass is the one class type, and
@@ -28,7 +29,8 @@ rewritten into squarefree face monomials through the relations: on the
 first maximal cone sigma containing its support the relations solve for
 each x_rho of sigma as an integer combination of the x_rho' outside
 sigma, and trading one repeated factor this way lowers (degree - support
-size), so the rewrite terminates.  The degree-d relation rows are the
+size), so the rewrite terminates.  Each cone's rewrite is solved once
+per ring and kept in ``_rewrites``.  The degree-d relation rows are the
 rewritten products of the squarefree degree-(d-1) face monomials with
 each relation.  Unit-pivot elimination certifies that this quotient is
 free on the planned basis, of rank h_d; it surjects onto H^{2d}, which is
@@ -44,7 +46,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import comb
-from operator import add
+from operator import add, mul
 from typing import NamedTuple
 
 from .fan import Fan, require_smooth_complete
@@ -162,12 +164,12 @@ def graded_eliminate(rows, allowed):
 
     ``rows`` is a list of ``(vec, payload)`` where ``vec`` is a sparse
     ``{column: int}`` dict and ``payload`` an arbitrary sparse dict combined
-    linearly alongside it.  Pivot columns are chosen left to right among
-    ``allowed``; a column whose residual gcd is not
-    a unit is deferred, and scanning repeats until a pass makes no
-    progress.  When the complement of ``allowed`` is a genuine basis of the
-    quotient, every allowed column has residual gcd 1 and the elimination
-    provably completes, certifying the basis.  Returns ``pivots``: a list
+    linearly alongside it, or None in a ring whose rows carry nothing.
+    Pivot columns are chosen left to right among ``allowed``; a column
+    whose residual gcd is not a unit is deferred, and scanning repeats
+    until a pass makes no progress.  When the complement of ``allowed`` is
+    a genuine basis of the quotient, every allowed column has residual gcd
+    1 and the elimination provably completes, certifying the basis.  Returns ``pivots``: a list
     of ``(column, vec, payload)`` with entry +1 at the pivot column and 0
     at every other pivot column.
 
@@ -177,15 +179,19 @@ def graded_eliminate(rows, allowed):
     """
 
     def axpy(target, source, factor):
-        for k, v in source.items():
-            new = target.get(k, 0) + factor * v
-            if new:
-                target[k] = new
-            else:
-                target.pop(k, None)
+        """Row target += factor * row source, payload included."""
+        for part, add_part in zip(target, source):
+            if add_part is None:
+                continue
+            for k, v in add_part.items():
+                new = part.get(k, 0) + factor * v
+                if new:
+                    part[k] = new
+                else:
+                    part.pop(k, None)
 
     active = [
-        (dict(vec), dict(payload) if payload else {})
+        (dict(vec), None if payload is None else dict(payload))
         for vec, payload in rows
         if vec
     ]
@@ -209,29 +215,22 @@ def graded_eliminate(rows, allowed):
                     if abs(a) > abs(b):
                         lead, other = other, lead
                         a, b = b, a
-                    q = b // a
-                    axpy(other[0], lead[0], -q)
-                    axpy(other[1], lead[1], -q)
+                    axpy(other, lead, -(b // a))
                     if col in other[0]:
                         lead, other = other, lead
             g = lead[0][col]
             if g not in (1, -1):
                 continue  # deferred until a later pass; may join the basis
             if g == -1:
-                for k in list(lead[0]):
-                    lead[0][k] = -lead[0][k]
-                for k in list(lead[1]):
-                    lead[1][k] = -lead[1][k]
+                for part in lead:
+                    for k in part or ():
+                        part[k] = -part[k]
             for r in active:
                 if r is not lead and col in r[0]:
-                    q = r[0][col]
-                    axpy(r[0], lead[0], -q)
-                    axpy(r[1], lead[1], -q)
+                    axpy(r, lead, -r[0][col])
             for _, vec, payload in pivots:
                 if col in vec:
-                    q = vec[col]
-                    axpy(vec, lead[0], -q)
-                    axpy(payload, lead[1], -q)
+                    axpy((vec, payload), lead, -vec[col])
             active = [r for r in active if r is not lead and r[0]]
             pivots.append((col, lead[0], lead[1]))
             pivot_cols.add(col)
@@ -384,8 +383,9 @@ class GradedPiece(NamedTuple):
                         work[k] = new
                     else:
                         work.pop(k, None)
-                for (j, pos), cj in payload.items():
-                    _add_term(lower, pos, -cj * (lam[j] * c))
+                if payload:
+                    for (j, pos), cj in payload.items():
+                        _add_term(lower, pos, -cj * (lam[j] * c))
         return tuple(work.get(i, zero) for i in self.basis_positions)
 
 
@@ -500,7 +500,7 @@ class GradedRing:
     count ``_nvars``, its complex dimension ``dim`` and ``monomial_cap``,
     the degree above which monomials vanish.  Subclasses differ in three
     hooks: ``_degree`` of a monomial, ``_add_normal_form`` (a monomial
-    rewritten into column monomials, with a per-call memo) and
+    rewritten into column monomials, added into a combination) and
     ``_point_data``, the integral (+-1) of the top basis monomial.
     Coefficients are ``_zero``/``_one``, classes ``_class_type``, and
     ``_lam`` are the twisting classes the bundle ring's pivots carry.
@@ -515,8 +515,7 @@ class GradedRing:
     def _degree(self, mono: Monomial) -> int:
         return sum(mono)
 
-    def _add_normal_form(self, terms: dict, mono: Monomial, coeff,
-                         memo: dict) -> None:
+    def _add_normal_form(self, terms: dict, mono: Monomial, coeff) -> None:
         """Add coeff times mono into terms: every monomial is a column."""
         _add_term(terms, mono, coeff)
 
@@ -554,7 +553,6 @@ class GradedRing:
         fans and presentations they vanish, for truncated face rings that
         is the truncation.
         """
-        memo: dict = {}
         terms: dict = {}
         for mono, coeff in poly.items():
             if not coeff:
@@ -563,7 +561,7 @@ class GradedRing:
                 raise ValueError("monomial length does not match variable count")
             mono = tuple(mono)
             if self._degree(mono) <= self.monomial_cap:
-                self._add_normal_form(terms, mono, coeff, memo)
+                self._add_normal_form(terms, mono, coeff)
         return self._reduce_terms(terms)
 
     def zero(self) -> "CohomologyClass":
@@ -575,13 +573,12 @@ class GradedRing:
     def multiply(self, a: "CohomologyClass", b: "CohomologyClass") -> "CohomologyClass":
         if a.ring is not self or b.ring is not self:
             raise ValueError("classes live in different rings")
-        memo: dict = {}
-        terms: dict = {}
+        poly: dict = {}
         for prod, c1, c2 in basis_products(
             self._degrees, a.parts, b.parts, self.monomial_cap
         ):
-            self._add_normal_form(terms, prod, c1 * c2, memo)
-        return self._reduce_terms(terms)
+            _add_term(poly, prod, c1 * c2)
+        return self.reduce_poly(poly)
 
     def integrate(self, cls: "CohomologyClass") -> int:
         """Pair a homogeneous top-degree class with the fundamental class."""
@@ -630,17 +627,16 @@ class GradedQuotientRing(GradedRing):
         self.faces = _faces(self.max_cones)
         self._degrees = []
         self._point = None
-        self._cone_inverses: dict[frozenset, tuple] = {}
-        memo: dict = {}
+        self._rewrites: dict[frozenset, dict] = {}
         for d in range(degree_cap + 1):
-            self._degrees.append(self._build_degree(d, memo))
+            self._degrees.append(self._build_degree(d))
 
     @cached_property
     def nonfaces(self) -> list[frozenset[int]]:
         """Minimal non-faces (Stanley-Reisner generators), on first use."""
         return _minimal_nonfaces(self.faces, self.ray_count)
 
-    def _build_degree(self, d: int, memo: dict) -> GradedPiece:
+    def _build_degree(self, d: int) -> GradedPiece:
         enumerate_columns = (
             _squarefree_monomials if self.relations else _face_monomials
         )
@@ -655,7 +651,7 @@ class GradedQuotientRing(GradedRing):
             # times x_tau, which only the row payload sees.
             for tau_pos, tau in enumerate(self._degrees[d - 1].monomials):
                 support = frozenset(i for i, e in enumerate(tau) if e)
-                rewrite = self._cone_rewrite(support, memo)
+                rewrite = self._cone_rewrite(support)
                 wider = {}
                 for rho, e in enumerate(tau):
                     if not e:
@@ -668,10 +664,9 @@ class GradedQuotientRing(GradedRing):
                         if not coeff:
                             continue
                         if tau[rho]:
-                            for other, a in rewrite[rho][0]:
-                                pos = wider.get(other)
-                                if pos is not None:
-                                    vec[pos] = vec.get(pos, 0) + coeff * a
+                            row = rewrite[rho][0]
+                            for other, pos in wider.items():
+                                vec[pos] = vec.get(pos, 0) + coeff * row[other]
                         elif rho in wider:
                             vec[wider[rho]] = vec.get(wider[rho], 0) + coeff
                     vec = {pos: c for pos, c in vec.items() if c}
@@ -688,36 +683,30 @@ class GradedQuotientRing(GradedRing):
 
     # -- rewriting into columns ----------------------------------------------
 
-    def _cone_rewrite(self, support: frozenset, memo: dict) -> dict:
+    def _cone_rewrite(self, support: frozenset) -> dict:
         """Solve the relations on the first maximal cone containing support.
 
-        Returns {rho in the cone: (terms, inverse_row, constant)}: x_rho is
-        the sum of a * x_rho' over the terms (rho', a), rays outside the
-        cone, plus the constant, which ``_rewrite_constant`` makes from
-        rho's row of the inverse relation matrix.  The ring keeps only the
-        cone's inverse matrix; the rewrite itself lives in the caller's
-        ``memo``, so it is freed when the call returns.
+        Returns {rho in the cone: (row, inverse_row, constant)}: x_rho is
+        the sum of row[rho'] * x_rho' over the rays rho' (row is dense and
+        zero on the cone), plus the constant, which ``_rewrite_constant``
+        makes from rho's row of the inverse relation matrix.  Each cone's
+        rewrite is solved once and kept by the ring.
         """
         cone = next(c for c in self.max_cones if support <= c)
-        rewrite = memo.get(cone)
+        rewrite = self._rewrites.get(cone)
         if rewrite is None:
             rays = sorted(cone)
-            inverse = self._cone_inverses.get(cone)
-            if inverse is None:
-                inverse = self._invert_on(rays)
-                self._cone_inverses[cone] = inverse
+            columns = tuple(zip(*self.relations))
             rewrite = {}
-            for row, rho in zip(inverse, rays):
-                terms = []
-                for other in range(self.ray_count):
-                    if other in cone:
-                        continue
-                    a = -sum(inv * rel[other]
-                             for inv, rel in zip(row, self.relations))
-                    if a:
-                        terms.append((other, a))
-                rewrite[rho] = (tuple(terms), row, self._rewrite_constant(row))
-            memo[cone] = rewrite
+            for inverse_row, rho in zip(self._invert_on(rays), rays):
+                row = tuple(
+                    0 if other in cone else -sum(map(mul, inverse_row, column))
+                    for other, column in enumerate(columns)
+                )
+                rewrite[rho] = (
+                    row, inverse_row, self._rewrite_constant(inverse_row)
+                )
+            self._rewrites[cone] = rewrite
         return rewrite
 
     def _rewrite_constant(self, inverse_row):
@@ -740,47 +729,32 @@ class GradedQuotientRing(GradedRing):
                 f"linear relations are not unimodular on cone {rays}: {exc}"
             ) from exc
 
-    def _normal_form(self, mono: Monomial, support: frozenset,
-                     memo: dict) -> dict:
-        """A face monomial as a combination of column monomials.
-
-        ``memo`` caches normal forms and cone rewrites for one call.
-        """
-        if not self.relations or max(mono, default=0) <= 1:
-            return {mono: self._one}
-        out = memo.get(mono)
-        if out is None:
-            rho = next(i for i, e in enumerate(mono) if e > 1)
-            lowered = mono[:rho] + (mono[rho] - 1,) + mono[rho + 1:]
-            terms, _, constant = self._cone_rewrite(support, memo)[rho]
-            out = {}
-            for other, a in terms:
-                wider = support | {other}
-                if wider not in self.faces:
-                    continue
-                bumped = lowered[:other] + (1,) + lowered[other + 1:]
-                for m, c in self._normal_form(bumped, wider, memo).items():
-                    _add_term(out, m, a * c)
-            if constant:
-                for m, c in self._normal_form(lowered, support, memo).items():
-                    _add_term(out, m, c * constant)
-            memo[mono] = out
-        return out
-
     def _add_normal_form(self, terms: dict, mono: Monomial, coeff,
-                         memo: dict) -> None:
+                         support: frozenset | None = None) -> None:
         """Add coeff times the normal form of mono into terms, in place.
 
-        Monomials whose support is not a face vanish.
+        Monomials whose support is not a face vanish; ``support`` is passed
+        once it is known to be a face.  A repeated x_rho is traded through
+        its cone rewrite, one factor per step.
         """
-        support = frozenset(i for i, e in enumerate(mono) if e)
-        if support not in self.faces:
-            return
-        if self.relations and max(mono, default=0) > 1:
-            for m, c in self._normal_form(mono, support, memo).items():
-                _add_term(terms, m, coeff * c)
-        else:
+        if support is None:
+            support = frozenset(i for i, e in enumerate(mono) if e)
+            if support not in self.faces:
+                return
+        if not self.relations or max(mono, default=0) <= 1:
             _add_term(terms, mono, coeff)
+            return
+        rho = next(i for i, e in enumerate(mono) if e > 1)
+        lowered = mono[:rho] + (mono[rho] - 1,) + mono[rho + 1:]
+        row, _, constant = self._cone_rewrite(support)[rho]
+        for other, a in enumerate(row):
+            if a:
+                wider = support | {other}
+                if wider in self.faces:
+                    bumped = lowered[:other] + (1,) + lowered[other + 1:]
+                    self._add_normal_form(terms, bumped, a * coeff, wider)
+        if constant:
+            self._add_normal_form(terms, lowered, coeff * constant, support)
 
     def is_face(self, support) -> bool:
         return frozenset(support) in self.faces

@@ -160,7 +160,9 @@ def validate(f: Fan) -> ValidationReport:
 
     Problems are reported, never raised.  The completeness test (every wall
     in exactly two maximal cones, connected adjacency graph) is only
-    conclusive for well-formed fans.
+    conclusive for well-formed fans.  Every ray of a complete fan lies in a
+    maximal cone, so a listed ray that lies in none makes a complete fan
+    ill-formed; an incomplete fan may list rays its cones do not use yet.
     """
     diagnostics = []
     well_formed = True
@@ -230,6 +232,12 @@ def validate(f: Fan) -> ValidationReport:
         if len(reached) != len(f.max_cones):
             diagnostics.append("maximal-cone adjacency graph is disconnected")
             complete = False
+    if complete:
+        used = frozenset().union(*f.max_cones)
+        for i, ray in enumerate(f.rays):
+            if i not in used:
+                diagnostics.append(f"ray {i} = {ray} lies in no maximal cone")
+                well_formed = False
 
     return ValidationReport(
         simplicial=True,

@@ -3,6 +3,7 @@ import pytest
 from helpers import p1, p1_presentation, p2, p2_presentation, square_fan
 from toricbundles import (
     BasePresentation,
+    BundleRing,
     TwistingClasses,
     build_bundle_ring,
     build_ring,
@@ -184,6 +185,39 @@ def test_arity_mismatch_rejected():
     lam = TwistingClasses(classes=(base.zero(), base.zero()))
     with pytest.raises(ValueError):
         build_bundle_ring(base, lam, p1())
+
+
+@pytest.mark.parametrize("constant", [0, 2])
+def test_presentation_rejects_chern_class_not_starting_with_one(constant):
+    with pytest.raises(RingConsistencyError, match="start with 1"):
+        BasePresentation(
+            name="P2",
+            generators=[("h", 2)],
+            relations=[{(3,): 1}],
+            basis={0: [(0,)], 1: [(1,)], 2: [(2,)]},
+            top_degree=4,
+            integration=1,
+            chern={(0,): constant, (1,): 3, (2,): 3},
+        )
+
+
+def test_cone_rewrites_are_solved_once_per_ring(monkeypatch):
+    calls = []
+    original = BundleRing._rewrite_constant
+
+    def counting(self, inverse_row):
+        calls.append(inverse_row)
+        return original(self, inverse_row)
+
+    monkeypatch.setattr(BundleRing, "_rewrite_constant", counting)
+    fiber = p2()
+    base = presentation_from_fan(p2())
+    x2 = base.reduce_poly({(0, 0, 1): 1})
+    ring = build_bundle_ring(base, TwistingClasses((x2, 2 * x2)), fiber)
+    numbers = chern_numbers_bundle(ring, total_chern_general(ring))
+    assert len(calls) <= fiber.dim * len(fiber.max_cones)
+    phi = make_plmap(2, [[0, 0], [0, 0], [1, 2]])
+    assert numbers == compare(p2(), fiber, phi).intrinsic_numbers
 
 
 def test_presentation_rejects_monomial_of_wrong_length():

@@ -167,6 +167,19 @@ def test_cmd_validate_exit_codes(tmp_path, capsys):
     assert "complete:    False" in out
 
 
+def test_cmd_ray_in_no_maximal_cone_is_an_input_error(tmp_path, capsys):
+    stray = write(tmp_path, "stray.fan", "dim 2\nrays\n1 0\n0 1\n-1 -1\n"
+                  "5 7\nmax_cones\n0 1\n1 2\n0 2\n")
+    assert run_cli(tmp_path, "validate", stray) == 1
+    out = capsys.readouterr().out
+    assert "well_formed: False" in out
+    assert "  - ray 3 = (5, 7) lies in no maximal cone" in out
+    assert run_cli(tmp_path, "chern", stray) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ray 3 = (5, 7) lies in no maximal cone" in captured.err
+
+
 def test_cmd_fan_without_maximal_cones_names_the_cause(tmp_path, capsys):
     empty = write(tmp_path, "empty.fan", P1_INCOMPLETE.replace("max_cones\n0\n",
                                                             "max_cones\n"))
@@ -448,6 +461,26 @@ def test_cmd_bundle_repeated_basis_monomial_is_a_finding(tmp_path, capsys):
     assert lines[0].startswith("error: base presentation 'P2'")
     assert "degree 2" in lines[0]
     assert "(0, 0, 1)" in lines[0]
+
+
+def test_cmd_bundle_chern_class_must_start_with_one(tmp_path, capsys):
+    lam = write(tmp_path, "lam.tw", "classes\nx0\n")
+    fan = write(tmp_path, "p1.fan", P1_FAN)
+    good = write(tmp_path, "p2.pres", P2_PRESENTATION)
+    assert main(["--format", "machine", "bundle", str(good), str(lam),
+                 str(fan)]) == 0
+    numbers = json.loads(capsys.readouterr().out)["chern_numbers"]
+    assert (numbers["1+1+1"], numbers["2+1"]) == (56, 24)
+    # c(TB) = 2 + ... or 0 + ... would give 1+1+1 = 124 or 0, not 56
+    for constant in ("2 + ", ""):
+        text = P2_PRESENTATION.replace("\n1 + x2", f"\n{constant}x2")
+        pres = write(tmp_path, "bad.pres", text)
+        assert run_cli(tmp_path, "bundle", pres, lam, fan) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: total Chern class must start with 1"
+        )
 
 
 P2_H_PRESENTATION = """\

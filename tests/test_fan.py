@@ -122,6 +122,15 @@ def test_completeness_criterion_matches_wall_pairing():
         assert report.complete == paired == True  # noqa: E712
 
 
+def test_ray_in_no_maximal_cone_makes_a_complete_fan_ill_formed():
+    f = make_fan(2, [[1, 0], [0, 1], [-1, -1], [5, 7]],
+                 [[0, 1], [1, 2], [0, 2]])
+    report = validate(f)
+    assert report.complete and report.smooth
+    assert not report.well_formed
+    assert report.diagnostics == ("ray 3 = (5, 7) lies in no maximal cone",)
+
+
 def test_disconnected_is_incomplete():
     # two opposite quadrant cones: every wall is in one cone only
     f = make_fan(2, [[1, 0], [0, 1], [-1, 0], [0, -1]], [[0, 1], [2, 3]])
