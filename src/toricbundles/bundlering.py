@@ -17,7 +17,9 @@ Both rings here run on the ring skeleton of ``cohomology``
 (presentation) or the fiber ring's (bundle) basis, and one reduce_poly,
 multiply and integrate.  The presentation supplies the three hooks
 directly: weighted degrees, every weighted monomial a column (the
-identity normal form) and ``integration_value``.  The bundle ring is the
+identity normal form) and ``integration_value``; it also fills its
+structure constants, the normal form of every basis-pair product, at
+construction and multiplies by walking them.  The bundle ring is the
 fiber's GradedQuotientRing with base classes as coefficients: the same
 squarefree columns in fiber degrees 0..n, the same cone rewrite and
 normal form, whose rewrite of x_rho gains the constant
@@ -43,6 +45,7 @@ from .cohomology import (
     Monomial,
     Poly,
     RingConsistencyError,
+    basis_products,
     build_ring,
     face_monomial_sum,
     linear_relations,
@@ -75,9 +78,10 @@ class BasePresentation(GradedRing):
     from the relations with unit pivots, degree 0 must be the unit, the
     top degree must have rank one and integration value +-1) and raises
     RingConsistencyError when they fail.  Degrees above ``top_degree``
-    are zero by contract.  The constructor checks and the piece build
-    are its own; the ring operations are GradedRing's.  ``dim`` and
-    ``half_top`` are half the top degree.
+    are zero by contract.  The constructor checks, the piece build and
+    ``multiply``, a walk over the structure constants, are its own; the
+    other ring operations are GradedRing's.  ``dim`` and ``half_top`` are
+    half the top degree.
     """
 
     def __init__(self, name: str, generators, relations, basis,
@@ -135,10 +139,37 @@ class BasePresentation(GradedRing):
                 "total Chern class must start with 1, not "
                 f"{self.chern.parts[0][0]}"
             )
+        # Structure constants, {basis-pair product: (degree, its nonzero
+        # (position, coefficient) pairs)}: bundle products, lambda carries
+        # and twists all multiply here.
+        ones = tuple((1,) * piece.rank for piece in self._degrees)
+        self._products = {}
+        for prod, _, _ in basis_products(self._degrees, ones, ones,
+                                         self.half_top):
+            if prod not in self._products:
+                d = self._degree(prod)
+                part = self.reduce_poly({prod: 1}).parts[d]
+                self._products[prod] = (
+                    d, tuple((i, c) for i, c in enumerate(part) if c)
+                )
 
     def _degree(self, mono: Monomial) -> int:
         """The weighted half-degree of a monomial."""
         return sum(map(mul, mono, self._weights))
+
+    def multiply(self, a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
+        """The product as a walk over the table of basis-pair products."""
+        if a.ring is not self or b.ring is not self:
+            raise ValueError("classes live in different rings")
+        parts = [[0] * piece.rank for piece in self._degrees]
+        for prod, c1, c2 in basis_products(
+            self._degrees, a.parts, b.parts, self.half_top
+        ):
+            d, entries = self._products[prod]
+            part, c = parts[d], c1 * c2
+            for i, v in entries:
+                part[i] += c * v
+        return CohomologyClass(self, tuple(map(tuple, parts)))
 
     def _point_data(self) -> int:
         return self.integration_value
@@ -151,10 +182,8 @@ class TwistingClasses:
     classes: tuple[CohomologyClass, ...]
 
     def __post_init__(self):
-        for cls in self.classes:
-            for k, part in enumerate(cls.parts):
-                if k != 1 and any(part):
-                    raise ValueError("twisting classes must be pure degree 2")
+        if any(cls != cls.component(1) for cls in self.classes):
+            raise ValueError("twisting classes must be pure degree 2")
 
 
 class BundleClass(CohomologyClass):
@@ -230,7 +259,7 @@ class BundleRing(GradedQuotientRing):
         """Fiber-first integration of a class of top total degree.
 
         Pushes forward along the fiber (only the top fiber basis monomial
-        survives, weighted by its fiber integral) and applies the base
+        survives, weighted by the fiber's point sign) and applies the base
         integration functional.  Raises on any off-degree component.
         """
         if cls.ring is not self:
@@ -245,8 +274,7 @@ class BundleRing(GradedQuotientRing):
                             f"{2 * self.dim}, found a component in degree "
                             f"{2 * (d + k)}"
                         )
-        top = self.fiber_ring.reduce_poly({self.basis_monomials(n)[0]: 1})
-        return self.fiber_ring.integrate(top) * self.base.integrate(
+        return self.fiber_ring._point_data() * self.base.integrate(
             cls.parts[n][0]
         )
 
@@ -282,6 +310,13 @@ def fiber_restriction(ring: BundleRing, cls: BundleClass) -> CohomologyClass:
     return CohomologyClass(ring.fiber_ring, tuple(parts))
 
 
+def _linear_poly(coeffs) -> Poly:
+    """The linear form sum_i coeffs[i] * x_i as a polynomial."""
+    n = len(coeffs)
+    return {tuple(int(i == j) for i in range(n)): c
+            for j, c in enumerate(coeffs) if c}
+
+
 def presentation_from_fan(f: Fan, name: str = "") -> BasePresentation:
     """Package the cohomology ring of a smooth complete fan as a presentation."""
     ring = build_ring(f)
@@ -290,26 +325,17 @@ def presentation_from_fan(f: Fan, name: str = "") -> BasePresentation:
     for nonface in sorted(ring.nonfaces, key=sorted):
         mono = tuple(1 if i in nonface else 0 for i in range(f.ray_count))
         relations.append({mono: 1})
-    for rel in ring.relations:
-        poly: Poly = {}
-        for rho, coeff in enumerate(rel):
-            if coeff:
-                mono = tuple(
-                    1 if i == rho else 0 for i in range(f.ray_count)
-                )
-                poly[mono] = coeff
-        relations.append(poly)
+    relations += map(_linear_poly, ring.relations)
     basis = {
         k: ring.basis_monomials(k) for k in range(f.dim + 1)
     }
-    integration = ring.integrate(ring.reduce_poly({basis[f.dim][0]: 1}))
     return BasePresentation(
         name=name or f"H*({f.ray_count} rays, dim {f.dim})",
         generators=generators,
         relations=relations,
         basis=basis,
         top_degree=2 * f.dim,
-        integration=integration,
+        integration=ring._point_data(),
         chern=face_monomial_sum(ring.faces, f.ray_count),
     )
 
@@ -328,10 +354,5 @@ def twisting_from_principal(base_pres: BasePresentation,
             raise ValueError(
                 "coefficient vector length differs from the generator count"
             )
-        poly: Poly = {}
-        for rho, coeff in enumerate(coeffs):
-            if coeff:
-                mono = tuple(1 if i == rho else 0 for i in range(ngen))
-                poly[mono] = coeff
-        classes.append(base_pres.reduce_poly(poly))
+        classes.append(base_pres.reduce_poly(_linear_poly(coeffs)))
     return TwistingClasses(classes=tuple(classes))

@@ -129,11 +129,12 @@ def chern_numbers(ring, total: CohomologyClass) -> dict[tuple[int, ...], int]:
     complex dimension.
     """
     n = ring.dim
+    components = [total.component(k) for k in range(n + 1)]
     out = {}
     for part in partitions(n):
-        cls = total.component(part[0]) if part else ring.unit()
+        cls = components[part[0]] if part else ring.unit()
         for k in part[1:]:
-            cls = cls * total.component(k)
+            cls = cls * components[k]
         out[part] = ring.integrate(cls.component(n))
     return out
 

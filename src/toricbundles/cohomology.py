@@ -12,7 +12,8 @@ GradedRing is the one ring skeleton, also of the presented base and the
 bundle ring in ``bundlering``: every ring stores one GradedPiece per
 degree (columns, unit pivots certifying a planned basis, one
 ``reduce``), and reduce_poly, multiply (the sum of ``basis_products``,
-the one product loop, brought to normal form by reduce_poly), integrate
+the one product loop, brought to normal form by reduce_poly; a
+presentation walks its table of basis-pair products instead), integrate
 and the ranks are written once.  Rings differ in
 three hooks: the degree of a monomial, its normal form (the cone rewrite
 here, the identity on a presentation) and the sign of the top basis

@@ -16,6 +16,8 @@ Twisting classes:    classes / one degree-2 polynomial per fiber coordinate
 
 from __future__ import annotations
 
+from functools import cache
+
 from .bundlering import BasePresentation, TwistingClasses
 from .cohomology import Poly
 from .fan import Fan, make_fan
@@ -103,6 +105,8 @@ def _parse_fan_sections(cur: _Cursor, stop_keywords=()):
         if any(i < 0 or i >= len(rays) for i in indices):
             raise ParseError(lineno, "cone has out-of-range ray indices")
         cones.append(indices)
+    if dim == 0 and not cones:
+        cones = [[]]  # the zero cone, written as an empty line, is maximal
     try:
         return make_fan(dim, rays, cones)
     except ValueError as exc:
@@ -267,7 +271,9 @@ def polynomial_to_text(poly: Poly, names) -> str:
     return out
 
 
+@cache
 def parse_base_presentation(text: str) -> BasePresentation:
+    """Parse and certify a presentation once per text; failures re-raise."""
     cur = _Cursor(text)
     lineno, rest = cur.expect_keyword("name")
     name = " ".join(rest) if rest else ""
@@ -344,5 +350,8 @@ def parse_twisting(text: str, base: BasePresentation) -> TwistingClasses:
     classes = []
     for lineno, line in cur.block_until(set()):
         poly = parse_polynomial(line, gen_index, len(base.generators), lineno)
-        classes.append(base.reduce_poly(poly))
+        cls = base.reduce_poly(poly)
+        if cls != cls.component(1):
+            raise ParseError(lineno, "twisting classes must be pure degree 2")
+        classes.append(cls)
     return TwistingClasses(classes=tuple(classes))

@@ -106,6 +106,22 @@ def p2_presentation():
     )
 
 
+# The P1 presentation Z[h]/(h^2), as a presentation file.
+P1_PRESENTATION = """\
+name P1
+top_degree 2
+generators
+h 2
+relations
+h^2
+basis
+0 : 1
+2 : h
+integration 1
+chern
+1 + 2*h
+"""
+
 # The P2 presentation by its three ray classes, as a presentation file.
 P2_PRESENTATION = """\
 name P2

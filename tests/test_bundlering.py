@@ -73,6 +73,14 @@ def test_bundle_relations_match_hirzebruch():
     assert not ring.reduce_poly({(1, 1): base.unit()})  # x0*x1 is not a face
 
 
+def test_twisting_classes_must_be_pure_degree_2():
+    base = p2_presentation()
+    for poly in ({(2,): 1}, {(0,): 1}, {(1,): 1, (2,): -1}):
+        with pytest.raises(ValueError, match="pure degree 2"):
+            TwistingClasses(classes=(base.reduce_poly(poly),))
+    TwistingClasses(classes=(base.reduce_poly({(1,): -3}), base.zero()))
+
+
 def test_zero_twist_gives_product_ring():
     base = p1_presentation()
     lam = TwistingClasses(classes=(base.zero(),))

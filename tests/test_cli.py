@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import P2_PRESENTATION, p1, p2, star_surface
+from helpers import P1_PRESENTATION, P2_PRESENTATION, p1, p2, star_surface
 from toricbundles import (
     chern,
     equivariant,
@@ -14,7 +14,7 @@ from toricbundles import (
 )
 from toricbundles.cli import build_parser, main
 from toricbundles.cohomology import RingConsistencyError
-from toricbundles.fan import ValidationReport
+from toricbundles.fan import Fan, ValidationReport
 from toricbundles.formats import (
     ParseError,
     fan_to_text,
@@ -57,21 +57,6 @@ values
 1 0
 """
 
-P1_PRESENTATION = """\
-name P1
-top_degree 2
-generators
-h 2
-relations
-h^2
-basis
-0 : 1
-2 : h
-integration 1
-chern
-1 + 2*h
-"""
-
 LAMBDA_2H = """\
 classes
 2*h
@@ -82,6 +67,14 @@ def test_fan_roundtrip():
     fan = parse_fan(P1_FAN)
     assert fan == p1()
     assert parse_fan(fan_to_text(fan)) == fan
+
+
+def test_point_fan_roundtrip():
+    # the point's one maximal cone, the zero cone, is written as an empty line
+    point = Fan(0, (), (frozenset(),))
+    assert fan_to_text(point) == "dim 0\nrays\nmax_cones\n\n"
+    assert parse_fan(fan_to_text(point)) == point
+    assert parse_fan("dim 0\nrays\nmax_cones\n") == point
 
 
 def test_pair_roundtrip():
@@ -297,6 +290,19 @@ def test_cmd_cohomology(tmp_path, capsys):
     assert "[1, 1]" in out
 
 
+def test_cmd_cohomology_and_chern_of_the_point(tmp_path, capsys):
+    point = write(tmp_path, "point.fan",
+                  fan_to_text(Fan(0, (), (frozenset(),))))
+    assert run_cli(tmp_path, "--format", "machine", "cohomology", point) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["betti"] == payload["h_vector"] == [1]
+    assert payload["euler_characteristic"] == 1
+    assert run_cli(tmp_path, "--format", "machine", "chern", point) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["chern_numbers"] == {"": 1}
+    assert payload["gauss_bonnet"] is True
+
+
 def test_cmd_equivariant(tmp_path, capsys):
     pair_path = write(tmp_path, "p2.pair", pair_to_text(tautological_pair(p2())))
     assert run_cli(tmp_path, "equivariant", pair_path) == 0
@@ -359,14 +365,19 @@ def test_main_is_reentrant_across_commands(tmp_path, capsys):
     # back gives what each gives from a parser of its own
     fan = str(write(tmp_path, "p1.fan", P1_FAN))
     pair = str(write(tmp_path, "p2.pair", pair_to_text(tautological_pair(p2()))))
+    pres = str(write(tmp_path, "p1.pres", P1_PRESENTATION))
+    lam_a = str(write(tmp_path, "a.tw", LAMBDA_2H))
+    lam_b = str(write(tmp_path, "b.tw", "classes\n-3*h\n"))
     report = tmp_path / "report.txt"
     runs = [
         ["--format", "machine", "--output", str(report), "validate", fan],
         ["chern", fan],
         ["--format", "machine", "equivariant", "--degree-bound", "2", pair],
+        ["bundle", pres, lam_a, fan],
         ["validate", fan],
         ["--format", "machine", "chern", fan],
         ["equivariant", pair],
+        ["--format", "machine", "bundle", pres, lam_b, fan],
     ]
 
     def outcome(call, argv):
@@ -411,6 +422,19 @@ integration 1
 chern
 1 + 3*h + 3*h^2
 """
+
+
+def test_cmd_bundle_twisting_class_off_degree_2_names_its_line(tmp_path,
+                                                               capsys):
+    pres = write(tmp_path, "p2.pres", P2_PRESENTATION)
+    lam = write(tmp_path, "lam.tw", "# a degree-4 class\nclasses\nx0^2\n")
+    fan = write(tmp_path, "p1.fan", P1_FAN)
+    assert run_cli(tmp_path, "bundle", pres, lam, fan) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "parse error: line 3: twisting classes must be pure degree 2\n"
+    )
 
 
 def test_cmd_bundle_inconsistent_presentation_is_a_finding(tmp_path, capsys):

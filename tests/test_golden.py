@@ -1,7 +1,8 @@
 """Reports compared byte for byte with the files in tests/golden/.
 
-Each case writes its inputs (built here from the corpus constructors and
-the P2 presentation text) to a temporary directory, runs ``cli.main``
+Each case writes its inputs (built here from the corpus constructors,
+the P2 presentation text and the fixed presentations read from
+``perfbench/bases/``) to a temporary directory, runs ``cli.main``
 with ``--output`` and compares the report with
 ``tests/golden/<case>.<format>.txt``.  A change that is meant to alter a
 report regenerates the files with ``PYTHONPATH=src python
@@ -19,6 +20,14 @@ from toricbundles.cli import main
 from toricbundles.formats import fan_to_text, pair_to_text, plmap_to_text
 
 GOLDEN = Path(__file__).parent / "golden"
+BASES = Path(__file__).parent.parent / "perfbench" / "bases"
+# Presented-base bundles: (base file, twisting classes, fiber fan).
+BUNDLES = {
+    "bundle-p2-over-p4": ("P4.pres", "classes\nx0\n-2*x1 + x4\n",
+                          corpus.projective_plane),
+    "bundle-p1xp1-over-p2xp1": ("P2xP1.pres", "classes\nx0 + x3\n2*x4\n",
+                                corpus.quadric_surface),
+}
 
 
 def _instance(name):
@@ -48,6 +57,14 @@ def _inputs(case):
             "p2.fan": fan_to_text(corpus.projective_plane()),
         }
         return files, ["bundle", "p2.pres", "lam.tw", "p2.fan"]
+    if case in BUNDLES:
+        base, lam, fiber = BUNDLES[case]
+        files = {
+            "base.pres": (BASES / base).read_text(),
+            "lam.tw": lam,
+            "fiber.fan": fan_to_text(fiber()),
+        }
+        return files, ["bundle", "base.pres", "lam.tw", "fiber.fan"]
     assert case == "corpus"
     return {}, ["corpus"]
 
@@ -60,6 +77,7 @@ CASES = [
         "compare-p2-p1-mixed-twist",
         "equivariant-p1-p2-twist",
         "bundle-p2-over-p2",
+        *BUNDLES,
     )
     for fmt in ("machine", "human")
 ] + [("corpus", "machine")]
