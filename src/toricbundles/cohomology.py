@@ -1,21 +1,21 @@
 """Graded quotient rings Z[x_ray]/(Stanley-Reisner + linear relations).
 
-Per-degree integer monomial bases are found by exact sparse elimination
-with unit pivots only; reduction to normal form, multiplication,
-integration against the point class, and Betti/h-vector bookkeeping all
-live here.  Monomials are exponent tuples over the ray indices, ordered
-lexicographically with smaller ray indices first, and the elimination
-walks columns left to right, so bases and coefficient vectors are
-bit-stable across runs.
+Per-degree integer monomial bases are certified by exact sparse
+elimination with unit pivots only, one left-to-right pass per degree;
+reduction to normal form, multiplication, integration against the point
+class, and Betti/h-vector bookkeeping all live here.  Monomials are
+exponent tuples over the ray indices, ordered lexicographically with
+smaller ray indices first, and the elimination walks columns left to
+right, so bases and coefficient vectors are bit-stable across runs.
 
 GradedRing is the one ring skeleton, also of the presented base and the
 bundle ring in ``bundlering``: every ring stores one GradedPiece per
-degree (columns, unit pivots certifying a planned basis, one
-``reduce``), and reduce_poly, multiply (the sum of ``basis_products``,
-the one product loop, brought to normal form by reduce_poly; a
-presentation walks its table of basis-pair products instead), integrate
-and the ranks are written once.  Rings differ in
-three hooks: the degree of a monomial, its normal form (the cone rewrite
+degree (columns, unit pivots certifying a planned basis, the basis
+monomials, one ``reduce``), and reduce_poly, multiply (the sum of
+``basis_products``, the one product loop, brought to normal form by
+reduce_poly; a presentation walks its table of basis-pair products
+instead), integrate and the ranks are written once.  Rings differ in three
+hooks: the degree of a monomial, its normal form (the cone rewrite
 here, the identity on a presentation) and the sign of the top basis
 monomial's integral.  CohomologyClass is the one class type, and
 face_monomial_sum is the one expansion of prod (1 + x_rho).  The bundle
@@ -160,23 +160,28 @@ def _squarefree_monomials(ray_count: int, faces, degree: int) -> list[Monomial]:
     )
 
 
-def graded_eliminate(rows, allowed):
-    """Exact integer elimination with unit pivots.
+def graded_eliminate(rows, allowed, columns):
+    """Exact integer elimination with unit pivots, in one left-to-right pass.
 
-    ``rows`` is a list of ``(vec, payload)`` where ``vec`` is a sparse
-    ``{column: int}`` dict and ``payload`` an arbitrary sparse dict combined
-    linearly alongside it, or None in a ring whose rows carry nothing.
-    Pivot columns are chosen left to right among ``allowed``; a column
-    whose residual gcd is not a unit is deferred, and scanning repeats
-    until a pass makes no progress.  When the complement of ``allowed`` is
-    a genuine basis of the quotient, every allowed column has residual gcd
-    1 and the elimination provably completes, certifying the basis.  Returns ``pivots``: a list
-    of ``(column, vec, payload)`` with entry +1 at the pivot column and 0
-    at every other pivot column.
+    ``rows`` is a list of ``(vec, payload)``: ``vec`` a sparse ``{column:
+    int}`` dict, ``payload`` a sparse dict combined linearly alongside it,
+    or None.  ``columns`` are the column monomials, named in errors.
+    Returns the ``(column, vec, payload)`` pivots in column order, each +1
+    at its column and 0 at every other pivot column.  A wrong plan raises
+    RingConsistencyError naming the column monomial: an allowed column
+    with no row or a residual gcd other than 1, or a row left over that
+    is nonzero only on basis columns.
 
-    Raises RingConsistencyError if nonzero rows remain at the end: the
-    complement of the pivot columns is then not a monomial basis (torsion,
-    a wrong prescribed basis, or genuinely bad input).
+    One pass is enough: let L be the lattice the rows span and B the
+    planned basis, the columns not in ``allowed``, and suppose Z^cols/L is
+    free on B.  For each allowed column c, L then holds v = e_c minus a
+    combination of B, zero at every earlier allowed column.  The pivots
+    found so far and the filed rows span L; each pivot is 1 at its own
+    column, where v, the later pivots and the filed rows vanish, so v is a
+    combination of the filed rows alone.  Those vanish before c, so the
+    rows filed under c have gcd 1 there: a correct plan never defers a
+    column.  Conversely, unit pivots everywhere and no row left mean the
+    pivots span L, so Z^cols/L is free on B.
     """
 
     def axpy(target, source, factor):
@@ -191,58 +196,59 @@ def graded_eliminate(rows, allowed):
                 else:
                     part.pop(k, None)
 
-    active = [
-        (dict(vec), None if payload is None else dict(payload))
-        for vec, payload in rows
-        if vec
-    ]
-    candidates = sorted(allowed)
+    # Nonzero rows by leading allowed column; None holds rows without one.
+    allowed = frozenset(allowed)
+    filed: dict = {}
+
+    def file(row):
+        if row[0]:
+            lead = min((k for k in row[0] if k in allowed), default=None)
+            filed.setdefault(lead, []).append(row)
+
+    for vec, payload in rows:
+        file((dict(vec), None if payload is None else dict(payload)))
     pivots = []
-    pivot_cols = set()
-    progress = True
-    while progress and active:
-        progress = False
-        for col in candidates:
-            if col in pivot_cols:
-                continue
-            hits = [r for r in active if col in r[0]]
-            if not hits:
-                continue
-            # Combine rows pairwise until one alone is nonzero at this column.
-            lead = hits[0]
-            for other in hits[1:]:
-                while col in other[0]:
-                    a, b = lead[0][col], other[0][col]
-                    if abs(a) > abs(b):
-                        lead, other = other, lead
-                        a, b = b, a
-                    axpy(other, lead, -(b // a))
-                    if col in other[0]:
-                        lead, other = other, lead
-            g = lead[0][col]
-            if g not in (1, -1):
-                continue  # deferred until a later pass; may join the basis
-            if g == -1:
-                for part in lead:
-                    for k in part or ():
-                        part[k] = -part[k]
-            for r in active:
-                if r is not lead and col in r[0]:
-                    axpy(r, lead, -r[0][col])
-            for _, vec, payload in pivots:
-                if col in vec:
-                    axpy((vec, payload), lead, -vec[col])
-            active = [r for r in active if r is not lead and r[0]]
-            pivots.append((col, lead[0], lead[1]))
-            pivot_cols.add(col)
-            progress = True
-    active = [r for r in active if r[0]]
-    if active:
+    for col in sorted(allowed):
+        hits = filed.pop(col, None)
+        if not hits:
+            raise RingConsistencyError(
+                f"no relation row reaches column {columns[col]}, so the planned "
+                "basis misses a monomial"
+            )
+        # Combine rows pairwise until one alone is nonzero at this column;
+        # the others are zero there and are filed again.
+        lead = hits[0]
+        for other in hits[1:]:
+            while col in other[0]:
+                a, b = lead[0][col], other[0][col]
+                if abs(a) > abs(b):
+                    lead, other = other, lead
+                    a, b = b, a
+                axpy(other, lead, -(b // a))
+                if col in other[0]:
+                    lead, other = other, lead
+            file(other)
+        g = lead[0][col]
+        if g not in (1, -1):
+            raise RingConsistencyError(
+                f"column {columns[col]} has residual gcd {abs(g)}, not a unit "
+                "pivot (unexpected torsion or a wrong prescribed basis)"
+            )
+        if g == -1:
+            for part in lead:
+                for k in part or ():
+                    part[k] = -part[k]
+        pivots.append((col, lead[0], lead[1]))
+    if filed:
         raise RingConsistencyError(
-            "graded piece has no unit-pivot monomial basis on the chosen "
-            "columns (unexpected torsion or a wrong prescribed basis)"
+            "a relation row is nonzero only on basis columns, at "
+            f"{columns[min(filed[None][0][0])]}: the planned basis is not free"
         )
-    pivots.sort(key=lambda p: p[0])
+    done = {}
+    for col, vec, payload in reversed(pivots):
+        for k in [k for k in vec if k > col and k in allowed]:
+            axpy((vec, payload), done[k], -vec[k])
+        done[col] = (vec, payload)
     return pivots
 
 
@@ -309,15 +315,16 @@ class GradedPiece(NamedTuple):
     """One degree of a graded ring: columns, unit pivots and the basis.
 
     ``monomials`` are the column monomials and ``index`` their positions;
-    ``pivots`` come from graded_eliminate and ``basis_positions`` are the
-    columns left without a pivot.  Every ring in the package, the bundle
-    ring included, stores one piece per degree.
+    ``pivots`` come from graded_eliminate, ``basis_positions`` are the
+    columns left without a pivot and ``basis`` their monomials.  Every ring
+    in the package, the bundle ring included, stores one piece per degree.
     """
 
     monomials: tuple[Monomial, ...]
     index: dict
     pivots: tuple
     basis_positions: tuple[int, ...]
+    basis: tuple[Monomial, ...]
 
     @classmethod
     def build(cls, monomials, index, rows, planned, label: str) -> "GradedPiece":
@@ -327,8 +334,10 @@ class GradedPiece(NamedTuple):
         certify; None (a ring without linear relations) keeps every
         column.  ``label`` names the ring and degree in every error.
         """
+        monomials = tuple(monomials)
         if planned is None:
-            return cls(tuple(monomials), index, (), tuple(range(len(monomials))))
+            return cls(monomials, index, (), tuple(range(len(monomials))),
+                       monomials)
         positions = set()
         for mono in planned:
             pos = index.get(mono)
@@ -344,24 +353,16 @@ class GradedPiece(NamedTuple):
             positions.add(pos)
         allowed = set(range(len(monomials))) - positions
         try:
-            pivots = graded_eliminate(rows, allowed)
+            pivots = graded_eliminate(rows, allowed, monomials)
         except RingConsistencyError as exc:
             raise RingConsistencyError(f"{label}: {exc}") from exc
-        if len(pivots) != len(allowed):
-            raise RingConsistencyError(
-                f"{label}: rank is not {len(positions)} as planned, only "
-                f"{len(pivots)} of the other {len(allowed)} columns got "
-                "unit pivots"
-            )
         basis = tuple(sorted(positions))
-        return cls(tuple(monomials), index, tuple(pivots), basis)
+        return cls(monomials, index, tuple(pivots), basis,
+                   tuple(monomials[i] for i in basis))
 
     @property
     def rank(self) -> int:
         return len(self.basis_positions)
-
-    def basis_monomials(self) -> tuple[Monomial, ...]:
-        return tuple(self.monomials[i] for i in self.basis_positions)
 
     def reduce(self, vec: dict, zero=0, lam=(), lower=None) -> tuple:
         """Basis coefficients of a combination {column: coefficient}.
@@ -407,15 +408,14 @@ def basis_products(pieces, a_parts, b_parts, cap: int):
     Products of degree above ``cap`` vanish (or are truncated away) and are
     skipped.
     """
-    bases = [piece.basis_monomials() for piece in pieces]
     for d1, part1 in enumerate(a_parts):
         if not any(part1):
             continue
-        for m1, c1 in zip(bases[d1], part1):
+        for m1, c1 in zip(pieces[d1].basis, part1):
             if not c1:
                 continue
             for d2 in range(min(cap - d1, len(pieces) - 1) + 1):
-                for m2, c2 in zip(bases[d2], b_parts[d2]):
+                for m2, c2 in zip(pieces[d2].basis, b_parts[d2]):
                     if c2:
                         yield tuple(map(add, m1, m2)), c1, c2
 
@@ -533,7 +533,7 @@ class GradedRing:
         return [piece.rank for piece in self._degrees]
 
     def basis_monomials(self, d: int) -> tuple[Monomial, ...]:
-        return self._degrees[d].basis_monomials()
+        return self._degrees[d].basis
 
     def _reduce_terms(self, terms: dict) -> "CohomologyClass":
         """Reduce a combination of column monomials, top degree first."""
@@ -806,19 +806,24 @@ class GradedQuotientRing(GradedRing):
 
 @cache
 def build_ring(f: Fan) -> GradedQuotientRing:
-    """The integral cohomology ring of the toric variety of a smooth complete fan.
-
-    Rejects non-smooth or non-complete fans.  The rank invariants (Betti sum
-    equals the number of maximal cones, degree-2 rank equals rays minus
-    dimension, Poincare symmetry, Betti equals h-vector) are checked at
-    build time and violations raise RingConsistencyError.
-    """
+    """Integral cohomology ring of a smooth complete fan; other fans are rejected."""
     require_smooth_complete(f, "build_ring")
+    return _certified_ring(f, linear_relations(f))
+
+
+def _certified_ring(f: Fan, relations) -> GradedQuotientRing:
+    """The quotient of the face ring of f by the given linear relations.
+
+    The basis plan is the fan's fixed-point sweep.  The rank invariants
+    (Betti equals h-vector, Betti sum equals the number of maximal cones,
+    degree-2 rank equals rays minus dimension, Poincare symmetry) are
+    checked at build time and violations raise RingConsistencyError.
+    """
     hv = h_vector(f)
     ring = GradedQuotientRing(
         ray_count=f.ray_count,
         dim=f.dim,
-        relations=linear_relations(f),
+        relations=relations,
         max_cones=f.max_cones,
         degree_cap=f.dim,
         basis_plan=fixed_point_basis_plan(
@@ -855,14 +860,6 @@ def h_vector(f: Fan) -> list[int]:
 
 def betti(ring: GradedQuotientRing) -> list[int]:
     return ring.betti()
-
-
-def reduce(ring: GradedQuotientRing, poly: Poly) -> CohomologyClass:
-    return ring.reduce_poly(poly)
-
-
-def multiply(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
-    return a.ring.multiply(a, b)
 
 
 def point_class(ring: GradedQuotientRing) -> CohomologyClass:

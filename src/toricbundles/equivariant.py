@@ -17,10 +17,9 @@ from operator import add
 from .cohomology import (
     CohomologyClass,
     GradedQuotientRing,
+    _certified_ring,
     build_ring,
     face_monomial_sum,
-    fixed_point_basis_plan,
-    h_vector,
 )
 from .formats import polynomial_to_text
 from .lattice import IntVector, hermite_normal_form, invert_unimodular, transpose
@@ -261,7 +260,8 @@ def ordinary_ring(p: CharacteristicPair) -> GradedQuotientRing:
     """The ordinary cohomology ring of a pair: charmap values as relations.
 
     Cached, and a tautological toric pair gets the (shared) build_ring of
-    its fan, so classes computed both ways are directly comparable.
+    its fan, so classes computed both ways are directly comparable; any
+    other pair gets the same certified construction and rank checks.
     """
     validate_pair(p)
     f = p.complex
@@ -271,16 +271,7 @@ def ordinary_ring(p: CharacteristicPair) -> GradedQuotientRing:
         tuple(p.charmap[rho][i] for rho in range(f.ray_count))
         for i in range(f.dim)
     ]
-    return GradedQuotientRing(
-        ray_count=f.ray_count,
-        dim=f.dim,
-        relations=relations,
-        max_cones=f.max_cones,
-        degree_cap=f.dim,
-        basis_plan=fixed_point_basis_plan(
-            f.ray_count, f.dim, f.max_cones, f.rays, h_vector(f)
-        ),
-    )
+    return _certified_ring(f, relations)
 
 
 def forget(p: CharacteristicPair, cls: CohomologyClass,

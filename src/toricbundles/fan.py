@@ -36,17 +36,7 @@ class Fan:
                 raise ValueError(f"ray {ray} does not have length {self.dim}")
         seen = set()
         for cone in self.max_cones:
-            if len(cone) != self.dim:
-                raise ValueError(
-                    f"maximal cone {sorted(cone)} does not have exactly "
-                    f"{self.dim} rays (only simplicial full-dimensional fans "
-                    "are supported)"
-                )
-            if any(i < 0 or i >= len(self.rays) for i in cone):
-                raise ValueError(f"cone {sorted(cone)} has out-of-range ray indices")
-            if cone in seen:
-                raise ValueError(f"duplicate maximal cone {sorted(cone)}")
-            seen.add(cone)
+            maximal_cone(cone, self.dim, len(self.rays), seen)
 
     @property
     def ray_count(self) -> int:
@@ -57,12 +47,32 @@ class Fan:
         return tuple(self.rays[i] for i in sorted(cone))
 
 
+def maximal_cone(indices, dim: int, ray_count: int, seen: set) -> frozenset[int]:
+    """The cone of dim distinct in-range ray indices, new to (and put in) seen."""
+    cone = frozenset(indices)
+    if len(cone) != dim or len(indices) != dim:
+        raise ValueError(
+            f"maximal cone {sorted(indices)} does not have exactly {dim} "
+            "distinct rays (only simplicial full-dimensional fans are supported)"
+        )
+    if any(i < 0 or i >= ray_count for i in cone):
+        raise ValueError(f"cone {sorted(cone)} has out-of-range ray indices")
+    if cone in seen:
+        raise ValueError(f"duplicate maximal cone {sorted(cone)}")
+    seen.add(cone)
+    return cone
+
+
 def make_fan(dim, rays, max_cones) -> Fan:
     """Build a Fan from plain lists (rays as int lists, cones as index lists)."""
+    seen: set = set()
     return Fan(
         dim=int(dim),
         rays=tuple(vector(r) for r in rays),
-        max_cones=tuple(frozenset(int(i) for i in c) for c in max_cones),
+        max_cones=tuple(
+            maximal_cone([int(i) for i in c], int(dim), len(rays), seen)
+            for c in max_cones
+        ),
     )
 
 

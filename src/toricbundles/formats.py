@@ -20,7 +20,7 @@ from functools import cache
 
 from .bundlering import BasePresentation, TwistingClasses
 from .cohomology import Poly
-from .fan import Fan, make_fan
+from .fan import Fan, maximal_cone
 from .twist import CharacteristicPair, PiecewiseLinearMap, validate_pair
 
 
@@ -89,6 +89,8 @@ def _parse_fan_sections(cur: _Cursor, stop_keywords=()):
     if len(rest) != 1:
         raise ParseError(lineno, "dim takes exactly one integer")
     dim = _ints(rest[0], lineno)[0]
+    if dim < 0:
+        raise ParseError(lineno, "fan dimension must be >= 0")
     cur.expect_keyword("rays")
     ray_rows = cur.block_until({"max_cones"})
     rays = []
@@ -96,21 +98,20 @@ def _parse_fan_sections(cur: _Cursor, stop_keywords=()):
         entries = _ints(line, lineno)
         if len(entries) != dim:
             raise ParseError(lineno, f"ray needs {dim} coordinates")
-        rays.append(entries)
+        rays.append(tuple(entries))
     cur.expect_keyword("max_cones")
     cone_rows = cur.block_until(set(stop_keywords))
     cones = []
+    seen: set = set()
     for lineno, line in cone_rows:
         indices = _ints(line, lineno)
-        if any(i < 0 or i >= len(rays) for i in indices):
-            raise ParseError(lineno, "cone has out-of-range ray indices")
-        cones.append(indices)
+        try:
+            cones.append(maximal_cone(indices, dim, len(rays), seen))
+        except ValueError as exc:
+            raise ParseError(lineno, str(exc)) from None
     if dim == 0 and not cones:
-        cones = [[]]  # the zero cone, written as an empty line, is maximal
-    try:
-        return make_fan(dim, rays, cones)
-    except ValueError as exc:
-        raise ParseError(lineno if cone_rows else 1, str(exc)) from None
+        cones = [frozenset()]  # the zero cone (an empty line) is maximal
+    return Fan(dim, tuple(rays), tuple(cones))
 
 
 def parse_fan(text: str) -> Fan:

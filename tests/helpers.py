@@ -11,6 +11,11 @@ before it rewrote repeated exponents into squarefree face monomials.
 every face monomial up to fiber degree 2n is a column, and reduction
 carries the lambda terms down degree by degree, as the library did before
 the bundle ring ran on the fiber ring's squarefree columns.
+``multipass_eliminate`` is the reference for ``graded_eliminate``: it
+rescans every column in passes, defers a column whose residual gcd is
+not a unit, and pushes each new pivot into the earlier pivot rows, as
+the library did before it certified each graded piece in one pass; both
+reference rings eliminate with it.
 ``subset_minimal_nonfaces`` is the reference for minimal non-faces: it
 tries every subset of the rays, as the library did before it grew them
 from the faces.
@@ -25,9 +30,9 @@ from itertools import combinations, permutations
 from toricbundles import BasePresentation, build_ring, make_fan, product_fan
 from toricbundles.bundlering import BundleClass
 from toricbundles.cohomology import (
+    RingConsistencyError,
     _face_monomials,
     face_monomial_sum,
-    graded_eliminate,
     linear_relations,
 )
 from toricbundles.equivariant import WeightPolynomial, fixed_point_weights
@@ -158,6 +163,83 @@ def subset_minimal_nonfaces(fan):
     return nonfaces
 
 
+def multipass_eliminate(rows, allowed):
+    """Exact integer elimination with unit pivots, in repeated passes.
+
+    ``rows`` and the returned pivots are as in ``graded_eliminate``.  Pivot
+    columns are chosen left to right among ``allowed``; a column whose
+    residual gcd is not a unit is deferred, and scanning repeats until a
+    pass makes no progress.  Each new pivot is pushed into every earlier
+    pivot row at once.  Raises RingConsistencyError if nonzero rows remain;
+    a column left without a pivot is the caller's to detect.
+    """
+
+    def axpy(target, source, factor):
+        """Row target += factor * row source, payload included."""
+        for part, add_part in zip(target, source):
+            if add_part is None:
+                continue
+            for k, v in add_part.items():
+                new = part.get(k, 0) + factor * v
+                if new:
+                    part[k] = new
+                else:
+                    part.pop(k, None)
+
+    active = [
+        (dict(vec), None if payload is None else dict(payload))
+        for vec, payload in rows
+        if vec
+    ]
+    candidates = sorted(allowed)
+    pivots = []
+    pivot_cols = set()
+    progress = True
+    while progress and active:
+        progress = False
+        for col in candidates:
+            if col in pivot_cols:
+                continue
+            hits = [r for r in active if col in r[0]]
+            if not hits:
+                continue
+            # Combine rows pairwise until one alone is nonzero at this column.
+            lead = hits[0]
+            for other in hits[1:]:
+                while col in other[0]:
+                    a, b = lead[0][col], other[0][col]
+                    if abs(a) > abs(b):
+                        lead, other = other, lead
+                        a, b = b, a
+                    axpy(other, lead, -(b // a))
+                    if col in other[0]:
+                        lead, other = other, lead
+            g = lead[0][col]
+            if g not in (1, -1):
+                continue  # deferred until a later pass; may join the basis
+            if g == -1:
+                for part in lead:
+                    for k in part or ():
+                        part[k] = -part[k]
+            for r in active:
+                if r is not lead and col in r[0]:
+                    axpy(r, lead, -r[0][col])
+            for _, vec, payload in pivots:
+                if col in vec:
+                    axpy((vec, payload), lead, -vec[col])
+            active = [r for r in active if r is not lead and r[0]]
+            pivots.append((col, lead[0], lead[1]))
+            pivot_cols.add(col)
+            progress = True
+    if any(r[0] for r in active):
+        raise RingConsistencyError(
+            "graded piece has no unit-pivot monomial basis on the chosen "
+            "columns (unexpected torsion or a wrong prescribed basis)"
+        )
+    pivots.sort(key=lambda p: p[0])
+    return pivots
+
+
 def permutation_determinant(m):
     """Determinant by direct expansion over permutations (n <= ~6)."""
     n = len(m)
@@ -255,7 +337,7 @@ class AllFaceMonomialRing:
                             rows.append((vec, None))
             planned = {index[m] for m in ring.basis_plan.get(d, set())}
             allowed = set(range(len(monomials))) - planned
-            pivots = graded_eliminate(rows, allowed)
+            pivots = multipass_eliminate(rows, allowed)
             assert len(pivots) == len(allowed)
             pivot_cols = {col for col, _, _ in pivots}
             basis = [i for i in range(len(monomials)) if i not in pivot_cols]
@@ -337,7 +419,7 @@ class AllFaceMonomialBundleRing:
                     index[m] for m in self.fiber_ring.basis_monomials(d)
                 }
             allowed = set(range(len(monomials))) - planned
-            pivots = graded_eliminate(rows, allowed)
+            pivots = multipass_eliminate(rows, allowed)
             assert len(pivots) == len(allowed)
             self.degrees.append((monomials, index, pivots, sorted(planned)))
 

@@ -189,6 +189,23 @@ def test_cmd_fan_without_maximal_cones_names_the_cause(tmp_path, capsys):
     )
 
 
+P2_CONES_FROM_LINE_7 = "dim 2\nrays\n1 0\n0 1\n-1 -1\nmax_cones\n"
+
+
+@pytest.mark.parametrize("cones,message", [
+    ("0 1 1\n0 2\n1 2\n",
+     "line 7: maximal cone [0, 1, 1] does not have exactly 2 distinct rays"),
+    ("0\n0 2\n1 2\n",
+     "line 7: maximal cone [0] does not have exactly 2 distinct rays"),
+    ("0 1\n0 1\n0 2\n1 2\n", "line 8: duplicate maximal cone [0, 1]"),
+])
+def test_cmd_chern_names_the_bad_cone_line(tmp_path, capsys, cones, message):
+    fan = write(tmp_path, "bad.fan", P2_CONES_FROM_LINE_7 + cones)
+    assert run_cli(tmp_path, "chern", fan) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"parse error: {message}")
+
 def test_cmd_validate_parse_error(tmp_path, capsys):
     broken = write(tmp_path, "broken.fan", "dim x\n")
     assert run_cli(tmp_path, "validate", broken) == 1

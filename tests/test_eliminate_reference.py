@@ -1,0 +1,144 @@
+"""The one-pass elimination against the multi-pass reference.
+
+``graded_eliminate`` visits each allowed column once and back-substitutes
+at the end; ``multipass_eliminate`` rescans in passes, defers columns and
+pushes each pivot into the earlier pivot rows at once.  The reduced
+echelon form with unit pivots is unique, so on every graded piece the two
+must return the same pivot columns and pivot vectors.  Payloads are only
+defined modulo the relations one degree down, so they are not compared
+here; the bundle-ring references compare the normal forms they give.
+"""
+
+import os
+
+import pytest
+
+from helpers import (
+    multipass_eliminate,
+    p1_power,
+    p2,
+    p2_presentation,
+    projective_space,
+    square_fan,
+)
+from toricbundles import (
+    CharacteristicPair,
+    TwistingClasses,
+    build_bundle_ring,
+    build_ring,
+    cohomology,
+)
+from toricbundles.bundlering import BasePresentation
+from toricbundles.cohomology import (
+    GradedQuotientRing,
+    RingConsistencyError,
+    fixed_point_basis_plan,
+    graded_eliminate,
+    h_vector,
+    linear_relations,
+)
+from toricbundles.corpus import corpus_fans
+from toricbundles.equivariant import ordinary_ring
+from toricbundles.formats import parse_base_presentation
+
+BASES = os.path.join(os.path.dirname(__file__), "..", "perfbench", "bases")
+
+
+@pytest.fixture
+def compared(monkeypatch):
+    """Run every elimination both ways, recording one entry per piece."""
+    seen = []
+
+    def both(rows, allowed, columns):
+        expected = multipass_eliminate(rows, allowed)
+        assert len(expected) == len(allowed)
+        got = graded_eliminate(rows, allowed, columns)
+        assert [(c, v) for c, v, _ in got] == [(c, v) for c, v, _ in expected]
+        seen.append(len(got))
+        return got
+
+    monkeypatch.setattr(cohomology, "graded_eliminate", both)
+    return seen
+
+
+FANS = list(corpus_fans()) + [
+    ("P5", projective_space(5)),
+    ("P8", projective_space(8)),
+    ("(P1)^4", p1_power(4)),
+    ("(P1)^5", p1_power(5)),
+    ("(P1)^6", p1_power(6)),
+]
+
+
+@pytest.mark.parametrize("name,fan", FANS, ids=[name for name, _ in FANS])
+def test_fan_rings_match_the_reference(compared, name, fan):
+    build_ring.__wrapped__(fan)  # past the cache: every piece is eliminated
+    assert compared
+
+
+@pytest.mark.parametrize("name,fan,charmap", [
+    ("P2", p2(), ((1, 0), (1, 1), (0, -1))),
+    ("P3", projective_space(3), (
+        (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1))),
+])
+def test_alt_charmap_rings_match_the_reference(compared, name, fan, charmap):
+    ordinary_ring.__wrapped__(CharacteristicPair(complex=fan, charmap=charmap))
+    assert compared
+
+
+@pytest.mark.parametrize("path", sorted(
+    os.path.join(BASES, name) for name in os.listdir(BASES)
+    if name.endswith(".pres")
+), ids=os.path.basename)
+def test_benchmark_bases_match_the_reference(compared, path):
+    with open(path, encoding="utf-8") as fh:
+        parse_base_presentation.__wrapped__(fh.read())
+    assert compared
+
+
+def test_bundle_ring_pivots_match_the_reference(compared):
+    base = p2_presentation()
+    h = base.reduce_poly({(1,): 1})
+    build_bundle_ring(base, TwistingClasses((h, 2 * h)), p2())
+    assert compared
+
+
+def test_a_planned_basis_missing_a_column_names_it():
+    # on P1 x P1 the degree-1 relations are x0 = x1 and x2 = x3, so the
+    # planned basis {x0, x1} leaves x3 with no row to pivot on
+    fan = square_fan()
+    plan = fixed_point_basis_plan(
+        fan.ray_count, fan.dim, fan.max_cones, fan.rays, h_vector(fan)
+    )
+    plan[1] = {(1, 0, 0, 0), (0, 1, 0, 0)}
+    with pytest.raises(RingConsistencyError,
+                       match=r"degree 1: .*\(0, 0, 0, 1\)"):
+        GradedQuotientRing(
+            ray_count=fan.ray_count, dim=fan.dim,
+            relations=linear_relations(fan), max_cones=fan.max_cones,
+            degree_cap=fan.dim, basis_plan=plan,
+        )
+
+
+def _doubled_h_squared(basis):
+    return BasePresentation(
+        name="torsion", generators=[("h", 2)], relations=[{(2,): 2}],
+        basis=basis, top_degree=4, integration=1,
+        chern={(0,): 1, (1,): 3, (2,): 3},
+    )
+
+
+def test_a_non_unit_residual_gcd_names_the_column():
+    # 2*h^2 = 0 with h^2 off the basis: the only row has gcd 2 at h^2
+    with pytest.raises(RingConsistencyError,
+                       match=r"'torsion', degree 4: column \(2,\) has "
+                             r"residual gcd 2"):
+        _doubled_h_squared({0: [(0,)], 1: [(1,)]})
+
+
+def test_a_relation_among_basis_columns_names_it():
+    # 2*h^2 = 0 with h^2 on the basis: the row lies on basis columns only
+    with pytest.raises(RingConsistencyError,
+                       match=r"'torsion', degree 4: .*basis columns, "
+                             r"at \(2,\)"):
+        _doubled_h_squared({0: [(0,)], 1: [(1,)], 2: [(2,)]})

@@ -61,6 +61,12 @@ def test_rejects_bad_indices_and_duplicates():
         make_fan(1, [[1], [-1]], [[0], [0]])
 
 
+def test_rejects_a_repeated_ray_index():
+    # a set would drop the repeat and accept [0, 1, 1] as the cone [0, 1]
+    with pytest.raises(ValueError, match=r"\[0, 1, 1\] does not have exactly 2"):
+        make_fan(2, [[1, 0], [0, 1], [-1, -1]], [[0, 1, 1], [0, 2], [1, 2]])
+
+
 def test_product_p1_p1():
     f = product_fan(p1(), p1())
     assert f.ray_count == 4
