@@ -233,6 +233,7 @@ class BundleRing(GradedQuotientRing):
         super().__init__(
             fiber.ray_count, fiber.dim, linear_relations(fiber),
             fiber.max_cones, fiber.dim, self.fiber_ring.basis_plan,
+            self.fiber_ring.faces, "bundle ring",
         )
         self.dim = self.monomial_cap = base.half_top + fiber.dim
 

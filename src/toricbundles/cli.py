@@ -125,16 +125,17 @@ def cmd_cohomology(args) -> int:
     fan = parse_fan(_read(args.fan))
     ring = build_ring(fan)
     ranks = ring.betti()
+    hv = h_vector(fan)
     payload = {
         "betti": ranks,
-        "h_vector": h_vector(fan),
+        "h_vector": hv,
         "euler_characteristic": len(fan.max_cones),
         "rays": fan.ray_count,
         "dim": fan.dim,
     }
     lines = [
         f"betti (by even degree): {ranks}",
-        f"h-vector:               {h_vector(fan)}",
+        f"h-vector:               {hv}",
         f"euler characteristic:   {len(fan.max_cones)}",
     ]
     _emit(args, "cohomology", payload, lines)
@@ -188,10 +189,12 @@ def cmd_compare(args) -> int:
 
 def cmd_equivariant(args) -> int:
     pair = parse_pair(_read(args.pair))
-    report = equivariant.masuda_check(pair)
-    total = report.total
     if args.degree_bound is not None:
+        # first, so that a bound past its limit fails before any ring is built
         total = equivariant.equivariant_total_chern(pair, args.degree_bound)
+    report = equivariant.masuda_check(pair)
+    if args.degree_bound is None:
+        total = report.total
     payload, lines = {}, []
     if args.format == "machine":
         payload = report.to_dict()
@@ -313,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pair")
     p.add_argument(
         "--degree-bound", type=int, default=None,
-        help="truncation degree for the equivariant class (even; default 2n)",
+        help="truncation degree for the equivariant class (even, at most "
+             f"{equivariant.DEGREE_BOUND_LIMIT}n; default 2n)",
     )
     p.set_defaults(handler=cmd_equivariant)
 

@@ -50,13 +50,14 @@ from math import comb
 from operator import add, mul
 from typing import NamedTuple
 
-from .fan import Fan, require_smooth_complete
-from .lattice import (
-    IntVector,
-    NotUnimodularError,
-    determinant,
-    invert_unimodular,
+from .fan import (
+    GENERIC_DIRECTION_BUDGET,
+    Fan,
+    moment_curve,
+    oriented_dual,
+    require_smooth_complete,
 )
+from .lattice import IntVector, NotUnimodularError, invert_unimodular
 
 Monomial = tuple[int, ...]
 Poly = dict[Monomial, int]
@@ -256,58 +257,52 @@ def fixed_point_basis_plan(ray_count, dim, max_cones, vectors, h_expected):
     """Squarefree basis monomials from a generic-direction sweep of the fan.
 
     For each maximal cone take the rays whose coordinate of a generic
-    integer direction (in the cone's ray basis, signs via Cramer
-    determinants) is negative; the resulting sets are the restriction
-    sets of a shelling, so the squarefree monomials they span are the
-    classical per-degree basis of the quotient ring.  The direction is
-    the first (1, t, t^2, ...) giving no zero coordinates, no repeated
-    ray sets, and degree counts matching the expected h-vector, so the
-    choice is deterministic.  The plan depends only on the fan geometry;
+    integer direction (in the cone's ray basis) is negative; the resulting
+    sets are the restriction sets of a shelling, so the squarefree
+    monomials they span are the classical per-degree basis of the
+    quotient ring.  Each cone's dual rows are computed once, and the sign
+    of a coordinate is the sign of the direction against its dual row,
+    the sign Cramer's rule gives.  The direction is the first moment-curve
+    point (1, t, t^2, ...) giving no zero coordinates, no repeated ray
+    sets, and degree counts matching the expected h-vector, so the choice
+    is deterministic.  The plan depends only on the fan geometry;
     elimination later certifies it against whatever linear relations the
     ring carries.
     """
     if dim == 0:
         return {0: {(0,) * ray_count}}
-    for t in range(1, 1000):
-        direction = tuple(t ** k for k in range(dim))
-        plan: dict[int, set] = {}
-        seen = set()
-        counts = [0] * (dim + 1)
-        ok = True
-        for cone in max_cones:
-            cone_sorted = sorted(cone)
-            rows = [vectors[i] for i in cone_sorted]
-            base_det = determinant(tuple(rows))
-            if base_det == 0:
-                raise RingConsistencyError(
-                    f"cone {cone_sorted} has linearly dependent rays"
-                )
-            tau = set()
-            for i, rho in enumerate(cone_sorted):
-                replaced = tuple(
-                    direction if k == i else row
-                    for k, row in enumerate(rows)
-                )
-                coord = determinant(replaced) * base_det
-                if coord == 0:
-                    ok = False
-                    break
-                if coord < 0:
-                    tau.add(rho)
-            if not ok:
+    cones = []
+    for cone in max_cones:
+        cone_sorted = sorted(cone)
+        _, dual = oriented_dual(tuple(vectors[i] for i in cone_sorted))
+        if dual is None:
+            raise RingConsistencyError(
+                f"cone {cone_sorted} has linearly dependent rays"
+            )
+        cones.append((cone_sorted, dual))
+    for direction in moment_curve(dim):
+        sets = []
+        for cone_sorted, dual in cones:
+            coords = [sum(map(mul, row, direction)) for row in dual]
+            if 0 in coords:
                 break
-            key = frozenset(tau)
-            if key in seen:
-                ok = False
-                break
-            seen.add(key)
-            counts[len(tau)] += 1
-            mono = tuple(1 if i in tau else 0 for i in range(ray_count))
-            plan.setdefault(len(tau), set()).add(mono)
-        if ok and counts == list(h_expected):
-            return plan
+            sets.append(frozenset(
+                rho for rho, coord in zip(cone_sorted, coords) if coord < 0
+            ))
+        else:
+            counts = [0] * (dim + 1)
+            for tau in sets:
+                counts[len(tau)] += 1
+            if len(set(sets)) == len(sets) and counts == list(h_expected):
+                plan: dict[int, set] = {}
+                for tau in sets:
+                    plan.setdefault(len(tau), set()).add(
+                        tuple(1 if i in tau else 0 for i in range(ray_count))
+                    )
+                return plan
     raise RingConsistencyError(
-        "no generic direction yields a fixed-point basis plan"
+        "no generic direction yields a fixed-point basis plan among the "
+        f"first {GENERIC_DIRECTION_BUDGET} moment-curve points (1, t, t^2, ...)"
     )
 
 
@@ -608,7 +603,9 @@ class GradedQuotientRing(GradedRing):
     every other monomial is rewritten into them (see the module
     docstring); without, they are all face monomials.  Instances are
     immutable after construction, apart from caches filled on first use,
-    and safe to share between threads.
+    and safe to share between threads.  ``faces`` is the face set of
+    ``max_cones`` where the caller has it already, and ``kind`` names the
+    ring (fan, pair, bundle or face ring) in elimination errors.
 
     Its hooks: the plain degree, the cone rewrite as normal form and the
     point class's sign.  The bundle ring subclasses it, and its twisting
@@ -616,7 +613,7 @@ class GradedQuotientRing(GradedRing):
     """
 
     def __init__(self, ray_count, dim, relations, max_cones, degree_cap,
-                 basis_plan=None):
+                 basis_plan=None, faces=None, kind="fan ring"):
         self.ray_count = self._nvars = ray_count
         self.dim = dim
         self.relations = tuple(tuple(r) for r in relations)
@@ -625,7 +622,8 @@ class GradedQuotientRing(GradedRing):
         self.basis_plan = basis_plan
         if self.relations and basis_plan is None:
             raise ValueError("a ring with linear relations needs a basis plan")
-        self.faces = _faces(self.max_cones)
+        self.faces = _faces(self.max_cones) if faces is None else faces
+        self.kind = kind
         self._degrees = []
         self._point = None
         self._rewrites: dict[frozenset, dict] = {}
@@ -675,7 +673,8 @@ class GradedQuotientRing(GradedRing):
                         payload = self._row_payload(tau_pos, tau, i, rewrite)
                         rows.append((vec, payload))
         planned = None if self.basis_plan is None else self.basis_plan.get(d, ())
-        return GradedPiece.build(monomials, index, rows, planned, f"degree {d}")
+        label = f"{self.kind}, degree {d}"
+        return GradedPiece.build(monomials, index, rows, planned, label)
 
     def _row_payload(self, tau_pos: int, tau: Monomial, i: int,
                      rewrite: dict):
@@ -808,18 +807,20 @@ class GradedQuotientRing(GradedRing):
 def build_ring(f: Fan) -> GradedQuotientRing:
     """Integral cohomology ring of a smooth complete fan; other fans are rejected."""
     require_smooth_complete(f, "build_ring")
-    return _certified_ring(f, linear_relations(f))
+    return _certified_ring(f, linear_relations(f), "fan ring")
 
 
-def _certified_ring(f: Fan, relations) -> GradedQuotientRing:
+def _certified_ring(f: Fan, relations, kind: str) -> GradedQuotientRing:
     """The quotient of the face ring of f by the given linear relations.
 
-    The basis plan is the fan's fixed-point sweep.  The rank invariants
+    The basis plan is the fan's fixed-point sweep, and one face set feeds
+    both the h-vector it must match and the ring.  The rank invariants
     (Betti equals h-vector, Betti sum equals the number of maximal cones,
     degree-2 rank equals rays minus dimension, Poincare symmetry) are
     checked at build time and violations raise RingConsistencyError.
     """
-    hv = h_vector(f)
+    faces = _faces(f.max_cones)
+    hv = _h_vector(faces, f.dim)
     ring = GradedQuotientRing(
         ray_count=f.ray_count,
         dim=f.dim,
@@ -829,6 +830,8 @@ def _certified_ring(f: Fan, relations) -> GradedQuotientRing:
         basis_plan=fixed_point_basis_plan(
             f.ray_count, f.dim, f.max_cones, f.rays, hv
         ),
+        faces=faces,
+        kind=kind,
     )
     ranks = ring.betti()
     if ranks != hv:
@@ -844,8 +847,10 @@ def _certified_ring(f: Fan, relations) -> GradedQuotientRing:
 
 def h_vector(f: Fan) -> list[int]:
     """h-vector of the maximal-cone complex, from face counts alone."""
-    faces = _faces(f.max_cones)
-    n = f.dim
+    return _h_vector(_faces(f.max_cones), f.dim)
+
+
+def _h_vector(faces, n: int) -> list[int]:
     counts = [0] * (n + 1)  # counts[s] = number of faces with s vertices
     for face in faces:
         counts[len(face)] += 1

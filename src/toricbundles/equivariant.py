@@ -25,6 +25,11 @@ from .formats import polynomial_to_text
 from .lattice import IntVector, hermite_normal_form, invert_unimodular, transpose
 from .twist import CharacteristicPair, validate_pair
 
+DEGREE_BOUND_LIMIT = 4
+"""A face ring's degree bound is at most this many times the complex
+dimension: face rings are nonzero in every degree, and the face monomials
+of a degree grow without end."""
+
 
 class WeightPolynomial:
     """Integer polynomial in the degree-2 generators t_1..t_n of H*(BT)."""
@@ -130,21 +135,28 @@ class WeightPolynomial:
 def face_ring(p: CharacteristicPair, degree_bound=None) -> GradedQuotientRing:
     """Stanley-Reisner quotient with no linear relations, truncated.
 
-    ``degree_bound`` is cohomological (even); the default 2n keeps every
-    degree the downstream checks use.  Per-degree ranks are pure face
-    statistics: every face monomial is a basis element.
+    ``degree_bound`` is cohomological (even, at most DEGREE_BOUND_LIMIT
+    times n); the default 2n keeps every degree the downstream checks
+    use.  Per-degree ranks are pure face statistics: every face monomial
+    is a basis element.
     """
     validate_pair(p)
     f = p.complex
     bound = 2 * f.dim if degree_bound is None else degree_bound
     if bound < 0 or bound % 2:
         raise ValueError("degree bound must be a nonnegative even integer")
+    if bound > DEGREE_BOUND_LIMIT * f.dim:
+        raise ValueError(
+            f"degree bound {bound} exceeds the limit DEGREE_BOUND_LIMIT * dim "
+            f"= {DEGREE_BOUND_LIMIT} * {f.dim} = {DEGREE_BOUND_LIMIT * f.dim}"
+        )
     return GradedQuotientRing(
         ray_count=f.ray_count,
         dim=f.dim,
         relations=(),
         max_cones=f.max_cones,
         degree_cap=bound // 2,
+        kind="face ring",
     )
 
 
@@ -271,7 +283,7 @@ def ordinary_ring(p: CharacteristicPair) -> GradedQuotientRing:
         tuple(p.charmap[rho][i] for rho in range(f.ray_count))
         for i in range(f.dim)
     ]
-    return _certified_ring(f, relations)
+    return _certified_ring(f, relations, "pair ring")
 
 
 def forget(p: CharacteristicPair, cls: CohomologyClass,

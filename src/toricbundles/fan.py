@@ -3,7 +3,11 @@
 Only simplicial fans whose maximal cones are full-dimensional are
 representable; cones are recorded as sets of ray indices.  Smoothness,
 completeness and the cones-meet-in-faces condition are decided exactly
-(integer determinants, wall pairing, rational separating hyperplanes).
+from one dual basis per maximal cone (its determinant and adjugate): a
+complete well-formed fan is certified by wall pairing plus one generic
+point covered once, and any fan that certificate rejects is decided by
+the pairwise check (wall counts, adjacency, and a Fourier-Motzkin search
+for a separating hyperplane between every two cones).
 """
 
 from __future__ import annotations
@@ -12,8 +16,33 @@ import itertools
 from dataclasses import dataclass
 from functools import cache
 from math import gcd
+from operator import mul
 
-from .lattice import IntVector, determinant, is_primitive, vector
+from .lattice import IntVector, det_adjugate, is_primitive, vector
+
+GENERIC_DIRECTION_BUDGET = 999
+"""How many moment-curve points (1, t, t^2, ...), t = 1, 2, ..., a search
+for a generic direction tries before it gives up."""
+
+
+def moment_curve(dim: int):
+    """The candidate generic directions (1, t, ..., t^(dim-1)), in order of t."""
+    for t in range(1, GENERIC_DIRECTION_BUDGET + 1):
+        yield tuple(t ** k for k in range(dim))
+
+
+def oriented_dual(rows) -> tuple[int, tuple[IntVector, ...] | None]:
+    """Determinant of a cone's ray matrix and its dual rows, signed by it.
+
+    Dual row i pairs to |det| with ray i and to 0 with the other rays, so
+    the sign of <dual_i, v> is the sign of v's i-th coordinate in the ray
+    basis.  A degenerate cone returns (0, None).
+    """
+    d, adj = det_adjugate(rows)
+    if not d:
+        return 0, None
+    s = 1 if d > 0 else -1
+    return d, tuple(tuple(s * x for x in column) for column in zip(*adj))
 
 
 @dataclass(frozen=True)
@@ -168,11 +197,41 @@ def _meet_in_face(f: Fan, sigma: frozenset, tau: frozenset) -> bool:
 def validate(f: Fan) -> ValidationReport:
     """Compute the smooth/complete/well-formed flags with diagnostics.
 
-    Problems are reported, never raised.  The completeness test (every wall
-    in exactly two maximal cones, connected adjacency graph) is only
-    conclusive for well-formed fans.  Every ray of a complete fan lies in a
-    maximal cone, so a listed ray that lies in none makes a complete fan
-    ill-formed; an incomplete fan may list rays its cones do not use yet.
+    Problems are reported, never raised.  One dual basis per maximal cone
+    gives its determinant (smoothness, degeneracy) and, when the rays are
+    primitive and distinct and no cone is degenerate, a certificate that
+    the fan is complete and its cones meet in faces:
+
+    (a) every wall (a cone minus one ray) lies in exactly two maximal
+        cones, whose remaining rays lie strictly on opposite sides of it;
+    (b) the first moment-curve point off every cone's walls lies in
+        exactly one maximal cone.
+
+    Proof.  Off the walls, let N(x) count the cones containing x.  Take a
+    path that avoids the (n-2)-dimensional faces and the pairwise
+    intersections of distinct wall hyperplanes: where it crosses a
+    hyperplane H, every cone with the crossing point on its boundary has
+    it inside exactly one facet, a wall in H, and by (a) that wall pairs
+    the cone with one cone on the other side; so N is the same on both
+    sides.  Such paths connect any two points off the walls (a finite
+    union of codimension-2 subspaces does not disconnect R^n for n >= 2;
+    for n = 1 the one wall is the origin), so N = 1 off the walls by (b):
+    the cones cover a dense set, hence everything, and no two interiors
+    meet.  Near a point y in the relative interior of a face A, the walls
+    through y are those containing A, and (a) pairs them among the cones
+    containing A, so the count made with those cones alone is constant
+    near y, and positive.  If relint A and relint B met at y for faces
+    A != B, the cones containing them would share one (else N >= 2 near
+    y), and distinct faces of one simplicial cone have disjoint relative
+    interiors.  So every point of two cones lies in a common face: the
+    cones meet in faces.
+
+    A fan the certificate rejects goes to the pairwise check: every wall
+    in exactly two maximal cones and a connected adjacency graph (only
+    conclusive for well-formed fans), and a separating hyperplane for
+    each two cones.  Every ray of a complete fan lies in a maximal cone,
+    so a listed ray that lies in none makes a complete fan ill-formed; an
+    incomplete fan may list rays its cones do not use yet.
     """
     diagnostics = []
     well_formed = True
@@ -189,8 +248,10 @@ def validate(f: Fan) -> ValidationReport:
 
     smooth = True
     degenerate = False
+    duals = []
     for k, cone in enumerate(f.max_cones):
-        d = determinant(f.cone_matrix(cone))
+        d, dual = oriented_dual(f.cone_matrix(cone))
+        duals.append(dual)
         if d == 0:
             diagnostics.append(f"cone {sorted(cone)} is degenerate (determinant 0)")
             degenerate = True
@@ -204,6 +265,56 @@ def validate(f: Fan) -> ValidationReport:
         well_formed = False
         smooth = False
 
+    if well_formed and _certified_complete(f, duals):
+        complete = True
+    else:
+        well_formed, complete = _pairwise_checks(f, well_formed, diagnostics)
+    if complete:
+        used = frozenset().union(*f.max_cones)
+        for i, ray in enumerate(f.rays):
+            if i not in used:
+                diagnostics.append(f"ray {i} = {ray} lies in no maximal cone")
+                well_formed = False
+
+    return ValidationReport(
+        simplicial=True,
+        smooth=smooth,
+        complete=complete,
+        well_formed=well_formed,
+        diagnostics=tuple(diagnostics),
+    )
+
+
+def _certified_complete(f: Fan, duals) -> bool:
+    """Conditions (a) and (b) of :func:`validate`, from the cones' dual rows."""
+    sides: dict[frozenset, list] = {}
+    for k, cone in enumerate(f.max_cones):
+        for pos, apex in enumerate(sorted(cone)):
+            sides.setdefault(cone - {apex}, []).append((k, pos, apex))
+    for pair in sides.values():
+        if len(pair) != 2:
+            return False
+        (k, pos, _), (_, _, other) = pair
+        if sum(map(mul, duals[k][pos], f.rays[other])) >= 0:
+            return False
+    for point in moment_curve(f.dim):
+        covering = 0
+        for dual in duals:
+            coords = [sum(map(mul, row, point)) for row in dual]
+            if 0 in coords:
+                break
+            covering += min(coords, default=1) > 0
+        else:
+            return covering == 1
+    return False
+
+
+def _pairwise_checks(f: Fan, well_formed: bool, diagnostics: list):
+    """(well_formed, complete) from cone pairs, walls and adjacency.
+
+    Appends its diagnostics; ``well_formed`` says whether the cone pairs
+    are still to be checked.
+    """
     if well_formed:
         for (a, sigma), (b, tau) in itertools.combinations(
             enumerate(f.max_cones), 2
@@ -242,20 +353,7 @@ def validate(f: Fan) -> ValidationReport:
         if len(reached) != len(f.max_cones):
             diagnostics.append("maximal-cone adjacency graph is disconnected")
             complete = False
-    if complete:
-        used = frozenset().union(*f.max_cones)
-        for i, ray in enumerate(f.rays):
-            if i not in used:
-                diagnostics.append(f"ray {i} = {ray} lies in no maximal cone")
-                well_formed = False
-
-    return ValidationReport(
-        simplicial=True,
-        smooth=smooth,
-        complete=complete,
-        well_formed=well_formed,
-        diagnostics=tuple(diagnostics),
-    )
+    return well_formed, complete
 
 
 def product_fan(f: Fan, g: Fan) -> Fan:

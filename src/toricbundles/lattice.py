@@ -154,15 +154,49 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return matrix(h), matrix(u)
 
 
+def det_adjugate(m: IntMatrix) -> tuple[int, IntMatrix | None]:
+    """Determinant and adjugate, ``m @ adj == det * I``, in one exact pass.
+
+    Fraction-free Gauss-Jordan (Bareiss) elimination on ``[m | I]``: every
+    intermediate entry is a minor of that block, so each division is
+    exact, and the last pivot times the row operations done is ``det``
+    times the inverse.  A singular matrix returns ``(0, None)``.
+    """
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("det_adjugate requires a square matrix")
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0, None
+        pivot_row = a[k]
+        p = pivot_row[k]
+        for i in range(n):
+            if i == k:
+                continue
+            f = a[i][k]
+            if f:
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+            elif p != prev:  # a row with f == 0 only rescales
+                a[i] = [p * x // prev for x in a[i]]
+        prev = p
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a)
+
+
 def invert_unimodular(m: IntMatrix) -> IntMatrix:
     """Exact inverse of a matrix with determinant +-1.
 
     Raises ``NotUnimodularError`` otherwise; the inverse is again integer.
     """
-    d = determinant(m)
+    d, adj = det_adjugate(m)
     if d not in (1, -1):
         raise NotUnimodularError(f"matrix has determinant {d}, expected +-1")
-    h, u = hermite_normal_form(m)
-    if h != identity(len(m)):
-        raise AssertionError("HNF of a unimodular matrix must be the identity")
-    return u
+    return tuple(tuple(d * x for x in row) for row in adj)

@@ -23,8 +23,17 @@ from the faces.
 fixed-point localization: they expand every monomial as a fresh product
 of linear forms, as the library did before one memoised substitution per
 cone.
+``pairwise_validate`` is the reference for ``validate``: it decides
+well-formedness by a Fourier-Motzkin search for a separating hyperplane
+between every two maximal cones and completeness by wall counts and
+adjacency, as the library did before it certified complete fans from one
+dual basis per cone (and still does for the fans that certificate
+rejects).  ``hnf_inverse`` is the reference for ``invert_unimodular``:
+the transform of the Hermite normal form, as the library computed the
+inverse before it read it off the adjugate.
 """
 
+import itertools
 from itertools import combinations, permutations
 
 from toricbundles import BasePresentation, build_ring, make_fan, product_fan
@@ -36,6 +45,14 @@ from toricbundles.cohomology import (
     linear_relations,
 )
 from toricbundles.equivariant import WeightPolynomial, fixed_point_weights
+from toricbundles.fan import ValidationReport, _meet_in_face, walls
+from toricbundles.lattice import (
+    NotUnimodularError,
+    determinant,
+    hermite_normal_form,
+    identity,
+    is_primitive,
+)
 
 
 def p1():
@@ -522,3 +539,100 @@ def naive_restrict(pair, cls, sigma):
                     term = term * linear
             out = out + term
     return out
+
+
+def pairwise_validate(f):
+    """The flags and diagnostics of ``validate``, all by the pairwise check."""
+    diagnostics = []
+    well_formed = True
+
+    seen = {}
+    for i, ray in enumerate(f.rays):
+        if not is_primitive(ray):
+            diagnostics.append(f"ray {i} = {ray} is not primitive")
+            well_formed = False
+        if ray in seen:
+            diagnostics.append(f"rays {seen[ray]} and {i} coincide")
+            well_formed = False
+        seen[ray] = i
+
+    smooth = True
+    degenerate = False
+    for k, cone in enumerate(f.max_cones):
+        d = determinant(f.cone_matrix(cone))
+        if d == 0:
+            diagnostics.append(f"cone {sorted(cone)} is degenerate (determinant 0)")
+            degenerate = True
+        elif d not in (1, -1):
+            if smooth:
+                diagnostics.append(
+                    f"cone {sorted(cone)} is not smooth (determinant {d})"
+                )
+            smooth = False
+    if degenerate:
+        well_formed = False
+        smooth = False
+
+    if well_formed:
+        for (a, sigma), (b, tau) in itertools.combinations(
+            enumerate(f.max_cones), 2
+        ):
+            if not _meet_in_face(f, sigma, tau):
+                diagnostics.append(
+                    f"cones {sorted(sigma)} and {sorted(tau)} do not meet in a face"
+                )
+                well_formed = False
+                break
+
+    complete = len(f.max_cones) > 0
+    if not complete:
+        diagnostics.append("fan has no maximal cones")
+    adjacency = {k: set() for k in range(len(f.max_cones))}
+    for wall, containing in walls(f):
+        if len(containing) != 2:
+            if complete:
+                diagnostics.append(
+                    f"wall {list(wall)} lies in {len(containing)} maximal cones"
+                )
+            complete = False
+        else:
+            a, b = containing
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+    if complete and f.dim > 0:
+        reached = {0}
+        frontier = [0]
+        while frontier:
+            here = frontier.pop()
+            for there in adjacency[here]:
+                if there not in reached:
+                    reached.add(there)
+                    frontier.append(there)
+        if len(reached) != len(f.max_cones):
+            diagnostics.append("maximal-cone adjacency graph is disconnected")
+            complete = False
+    if complete:
+        used = frozenset().union(*f.max_cones)
+        for i, ray in enumerate(f.rays):
+            if i not in used:
+                diagnostics.append(f"ray {i} = {ray} lies in no maximal cone")
+                well_formed = False
+
+    return ValidationReport(
+        simplicial=True,
+        smooth=smooth,
+        complete=complete,
+        well_formed=well_formed,
+        diagnostics=tuple(diagnostics),
+    )
+
+
+def hnf_inverse(m):
+    """Exact inverse of a matrix with determinant +-1, from its HNF."""
+    d = determinant(m)
+    if d not in (1, -1):
+        raise NotUnimodularError(f"matrix has determinant {d}, expected +-1")
+    h, u = hermite_normal_form(m)
+    if h != identity(len(m)):
+        raise AssertionError("HNF of a unimodular matrix must be the identity")
+    return u

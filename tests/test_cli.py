@@ -592,3 +592,22 @@ def test_machine_compare_schema(tmp_path, capsys):
     assert payload["equal"] is True
     assert payload["chern_numbers_intrinsic"] == {"1+1": 8, "2": 4}
     assert payload["euler_expected"] == 4
+
+
+def test_cmd_equivariant_refuses_a_degree_bound_past_the_limit(
+        tmp_path, capsys, monkeypatch):
+    pair_path = write(tmp_path, "p2.pair", pair_to_text(tautological_pair(p2())))
+    built = []
+    monkeypatch.setattr(equivariant, "GradedQuotientRing",
+                        lambda *args, **kwargs: built.append(args))
+    limit = equivariant.DEGREE_BOUND_LIMIT * 2
+    assert main(["equivariant", "--degree-bound", str(limit + 2),
+                 str(pair_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: degree bound {limit + 2} exceeds the limit "
+        f"DEGREE_BOUND_LIMIT * dim = {equivariant.DEGREE_BOUND_LIMIT} * 2 "
+        f"= {limit}\n"
+    )
+    assert built == []

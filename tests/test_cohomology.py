@@ -263,3 +263,30 @@ def test_relations_need_a_basis_plan():
             ray_count=3, dim=2, relations=linear_relations(f),
             max_cones=f.max_cones, degree_cap=2,
         )
+
+
+def test_a_sweep_without_a_generic_direction_names_its_budget():
+    # no direction gives P2 the h-vector [1, 2, 0]
+    from toricbundles.cohomology import fixed_point_basis_plan
+    from toricbundles.fan import GENERIC_DIRECTION_BUDGET
+
+    f = p2()
+    with pytest.raises(RingConsistencyError,
+                       match=f"first {GENERIC_DIRECTION_BUDGET} moment-curve"):
+        fixed_point_basis_plan(3, 2, f.max_cones, f.rays, [1, 2, 0])
+
+
+def test_a_certified_ring_builds_its_face_set_once(monkeypatch):
+    from toricbundles import cohomology
+
+    calls = []
+    real = cohomology._faces
+
+    def counting(max_cones):
+        calls.append(max_cones)
+        return real(max_cones)
+
+    monkeypatch.setattr(cohomology, "_faces", counting)
+    ring = build_ring.__wrapped__(dp6())
+    assert len(calls) == 1
+    assert ring.faces == real(dp6().max_cones)

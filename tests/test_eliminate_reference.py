@@ -26,6 +26,7 @@ from toricbundles import (
     TwistingClasses,
     build_bundle_ring,
     build_ring,
+    bundlering,
     cohomology,
 )
 from toricbundles.bundlering import BasePresentation
@@ -142,3 +143,44 @@ def test_a_relation_among_basis_columns_names_it():
                        match=r"'torsion', degree 4: .*basis columns, "
                              r"at \(2,\)"):
         _doubled_h_squared({0: [(0,)], 1: [(1,)], 2: [(2,)]})
+
+
+SQUARE_WITHOUT_X3 = {(1, 0, 0, 0), (0, 1, 0, 0)}
+
+
+@pytest.fixture
+def plan_without_x3(monkeypatch):
+    """Plan every ring with the failing degree-1 basis {x0, x1} above."""
+    real = cohomology.fixed_point_basis_plan
+
+    def planned(*args):
+        return {**real(*args), 1: SQUARE_WITHOUT_X3}
+
+    monkeypatch.setattr(cohomology, "fixed_point_basis_plan", planned)
+
+
+def test_a_failing_fan_ring_plan_names_the_fan_ring(plan_without_x3):
+    with pytest.raises(RingConsistencyError,
+                       match=r"^fan ring, degree 1: .*\(0, 0, 0, 1\)"):
+        build_ring.__wrapped__(square_fan())
+
+
+def test_a_failing_pair_ring_plan_names_the_pair_ring(plan_without_x3):
+    # charmap relations x0 - x1 + x2 - x3 = x2 - x3 = 0, not the rays'
+    pair = CharacteristicPair(
+        complex=square_fan(), charmap=((1, 0), (-1, 0), (1, 1), (-1, -1))
+    )
+    with pytest.raises(RingConsistencyError,
+                       match=r"^pair ring, degree 1: .*\(0, 0, 0, 1\)"):
+        ordinary_ring.__wrapped__(pair)
+
+
+def test_a_failing_bundle_ring_plan_names_the_bundle_ring(monkeypatch):
+    fiber_ring = build_ring.__wrapped__(square_fan())
+    fiber_ring.basis_plan = {**fiber_ring.basis_plan, 1: SQUARE_WITHOUT_X3}
+    monkeypatch.setattr(bundlering, "build_ring", lambda fiber: fiber_ring)
+    base = p2_presentation()
+    h = base.reduce_poly({(1,): 1})
+    with pytest.raises(RingConsistencyError,
+                       match=r"^bundle ring, degree 1: .*\(0, 0, 0, 1\)"):
+        build_bundle_ring(base, TwistingClasses((h, 2 * h)), square_fan())
