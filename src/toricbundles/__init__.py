@@ -55,7 +55,6 @@ from .lattice import (
     IntVector,
     NotUnimodularError,
     determinant,
-    hermite_normal_form,
     invert_unimodular,
     is_primitive,
 )

@@ -201,11 +201,11 @@ def cmd_equivariant(args) -> int:
         payload["equivariant_total_chern"] = _class_payload(total)
     else:
         lines.append(f"masuda check: {'pass' if report.passed else 'FAIL'}")
-        for check in report.checks:
+        for check, restricted, expected in report.rendered():
             mark = "ok" if check.passed else "FAIL"
             lines.append(
                 f"  fixed point {list(check.cone)}: restricted "
-                f"{check.restricted!r} expected {check.expected!r} [{mark}]"
+                f"{restricted} expected {expected} [{mark}]"
             )
         lines += _class_lines(total, "equivariant total Chern class (truncated):")
     _emit(args, "equivariant", payload, lines)

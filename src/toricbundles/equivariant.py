@@ -10,9 +10,10 @@ The weight convention: u_i is dual to the charmap values of the cone,
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cache
-from operator import add
+from functools import cache, lru_cache
+from types import MappingProxyType
 
 from .cohomology import (
     CohomologyClass,
@@ -21,36 +22,98 @@ from .cohomology import (
     build_ring,
     face_monomial_sum,
 )
-from .formats import polynomial_to_text
-from .lattice import IntVector, hermite_normal_form, invert_unimodular, transpose
-from .twist import CharacteristicPair, validate_pair
+from .formats import join_terms, monomial_to_text
+from .lattice import (
+    IntVector,
+    NotUnimodularError,
+    determinant,
+    invert_unimodular,
+    transpose,
+)
+from .twist import CharacteristicPair, not_a_basis, validate_pair
 
 DEGREE_BOUND_LIMIT = 4
 """A face ring's degree bound is at most this many times the complex
 dimension: face rings are nonzero in every degree, and the face monomials
 of a degree grow without end."""
 
+FIELD_BITS = 8
+"""Width of each field of a packed weight monomial.  The key of t^e in n
+variables holds sum(e) in its top field, then e_1, ..., e_n, each in its
+own field, so a product of monomials is one integer addition and integer
+order is the render order (total degree, then exponents)."""
+_FIELD_MAX = (1 << FIELD_BITS) - 1
+
+
+@cache
+def _units(nvars: int) -> tuple[int, ...]:
+    """The packed keys of t_1, ..., t_n: degree 1, exponent 1 in one field."""
+    degree = 1 << FIELD_BITS * nvars
+    return tuple(degree | 1 << FIELD_BITS * (nvars - 1 - k) for k in range(nvars))
+
+
+def _exponents(key: int, nvars: int) -> tuple[int, ...]:
+    """The exponent vector of a packed key."""
+    return tuple(
+        key >> FIELD_BITS * (nvars - 1 - k) & _FIELD_MAX for k in range(nvars)
+    )
+
+
+def _degree_limit(degree: int) -> None:
+    if degree > _FIELD_MAX:
+        raise ValueError(
+            f"weight monomial degree {degree} exceeds the field limit "
+            f"2**FIELD_BITS - 1 = {_FIELD_MAX}"
+        )
+
 
 class WeightPolynomial:
-    """Integer polynomial in the degree-2 generators t_1..t_n of H*(BT)."""
+    """Integer polynomial in the degree-2 generators t_1..t_n of H*(BT).
 
-    __slots__ = ("nvars", "terms")
+    Terms are kept under packed monomial keys (see FIELD_BITS); ``terms``
+    is the read-only view by exponent tuples.
+    """
+
+    __slots__ = ("nvars", "_terms")
 
     def __init__(self, nvars: int, terms=None):
+        units = _units(nvars)
+        packed = {}
+        for exps, coeff in (terms or {}).items():
+            if len(exps) != nvars or min(exps, default=0) < 0:
+                raise ValueError(
+                    f"{exps} is not an exponent vector of {nvars} variables"
+                )
+            _degree_limit(sum(exps))
+            if coeff:
+                packed[sum(e * u for e, u in zip(exps, units))] = coeff
         self.nvars = nvars
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
+        self._terms = packed
+
+    @staticmethod
+    def _packed(nvars: int, terms: dict) -> "WeightPolynomial":
+        """From packed keys, dropping zero coefficients."""
+        out = object.__new__(WeightPolynomial)
+        out.nvars = nvars
+        out._terms = {k: v for k, v in terms.items() if v}
+        return out
+
+    @property
+    def terms(self):
+        return MappingProxyType({
+            _exponents(key, self.nvars): coeff
+            for key, coeff in self._terms.items()
+        })
 
     @staticmethod
     def constant(nvars: int, value: int) -> "WeightPolynomial":
-        return WeightPolynomial(nvars, {(0,) * nvars: value})
+        return WeightPolynomial._packed(nvars, {0: value})
 
     @staticmethod
     def linear(coeffs: IntVector) -> "WeightPolynomial":
-        n = len(coeffs)
-        return WeightPolynomial(n, {
-            tuple(int(i == k) for i in range(n)): c
-            for k, c in enumerate(coeffs)
-        })
+        return WeightPolynomial._packed(
+            len(coeffs), dict(zip(_units(len(coeffs)), coeffs))
+        )
 
     def _check(self, other):
         if not isinstance(other, WeightPolynomial) or other.nvars != self.nvars:
@@ -58,26 +121,31 @@ class WeightPolynomial:
 
     def __add__(self, other):
         self._check(other)
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
+        terms = self._terms.copy()
+        for k, v in other._terms.items():
             terms[k] = terms.get(k, 0) + v
-        return WeightPolynomial(self.nvars, terms)
+        return WeightPolynomial._packed(self.nvars, terms)
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return WeightPolynomial(
-                self.nvars, {k: other * v for k, v in self.terms.items()}
+            return WeightPolynomial._packed(
+                self.nvars, {k: other * v for k, v in self._terms.items()}
             )
         self._check(other)
+        a, b = self._terms, other._terms
+        if a and b:
+            # the largest key has the largest degree, in the top field
+            _degree_limit((max(a) + max(b)) >> FIELD_BITS * self.nvars)
         terms = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = tuple(map(add, k1, k2))
-                terms[k] = terms.get(k, 0) + v1 * v2
-        return WeightPolynomial(self.nvars, terms)
+        get = terms.get
+        for k1, v1 in a.items():
+            for k2, v2 in b.items():
+                k = k1 + k2
+                terms[k] = get(k, 0) + v1 * v2
+        return WeightPolynomial._packed(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -85,51 +153,90 @@ class WeightPolynomial:
         return (
             isinstance(other, WeightPolynomial)
             and self.nvars == other.nvars
-            and self.terms == other.terms
+            and self._terms == other._terms
         )
 
     def __hash__(self):
         return hash((self.nvars, tuple(sorted(self.terms.items()))))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def substitute(self, forms: list[IntVector]) -> "WeightPolynomial":
         """Replace each t_k by an integer linear form in new variables.
 
-        The one expansion of products of linear forms.  Monomials are
-        expanded in sorted order, each from its memoised prefix:
-        x^e = x^(e - e_k) t_k for the last variable t_k of x^e costs one
-        product with a linear form.
+        The one expansion of products of linear forms.  Each monomial is
+        expanded from its memoised prefix: x^e = x^(e - e_k) t_k for the
+        last variable t_k of x^e, the field of the key's lowest set bit,
+        costs one product with a linear form.
         """
-        if len(forms) != self.nvars:
+        n = self.nvars
+        if len(forms) != n:
             raise ValueError("need one linear form per variable")
         nvars = len(forms[0]) if forms else 0
-        linear = [[(j, c) for j, c in enumerate(f) if c] for f in forms]
-        memo = {(0,) * self.nvars: {(0,) * nvars: 1}}
+        target = _units(nvars)
+        linear = [[(target[j], c) for j, c in enumerate(f) if c] for f in forms]
+        unit = _units(n)
+        memo = {0: {0: 1}}
 
-        def expand(exps):
-            if exps not in memo:
-                k = max(i for i, e in enumerate(exps) if e)
-                prefix = expand(exps[:k] + (exps[k] - 1,) + exps[k + 1:])
+        def expand(key):
+            product = memo.get(key)
+            if product is None:
+                k = n - 1 - ((key & -key).bit_length() - 1) // FIELD_BITS
                 product = {}
-                for m, v in prefix.items():
-                    for j, c in linear[k]:
-                        key = m[:j] + (m[j] + 1,) + m[j + 1:]
-                        product[key] = product.get(key, 0) + v * c
-                memo[exps] = product
-            return memo[exps]
+                get = product.get
+                for m, v in expand(key - unit[k]).items():
+                    for u, c in linear[k]:
+                        q = m + u
+                        product[q] = get(q, 0) + v * c
+                memo[key] = product
+            return product
 
         out = {}
-        for exps in sorted(self.terms):
-            for m, v in expand(exps).items():
-                out[m] = out.get(m, 0) + self.terms[exps] * v
-        return WeightPolynomial(nvars, out)
+        get = out.get
+        for key, coeff in self._terms.items():
+            for m, v in expand(key).items():
+                out[m] = get(m, 0) + coeff * v
+        return WeightPolynomial._packed(nvars, out)
 
-    def __repr__(self):
-        return polynomial_to_text(
-            self.terms, [f"t{k + 1}" for k in range(self.nvars)]
-        )
+    def __repr__(self, memo=None):
+        """Terms in render order, through the shared joiner.
+
+        ``memo`` maps packed keys to monomial texts; a report passes one
+        memo to all its polynomials, which share their number of variables.
+        """
+        if memo is None:
+            memo = {}
+        names = [f"t{k + 1}" for k in range(self.nvars)]
+        terms = []
+        for key in sorted(self._terms):
+            mono = memo.get(key)
+            if mono is None:
+                exps = _exponents(key, self.nvars)
+                mono = memo[key] = monomial_to_text(exps, names)
+            terms.append((self._terms[key], mono))
+        return join_terms(terms)
+
+
+@lru_cache(maxsize=1)
+def weight_table(p: CharacteristicPair) -> Mapping:
+    """Dual-basis weights of every maximal cone, {cone: (u_1, ..., u_n)}.
+
+    u_i is dual to the charmap values of the cone, in sorted ray order.
+    Building it is the pair's validation: each cone's charmap matrix is
+    inverted by ``invert_unimodular``, and the first cone that is not a
+    lattice basis raises ``validate_pair``'s error.  The last pair's
+    table is kept, so the face ring, the Masuda check and the
+    restrictions of one request invert each matrix once.
+    """
+    table = {}
+    for cone in p.complex.max_cones:
+        m = p.charmap_matrix(cone)
+        try:
+            table[cone] = transpose(invert_unimodular(m))
+        except NotUnimodularError:
+            raise not_a_basis(cone, determinant(m)) from None
+    return MappingProxyType(table)
 
 
 def face_ring(p: CharacteristicPair, degree_bound=None) -> GradedQuotientRing:
@@ -140,7 +247,7 @@ def face_ring(p: CharacteristicPair, degree_bound=None) -> GradedQuotientRing:
     use.  Per-degree ranks are pure face statistics: every face monomial
     is a basis element.
     """
-    validate_pair(p)
+    weight_table(p)
     f = p.complex
     bound = 2 * f.dim if degree_bound is None else degree_bound
     if bound < 0 or bound % 2:
@@ -171,12 +278,12 @@ def fixed_point_weights(p: CharacteristicPair, sigma) -> tuple[IntVector, ...]:
     """Dual-basis weights u_i of a maximal cone, <u_i, Lambda(rho_j)> = delta_ij.
 
     Order follows the sorted ray indices of the cone.  Raises if the cone
-    is not maximal in the pair or its charmap values are not a basis.
+    is not maximal in the pair or the pair is not nonsingular.
     """
     sigma = frozenset(sigma)
     if sigma not in p.complex.max_cones:
         raise ValueError(f"{sorted(sigma)} is not a maximal cone of the pair")
-    return transpose(invert_unimodular(p.charmap_matrix(sigma)))
+    return weight_table(p)[sigma]
 
 
 def restrict_to_fixed_point(p: CharacteristicPair, cls: CohomologyClass,
@@ -187,19 +294,32 @@ def restrict_to_fixed_point(p: CharacteristicPair, cls: CohomologyClass,
     goes to the linear form of the dual-basis weight u_i.
     """
     sigma = frozenset(sigma)
-    return _restrict(p, cls.to_poly(), sigma, fixed_point_weights(p, sigma))
+    weights = fixed_point_weights(p, sigma)
+    return _restrict(_supported_terms(cls), sigma, weights)
 
 
-def _restrict(p, poly: dict, sigma, weights) -> WeightPolynomial:
-    # The terms supported in the cone, in its variables; one substitution.
+def _supported_terms(cls: CohomologyClass) -> list:
+    """Each term of a class as (support bitmask, [(ray, exponent)], coeff)."""
+    _degree_limit(len(cls.parts) - 1)
+    out = []
+    for mono, coeff in cls.to_poly().items():
+        sparse = [(r, e) for r, e in enumerate(mono) if e]
+        out.append((sum(1 << r for r, _ in sparse), sparse, coeff))
+    return out
+
+
+def _restrict(terms: list, sigma, weights) -> WeightPolynomial:
+    # The terms whose support lies in the cone, packed in its variables;
+    # one substitution.
     rays = sorted(sigma)
-    outside = [r for r in range(p.complex.ray_count) if r not in sigma]
+    slot = dict(zip(rays, _units(len(rays))))
+    cone = sum(1 << r for r in rays)
     local = {
-        tuple(map(mono.__getitem__, rays)): coeff
-        for mono, coeff in poly.items()
-        if not any(map(mono.__getitem__, outside))
+        sum(e * slot[r] for r, e in sparse): coeff
+        for mask, sparse, coeff in terms
+        if mask & cone == mask
     }
-    return WeightPolynomial(len(rays), local).substitute(weights)
+    return WeightPolynomial._packed(len(rays), local).substitute(weights)
 
 
 @dataclass(frozen=True)
@@ -229,18 +349,32 @@ class MasudaReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_dict(self) -> dict:
-        fixed_points = []
+    def rendered(self) -> list:
+        """(check, restricted text, expected text) per fixed point.
+
+        Equal polynomials print identically, so a passed point's
+        polynomial is rendered once; monomial texts are shared by the
+        whole report.
+        """
+        memo = {}
+        out = []
         for c in self.checks:
-            # Equal polynomials print identically: render a passed one once.
-            restricted = repr(c.restricted)
-            fixed_points.append({
+            restricted = c.restricted.__repr__(memo)
+            expected = restricted if c.passed else c.expected.__repr__(memo)
+            out.append((c, restricted, expected))
+        return out
+
+    def to_dict(self) -> dict:
+        fixed_points = [
+            {
                 "cone": list(c.cone),
                 "weights": [list(w) for w in c.weights],
                 "restricted": restricted,
-                "expected": restricted if c.passed else repr(c.expected),
+                "expected": expected,
                 "passed": c.passed,
-            })
+            }
+            for c, restricted, expected in self.rendered()
+        ]
         return {"passed": self.passed, "fixed_points": fixed_points}
 
 
@@ -251,18 +385,18 @@ def masuda_check(p: CharacteristicPair) -> MasudaReport:
     product of (1 + u_i) over the cone's dual-basis weights, as exact
     integer weight polynomials.
     """
-    validate_pair(p)
+    table = weight_table(p)
     one = WeightPolynomial.constant(p.complex.dim, 1)
     total = equivariant_total_chern(p)
-    poly = total.to_poly()
+    terms = _supported_terms(total)
     checks = []
     for sigma in p.complex.max_cones:
-        weights = fixed_point_weights(p, sigma)
+        weights = table[sigma]
         rhs = one
         for w in weights:
             rhs = rhs * (one + WeightPolynomial.linear(w))
         checks.append(FixedPointCheck(
-            tuple(sorted(sigma)), weights, _restrict(p, poly, sigma, weights), rhs
+            tuple(sorted(sigma)), weights, _restrict(terms, sigma, weights), rhs
         ))
     return MasudaReport(checks=tuple(checks), total=total)
 
@@ -295,20 +429,3 @@ def forget(p: CharacteristicPair, cls: CohomologyClass,
     """
     ring = target if target is not None else ordinary_ring(p)
     return ring.reduce_poly(cls.to_poly())
-
-
-def congruent_mod_form(a: WeightPolynomial, b: WeightPolynomial,
-                       form: IntVector) -> bool:
-    """Whether two weight polynomials agree modulo a primitive linear form.
-
-    Used for the GKM-style wall consistency of fixed-point restrictions:
-    rewrite in coordinates where the form becomes the first variable and
-    check that the difference has no term avoiding it.
-    """
-    column = tuple((c,) for c in form)
-    h, u = hermite_normal_form(column)
-    if h[0] != (1,):
-        raise ValueError(f"linear form {form} is not primitive")
-    # t_k -> sum_j u[j][k] y_j turns the form into y_1.
-    image = (a - b).substitute(transpose(u))
-    return all(exps[0] > 0 for exps in image.terms)

@@ -253,23 +253,24 @@ def monomial_to_text(exps, names) -> str:
 
 
 def polynomial_to_text(poly: Poly, names) -> str:
-    if not poly:
+    """Terms by total degree, then exponents; '0' for the zero polynomial."""
+    return join_terms(
+        (coeff, monomial_to_text(exps, names))
+        for exps, coeff in sorted(poly.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+    )
+
+
+def join_terms(terms) -> str:
+    """'1 + 2*h - h*k' from (coefficient, monomial text) pairs in order."""
+    parts = []
+    for coeff, mono in terms:
+        parts.append(" - " if coeff < 0 else " + ")
+        c = abs(coeff)
+        parts.append(str(c) if mono == "1" else mono if c == 1 else f"{c}*{mono}")
+    if not parts:
         return "0"
-    bits = []
-    for exps, coeff in sorted(poly.items(), key=lambda kv: (sum(kv[0]), kv[0])):
-        mono = monomial_to_text(exps, names)
-        if not any(exps):
-            bits.append(str(coeff))
-        elif coeff == 1:
-            bits.append(mono)
-        elif coeff == -1:
-            bits.append(f"-{mono}")
-        else:
-            bits.append(f"{coeff}*{mono}")
-    out = bits[0]
-    for b in bits[1:]:
-        out += f" - {b[1:]}" if b.startswith("-") else f" + {b}"
-    return out
+    parts[0] = "-" if parts[0] == " - " else ""
+    return "".join(parts)
 
 
 @cache

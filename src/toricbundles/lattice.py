@@ -2,9 +2,7 @@
 
 Vectors are tuples of Python ints, matrices are tuples of row vectors.
 Everything is arbitrary precision and there is no floating point anywhere;
-downstream ring reductions rely on these routines being exact and on the
-Hermite normal form convention fixed here (row style, pivots positive,
-entries above each pivot reduced into ``[0, pivot)``, zero rows last).
+downstream ring reductions rely on these routines being exact.
 """
 
 from __future__ import annotations
@@ -85,73 +83,6 @@ def determinant(m: IntMatrix) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
-
-def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row-style Hermite normal form.
-
-    Returns ``(h, u)`` with ``u`` unimodular and ``u @ m == h``.  The form
-    is the repo-wide convention: row echelon with positive pivots, entries
-    above each pivot reduced into ``[0, pivot)``, zero rows at the bottom.
-    """
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    h = [list(row) for row in m]
-    u = [list(row) for row in identity(nrows)]
-    r = 0
-    for col in range(ncols):
-        # Clear the column below row r down to a single gcd entry at (r, col).
-        pivot = None
-        for i in range(r, nrows):
-            if h[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != r:
-            h[r], h[pivot] = h[pivot], h[r]
-            u[r], u[pivot] = u[pivot], u[r]
-        for i in range(r + 1, nrows):
-            while h[i][col] != 0:
-                a, b = h[r][col], h[i][col]
-                if b % a == 0:
-                    q = b // a
-                    h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-                else:
-                    g, x, y = _xgcd(a, b)
-                    p, q = a // g, b // g
-                    h[r], h[i] = (
-                        [x * s + y * t for s, t in zip(h[r], h[i])],
-                        [-q * s + p * t for s, t in zip(h[r], h[i])],
-                    )
-                    u[r], u[i] = (
-                        [x * s + y * t for s, t in zip(u[r], u[i])],
-                        [-q * s + p * t for s, t in zip(u[r], u[i])],
-                    )
-        if h[r][col] < 0:
-            h[r] = [-x for x in h[r]]
-            u[r] = [-x for x in u[r]]
-        p = h[r][col]
-        for i in range(r):
-            q = h[i][col] // p
-            if q:
-                h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-        r += 1
-    return matrix(h), matrix(u)
 
 
 def det_adjugate(m: IntMatrix) -> tuple[int, IntMatrix | None]:

@@ -145,10 +145,15 @@ def validate_pair(p: CharacteristicPair) -> None:
     for cone in p.complex.max_cones:
         d = determinant(p.charmap_matrix(cone))
         if d not in (1, -1):
-            raise ValueError(
-                f"charmap values on maximal face {sorted(cone)} have "
-                f"determinant {d}, not a lattice basis"
-            )
+            raise not_a_basis(cone, d)
+
+
+def not_a_basis(cone, d: int) -> ValueError:
+    """The error of a maximal face whose charmap values have determinant d."""
+    return ValueError(
+        f"charmap values on maximal face {sorted(cone)} have "
+        f"determinant {d}, not a lattice basis"
+    )
 
 
 def tautological_pair(f: Fan) -> CharacteristicPair:

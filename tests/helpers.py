@@ -30,11 +30,18 @@ adjacency, as the library did before it certified complete fans from one
 dual basis per cone (and still does for the fans that certificate
 rejects).  ``hnf_inverse`` is the reference for ``invert_unimodular``:
 the transform of the Hermite normal form, as the library computed the
-inverse before it read it off the adjugate.
+inverse before it read it off the adjugate.  ``hermite_normal_form``
+(with its ``_xgcd``) and ``congruent_mod_form`` live here because only
+tests call them: the GKM wall check restricts at the two cones of a wall
+and compares modulo the weight of the missing ray.
+``TupleWeightPolynomial`` is the reference for ``WeightPolynomial``: the
+same arithmetic on tuple-keyed terms, as the library stored weight
+polynomials before it packed each monomial into one integer.
 """
 
 import itertools
 from itertools import combinations, permutations
+from operator import add
 
 from toricbundles import BasePresentation, build_ring, make_fan, product_fan
 from toricbundles.bundlering import BundleClass
@@ -46,12 +53,16 @@ from toricbundles.cohomology import (
 )
 from toricbundles.equivariant import WeightPolynomial, fixed_point_weights
 from toricbundles.fan import ValidationReport, _meet_in_face, walls
+from toricbundles.formats import polynomial_to_text
 from toricbundles.lattice import (
+    IntMatrix,
+    IntVector,
     NotUnimodularError,
     determinant,
-    hermite_normal_form,
     identity,
     is_primitive,
+    matrix,
+    transpose,
 )
 
 
@@ -636,3 +647,188 @@ def hnf_inverse(m):
     if h != identity(len(m)):
         raise AssertionError("HNF of a unimodular matrix must be the identity")
     return u
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        a, x0, y0 = -a, -x0, -y0
+    return a, x0, y0
+
+
+def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Row-style Hermite normal form.
+
+    Returns ``(h, u)`` with ``u`` unimodular and ``u @ m == h``.  The form
+    is the repo-wide convention: row echelon with positive pivots, entries
+    above each pivot reduced into ``[0, pivot)``, zero rows at the bottom.
+    """
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    h = [list(row) for row in m]
+    u = [list(row) for row in identity(nrows)]
+    r = 0
+    for col in range(ncols):
+        # Clear the column below row r down to a single gcd entry at (r, col).
+        pivot = None
+        for i in range(r, nrows):
+            if h[i][col] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        if pivot != r:
+            h[r], h[pivot] = h[pivot], h[r]
+            u[r], u[pivot] = u[pivot], u[r]
+        for i in range(r + 1, nrows):
+            while h[i][col] != 0:
+                a, b = h[r][col], h[i][col]
+                if b % a == 0:
+                    q = b // a
+                    h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+                else:
+                    g, x, y = _xgcd(a, b)
+                    p, q = a // g, b // g
+                    h[r], h[i] = (
+                        [x * s + y * t for s, t in zip(h[r], h[i])],
+                        [-q * s + p * t for s, t in zip(h[r], h[i])],
+                    )
+                    u[r], u[i] = (
+                        [x * s + y * t for s, t in zip(u[r], u[i])],
+                        [-q * s + p * t for s, t in zip(u[r], u[i])],
+                    )
+        if h[r][col] < 0:
+            h[r] = [-x for x in h[r]]
+            u[r] = [-x for x in u[r]]
+        p = h[r][col]
+        for i in range(r):
+            q = h[i][col] // p
+            if q:
+                h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+        r += 1
+    return matrix(h), matrix(u)
+
+
+class TupleWeightPolynomial:
+    """Integer polynomial in the degree-2 generators t_1..t_n of H*(BT)."""
+
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars: int, terms=None):
+        self.nvars = nvars
+        self.terms = {k: v for k, v in (terms or {}).items() if v}
+
+    @staticmethod
+    def constant(nvars: int, value: int) -> "TupleWeightPolynomial":
+        return TupleWeightPolynomial(nvars, {(0,) * nvars: value})
+
+    @staticmethod
+    def linear(coeffs: IntVector) -> "TupleWeightPolynomial":
+        n = len(coeffs)
+        return TupleWeightPolynomial(n, {
+            tuple(int(i == k) for i in range(n)): c
+            for k, c in enumerate(coeffs)
+        })
+
+    def _check(self, other):
+        if not isinstance(other, TupleWeightPolynomial) or other.nvars != self.nvars:
+            raise ValueError("weight polynomials live in different rings")
+
+    def __add__(self, other):
+        self._check(other)
+        terms = dict(self.terms)
+        for k, v in other.terms.items():
+            terms[k] = terms.get(k, 0) + v
+        return TupleWeightPolynomial(self.nvars, terms)
+
+    def __sub__(self, other):
+        return self + (-1) * other
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return TupleWeightPolynomial(
+                self.nvars, {k: other * v for k, v in self.terms.items()}
+            )
+        self._check(other)
+        terms = {}
+        for k1, v1 in self.terms.items():
+            for k2, v2 in other.terms.items():
+                k = tuple(map(add, k1, k2))
+                terms[k] = terms.get(k, 0) + v1 * v2
+        return TupleWeightPolynomial(self.nvars, terms)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, TupleWeightPolynomial)
+            and self.nvars == other.nvars
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.nvars, tuple(sorted(self.terms.items()))))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def substitute(self, forms: list[IntVector]) -> "TupleWeightPolynomial":
+        """Replace each t_k by an integer linear form in new variables.
+
+        The one expansion of products of linear forms.  Monomials are
+        expanded in sorted order, each from its memoised prefix:
+        x^e = x^(e - e_k) t_k for the last variable t_k of x^e costs one
+        product with a linear form.
+        """
+        if len(forms) != self.nvars:
+            raise ValueError("need one linear form per variable")
+        nvars = len(forms[0]) if forms else 0
+        linear = [[(j, c) for j, c in enumerate(f) if c] for f in forms]
+        memo = {(0,) * self.nvars: {(0,) * nvars: 1}}
+
+        def expand(exps):
+            if exps not in memo:
+                k = max(i for i, e in enumerate(exps) if e)
+                prefix = expand(exps[:k] + (exps[k] - 1,) + exps[k + 1:])
+                product = {}
+                for m, v in prefix.items():
+                    for j, c in linear[k]:
+                        key = m[:j] + (m[j] + 1,) + m[j + 1:]
+                        product[key] = product.get(key, 0) + v * c
+                memo[exps] = product
+            return memo[exps]
+
+        out = {}
+        for exps in sorted(self.terms):
+            for m, v in expand(exps).items():
+                out[m] = out.get(m, 0) + self.terms[exps] * v
+        return TupleWeightPolynomial(nvars, out)
+
+    def __repr__(self):
+        return polynomial_to_text(
+            self.terms, [f"t{k + 1}" for k in range(self.nvars)]
+        )
+
+
+def congruent_mod_form(a: WeightPolynomial, b: WeightPolynomial,
+                       form: IntVector) -> bool:
+    """Whether two weight polynomials agree modulo a primitive linear form.
+
+    Used for the GKM-style wall consistency of fixed-point restrictions:
+    rewrite in coordinates where the form becomes the first variable and
+    check that the difference has no term avoiding it.
+    """
+    column = tuple((c,) for c in form)
+    h, u = hermite_normal_form(column)
+    if h[0] != (1,):
+        raise ValueError(f"linear form {form} is not primitive")
+    # t_k -> sum_j u[j][k] y_j turns the form into y_1.
+    image = (a - b).substitute(transpose(u))
+    return all(exps[0] > 0 for exps in image.terms)

@@ -11,6 +11,7 @@ from toricbundles import (
     tautological_pair,
     twist,
     twisted_fan,
+    twisted_pair,
 )
 from toricbundles.cli import build_parser, main
 from toricbundles.cohomology import RingConsistencyError
@@ -345,6 +346,55 @@ def test_cmd_equivariant_builds_the_face_ring_once(tmp_path, capsys,
     assert len(builds) == 1
     # the class the Masuda check restricted is the one reported
     assert capsys.readouterr().out == explicit
+
+
+def test_cmd_equivariant_validates_the_pair_once(tmp_path, capsys,
+                                                monkeypatch):
+    # parsing checks the pair; past it, the face ring and the Masuda check
+    # read one weight table: one inversion per maximal cone, and no
+    # second validate_pair (there were two before the table)
+    pair = parse_pair(pair_to_text(twisted_pair(
+        tautological_pair(p2()), tautological_pair(p1()),
+        make_plmap(1, [[1], [-2], [0]]),
+    )))
+    pair_path = write(tmp_path, "twist.pair", pair_to_text(pair))
+    inversions, validations = [], []
+    invert = equivariant.invert_unimodular
+
+    def counting_invert(m):
+        inversions.append(m)
+        return invert(m)
+
+    def counting_validate(p):
+        validations.append(p)
+        return twist.validate_pair(p)
+
+    monkeypatch.setattr(equivariant, "invert_unimodular", counting_invert)
+    monkeypatch.setattr(equivariant, "validate_pair", counting_validate)
+    equivariant.weight_table.cache_clear()
+    assert main(["--format", "machine", "equivariant", str(pair_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    assert validations == []
+    assert sorted(inversions) == sorted(
+        pair.charmap_matrix(cone) for cone in pair.complex.max_cones
+    )
+
+
+def test_weight_table_keeps_the_pair_error():
+    # two cones are not lattice bases; the table fails with
+    # validate_pair's message, at the same first offending cone
+    bad = twist.CharacteristicPair(complex=p2(), charmap=((1, 0), (0, 1), (2, 3)))
+    with pytest.raises(ValueError) as expected:
+        twist.validate_pair(bad)
+    assert str(expected.value) == (
+        "charmap values on maximal face [0, 2] have determinant 3, "
+        "not a lattice basis"
+    )
+    for call in (equivariant.weight_table, equivariant.masuda_check,
+                 equivariant.face_ring):
+        with pytest.raises(ValueError) as got:
+            call(bad)
+        assert str(got.value) == str(expected.value)
 
 
 def test_masuda_failure_is_reported_at_the_corrupted_cones(tmp_path, capsys,

@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import p1, p2, square_fan
+from helpers import congruent_mod_form, p1, p2, square_fan
 from toricbundles import (
     WeightPolynomial,
     build_ring,
@@ -16,11 +16,7 @@ from toricbundles import (
     twisted_pair,
 )
 from toricbundles.corpus import corpus_pairs
-from toricbundles.equivariant import (
-    congruent_mod_form,
-    fixed_point_weights,
-    ordinary_ring,
-)
+from toricbundles.equivariant import fixed_point_weights, ordinary_ring
 from toricbundles.fan import walls
 
 

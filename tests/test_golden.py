@@ -17,7 +17,9 @@ import pytest
 from helpers import P2_PRESENTATION
 from toricbundles import corpus
 from toricbundles.cli import main
+from toricbundles.fan import product_fan
 from toricbundles.formats import fan_to_text, pair_to_text, plmap_to_text
+from toricbundles.twist import make_plmap, tautological_pair, twisted_pair
 
 GOLDEN = Path(__file__).parent / "golden"
 BASES = Path(__file__).parent.parent / "perfbench" / "bases"
@@ -50,6 +52,20 @@ def _inputs(case):
     if case == "equivariant-p1-p2-twist":
         pair = dict(corpus.corpus_pairs())["pair[p1/p2 twist]"]
         return {"p.pair": pair_to_text(pair)}, ["equivariant", "p.pair"]
+    if case == "equivariant-p1-p2-twist-bound-4n":
+        # the largest degree bound the face ring accepts, 4 * dim
+        pair = dict(corpus.corpus_pairs())["pair[p1/p2 twist]"]
+        return {"p.pair": pair_to_text(pair)}, [
+            "equivariant", "--degree-bound", "12", "p.pair"]
+    if case == "equivariant-p2xp1-over-p1xp1":
+        # a dim-5 twisted pair: 24 fixed points with five weights each
+        fiber = product_fan(corpus.projective_plane(), corpus.projective_line())
+        pair = twisted_pair(
+            tautological_pair(corpus.quadric_surface()),
+            tautological_pair(fiber),
+            make_plmap(3, [[1, 0, -1], [0, 2, 0], [-1, 1, 1], [2, 0, 1]]),
+        )
+        return {"p.pair": pair_to_text(pair)}, ["equivariant", "p.pair"]
     if case == "bundle-p2-over-p2":
         files = {
             "p2.pres": P2_PRESENTATION,
@@ -76,6 +92,8 @@ CASES = [
         "cohomology-dP6",
         "compare-p2-p1-mixed-twist",
         "equivariant-p1-p2-twist",
+        "equivariant-p1-p2-twist-bound-4n",
+        "equivariant-p2xp1-over-p1xp1",
         "bundle-p2-over-p2",
         *BUNDLES,
     )

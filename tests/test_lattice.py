@@ -2,11 +2,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
-from helpers import permutation_determinant
+from helpers import hermite_normal_form, permutation_determinant
 from toricbundles.lattice import (
     NotUnimodularError,
     determinant,
-    hermite_normal_form,
     identity,
     invert_unimodular,
     is_primitive,
