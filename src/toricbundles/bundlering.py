@@ -207,10 +207,10 @@ class BundleRing(GradedQuotientRing):
     The fiber ring with base-class coefficients, certified against the
     fiber ring's basis plan.  Relation i is sum_rho rel_i[rho] x_rho +
     lambda_i = 0, so on a cone the rewrite of its k-th ray gains the
-    constant mu_k = -sum_j inv[k][j] lambda_j, and row (tau, i) carries
-    the cofactors c_j = delta_ij - sum_{rho in tau} rel_i[rho] inv[k_rho][j]
-    of lambda_j x_tau.  ``dim`` is the complex dimension of the total
-    space; fiber monomials of higher degree vanish.
+    constant mu_k = -sum_j inv[k][j] lambda_j, and the dual row (tau, k),
+    x_tau times sum_j inv[k][j] relation_j, carries the cofactors
+    c_j = inv[k][j] of lambda_j x_tau.  ``dim`` is the complex dimension of
+    the total space; fiber monomials of higher degree vanish.
     """
 
     _class_type = BundleClass
@@ -243,14 +243,9 @@ class BundleRing(GradedQuotientRing):
             mu = mu - inv * lam
         return mu
 
-    def _row_payload(self, tau_pos, tau, i, rewrite) -> dict:
-        cofactors = [int(j == i) for j in range(len(self._lam))]
-        rel = self.relations[i]
-        for rho, e in enumerate(tau):
-            if e and rel[rho]:
-                for j, inv in enumerate(rewrite[rho][1]):
-                    cofactors[j] -= rel[rho] * inv
-        return {(j, tau_pos): c for j, c in enumerate(cofactors) if c}
+    def _row_payload(self, tau_pos, inverse_row) -> dict:
+        """The row's lambda cofactors, {(j, position of tau): inv[k][j]}."""
+        return {(j, tau_pos): c for j, c in enumerate(inverse_row) if c}
 
     def point_class(self):
         raise ValueError("the bundle ring has no point class: pair classes "

@@ -213,12 +213,14 @@ def compare(base: Fan, fiber: Fan, phi: PiecewiseLinearMap,
         DegreeComparison(2 * d, intrinsic.parts[d], bundle.parts[d])
         for d in range(twisted_ring.degree_cap + 1)
     )
+    numbers = chern_numbers(twisted_ring, intrinsic)
     return ComparisonReport(
         name=name,
         equal=all(dc.equal for dc in degrees),
         degrees=degrees,
-        intrinsic_numbers=chern_numbers(twisted_ring, intrinsic),
-        bundle_numbers=chern_numbers(twisted_ring, bundle),
+        intrinsic_numbers=numbers,
+        bundle_numbers=(numbers if bundle == intrinsic
+                        else chern_numbers(twisted_ring, bundle)),
         euler_expected=euler_characteristic(decomp.twisted),
         euler_intrinsic=twisted_ring.integrate(
             intrinsic.component(twisted_ring.dim)

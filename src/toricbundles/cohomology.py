@@ -32,8 +32,11 @@ each x_rho of sigma as an integer combination of the x_rho' outside
 sigma, and trading one repeated factor this way lowers (degree - support
 size), so the rewrite terminates.  Each cone's rewrite is solved once
 per ring and kept in ``_rewrites``.  The degree-d relation rows are the
-rewritten products of the squarefree degree-(d-1) face monomials with
-each relation.  Unit-pivot elimination certifies that this quotient is
+dual rows x_tau * (x_rho - rewrite of x_rho), for each squarefree
+degree-(d-1) face monomial x_tau and each rho outside tau of the cone
+solved for it: n - |tau| rows, the products x_tau * rel_i under the
+cone's unimodular relation matrix less the |tau| that rewrite to zero,
+so the lattice and the pivots are those of the products.  Unit-pivot elimination certifies that this quotient is
 free on the planned basis, of rank h_d; it surjects onto H^{2d}, which is
 free of the same rank, so the two are isomorphic and bases and
 coefficients are the ones elimination over all face monomials gives.  A
@@ -643,42 +646,27 @@ class GradedQuotientRing(GradedRing):
         index = {m: i for i, m in enumerate(monomials)}
         rows = []
         if d >= 1 and self.relations:
-            # Row (tau, rel) is the normal form of x_tau * rel: x_tau * x_rho
-            # is a column for rho outside tau, and for rho in tau one
-            # rewrite step of x_rho (on the first maximal cone containing
-            # tau) gives columns x_tau * x_rho', plus the rewrite constant
-            # times x_tau, which only the row payload sees.
+            # Dual row (tau, rho), rho outside tau in the cone solved for
+            # tau: 1 at x_tau * x_rho and -row[rho'] at each face monomial
+            # x_tau * x_rho'; its constant (inverse_row) is the payload's.
             for tau_pos, tau in enumerate(self._degrees[d - 1].monomials):
                 support = frozenset(i for i, e in enumerate(tau) if e)
-                rewrite = self._cone_rewrite(support)
-                wider = {}
-                for rho, e in enumerate(tau):
-                    if not e:
-                        pos = index.get(tau[:rho] + (1,) + tau[rho + 1:])
-                        if pos is not None:
-                            wider[rho] = pos
-                for i, rel in enumerate(self.relations):
-                    vec: dict[int, int] = {}
-                    for rho, coeff in enumerate(rel):
-                        if not coeff:
-                            continue
-                        if tau[rho]:
-                            row = rewrite[rho][0]
-                            for other, pos in wider.items():
-                                vec[pos] = vec.get(pos, 0) + coeff * row[other]
-                        elif rho in wider:
-                            vec[wider[rho]] = vec.get(wider[rho], 0) + coeff
-                    vec = {pos: c for pos, c in vec.items() if c}
-                    if vec:
-                        payload = self._row_payload(tau_pos, tau, i, rewrite)
-                        rows.append((vec, payload))
+                for rho, (row, inverse_row, _) in self._cone_rewrite(support).items():
+                    if tau[rho]:
+                        continue
+                    vec = {index[tau[:rho] + (1,) + tau[rho + 1:]]: 1}
+                    for other, a in enumerate(row):
+                        if a:
+                            pos = index.get(tau[:other] + (1,) + tau[other + 1:])
+                            if pos is not None:
+                                vec[pos] = -a
+                    rows.append((vec, self._row_payload(tau_pos, inverse_row)))
         planned = None if self.basis_plan is None else self.basis_plan.get(d, ())
         label = f"{self.kind}, degree {d}"
         return GradedPiece.build(monomials, index, rows, planned, label)
 
-    def _row_payload(self, tau_pos: int, tau: Monomial, i: int,
-                     rewrite: dict):
-        """What row (tau, relation i) carries besides its columns: nothing."""
+    def _row_payload(self, tau_pos: int, inverse_row):
+        """What the dual row of inverse_row carries besides columns: nothing."""
         return None
 
     # -- rewriting into columns ----------------------------------------------

@@ -20,7 +20,6 @@ from .cohomology import (
     GradedQuotientRing,
     _certified_ring,
     build_ring,
-    face_monomial_sum,
 )
 from .formats import join_terms, monomial_to_text
 from .lattice import (
@@ -269,9 +268,15 @@ def face_ring(p: CharacteristicPair, degree_bound=None) -> GradedQuotientRing:
 
 def equivariant_total_chern(p: CharacteristicPair,
                             degree_bound=None) -> CohomologyClass:
-    """Reduced product of (1 + x_rho) in the (truncated) face ring."""
+    """Product of (1 + x_rho) in the relation-free (truncated) face ring:
+    1 on every squarefree basis monomial, 0 elsewhere.  A monomial of
+    degree d is squarefree when it has d nonzero exponents."""
     ring = face_ring(p, degree_bound)
-    return ring.reduce_poly(face_monomial_sum(ring.faces, ring.ray_count))
+    return CohomologyClass(ring, tuple(
+        tuple(int(mono.count(0) == ring.ray_count - d)
+              for mono in ring.basis_monomials(d))
+        for d in range(ring.degree_cap + 1)
+    ))
 
 
 def fixed_point_weights(p: CharacteristicPair, sigma) -> tuple[IntVector, ...]:

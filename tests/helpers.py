@@ -37,20 +37,40 @@ and compares modulo the weight of the missing ray.
 ``TupleWeightPolynomial`` is the reference for ``WeightPolynomial``: the
 same arithmetic on tuple-keyed terms, as the library stored weight
 polynomials before it packed each monomial into one integer.
+``RewrittenProductRing`` and ``RewrittenProductBundleRing`` are the
+references for the dual-basis relation rows: they build n rows per
+squarefree face monomial x_tau, the normal forms of x_tau times each
+relation, and carry the matching lambda cofactors in the bundle ring, as
+the library did before it took each cone's dual rows.  ``bundle_cases``,
+``random_base_class`` and ``random_fiber_poly`` are the bundle rings and
+seeded coefficients both bundle-ring references run on.
 """
 
 import itertools
 from itertools import combinations, permutations
 from operator import add
 
-from toricbundles import BasePresentation, build_ring, make_fan, product_fan
-from toricbundles.bundlering import BundleClass
+from toricbundles import (
+    BasePresentation,
+    TwistingClasses,
+    build_ring,
+    make_fan,
+    presentation_from_fan,
+    principal_classes,
+    product_fan,
+    twisting_from_principal,
+)
+from toricbundles.bundlering import BundleClass, BundleRing
 from toricbundles.cohomology import (
+    GradedPiece,
+    GradedQuotientRing,
     RingConsistencyError,
     _face_monomials,
+    _squarefree_monomials,
     face_monomial_sum,
     linear_relations,
 )
+from toricbundles.corpus import corpus_instances
 from toricbundles.equivariant import WeightPolynomial, fixed_point_weights
 from toricbundles.fan import ValidationReport, _meet_in_face, walls
 from toricbundles.formats import polynomial_to_text
@@ -832,3 +852,125 @@ def congruent_mod_form(a: WeightPolynomial, b: WeightPolynomial,
     # t_k -> sum_j u[j][k] y_j turns the form into y_1.
     image = (a - b).substitute(transpose(u))
     return all(exps[0] > 0 for exps in image.terms)
+
+
+class _RewrittenProductRows:
+    """n relation rows per squarefree face monomial: x_tau * rel_i, rewritten."""
+
+    def _build_degree(self, d: int) -> GradedPiece:
+        enumerate_columns = (
+            _squarefree_monomials if self.relations else _face_monomials
+        )
+        monomials = enumerate_columns(self.ray_count, self.faces, d)
+        index = {m: i for i, m in enumerate(monomials)}
+        rows = []
+        if d >= 1 and self.relations:
+            # Row (tau, rel) is the normal form of x_tau * rel: x_tau * x_rho
+            # is a column for rho outside tau, and for rho in tau one
+            # rewrite step of x_rho (on the first maximal cone containing
+            # tau) gives columns x_tau * x_rho', plus the rewrite constant
+            # times x_tau, which only the row payload sees.
+            for tau_pos, tau in enumerate(self._degrees[d - 1].monomials):
+                support = frozenset(i for i, e in enumerate(tau) if e)
+                rewrite = self._cone_rewrite(support)
+                wider = {}
+                for rho, e in enumerate(tau):
+                    if not e:
+                        pos = index.get(tau[:rho] + (1,) + tau[rho + 1:])
+                        if pos is not None:
+                            wider[rho] = pos
+                for i, rel in enumerate(self.relations):
+                    vec: dict[int, int] = {}
+                    for rho, coeff in enumerate(rel):
+                        if not coeff:
+                            continue
+                        if tau[rho]:
+                            row = rewrite[rho][0]
+                            for other, pos in wider.items():
+                                vec[pos] = vec.get(pos, 0) + coeff * row[other]
+                        elif rho in wider:
+                            vec[wider[rho]] = vec.get(wider[rho], 0) + coeff
+                    vec = {pos: c for pos, c in vec.items() if c}
+                    if vec:
+                        payload = self._row_payload(tau_pos, tau, i, rewrite)
+                        rows.append((vec, payload))
+        planned = None if self.basis_plan is None else self.basis_plan.get(d, ())
+        label = f"{self.kind}, degree {d}"
+        return GradedPiece.build(monomials, index, rows, planned, label)
+
+
+class RewrittenProductRing(_RewrittenProductRows, GradedQuotientRing):
+    """A fan or pair ring rebuilt with the rewritten-product rows."""
+
+    @classmethod
+    def of(cls, ring):
+        return cls(ring.ray_count, ring.dim, ring.relations, ring.max_cones,
+                   ring.degree_cap, ring.basis_plan, ring.faces, ring.kind)
+
+    def _row_payload(self, tau_pos, tau, i, rewrite):
+        """What row (tau, relation i) carries besides its columns: nothing."""
+        return None
+
+
+class RewrittenProductBundleRing(_RewrittenProductRows, BundleRing):
+    """A bundle ring whose row (tau, i) carries the cofactors
+    c_j = delta_ij - sum_{rho in tau} rel_i[rho] inv[k_rho][j]."""
+
+    def _row_payload(self, tau_pos, tau, i, rewrite) -> dict:
+        cofactors = [int(j == i) for j in range(len(self._lam))]
+        rel = self.relations[i]
+        for rho, e in enumerate(tau):
+            if e and rel[rho]:
+                for j, inv in enumerate(rewrite[rho][1]):
+                    cofactors[j] -= rel[rho] * inv
+        return {(j, tau_pos): c for j, c in enumerate(cofactors) if c}
+
+
+def bundle_cases():
+    """(name, base, twisting classes, fiber) of the reference bundle rings.
+
+    The presentations of the corpus bases with their instances' twists,
+    and the hand P1 and P2 presentations with lambda = (2h, -h, 3h) over
+    the fibers P3 and (P1)^2.
+    """
+    cases = []
+    for inst in corpus_instances():
+        pres = presentation_from_fan(inst.base)
+        lam = twisting_from_principal(pres, principal_classes(inst.phi))
+        cases.append((inst.name, pres, lam, inst.fiber))
+    for base in (p1_presentation(), p2_presentation()):
+        for fiber_name, fiber in (("P3", projective_space(3)),
+                                  ("(P1)^2", p1_power(2))):
+            lam = TwistingClasses(classes=tuple(
+                base.reduce_poly({(1,): k}) for k in (2, -1, 3)[:fiber.dim]
+            ))
+            cases.append((f"{base.name} hand/{fiber_name}", base, lam, fiber))
+    return cases
+
+
+def random_base_class(base, rng):
+    poly = {}
+    for k in range(base.half_top + 1):
+        for mono in base.basis_monomials(k):
+            poly[mono] = rng.randint(-3, 3)
+    return base.reduce_poly(poly)
+
+
+def random_fiber_poly(ring, rng, terms=6):
+    """Fiber monomials up to degree 2n, repeated exponents, base coefficients."""
+    n = ring.fiber.dim
+    faces = sorted(ring.faces, key=lambda f: (len(f), sorted(f)))
+    poly = {}
+    for _ in range(terms):
+        face = sorted(rng.choice(faces))
+        exps = [0] * ring.ray_count
+        for rho in face:
+            exps[rho] = 1
+        if face:
+            for _ in range(rng.randint(0, 2 * n - len(face))):
+                exps[rng.choice(face)] += 1
+        poly[tuple(exps)] = random_base_class(ring.base, rng)
+    for nonface in ring.nonfaces[:2]:
+        mono = tuple(1 if i in nonface else 0 for i in range(ring.ray_count))
+        poly[mono] = random_base_class(ring.base, rng)
+    return poly

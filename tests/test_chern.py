@@ -25,6 +25,7 @@ from toricbundles import (
     twisted_fan,
     verify_gauss_bonnet,
 )
+from toricbundles import chern
 from toricbundles.chern import PullbackMap, partitions
 from toricbundles.corpus import corpus_fans, corpus_instances
 
@@ -126,6 +127,28 @@ def test_bundle_formula_equals_intrinsic_on_corpus():
         report = compare(inst.base, inst.fiber, inst.phi, inst.name)
         assert report.equal, inst.name
         assert report.intrinsic_numbers == report.bundle_numbers
+
+
+def test_compare_computes_the_numbers_once_when_the_routes_agree(monkeypatch):
+    base, fiber = product_fan(p2(), p1()), square_fan()
+    phi = make_plmap(2, [[1, 0], [0, 2], [-1, 1], [2, -1], [0, 1]])
+    calls = []
+
+    def counting(ring, total):
+        calls.append(total)
+        return chern_numbers(ring, total)
+
+    monkeypatch.setattr(chern, "chern_numbers", counting)
+    report = compare(base, fiber, phi)
+    assert report.equal
+    assert len(calls) == 1
+    decomp = twisted_fan(base, fiber, phi)
+    ring = build_ring(decomp.twisted)
+    bundle = total_chern_bundle_formula(decomp, base, fiber)
+    assert report.bundle_numbers == chern_numbers(ring, bundle)
+    assert report.intrinsic_numbers == chern_numbers(
+        ring, total_chern_intrinsic(ring)
+    )
 
 
 def test_compare_p2_p1_twist_euler():

@@ -1,0 +1,194 @@
+"""Dual-basis relation rows against the rewritten-product rows.
+
+The library builds, for each squarefree face monomial x_tau of degree d-1,
+one row per ray rho outside tau of the cone solved for tau: x_tau times
+the dual-basis relation of rho.  ``RewrittenProductRing`` builds the n
+normal forms of x_tau * rel_i instead.  The two row sets span the same
+lattice, and every pivot is e_c minus basis columns, so the column
+monomials, bases, pivot columns and pivot vectors must be identical; in
+the bundle ring the rows' lambda payloads may differ, normal forms may
+not.  Degree d builds exactly sum over tau of (n - |tau|) rows.
+"""
+
+import random
+
+import pytest
+
+from helpers import (
+    RewrittenProductBundleRing,
+    RewrittenProductRing,
+    bundle_cases,
+    dp6,
+    p1_power,
+    projective_space,
+    random_fiber_poly,
+    star_surface,
+)
+from toricbundles import (
+    CharacteristicPair,
+    build_bundle_ring,
+    build_ring,
+    chern_numbers,
+    chern_numbers_bundle,
+    make_plmap,
+    product_fan,
+    total_chern_general,
+    twisted_fan,
+)
+from toricbundles import cohomology
+from toricbundles.cohomology import linear_relations
+from toricbundles.corpus import corpus_fans, corpus_pairs, random_unimodular
+from toricbundles.equivariant import ordinary_ring
+
+
+def _seeded_twists(count=40, seed=12):
+    """Dim-5 twists over the benchmark's bases and fibers, phi in [-3, 3]."""
+    p1, p2, p3, p4 = (projective_space(n) for n in (1, 2, 3, 4))
+    p1xp1, p2xp1 = product_fan(p1, p1), product_fan(p2, p1)
+    bases = {"P2": p2, "P3": p3, "P4": p4, "P1xP1": p1xp1, "P2xP1": p2xp1}
+    fibers = {"P1": p1, "P2": p2, "P3": p3, "P1xP1": p1xp1}
+    mix = [(b, f) for b in bases for f in fibers
+           if bases[b].dim + fibers[f].dim == 5]
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        bname, fname = mix[k % len(mix)]
+        base, fiber = bases[bname], fibers[fname]
+        phi = make_plmap(fiber.dim, [
+            [rng.randint(-3, 3) for _ in range(fiber.dim)]
+            for _ in range(base.ray_count)
+        ])
+        out.append((f"twist {k} {fname} over {bname}",
+                    twisted_fan(base, fiber, phi).twisted))
+    return out
+
+
+def _fan_cases():
+    fans = list(corpus_fans())
+    fans += [(f"P{n}", projective_space(n)) for n in range(1, 7)]
+    fans += [(f"(P1)^{n}", p1_power(n)) for n in range(1, 6)]
+    rng = random.Random(14)
+    fans += [(f"star surface {r}", star_surface(r, rng))
+             for r in (14, 30, 60, 100, 200)]
+    fans += _seeded_twists()
+    cases = [(name, lambda f=f: build_ring(f)) for name, f in fans]
+    # pairs whose charmap differs from the rays, so the relations are the
+    # pair's own: quasitoric charmaps, and the corpus's twisted pairs with
+    # the charmap moved by a seeded unimodular matrix
+    pairs = [
+        ("P2 alt charmap", CharacteristicPair(
+            complex=projective_space(2), charmap=((1, 0), (1, 1), (0, -1)))),
+        ("P3 alt charmap", CharacteristicPair(
+            complex=projective_space(3),
+            charmap=((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)))),
+        ("(P1)^2 alt charmap", CharacteristicPair(
+            complex=p1_power(2), charmap=((1, 0), (-1, 2), (0, 1), (0, -1)))),
+    ]
+    rng = random.Random(15)
+    for name, pair in corpus_pairs():
+        if not name.startswith("pair["):
+            continue
+        charmap = pair.charmap
+        while charmap == pair.charmap:
+            u = random_unimodular(pair.complex.dim, rng)
+            charmap = tuple(
+                tuple(sum(a * b for a, b in zip(row, v)) for row in u)
+                for v in pair.charmap
+            )
+        pairs.append((f"{name} moved", CharacteristicPair(
+            complex=pair.complex, charmap=charmap)))
+    assert all(pair.charmap != pair.complex.rays for _, pair in pairs)
+    cases += [(f"pair {name}", lambda p=p: ordinary_ring(p))
+              for name, p in pairs]
+    return cases
+
+
+FAN_CASES = _fan_cases()
+
+
+def _assert_same_pieces(ring, ref):
+    assert len(ring._degrees) == len(ref._degrees)
+    for piece, ref_piece in zip(ring._degrees, ref._degrees):
+        assert piece.monomials == ref_piece.monomials
+        assert piece.basis == ref_piece.basis
+        assert [col for col, _, _ in piece.pivots] == [
+            col for col, _, _ in ref_piece.pivots
+        ]
+        assert [vec for _, vec, _ in piece.pivots] == [
+            vec for _, vec, _ in ref_piece.pivots
+        ]
+
+
+@pytest.mark.parametrize("name,make_ring", FAN_CASES,
+                         ids=[name for name, _ in FAN_CASES])
+def test_dual_rows_give_the_rewritten_product_pivots(name, make_ring):
+    ring = make_ring()
+    ref = RewrittenProductRing.of(ring)
+    _assert_same_pieces(ring, ref)
+    for piece in ring._degrees:
+        assert all(payload is None for _, _, payload in piece.pivots)
+
+
+BUNDLE_CASES = bundle_cases()
+
+
+@pytest.mark.parametrize("name,base,lam,fiber", BUNDLE_CASES,
+                         ids=[case[0] for case in BUNDLE_CASES])
+def test_bundle_dual_rows_give_the_rewritten_product_normal_forms(
+        name, base, lam, fiber):
+    ring = build_bundle_ring(base, lam, fiber)
+    ref = RewrittenProductBundleRing(base, lam, fiber)
+    _assert_same_pieces(ring, ref)
+    rng = random.Random(f"dual rows {name}")
+    repeated = 0
+    for _ in range(8):
+        poly = random_fiber_poly(ring, rng)
+        repeated += sum(1 for m in poly if max(m) > 1)
+        assert ring.reduce_poly(poly).parts == ref.reduce_poly(poly).parts
+    assert repeated > 0
+    total = total_chern_general(ring)
+    ref_total = total_chern_general(ref)
+    assert total.parts == ref_total.parts
+    assert chern_numbers_bundle(ring, total) == chern_numbers(ref, ref_total)
+
+
+def _row_counts(monkeypatch, build):
+    """Rows handed to the elimination of each degree while build() runs."""
+    counts = []
+    eliminate = cohomology.graded_eliminate
+
+    def counting(rows, allowed, columns):
+        counts.append(len(rows))
+        return eliminate(rows, allowed, columns)
+
+    monkeypatch.setattr(cohomology, "graded_eliminate", counting)
+    ring = build()
+    monkeypatch.undo()
+    return ring, counts
+
+
+def _expected_counts(ring, n):
+    """Degree d: n - (d - 1) rows for each face of size d - 1."""
+    return [0] + [
+        (n - (d - 1)) * sum(1 for face in ring.faces if len(face) == d - 1)
+        for d in range(1, ring.degree_cap + 1)
+    ]
+
+
+@pytest.mark.parametrize("name,fan", [
+    ("dP6xP1", product_fan(dp6(), p1_power(1))), ("(P1)^4", p1_power(4)),
+    ("P5", projective_space(5)),
+] + [(name, f) for name, f in corpus_fans()])
+def test_degree_d_builds_n_minus_tau_rows_per_face(name, fan, monkeypatch):
+    ring, counts = _row_counts(monkeypatch, lambda: cohomology._certified_ring(
+        fan, linear_relations(fan), "fan ring"))
+    assert counts == _expected_counts(ring, fan.dim)
+
+
+def test_bundle_degree_d_builds_n_minus_tau_rows_per_face(monkeypatch):
+    for name, base, lam, fiber in BUNDLE_CASES:
+        build_ring(fiber)  # the fiber ring's own rows are not counted
+        ring, counts = _row_counts(
+            monkeypatch, lambda: build_bundle_ring(base, lam, fiber)
+        )
+        assert counts == _expected_counts(ring, fiber.dim), name

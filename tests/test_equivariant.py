@@ -10,11 +10,13 @@ from toricbundles import (
     make_fan,
     make_plmap,
     masuda_check,
+    product_fan,
     restrict_to_fixed_point,
     tautological_pair,
     total_chern_intrinsic,
     twisted_pair,
 )
+from toricbundles.cohomology import face_monomial_sum
 from toricbundles.corpus import corpus_pairs
 from toricbundles.equivariant import fixed_point_weights, ordinary_ring
 from toricbundles.fan import walls
@@ -68,6 +70,31 @@ def test_equivariant_total_chern_p2():
     assert c.coefficients(0) == (1,)
     assert c.coefficients(1) == (1, 1, 1)
     assert c.coefficients(2) == (0, 1, 1, 0, 1, 0)  # the three x_i*x_j faces
+
+
+def _dim5_twisted_pair():
+    """(P2 x P1) over P1 x P1, a twisted pair at the benchmark's dimension."""
+    return twisted_pair(
+        tautological_pair(square_fan()),
+        tautological_pair(product_fan(p2(), p1())),
+        make_plmap(3, [[1, 0, -1], [0, 2, 0], [-1, 1, 1], [2, 0, 1]]),
+    )
+
+
+PAIRS = list(corpus_pairs()) + [("dim-5 twisted pair", _dim5_twisted_pair())]
+
+
+@pytest.mark.parametrize("name,pair", PAIRS, ids=[name for name, _ in PAIRS])
+def test_equivariant_total_chern_matches_the_reduce_poly_route(name, pair):
+    # the reference: the face-monomial sum brought to normal form by
+    # reduce_poly, at the default bound and every bound 2n, 2n + 2, ..., 4n
+    n = pair.complex.dim
+    for bound in [None, *range(2 * n, 4 * n + 1, 2)]:
+        cls = equivariant_total_chern(pair, bound)
+        ring = cls.ring
+        assert cls == ring.reduce_poly(
+            face_monomial_sum(ring.faces, ring.ray_count)
+        ), bound
 
 
 def test_restriction_p1_classical_weights():

@@ -49,6 +49,16 @@ def _inputs(case):
             "phi.plm": plmap_to_text(inst.phi),
         }
         return files, ["compare", "base.fan", "fiber.fan", "phi.plm"]
+    if case == "compare-p1xp1-over-p2xp1":
+        # a dim-5 twist, the shape of the benchmark's compare requests
+        base = product_fan(corpus.projective_plane(), corpus.projective_line())
+        phi = make_plmap(2, [[1, 0], [0, 2], [-1, 1], [2, -1], [0, 1]])
+        files = {
+            "base.fan": fan_to_text(base),
+            "fiber.fan": fan_to_text(corpus.quadric_surface()),
+            "phi.plm": plmap_to_text(phi),
+        }
+        return files, ["compare", "base.fan", "fiber.fan", "phi.plm"]
     if case == "equivariant-p1-p2-twist":
         pair = dict(corpus.corpus_pairs())["pair[p1/p2 twist]"]
         return {"p.pair": pair_to_text(pair)}, ["equivariant", "p.pair"]
@@ -91,6 +101,7 @@ CASES = [
         "chern-dP6",
         "cohomology-dP6",
         "compare-p2-p1-mixed-twist",
+        "compare-p1xp1-over-p2xp1",
         "equivariant-p1-p2-twist",
         "equivariant-p1-p2-twist-bound-4n",
         "equivariant-p2xp1-over-p1xp1",

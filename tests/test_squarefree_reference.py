@@ -17,29 +17,25 @@ import pytest
 from helpers import (
     AllFaceMonomialBundleRing,
     AllFaceMonomialRing,
+    bundle_cases,
     dp6,
     p1,
     p1_power,
-    p1_presentation,
     p2,
-    p2_presentation,
     projective_space,
+    random_fiber_poly,
 )
 from toricbundles import (
     CharacteristicPair,
-    TwistingClasses,
     build_bundle_ring,
     build_ring,
     chern_numbers,
     chern_numbers_bundle,
-    presentation_from_fan,
-    principal_classes,
     product_fan,
     total_chern_general,
-    twisting_from_principal,
 )
 from toricbundles.bundlering import BundleClass
-from toricbundles.corpus import corpus_fans, corpus_instances, hirzebruch
+from toricbundles.corpus import corpus_fans, hirzebruch
 from toricbundles.equivariant import ordinary_ring
 
 
@@ -111,51 +107,7 @@ def test_squarefree_columns_match_all_face_monomials(name, make_ring):
         assert (a * b).parts == ref.multiply(a.parts, b.parts)
 
 
-def _bundle_cases():
-    cases = []
-    for inst in corpus_instances():
-        pres = presentation_from_fan(inst.base)
-        lam = twisting_from_principal(pres, principal_classes(inst.phi))
-        cases.append((inst.name, pres, lam, inst.fiber))
-    for base in (p1_presentation(), p2_presentation()):
-        for fiber_name, fiber in (("P3", projective_space(3)),
-                                  ("(P1)^2", p1_power(2))):
-            lam = TwistingClasses(classes=tuple(
-                base.reduce_poly({(1,): k}) for k in (2, -1, 3)[:fiber.dim]
-            ))
-            cases.append((f"{base.name} hand/{fiber_name}", base, lam, fiber))
-    return cases
-
-
-BUNDLE_CASES = _bundle_cases()
-
-
-def random_base_class(base, rng):
-    poly = {}
-    for k in range(base.half_top + 1):
-        for mono in base.basis_monomials(k):
-            poly[mono] = rng.randint(-3, 3)
-    return base.reduce_poly(poly)
-
-
-def random_fiber_poly(ring, rng, terms=6):
-    """Fiber monomials up to degree 2n, repeated exponents, base coefficients."""
-    n = ring.fiber.dim
-    faces = sorted(ring.faces, key=lambda f: (len(f), sorted(f)))
-    poly = {}
-    for _ in range(terms):
-        face = sorted(rng.choice(faces))
-        exps = [0] * ring.ray_count
-        for rho in face:
-            exps[rho] = 1
-        if face:
-            for _ in range(rng.randint(0, 2 * n - len(face))):
-                exps[rng.choice(face)] += 1
-        poly[tuple(exps)] = random_base_class(ring.base, rng)
-    for nonface in ring.nonfaces[:2]:
-        mono = tuple(1 if i in nonface else 0 for i in range(ring.ray_count))
-        poly[mono] = random_base_class(ring.base, rng)
-    return poly
+BUNDLE_CASES = bundle_cases()
 
 
 @pytest.mark.parametrize("name,base,lam,fiber", BUNDLE_CASES,
