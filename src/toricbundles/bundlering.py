@@ -29,11 +29,39 @@ their rows one fiber degree down.  Base classes
 are CohomologyClass instances, and a BundleClass is a CohomologyClass
 whose coefficients are base classes; it differs only in taking
 components by total degree.
+
+Chern numbers pair two classes on an integer intersection form instead of
+multiplying them.  Let m_i be the fiber basis monomials (fiber degree
+d_i, the top one m_top of degree n_f) and e_p the base basis classes.
+The ring is a free H*(B)-module on the m_i, its relations are
+H*(B)-linear, so the normal form is too: for a = sum a_i m_i and
+b = sum b_j m_j,
+
+    NF(a b) = sum_ij a_i b_j NF(m_i m_j),   NF(m_i m_j) = sum_k T^k_ij m_k.
+
+Integration is fiber-first: pi_* keeps only the coefficient of m_top,
+with the fiber's point sign s_F, and the base functional int_B reads the
+top base degree (zero elsewhere).  Write T_ij = T^top_ij, nonzero only
+when d_i + d_j >= n_f since the normal form keeps total degree and
+lowers fiber degree, and K[p,q,r] = int_B e_p e_q e_r.  Then
+
+    int_E a b = s_F int_B sum_ij a_i b_j T_ij
+              = sum_ij sum_pq a_i[p] b_j[q] M_ij[p][q],
+    M_ij[p][q] = s_F sum_r T_ij[r] K[p,q,r].
+
+K is nonzero only in total base degree top, so the sum reads exactly the
+top total-degree component of a b, as integrate((a*b).component(dim))
+does.  Each T_ij is one reduce_poly, K is read once per presentation off
+its structure constants, and M, an integer matrix per fiber-basis pair,
+is built once per bundle ring on first use: the pairing is then integer
+arithmetic only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from operator import add, mul
 
 from .chern import chern_numbers
@@ -174,6 +202,35 @@ class BasePresentation(GradedRing):
     def _point_data(self) -> int:
         return self.integration_value
 
+    @cached_property
+    def triple_intersections(self) -> tuple[tuple[int, int, int, int], ...]:
+        """The nonzero integrals K[p,q,r] = int_B e_p e_q e_r, as (p, q, r, K).
+
+        The basis classes e_p are numbered across degrees, lowest first, in
+        the order of a class's flattened parts.  Read off the structure
+        constants: e_p e_q = sum_s c_s e_s, and each e_s e_r of top degree
+        is a multiple of the top basis monomial.
+        """
+        numbered = [(k, m) for k, piece in enumerate(self._degrees)
+                    for m in piece.basis]
+        out = []
+        for p, (kp, mp) in enumerate(numbered):
+            for q, (kq, mq) in enumerate(numbered):
+                if kp + kq > self.half_top:
+                    continue
+                _, entries = self._products[tuple(map(add, mp, mq))]
+                lower = self._degrees[kp + kq].basis
+                for r, (kr, mr) in enumerate(numbered):
+                    if kp + kq + kr != self.half_top:
+                        continue
+                    value = 0
+                    for s, c in entries:
+                        _, top = self._products[tuple(map(add, lower[s], mr))]
+                        value += sum(c * v for _, v in top)
+                    if value:
+                        out.append((p, q, r, self.integration_value * value))
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class TwistingClasses:
@@ -273,6 +330,54 @@ class BundleRing(GradedQuotientRing):
         return self.fiber_ring._point_data() * self.base.integrate(
             cls.parts[n][0]
         )
+
+    @cached_property
+    def _intersection_form(self) -> dict:
+        """{(i, j): the nonzero entries (p, q, M_ij[p][q])} (module docstring).
+
+        Fiber basis monomials m_i are numbered across fiber degrees, base
+        basis classes e_p as in ``triple_intersections``.  M_ij = M_ji, as
+        m_i m_j = m_j m_i and K is symmetric, so each unordered pair is
+        reduced once.
+        """
+        n = self.fiber.dim
+        sign = self.fiber_ring._point_data()
+        triples = self.base.triple_intersections
+        numbered = [(d, m) for d, piece in enumerate(self._degrees)
+                    for m in piece.basis]
+        form = {}
+        for i, (di, mi) in enumerate(numbered):
+            for j in range(i, len(numbered)):
+                dj, mj = numbered[j]
+                if di + dj < n:
+                    continue
+                top = self.reduce_poly({tuple(map(add, mi, mj)): self._one})
+                t = _flat(top.parts[n][0])
+                entries = {}
+                for p, q, r, k in triples:
+                    if t[r]:
+                        entries[p, q] = entries.get((p, q), 0) + sign * t[r] * k
+                entries = tuple((p, q, v) for (p, q), v in entries.items() if v)
+                if entries:
+                    form[i, j] = form[j, i] = entries
+        return form
+
+    def integrate_product(self, a: BundleClass, b: BundleClass) -> int:
+        """int_E a * b = sum a_i[p] b_j[q] M_ij[p][q], in integers only."""
+        if a.ring is not self or b.ring is not self:
+            raise ValueError("classes live in different rings")
+        av = [_flat(c) for part in a.parts for c in part]
+        bv = [_flat(c) for part in b.parts for c in part]
+        total = 0
+        for (i, j), entries in self._intersection_form.items():
+            ai, bj = av[i], bv[j]
+            total += sum(ai[p] * bj[q] * v for p, q, v in entries)
+        return total
+
+
+def _flat(cls: CohomologyClass) -> tuple[int, ...]:
+    """A base class's coefficients over the base basis, lowest degree first."""
+    return tuple(chain.from_iterable(cls.parts))
 
 
 def build_bundle_ring(base: BasePresentation, lam: TwistingClasses,

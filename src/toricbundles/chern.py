@@ -5,6 +5,15 @@ variety are implemented: the intrinsic ray product on the twisted fan,
 and the bundle formula (pullback of the base class times the fiber ray
 product).  ``compare`` checks their exact per-degree equality; the formula
 holds, so a disagreement falsifies the implementation.
+
+Chern numbers come from a balanced product tree: each partition of n is
+split greedily into two halves A and B (parts largest first, each to the
+half of smaller degree, ties to A), sub-products are memoised by their
+descending tuples, and the number is the ring's pairing
+``integrate_product`` of the two halves.  At n = 5 that is 3 ring
+products instead of the 13 of a left-to-right walk, and 4 instead of 24
+at n = 6; a fan ring pairs by one more product each (9 at n = 5), a
+bundle ring on its integer intersection form (see ``bundlering``).
 """
 
 from __future__ import annotations
@@ -126,16 +135,37 @@ def chern_numbers(ring, total: CohomologyClass) -> dict[tuple[int, ...], int]:
     """Integrals of all monomials in the Chern classes, keyed by partition.
 
     ``ring`` is a GradedQuotientRing or a BundleRing; ``ring.dim`` is the
-    complex dimension.
+    complex dimension.  Each partition is split greedily in two: its
+    parts, largest first, go to the half A or B of smaller degree, ties
+    to A.  Sub-products are memoised by their descending tuples, as
+    product(mu) = product(mu[1:]) * c_mu[0] (a single part is c_k
+    itself), and the number is ``ring.integrate_product(product(A),
+    product(B))``, or the integral of product(A) when B is empty.  A
+    bundle ring makes 3 ring products at n = 5 and 4 at n = 6, where a
+    left-to-right walk makes 13 and 24; a fan ring's pairing is one more
+    product, 9 in all at n = 5.  The result keeps ``partitions(n)`` order.
     """
     n = ring.dim
     components = [total.component(k) for k in range(n + 1)]
+    products = {}
+
+    def product(mu):
+        if mu not in products:
+            products[mu] = (product(mu[1:]) * components[mu[0]]
+                            if len(mu) > 1
+                            else components[mu[0]] if mu else ring.unit())
+        return products[mu]
+
     out = {}
     for part in partitions(n):
-        cls = components[part[0]] if part else ring.unit()
-        for k in part[1:]:
-            cls = cls * components[k]
-        out[part] = ring.integrate(cls.component(n))
+        a, b = (), ()
+        for k in part:
+            if sum(a) <= sum(b):
+                a += (k,)
+            else:
+                b += (k,)
+        out[part] = (ring.integrate_product(product(a), product(b)) if b
+                     else ring.integrate(product(a).component(n)))
     return out
 
 

@@ -14,10 +14,11 @@ degree (columns, unit pivots certifying a planned basis, the basis
 monomials, one ``reduce``), and reduce_poly, multiply (the sum of
 ``basis_products``, the one product loop, brought to normal form by
 reduce_poly; a presentation walks its table of basis-pair products
-instead), integrate and the ranks are written once.  Rings differ in three
-hooks: the degree of a monomial, its normal form (the cone rewrite
-here, the identity on a presentation) and the sign of the top basis
-monomial's integral.  CohomologyClass is the one class type, and
+instead), integrate, the pairing ``integrate_product`` (the top-degree
+integral of a product; the bundle ring reads it off an integer form) and
+the ranks are written once.  Rings differ in three hooks: the degree of
+a monomial, its normal form (the cone rewrite here, the identity on a
+presentation) and the sign of the top basis monomial's integral.  CohomologyClass is the one class type, and
 face_monomial_sum is the one expansion of prod (1 + x_rho).  The bundle
 ring is a GradedQuotientRing whose relations have the twisting classes
 as constants (see ``bundlering``).  Minimal non-faces are grown from
@@ -493,7 +494,7 @@ class CohomologyClass:
 
 
 class GradedRing:
-    """The one ring skeleton: reduce, multiply, integrate and ranks.
+    """The one ring skeleton: reduce, multiply, integrate, pair and ranks.
 
     A ring stores one GradedPiece per degree in ``_degrees``, its variable
     count ``_nvars``, its complex dimension ``dim`` and ``monomial_cap``,
@@ -591,6 +592,11 @@ class GradedRing:
                 )
         sign = self._point_data()
         return cls.parts[self.dim][0] * sign if cls.parts[self.dim] else 0
+
+    def integrate_product(self, a: "CohomologyClass",
+                          b: "CohomologyClass") -> int:
+        """The integral of the top-degree component of a * b."""
+        return self.integrate(self.multiply(a, b).component(self.dim))
 
 
 class GradedQuotientRing(GradedRing):

@@ -44,6 +44,10 @@ relation, and carry the matching lambda cofactors in the bundle ring, as
 the library did before it took each cone's dual rows.  ``bundle_cases``,
 ``random_base_class`` and ``random_fiber_poly`` are the bundle rings and
 seeded coefficients both bundle-ring references run on.
+``left_to_right_chern_numbers`` is the reference for ``chern_numbers``:
+it multiplies the Chern classes of each partition left to right and
+integrates the top component, as the library did before it split each
+partition in two and paired the halves.
 """
 
 import itertools
@@ -61,6 +65,7 @@ from toricbundles import (
     twisting_from_principal,
 )
 from toricbundles.bundlering import BundleClass, BundleRing
+from toricbundles.chern import partitions
 from toricbundles.cohomology import (
     GradedPiece,
     GradedQuotientRing,
@@ -195,6 +200,23 @@ integration 1
 chern
 1 + x2 + x1 + x0 + x1*x2 + x0*x2 + x0*x1
 """
+
+
+def left_to_right_chern_numbers(ring, total):
+    """Integrals of all monomials in the Chern classes, keyed by partition.
+
+    ``ring`` is a GradedQuotientRing or a BundleRing; ``ring.dim`` is the
+    complex dimension.
+    """
+    n = ring.dim
+    components = [total.component(k) for k in range(n + 1)]
+    out = {}
+    for part in partitions(n):
+        cls = components[part[0]] if part else ring.unit()
+        for k in part[1:]:
+            cls = cls * components[k]
+        out[part] = ring.integrate(cls.component(n))
+    return out
 
 
 def subset_minimal_nonfaces(fan):
@@ -432,8 +454,8 @@ class AllFaceMonomialBundleRing:
     that pair; the sum of a row and lambda_i * mono is zero in the ring.
     Reduction walks the fiber degrees top-down, and using row (mono, i)
     with coefficient c carries -c * lambda_i onto mono one degree lower.
-    Classes are the library's BundleClass, so ``chern_numbers`` and class
-    arithmetic run on it unchanged.
+    Classes are the library's BundleClass, so ``left_to_right_chern_numbers``
+    and class arithmetic run on it unchanged.
     """
 
     def __init__(self, base, lam, fiber):

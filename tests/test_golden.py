@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import P2_PRESENTATION
+from helpers import P2_PRESENTATION, projective_space
 from toricbundles import corpus
 from toricbundles.cli import main
 from toricbundles.fan import product_fan
@@ -29,6 +29,12 @@ BUNDLES = {
                           corpus.projective_plane),
     "bundle-p1xp1-over-p2xp1": ("P2xP1.pres", "classes\nx0 + x3\n2*x4\n",
                                 corpus.quadric_surface),
+    # dim 6: every top-fiber coefficient T_ij of a fiber-basis pair is a
+    # base class of positive degree, so the bundle ring's intersection
+    # form reads the base's triple products
+    "bundle-p3-over-p2xp1": ("P2xP1.pres",
+                             "classes\nx0 + x3\n-x1 + 2*x4\nx2 - x3\n",
+                             lambda: projective_space(3)),
 }
 
 
