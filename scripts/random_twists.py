@@ -4,9 +4,10 @@
 Draws random piecewise-linear maps over the standard bases and fibers,
 compares the intrinsic and bundle-formula Chern classes, checks the Chern
 numbers of the bundle ring over the base's presentation (the third route,
-whose normal form carries the twisting classes), checks Gauss-Bonnet, and
-spot-checks invariance under a random unimodular change of fiber
-coordinates.  Everything is exact; a single disagreement exits
+whose normal form carries the twisting classes) and by fixed-point
+localization on the twisted fan (the fourth, with no ring at all), checks
+Gauss-Bonnet, and spot-checks invariance under a random unimodular change
+of fiber coordinates.  Everything is exact; a single disagreement exits
 nonzero.
 
 Usage: python scripts/random_twists.py [trials] [seed] [max_entry]
@@ -19,6 +20,7 @@ from toricbundles import (
     build_bundle_ring,
     build_ring,
     chern_numbers,
+    chern_numbers_localized,
     compare,
     presentation_from_fan,
     total_chern_general,
@@ -60,6 +62,9 @@ def main(trials: int = 25, seed: int = 7, max_entry: int = 3) -> int:
         presented = chern_numbers(
             bundle, total_chern_general(bundle)
         ) == report.intrinsic_numbers
+        localized = chern_numbers_localized(
+            twisted_fan(base, fiber, phi).twisted
+        ) == report.intrinsic_numbers
         inst = TwistInstance(name, base, fiber, phi)
         moved = transform_instance(inst, random_unimodular(fiber.dim, rng))
         moved_ring = build_ring(
@@ -68,7 +73,7 @@ def main(trials: int = 25, seed: int = 7, max_entry: int = 3) -> int:
         invariant = chern_numbers(
             moved_ring, total_chern_intrinsic(moved_ring)
         ) == report.intrinsic_numbers
-        ok = report.equal and presented and gauss and invariant
+        ok = report.equal and presented and localized and gauss and invariant
         mark = "ok" if ok else "FAIL"
         print(f"[{mark}] {name}  chi={report.euler_intrinsic}")
         if not ok:

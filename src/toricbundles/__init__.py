@@ -21,6 +21,7 @@ from .bundlering import (
 from .chern import (
     ComparisonReport,
     chern_numbers,
+    chern_numbers_localized,
     compare,
     euler_characteristic,
     pullback,

@@ -261,13 +261,14 @@ class BundleClass(CohomologyClass):
 class BundleRing(GradedQuotientRing):
     """Cohomology of a toric variety bundle over a presented base.
 
-    The fiber ring with base-class coefficients, certified against the
-    fiber ring's basis plan.  Relation i is sum_rho rel_i[rho] x_rho +
-    lambda_i = 0, so on a cone the rewrite of its k-th ray gains the
+    The fiber ring with base-class coefficients, certified against the fiber
+    ring's basis plan and solved on its cones with the fiber ring's
+    inverses, the fiber fan's dual rows.  Relation i is sum_rho rel_i[rho]
+    x_rho + lambda_i = 0, so on a cone the rewrite of its k-th ray gains the
     constant mu_k = -sum_j inv[k][j] lambda_j, and the dual row (tau, k),
-    x_tau times sum_j inv[k][j] relation_j, carries the cofactors
-    c_j = inv[k][j] of lambda_j x_tau.  ``dim`` is the complex dimension of
-    the total space; fiber monomials of higher degree vanish.
+    x_tau times sum_j inv[k][j] relation_j, carries the cofactors c_j =
+    inv[k][j] of lambda_j x_tau.  ``dim`` is the complex dimension of the
+    total space; fiber monomials of higher degree vanish.
     """
 
     _class_type = BundleClass
@@ -290,7 +291,7 @@ class BundleRing(GradedQuotientRing):
         super().__init__(
             fiber.ray_count, fiber.dim, linear_relations(fiber),
             fiber.max_cones, fiber.dim, self.fiber_ring.basis_plan,
-            self.fiber_ring.faces, "bundle ring",
+            self.fiber_ring.faces, "bundle ring", self.fiber_ring.inverses,
         )
         self.dim = self.monomial_cap = base.half_top + fiber.dim
 

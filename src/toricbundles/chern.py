@@ -6,19 +6,24 @@ and the bundle formula (pullback of the base class times the fiber ray
 product).  ``compare`` checks their exact per-degree equality; the formula
 holds, so a disagreement falsifies the implementation.
 
-Chern numbers come from a balanced product tree: each partition of n is
-split greedily into two halves A and B (parts largest first, each to the
-half of smaller degree, ties to A), sub-products are memoised by their
-descending tuples, and the number is the ring's pairing
-``integrate_product`` of the two halves.  At n = 5 that is 3 ring
-products instead of the 13 of a left-to-right walk, and 4 instead of 24
-at n = 6; a fan ring pairs by one more product each (9 at n = 5), a
-bundle ring on its integer intersection form (see ``bundlering``).
+Chern numbers have two routes.  The ring route, ``chern_numbers``, works
+in any ring, the bundle ring included: a balanced product tree of ring
+products, paired by the ring's ``integrate_product``.  Fixed-point
+localization, ``chern_numbers_localized``, needs only the fan: one exact
+sum over the maximal cones of products of elementary symmetric functions
+of each cone's dual rows, read from the fan's ``cone_duals`` table at
+the generic point the completeness certificate found.  The
+``chern`` command takes its numbers by localization; ``compare`` takes
+them by the ring route and checks them against localization on the
+twisted fan; ``bundle`` has only the ring route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from math import gcd, lcm
+from operator import add, mul
 
 from .cohomology import (
     CohomologyClass,
@@ -28,7 +33,12 @@ from .cohomology import (
     build_ring,
     face_monomial_sum,
 )
-from .fan import Fan
+from .fan import (
+    GENERIC_DIRECTION_BUDGET,
+    Fan,
+    first_generic_coordinates,
+    require_smooth_complete,
+)
 from .twist import PiecewiseLinearMap, TwistDecomposition, twisted_fan
 
 
@@ -118,8 +128,13 @@ def total_chern_bundle_formula(decomp: TwistDecomposition, base: Fan,
     return pulled * _fiber_factor(decomp, fiber, twisted_ring)
 
 
-def partitions(n: int):
+def partitions(n: int) -> list[tuple[int, ...]]:
     """Partitions of n as descending tuples, in canonical sorted order."""
+    return list(_partitions(n))
+
+
+@cache
+def _partitions(n: int) -> tuple[tuple[int, ...], ...]:
     def gen(n, cap):
         if n == 0:
             yield ()
@@ -128,7 +143,7 @@ def partitions(n: int):
             for rest in gen(n - first, first):
                 yield (first,) + rest
 
-    return sorted(gen(n, n))
+    return tuple(sorted(gen(n, n)))
 
 
 def chern_numbers(ring, total: CohomologyClass) -> dict[tuple[int, ...], int]:
@@ -157,7 +172,7 @@ def chern_numbers(ring, total: CohomologyClass) -> dict[tuple[int, ...], int]:
         return products[mu]
 
     out = {}
-    for part in partitions(n):
+    for part in _partitions(n):
         a, b = (), ()
         for k in part:
             if sum(a) <= sum(b):
@@ -169,10 +184,89 @@ def chern_numbers(ring, total: CohomologyClass) -> dict[tuple[int, ...], int]:
     return out
 
 
+def chern_numbers_localized(f: Fan) -> dict[tuple[int, ...], int]:
+    """Chern numbers of a smooth complete fan by fixed-point localization.
+
+    The torus T of the variety X fixes one point x_sigma per maximal cone
+    sigma.  In H_T(X) = Z[x_rho]/(Stanley-Reisner ideal) a character m of
+    T is the class sum_rho <m, v_rho> x_rho (these classes are the linear
+    relations, which vanish in ordinary cohomology).  Restriction to
+    x_sigma is a ring map into H_T(pt) = Sym(M) that fixes characters and
+    sends x_rho to 0 for rho outside sigma (D_rho misses x_sigma).  So
+    sum_{rho in sigma} <m, v_rho> x_rho|sigma = m for every m, and
+    x_rho|sigma = u_rho, where <u_rho, v_rho'> = delta_{rho rho'} on
+    sigma: u_rho is sigma's dual row of rho in ``cone_duals``.  The total
+    Chern class is prod (1 + x_rho), so c_k|sigma = e_k(u), the k-th
+    elementary symmetric function of sigma's dual rows, and the Euler
+    class of the tangent space at x_sigma is its top Chern class e_n(u).
+    The point class prod_{rho in sigma} x_rho restricts to e_n(u) at
+    sigma and to 0 at every other fixed point, so the sum below gives it
+    1, as ``integrate`` does.  Atiyah-Bott localization,
+
+        int_X alpha = sum_sigma alpha|sigma / e_n(u at sigma),
+
+    holds for alpha in H_T^{2n}(X), where both sides are integers.  For a
+    partition mu of n, alpha = prod_k c_{mu_k} gives
+    int c_mu = sum_sigma prod_k e_{mu_k}(w) / e_n(w), with the weights
+    w = <u, t0> of sigma's dual rows at one point t0 where no weight is
+    zero: evaluation at t0 is a ring map on the fractions whose
+    denominators are products of weights.  The opposite convention
+    x_rho|sigma = -u_rho multiplies each term's numerator and denominator
+    by (-1)^n, so the numbers do not depend on it.
+
+    t0 is the first moment-curve point (1, t, t^2, ...) with no zero
+    weight at any cone, within ``GENERIC_DIRECTION_BUDGET`` points.  The
+    sum is exact, over the common denominator lcm_sigma e_n(w); a
+    remainder raises RingConsistencyError naming the partition.  The
+    result keeps ``partitions(n)`` order.
+    """
+    require_smooth_complete(f, "chern_numbers_localized")
+    n = f.dim
+    weights = first_generic_coordinates(f)
+    if weights is None:
+        raise RingConsistencyError(
+            "no generic direction gives every fixed point nonzero weights "
+            f"among the first {GENERIC_DIRECTION_BUDGET} moment-curve points "
+            "(1, t, t^2, ...)"
+        )
+    # symmetric[k][i] = e_k of the weights of cone i, one list per k,
+    # multiplied out one weight of every cone at a time
+    symmetric = [[1] * len(weights)]
+    for column in zip(*weights):
+        symmetric.append(list(map(mul, column, symmetric[-1])))
+        for k in range(len(symmetric) - 2, 0, -1):
+            symmetric[k] = list(map(
+                add, symmetric[k], map(mul, column, symmetric[k - 1])
+            ))
+    denominator = lcm(*symmetric[n])
+    scale = [denominator // e for e in symmetric[n]]
+    out = {}
+    for part in _partitions(n):
+        terms = scale
+        for k in part:
+            terms = map(mul, terms, symmetric[k])
+        total = sum(terms)
+        value, remainder = divmod(total, denominator)
+        if remainder:
+            g = gcd(total, denominator)
+            raise RingConsistencyError(
+                f"Chern number {partition_name(part)}: fixed-point "
+                f"localization sums to {total // g}/{denominator // g}, "
+                "not an integer"
+            )
+        out[part] = value
+    return out
+
+
+def partition_name(part: tuple[int, ...]) -> str:
+    """A partition written as '2+1+1'."""
+    return "+".join(map(str, part))
+
+
 def numbers_payload(numbers: dict) -> dict[str, int]:
     """Chern numbers keyed by their partition written as '2+1+1'."""
     return {
-        "+".join(str(i) for i in part): value
+        partition_name(part): value
         for part, value in sorted(numbers.items())
     }
 
@@ -234,7 +328,12 @@ class ComparisonReport:
 
 def compare(base: Fan, fiber: Fan, phi: PiecewiseLinearMap,
             name: str = "") -> ComparisonReport:
-    """Compute both routes to c(TE) on the twisted fan and compare exactly."""
+    """Compute both routes to c(TE) on the twisted fan and compare exactly.
+
+    The Chern numbers of the intrinsic class come by the ring route and
+    must equal fixed-point localization on the twisted fan; a difference
+    raises RingConsistencyError naming the partition.
+    """
     decomp = twisted_fan(base, fiber, phi)
     twisted_ring = build_ring(decomp.twisted)
     intrinsic = total_chern_intrinsic(twisted_ring)
@@ -244,6 +343,13 @@ def compare(base: Fan, fiber: Fan, phi: PiecewiseLinearMap,
         for d in range(twisted_ring.degree_cap + 1)
     )
     numbers = chern_numbers(twisted_ring, intrinsic)
+    localized = chern_numbers_localized(decomp.twisted)
+    for part, value in numbers.items():
+        if localized[part] != value:
+            raise RingConsistencyError(
+                f"Chern number {partition_name(part)}: the ring route gives "
+                f"{value}, fixed-point localization {localized[part]}"
+            )
     return ComparisonReport(
         name=name,
         equal=all(dc.equal for dc in degrees),

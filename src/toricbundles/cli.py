@@ -146,7 +146,7 @@ def cmd_chern(args) -> int:
     fan = parse_fan(_read(args.fan))
     ring = build_ring(fan)
     total = chern.total_chern_intrinsic(ring)
-    numbers = chern.chern_numbers(ring, total)
+    numbers = chern.chern_numbers_localized(fan)
     euler = chern.euler_characteristic(fan)
     payload = {
         "total_chern": _class_payload(total),

@@ -31,14 +31,22 @@ rewritten into squarefree face monomials through the relations: on the
 first maximal cone sigma containing its support the relations solve for
 each x_rho of sigma as an integer combination of the x_rho' outside
 sigma, and trading one repeated factor this way lowers (degree - support
-size), so the rewrite terminates.  Each cone's rewrite is solved once
-per ring and kept in ``_rewrites``.  The degree-d relation rows are the
-dual rows x_tau * (x_rho - rewrite of x_rho), for each squarefree
-degree-(d-1) face monomial x_tau and each rho outside tau of the cone
-solved for it: n - |tau| rows, the products x_tau * rel_i under the
-cone's unimodular relation matrix less the |tau| that rewrite to zero,
-so the lattice and the pivots are those of the products.  Unit-pivot elimination certifies that this quotient is
-free on the planned basis, of rank h_d; it surjects onto H^{2d}, which is
+size), so the rewrite terminates.  The solve needs the inverse of the
+relation matrix on sigma's rays; the ring is given these inverses at
+construction, as it is given its basis plan, and inverts nothing itself:
+a fan ring reads the dual rows of the fan's ``cone_duals`` table (the
+one Bareiss pass per cone that validation and the basis plan read too),
+a bundle ring those of its fiber fan, and a pair ring its
+``weight_table``.  The rewrite checks that the rows pair to the identity
+with the relations on sigma's rays, keeps the rows as given, and is
+solved once per cone and ring and kept in ``_rewrites``.  The degree-d
+relation rows are the dual rows x_tau * (x_rho - rewrite of x_rho), for
+each squarefree degree-(d-1) face monomial x_tau and each rho outside
+tau of the cone solved for it: n - |tau| rows, the products x_tau *
+rel_i under the cone's unimodular relation matrix less the |tau| that
+rewrite to zero, so the lattice and the pivots are those of the
+products.  Unit-pivot elimination certifies that this quotient is free
+on the planned basis, of rank h_d; it surjects onto H^{2d}, which is
 free of the same rank, so the two are isomorphic and bases and
 coefficients are the ones elimination over all face monomials gives.  A
 face ring has no relations, squarefree monomials do not span it, and it
@@ -57,11 +65,11 @@ from typing import NamedTuple
 from .fan import (
     GENERIC_DIRECTION_BUDGET,
     Fan,
-    moment_curve,
-    oriented_dual,
+    cone_duals,
+    generic_coordinates,
     require_smooth_complete,
 )
-from .lattice import IntVector, NotUnimodularError, invert_unimodular
+from .lattice import IntVector
 
 Monomial = tuple[int, ...]
 Poly = dict[Monomial, int]
@@ -257,53 +265,46 @@ def graded_eliminate(rows, allowed, columns):
     return pivots
 
 
-def fixed_point_basis_plan(ray_count, dim, max_cones, vectors, h_expected):
+def fixed_point_basis_plan(f: Fan, h_expected):
     """Squarefree basis monomials from a generic-direction sweep of the fan.
 
     For each maximal cone take the rays whose coordinate of a generic
     integer direction (in the cone's ray basis) is negative; the resulting
     sets are the restriction sets of a shelling, so the squarefree
     monomials they span are the classical per-degree basis of the
-    quotient ring.  Each cone's dual rows are computed once, and the sign
-    of a coordinate is the sign of the direction against its dual row,
-    the sign Cramer's rule gives.  The direction is the first moment-curve
-    point (1, t, t^2, ...) giving no zero coordinates, no repeated ray
-    sets, and degree counts matching the expected h-vector, so the choice
-    is deterministic.  The plan depends only on the fan geometry;
+    quotient ring.  The sign of a coordinate is the sign of the direction
+    against the cone's dual row in ``cone_duals``, the sign Cramer's rule
+    gives.  The direction is the first moment-curve point (1, t, t^2,
+    ...) giving no zero coordinates, no repeated ray sets, and degree
+    counts matching the expected h-vector, so the choice is
+    deterministic.  The plan depends only on the fan geometry;
     elimination later certifies it against whatever linear relations the
     ring carries.
     """
-    if dim == 0:
-        return {0: {(0,) * ray_count}}
-    cones = []
-    for cone in max_cones:
-        cone_sorted = sorted(cone)
-        _, dual = oriented_dual(tuple(vectors[i] for i in cone_sorted))
+    if f.dim == 0:
+        return {0: {(0,) * f.ray_count}}
+    cones = [sorted(cone) for cone in f.max_cones]
+    duals = cone_duals(f).rows
+    for cone_sorted, dual in zip(cones, duals):
         if dual is None:
             raise RingConsistencyError(
                 f"cone {cone_sorted} has linearly dependent rays"
             )
-        cones.append((cone_sorted, dual))
-    for direction in moment_curve(dim):
-        sets = []
-        for cone_sorted, dual in cones:
-            coords = [sum(map(mul, row, direction)) for row in dual]
-            if 0 in coords:
-                break
-            sets.append(frozenset(
-                rho for rho, coord in zip(cone_sorted, coords) if coord < 0
-            ))
-        else:
-            counts = [0] * (dim + 1)
+    for coordinates in generic_coordinates(duals, f.dim):
+        sets = [
+            frozenset(rho for rho, c in zip(cone_sorted, coords) if c < 0)
+            for cone_sorted, coords in zip(cones, coordinates)
+        ]
+        counts = [0] * (f.dim + 1)
+        for tau in sets:
+            counts[len(tau)] += 1
+        if len(set(sets)) == len(sets) and counts == list(h_expected):
+            plan: dict[int, set] = {}
             for tau in sets:
-                counts[len(tau)] += 1
-            if len(set(sets)) == len(sets) and counts == list(h_expected):
-                plan: dict[int, set] = {}
-                for tau in sets:
-                    plan.setdefault(len(tau), set()).add(
-                        tuple(1 if i in tau else 0 for i in range(ray_count))
-                    )
-                return plan
+                plan.setdefault(len(tau), set()).add(
+                    tuple(1 if i in tau else 0 for i in range(f.ray_count))
+                )
+            return plan
     raise RingConsistencyError(
         "no generic direction yields a fixed-point basis plan among the "
         f"first {GENERIC_DIRECTION_BUDGET} moment-curve points (1, t, t^2, ...)"
@@ -614,7 +615,11 @@ class GradedQuotientRing(GradedRing):
     immutable after construction, apart from caches filled on first use,
     and safe to share between threads.  ``faces`` is the face set of
     ``max_cones`` where the caller has it already, and ``kind`` names the
-    ring (fan, pair, bundle or face ring) in elimination errors.
+    ring (fan, pair, bundle or face ring) in elimination errors.  A ring
+    with relations gets, beside its basis plan, ``inverses``: per maximal
+    cone, in ``max_cones`` order, the inverse of its relation matrix on
+    the cone's sorted rays (the fan's ``cone_duals`` rows, or a pair's
+    weight table), which the cone rewrites check and read.
 
     Its hooks: the plain degree, the cone rewrite as normal form and the
     point class's sign.  The bundle ring subclasses it, and its twisting
@@ -622,15 +627,21 @@ class GradedQuotientRing(GradedRing):
     """
 
     def __init__(self, ray_count, dim, relations, max_cones, degree_cap,
-                 basis_plan=None, faces=None, kind="fan ring"):
+                 basis_plan=None, faces=None, kind="fan ring", inverses=None):
         self.ray_count = self._nvars = ray_count
         self.dim = dim
         self.relations = tuple(tuple(r) for r in relations)
         self.max_cones = tuple(frozenset(c) for c in max_cones)
         self.degree_cap = self.monomial_cap = degree_cap
         self.basis_plan = basis_plan
+        self.inverses = inverses
         if self.relations and basis_plan is None:
             raise ValueError("a ring with linear relations needs a basis plan")
+        if self.relations and inverses is None:
+            raise ValueError(
+                "a ring with linear relations needs their inverse on every "
+                "maximal cone"
+            )
         self.faces = _faces(self.max_cones) if faces is None else faces
         self.kind = kind
         self._degrees = []
@@ -683,19 +694,34 @@ class GradedQuotientRing(GradedRing):
         Returns {rho in the cone: (row, inverse_row, constant)}: x_rho is
         the sum of row[rho'] * x_rho' over the rays rho' (row is dense and
         zero on the cone), plus the constant, which ``_rewrite_constant``
-        makes from rho's row of the inverse relation matrix.  Each cone's
-        rewrite is solved once and kept by the ring.
+        makes from rho's row of the inverse relation matrix.  The inverse
+        rows are the ring's ``inverses`` of the cone, kept as given; they
+        must pair to the identity with the relations on the cone's rays.
+        Each cone's rewrite is solved once and kept by the ring.
         """
         cone = next(c for c in self.max_cones if support <= c)
         rewrite = self._rewrites.get(cone)
         if rewrite is None:
             rays = sorted(cone)
+            inverse = self.inverses[self.max_cones.index(cone)]
+            if len(self.relations) != len(rays) or len(inverse) != len(rays):
+                raise RingConsistencyError(
+                    f"{len(self.relations)} linear relations cannot be solved "
+                    f"on the {len(rays)} rays of cone {rays}"
+                )
             columns = tuple(zip(*self.relations))
             rewrite = {}
-            for inverse_row, rho in zip(self._invert_on(rays), rays):
+            for inverse_row, rho in zip(inverse, rays):
+                pairing = [sum(map(mul, inverse_row, column))
+                           for column in columns]
+                if any(pairing[other] != (other == rho) for other in rays):
+                    raise RingConsistencyError(
+                        f"the inverse rows given for cone {rays} do not "
+                        "invert its linear relations"
+                    )
                 row = tuple(
-                    0 if other in cone else -sum(map(mul, inverse_row, column))
-                    for other, column in enumerate(columns)
+                    0 if other in cone else -value
+                    for other, value in enumerate(pairing)
                 )
                 rewrite[rho] = (
                     row, inverse_row, self._rewrite_constant(inverse_row)
@@ -706,22 +732,6 @@ class GradedQuotientRing(GradedRing):
     def _rewrite_constant(self, inverse_row):
         """The constant of a cone rewrite: None, the relations have none."""
         return None
-
-    def _invert_on(self, rays: list[int]):
-        """Inverse of the relation matrix restricted to a cone's rays."""
-        if len(self.relations) != len(rays):
-            raise RingConsistencyError(
-                f"{len(self.relations)} linear relations cannot be solved "
-                f"on the {len(rays)} rays of cone {rays}"
-            )
-        try:
-            return invert_unimodular(
-                tuple(tuple(rel[rho] for rho in rays) for rel in self.relations)
-            )
-        except NotUnimodularError as exc:
-            raise RingConsistencyError(
-                f"linear relations are not unimodular on cone {rays}: {exc}"
-            ) from exc
 
     def _add_normal_form(self, terms: dict, mono: Monomial, coeff,
                          support: frozenset | None = None) -> None:
@@ -801,14 +811,18 @@ class GradedQuotientRing(GradedRing):
 def build_ring(f: Fan) -> GradedQuotientRing:
     """Integral cohomology ring of a smooth complete fan; other fans are rejected."""
     require_smooth_complete(f, "build_ring")
-    return _certified_ring(f, linear_relations(f), "fan ring")
+    return _certified_ring(f, linear_relations(f), "fan ring",
+                           cone_duals(f).rows)
 
 
-def _certified_ring(f: Fan, relations, kind: str) -> GradedQuotientRing:
+def _certified_ring(f: Fan, relations, kind: str,
+                    inverses) -> GradedQuotientRing:
     """The quotient of the face ring of f by the given linear relations.
 
-    The basis plan is the fan's fixed-point sweep, and one face set feeds
-    both the h-vector it must match and the ring.  The rank invariants
+    ``inverses`` are the relations' inverses on the maximal cones (see
+    GradedQuotientRing).  The basis plan is the fan's fixed-point sweep,
+    and one face set feeds both the h-vector it must match and the ring.
+    The rank invariants
     (Betti equals h-vector, Betti sum equals the number of maximal cones,
     degree-2 rank equals rays minus dimension, Poincare symmetry) are
     checked at build time and violations raise RingConsistencyError.
@@ -821,11 +835,10 @@ def _certified_ring(f: Fan, relations, kind: str) -> GradedQuotientRing:
         relations=relations,
         max_cones=f.max_cones,
         degree_cap=f.dim,
-        basis_plan=fixed_point_basis_plan(
-            f.ray_count, f.dim, f.max_cones, f.rays, hv
-        ),
+        basis_plan=fixed_point_basis_plan(f, hv),
         faces=faces,
         kind=kind,
+        inverses=inverses,
     )
     ranks = ring.betti()
     if ranks != hv:

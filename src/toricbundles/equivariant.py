@@ -10,9 +10,8 @@ The weight convention: u_i is dual to the charmap values of the cone,
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from types import MappingProxyType
 
 from .cohomology import (
@@ -22,14 +21,8 @@ from .cohomology import (
     build_ring,
 )
 from .formats import join_terms, monomial_to_text
-from .lattice import (
-    IntVector,
-    NotUnimodularError,
-    determinant,
-    invert_unimodular,
-    transpose,
-)
-from .twist import CharacteristicPair, not_a_basis, validate_pair
+from .lattice import IntVector
+from .twist import CharacteristicPair, weight_table
 
 DEGREE_BOUND_LIMIT = 4
 """A face ring's degree bound is at most this many times the complex
@@ -217,27 +210,6 @@ class WeightPolynomial:
         return join_terms(terms)
 
 
-@lru_cache(maxsize=1)
-def weight_table(p: CharacteristicPair) -> Mapping:
-    """Dual-basis weights of every maximal cone, {cone: (u_1, ..., u_n)}.
-
-    u_i is dual to the charmap values of the cone, in sorted ray order.
-    Building it is the pair's validation: each cone's charmap matrix is
-    inverted by ``invert_unimodular``, and the first cone that is not a
-    lattice basis raises ``validate_pair``'s error.  The last pair's
-    table is kept, so the face ring, the Masuda check and the
-    restrictions of one request invert each matrix once.
-    """
-    table = {}
-    for cone in p.complex.max_cones:
-        m = p.charmap_matrix(cone)
-        try:
-            table[cone] = transpose(invert_unimodular(m))
-        except NotUnimodularError:
-            raise not_a_basis(cone, determinant(m)) from None
-    return MappingProxyType(table)
-
-
 def face_ring(p: CharacteristicPair, degree_bound=None) -> GradedQuotientRing:
     """Stanley-Reisner quotient with no linear relations, truncated.
 
@@ -412,9 +384,10 @@ def ordinary_ring(p: CharacteristicPair) -> GradedQuotientRing:
 
     Cached, and a tautological toric pair gets the (shared) build_ring of
     its fan, so classes computed both ways are directly comparable; any
-    other pair gets the same certified construction and rank checks.
+    other pair gets the same certified construction and rank checks, with
+    its weight table as the relations' inverses on the cones.
     """
-    validate_pair(p)
+    table = weight_table(p)
     f = p.complex
     if p.charmap == f.rays:
         return build_ring(f)
@@ -422,7 +395,8 @@ def ordinary_ring(p: CharacteristicPair) -> GradedQuotientRing:
         tuple(p.charmap[rho][i] for rho in range(f.ray_count))
         for i in range(f.dim)
     ]
-    return _certified_ring(f, relations, "pair ring")
+    return _certified_ring(f, relations, "pair ring",
+                           [table[cone] for cone in f.max_cones])
 
 
 def forget(p: CharacteristicPair, cls: CohomologyClass,

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import gcd
 from operator import mul
+from typing import NamedTuple
 
 from .lattice import IntVector, det_adjugate, is_primitive, vector
 
@@ -31,18 +32,22 @@ def moment_curve(dim: int):
         yield tuple(t ** k for k in range(dim))
 
 
-def oriented_dual(rows) -> tuple[int, tuple[IntVector, ...] | None]:
-    """Determinant of a cone's ray matrix and its dual rows, signed by it.
+def generic_coordinates(duals, dim: int):
+    """Yield, for each moment-curve point off every cone's walls, in order
+    of t, the pairings <dual row, point> of each cone, one list per cone.
 
-    Dual row i pairs to |det| with ray i and to 0 with the other rays, so
-    the sign of <dual_i, v> is the sign of v's i-th coordinate in the ray
-    basis.  A degenerate cone returns (0, None).
+    A point lies on a wall of a cone exactly when it pairs to 0 with one
+    of the cone's dual rows.  The search ends after the budget's points.
     """
-    d, adj = det_adjugate(rows)
-    if not d:
-        return 0, None
-    s = 1 if d > 0 else -1
-    return d, tuple(tuple(s * x for x in column) for column in zip(*adj))
+    for point in moment_curve(dim):
+        coordinates = []
+        for dual in duals:
+            coords = [sum(map(mul, row, point)) for row in dual]
+            if 0 in coords:
+                break
+            coordinates.append(coords)
+        else:
+            yield coordinates
 
 
 @dataclass(frozen=True)
@@ -193,14 +198,57 @@ def _meet_in_face(f: Fan, sigma: frozenset, tau: frozenset) -> bool:
     return _fm_feasible(rows, f.dim)
 
 
+class ConeDuals(NamedTuple):
+    """Every maximal cone's determinant and dual rows, in ``max_cones``
+    order; a degenerate cone has determinant 0 and rows None."""
+
+    determinants: tuple[int, ...]
+    rows: tuple[tuple[IntVector, ...] | None, ...]
+
+
+@cache
+def cone_duals(f: Fan) -> ConeDuals:
+    """Each maximal cone's determinant and dual rows, once per fan.
+
+    One Bareiss pass per cone (``det_adjugate`` of its ray matrix):
+    validation, the basis plan, the fan ring's cone rewrites and
+    fixed-point localization all read this table.  Dual row i is the
+    adjugate's column i signed by the determinant, so it pairs to |det|
+    with ray i and to 0 with the cone's other rays, and the sign of
+    <dual_i, v> is the sign of v's i-th coordinate in the ray basis.  For
+    a unimodular cone the dual rows are the inverse of the matrix whose
+    columns are the cone's rays, the fan's linear relations restricted to
+    the cone.
+    """
+    determinants, rows = [], []
+    for cone in f.max_cones:
+        d, adj = det_adjugate(f.cone_matrix(cone))
+        determinants.append(d)
+        rows.append(None if adj is None else tuple(
+            tuple(x if d > 0 else -x for x in column) for column in zip(*adj)
+        ))
+    return ConeDuals(tuple(determinants), tuple(rows))
+
+
+@cache
+def first_generic_coordinates(f: Fan) -> list[list[int]] | None:
+    """``generic_coordinates`` of the fan's cones at the first point off
+    every wall, once per fan, or None when the budget runs out.
+
+    Read by the completeness certificate and by fixed-point localization.
+    Every maximal cone must have its dual rows (none degenerate).
+    """
+    return next(generic_coordinates(cone_duals(f).rows, f.dim), None)
+
+
 @cache
 def validate(f: Fan) -> ValidationReport:
     """Compute the smooth/complete/well-formed flags with diagnostics.
 
     Problems are reported, never raised.  One dual basis per maximal cone
-    gives its determinant (smoothness, degeneracy) and, when the rays are
-    primitive and distinct and no cone is degenerate, a certificate that
-    the fan is complete and its cones meet in faces:
+    (``cone_duals``) gives its determinant (smoothness, degeneracy) and,
+    when the rays are primitive and distinct and no cone is degenerate, a
+    certificate that the fan is complete and its cones meet in faces:
 
     (a) every wall (a cone minus one ray) lies in exactly two maximal
         cones, whose remaining rays lie strictly on opposite sides of it;
@@ -248,10 +296,8 @@ def validate(f: Fan) -> ValidationReport:
 
     smooth = True
     degenerate = False
-    duals = []
-    for k, cone in enumerate(f.max_cones):
-        d, dual = oriented_dual(f.cone_matrix(cone))
-        duals.append(dual)
+    duals = cone_duals(f)
+    for cone, d in zip(f.max_cones, duals.determinants):
         if d == 0:
             diagnostics.append(f"cone {sorted(cone)} is degenerate (determinant 0)")
             degenerate = True
@@ -265,7 +311,7 @@ def validate(f: Fan) -> ValidationReport:
         well_formed = False
         smooth = False
 
-    if well_formed and _certified_complete(f, duals):
+    if well_formed and _certified_complete(f):
         complete = True
     else:
         well_formed, complete = _pairwise_checks(f, well_formed, diagnostics)
@@ -285,8 +331,9 @@ def validate(f: Fan) -> ValidationReport:
     )
 
 
-def _certified_complete(f: Fan, duals) -> bool:
+def _certified_complete(f: Fan) -> bool:
     """Conditions (a) and (b) of :func:`validate`, from the cones' dual rows."""
+    duals = cone_duals(f).rows
     sides: dict[frozenset, list] = {}
     for k, cone in enumerate(f.max_cones):
         for pos, apex in enumerate(sorted(cone)):
@@ -297,16 +344,10 @@ def _certified_complete(f: Fan, duals) -> bool:
         (k, pos, _), (_, _, other) = pair
         if sum(map(mul, duals[k][pos], f.rays[other])) >= 0:
             return False
-    for point in moment_curve(f.dim):
-        covering = 0
-        for dual in duals:
-            coords = [sum(map(mul, row, point)) for row in dual]
-            if 0 in coords:
-                break
-            covering += min(coords, default=1) > 0
-        else:
-            return covering == 1
-    return False
+    coordinates = first_generic_coordinates(f)
+    return coordinates is not None and sum(
+        min(coords, default=1) > 0 for coords in coordinates
+    ) == 1
 
 
 def _pairwise_checks(f: Fan, well_formed: bool, diagnostics: list):

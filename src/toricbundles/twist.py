@@ -10,11 +10,21 @@ downstream indices are deterministic.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 from .cohomology import RingConsistencyError
 from .fan import Fan, require_smooth_complete, validate
-from .lattice import IntVector, determinant, vector
+from .lattice import (
+    IntVector,
+    NotUnimodularError,
+    determinant,
+    invert_unimodular,
+    transpose,
+    vector,
+)
 
 
 @dataclass(frozen=True)
@@ -140,20 +150,38 @@ class CharacteristicPair:
         return tuple(self.charmap[i] for i in sorted(cone))
 
 
-def validate_pair(p: CharacteristicPair) -> None:
-    """Raise ValueError naming the first maximal face violating nonsingularity."""
+@lru_cache(maxsize=1)
+def weight_table(p: CharacteristicPair) -> Mapping:
+    """Dual-basis weights of every maximal cone, {cone: (u_1, ..., u_n)}.
+
+    u_i is dual to the charmap values of the cone, in sorted ray order:
+    the rows are the inverse of the matrix whose columns are those
+    values, the pair's linear relations restricted to the cone.  Building
+    it is the pair's validation: each cone's charmap matrix is inverted
+    once, and the first cone that is not a lattice basis raises a
+    ValueError naming it and its determinant.  The last pair's table is
+    kept, so parsing, the face ring, the Masuda check and the
+    restrictions of one request invert each matrix once.
+    """
+    table = {}
     for cone in p.complex.max_cones:
-        d = determinant(p.charmap_matrix(cone))
-        if d not in (1, -1):
-            raise not_a_basis(cone, d)
+        m = p.charmap_matrix(cone)
+        try:
+            table[cone] = transpose(invert_unimodular(m))
+        except NotUnimodularError:
+            raise ValueError(
+                f"charmap values on maximal face {sorted(cone)} have "
+                f"determinant {determinant(m)}, not a lattice basis"
+            ) from None
+    return MappingProxyType(table)
 
 
-def not_a_basis(cone, d: int) -> ValueError:
-    """The error of a maximal face whose charmap values have determinant d."""
-    return ValueError(
-        f"charmap values on maximal face {sorted(cone)} have "
-        f"determinant {d}, not a lattice basis"
-    )
+def validate_pair(p: CharacteristicPair) -> None:
+    """Raise ValueError naming the first maximal face violating nonsingularity.
+
+    The check is building the pair's ``weight_table``.
+    """
+    weight_table(p)
 
 
 def tautological_pair(f: Fan) -> CharacteristicPair:

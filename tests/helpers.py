@@ -44,6 +44,8 @@ relation, and carry the matching lambda cofactors in the bundle ring, as
 the library did before it took each cone's dual rows.  ``bundle_cases``,
 ``random_base_class`` and ``random_fiber_poly`` are the bundle rings and
 seeded coefficients both bundle-ring references run on.
+``dim5_twists`` are the seeded twisted fans both Chern-number reference
+tests run on.
 ``left_to_right_chern_numbers`` is the reference for ``chern_numbers``:
 it multiplies the Chern classes of each partition left to right and
 integrates the top component, as the library did before it split each
@@ -51,6 +53,7 @@ partition in two and paired the halves.
 """
 
 import itertools
+import random
 from itertools import combinations, permutations
 from operator import add
 
@@ -59,9 +62,11 @@ from toricbundles import (
     TwistingClasses,
     build_ring,
     make_fan,
+    make_plmap,
     presentation_from_fan,
     principal_classes,
     product_fan,
+    twisted_fan,
     twisting_from_principal,
 )
 from toricbundles.bundlering import BundleClass, BundleRing
@@ -122,6 +127,28 @@ def dp6():
         [[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]],
         [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]],
     )
+
+
+def dim5_twists(count, seed):
+    """Seeded twisted fans of dimension 5 over P2..P4, P1xP1 and P2xP1."""
+    shapes = [
+        (projective_space(2), projective_space(3)),
+        (projective_space(3), projective_space(2)),
+        (projective_space(3), p1_power(2)),
+        (projective_space(4), projective_space(1)),
+        (p1_power(2), projective_space(3)),
+        (product_fan(projective_space(2), projective_space(1)),
+         projective_space(2)),
+        (product_fan(projective_space(2), projective_space(1)), p1_power(2)),
+    ]
+    rng = random.Random(f"chern numbers/dim-5 twists/{seed}")
+    for k in range(count):
+        base, fiber = shapes[k % len(shapes)]
+        phi = make_plmap(fiber.dim, [
+            [rng.randint(-2, 2) for _ in range(fiber.dim)]
+            for _ in range(base.ray_count)
+        ])
+        yield twisted_fan(base, fiber, phi).twisted
 
 
 def star_surface(ray_count, rng):
@@ -927,7 +954,8 @@ class RewrittenProductRing(_RewrittenProductRows, GradedQuotientRing):
     @classmethod
     def of(cls, ring):
         return cls(ring.ray_count, ring.dim, ring.relations, ring.max_cones,
-                   ring.degree_cap, ring.basis_plan, ring.faces, ring.kind)
+                   ring.degree_cap, ring.basis_plan, ring.faces, ring.kind,
+                   ring.inverses)
 
     def _row_payload(self, tau_pos, tau, i, rewrite):
         """What row (tau, relation i) carries besides its columns: nothing."""

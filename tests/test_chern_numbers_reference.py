@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    dim5_twists,
     left_to_right_chern_numbers,
     p1_power,
     p1_presentation,
@@ -35,12 +36,10 @@ from toricbundles import (
     build_bundle_ring,
     build_ring,
     chern_numbers,
-    make_plmap,
     presentation_from_fan,
     product_fan,
     total_chern_general,
     total_chern_intrinsic,
-    twisted_fan,
 )
 from toricbundles.bundlering import BundleRing
 from toricbundles.chern import partitions
@@ -80,28 +79,6 @@ def _fan_cases():
     return cases
 
 
-def _dim5_twists(count, seed):
-    """Seeded twisted fans of dimension 5 over P2..P4, P1xP1 and P2xP1."""
-    shapes = [
-        (projective_space(2), projective_space(3)),
-        (projective_space(3), projective_space(2)),
-        (projective_space(3), p1_power(2)),
-        (projective_space(4), projective_space(1)),
-        (p1_power(2), projective_space(3)),
-        (product_fan(projective_space(2), projective_space(1)),
-         projective_space(2)),
-        (product_fan(projective_space(2), projective_space(1)), p1_power(2)),
-    ]
-    rng = random.Random(f"chern numbers/dim-5 twists/{seed}")
-    for k in range(count):
-        base, fiber = shapes[k % len(shapes)]
-        phi = make_plmap(fiber.dim, [
-            [rng.randint(-2, 2) for _ in range(fiber.dim)]
-            for _ in range(base.ray_count)
-        ])
-        yield twisted_fan(base, fiber, phi).twisted
-
-
 def _check_fan(fan):
     ring = build_ring(fan)
     total = total_chern_intrinsic(ring)
@@ -115,7 +92,7 @@ def test_fan_rings_match_the_left_to_right_walk(name, fan):
 
 
 def test_dim5_twists_match_the_left_to_right_walk():
-    for fan in _dim5_twists(40, 11):
+    for fan in dim5_twists(40, 11):
         assert fan.dim == 5
         _check_fan(fan)
 

@@ -350,31 +350,33 @@ def test_cmd_equivariant_builds_the_face_ring_once(tmp_path, capsys,
 
 def test_cmd_equivariant_validates_the_pair_once(tmp_path, capsys,
                                                 monkeypatch):
-    # parsing checks the pair; past it, the face ring and the Masuda check
-    # read one weight table: one inversion per maximal cone, and no
-    # second validate_pair (there were two before the table)
+    # the weight table is the pair's only validation: parsing builds it,
+    # and the face ring and the Masuda check read the same table, so a
+    # request inverts each maximal cone's charmap matrix once, parse
+    # included, and takes no separate determinant (parsing took one per
+    # cone, and the table inverted the matrices again, before)
     pair = parse_pair(pair_to_text(twisted_pair(
         tautological_pair(p2()), tautological_pair(p1()),
         make_plmap(1, [[1], [-2], [0]]),
     )))
     pair_path = write(tmp_path, "twist.pair", pair_to_text(pair))
-    inversions, validations = [], []
-    invert = equivariant.invert_unimodular
+    inversions, determinants = [], []
+    invert, determinant = twist.invert_unimodular, twist.determinant
 
     def counting_invert(m):
         inversions.append(m)
         return invert(m)
 
-    def counting_validate(p):
-        validations.append(p)
-        return twist.validate_pair(p)
+    def counting_determinant(m):
+        determinants.append(m)
+        return determinant(m)
 
-    monkeypatch.setattr(equivariant, "invert_unimodular", counting_invert)
-    monkeypatch.setattr(equivariant, "validate_pair", counting_validate)
-    equivariant.weight_table.cache_clear()
+    monkeypatch.setattr(twist, "invert_unimodular", counting_invert)
+    monkeypatch.setattr(twist, "determinant", counting_determinant)
+    twist.weight_table.cache_clear()
     assert main(["--format", "machine", "equivariant", str(pair_path)]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
-    assert validations == []
+    assert determinants == []
     assert sorted(inversions) == sorted(
         pair.charmap_matrix(cone) for cone in pair.complex.max_cones
     )

@@ -24,6 +24,7 @@ from toricbundles import (
     product_fan,
 )
 from toricbundles.corpus import corpus_fans
+from toricbundles.fan import cone_duals
 from toricbundles.twist import make_plmap, twisted_fan
 
 
@@ -248,8 +249,8 @@ def test_torsion_relations_fail_certification():
         GradedQuotientRing(
             ray_count=3, dim=2, relations=doubled,
             max_cones=f.max_cones, degree_cap=2,
-            basis_plan=fixed_point_basis_plan(3, 2, f.max_cones, f.rays,
-                                              [1, 1, 1]),
+            basis_plan=fixed_point_basis_plan(f, [1, 1, 1]),
+            inverses=cone_duals(f).rows,
         )
 
 
@@ -273,7 +274,7 @@ def test_a_sweep_without_a_generic_direction_names_its_budget():
     f = p2()
     with pytest.raises(RingConsistencyError,
                        match=f"first {GENERIC_DIRECTION_BUDGET} moment-curve"):
-        fixed_point_basis_plan(3, 2, f.max_cones, f.rays, [1, 2, 0])
+        fixed_point_basis_plan(f, [1, 2, 0])
 
 
 def test_a_certified_ring_builds_its_face_set_once(monkeypatch):

@@ -7,7 +7,11 @@ normal forms of x_tau * rel_i instead.  The two row sets span the same
 lattice, and every pivot is e_c minus basis columns, so the column
 monomials, bases, pivot columns and pivot vectors must be identical; in
 the bundle ring the rows' lambda payloads may differ, normal forms may
-not.  Degree d builds exactly sum over tau of (n - |tau|) rows.
+not.  Degree d builds exactly sum over tau of (n - |tau|) rows.  Each
+cone's rewrite reads the inverse of the relation matrix on its rays from
+one table (the fan's dual rows for fan rings, the fiber fan's for bundle
+rings, the weight table for pair rings), which must equal
+``invert_unimodular`` of that matrix.
 """
 
 import random
@@ -39,6 +43,8 @@ from toricbundles import cohomology
 from toricbundles.cohomology import linear_relations
 from toricbundles.corpus import corpus_fans, corpus_pairs, random_unimodular
 from toricbundles.equivariant import ordinary_ring
+from toricbundles.fan import cone_duals
+from toricbundles.lattice import invert_unimodular
 
 
 def _seeded_twists(count=40, seed=12):
@@ -180,8 +186,9 @@ def _expected_counts(ring, n):
     ("P5", projective_space(5)),
 ] + [(name, f) for name, f in corpus_fans()])
 def test_degree_d_builds_n_minus_tau_rows_per_face(name, fan, monkeypatch):
+    inverses = cone_duals(fan).rows
     ring, counts = _row_counts(monkeypatch, lambda: cohomology._certified_ring(
-        fan, linear_relations(fan), "fan ring"))
+        fan, linear_relations(fan), "fan ring", inverses))
     assert counts == _expected_counts(ring, fan.dim)
 
 
@@ -192,3 +199,44 @@ def test_bundle_degree_d_builds_n_minus_tau_rows_per_face(monkeypatch):
             monkeypatch, lambda: build_bundle_ring(base, lam, fiber)
         )
         assert counts == _expected_counts(ring, fiber.dim), name
+
+
+def _assert_inverse_rows(ring):
+    """Each cone's rewrite reads the inverse of the relations on its rays."""
+    for cone in ring.max_cones:
+        ring._cone_rewrite(cone)
+    assert set(ring._rewrites) == set(ring.max_cones)
+    for cone, rewrite in ring._rewrites.items():
+        rays = sorted(cone)
+        relation_matrix = tuple(
+            tuple(rel[rho] for rho in rays) for rel in ring.relations
+        )
+        assert tuple(rewrite[rho][1] for rho in rays) == (
+            invert_unimodular(relation_matrix)
+        )
+
+
+@pytest.mark.parametrize("name,make_ring", FAN_CASES,
+                         ids=[name for name, _ in FAN_CASES])
+def test_cone_rewrites_read_the_inverse_of_the_relations(name, make_ring):
+    _assert_inverse_rows(make_ring())
+
+
+def test_bundle_cone_rewrites_read_the_inverse_of_the_relations():
+    for name, base, lam, fiber in BUNDLE_CASES:
+        _assert_inverse_rows(build_bundle_ring(base, lam, fiber))
+
+
+def test_rings_share_the_dual_rows_of_one_table():
+    # a fan ring's inverse rows are the fan's cone_duals rows, a bundle
+    # ring's are its fiber ring's, and the rewrites keep those same tuples
+    _, base, lam, fiber = BUNDLE_CASES[-1]
+    ring = build_ring(fiber)
+    rows = cone_duals(fiber).rows
+    assert ring.inverses is rows
+    bundle = build_bundle_ring(base, lam, fiber)
+    assert bundle.inverses is rows
+    for cone, dual in zip(fiber.max_cones, rows):
+        rewrite = bundle._cone_rewrite(cone)
+        assert all(rewrite[rho][1] is row
+                   for rho, row in zip(sorted(cone), dual))

@@ -40,6 +40,7 @@ from toricbundles.cohomology import (
 )
 from toricbundles.corpus import corpus_fans
 from toricbundles.equivariant import ordinary_ring
+from toricbundles.fan import cone_duals
 from toricbundles.formats import parse_base_presentation
 
 BASES = os.path.join(os.path.dirname(__file__), "..", "perfbench", "bases")
@@ -108,9 +109,7 @@ def test_a_planned_basis_missing_a_column_names_it():
     # on P1 x P1 the degree-1 relations are x0 = x1 and x2 = x3, so the
     # planned basis {x0, x1} leaves x3 with no row to pivot on
     fan = square_fan()
-    plan = fixed_point_basis_plan(
-        fan.ray_count, fan.dim, fan.max_cones, fan.rays, h_vector(fan)
-    )
+    plan = fixed_point_basis_plan(fan, h_vector(fan))
     plan[1] = {(1, 0, 0, 0), (0, 1, 0, 0)}
     with pytest.raises(RingConsistencyError,
                        match=r"degree 1: .*\(0, 0, 0, 1\)"):
@@ -118,6 +117,7 @@ def test_a_planned_basis_missing_a_column_names_it():
             ray_count=fan.ray_count, dim=fan.dim,
             relations=linear_relations(fan), max_cones=fan.max_cones,
             degree_cap=fan.dim, basis_plan=plan,
+            inverses=cone_duals(fan).rows,
         )
 
 

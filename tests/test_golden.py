@@ -9,12 +9,13 @@ report regenerates the files with ``PYTHONPATH=src python
 tests/test_golden.py`` and shows the new bytes in its diff.
 """
 
+import random
 import tempfile
 from pathlib import Path
 
 import pytest
 
-from helpers import P2_PRESENTATION, projective_space
+from helpers import P2_PRESENTATION, p1_power, projective_space, star_surface
 from toricbundles import corpus
 from toricbundles.cli import main
 from toricbundles.fan import product_fan
@@ -38,15 +39,26 @@ BUNDLES = {
 }
 
 
+# Fans the chern golden cases read, beside the corpus's dP6.
+CHERN_FANS = {
+    "chern-dP6": corpus.del_pezzo_6,
+    # 30 rays: 30 fixed points, c1^2 = 12 - 30 and c2 = 30
+    "chern-star-30": lambda: star_surface(30, random.Random("30-ray star")),
+    "chern-p1-power-4": lambda: p1_power(4),
+}
+
+
 def _instance(name):
     return next(i for i in corpus.corpus_instances() if i.name == name)
 
 
 def _inputs(case):
     """{file name: text} and the command arguments naming those files."""
-    if case in ("chern-dP6", "cohomology-dP6"):
-        command = case.split("-")[0]
-        return {"dp6.fan": fan_to_text(corpus.del_pezzo_6())}, [command, "dp6.fan"]
+    if case in CHERN_FANS:
+        return {"x.fan": fan_to_text(CHERN_FANS[case]())}, ["chern", "x.fan"]
+    if case == "cohomology-dP6":
+        return {"dp6.fan": fan_to_text(corpus.del_pezzo_6())}, [
+            "cohomology", "dp6.fan"]
     if case == "compare-p2-p1-mixed-twist":
         inst = _instance("p2/p1 mixed twist")
         files = {
@@ -104,7 +116,7 @@ def _inputs(case):
 CASES = [
     (case, fmt)
     for case in (
-        "chern-dP6",
+        *CHERN_FANS,
         "cohomology-dP6",
         "compare-p2-p1-mixed-twist",
         "compare-p1xp1-over-p2xp1",
