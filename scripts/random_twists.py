@@ -17,11 +17,16 @@ import random
 import sys
 
 from toricbundles import (
+    CharacteristicPair,
+    RingConsistencyError,
     build_bundle_ring,
     build_ring,
     chern_numbers,
     chern_numbers_localized,
     compare,
+    equivariant_total_chern,
+    forget,
+    masuda_check,
     presentation_from_fan,
     total_chern_general,
     total_chern_intrinsic,
@@ -35,11 +40,35 @@ from toricbundles.corpus import (
     transform_instance,
     TwistInstance,
 )
-from toricbundles.twist import make_plmap, principal_classes, twisted_fan
+from toricbundles.equivariant import ordinary_ring
+from toricbundles.lattice import mat_vec
+from toricbundles.twist import (
+    make_plmap,
+    principal_classes,
+    tautological_pair,
+    twisted_fan,
+    twisted_pair,
+)
+
+
+def moved_pair_holds(pair: CharacteristicPair, u) -> bool:
+    """The pair with its charmap moved by u passes the Masuda check, and
+    its ordinary ring certifies and takes the equivariant class to its
+    intrinsic one."""
+    charmap = tuple(mat_vec(u, v) for v in pair.charmap)
+    moved = CharacteristicPair(complex=pair.complex, charmap=charmap)
+    try:
+        ring = ordinary_ring(moved)
+    except RingConsistencyError:
+        return False
+    return masuda_check(moved).passed and forget(
+        moved, equivariant_total_chern(moved)
+    ) == total_chern_intrinsic(ring)
 
 
 def main(trials: int = 25, seed: int = 7, max_entry: int = 3) -> int:
     rng = random.Random(seed)
+    moves = random.Random(f"charmap moves {seed}")
     bases = [("P1", projective_line()), ("P2", projective_plane()),
              ("P1xP1", quadric_surface())]
     fibers = [("P1", projective_line()), ("P2", projective_plane())]
@@ -73,7 +102,14 @@ def main(trials: int = 25, seed: int = 7, max_entry: int = 3) -> int:
         invariant = chern_numbers(
             moved_ring, total_chern_intrinsic(moved_ring)
         ) == report.intrinsic_numbers
-        ok = report.equal and presented and localized and gauss and invariant
+        pair = twisted_pair(
+            tautological_pair(base), tautological_pair(fiber), phi
+        )
+        quasitoric = moved_pair_holds(
+            pair, random_unimodular(pair.complex.dim, moves)
+        )
+        ok = (report.equal and presented and localized and gauss
+              and invariant and quasitoric)
         mark = "ok" if ok else "FAIL"
         print(f"[{mark}] {name}  chi={report.euler_intrinsic}")
         if not ok:

@@ -4,7 +4,9 @@ Two independent routes to the total Chern class of a fibered toric
 variety are implemented: the intrinsic ray product on the twisted fan,
 and the bundle formula (pullback of the base class times the fiber ray
 product).  ``compare`` checks their exact per-degree equality; the formula
-holds, so a disagreement falsifies the implementation.
+holds, so a disagreement falsifies the implementation.  ``pullback`` maps
+a base class only after checking that every base linear relation lands
+in the twisted ring's ideal.
 
 Chern numbers have two routes.  The ring route, ``chern_numbers``, works
 in any ring, the bundle ring included: a balanced product tree of ring
@@ -47,59 +49,41 @@ def total_chern_intrinsic(ring: GradedQuotientRing) -> CohomologyClass:
     return ring.reduce_poly(face_monomial_sum(ring.faces, ring.ray_count))
 
 
-class PullbackMap:
-    """The ring map of the projection of a twisted fan onto its base.
-
-    Sends the base generator of ray sigma to the generator of the lifted
-    ray; at construction every base linear relation is checked to land in
-    the twisted ring's ideal, so inconsistent bookkeeping fails fast.
-    """
-
-    def __init__(self, decomp: TwistDecomposition,
-                 base_ring: GradedQuotientRing,
-                 twisted_ring: GradedQuotientRing):
-        if base_ring.ray_count != len(decomp.graph_ray_of):
-            raise ValueError("base ring does not match the decomposition")
-        if twisted_ring.ray_count != decomp.twisted.ray_count:
-            raise ValueError("twisted ring does not match the decomposition")
-        self.decomp = decomp
-        self.base_ring = base_ring
-        self.twisted_ring = twisted_ring
-        for rel in base_ring.relations:
-            image = self._map_poly(
-                {self._unit_monomial(rho): coeff
-                 for rho, coeff in enumerate(rel) if coeff}
-            )
-            if not self.twisted_ring.reduce_poly(image).is_zero():
-                raise RingConsistencyError(
-                    "base linear relation does not map into the twisted ideal"
-                )
-
-    def _unit_monomial(self, rho: int):
-        return tuple(
-            1 if i == rho else 0 for i in range(self.base_ring.ray_count)
-        )
-
-    def _map_poly(self, poly):
-        mapped = {}
-        for mono, coeff in poly.items():
-            image = [0] * self.twisted_ring.ray_count
-            for rho, e in enumerate(mono):
-                if e:
-                    image[self.decomp.graph_ray_of[rho]] = e
-            mapped[tuple(image)] = mapped.get(tuple(image), 0) + coeff
-        return mapped
-
-    def apply(self, cls: CohomologyClass) -> CohomologyClass:
-        if cls.ring is not self.base_ring:
-            raise ValueError("class does not live on the base ring")
-        return self.twisted_ring.reduce_poly(self._map_poly(cls.to_poly()))
-
-
 def pullback(decomp: TwistDecomposition, base_ring: GradedQuotientRing,
              twisted_ring: GradedQuotientRing,
              cls: CohomologyClass) -> CohomologyClass:
-    return PullbackMap(decomp, base_ring, twisted_ring).apply(cls)
+    """Image of a base class under the projection of a twisted fan.
+
+    The ring map sends the base generator of ray sigma to the generator
+    of its lifted ray.  Every base linear relation is first checked to
+    land in the twisted ring's ideal (RingConsistencyError otherwise), so
+    inconsistent bookkeeping fails fast and the bundle-formula route
+    keeps its own check.
+    """
+    if base_ring.ray_count != len(decomp.graph_ray_of):
+        raise ValueError("base ring does not match the decomposition")
+    if twisted_ring.ray_count != decomp.twisted.ray_count:
+        raise ValueError("twisted ring does not match the decomposition")
+    if cls.ring is not base_ring:
+        raise ValueError("class does not live on the base ring")
+
+    def image(poly):
+        mapped = {}
+        for mono, coeff in poly.items():
+            lifted = [0] * twisted_ring.ray_count
+            for rho, e in enumerate(mono):
+                lifted[decomp.graph_ray_of[rho]] = e
+            mapped[tuple(lifted)] = mapped.get(tuple(lifted), 0) + coeff
+        return twisted_ring.reduce_poly(mapped)
+
+    units = [tuple(int(i == rho) for i in range(base_ring.ray_count))
+             for rho in range(base_ring.ray_count)]
+    for rel in base_ring.relations:
+        if not image(dict(zip(units, rel))).is_zero():
+            raise RingConsistencyError(
+                "base linear relation does not map into the twisted ideal"
+            )
+    return image(cls.to_poly())
 
 
 def _fiber_factor(decomp: TwistDecomposition, fiber: Fan,

@@ -258,9 +258,10 @@ def fixed_point_weights(p: CharacteristicPair, sigma) -> tuple[IntVector, ...]:
     is not maximal in the pair or the pair is not nonsingular.
     """
     sigma = frozenset(sigma)
-    if sigma not in p.complex.max_cones:
+    cones = p.complex.max_cones
+    if sigma not in cones:
         raise ValueError(f"{sorted(sigma)} is not a maximal cone of the pair")
-    return weight_table(p)[sigma]
+    return weight_table(p).rows[cones.index(sigma)]
 
 
 def restrict_to_fixed_point(p: CharacteristicPair, cls: CohomologyClass,
@@ -367,8 +368,7 @@ def masuda_check(p: CharacteristicPair) -> MasudaReport:
     total = equivariant_total_chern(p)
     terms = _supported_terms(total)
     checks = []
-    for sigma in p.complex.max_cones:
-        weights = table[sigma]
+    for sigma, weights in zip(p.complex.max_cones, table.rows):
         rhs = one
         for w in weights:
             rhs = rhs * (one + WeightPolynomial.linear(w))
@@ -395,16 +395,13 @@ def ordinary_ring(p: CharacteristicPair) -> GradedQuotientRing:
         tuple(p.charmap[rho][i] for rho in range(f.ray_count))
         for i in range(f.dim)
     ]
-    return _certified_ring(f, relations, "pair ring",
-                           [table[cone] for cone in f.max_cones])
+    return _certified_ring(f, relations, "pair ring", table.rows)
 
 
-def forget(p: CharacteristicPair, cls: CohomologyClass,
-           target: GradedQuotientRing | None = None) -> CohomologyClass:
-    """Pass from the equivariant model to ordinary cohomology.
+def forget(p: CharacteristicPair, cls: CohomologyClass) -> CohomologyClass:
+    """Pass from the equivariant model to the pair's ``ordinary_ring``.
 
     Imposes the linear relations read off the charmap; the image of the
     equivariant total Chern class is the ordinary one.
     """
-    ring = target if target is not None else ordinary_ring(p)
-    return ring.reduce_poly(cls.to_poly())
+    return ordinary_ring(p).reduce_poly(cls.to_poly())

@@ -3,11 +3,12 @@
 Only simplicial fans whose maximal cones are full-dimensional are
 representable; cones are recorded as sets of ray indices.  Smoothness,
 completeness and the cones-meet-in-faces condition are decided exactly
-from one dual basis per maximal cone (its determinant and adjugate): a
-complete well-formed fan is certified by wall pairing plus one generic
-point covered once, and any fan that certificate rejects is decided by
-the pairwise check (wall counts, adjacency, and a Fourier-Motzkin search
-for a separating hyperplane between every two cones).
+from one dual basis per maximal cone (``dual_table``, which also gives a
+characteristic pair its weights): a complete well-formed fan is
+certified by wall pairing plus one generic point covered once, and any
+fan that certificate rejects is decided by the pairwise check (wall
+counts, adjacency, and a Fourier-Motzkin search for a separating
+hyperplane between every two cones).
 """
 
 from __future__ import annotations
@@ -206,28 +207,32 @@ class ConeDuals(NamedTuple):
     rows: tuple[tuple[IntVector, ...] | None, ...]
 
 
-@cache
-def cone_duals(f: Fan) -> ConeDuals:
-    """Each maximal cone's determinant and dual rows, once per fan.
+def dual_table(vectors, max_cones) -> ConeDuals:
+    """Each cone's determinant and dual rows, one ``det_adjugate`` each.
 
-    One Bareiss pass per cone (``det_adjugate`` of its ray matrix):
-    validation, the basis plan, the fan ring's cone rewrites and
-    fixed-point localization all read this table.  Dual row i is the
-    adjugate's column i signed by the determinant, so it pairs to |det|
-    with ray i and to 0 with the cone's other rays, and the sign of
-    <dual_i, v> is the sign of v's i-th coordinate in the ray basis.  For
-    a unimodular cone the dual rows are the inverse of the matrix whose
-    columns are the cone's rays, the fan's linear relations restricted to
-    the cone.
+    ``vectors`` (a fan's rays or a pair's charmap values) are indexed by
+    ray, in sorted ray order per cone.  Dual row i is the adjugate's
+    column i signed by the determinant: it pairs to |det| with vector i
+    and to 0 with the cone's others, so <dual_i, v> has the sign of v's
+    i-th coordinate in the cone's basis.  On a unimodular cone the rows
+    are the inverse of the matrix whose columns are the cone's vectors:
+    the linear relations restricted to the cone.
     """
     determinants, rows = [], []
-    for cone in f.max_cones:
-        d, adj = det_adjugate(f.cone_matrix(cone))
+    for cone in max_cones:
+        d, adj = det_adjugate(tuple(vectors[i] for i in sorted(cone)))
         determinants.append(d)
         rows.append(None if adj is None else tuple(
             tuple(x if d > 0 else -x for x in column) for column in zip(*adj)
         ))
     return ConeDuals(tuple(determinants), tuple(rows))
+
+
+@cache
+def cone_duals(f: Fan) -> ConeDuals:
+    """The ``dual_table`` of the fan's rays, once per fan: validation, the
+    basis plan, the fan ring's cone rewrites and localization read it."""
+    return dual_table(f.rays, f.max_cones)
 
 
 @cache

@@ -5,26 +5,19 @@ base cones are lifted to the graphs of an integral piecewise-linear map
 into the fiber lattice and summed with the fiber cones.  Coordinates in
 the total lattice are ordered (base, fiber) throughout the repo, and the
 twisted rays list the lifted base rays first, then the fiber rays, so all
-downstream indices are deterministic.
+downstream indices are deterministic.  A characteristic pair's charmap
+need not be its rays (a quasitoric manifold); its weight table is
+``fan.dual_table`` on the charmap values.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType
 
 from .cohomology import RingConsistencyError
-from .fan import Fan, require_smooth_complete, validate
-from .lattice import (
-    IntVector,
-    NotUnimodularError,
-    determinant,
-    invert_unimodular,
-    transpose,
-    vector,
-)
+from .fan import ConeDuals, Fan, dual_table, require_smooth_complete, validate
+from .lattice import IntVector, vector
 
 
 @dataclass(frozen=True)
@@ -151,29 +144,26 @@ class CharacteristicPair:
 
 
 @lru_cache(maxsize=1)
-def weight_table(p: CharacteristicPair) -> Mapping:
-    """Dual-basis weights of every maximal cone, {cone: (u_1, ..., u_n)}.
+def weight_table(p: CharacteristicPair) -> ConeDuals:
+    """The ``dual_table`` of the charmap values, in ``max_cones`` order.
 
-    u_i is dual to the charmap values of the cone, in sorted ray order:
-    the rows are the inverse of the matrix whose columns are those
-    values, the pair's linear relations restricted to the cone.  Building
-    it is the pair's validation: each cone's charmap matrix is inverted
-    once, and the first cone that is not a lattice basis raises a
-    ValueError naming it and its determinant.  The last pair's table is
-    kept, so parsing, the face ring, the Masuda check and the
-    restrictions of one request invert each matrix once.
+    Row u_i of a cone is dual to its charmap values in sorted ray order,
+    <u_i, Lambda(rho_j)> = delta_ij: the pair's linear relations
+    restricted to the cone.  Building it is the pair's validation, and
+    the first cone whose determinant is not +-1 raises a ValueError
+    naming it and that determinant.  Only the last pair's table is kept
+    (pairs stay out of the fans' unbounded cache), so parsing, the face
+    ring, the Masuda check and the restrictions of one request take one
+    Bareiss pass per cone.
     """
-    table = {}
-    for cone in p.complex.max_cones:
-        m = p.charmap_matrix(cone)
-        try:
-            table[cone] = transpose(invert_unimodular(m))
-        except NotUnimodularError:
+    table = dual_table(p.charmap, p.complex.max_cones)
+    for cone, d in zip(p.complex.max_cones, table.determinants):
+        if d not in (1, -1):
             raise ValueError(
                 f"charmap values on maximal face {sorted(cone)} have "
-                f"determinant {determinant(m)}, not a lattice basis"
-            ) from None
-    return MappingProxyType(table)
+                f"determinant {d}, not a lattice basis"
+            )
+    return table
 
 
 def validate_pair(p: CharacteristicPair) -> None:

@@ -59,6 +59,7 @@ from operator import add
 
 from toricbundles import (
     BasePresentation,
+    CharacteristicPair,
     TwistingClasses,
     build_ring,
     make_fan,
@@ -127,6 +128,28 @@ def dp6():
         [[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]],
         [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]],
     )
+
+
+def cp2_sharp_cp2():
+    """The quasitoric CP2#CP2: the square's cones with a charmap of cone
+    determinants 1, 1, -1, -1, which no fan's rays give."""
+    square = make_fan(2, [[1, 0], [0, 1], [-1, 0], [0, -1]],
+                      [[0, 1], [1, 2], [2, 3], [3, 0]])
+    return CharacteristicPair(
+        complex=square, charmap=((1, 0), (1, 1), (0, 1), (1, -1)))
+
+
+def quasitoric_pairs():
+    """Pairs on toric complexes whose charmap is not the rays."""
+    return [
+        ("P2 alt charmap", CharacteristicPair(
+            complex=projective_space(2), charmap=((1, 0), (1, 1), (0, -1)))),
+        ("P3 alt charmap", CharacteristicPair(
+            complex=projective_space(3),
+            charmap=((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)))),
+        ("(P1)^2 alt charmap", CharacteristicPair(
+            complex=p1_power(2), charmap=((1, 0), (-1, 2), (0, 1), (0, -1)))),
+    ]
 
 
 def dim5_twists(count, seed):

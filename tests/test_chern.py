@@ -13,6 +13,8 @@ from helpers import (
 )
 from toricbundles import (
     Fan,
+    RingConsistencyError,
+    TwistDecomposition,
     build_ring,
     chern_numbers,
     compare,
@@ -26,7 +28,7 @@ from toricbundles import (
     verify_gauss_bonnet,
 )
 from toricbundles import chern
-from toricbundles.chern import PullbackMap, partitions
+from toricbundles.chern import partitions
 from toricbundles.corpus import corpus_fans, corpus_instances
 
 
@@ -107,10 +109,13 @@ def test_pullback_is_multiplicative_on_samples():
     decomp = twisted_fan(base, fiber, phi)
     base_ring = build_ring(base)
     twisted_ring = build_ring(decomp.twisted)
-    pmap = PullbackMap(decomp, base_ring, twisted_ring)
     a = base_ring.reduce_poly({(1, 0, 0): 2, (0, 1, 0): -1})
     b = base_ring.reduce_poly({(0, 0, 1): 3})
-    assert pmap.apply(a * b) == pmap.apply(a) * pmap.apply(b)
+
+    def pulled(cls):
+        return pullback(decomp, base_ring, twisted_ring, cls)
+
+    assert pulled(a * b) == pulled(a) * pulled(b)
 
 
 def test_bundle_formula_equals_intrinsic_zero_twist():
@@ -250,7 +255,18 @@ def test_pullback_rejects_mismatched_rings():
     base_ring = build_ring(p2())
     twisted_ring = build_ring(decomp.twisted)
     with pytest.raises(ValueError):
-        PullbackMap(decomp, base_ring, twisted_ring)
+        pullback(decomp, base_ring, twisted_ring, base_ring.unit())
+
+
+def test_pullback_checks_the_base_relations_in_the_twisted_ideal():
+    # base rays sent to the fiber rays: the base relation x0 - x1 lands on
+    # x2 - x3, which is -x0 in the twisted ring, not 0
+    decomp = twisted_fan(p1(), p1(), make_plmap(1, [[1], [0]]))
+    swapped = TwistDecomposition(decomp.twisted, (2, 3), (0, 1))
+    base_ring = build_ring(p1())
+    twisted_ring = build_ring(decomp.twisted)
+    with pytest.raises(RingConsistencyError, match="twisted ideal"):
+        pullback(swapped, base_ring, twisted_ring, base_ring.unit())
 
 
 def test_chern_numbers_of_the_point():

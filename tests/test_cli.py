@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 
@@ -7,6 +8,7 @@ from helpers import P1_PRESENTATION, P2_PRESENTATION, p1, p2, star_surface
 from toricbundles import (
     chern,
     equivariant,
+    lattice,
     make_plmap,
     tautological_pair,
     twist,
@@ -15,6 +17,7 @@ from toricbundles import (
 )
 from toricbundles.cli import build_parser, main
 from toricbundles.cohomology import RingConsistencyError
+from toricbundles import fan as fan_module
 from toricbundles.fan import Fan, ValidationReport
 from toricbundles.formats import (
     ParseError,
@@ -350,34 +353,36 @@ def test_cmd_equivariant_builds_the_face_ring_once(tmp_path, capsys,
 
 def test_cmd_equivariant_validates_the_pair_once(tmp_path, capsys,
                                                 monkeypatch):
-    # the weight table is the pair's only validation: parsing builds it,
-    # and the face ring and the Masuda check read the same table, so a
-    # request inverts each maximal cone's charmap matrix once, parse
-    # included, and takes no separate determinant (parsing took one per
-    # cone, and the table inverted the matrices again, before)
+    # the weight table is the pair's only validation: parsing builds it
+    # with the fans' dual_table, and the face ring and the Masuda check
+    # read the same table, so a request makes one det_adjugate pass per
+    # maximal cone, parse included, and takes no separate determinant
     pair = parse_pair(pair_to_text(twisted_pair(
         tautological_pair(p2()), tautological_pair(p1()),
         make_plmap(1, [[1], [-2], [0]]),
     )))
     pair_path = write(tmp_path, "twist.pair", pair_to_text(pair))
-    inversions, determinants = [], []
-    invert, determinant = twist.invert_unimodular, twist.determinant
+    passes, determinants = [], []
+    det_adjugate, determinant = fan_module.det_adjugate, lattice.determinant
 
-    def counting_invert(m):
-        inversions.append(m)
-        return invert(m)
+    def counting_pass(m):
+        passes.append(m)
+        return det_adjugate(m)
 
     def counting_determinant(m):
         determinants.append(m)
         return determinant(m)
 
-    monkeypatch.setattr(twist, "invert_unimodular", counting_invert)
-    monkeypatch.setattr(twist, "determinant", counting_determinant)
+    monkeypatch.setattr(fan_module, "det_adjugate", counting_pass)
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("toricbundles")
+                and getattr(module, "determinant", None) is determinant):
+            monkeypatch.setattr(module, "determinant", counting_determinant)
     twist.weight_table.cache_clear()
     assert main(["--format", "machine", "equivariant", str(pair_path)]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
     assert determinants == []
-    assert sorted(inversions) == sorted(
+    assert sorted(passes) == sorted(
         pair.charmap_matrix(cone) for cone in pair.complex.max_cones
     )
 

@@ -11,7 +11,9 @@ not.  Degree d builds exactly sum over tau of (n - |tau|) rows.  Each
 cone's rewrite reads the inverse of the relation matrix on its rays from
 one table (the fan's dual rows for fan rings, the fiber fan's for bundle
 rings, the weight table for pair rings), which must equal
-``invert_unimodular`` of that matrix.
+``invert_unimodular`` of that matrix; the weight table comes from the
+fans' ``dual_table`` routine, so its determinants must be the charmap
+matrices' Bareiss determinants.
 """
 
 import random
@@ -22,9 +24,11 @@ from helpers import (
     RewrittenProductBundleRing,
     RewrittenProductRing,
     bundle_cases,
+    cp2_sharp_cp2,
     dp6,
     p1_power,
     projective_space,
+    quasitoric_pairs,
     random_fiber_poly,
     star_surface,
 )
@@ -44,7 +48,8 @@ from toricbundles.cohomology import linear_relations
 from toricbundles.corpus import corpus_fans, corpus_pairs, random_unimodular
 from toricbundles.equivariant import ordinary_ring
 from toricbundles.fan import cone_duals
-from toricbundles.lattice import invert_unimodular
+from toricbundles.lattice import determinant, invert_unimodular
+from toricbundles.twist import weight_table
 
 
 def _seeded_twists(count=40, seed=12):
@@ -81,15 +86,7 @@ def _fan_cases():
     # pairs whose charmap differs from the rays, so the relations are the
     # pair's own: quasitoric charmaps, and the corpus's twisted pairs with
     # the charmap moved by a seeded unimodular matrix
-    pairs = [
-        ("P2 alt charmap", CharacteristicPair(
-            complex=projective_space(2), charmap=((1, 0), (1, 1), (0, -1)))),
-        ("P3 alt charmap", CharacteristicPair(
-            complex=projective_space(3),
-            charmap=((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)))),
-        ("(P1)^2 alt charmap", CharacteristicPair(
-            complex=p1_power(2), charmap=((1, 0), (-1, 2), (0, 1), (0, -1)))),
-    ]
+    pairs = quasitoric_pairs() + [("CP2#CP2", cp2_sharp_cp2())]
     rng = random.Random(15)
     for name, pair in corpus_pairs():
         if not name.startswith("pair["):
@@ -240,3 +237,25 @@ def test_rings_share_the_dual_rows_of_one_table():
         rewrite = bundle._cone_rewrite(cone)
         assert all(rewrite[rho][1] is row
                    for rho, row in zip(sorted(cone), dual))
+
+
+def test_weight_table_determinants_are_the_charmap_determinants():
+    pairs = list(corpus_pairs()) + quasitoric_pairs()
+    pairs.append(("CP2#CP2", cp2_sharp_cp2()))
+    for name, pair in pairs:
+        assert weight_table(pair).determinants == tuple(
+            determinant(pair.charmap_matrix(cone))
+            for cone in pair.complex.max_cones
+        ), name
+    assert weight_table(cp2_sharp_cp2()).determinants == (1, 1, -1, -1)
+
+
+def test_a_pair_ring_reads_the_weight_table_rows():
+    # a pair whose charmap is not its rays gets its own ring, whose cone
+    # inverses are the weight table's rows, kept as given
+    pair = cp2_sharp_cp2()
+    ordinary_ring.cache_clear()
+    weight_table.cache_clear()
+    ring = ordinary_ring(pair)
+    assert ring.inverses is weight_table(pair).rows
+    assert ring.betti() == [1, 2, 1]

@@ -15,7 +15,13 @@ from pathlib import Path
 
 import pytest
 
-from helpers import P2_PRESENTATION, p1_power, projective_space, star_surface
+from helpers import (
+    P2_PRESENTATION,
+    cp2_sharp_cp2,
+    p1_power,
+    projective_space,
+    star_surface,
+)
 from toricbundles import corpus
 from toricbundles.cli import main
 from toricbundles.fan import product_fan
@@ -94,6 +100,10 @@ def _inputs(case):
             make_plmap(3, [[1, 0, -1], [0, 2, 0], [-1, 1, 1], [2, 0, 1]]),
         )
         return {"p.pair": pair_to_text(pair)}, ["equivariant", "p.pair"]
+    if case == "equivariant-cp2-sharp-cp2":
+        # the first golden whose charmap is not the rays
+        return {"p.pair": pair_to_text(cp2_sharp_cp2())}, [
+            "equivariant", "p.pair"]
     if case == "bundle-p2-over-p2":
         files = {
             "p2.pres": P2_PRESENTATION,
@@ -123,6 +133,7 @@ CASES = [
         "equivariant-p1-p2-twist",
         "equivariant-p1-p2-twist-bound-4n",
         "equivariant-p2xp1-over-p1xp1",
+        "equivariant-cp2-sharp-cp2",
         "bundle-p2-over-p2",
         *BUNDLES,
     )
