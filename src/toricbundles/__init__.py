@@ -13,7 +13,6 @@ from .bundlering import (
     TwistingClasses,
     build_bundle_ring,
     chern_numbers_bundle,
-    integrate_bundle,
     presentation_from_fan,
     total_chern_general,
     twisting_from_principal,
@@ -33,13 +32,10 @@ from .cohomology import (
     CohomologyClass,
     GradedQuotientRing,
     RingConsistencyError,
-    betti,
     build_ring,
     h_vector,
-    integrate,
     linear_relations,
     minimal_nonfaces,
-    point_class,
 )
 from .equivariant import (
     MasudaReport,
@@ -54,9 +50,7 @@ from .fan import Fan, ValidationReport, make_fan, product_fan, validate, walls
 from .lattice import (
     IntMatrix,
     IntVector,
-    NotUnimodularError,
     determinant,
-    invert_unimodular,
     is_primitive,
 )
 from .twist import (

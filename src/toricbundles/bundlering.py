@@ -393,23 +393,10 @@ def total_chern_general(ring: BundleRing) -> BundleClass:
     return pulled * ring.reduce_poly(dict.fromkeys(fiber_sum, ring.base.unit()))
 
 
-def integrate_bundle(ring: BundleRing, cls: BundleClass) -> int:
-    return ring.integrate(cls)
-
-
 def chern_numbers_bundle(ring: BundleRing,
                          total: BundleClass) -> dict[tuple[int, ...], int]:
     """Chern numbers of the total space via the presented-base route."""
     return chern_numbers(ring, total)
-
-
-def fiber_restriction(ring: BundleRing, cls: BundleClass) -> CohomologyClass:
-    """Set the base's positive-degree classes to zero: the fiber-fan class."""
-    parts = []
-    for d in range(ring.fiber.dim + 1):
-        part = cls.parts[d]
-        parts.append(tuple(c.parts[0][0] for c in part))
-    return CohomologyClass(ring.fiber_ring, tuple(parts))
 
 
 def _linear_poly(coeffs) -> Poly:

@@ -66,7 +66,7 @@ from .fan import (
     GENERIC_DIRECTION_BUDGET,
     Fan,
     cone_duals,
-    generic_coordinates,
+    first_generic_coordinates,
     require_smooth_complete,
 )
 from .lattice import IntVector
@@ -266,49 +266,68 @@ def graded_eliminate(rows, allowed, columns):
 
 
 def fixed_point_basis_plan(f: Fan, h_expected):
-    """Squarefree basis monomials from a generic-direction sweep of the fan.
+    """Squarefree basis monomials read at the fan's first generic point.
 
-    For each maximal cone take the rays whose coordinate of a generic
-    integer direction (in the cone's ray basis) is negative; the resulting
-    sets are the restriction sets of a shelling, so the squarefree
-    monomials they span are the classical per-degree basis of the
-    quotient ring.  The sign of a coordinate is the sign of the direction
-    against the cone's dual row in ``cone_duals``, the sign Cramer's rule
-    gives.  The direction is the first moment-curve point (1, t, t^2,
-    ...) giving no zero coordinates, no repeated ray sets, and degree
-    counts matching the expected h-vector, so the choice is
-    deterministic.  The plan depends only on the fan geometry;
-    elimination later certifies it against whatever linear relations the
-    ring carries.
+    For each maximal cone take tau(sigma), the rays whose coordinate of
+    the generic direction v (in the cone's ray basis) is negative; the
+    squarefree monomials x_tau(sigma) are the classical per-degree basis
+    of the quotient ring.  v is the point whose pairings
+    ``first_generic_coordinates`` caches for the completeness certificate
+    and localization: the first moment-curve point (1, t, t^2, ...) that
+    pairs to nonzero with every cone's dual row in ``cone_duals``, so the
+    sign of a coordinate is the sign Cramer's rule gives and the plan is
+    deterministic.
+
+    On any complete simplicial fan, projective or not, each face tau lies
+    in exactly one interval [tau(sigma), sigma] (Fulton, *Introduction to
+    Toric Varieties*, section 5.2).  Take p in the relative interior of
+    tau and a small e > 0.  For a maximal cone sigma containing tau, the
+    coordinates of p + e*v in sigma's ray basis are those of p (positive
+    on tau, zero off it) plus e times those of v, so p + e*v is interior
+    to sigma exactly when tau(sigma) <= tau.  And p + e*v lies on no wall
+    hyperplane (v lies on none), so it is interior to exactly one maximal
+    cone, which contains p and so, as cones meet in faces, tau.  So the
+    intervals partition the faces: the sets tau(sigma) are distinct (each
+    lies in its own interval only), and as an interval [tau, sigma] adds
+    t^|tau| (1 + t)^(n - |tau|) to the face polynomial, the sets of each
+    size k number h_k.  Sets that are not distinct or do not count
+    ``h_expected`` raise RingConsistencyError.  The plan depends only on
+    the fan geometry; elimination later certifies it against whatever
+    linear relations the ring carries.
     """
     if f.dim == 0:
         return {0: {(0,) * f.ray_count}}
     cones = [sorted(cone) for cone in f.max_cones]
-    duals = cone_duals(f).rows
-    for cone_sorted, dual in zip(cones, duals):
+    for cone_sorted, dual in zip(cones, cone_duals(f).rows):
         if dual is None:
             raise RingConsistencyError(
                 f"cone {cone_sorted} has linearly dependent rays"
             )
-    for coordinates in generic_coordinates(duals, f.dim):
-        sets = [
-            frozenset(rho for rho, c in zip(cone_sorted, coords) if c < 0)
-            for cone_sorted, coords in zip(cones, coordinates)
-        ]
-        counts = [0] * (f.dim + 1)
-        for tau in sets:
-            counts[len(tau)] += 1
-        if len(set(sets)) == len(sets) and counts == list(h_expected):
-            plan: dict[int, set] = {}
-            for tau in sets:
-                plan.setdefault(len(tau), set()).add(
-                    tuple(1 if i in tau else 0 for i in range(f.ray_count))
-                )
-            return plan
-    raise RingConsistencyError(
-        "no generic direction yields a fixed-point basis plan among the "
-        f"first {GENERIC_DIRECTION_BUDGET} moment-curve points (1, t, t^2, ...)"
-    )
+    coordinates = first_generic_coordinates(f)
+    if coordinates is None:
+        raise RingConsistencyError(
+            "no generic direction yields a fixed-point basis plan among the "
+            f"first {GENERIC_DIRECTION_BUDGET} moment-curve points (1, t, t^2, ...)"
+        )
+    sets = [
+        frozenset(rho for rho, c in zip(cone_sorted, coords) if c < 0)
+        for cone_sorted, coords in zip(cones, coordinates)
+    ]
+    counts = [0] * (f.dim + 1)
+    for tau in sets:
+        counts[len(tau)] += 1
+    if len(set(sets)) != len(sets) or counts != list(h_expected):
+        raise RingConsistencyError(
+            f"the negative-coordinate ray sets of the {len(sets)} cones at the "
+            f"first generic point ({len(set(sets))} distinct) count {counts} "
+            f"by size, not the h-vector {list(h_expected)}"
+        )
+    plan: dict[int, set] = {}
+    for tau in sets:
+        plan.setdefault(len(tau), set()).add(
+            tuple(1 if i in tau else 0 for i in range(f.ray_count))
+        )
+    return plan
 
 
 class GradedPiece(NamedTuple):
@@ -868,15 +887,3 @@ def _h_vector(faces, n: int) -> list[int]:
         )
         for k in range(n + 1)
     ]
-
-
-def betti(ring: GradedQuotientRing) -> list[int]:
-    return ring.betti()
-
-
-def point_class(ring: GradedQuotientRing) -> CohomologyClass:
-    return ring.point_class()
-
-
-def integrate(ring: GradedQuotientRing, cls: CohomologyClass) -> int:
-    return ring.integrate(cls)

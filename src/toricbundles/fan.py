@@ -77,10 +77,6 @@ class Fan:
     def ray_count(self) -> int:
         return len(self.rays)
 
-    def cone_matrix(self, cone) -> tuple[IntVector, ...]:
-        """Rays of a cone as matrix rows, in increasing index order."""
-        return tuple(self.rays[i] for i in sorted(cone))
-
 
 def maximal_cone(indices, dim: int, ray_count: int, seen: set) -> frozenset[int]:
     """The cone of dim distinct in-range ray indices, new to (and put in) seen."""
@@ -240,7 +236,8 @@ def first_generic_coordinates(f: Fan) -> list[list[int]] | None:
     """``generic_coordinates`` of the fan's cones at the first point off
     every wall, once per fan, or None when the budget runs out.
 
-    Read by the completeness certificate and by fixed-point localization.
+    Read by the completeness certificate, the basis plan and fixed-point
+    localization.
     Every maximal cone must have its dual rows (none degenerate).
     """
     return next(generic_coordinates(cone_duals(f).rows, f.dim), None)

@@ -13,13 +13,6 @@ IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
 
 
-class NotUnimodularError(ValueError):
-    """Raised when a matrix expected to have determinant +-1 does not.
-
-    In fan terms this signals non-smooth cone data.
-    """
-
-
 def vector(entries) -> IntVector:
     return tuple(int(e) for e in entries)
 
@@ -120,14 +113,3 @@ def det_adjugate(m: IntMatrix) -> tuple[int, IntMatrix | None]:
                 a[i] = [p * x // prev for x in a[i]]
         prev = p
     return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a)
-
-
-def invert_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +-1.
-
-    Raises ``NotUnimodularError`` otherwise; the inverse is again integer.
-    """
-    d, adj = det_adjugate(m)
-    if d not in (1, -1):
-        raise NotUnimodularError(f"matrix has determinant {d}, expected +-1")
-    return tuple(tuple(d * x for x in row) for row in adj)

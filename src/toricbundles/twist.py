@@ -139,9 +139,6 @@ class CharacteristicPair:
                     f"charmap value {v} does not have length {self.complex.dim}"
                 )
 
-    def charmap_matrix(self, cone) -> tuple[IntVector, ...]:
-        return tuple(self.charmap[i] for i in sorted(cone))
-
 
 @lru_cache(maxsize=1)
 def weight_table(p: CharacteristicPair) -> ConeDuals:

@@ -28,9 +28,10 @@ well-formedness by a Fourier-Motzkin search for a separating hyperplane
 between every two maximal cones and completeness by wall counts and
 adjacency, as the library did before it certified complete fans from one
 dual basis per cone (and still does for the fans that certificate
-rejects).  ``hnf_inverse`` is the reference for ``invert_unimodular``:
-the transform of the Hermite normal form, as the library computed the
-inverse before it read it off the adjugate.  ``hermite_normal_form``
+rejects).  ``hnf_inverse`` is the reference for the dual rows of a
+unimodular cone: the transform of the Hermite normal form, as the library
+computed the inverse before it read it off the adjugate.
+``hermite_normal_form``
 (with its ``_xgcd``) and ``congruent_mod_form`` live here because only
 tests call them: the GKM wall check restricts at the two cones of a wall
 and compares modulo the weight of the missing ray.
@@ -50,6 +51,16 @@ tests run on.
 it multiplies the Chern classes of each partition left to right and
 integrates the top component, as the library did before it split each
 partition in two and paired the halves.
+``sweeping_basis_plan`` is the reference for ``fixed_point_basis_plan``:
+it sweeps the moment curve for the first point whose restriction sets
+are distinct and count the h-vector, as the library did before it read
+the plan at the fan's cached first generic point.
+``fiber_restriction`` sets a bundle class's positive-degree base classes
+to zero, which gives the fiber fan's class.
+``nonprojective_threefold`` is a smooth complete fan that no polytope
+gives, the one input where the plan's interval argument (which needs
+completeness only) and a shelling argument (which needs a polytope)
+part ways.
 """
 
 import itertools
@@ -73,6 +84,7 @@ from toricbundles import (
 from toricbundles.bundlering import BundleClass, BundleRing
 from toricbundles.chern import partitions
 from toricbundles.cohomology import (
+    CohomologyClass,
     GradedPiece,
     GradedQuotientRing,
     RingConsistencyError,
@@ -83,12 +95,17 @@ from toricbundles.cohomology import (
 )
 from toricbundles.corpus import corpus_instances
 from toricbundles.equivariant import WeightPolynomial, fixed_point_weights
-from toricbundles.fan import ValidationReport, _meet_in_face, walls
+from toricbundles.fan import (
+    ValidationReport,
+    _meet_in_face,
+    cone_duals,
+    generic_coordinates,
+    walls,
+)
 from toricbundles.formats import polynomial_to_text
 from toricbundles.lattice import (
     IntMatrix,
     IntVector,
-    NotUnimodularError,
     determinant,
     identity,
     is_primitive,
@@ -137,6 +154,28 @@ def cp2_sharp_cp2():
                       [[0, 1], [1, 2], [2, 3], [3, 0]])
     return CharacteristicPair(
         complex=square, charmap=((1, 0), (1, 1), (0, 1), (1, -1)))
+
+
+def nonprojective_threefold():
+    """A smooth complete threefold with 14 rays and 24 cones, not projective.
+
+    Nine wall relations with positive weights 3, 6, 3/2, 4, 7, 1, 20, 10
+    and 5/2 sum to zero, so no strictly convex support function exists.
+    """
+    rays = [[1, 0, 2], [2, 1, 3], [3, 2, 1], [0, -1, 2], [1, 2, 1],
+            [-1, 0, -3], [2, 1, 2], [0, 1, -1], [1, 1, 2], [1, 0, 3],
+            [1, 1, -1], [1, 1, 1], [0, 0, -1], [2, 1, 1]]
+    cones = [[1, 2, 6], [0, 2, 6], [0, 1, 6], [3, 5, 7], [3, 4, 7],
+             [0, 1, 4], [3, 4, 8], [0, 4, 8], [3, 8, 9], [0, 8, 9],
+             [0, 3, 9], [1, 5, 10], [1, 2, 10], [5, 7, 11], [1, 5, 11],
+             [4, 7, 11], [1, 4, 11], [0, 2, 3], [5, 10, 12], [3, 10, 12],
+             [3, 5, 12], [3, 10, 13], [2, 10, 13], [2, 3, 13]]
+    return make_fan(3, rays, cones)
+
+
+def cone_vectors(vectors, cone):
+    """The vectors of a cone's rays as matrix rows, in sorted ray order."""
+    return tuple(vectors[i] for i in sorted(cone))
 
 
 def quasitoric_pairs():
@@ -267,6 +306,38 @@ def left_to_right_chern_numbers(ring, total):
             cls = cls * components[k]
         out[part] = ring.integrate(cls.component(n))
     return out
+
+
+def sweeping_basis_plan(f, h_expected):
+    """The fixed-point basis plan from the first moment-curve point whose
+    negative-coordinate ray sets are distinct and count ``h_expected``."""
+    if f.dim == 0:
+        return {0: {(0,) * f.ray_count}}
+    cones = [sorted(cone) for cone in f.max_cones]
+    for coordinates in generic_coordinates(cone_duals(f).rows, f.dim):
+        sets = [
+            frozenset(rho for rho, c in zip(cone_sorted, coords) if c < 0)
+            for cone_sorted, coords in zip(cones, coordinates)
+        ]
+        counts = [0] * (f.dim + 1)
+        for tau in sets:
+            counts[len(tau)] += 1
+        if len(set(sets)) == len(sets) and counts == list(h_expected):
+            plan = {}
+            for tau in sets:
+                plan.setdefault(len(tau), set()).add(
+                    tuple(1 if i in tau else 0 for i in range(f.ray_count))
+                )
+            return plan
+    raise RingConsistencyError("no moment-curve point gives a basis plan")
+
+
+def fiber_restriction(ring, cls):
+    """Set the base's positive-degree classes to zero: the fiber-fan class."""
+    parts = []
+    for d in range(ring.fiber.dim + 1):
+        parts.append(tuple(c.parts[0][0] for c in cls.parts[d]))
+    return CohomologyClass(ring.fiber_ring, tuple(parts))
 
 
 def subset_minimal_nonfaces(fan):
@@ -662,7 +733,7 @@ def pairwise_validate(f):
     smooth = True
     degenerate = False
     for k, cone in enumerate(f.max_cones):
-        d = determinant(f.cone_matrix(cone))
+        d = determinant(cone_vectors(f.rays, cone))
         if d == 0:
             diagnostics.append(f"cone {sorted(cone)} is degenerate (determinant 0)")
             degenerate = True
@@ -734,7 +805,7 @@ def hnf_inverse(m):
     """Exact inverse of a matrix with determinant +-1, from its HNF."""
     d = determinant(m)
     if d not in (1, -1):
-        raise NotUnimodularError(f"matrix has determinant {d}, expected +-1")
+        raise ValueError(f"matrix has determinant {d}, expected +-1")
     h, u = hermite_normal_form(m)
     if h != identity(len(m)):
         raise AssertionError("HNF of a unimodular matrix must be the identity")

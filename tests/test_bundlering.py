@@ -1,6 +1,13 @@
 import pytest
 
-from helpers import p1, p1_presentation, p2, p2_presentation, square_fan
+from helpers import (
+    fiber_restriction,
+    p1,
+    p1_presentation,
+    p2,
+    p2_presentation,
+    square_fan,
+)
 from toricbundles import (
     BasePresentation,
     BundleRing,
@@ -10,7 +17,6 @@ from toricbundles import (
     chern_numbers,
     chern_numbers_bundle,
     compare,
-    integrate_bundle,
     make_plmap,
     presentation_from_fan,
     principal_classes,
@@ -18,7 +24,6 @@ from toricbundles import (
     total_chern_intrinsic,
     twisting_from_principal,
 )
-from toricbundles.bundlering import fiber_restriction
 from toricbundles.cohomology import RingConsistencyError
 from toricbundles.corpus import corpus_fans, corpus_instances
 
@@ -130,9 +135,9 @@ def test_integrate_bundle_point_and_degree_mismatch():
     lam = TwistingClasses(classes=(base.reduce_poly({(1,): 1}),))
     ring = build_bundle_ring(base, lam, p1())
     point = ring.reduce_poly({(1, 0): base.reduce_poly({(1,): 1})})
-    assert integrate_bundle(ring, point) == 1
+    assert ring.integrate(point) == 1
     with pytest.raises(ValueError):
-        integrate_bundle(ring, ring.unit())
+        ring.integrate(ring.unit())
 
 
 def test_bundle_ring_has_no_point_class():

@@ -4,7 +4,14 @@ import sys
 
 import pytest
 
-from helpers import P1_PRESENTATION, P2_PRESENTATION, p1, p2, star_surface
+from helpers import (
+    P1_PRESENTATION,
+    P2_PRESENTATION,
+    cone_vectors,
+    p1,
+    p2,
+    star_surface,
+)
 from toricbundles import (
     chern,
     equivariant,
@@ -383,7 +390,7 @@ def test_cmd_equivariant_validates_the_pair_once(tmp_path, capsys,
     assert json.loads(capsys.readouterr().out)["passed"] is True
     assert determinants == []
     assert sorted(passes) == sorted(
-        pair.charmap_matrix(cone) for cone in pair.complex.max_cones
+        cone_vectors(pair.charmap, cone) for cone in pair.complex.max_cones
     )
 
 

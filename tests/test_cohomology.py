@@ -266,15 +266,26 @@ def test_relations_need_a_basis_plan():
         )
 
 
-def test_a_sweep_without_a_generic_direction_names_its_budget():
-    # no direction gives P2 the h-vector [1, 2, 0]
-    from toricbundles.cohomology import fixed_point_basis_plan
+def test_a_sweep_without_a_generic_direction_names_its_budget(monkeypatch):
+    from toricbundles import cohomology
     from toricbundles.fan import GENERIC_DIRECTION_BUDGET
 
-    f = p2()
+    monkeypatch.setattr(cohomology, "first_generic_coordinates",
+                        lambda _: None)
     with pytest.raises(RingConsistencyError,
                        match=f"first {GENERIC_DIRECTION_BUDGET} moment-curve"):
-        fixed_point_basis_plan(f, [1, 2, 0])
+        cohomology.fixed_point_basis_plan(p2(), [1, 1, 1])
+
+
+def test_a_plan_off_the_h_vector_names_its_counts():
+    # no direction gives P2 the h-vector [1, 2, 0]
+    from toricbundles.cohomology import fixed_point_basis_plan
+
+    with pytest.raises(RingConsistencyError,
+                       match=r"3 cones at the first generic point \(3 "
+                             r"distinct\) count \[1, 1, 1\] by size, not the "
+                             r"h-vector \[1, 2, 0\]"):
+        fixed_point_basis_plan(p2(), [1, 2, 0])
 
 
 def test_a_certified_ring_builds_its_face_set_once(monkeypatch):

@@ -11,7 +11,7 @@ not.  Degree d builds exactly sum over tau of (n - |tau|) rows.  Each
 cone's rewrite reads the inverse of the relation matrix on its rays from
 one table (the fan's dual rows for fan rings, the fiber fan's for bundle
 rings, the weight table for pair rings), which must equal
-``invert_unimodular`` of that matrix; the weight table comes from the
+``hnf_inverse`` of that matrix; the weight table comes from the
 fans' ``dual_table`` routine, so its determinants must be the charmap
 matrices' Bareiss determinants.
 """
@@ -24,8 +24,10 @@ from helpers import (
     RewrittenProductBundleRing,
     RewrittenProductRing,
     bundle_cases,
+    cone_vectors,
     cp2_sharp_cp2,
     dp6,
+    hnf_inverse,
     p1_power,
     projective_space,
     quasitoric_pairs,
@@ -48,7 +50,7 @@ from toricbundles.cohomology import linear_relations
 from toricbundles.corpus import corpus_fans, corpus_pairs, random_unimodular
 from toricbundles.equivariant import ordinary_ring
 from toricbundles.fan import cone_duals
-from toricbundles.lattice import determinant, invert_unimodular
+from toricbundles.lattice import determinant
 from toricbundles.twist import weight_table
 
 
@@ -209,7 +211,7 @@ def _assert_inverse_rows(ring):
             tuple(rel[rho] for rho in rays) for rel in ring.relations
         )
         assert tuple(rewrite[rho][1] for rho in rays) == (
-            invert_unimodular(relation_matrix)
+            hnf_inverse(relation_matrix)
         )
 
 
@@ -244,7 +246,7 @@ def test_weight_table_determinants_are_the_charmap_determinants():
     pairs.append(("CP2#CP2", cp2_sharp_cp2()))
     for name, pair in pairs:
         assert weight_table(pair).determinants == tuple(
-            determinant(pair.charmap_matrix(cone))
+            determinant(cone_vectors(pair.charmap, cone))
             for cone in pair.complex.max_cones
         ), name
     assert weight_table(cp2_sharp_cp2()).determinants == (1, 1, -1, -1)

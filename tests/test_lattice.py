@@ -4,10 +4,8 @@ import pytest
 
 from helpers import hermite_normal_form, permutation_determinant
 from toricbundles.lattice import (
-    NotUnimodularError,
     determinant,
     identity,
-    invert_unimodular,
     is_primitive,
     mat_mul,
     matrix,
@@ -24,29 +22,6 @@ def square_matrices(max_n=4):
             max_size=n,
         )
     )
-
-
-def unimodular_matrices(max_n=4):
-    """Products of elementary row operations applied to the identity."""
-
-    @st.composite
-    def build(draw):
-        n = draw(st.integers(min_value=1, max_value=max_n))
-        m = [list(row) for row in identity(n)]
-        for _ in range(draw(st.integers(min_value=0, max_value=8))):
-            i = draw(st.integers(min_value=0, max_value=n - 1))
-            j = draw(st.integers(min_value=0, max_value=n - 1))
-            op = draw(st.integers(min_value=0, max_value=2))
-            if op == 0 and i != j:
-                c = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
-                m[j] = [x + c * y for x, y in zip(m[j], m[i])]
-            elif op == 1:
-                m[i], m[j] = m[j], m[i]
-            else:
-                m[i] = [-x for x in m[i]]
-        return matrix(m)
-
-    return build()
 
 
 def test_is_primitive_examples():
@@ -124,27 +99,3 @@ def test_hnf_idempotent(rows):
     h2, _ = hermite_normal_form(h)
     assert h2 == h
 
-
-def test_invert_unimodular_examples():
-    assert invert_unimodular(identity(2)) == identity(2)
-    assert invert_unimodular(matrix([[1, 1], [0, 1]])) == matrix([[1, -1], [0, 1]])
-    with pytest.raises(NotUnimodularError):
-        invert_unimodular(matrix([[1, 0], [1, 2]]))
-
-
-@given(unimodular_matrices())
-def test_invert_unimodular_roundtrip(m):
-    inv = invert_unimodular(m)
-    n = len(m)
-    assert mat_mul(inv, m) == identity(n)
-    assert mat_mul(m, inv) == identity(n)
-
-
-@given(square_matrices())
-def test_invert_rejects_non_unimodular(rows):
-    m = matrix(rows)
-    if determinant(m) in (1, -1):
-        assert mat_mul(invert_unimodular(m), m) == identity(len(m))
-    else:
-        with pytest.raises(NotUnimodularError):
-            invert_unimodular(m)

@@ -15,6 +15,7 @@ import random
 import pytest
 
 from helpers import (
+    cone_vectors,
     dim5_twists,
     p1,
     p1_power,
@@ -38,6 +39,7 @@ from toricbundles import (
 from toricbundles import chern, fan as fan_module
 from toricbundles.cli import main
 from toricbundles.corpus import corpus_fans
+from toricbundles.equivariant import ordinary_ring
 from toricbundles.formats import fan_to_text, plmap_to_text
 
 
@@ -161,13 +163,14 @@ def bareiss_passes(monkeypatch):
 
     monkeypatch.setattr(lattice, "det_adjugate", counting)
     monkeypatch.setattr(fan_module, "det_adjugate", counting)
-    for cached in (fan_module.validate, fan_module.cone_duals, build_ring):
+    for cached in (fan_module.validate, fan_module.cone_duals, build_ring,
+                   ordinary_ring):
         cached.cache_clear()
     return calls
 
 
 def _cone_matrices(*fans):
-    return sorted(f.cone_matrix(cone) for f in fans for cone in f.max_cones)
+    return sorted(cone_vectors(f.rays, cone) for f in fans for cone in f.max_cones)
 
 
 def test_cmd_chern_runs_one_bareiss_pass_per_cone(tmp_path, capsys,
