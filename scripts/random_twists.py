@@ -7,8 +7,11 @@ numbers of the bundle ring over the base's presentation (the third route,
 whose normal form carries the twisting classes) and by fixed-point
 localization on the twisted fan (the fourth, with no ring at all), checks
 Gauss-Bonnet, and spot-checks invariance under a random unimodular change
-of fiber coordinates.  Everything is exact; a single disagreement exits
-nonzero.
+of fiber coordinates.  Each trial also takes a random star subdivision of
+a smooth complete threefold that is not projective: its ring must
+certify, its ring-route Chern numbers must equal the localized ones, and
+its Todd genus c1c2/24 must be 1.  Everything is exact; a single
+disagreement exits nonzero.
 
 Usage: python scripts/random_twists.py [trials] [seed] [max_entry]
 """
@@ -18,6 +21,7 @@ import sys
 
 from toricbundles import (
     CharacteristicPair,
+    Fan,
     RingConsistencyError,
     build_bundle_ring,
     build_ring,
@@ -26,6 +30,7 @@ from toricbundles import (
     compare,
     equivariant_total_chern,
     forget,
+    make_fan,
     masuda_check,
     presentation_from_fan,
     total_chern_general,
@@ -66,9 +71,57 @@ def moved_pair_holds(pair: CharacteristicPair, u) -> bool:
     ) == total_chern_intrinsic(ring)
 
 
+def nonprojective_threefold() -> Fan:
+    """14 rays and 24 cones; nine wall relations with positive weights sum
+    to zero, so no strictly convex support function exists."""
+    rays = [[1, 0, 2], [2, 1, 3], [3, 2, 1], [0, -1, 2], [1, 2, 1],
+            [-1, 0, -3], [2, 1, 2], [0, 1, -1], [1, 1, 2], [1, 0, 3],
+            [1, 1, -1], [1, 1, 1], [0, 0, -1], [2, 1, 1]]
+    cones = [[1, 2, 6], [0, 2, 6], [0, 1, 6], [3, 5, 7], [3, 4, 7],
+             [0, 1, 4], [3, 4, 8], [0, 4, 8], [3, 8, 9], [0, 8, 9],
+             [0, 3, 9], [1, 5, 10], [1, 2, 10], [5, 7, 11], [1, 5, 11],
+             [4, 7, 11], [1, 4, 11], [0, 2, 3], [5, 10, 12], [3, 10, 12],
+             [3, 5, 12], [3, 10, 13], [2, 10, 13], [2, 3, 13]]
+    return make_fan(3, rays, cones)
+
+
+def random_star_subdivision(fan: Fan, rng: random.Random, steps: int) -> Fan:
+    """``steps`` star subdivisions, each at a random face tau of dimension
+    at least 2 of a random maximal cone: one new ray, the sum of tau's
+    rays, and each maximal cone sigma containing tau replaced by the cones
+    sigma - {rho} + {new ray}, rho in tau."""
+    for _ in range(steps):
+        sigma = sorted(rng.choice(fan.max_cones))
+        tau = frozenset(rng.sample(sigma, rng.randint(2, len(sigma))))
+        new = len(fan.rays)
+        ray = [sum(fan.rays[rho][i] for rho in tau) for i in range(fan.dim)]
+        cones = []
+        for cone in fan.max_cones:
+            if tau <= cone:
+                cones += [sorted(cone - {rho}) + [new] for rho in sorted(tau)]
+            else:
+                cones.append(sorted(cone))
+        fan = make_fan(fan.dim, [list(r) for r in fan.rays] + [ray], cones)
+    return fan
+
+
+def star_subdivision_holds(fan: Fan) -> bool:
+    """The fan's ring certifies, its ring-route Chern numbers equal the
+    localized ones, and its Todd genus c1c2/24 is 1."""
+    try:
+        ring = build_ring(fan)
+    except RingConsistencyError:
+        return False
+    numbers = chern_numbers(ring, total_chern_intrinsic(ring))
+    return (numbers == chern_numbers_localized(fan)
+            and numbers[(2, 1)] == 24)
+
+
 def main(trials: int = 25, seed: int = 7, max_entry: int = 3) -> int:
     rng = random.Random(seed)
     moves = random.Random(f"charmap moves {seed}")
+    stars = random.Random(f"star subdivisions {seed}")
+    threefold = nonprojective_threefold()
     bases = [("P1", projective_line()), ("P2", projective_plane()),
              ("P1xP1", quadric_surface())]
     fibers = [("P1", projective_line()), ("P2", projective_plane())]
@@ -108,10 +161,13 @@ def main(trials: int = 25, seed: int = 7, max_entry: int = 3) -> int:
         quasitoric = moved_pair_holds(
             pair, random_unimodular(pair.complex.dim, moves)
         )
+        star = random_star_subdivision(threefold, stars, stars.randint(1, 3))
+        nonprojective = star_subdivision_holds(star)
         ok = (report.equal and presented and localized and gauss
-              and invariant and quasitoric)
+              and invariant and quasitoric and nonprojective)
         mark = "ok" if ok else "FAIL"
-        print(f"[{mark}] {name}  chi={report.euler_intrinsic}")
+        print(f"[{mark}] {name}  chi={report.euler_intrinsic}  "
+              f"star subdivision: {star.ray_count} rays")
         if not ok:
             failures += 1
     print(f"\n{trials - failures}/{trials} random twists verified")

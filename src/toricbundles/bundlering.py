@@ -265,10 +265,10 @@ class BundleRing(GradedQuotientRing):
     ring's basis plan and solved on its cones with the fiber ring's
     inverses, the fiber fan's dual rows.  Relation i is sum_rho rel_i[rho]
     x_rho + lambda_i = 0, so on a cone the rewrite of its k-th ray gains the
-    constant mu_k = -sum_j inv[k][j] lambda_j, and the dual row (tau, k),
-    x_tau times sum_j inv[k][j] relation_j, carries the cofactors c_j =
-    inv[k][j] of lambda_j x_tau.  ``dim`` is the complex dimension of the
-    total space; fiber monomials of higher degree vanish.
+    constant mu_k = -sum_j inv[k][j] lambda_j, and the row of a face S,
+    x_tau times sum_j inv[k][j] relation_j (tau = S - {k}), carries the
+    cofactors c_j = inv[k][j] of lambda_j x_tau.  ``dim`` is the complex
+    dimension of the total space; fiber monomials of higher degree vanish.
     """
 
     _class_type = BundleClass

@@ -27,7 +27,7 @@ from .formats import (
     parse_plmap,
     parse_twisting,
 )
-from .twist import principal_classes, twisted_fan
+from .twist import twisted_fan
 
 EXIT_OK = 0
 EXIT_INPUT = 1

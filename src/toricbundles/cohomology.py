@@ -25,32 +25,37 @@ as constants (see ``bundlering``).  Minimal non-faces are grown from
 the face set, and a ring computes them only when they are read.
 
 A ring with linear relations eliminates over the squarefree face
-monomials of each degree (one column per face of that size), not over
-every face monomial.  A monomial with a repeated exponent is first
-rewritten into squarefree face monomials through the relations: on the
-first maximal cone sigma containing its support the relations solve for
-each x_rho of sigma as an integer combination of the x_rho' outside
-sigma, and trading one repeated factor this way lowers (degree - support
-size), so the rewrite terminates.  The solve needs the inverse of the
-relation matrix on sigma's rays; the ring is given these inverses at
-construction, as it is given its basis plan, and inverts nothing itself:
-a fan ring reads the dual rows of the fan's ``cone_duals`` table (the
-one Bareiss pass per cone that validation and the basis plan read too),
-a bundle ring those of its fiber fan, and a pair ring its
-``weight_table``.  The rewrite checks that the rows pair to the identity
-with the relations on sigma's rays, keeps the rows as given, and is
-solved once per cone and ring and kept in ``_rewrites``.  The degree-d
-relation rows are the dual rows x_tau * (x_rho - rewrite of x_rho), for
-each squarefree degree-(d-1) face monomial x_tau and each rho outside
-tau of the cone solved for it: n - |tau| rows, the products x_tau *
-rel_i under the cone's unimodular relation matrix less the |tau| that
-rewrite to zero, so the lattice and the pivots are those of the
-products.  Unit-pivot elimination certifies that this quotient is free
-on the planned basis, of rank h_d; it surjects onto H^{2d}, which is
-free of the same rank, so the two are isomorphic and bases and
-coefficients are the ones elimination over all face monomials gives.  A
-face ring has no relations, squarefree monomials do not span it, and it
-keeps every face monomial as a column.
+monomials of each degree, one column per face of that size.  A monomial
+with a repeated exponent is first rewritten into them: on the first
+maximal cone sigma containing its support the relations solve for each
+x_rho of sigma as an integer combination of the x_rho' outside sigma,
+and trading one repeated factor lowers (degree - support size), so the
+rewrite terminates.  The solve reads the inverse of the relation matrix
+on sigma's rays, given to the ring as its basis plan is: the dual rows
+of the fan's ``cone_duals`` table (the one Bareiss pass per cone that
+validation and the plan read too), of the fiber fan's for a bundle ring,
+or a pair's ``weight_table``.  Each cone's rewrite checks that the rows
+invert the relations on its rays and is solved once per ring, in
+``_rewrites``.
+
+The plan gives each maximal cone sigma a set bad(sigma), and each face
+S lies in exactly one interval [bad(sigma), sigma], its home (see
+fixed_point_basis_plan); the constructor walks the intervals once,
+checking this and listing each degree's columns.  Degree d has one row
+per face S of size d but bad(sigma): x_{S-rho} * (x_rho - rewrite of
+x_rho on sigma), rho the greatest ray of S outside bad(sigma) (any would
+do; this one keeps a bundle ring's lambda payloads sparse), so f_d - h_d
+rows for as many allowed columns.  The rows lie in the ideal, so when
+unit-pivot elimination certifies the quotient by them free on the plan,
+of rank h_d, it maps onto H^{2d}, free of the same rank, isomorphically:
+bases and coefficients are those of elimination over all face monomials,
+and rows that fall short fail elimination, naming the column.  On a
+projective fan the system is unit-triangular: each other term
+x_{S-rho+rho'} (rho' not in sigma) lies in V(S-rho), and S-rho's home is
+sigma, so its home's fixed point is in the closure of sigma's
+Bialynicki-Birula cell, an order acyclic on every projective fan.  A face
+ring has no relations, squarefree monomials do not span it, and every
+face monomial is a column.
 """
 
 from __future__ import annotations
@@ -122,16 +127,18 @@ def _faces(max_cones) -> set[frozenset[int]]:
     return faces
 
 
+def _squarefree(face, ray_count: int) -> Monomial:
+    """The squarefree monomial x_face."""
+    return tuple(1 if i in face else 0 for i in range(ray_count))
+
+
 def face_monomial_sum(faces, ray_count: int) -> Poly:
     """The sum of x_tau over the faces tau: prod_rho (1 + x_rho) expanded.
 
     Every other squarefree monomial of the expansion has a non-face support
     and vanishes in the Stanley-Reisner quotient.
     """
-    return {
-        tuple(1 if i in face else 0 for i in range(ray_count)): 1
-        for face in faces
-    }
+    return {_squarefree(face, ray_count): 1 for face in faces}
 
 
 def _face_monomials(ray_count: int, faces, degree: int) -> list[Monomial]:
@@ -161,18 +168,6 @@ def _face_monomials(ray_count: int, faces, degree: int) -> list[Monomial]:
     return sorted(out, reverse=True)
 
 
-def _squarefree_monomials(ray_count: int, faces, degree: int) -> list[Monomial]:
-    """The degree-d squarefree face monomials, in _face_monomials order."""
-    return sorted(
-        (
-            tuple(1 if i in face else 0 for i in range(ray_count))
-            for face in faces
-            if len(face) == degree
-        ),
-        reverse=True,
-    )
-
-
 def graded_eliminate(rows, allowed, columns):
     """Exact integer elimination with unit pivots, in one left-to-right pass.
 
@@ -188,10 +183,10 @@ def graded_eliminate(rows, allowed, columns):
     One pass is enough: let L be the lattice the rows span and B the
     planned basis, the columns not in ``allowed``, and suppose Z^cols/L is
     free on B.  For each allowed column c, L then holds v = e_c minus a
-    combination of B, zero at every earlier allowed column.  The pivots
+    combination of B, zero at every allowed column but c.  The pivots
     found so far and the filed rows span L; each pivot is 1 at its own
-    column, where v, the later pivots and the filed rows vanish, so v is a
-    combination of the filed rows alone.  Those vanish before c, so the
+    column, where v, the pivots after it and the filed rows vanish, so v
+    is a combination of the filed rows alone.  Those vanish before c, so the
     rows filed under c have gcd 1 there: a correct plan never defers a
     column.  Conversely, unit pivots everywhere and no row left mean the
     pivots span L, so Z^cols/L is free on B.
@@ -265,8 +260,8 @@ def graded_eliminate(rows, allowed, columns):
     return pivots
 
 
-def fixed_point_basis_plan(f: Fan, h_expected):
-    """Squarefree basis monomials read at the fan's first generic point.
+def fixed_point_basis_plan(f: Fan):
+    """Each maximal cone's negative-coordinate ray set, in ``max_cones`` order.
 
     For each maximal cone take tau(sigma), the rays whose coordinate of
     the generic direction v (in the cone's ray basis) is negative; the
@@ -290,13 +285,11 @@ def fixed_point_basis_plan(f: Fan, h_expected):
     intervals partition the faces: the sets tau(sigma) are distinct (each
     lies in its own interval only), and as an interval [tau, sigma] adds
     t^|tau| (1 + t)^(n - |tau|) to the face polynomial, the sets of each
-    size k number h_k.  Sets that are not distinct or do not count
-    ``h_expected`` raise RingConsistencyError.  The plan depends only on
-    the fan geometry; elimination later certifies it against whatever
-    linear relations the ring carries.
+    size k number h_k.  The ring walks the intervals and rejects a plan
+    that does not partition the faces.  The plan depends only on the fan
+    geometry; elimination later certifies it against whatever linear
+    relations the ring carries.
     """
-    if f.dim == 0:
-        return {0: {(0,) * f.ray_count}}
     cones = [sorted(cone) for cone in f.max_cones]
     for cone_sorted, dual in zip(cones, cone_duals(f).rows):
         if dual is None:
@@ -309,25 +302,10 @@ def fixed_point_basis_plan(f: Fan, h_expected):
             "no generic direction yields a fixed-point basis plan among the "
             f"first {GENERIC_DIRECTION_BUDGET} moment-curve points (1, t, t^2, ...)"
         )
-    sets = [
+    return [
         frozenset(rho for rho, c in zip(cone_sorted, coords) if c < 0)
         for cone_sorted, coords in zip(cones, coordinates)
     ]
-    counts = [0] * (f.dim + 1)
-    for tau in sets:
-        counts[len(tau)] += 1
-    if len(set(sets)) != len(sets) or counts != list(h_expected):
-        raise RingConsistencyError(
-            f"the negative-coordinate ray sets of the {len(sets)} cones at the "
-            f"first generic point ({len(set(sets))} distinct) count {counts} "
-            f"by size, not the h-vector {list(h_expected)}"
-        )
-    plan: dict[int, set] = {}
-    for tau in sets:
-        plan.setdefault(len(tau), set()).add(
-            tuple(1 if i in tau else 0 for i in range(f.ray_count))
-        )
-    return plan
 
 
 class GradedPiece(NamedTuple):
@@ -350,13 +328,9 @@ class GradedPiece(NamedTuple):
         """Eliminate ``rows`` over the columns outside the planned basis.
 
         ``planned`` lists the basis monomials the elimination must
-        certify; None (a ring without linear relations) keeps every
-        column.  ``label`` names the ring and degree in every error.
+        certify.  ``label`` names the ring and degree in every error.
         """
         monomials = tuple(monomials)
-        if planned is None:
-            return cls(monomials, index, (), tuple(range(len(monomials))),
-                       monomials)
         positions = set()
         for mono in planned:
             pos = index.get(mono)
@@ -635,10 +609,10 @@ class GradedQuotientRing(GradedRing):
     and safe to share between threads.  ``faces`` is the face set of
     ``max_cones`` where the caller has it already, and ``kind`` names the
     ring (fan, pair, bundle or face ring) in elimination errors.  A ring
-    with relations gets, beside its basis plan, ``inverses``: per maximal
-    cone, in ``max_cones`` order, the inverse of its relation matrix on
-    the cone's sorted rays (the fan's ``cone_duals`` rows, or a pair's
-    weight table), which the cone rewrites check and read.
+    with relations gets, per maximal cone in ``max_cones`` order, its
+    plan's frozenset bad(sigma) and in ``inverses`` the inverse of its
+    relation matrix on the cone's sorted rays (the fan's ``cone_duals``
+    rows, or a pair's weight table), which the cone rewrites check and read.
 
     Its hooks: the plain degree, the cone rewrite as normal form and the
     point class's sign.  The bundle ring subclasses it, and its twisting
@@ -666,39 +640,68 @@ class GradedQuotientRing(GradedRing):
         self._degrees = []
         self._point = None
         self._rewrites: dict[frozenset, dict] = {}
+        columns = self._interval_columns() if self.relations else None
         for d in range(degree_cap + 1):
-            self._degrees.append(self._build_degree(d))
+            self._degrees.append(self._build_degree(d, columns))
 
     @cached_property
     def nonfaces(self) -> list[frozenset[int]]:
         """Minimal non-faces (Stanley-Reisner generators), on first use."""
         return _minimal_nonfaces(self.faces, self.ray_count)
 
-    def _build_degree(self, d: int) -> GradedPiece:
-        enumerate_columns = (
-            _squarefree_monomials if self.relations else _face_monomials
-        )
-        monomials = enumerate_columns(self.ray_count, self.faces, d)
-        index = {m: i for i, m in enumerate(monomials)}
-        rows = []
-        if d >= 1 and self.relations:
-            # Dual row (tau, rho), rho outside tau in the cone solved for
-            # tau: 1 at x_tau * x_rho and -row[rho'] at each face monomial
-            # x_tau * x_rho'; its constant (inverse_row) is the payload's.
-            for tau_pos, tau in enumerate(self._degrees[d - 1].monomials):
-                support = frozenset(i for i, e in enumerate(tau) if e)
-                for rho, (row, inverse_row, _) in self._cone_rewrite(support).items():
-                    if tau[rho]:
-                        continue
-                    vec = {index[tau[:rho] + (1,) + tau[rho + 1:]]: 1}
-                    for other, a in enumerate(row):
-                        if a:
-                            pos = index.get(tau[:other] + (1,) + tau[other + 1:])
-                            if pos is not None:
-                                vec[pos] = -a
-                    rows.append((vec, self._row_payload(tau_pos, inverse_row)))
-        planned = None if self.basis_plan is None else self.basis_plan.get(d, ())
+    def _interval_columns(self) -> dict[int, list]:
+        """(monomial, home cone, greatest ray outside bad(home) or None) per
+        face, by size, from one walk of the plan's intervals [bad(sigma),
+        sigma]; a face no interval or two hold raises RingConsistencyError."""
+        seen, columns = set(), {}
+        for cone, bad in zip(self.max_cones, self.basis_plan):
+            free = sorted(cone - bad)
+            for size in range(len(free) + 1):
+                for extra in itertools.combinations(free, size):
+                    face = bad.union(extra)
+                    mono = _squarefree(face, self.ray_count)
+                    if face in seen or face not in self.faces:
+                        raise RingConsistencyError(
+                            f"{self.kind}, degree {len(face)}: column {mono} "
+                            f"lies in the interval of cone {sorted(cone)} and "
+                            + ("in another" if face in seen else "is no face")
+                        )
+                    seen.add(face)
+                    columns.setdefault(len(face), []).append(
+                        (mono, cone, extra[-1] if extra else None))
+        for face in self.faces - seen:
+            raise RingConsistencyError(
+                f"{self.kind}, degree {len(face)}: column "
+                f"{_squarefree(face, self.ray_count)} lies in no interval"
+            )
+        return columns
+
+    def _build_degree(self, d: int, columns) -> GradedPiece:
         label = f"{self.kind}, degree {d}"
+        if columns is None:  # every face monomial is a basis column
+            monomials = tuple(_face_monomials(self.ray_count, self.faces, d))
+            return GradedPiece(monomials, {m: i for i, m in enumerate(monomials)},
+                               (), tuple(range(len(monomials))), monomials)
+        entries = sorted(columns.get(d, ()), reverse=True)
+        monomials = [mono for mono, *_ in entries]
+        index = {m: i for i, m in enumerate(monomials)}
+        rows, planned = [], []
+        for mono, cone, rho in entries:
+            if rho is None:
+                planned.append(mono)
+                continue
+            # S's row x_{S-rho} * (x_rho - its rewrite on the home): 1 at
+            # x_S, -row[rho'] at each x_{S-rho+rho'}, payload from inverse_row
+            tau = mono[:rho] + (0,) + mono[rho + 1:]
+            row, inverse_row, _ = self._cone_rewrite(cone)[rho]
+            vec = {index[mono]: 1}
+            for other, a in enumerate(row):
+                if a:
+                    pos = index.get(tau[:other] + (1,) + tau[other + 1:])
+                    if pos is not None:
+                        vec[pos] = -a
+            tau_pos = self._degrees[d - 1].index[tau]
+            rows.append((vec, self._row_payload(tau_pos, inverse_row)))
         return GradedPiece.build(monomials, index, rows, planned, label)
 
     def _row_payload(self, tau_pos: int, inverse_row):
@@ -707,8 +710,8 @@ class GradedQuotientRing(GradedRing):
 
     # -- rewriting into columns ----------------------------------------------
 
-    def _cone_rewrite(self, support: frozenset) -> dict:
-        """Solve the relations on the first maximal cone containing support.
+    def _cone_rewrite(self, cone: frozenset) -> dict:
+        """Solve the relations on a maximal cone.
 
         Returns {rho in the cone: (row, inverse_row, constant)}: x_rho is
         the sum of row[rho'] * x_rho' over the rays rho' (row is dense and
@@ -718,7 +721,6 @@ class GradedQuotientRing(GradedRing):
         must pair to the identity with the relations on the cone's rays.
         Each cone's rewrite is solved once and kept by the ring.
         """
-        cone = next(c for c in self.max_cones if support <= c)
         rewrite = self._rewrites.get(cone)
         if rewrite is None:
             rays = sorted(cone)
@@ -769,7 +771,8 @@ class GradedQuotientRing(GradedRing):
             return
         rho = next(i for i, e in enumerate(mono) if e > 1)
         lowered = mono[:rho] + (mono[rho] - 1,) + mono[rho + 1:]
-        row, _, constant = self._cone_rewrite(support)[rho]
+        cone = next(c for c in self.max_cones if support <= c)
+        row, _, constant = self._cone_rewrite(cone)[rho]
         for other, a in enumerate(row):
             if a:
                 wider = support | {other}
@@ -799,11 +802,8 @@ class GradedQuotientRing(GradedRing):
                 )
             reduced = None
             for cone in self.max_cones:
-                mono = tuple(
-                    1 if i in cone else 0 for i in range(self.ray_count)
-                )
                 top = self._degrees[n]
-                this = top.reduce({top.index[mono]: 1})
+                this = top.reduce({top.index[_squarefree(cone, self.ray_count)]: 1})
                 if reduced is None:
                     reduced = this
                 elif this != reduced:
@@ -839,9 +839,9 @@ def _certified_ring(f: Fan, relations, kind: str,
     """The quotient of the face ring of f by the given linear relations.
 
     ``inverses`` are the relations' inverses on the maximal cones (see
-    GradedQuotientRing).  The basis plan is the fan's fixed-point sweep,
-    and one face set feeds both the h-vector it must match and the ring.
-    The rank invariants
+    GradedQuotientRing).  The basis plan is read at the fan's first
+    generic point, and one face set feeds the ring and the h-vector its
+    ranks must match.  The rank invariants
     (Betti equals h-vector, Betti sum equals the number of maximal cones,
     degree-2 rank equals rays minus dimension, Poincare symmetry) are
     checked at build time and violations raise RingConsistencyError.
@@ -854,7 +854,7 @@ def _certified_ring(f: Fan, relations, kind: str,
         relations=relations,
         max_cones=f.max_cones,
         degree_cap=f.dim,
-        basis_plan=fixed_point_basis_plan(f, hv),
+        basis_plan=fixed_point_basis_plan(f),
         faces=faces,
         kind=kind,
         inverses=inverses,

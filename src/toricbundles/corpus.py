@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import bundlering, chern, equivariant
 from .cohomology import build_ring
-from .fan import Fan, make_fan, product_fan, validate
+from .fan import Fan, make_fan, product_fan
 from .lattice import identity, mat_vec
 from .twist import (
     CharacteristicPair,

@@ -39,10 +39,18 @@ and compares modulo the weight of the missing ray.
 same arithmetic on tuple-keyed terms, as the library stored weight
 polynomials before it packed each monomial into one integer.
 ``RewrittenProductRing`` and ``RewrittenProductBundleRing`` are the
-references for the dual-basis relation rows: they build n rows per
-squarefree face monomial x_tau, the normal forms of x_tau times each
-relation, and carry the matching lambda cofactors in the bundle ring, as
-the library did before it took each cone's dual rows.  ``bundle_cases``,
+references for the relation rows: they build n rows per squarefree face
+monomial x_tau, the normal forms of x_tau times each relation, and carry
+the matching lambda cofactors in the bundle ring, as the library did
+before it took each cone's dual rows; their columns come from
+``squarefree_monomials``, a scan of every face, and their basis from
+``plan_monomials``, not from the library's walk of the plan's intervals.
+``star_subdivision_cases`` (seeded star subdivisions of the non-projective
+threefold, P3, P4, (P1)^3 and (P1)^4, by ``scripts/random_twists.py``'s
+generator, which ``load_script`` loads) and
+``charmap_pair_cases`` (seeded charmaps that are no linear image of the
+rays, by ``random_charmap_pair``) are the inputs both references check
+the library's rows on.  ``bundle_cases``,
 ``random_base_class`` and ``random_fiber_poly`` are the bundle rings and
 seeded coefficients both bundle-ring references run on.
 ``dim5_twists`` are the seeded twisted fans both Chern-number reference
@@ -63,10 +71,13 @@ completeness only) and a shelling argument (which needs a polytope)
 part ways.
 """
 
+import importlib.util
 import itertools
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
-from operator import add
+from operator import add, mul
+from pathlib import Path
 
 from toricbundles import (
     BasePresentation,
@@ -89,7 +100,6 @@ from toricbundles.cohomology import (
     GradedQuotientRing,
     RingConsistencyError,
     _face_monomials,
-    _squarefree_monomials,
     face_monomial_sum,
     linear_relations,
 )
@@ -171,6 +181,88 @@ def nonprojective_threefold():
              [4, 7, 11], [1, 4, 11], [0, 2, 3], [5, 10, 12], [3, 10, 12],
              [3, 5, 12], [3, 10, 13], [2, 10, 13], [2, 3, 13]]
     return make_fan(3, rays, cones)
+
+
+def load_script(name):
+    """A module of ``scripts/``, loaded by path (its ``main`` is not run)."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def is_linear_image_of_rays(pair):
+    """Whether the charmap is U times the rays for one rational matrix U,
+    read off the first maximal cone, so that the pair is toric in disguise."""
+    f = pair.complex
+    cone = sorted(f.max_cones[0])
+    for i in range(f.dim):
+        # solve u . rays[rho] = charmap[rho][i] on the cone, then test all rays
+        rows = [list(map(Fraction, f.rays[rho])) + [Fraction(pair.charmap[rho][i])]
+                for rho in cone]
+        for c in range(f.dim):
+            pivot = next(r for r in range(c, f.dim) if rows[r][c])
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            rows[c] = [x / rows[c][c] for x in rows[c]]
+            for r in range(f.dim):
+                if r != c and rows[r][c]:
+                    rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+        u = [row[-1] for row in rows]
+        if any(sum(map(mul, u, ray)) != value[i]
+               for ray, value in zip(f.rays, pair.charmap)):
+            return False
+    return True
+
+
+def random_charmap_pair(fan, rng, moves=12):
+    """A characteristic pair on a smooth fan whose charmap is not a linear
+    image of the rays: each move adds a vector with entries in -2..2 to
+    one ray's value and is kept when every maximal cone's values still
+    have determinant +-1.  Returns None if no move gives a non-toric pair.
+    """
+    charmap = [tuple(r) for r in fan.rays]
+    for _ in range(moves):
+        rho = rng.randrange(fan.ray_count)
+        old = charmap[rho]
+        charmap[rho] = tuple(x + rng.randint(-2, 2) for x in old)
+        if any(abs(determinant([list(charmap[i]) for i in sorted(cone)])) != 1
+               for cone in fan.max_cones if rho in cone):
+            charmap[rho] = old
+    pair = CharacteristicPair(complex=fan, charmap=tuple(charmap))
+    return None if is_linear_image_of_rays(pair) else pair
+
+
+def star_subdivision_cases(per_fan=10):
+    """Seeded star subdivisions, 1 to 3 steps, of the non-projective
+    threefold, P3, P4, (P1)^3 and (P1)^4, by the generator that
+    ``scripts/random_twists.py`` runs on the threefold."""
+    subdivide = load_script("random_twists").random_star_subdivision
+    rng = random.Random("star subdivisions")
+    fans = [("non-projective threefold", nonprojective_threefold()),
+            ("P3", projective_space(3)), ("P4", projective_space(4)),
+            ("(P1)^3", p1_power(3)), ("(P1)^4", p1_power(4))]
+    return [(f"{name} star {k}",
+             subdivide(fan, rng, rng.randint(1, 3)))
+            for name, fan in fans for k in range(per_fan)]
+
+
+def charmap_pair_cases(per_fan=5):
+    """Seeded non-toric charmaps on P2, the square, dP6, P3, (P1)^3 and
+    star surfaces with 5 to 8 rays."""
+    rng = random.Random("non-toric charmaps")
+    fans = [("P2", p2()), ("square", square_fan()), ("dP6", dp6()),
+            ("P3", projective_space(3)), ("(P1)^3", p1_power(3))]
+    fans += [(f"star surface {k}", star_surface(k, rng)) for k in range(5, 9)]
+    cases = []
+    for name, fan in fans:
+        pairs = []
+        while len(pairs) < per_fan:
+            pair = random_charmap_pair(fan, rng)
+            if pair is not None:
+                pairs.append(pair)
+        cases += [(f"{name} charmap {k}", p) for k, p in enumerate(pairs)]
+    return cases
 
 
 def cone_vectors(vectors, cone):
@@ -310,9 +402,8 @@ def left_to_right_chern_numbers(ring, total):
 
 def sweeping_basis_plan(f, h_expected):
     """The fixed-point basis plan from the first moment-curve point whose
-    negative-coordinate ray sets are distinct and count ``h_expected``."""
-    if f.dim == 0:
-        return {0: {(0,) * f.ray_count}}
+    negative-coordinate ray sets are distinct and count ``h_expected``:
+    those sets, in ``max_cones`` order."""
     cones = [sorted(cone) for cone in f.max_cones]
     for coordinates in generic_coordinates(cone_duals(f).rows, f.dim):
         sets = [
@@ -323,12 +414,7 @@ def sweeping_basis_plan(f, h_expected):
         for tau in sets:
             counts[len(tau)] += 1
         if len(set(sets)) == len(sets) and counts == list(h_expected):
-            plan = {}
-            for tau in sets:
-                plan.setdefault(len(tau), set()).add(
-                    tuple(1 if i in tau else 0 for i in range(f.ray_count))
-                )
-            return plan
+            return sets
     raise RingConsistencyError("no moment-curve point gives a basis plan")
 
 
@@ -526,7 +612,7 @@ class AllFaceMonomialRing:
                                 vec[index[bumped]] = coeff
                         if vec:
                             rows.append((vec, None))
-            planned = {index[m] for m in ring.basis_plan.get(d, set())}
+            planned = {index[m] for m in plan_monomials(ring, d)}
             allowed = set(range(len(monomials))) - planned
             pivots = multipass_eliminate(rows, allowed)
             assert len(pivots) == len(allowed)
@@ -997,12 +1083,35 @@ def congruent_mod_form(a: WeightPolynomial, b: WeightPolynomial,
     return all(exps[0] > 0 for exps in image.terms)
 
 
-class _RewrittenProductRows:
-    """n relation rows per squarefree face monomial: x_tau * rel_i, rewritten."""
+def squarefree_monomials(ray_count, faces, degree):
+    """The degree-d squarefree face monomials, in _face_monomials order,
+    by a scan of every face."""
+    return sorted(
+        (
+            tuple(1 if i in face else 0 for i in range(ray_count))
+            for face in faces
+            if len(face) == degree
+        ),
+        reverse=True,
+    )
 
-    def _build_degree(self, d: int) -> GradedPiece:
+
+def plan_monomials(ring, degree):
+    """The squarefree monomials of a basis plan's sets of one size."""
+    return [tuple(1 if i in bad else 0 for i in range(ring.ray_count))
+            for bad in ring.basis_plan if len(bad) == degree]
+
+
+class _RewrittenProductRows:
+    """n relation rows per squarefree face monomial: x_tau * rel_i, rewritten.
+
+    Columns come from a scan of every face and the basis from the plan's
+    sets, not from the ring's own interval walk.
+    """
+
+    def _build_degree(self, d: int, columns) -> GradedPiece:
         enumerate_columns = (
-            _squarefree_monomials if self.relations else _face_monomials
+            squarefree_monomials if self.relations else _face_monomials
         )
         monomials = enumerate_columns(self.ray_count, self.faces, d)
         index = {m: i for i, m in enumerate(monomials)}
@@ -1015,7 +1124,8 @@ class _RewrittenProductRows:
             # times x_tau, which only the row payload sees.
             for tau_pos, tau in enumerate(self._degrees[d - 1].monomials):
                 support = frozenset(i for i, e in enumerate(tau) if e)
-                rewrite = self._cone_rewrite(support)
+                rewrite = self._cone_rewrite(
+                    next(c for c in self.max_cones if support <= c))
                 wider = {}
                 for rho, e in enumerate(tau):
                     if not e:
@@ -1037,9 +1147,9 @@ class _RewrittenProductRows:
                     if vec:
                         payload = self._row_payload(tau_pos, tau, i, rewrite)
                         rows.append((vec, payload))
-        planned = None if self.basis_plan is None else self.basis_plan.get(d, ())
         label = f"{self.kind}, degree {d}"
-        return GradedPiece.build(monomials, index, rows, planned, label)
+        return GradedPiece.build(monomials, index, rows,
+                                 plan_monomials(self, d), label)
 
 
 class RewrittenProductRing(_RewrittenProductRows, GradedQuotientRing):

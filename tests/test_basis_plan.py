@@ -64,7 +64,7 @@ PLAN_CASES = _plan_cases()
                          ids=[name for name, _ in PLAN_CASES])
 def test_the_first_generic_point_gives_the_sweeping_plan(name, fan):
     hv = h_vector(fan)
-    assert fixed_point_basis_plan(fan, hv) == sweeping_basis_plan(fan, hv)
+    assert fixed_point_basis_plan(fan) == sweeping_basis_plan(fan, hv)
 
 
 @pytest.fixture

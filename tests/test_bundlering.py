@@ -6,7 +6,6 @@ from helpers import (
     p1_presentation,
     p2,
     p2_presentation,
-    square_fan,
 )
 from toricbundles import (
     BasePresentation,

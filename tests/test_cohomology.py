@@ -249,7 +249,7 @@ def test_torsion_relations_fail_certification():
         GradedQuotientRing(
             ray_count=3, dim=2, relations=doubled,
             max_cones=f.max_cones, degree_cap=2,
-            basis_plan=fixed_point_basis_plan(f, [1, 1, 1]),
+            basis_plan=fixed_point_basis_plan(f),
             inverses=cone_duals(f).rows,
         )
 
@@ -274,18 +274,23 @@ def test_a_sweep_without_a_generic_direction_names_its_budget(monkeypatch):
                         lambda _: None)
     with pytest.raises(RingConsistencyError,
                        match=f"first {GENERIC_DIRECTION_BUDGET} moment-curve"):
-        cohomology.fixed_point_basis_plan(p2(), [1, 1, 1])
+        cohomology.fixed_point_basis_plan(p2())
 
 
-def test_a_plan_off_the_h_vector_names_its_counts():
-    # no direction gives P2 the h-vector [1, 2, 0]
-    from toricbundles.cohomology import fixed_point_basis_plan
+def test_a_plan_with_a_repeated_set_names_the_face_two_intervals_hold():
+    # with bad set {} on every cone of P2, each interval holds the empty face
+    from toricbundles.cohomology import GradedQuotientRing
 
+    f = p2()
     with pytest.raises(RingConsistencyError,
-                       match=r"3 cones at the first generic point \(3 "
-                             r"distinct\) count \[1, 1, 1\] by size, not the "
-                             r"h-vector \[1, 2, 0\]"):
-        fixed_point_basis_plan(p2(), [1, 2, 0])
+                       match=r"^fan ring, degree 0: column \(0, 0, 0\) lies "
+                             r"in the interval of cone \[0, 2\] and in "
+                             r"another"):
+        GradedQuotientRing(
+            ray_count=3, dim=2, relations=linear_relations(f),
+            max_cones=f.max_cones, degree_cap=2,
+            basis_plan=[frozenset()] * 3, inverses=cone_duals(f).rows,
+        )
 
 
 def test_a_certified_ring_builds_its_face_set_once(monkeypatch):

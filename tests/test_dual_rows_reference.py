@@ -1,13 +1,15 @@
 """Dual-basis relation rows against the rewritten-product rows.
 
-The library builds, for each squarefree face monomial x_tau of degree d-1,
-one row per ray rho outside tau of the cone solved for tau: x_tau times
-the dual-basis relation of rho.  ``RewrittenProductRing`` builds the n
-normal forms of x_tau * rel_i instead.  The two row sets span the same
-lattice, and every pivot is e_c minus basis columns, so the column
-monomials, bases, pivot columns and pivot vectors must be identical; in
-the bundle ring the rows' lambda payloads may differ, normal forms may
-not.  Degree d builds exactly sum over tau of (n - |tau|) rows.  Each
+The library builds one row per face S of size d that is not a basis set
+bad(sigma): with sigma the cone whose interval [bad(sigma), sigma] holds
+S and rho the greatest ray of S outside bad(sigma), x_{S-rho} times the
+dual-basis relation of rho on sigma.  ``RewrittenProductRing`` builds the
+n normal forms of x_tau * rel_i for every face tau of size d-1 instead.
+The two row sets span the same lattice, and every pivot is e_c minus
+basis columns, so the column monomials, bases, pivot columns and pivot
+vectors must be identical; in the bundle ring the rows' lambda payloads
+may differ, normal forms may not.  Degree d builds exactly f_d - h_d
+rows, one per allowed column.  Each
 cone's rewrite reads the inverse of the relation matrix on its rays from
 one table (the fan's dual rows for fan rings, the fiber fan's for bundle
 rings, the weight table for pair rings), which must equal
@@ -24,6 +26,7 @@ from helpers import (
     RewrittenProductBundleRing,
     RewrittenProductRing,
     bundle_cases,
+    charmap_pair_cases,
     cone_vectors,
     cp2_sharp_cp2,
     dp6,
@@ -32,6 +35,7 @@ from helpers import (
     projective_space,
     quasitoric_pairs,
     random_fiber_poly,
+    star_subdivision_cases,
     star_surface,
 )
 from toricbundles import (
@@ -46,7 +50,7 @@ from toricbundles import (
     twisted_fan,
 )
 from toricbundles import cohomology
-from toricbundles.cohomology import linear_relations
+from toricbundles.cohomology import h_vector, linear_relations
 from toricbundles.corpus import corpus_fans, corpus_pairs, random_unimodular
 from toricbundles.equivariant import ordinary_ring
 from toricbundles.fan import cone_duals
@@ -105,6 +109,12 @@ def _fan_cases():
     assert all(pair.charmap != pair.complex.rays for _, pair in pairs)
     cases += [(f"pair {name}", lambda p=p: ordinary_ring(p))
               for name, p in pairs]
+    # seeded star subdivisions (the non-projective threefold's among them)
+    # and seeded non-toric charmaps
+    cases += [(name, lambda f=f: build_ring(f))
+              for name, f in star_subdivision_cases()]
+    cases += [(f"pair {name}", lambda p=p: ordinary_ring(p))
+              for name, p in charmap_pair_cases()]
     return cases
 
 
@@ -172,11 +182,12 @@ def _row_counts(monkeypatch, build):
     return ring, counts
 
 
-def _expected_counts(ring, n):
-    """Degree d: n - (d - 1) rows for each face of size d - 1."""
-    return [0] + [
-        (n - (d - 1)) * sum(1 for face in ring.faces if len(face) == d - 1)
-        for d in range(1, ring.degree_cap + 1)
+def _expected_counts(ring, fan):
+    """Degree d: f_d - h_d rows, the faces of size d less the basis sets."""
+    hv = h_vector(fan)
+    return [
+        sum(1 for face in ring.faces if len(face) == d) - hv[d]
+        for d in range(ring.degree_cap + 1)
     ]
 
 
@@ -184,20 +195,20 @@ def _expected_counts(ring, n):
     ("dP6xP1", product_fan(dp6(), p1_power(1))), ("(P1)^4", p1_power(4)),
     ("P5", projective_space(5)),
 ] + [(name, f) for name, f in corpus_fans()])
-def test_degree_d_builds_n_minus_tau_rows_per_face(name, fan, monkeypatch):
+def test_degree_d_builds_one_row_per_non_basis_face(name, fan, monkeypatch):
     inverses = cone_duals(fan).rows
     ring, counts = _row_counts(monkeypatch, lambda: cohomology._certified_ring(
         fan, linear_relations(fan), "fan ring", inverses))
-    assert counts == _expected_counts(ring, fan.dim)
+    assert counts == _expected_counts(ring, fan)
 
 
-def test_bundle_degree_d_builds_n_minus_tau_rows_per_face(monkeypatch):
+def test_bundle_degree_d_builds_one_row_per_non_basis_face(monkeypatch):
     for name, base, lam, fiber in BUNDLE_CASES:
         build_ring(fiber)  # the fiber ring's own rows are not counted
         ring, counts = _row_counts(
             monkeypatch, lambda: build_bundle_ring(base, lam, fiber)
         )
-        assert counts == _expected_counts(ring, fiber.dim), name
+        assert counts == _expected_counts(ring, fiber), name
 
 
 def _assert_inverse_rows(ring):

@@ -14,12 +14,14 @@ import os
 import pytest
 
 from helpers import (
+    charmap_pair_cases,
     multipass_eliminate,
     p1_power,
     p2,
     p2_presentation,
     projective_space,
     square_fan,
+    star_subdivision_cases,
 )
 from toricbundles import (
     CharacteristicPair,
@@ -33,9 +35,7 @@ from toricbundles.bundlering import BasePresentation
 from toricbundles.cohomology import (
     GradedQuotientRing,
     RingConsistencyError,
-    fixed_point_basis_plan,
     graded_eliminate,
-    h_vector,
     linear_relations,
 )
 from toricbundles.corpus import corpus_fans
@@ -78,6 +78,26 @@ def test_fan_rings_match_the_reference(compared, name, fan):
     assert compared
 
 
+STAR_SUBDIVISIONS = star_subdivision_cases()
+
+
+@pytest.mark.parametrize("name,fan", STAR_SUBDIVISIONS,
+                         ids=[name for name, _ in STAR_SUBDIVISIONS])
+def test_star_subdivisions_match_the_reference(compared, name, fan):
+    build_ring.__wrapped__(fan)
+    assert compared
+
+
+CHARMAP_PAIRS = charmap_pair_cases()
+
+
+@pytest.mark.parametrize("name,pair", CHARMAP_PAIRS,
+                         ids=[name for name, _ in CHARMAP_PAIRS])
+def test_non_toric_charmap_rings_match_the_reference(compared, name, pair):
+    ordinary_ring.__wrapped__(pair)
+    assert compared
+
+
 @pytest.mark.parametrize("name,fan,charmap", [
     ("P2", p2(), ((1, 0), (1, 1), (0, -1))),
     ("P3", projective_space(3), (
@@ -105,20 +125,44 @@ def test_bundle_ring_pivots_match_the_reference(compared):
     assert compared
 
 
-def test_a_planned_basis_missing_a_column_names_it():
-    # on P1 x P1 the degree-1 relations are x0 = x1 and x2 = x3, so the
-    # planned basis {x0, x1} leaves x3 with no row to pivot on
+# P1 x P1 has the maximal cones {0, 2}, {0, 3}, {1, 2}, {1, 3}.  In this
+# plan the interval [{}, {0, 2}] holds x0, x2 and x0*x2, [{1}, {1, 2}] holds
+# x1 and x1*x2, and the cones {0, 3} and {1, 3} hold only themselves, so no
+# interval holds x3: the plan misses it.
+SQUARE_WITHOUT_X3 = {
+    frozenset({0, 2}): frozenset(), frozenset({0, 3}): frozenset({0, 3}),
+    frozenset({1, 2}): frozenset({1}), frozenset({1, 3}): frozenset({1, 3}),
+}
+
+
+def _square_plan(bad_sets, fan):
+    return [bad_sets[cone] for cone in fan.max_cones]
+
+
+def _square_ring(bad_sets):
     fan = square_fan()
-    plan = fixed_point_basis_plan(fan, h_vector(fan))
-    plan[1] = {(1, 0, 0, 0), (0, 1, 0, 0)}
+    return GradedQuotientRing(
+        ray_count=fan.ray_count, dim=fan.dim,
+        relations=linear_relations(fan), max_cones=fan.max_cones,
+        degree_cap=fan.dim, basis_plan=_square_plan(bad_sets, fan),
+        inverses=cone_duals(fan).rows,
+    )
+
+
+def test_a_planned_basis_missing_a_column_names_it():
     with pytest.raises(RingConsistencyError,
                        match=r"degree 1: .*\(0, 0, 0, 1\)"):
-        GradedQuotientRing(
-            ray_count=fan.ray_count, dim=fan.dim,
-            relations=linear_relations(fan), max_cones=fan.max_cones,
-            degree_cap=fan.dim, basis_plan=plan,
-            inverses=cone_duals(fan).rows,
-        )
+        _square_ring(SQUARE_WITHOUT_X3)
+
+
+def test_an_overlapping_plan_names_the_face_two_intervals_hold():
+    # [{}, {0, 2}] and [{0}, {0, 3}] both hold x0
+    overlapping = {**SQUARE_WITHOUT_X3, frozenset({0, 3}): frozenset({0})}
+    with pytest.raises(RingConsistencyError,
+                       match=r"^fan ring, degree 1: column \(1, 0, 0, 0\) "
+                             r"lies in the interval of cone \[0, 3\] and "
+                             r"in another"):
+        _square_ring(overlapping)
 
 
 def _doubled_h_squared(basis):
@@ -137,6 +181,18 @@ def test_a_non_unit_residual_gcd_names_the_column():
         _doubled_h_squared({0: [(0,)], 1: [(1,)]})
 
 
+def test_a_column_no_row_reaches_names_it():
+    # h^3 = 0 leaves h^2 free, so a basis without it has no row there
+    with pytest.raises(RingConsistencyError,
+                       match=r"'P2', degree 4: no relation row reaches "
+                             r"column \(2,\)"):
+        BasePresentation(
+            name="P2", generators=[("h", 2)], relations=[{(3,): 1}],
+            basis={0: [(0,)], 1: [(1,)]}, top_degree=4, integration=1,
+            chern={(0,): 1, (1,): 3, (2,): 3},
+        )
+
+
 def test_a_relation_among_basis_columns_names_it():
     # 2*h^2 = 0 with h^2 on the basis: the row lies on basis columns only
     with pytest.raises(RingConsistencyError,
@@ -145,18 +201,11 @@ def test_a_relation_among_basis_columns_names_it():
         _doubled_h_squared({0: [(0,)], 1: [(1,)], 2: [(2,)]})
 
 
-SQUARE_WITHOUT_X3 = {(1, 0, 0, 0), (0, 1, 0, 0)}
-
-
 @pytest.fixture
 def plan_without_x3(monkeypatch):
-    """Plan every ring with the failing degree-1 basis {x0, x1} above."""
-    real = cohomology.fixed_point_basis_plan
-
-    def planned(*args):
-        return {**real(*args), 1: SQUARE_WITHOUT_X3}
-
-    monkeypatch.setattr(cohomology, "fixed_point_basis_plan", planned)
+    """Plan every ring with the square plan above, which misses x3."""
+    monkeypatch.setattr(cohomology, "fixed_point_basis_plan",
+                        lambda fan: _square_plan(SQUARE_WITHOUT_X3, fan))
 
 
 def test_a_failing_fan_ring_plan_names_the_fan_ring(plan_without_x3):
@@ -177,7 +226,7 @@ def test_a_failing_pair_ring_plan_names_the_pair_ring(plan_without_x3):
 
 def test_a_failing_bundle_ring_plan_names_the_bundle_ring(monkeypatch):
     fiber_ring = build_ring.__wrapped__(square_fan())
-    fiber_ring.basis_plan = {**fiber_ring.basis_plan, 1: SQUARE_WITHOUT_X3}
+    fiber_ring.basis_plan = _square_plan(SQUARE_WITHOUT_X3, square_fan())
     monkeypatch.setattr(bundlering, "build_ring", lambda fiber: fiber_ring)
     base = p2_presentation()
     h = base.reduce_poly({(1,): 1})

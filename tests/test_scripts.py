@@ -1,16 +1,13 @@
 """Smoke tests for the stand-alone scripts, so they keep running."""
 
-import importlib.util
-from pathlib import Path
+import random
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+from helpers import load_script, nonprojective_threefold
+from toricbundles import RingConsistencyError, validate
 
 
 def _load(name="random_twists"):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_script(name)
 
 
 def test_random_twists_script(capsys):
@@ -44,6 +41,47 @@ def test_random_twists_script_fails_on_a_wrong_forgetful_route(capsys,
     monkeypatch.setattr(module, "forget", doubled)
     assert module.main(2, 7, 3) == 2
     assert "0/2 random twists verified" in capsys.readouterr().out
+
+
+def test_random_twists_script_fails_on_a_failing_star_subdivision(
+        capsys, monkeypatch):
+    module = _load()
+    monkeypatch.setattr(module, "star_subdivision_holds", lambda fan: False)
+    assert module.main(2, 7, 3) == 2
+    assert "0/2 random twists verified" in capsys.readouterr().out
+
+
+def test_star_subdivision_check_needs_every_route(monkeypatch):
+    module = _load()
+    threefold = module.nonprojective_threefold()
+    assert threefold == nonprojective_threefold()
+    star = module.random_star_subdivision(threefold, random.Random(3), 2)
+    report = validate(star)
+    assert len(star.rays) == 16 and report.smooth and report.complete
+    assert module.star_subdivision_holds(star)
+    real = module.chern_numbers_localized
+
+    def one_off(f):
+        numbers = real(f)
+        numbers[(3,)] += 1
+        return numbers
+
+    monkeypatch.setattr(module, "chern_numbers_localized", one_off)
+    assert not module.star_subdivision_holds(star)
+    monkeypatch.undo()
+
+    # both routes agree, but on a Todd genus of 2
+    doubled = {(1, 1, 1): 32, (2, 1): 48, (3,): 48}
+    monkeypatch.setattr(module, "chern_numbers", lambda ring, c: doubled)
+    monkeypatch.setattr(module, "chern_numbers_localized", lambda f: doubled)
+    assert not module.star_subdivision_holds(star)
+    monkeypatch.undo()
+
+    def uncertified(f):
+        raise RingConsistencyError("no unit pivot")
+
+    monkeypatch.setattr(module, "build_ring", uncertified)
+    assert not module.star_subdivision_holds(star)
 
 
 def test_src_lines_counts_every_module(capsys):
