@@ -6,12 +6,14 @@ compares the intrinsic and bundle-formula Chern classes, checks the Chern
 numbers of the bundle ring over the base's presentation (the third route,
 whose normal form carries the twisting classes) and by fixed-point
 localization on the twisted fan (the fourth, with no ring at all), checks
-Gauss-Bonnet, and spot-checks invariance under a random unimodular change
-of fiber coordinates.  Each trial also takes a random star subdivision of
-a smooth complete threefold that is not projective: its ring must
-certify, its ring-route Chern numbers must equal the localized ones, and
-its Todd genus c1c2/24 must be 1.  Everything is exact; a single
-disagreement exits nonzero.
+Gauss-Bonnet, checks that the comparison's class arithmetic leaves the
+cached twisted ring's attribute set as it was (no table of normal forms
+outlives its call), and spot-checks invariance under a random unimodular
+change of fiber coordinates.  Each trial also takes a random star
+subdivision of a smooth complete threefold that is not projective: its
+ring must certify, its ring-route Chern numbers must equal the localized
+ones, and its Todd genus c1c2/24 must be 1.  Everything is exact; a
+single disagreement exits nonzero.
 
 Usage: python scripts/random_twists.py [trials] [seed] [max_entry]
 """
@@ -135,7 +137,11 @@ def main(trials: int = 25, seed: int = 7, max_entry: int = 3) -> int:
         ]
         phi = make_plmap(fiber.dim, values)
         name = f"trial {trial}: base {bname}, fiber {fname}, phi {values}"
+        twisted = twisted_fan(base, fiber, phi).twisted
+        ring = build_ring(twisted)
+        attributes = set(vars(ring))
         report = compare(base, fiber, phi, name)
+        kept = set(vars(ring)) == attributes
         gauss = report.euler_intrinsic == report.euler_expected
         pres = presentation_from_fan(base)
         bundle = build_bundle_ring(
@@ -144,9 +150,8 @@ def main(trials: int = 25, seed: int = 7, max_entry: int = 3) -> int:
         presented = chern_numbers(
             bundle, total_chern_general(bundle)
         ) == report.intrinsic_numbers
-        localized = chern_numbers_localized(
-            twisted_fan(base, fiber, phi).twisted
-        ) == report.intrinsic_numbers
+        localized = (chern_numbers_localized(twisted)
+                     == report.intrinsic_numbers)
         inst = TwistInstance(name, base, fiber, phi)
         moved = transform_instance(inst, random_unimodular(fiber.dim, rng))
         moved_ring = build_ring(
@@ -163,7 +168,7 @@ def main(trials: int = 25, seed: int = 7, max_entry: int = 3) -> int:
         )
         star = random_star_subdivision(threefold, stars, stars.randint(1, 3))
         nonprojective = star_subdivision_holds(star)
-        ok = (report.equal and presented and localized and gauss
+        ok = (report.equal and presented and localized and gauss and kept
               and invariant and quasitoric and nonprojective)
         mark = "ok" if ok else "FAIL"
         print(f"[{mark}] {name}  chi={report.euler_intrinsic}  "

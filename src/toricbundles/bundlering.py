@@ -15,17 +15,20 @@ pinned by the mandatory agreement with the twisted-fan route.
 Both rings here run on the ring skeleton of ``cohomology``
 (GradedRing): one GradedPiece per degree, certified against the claimed
 (presentation) or the fiber ring's (bundle) basis, and one reduce_poly,
-multiply and integrate.  The presentation supplies the three hooks
-directly: weighted degrees, every weighted monomial a column (the
-identity normal form) and ``integration_value``; it also fills its
-structure constants, the normal form of every basis-pair product, at
-construction and multiplies by walking them.  The bundle ring is the
-fiber's GradedQuotientRing with base classes as coefficients: the same
-squarefree columns in fiber degrees 0..n, the same cone rewrite and
-normal form, whose rewrite of x_rho gains the constant
-mu_rho = -sum_j inv[rho][j] lambda_j, and the same ``GradedPiece.reduce``,
-walked top degree first, whose pivots carry the lambda cofactors of
-their rows one fiber degree down.  Base classes
+multiply and integrate.  Both multiply as every ring does, through a
+table of normal forms (NormalForms).  The presentation supplies the
+three hooks directly: weighted degrees, every weighted monomial a column
+(its normal form read off its pivot row) and ``integration_value``; it
+keeps its one table for its lifetime, filled on first read, so each
+product of basis monomials is solved once per presentation.  The bundle
+ring is the fiber's GradedQuotientRing with base classes as
+coefficients: the same squarefree columns in fiber degrees 0..n, the
+same cone rewrite and normal form, whose rewrite of x_rho gains the
+constant mu_rho = -sum_j inv[rho][j] lambda_j (solved for a cone and ray
+on first need and kept by the ring), and the same column forms, whose
+pivots carry the lambda cofactors of their rows one fiber degree down.
+Its table entries hold integers in the monomial's own fiber degree and
+base classes below, and it hands out a new table per call.  Base classes
 are CohomologyClass instances, and a BundleClass is a CohomologyClass
 whose coefficients are base classes; it differs only in taking
 components by total degree.
@@ -51,10 +54,10 @@ lowers fiber degree, and K[p,q,r] = int_B e_p e_q e_r.  Then
 
 K is nonzero only in total base degree top, so the sum reads exactly the
 top total-degree component of a b, as integrate((a*b).component(dim))
-does.  Each T_ij is one reduce_poly, K is read once per presentation off
-its structure constants, and M, an integer matrix per fiber-basis pair,
-is built once per bundle ring on first use: the pairing is then integer
-arithmetic only.
+does.  Each T_ij is one read of a table held while M is built, K is
+read once per presentation off its table, and M, an integer matrix per
+fiber-basis pair, is built once per bundle ring on first use: the
+pairing is then integer arithmetic only.
 """
 
 from __future__ import annotations
@@ -72,8 +75,8 @@ from .cohomology import (
     GradedRing,
     Monomial,
     Poly,
+    NormalForms,
     RingConsistencyError,
-    basis_products,
     build_ring,
     face_monomial_sum,
     linear_relations,
@@ -106,10 +109,10 @@ class BasePresentation(GradedRing):
     from the relations with unit pivots, degree 0 must be the unit, the
     top degree must have rank one and integration value +-1) and raises
     RingConsistencyError when they fail.  Degrees above ``top_degree``
-    are zero by contract.  The constructor checks, the piece build and
-    ``multiply``, a walk over the structure constants, are its own; the
-    other ring operations are GradedRing's.  ``dim`` and ``half_top`` are
-    half the top degree.
+    are zero by contract.  The constructor checks and the piece build are
+    its own, and it keeps its table of normal forms for its lifetime; the
+    other ring operations, ``multiply`` among them, are GradedRing's.
+    ``dim`` and ``half_top`` are half the top degree.
     """
 
     def __init__(self, name: str, generators, relations, basis,
@@ -161,43 +164,22 @@ class BasePresentation(GradedRing):
             raise RingConsistencyError("degree 0 basis must be the unit")
         if self.rank(self.half_top) != 1:
             raise RingConsistencyError("top degree must have rank one")
+        self._forms = NormalForms(self)
         self.chern = self.reduce_poly(chern)
         if self.chern.parts[0] != (1,):
             raise RingConsistencyError(
                 "total Chern class must start with 1, not "
                 f"{self.chern.parts[0][0]}"
             )
-        # Structure constants, {basis-pair product: (degree, its nonzero
-        # (position, coefficient) pairs)}: bundle products, lambda carries
-        # and twists all multiply here.
-        ones = tuple((1,) * piece.rank for piece in self._degrees)
-        self._products = {}
-        for prod, _, _ in basis_products(self._degrees, ones, ones,
-                                         self.half_top):
-            if prod not in self._products:
-                d = self._degree(prod)
-                part = self.reduce_poly({prod: 1}).parts[d]
-                self._products[prod] = (
-                    d, tuple((i, c) for i, c in enumerate(part) if c)
-                )
 
     def _degree(self, mono: Monomial) -> int:
         """The weighted half-degree of a monomial."""
         return sum(map(mul, mono, self._weights))
 
-    def multiply(self, a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
-        """The product as a walk over the table of basis-pair products."""
-        if a.ring is not self or b.ring is not self:
-            raise ValueError("classes live in different rings")
-        parts = [[0] * piece.rank for piece in self._degrees]
-        for prod, c1, c2 in basis_products(
-            self._degrees, a.parts, b.parts, self.half_top
-        ):
-            d, entries = self._products[prod]
-            part, c = parts[d], c1 * c2
-            for i, v in entries:
-                part[i] += c * v
-        return CohomologyClass(self, tuple(map(tuple, parts)))
+    def normal_forms(self) -> NormalForms:
+        """The presentation's one table, kept for its lifetime: bundle
+        products, lambda carries and twists all multiply through it."""
+        return self._forms
 
     def _point_data(self) -> int:
         return self.integration_value
@@ -207,25 +189,25 @@ class BasePresentation(GradedRing):
         """The nonzero integrals K[p,q,r] = int_B e_p e_q e_r, as (p, q, r, K).
 
         The basis classes e_p are numbered across degrees, lowest first, in
-        the order of a class's flattened parts.  Read off the structure
-        constants: e_p e_q = sum_s c_s e_s, and each e_s e_r of top degree
-        is a multiple of the top basis monomial.
+        the order of a class's flattened parts, as in the product table.
+        Read off it: e_p e_q = sum_s c_s e_s, and each e_s e_r of top
+        degree is a multiple of the top basis monomial.
         """
         numbered = [(k, m) for k, piece in enumerate(self._degrees)
                     for m in piece.basis]
+        forms = self._forms
         out = []
         for p, (kp, mp) in enumerate(numbered):
             for q, (kq, mq) in enumerate(numbered):
                 if kp + kq > self.half_top:
                     continue
-                _, entries = self._products[tuple(map(add, mp, mq))]
-                lower = self._degrees[kp + kq].basis
+                entries = forms[tuple(map(add, mp, mq))]
                 for r, (kr, mr) in enumerate(numbered):
                     if kp + kq + kr != self.half_top:
                         continue
                     value = 0
                     for s, c in entries:
-                        _, top = self._products[tuple(map(add, lower[s], mr))]
+                        top = forms[tuple(map(add, numbered[s][1], mr))]
                         value += sum(c * v for _, v in top)
                     if value:
                         out.append((p, q, r, self.integration_value * value))
@@ -288,6 +270,7 @@ class BundleRing(GradedQuotientRing):
         self._zero = base.zero()
         self._one = base.unit()
         self._lam = lam.classes
+        self._constants: dict = {}
         super().__init__(
             fiber.ray_count, fiber.dim, linear_relations(fiber),
             fiber.max_cones, fiber.dim, self.fiber_ring.basis_plan,
@@ -295,7 +278,16 @@ class BundleRing(GradedQuotientRing):
         )
         self.dim = self.monomial_cap = base.half_top + fiber.dim
 
+    def _constant(self, cone: frozenset, rho: int) -> CohomologyClass:
+        """mu_rho on the cone, solved on first need and kept by the ring."""
+        key = cone, rho
+        if key not in self._constants:
+            self._constants[key] = self._rewrite_constant(
+                self._cone_rewrite(cone)[rho][1])
+        return self._constants[key]
+
     def _rewrite_constant(self, inverse_row) -> CohomologyClass:
+        """mu_k = -sum_j inv[k][j] lambda_j, from inverse_row = inv[k]."""
         mu = self._zero
         for inv, lam in zip(inverse_row, self._lam):
             mu = mu - inv * lam
@@ -346,13 +338,15 @@ class BundleRing(GradedQuotientRing):
         triples = self.base.triple_intersections
         numbered = [(d, m) for d, piece in enumerate(self._degrees)
                     for m in piece.basis]
+        forms = self.normal_forms()
         form = {}
         for i, (di, mi) in enumerate(numbered):
             for j in range(i, len(numbered)):
                 dj, mj = numbered[j]
                 if di + dj < n:
                     continue
-                top = self.reduce_poly({tuple(map(add, mi, mj)): self._one})
+                top = self.reduce_poly({tuple(map(add, mi, mj)): self._one},
+                                       forms)
                 t = _flat(top.parts[n][0])
                 entries = {}
                 for p, q, r, k in triples:
@@ -363,8 +357,10 @@ class BundleRing(GradedQuotientRing):
                     form[i, j] = form[j, i] = entries
         return form
 
-    def integrate_product(self, a: BundleClass, b: BundleClass) -> int:
-        """int_E a * b = sum a_i[p] b_j[q] M_ij[p][q], in integers only."""
+    def integrate_product(self, a: BundleClass, b: BundleClass,
+                          table=None) -> int:
+        """int_E a * b = sum a_i[p] b_j[q] M_ij[p][q], in integers only;
+        no normal form is read, so ``table`` is not."""
         if a.ring is not self or b.ring is not self:
             raise ValueError("classes live in different rings")
         av = [_flat(c) for part in a.parts for c in part]
@@ -389,8 +385,7 @@ def build_bundle_ring(base: BasePresentation, lam: TwistingClasses,
 def total_chern_general(ring: BundleRing) -> BundleClass:
     """Image of c(TB) times the product of (1 + x_tau) over fiber rays."""
     pulled = ring.reduce_poly({(0,) * ring.ray_count: ring.base.chern})
-    fiber_sum = face_monomial_sum(ring.faces, ring.ray_count)
-    return pulled * ring.reduce_poly(dict.fromkeys(fiber_sum, ring.base.unit()))
+    return pulled * ring.face_sum()
 
 
 def chern_numbers_bundle(ring: BundleRing,

@@ -45,8 +45,8 @@ from .twist import PiecewiseLinearMap, TwistDecomposition, twisted_fan
 
 
 def total_chern_intrinsic(ring: GradedQuotientRing) -> CohomologyClass:
-    """Reduced product of (1 + x_rho) over all rays."""
-    return ring.reduce_poly(face_monomial_sum(ring.faces, ring.ray_count))
+    """Reduced product of (1 + x_rho) over all rays: the ring's face sum."""
+    return ring.face_sum()
 
 
 def pullback(decomp: TwistDecomposition, base_ring: GradedQuotientRing,
@@ -66,6 +66,7 @@ def pullback(decomp: TwistDecomposition, base_ring: GradedQuotientRing,
         raise ValueError("twisted ring does not match the decomposition")
     if cls.ring is not base_ring:
         raise ValueError("class does not live on the base ring")
+    forms = twisted_ring.normal_forms()
 
     def image(poly):
         mapped = {}
@@ -74,7 +75,7 @@ def pullback(decomp: TwistDecomposition, base_ring: GradedQuotientRing,
             for rho, e in enumerate(mono):
                 lifted[decomp.graph_ray_of[rho]] = e
             mapped[tuple(lifted)] = mapped.get(tuple(lifted), 0) + coeff
-        return twisted_ring.reduce_poly(mapped)
+        return twisted_ring.reduce_poly(mapped, forms)
 
     units = [tuple(int(i == rho) for i in range(base_ring.ray_count))
              for rho in range(base_ring.ray_count)]
@@ -142,15 +143,19 @@ def chern_numbers(ring, total: CohomologyClass) -> dict[tuple[int, ...], int]:
     product(B))``, or the integral of product(A) when B is empty.  A
     bundle ring makes 3 ring products at n = 5 and 4 at n = 6, where a
     left-to-right walk makes 13 and 24; a fan ring's pairing is one more
-    product, 9 in all at n = 5.  The result keeps ``partitions(n)`` order.
+    product, 9 in all at n = 5.  Every product and pairing reads one
+    table of normal forms, held for this call only, so each product
+    monomial is solved once.  The result keeps ``partitions(n)`` order.
     """
     n = ring.dim
     components = [total.component(k) for k in range(n + 1)]
+    table = ring.normal_forms()
     products = {}
 
     def product(mu):
         if mu not in products:
-            products[mu] = (product(mu[1:]) * components[mu[0]]
+            products[mu] = (ring.multiply(product(mu[1:]), components[mu[0]],
+                                          table)
                             if len(mu) > 1
                             else components[mu[0]] if mu else ring.unit())
         return products[mu]
@@ -163,8 +168,8 @@ def chern_numbers(ring, total: CohomologyClass) -> dict[tuple[int, ...], int]:
                 a += (k,)
             else:
                 b += (k,)
-        out[part] = (ring.integrate_product(product(a), product(b)) if b
-                     else ring.integrate(product(a).component(n)))
+        out[part] = (ring.integrate_product(product(a), product(b), table)
+                     if b else ring.integrate(product(a).component(n)))
     return out
 
 

@@ -1,28 +1,45 @@
 """Graded quotient rings Z[x_ray]/(Stanley-Reisner + linear relations).
 
 Per-degree integer monomial bases are certified by exact sparse
-elimination with unit pivots only, one left-to-right pass per degree;
-reduction to normal form, multiplication, integration against the point
-class, and Betti/h-vector bookkeeping all live here.  Monomials are
+elimination with unit pivots only, one left-to-right pass per degree
+(``lattice.graded_eliminate``); reduction to normal form,
+multiplication, integration against the point class, and
+Betti/h-vector bookkeeping all live here.  Monomials are
 exponent tuples over the ray indices, ordered lexicographically with
 smaller ray indices first, and the elimination walks columns left to
 right, so bases and coefficient vectors are bit-stable across runs.
 
 GradedRing is the one ring skeleton, also of the presented base and the
 bundle ring in ``bundlering``: every ring stores one GradedPiece per
-degree (columns, unit pivots certifying a planned basis, the basis
-monomials, one ``reduce``), and reduce_poly, multiply (the sum of
-``basis_products``, the one product loop, brought to normal form by
-reduce_poly; a presentation walks its table of basis-pair products
-instead), integrate, the pairing ``integrate_product`` (the top-degree
-integral of a product; the bundle ring reads it off an integer form) and
-the ranks are written once.  Rings differ in three hooks: the degree of
-a monomial, its normal form (the cone rewrite here, the identity on a
-presentation) and the sign of the top basis monomial's integral.  CohomologyClass is the one class type, and
-face_monomial_sum is the one expansion of prod (1 + x_rho).  The bundle
-ring is a GradedQuotientRing whose relations have the twisting classes
-as constants (see ``bundlering``).  Minimal non-faces are grown from
-the face set, and a ring computes them only when they are read.
+degree (columns, unit pivots keyed by column certifying a planned basis,
+the basis monomials), and reduce_poly, multiply, integrate, the pairing
+``integrate_product`` (the top-degree integral of a product; the bundle
+ring reads it off an integer form) and the ranks are written once.  Rings differ in three hooks: the degree of a
+monomial, its normal form (the cone rewrite here, the column itself on a
+presentation) and the sign of the top basis monomial's integral.
+CohomologyClass is the one class type, and face_monomial_sum is the one
+expansion of prod (1 + x_rho).  The bundle ring is a GradedQuotientRing
+whose relations have the twisting classes as constants (see
+``bundlering``).  Minimal non-faces are grown from the face set, and a
+ring computes them only when they are read.
+
+Products go through one table of normal forms, NormalForms: {monomial:
+its coordinates over the basis, numbered across degrees}.  multiply is
+sum c1 * c2 * NF(m1 * m2) over the nonzero basis terms of its factors
+(``basis_products``, the one product loop), the coefficients of each
+product monomial summed first, and reduce_poly is sum c * NF(m).  An
+entry is solved on first read: the cone rewrite below trades one
+repeated exponent and reads the entries of the monomials it reaches, so
+each is solved once, down to columns, whose forms come straight off
+their pivot rows (the basis entries negated, and a bundle pivot's lambda
+payload carried one fiber degree down).  A fan, pair or bundle ring
+hands out a new table per call, which the caller may hold across several
+products (``chern_numbers`` holds one for all of its products), so no
+table outlives its call on a cached ring; a presentation keeps one for
+its lifetime.  No reduction walks the pivots: a normal form only ever
+reads the pivot rows of the columns it reaches.  Every face is a column,
+so face_sum, the total class, sums the column forms of each degree, with
+no monomial built or rewritten.
 
 A ring with linear relations eliminates over the squarefree face
 monomials of each degree, one column per face of that size.  A monomial
@@ -74,19 +91,10 @@ from .fan import (
     first_generic_coordinates,
     require_smooth_complete,
 )
-from .lattice import IntVector
+from .lattice import IntVector, RingConsistencyError, graded_eliminate
 
 Monomial = tuple[int, ...]
 Poly = dict[Monomial, int]
-
-
-class RingConsistencyError(RuntimeError):
-    """An internal invariant of a ring or twisted-fan computation failed.
-
-    Signals wrong input data (torsion, inconsistent point classes, a base
-    presentation that is not what it claims) or a construction that fails
-    its own validation, rather than a recoverable condition.
-    """
 
 
 def minimal_nonfaces(f: Fan) -> list[frozenset[int]]:
@@ -168,98 +176,6 @@ def _face_monomials(ray_count: int, faces, degree: int) -> list[Monomial]:
     return sorted(out, reverse=True)
 
 
-def graded_eliminate(rows, allowed, columns):
-    """Exact integer elimination with unit pivots, in one left-to-right pass.
-
-    ``rows`` is a list of ``(vec, payload)``: ``vec`` a sparse ``{column:
-    int}`` dict, ``payload`` a sparse dict combined linearly alongside it,
-    or None.  ``columns`` are the column monomials, named in errors.
-    Returns the ``(column, vec, payload)`` pivots in column order, each +1
-    at its column and 0 at every other pivot column.  A wrong plan raises
-    RingConsistencyError naming the column monomial: an allowed column
-    with no row or a residual gcd other than 1, or a row left over that
-    is nonzero only on basis columns.
-
-    One pass is enough: let L be the lattice the rows span and B the
-    planned basis, the columns not in ``allowed``, and suppose Z^cols/L is
-    free on B.  For each allowed column c, L then holds v = e_c minus a
-    combination of B, zero at every allowed column but c.  The pivots
-    found so far and the filed rows span L; each pivot is 1 at its own
-    column, where v, the pivots after it and the filed rows vanish, so v
-    is a combination of the filed rows alone.  Those vanish before c, so the
-    rows filed under c have gcd 1 there: a correct plan never defers a
-    column.  Conversely, unit pivots everywhere and no row left mean the
-    pivots span L, so Z^cols/L is free on B.
-    """
-
-    def axpy(target, source, factor):
-        """Row target += factor * row source, payload included."""
-        for part, add_part in zip(target, source):
-            if add_part is None:
-                continue
-            for k, v in add_part.items():
-                new = part.get(k, 0) + factor * v
-                if new:
-                    part[k] = new
-                else:
-                    part.pop(k, None)
-
-    # Nonzero rows by leading allowed column; None holds rows without one.
-    allowed = frozenset(allowed)
-    filed: dict = {}
-
-    def file(row):
-        if row[0]:
-            lead = min((k for k in row[0] if k in allowed), default=None)
-            filed.setdefault(lead, []).append(row)
-
-    for vec, payload in rows:
-        file((dict(vec), None if payload is None else dict(payload)))
-    pivots = []
-    for col in sorted(allowed):
-        hits = filed.pop(col, None)
-        if not hits:
-            raise RingConsistencyError(
-                f"no relation row reaches column {columns[col]}, so the planned "
-                "basis misses a monomial"
-            )
-        # Combine rows pairwise until one alone is nonzero at this column;
-        # the others are zero there and are filed again.
-        lead = hits[0]
-        for other in hits[1:]:
-            while col in other[0]:
-                a, b = lead[0][col], other[0][col]
-                if abs(a) > abs(b):
-                    lead, other = other, lead
-                    a, b = b, a
-                axpy(other, lead, -(b // a))
-                if col in other[0]:
-                    lead, other = other, lead
-            file(other)
-        g = lead[0][col]
-        if g not in (1, -1):
-            raise RingConsistencyError(
-                f"column {columns[col]} has residual gcd {abs(g)}, not a unit "
-                "pivot (unexpected torsion or a wrong prescribed basis)"
-            )
-        if g == -1:
-            for part in lead:
-                for k in part or ():
-                    part[k] = -part[k]
-        pivots.append((col, lead[0], lead[1]))
-    if filed:
-        raise RingConsistencyError(
-            "a relation row is nonzero only on basis columns, at "
-            f"{columns[min(filed[None][0][0])]}: the planned basis is not free"
-        )
-    done = {}
-    for col, vec, payload in reversed(pivots):
-        for k in [k for k in vec if k > col and k in allowed]:
-            axpy((vec, payload), done[k], -vec[k])
-        done[col] = (vec, payload)
-    return pivots
-
-
 def fixed_point_basis_plan(f: Fan):
     """Each maximal cone's negative-coordinate ray set, in ``max_cones`` order.
 
@@ -312,14 +228,18 @@ class GradedPiece(NamedTuple):
     """One degree of a graded ring: columns, unit pivots and the basis.
 
     ``monomials`` are the column monomials and ``index`` their positions;
-    ``pivots`` come from graded_eliminate, ``basis_positions`` are the
-    columns left without a pivot and ``basis`` their monomials.  Every ring
-    in the package, the bundle ring included, stores one piece per degree.
+    ``pivots`` are graded_eliminate's rows keyed by their columns (1 there,
+    otherwise nonzero only on basis columns) and ``payloads`` the payloads
+    that are not None, keyed the same way;
+    ``basis_positions`` are the columns left without a pivot and
+    ``basis`` their monomials.  Every ring in the package, the bundle ring
+    included, stores one piece per degree.
     """
 
     monomials: tuple[Monomial, ...]
     index: dict
-    pivots: tuple
+    pivots: dict
+    payloads: dict
     basis_positions: tuple[int, ...]
     basis: tuple[Monomial, ...]
 
@@ -350,38 +270,13 @@ class GradedPiece(NamedTuple):
         except RingConsistencyError as exc:
             raise RingConsistencyError(f"{label}: {exc}") from exc
         basis = tuple(sorted(positions))
-        return cls(monomials, index, tuple(pivots), basis,
-                   tuple(monomials[i] for i in basis))
+        return cls(monomials, index, {col: vec for col, vec, _ in pivots},
+                   {col: payload for col, _, payload in pivots if payload},
+                   basis, tuple(monomials[i] for i in basis))
 
     @property
     def rank(self) -> int:
         return len(self.basis_positions)
-
-    def reduce(self, vec: dict, zero=0, lam=(), lower=None) -> tuple:
-        """Basis coefficients of a combination {column: coefficient}.
-
-        Coefficients are integers, or base classes in the bundle ring, whose
-        pivots carry a payload {(j, pos): c_j}: their row also holds
-        sum_j c_j * lambda_j times column pos one degree down, so using the
-        pivot with coefficient c adds -c * c_j * lambda_j to ``lower[pos]``.
-        ``zero`` fills the basis positions the combination misses.
-        """
-        if not vec:
-            return (zero,) * len(self.basis_positions)
-        work = dict(vec)
-        for col, row, payload in self.pivots:
-            c = work.get(col)
-            if c:
-                for k, v in row.items():
-                    new = work.get(k, zero) - v * c
-                    if new:
-                        work[k] = new
-                    else:
-                        work.pop(k, None)
-                if payload:
-                    for (j, pos), cj in payload.items():
-                        _add_term(lower, pos, -cj * (lam[j] * c))
-        return tuple(work.get(i, zero) for i in self.basis_positions)
 
 
 def _add_term(terms: dict, key, value) -> None:
@@ -411,6 +306,42 @@ def basis_products(pieces, a_parts, b_parts, cap: int):
                 for m2, c2 in zip(pieces[d2].basis, b_parts[d2]):
                     if c2:
                         yield tuple(map(add, m1, m2)), c1, c2
+
+
+class NormalForms(dict):
+    """A ring's product table: {monomial: its normal form}, each solved once.
+
+    An entry is the normal form's nonzero (flat basis position,
+    coefficient) pairs: basis monomials are numbered across degrees,
+    lowest first, as a class's flattened parts.  A missing entry is solved
+    by the ring's ``_solve``, as a {position: coefficient} dict, on first
+    read, and that reads the entries of the monomials it reaches, so every
+    intermediate monomial is solved once too.  Fan, pair and bundle rings
+    hand out a new table per call, so none outlives it; a presentation
+    keeps one for its lifetime.
+    """
+
+    def __init__(self, ring):
+        super().__init__()
+        self.ring = ring
+        self.ranks = [piece.rank for piece in ring._degrees]
+        self.offsets, self.slots, flat = [], [], 0
+        for piece in ring._degrees:
+            self.offsets.append(flat)
+            # {basis column position: flat basis position} of each degree
+            self.slots.append({pos: flat + i for i, pos
+                               in enumerate(piece.basis_positions)})
+            flat += piece.rank
+        self.size = flat
+
+    def __missing__(self, mono: Monomial) -> tuple:
+        form = self[mono] = tuple(self.ring._solve(self, mono).items())
+        return form
+
+    def split(self, flat: list) -> tuple[tuple, ...]:
+        """Flat basis coefficients as per-degree parts."""
+        return tuple(tuple(flat[o:o + r])
+                     for o, r in zip(self.offsets, self.ranks))
 
 
 @dataclass(frozen=True)
@@ -493,11 +424,12 @@ class GradedRing:
     A ring stores one GradedPiece per degree in ``_degrees``, its variable
     count ``_nvars``, its complex dimension ``dim`` and ``monomial_cap``,
     the degree above which monomials vanish.  Subclasses differ in three
-    hooks: ``_degree`` of a monomial, ``_add_normal_form`` (a monomial
-    rewritten into column monomials, added into a combination) and
-    ``_point_data``, the integral (+-1) of the top basis monomial.
-    Coefficients are ``_zero``/``_one``, classes ``_class_type``, and
-    ``_lam`` are the twisting classes the bundle ring's pivots carry.
+    hooks: ``_degree`` of a monomial, ``_solve`` (a monomial's normal form,
+    here every monomial is a column) and ``_point_data``, the integral
+    (+-1) of the top basis monomial.  Coefficients are ``_zero``/``_one``,
+    classes ``_class_type``, and ``_lam`` are the twisting classes the
+    bundle ring's pivots carry.  Reduction and products sum normal forms
+    read from a NormalForms table, which ``normal_forms`` hands out.
     """
 
     _zero = 0
@@ -509,9 +441,35 @@ class GradedRing:
     def _degree(self, mono: Monomial) -> int:
         return sum(mono)
 
-    def _add_normal_form(self, terms: dict, mono: Monomial, coeff) -> None:
-        """Add coeff times mono into terms: every monomial is a column."""
-        _add_term(terms, mono, coeff)
+    def normal_forms(self) -> NormalForms:
+        """A new table of normal forms, to be held for one call."""
+        return NormalForms(self)
+
+    def _solve(self, table: NormalForms, mono: Monomial) -> dict:
+        """The normal form of mono: every monomial is a column."""
+        d = self._degree(mono)
+        return self._column_form(table, d, self._degrees[d].index[mono])
+
+    def _column_form(self, table: NormalForms, d: int, pos: int) -> dict:
+        """The normal form of column pos of degree d, read off its pivot row.
+
+        A basis column is itself; a pivot column is minus the basis entries
+        of its row, and minus c_j * lambda_j times the normal form of the
+        column one degree down that a bundle pivot's payload names.  Entries
+        in the column's own degree are integers, those below base classes.
+        """
+        slots = table.slots[d]
+        if pos in slots:
+            return {slots[pos]: 1}
+        piece = self._degrees[d]
+        form = {slots[k]: -v for k, v in piece.pivots[pos].items() if k != pos}
+        payload = piece.payloads.get(pos)
+        if payload:
+            below = self._degrees[d - 1].monomials
+            for (j, lower), c in payload.items():
+                for k, v in table[below[lower]]:
+                    _add_term(form, k, (-c * v) * self._lam[j])
+        return form
 
     @property
     def top_degree(self) -> int:
@@ -528,26 +486,25 @@ class GradedRing:
     def basis_monomials(self, d: int) -> tuple[Monomial, ...]:
         return self._degrees[d].basis
 
-    def _reduce_terms(self, terms: dict) -> "CohomologyClass":
-        """Reduce a combination of column monomials, top degree first."""
-        buckets: list[dict] = [{} for _ in self._degrees]
+    def _combine(self, terms: dict, table) -> "CohomologyClass":
+        """The class of sum c * NF(m) over terms {monomial m: c}."""
+        if table is None:
+            table = self.normal_forms()
+        flat = [self._zero] * table.size
         for mono, coeff in terms.items():
-            d = self._degree(mono)
-            buckets[d][self._degrees[d].index[mono]] = coeff
-        parts = list(self._degrees)
-        for d in range(len(parts) - 1, -1, -1):
-            lower = buckets[d - 1] if d else None
-            parts[d] = parts[d].reduce(buckets[d], self._zero, self._lam, lower)
-        return self._class_type(self, tuple(parts))
+            for k, v in table[mono]:
+                flat[k] = flat[k] + v * coeff
+        return self._class_type(self, table.split(flat))
 
-    def reduce_poly(self, poly: dict) -> "CohomologyClass":
+    def reduce_poly(self, poly: dict, table=None) -> "CohomologyClass":
         """Normal form of a polynomial in the ring's variables.
 
         Monomials above ``monomial_cap`` are dropped: for rings of complete
         fans and presentations they vanish, for truncated face rings that
-        is the truncation.
+        is the truncation.  ``table`` is a NormalForms of this ring to read
+        and fill, by default a new one.
         """
-        terms: dict = {}
+        terms = {}
         for mono, coeff in poly.items():
             if not coeff:
                 continue
@@ -555,8 +512,8 @@ class GradedRing:
                 raise ValueError("monomial length does not match variable count")
             mono = tuple(mono)
             if self._degree(mono) <= self.monomial_cap:
-                self._add_normal_form(terms, mono, coeff)
-        return self._reduce_terms(terms)
+                terms[mono] = coeff
+        return self._combine(terms, table)
 
     def zero(self) -> "CohomologyClass":
         return self.reduce_poly({})
@@ -564,15 +521,19 @@ class GradedRing:
     def unit(self) -> "CohomologyClass":
         return self.reduce_poly({(0,) * self._nvars: self._one})
 
-    def multiply(self, a: "CohomologyClass", b: "CohomologyClass") -> "CohomologyClass":
+    def multiply(self, a: "CohomologyClass", b: "CohomologyClass",
+                 table=None) -> "CohomologyClass":
+        """sum c1 * c2 * NF(m1 * m2) over the basis terms of a and b, with
+        each product monomial's coefficients summed first; ``table`` as in
+        ``reduce_poly``."""
         if a.ring is not self or b.ring is not self:
             raise ValueError("classes live in different rings")
-        poly: dict = {}
+        terms: dict = {}
         for prod, c1, c2 in basis_products(
             self._degrees, a.parts, b.parts, self.monomial_cap
         ):
-            _add_term(poly, prod, c1 * c2)
-        return self.reduce_poly(poly)
+            _add_term(terms, prod, c1 * c2)
+        return self._combine(terms, table)
 
     def integrate(self, cls: "CohomologyClass") -> int:
         """Pair a homogeneous top-degree class with the fundamental class."""
@@ -587,10 +548,10 @@ class GradedRing:
         sign = self._point_data()
         return cls.parts[self.dim][0] * sign if cls.parts[self.dim] else 0
 
-    def integrate_product(self, a: "CohomologyClass",
-                          b: "CohomologyClass") -> int:
+    def integrate_product(self, a: "CohomologyClass", b: "CohomologyClass",
+                          table=None) -> int:
         """The integral of the top-degree component of a * b."""
-        return self.integrate(self.multiply(a, b).component(self.dim))
+        return self.integrate(self.multiply(a, b, table).component(self.dim))
 
 
 class GradedQuotientRing(GradedRing):
@@ -616,7 +577,7 @@ class GradedQuotientRing(GradedRing):
 
     Its hooks: the plain degree, the cone rewrite as normal form and the
     point class's sign.  The bundle ring subclasses it, and its twisting
-    classes enter through ``_rewrite_constant`` and ``_row_payload``.
+    classes enter through ``_constant`` and ``_row_payload``.
     """
 
     def __init__(self, ray_count, dim, relations, max_cones, degree_cap,
@@ -681,7 +642,7 @@ class GradedQuotientRing(GradedRing):
         if columns is None:  # every face monomial is a basis column
             monomials = tuple(_face_monomials(self.ray_count, self.faces, d))
             return GradedPiece(monomials, {m: i for i, m in enumerate(monomials)},
-                               (), tuple(range(len(monomials))), monomials)
+                               {}, {}, tuple(range(len(monomials))), monomials)
         entries = sorted(columns.get(d, ()), reverse=True)
         monomials = [mono for mono, *_ in entries]
         index = {m: i for i, m in enumerate(monomials)}
@@ -693,7 +654,7 @@ class GradedQuotientRing(GradedRing):
             # S's row x_{S-rho} * (x_rho - its rewrite on the home): 1 at
             # x_S, -row[rho'] at each x_{S-rho+rho'}, payload from inverse_row
             tau = mono[:rho] + (0,) + mono[rho + 1:]
-            row, inverse_row, _ = self._cone_rewrite(cone)[rho]
+            row, inverse_row = self._cone_rewrite(cone)[rho]
             vec = {index[mono]: 1}
             for other, a in enumerate(row):
                 if a:
@@ -713,10 +674,10 @@ class GradedQuotientRing(GradedRing):
     def _cone_rewrite(self, cone: frozenset) -> dict:
         """Solve the relations on a maximal cone.
 
-        Returns {rho in the cone: (row, inverse_row, constant)}: x_rho is
-        the sum of row[rho'] * x_rho' over the rays rho' (row is dense and
-        zero on the cone), plus the constant, which ``_rewrite_constant``
-        makes from rho's row of the inverse relation matrix.  The inverse
+        Returns {rho in the cone: (row, inverse_row)}: x_rho is the sum of
+        row[rho'] * x_rho' over the rays rho' (row is dense and zero on the
+        cone), plus ``_constant(cone, rho)``, which a bundle ring makes from
+        inverse_row, rho's row of the inverse relation matrix.  The inverse
         rows are the ring's ``inverses`` of the cone, kept as given; they
         must pair to the identity with the relations on the cone's rays.
         Each cone's rewrite is solved once and kept by the ring.
@@ -740,47 +701,67 @@ class GradedQuotientRing(GradedRing):
                         f"the inverse rows given for cone {rays} do not "
                         "invert its linear relations"
                     )
-                row = tuple(
+                rewrite[rho] = (tuple(
                     0 if other in cone else -value
                     for other, value in enumerate(pairing)
-                )
-                rewrite[rho] = (
-                    row, inverse_row, self._rewrite_constant(inverse_row)
-                )
+                ), inverse_row)
             self._rewrites[cone] = rewrite
         return rewrite
 
-    def _rewrite_constant(self, inverse_row):
-        """The constant of a cone rewrite: None, the relations have none."""
+    def _constant(self, cone: frozenset, rho: int):
+        """The constant of rho's rewrite on cone: None, as the relations
+        have none."""
         return None
 
-    def _add_normal_form(self, terms: dict, mono: Monomial, coeff,
-                         support: frozenset | None = None) -> None:
-        """Add coeff times the normal form of mono into terms, in place.
+    def _solve(self, table: NormalForms, mono: Monomial) -> dict:
+        """The normal form of mono, in basis coordinates.
 
-        Monomials whose support is not a face vanish; ``support`` is passed
-        once it is known to be a face.  A repeated x_rho is traded through
-        its cone rewrite, one factor per step.
+        Columns are read off their pivot rows.  Every other monomial
+        vanishes unless it has relations to rewrite it, a repeated
+        exponent and a face as support: then one repeated x_rho is traded
+        through its cone rewrite, and the monomials that step reaches are
+        read from the table.
         """
-        if support is None:
-            support = frozenset(i for i, e in enumerate(mono) if e)
-            if support not in self.faces:
-                return
-        if not self.relations or max(mono, default=0) <= 1:
-            _add_term(terms, mono, coeff)
-            return
+        d = self._degree(mono)
+        if d < len(self._degrees):
+            pos = self._degrees[d].index.get(mono)
+            if pos is not None:
+                return self._column_form(table, d, pos)
+        if not self.relations:
+            return {}
+        support = frozenset(i for i, e in enumerate(mono) if e)
+        if len(support) == d or support not in self.faces:
+            return {}
         rho = next(i for i, e in enumerate(mono) if e > 1)
         lowered = mono[:rho] + (mono[rho] - 1,) + mono[rho + 1:]
         cone = next(c for c in self.max_cones if support <= c)
-        row, _, constant = self._cone_rewrite(cone)[rho]
-        for other, a in enumerate(row):
-            if a:
-                wider = support | {other}
-                if wider in self.faces:
-                    bumped = lowered[:other] + (1,) + lowered[other + 1:]
-                    self._add_normal_form(terms, bumped, a * coeff, wider)
+        form: dict = {}
+        for other, a in enumerate(self._cone_rewrite(cone)[rho][0]):
+            if a and (support | {other}) in self.faces:
+                bumped = lowered[:other] + (1,) + lowered[other + 1:]
+                for k, v in table[bumped]:
+                    _add_term(form, k, a * v)
+        constant = self._constant(cone, rho)
         if constant:
-            self._add_normal_form(terms, lowered, coeff * constant, support)
+            for k, v in table[lowered]:
+                _add_term(form, k, v * constant)
+        return form
+
+    def face_sum(self) -> "CohomologyClass":
+        """The class of the sum of x_tau over the faces tau, prod (1 + x_rho).
+
+        With relations every face monomial is a column and every column a
+        face monomial (without, the squarefree columns are), so the sum is
+        that of the columns' forms, with no monomial built or rewritten.
+        """
+        table = self.normal_forms()
+        flat = [self._zero] * table.size
+        for d, piece in enumerate(self._degrees):
+            for pos, mono in enumerate(piece.monomials):
+                if self.relations or max(mono, default=0) <= 1:
+                    for k, v in self._column_form(table, d, pos).items():
+                        flat[k] = flat[k] + v * self._one
+        return self._class_type(self, table.split(flat))
 
     def is_face(self, support) -> bool:
         return frozenset(support) in self.faces
@@ -800,10 +781,12 @@ class GradedQuotientRing(GradedRing):
                     f"ring is truncated at degree {2 * self.degree_cap}, "
                     f"below its top degree {2 * n}: it has no point class"
                 )
+            forms = self.normal_forms()
+            top = forms.offsets[n]
             reduced = None
             for cone in self.max_cones:
-                top = self._degrees[n]
-                this = top.reduce({top.index[_squarefree(cone, self.ray_count)]: 1})
+                form = dict(forms[_squarefree(cone, self.ray_count)])
+                this = tuple(form.get(top + i, 0) for i in range(self.rank(n)))
                 if reduced is None:
                     reduced = this
                 elif this != reduced:

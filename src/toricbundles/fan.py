@@ -33,24 +33,6 @@ def moment_curve(dim: int):
         yield tuple(t ** k for k in range(dim))
 
 
-def generic_coordinates(duals, dim: int):
-    """Yield, for each moment-curve point off every cone's walls, in order
-    of t, the pairings <dual row, point> of each cone, one list per cone.
-
-    A point lies on a wall of a cone exactly when it pairs to 0 with one
-    of the cone's dual rows.  The search ends after the budget's points.
-    """
-    for point in moment_curve(dim):
-        coordinates = []
-        for dual in duals:
-            coords = [sum(map(mul, row, point)) for row in dual]
-            if 0 in coords:
-                break
-            coordinates.append(coords)
-        else:
-            yield coordinates
-
-
 @dataclass(frozen=True)
 class Fan:
     """A simplicial fan: lattice rank, primitive ray generators, maximal cones.
@@ -233,14 +215,26 @@ def cone_duals(f: Fan) -> ConeDuals:
 
 @cache
 def first_generic_coordinates(f: Fan) -> list[list[int]] | None:
-    """``generic_coordinates`` of the fan's cones at the first point off
-    every wall, once per fan, or None when the budget runs out.
+    """The pairings <dual row, point> of each cone, one list per cone, at
+    the first moment-curve point off every wall, once per fan, or None
+    when the budget runs out.
 
-    Read by the completeness certificate, the basis plan and fixed-point
-    localization.
-    Every maximal cone must have its dual rows (none degenerate).
+    A point lies on a wall of a cone exactly when it pairs to 0 with one
+    of the cone's dual rows.  Read by the completeness certificate, the
+    basis plan and fixed-point localization.  Every maximal cone must
+    have its dual rows (none degenerate).
     """
-    return next(generic_coordinates(cone_duals(f).rows, f.dim), None)
+    duals = cone_duals(f).rows
+    for point in moment_curve(f.dim):
+        coordinates = []
+        for dual in duals:
+            coords = [sum(map(mul, row, point)) for row in dual]
+            if 0 in coords:
+                break
+            coordinates.append(coords)
+        else:
+            return coordinates
+    return None
 
 
 @cache

@@ -52,7 +52,8 @@ generator, which ``load_script`` loads) and
 rays, by ``random_charmap_pair``) are the inputs both references check
 the library's rows on.  ``bundle_cases``,
 ``random_base_class`` and ``random_fiber_poly`` are the bundle rings and
-seeded coefficients both bundle-ring references run on.
+seeded coefficients both bundle-ring references run on, and
+``random_face_poly`` the seeded polynomials of the fan-ring reference.
 ``dim5_twists`` are the seeded twisted fans both Chern-number reference
 tests run on.
 ``left_to_right_chern_numbers`` is the reference for ``chern_numbers``:
@@ -62,7 +63,12 @@ partition in two and paired the halves.
 ``sweeping_basis_plan`` is the reference for ``fixed_point_basis_plan``:
 it sweeps the moment curve for the first point whose restriction sets
 are distinct and count the h-vector, as the library did before it read
-the plan at the fan's cached first generic point.
+the plan at the fan's cached first generic point; ``generic_coordinates``
+is its sweep, every point off the walls in turn, where the library stops
+at the first.
+``summed_product`` is the reference for a presentation's products: it
+sums the basis products and reduces them by the pivots, as the library
+did before every product read one table of normal forms.
 ``fiber_restriction`` sets a bundle class's positive-degree base classes
 to zero, which gives the fiber fan's class.
 ``nonprojective_threefold`` is a smooth complete fan that no polytope
@@ -100,6 +106,7 @@ from toricbundles.cohomology import (
     GradedQuotientRing,
     RingConsistencyError,
     _face_monomials,
+    basis_products,
     face_monomial_sum,
     linear_relations,
 )
@@ -109,7 +116,7 @@ from toricbundles.fan import (
     ValidationReport,
     _meet_in_face,
     cone_duals,
-    generic_coordinates,
+    moment_curve,
     walls,
 )
 from toricbundles.formats import polynomial_to_text
@@ -398,6 +405,46 @@ def left_to_right_chern_numbers(ring, total):
             cls = cls * components[k]
         out[part] = ring.integrate(cls.component(n))
     return out
+
+
+def generic_coordinates(duals, dim):
+    """Yield, for each moment-curve point off every cone's walls, in order
+    of t, the pairings <dual row, point> of each cone, one list per cone.
+
+    A point lies on a wall of a cone exactly when it pairs to 0 with one
+    of the cone's dual rows.  The search ends after the budget's points.
+    """
+    for point in moment_curve(dim):
+        coordinates = []
+        for dual in duals:
+            coords = [sum(map(mul, row, point)) for row in dual]
+            if 0 in coords:
+                break
+            coordinates.append(coords)
+        else:
+            yield coordinates
+
+
+def summed_product(ring, a, b):
+    """a * b as the ring skeleton formed it before its table of normal
+    forms: the basis products summed into one polynomial, each degree's
+    terms then reduced by a walk over all of its pivots, in column order.
+    Every monomial must be a column and no pivot may carry a payload, as
+    in a presentation."""
+    poly = {}
+    for prod, c1, c2 in basis_products(ring._degrees, a.parts, b.parts,
+                                       ring.monomial_cap):
+        poly[prod] = poly.get(prod, 0) + c1 * c2
+    parts = []
+    for d, piece in enumerate(ring._degrees):
+        work = {piece.index[mono]: coeff for mono, coeff in poly.items()
+                if ring._degree(mono) == d}
+        for col, row in sorted(piece.pivots.items()):
+            c = work.get(col, 0)
+            for k, v in row.items():
+                work[k] = work.get(k, 0) - c * v
+        parts.append(tuple(work.get(i, 0) for i in piece.basis_positions))
+    return CohomologyClass(ring, tuple(parts))
 
 
 def sweeping_basis_plan(f, h_expected):
@@ -1208,6 +1255,30 @@ def random_base_class(base, rng):
         for mono in base.basis_monomials(k):
             poly[mono] = rng.randint(-3, 3)
     return base.reduce_poly(poly)
+
+
+def random_face_poly(ring, rng, terms=8):
+    """Face monomials with repeated exponents, plus terms that must vanish."""
+    faces = sorted((f for f in ring.faces if len(f) <= ring.degree_cap),
+                   key=lambda f: (len(f), sorted(f)))
+    poly = {}
+    for _ in range(terms):
+        face = sorted(rng.choice(faces))
+        exps = [0] * ring.ray_count
+        for rho in face:
+            exps[rho] = 1
+        if face:
+            for _ in range(rng.randint(0, ring.degree_cap - len(face))):
+                exps[rng.choice(face)] += 1
+        mono = tuple(exps)
+        poly[mono] = poly.get(mono, 0) + rng.randint(-5, 5)
+    for nonface in ring.nonfaces[:2]:
+        mono = tuple(2 if i in nonface else 0 for i in range(ring.ray_count))
+        poly[mono] = rng.randint(1, 5)
+    above = tuple(ring.degree_cap + 1 if i == 0 else 0
+                  for i in range(ring.ray_count))
+    poly[above] = 7
+    return poly
 
 
 def random_fiber_poly(ring, rng, terms=6):

@@ -17,6 +17,7 @@ import pytest
 from helpers import (
     cone_vectors,
     dim5_twists,
+    generic_coordinates,
     p1,
     p1_power,
     p2,
@@ -88,7 +89,7 @@ def test_a_fractional_localization_sum_names_the_partition(monkeypatch):
     rows[0] = (u, tuple(2 * x for x in v))
     monkeypatch.setattr(
         chern, "first_generic_coordinates",
-        lambda _: next(fan_module.generic_coordinates(rows, f.dim)),
+        lambda _: next(generic_coordinates(rows, f.dim)),
     )
     with pytest.raises(RingConsistencyError,
                        match=r"Chern number 1\+1: fixed-point localization "

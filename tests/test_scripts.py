@@ -43,6 +43,22 @@ def test_random_twists_script_fails_on_a_wrong_forgetful_route(capsys,
     assert "0/2 random twists verified" in capsys.readouterr().out
 
 
+def test_random_twists_script_fails_when_a_ring_keeps_an_attribute(
+        capsys, monkeypatch):
+    module = _load()
+    real = module.compare
+
+    def keeping(base, fiber, phi, name):
+        report = real(base, fiber, phi, name)
+        ring = module.build_ring(module.twisted_fan(base, fiber, phi).twisted)
+        monkeypatch.setattr(ring, "_products", {}, raising=False)
+        return report
+
+    monkeypatch.setattr(module, "compare", keeping)
+    assert module.main(2, 7, 3) == 2
+    assert "0/2 random twists verified" in capsys.readouterr().out
+
+
 def test_random_twists_script_fails_on_a_failing_star_subdivision(
         capsys, monkeypatch):
     module = _load()

@@ -24,6 +24,7 @@ from helpers import (
     p1_power,
     p2,
     projective_space,
+    random_face_poly,
     random_fiber_poly,
 )
 from toricbundles import (
@@ -58,30 +59,6 @@ CASES = [(name, lambda f=f: build_ring(f)) for name, f in corpus_fans()] + [
 ]
 
 
-def random_poly(ring, rng, terms=8):
-    """Face monomials with repeated exponents, plus terms that must vanish."""
-    faces = sorted((f for f in ring.faces if len(f) <= ring.degree_cap),
-                   key=lambda f: (len(f), sorted(f)))
-    poly = {}
-    for _ in range(terms):
-        face = sorted(rng.choice(faces))
-        exps = [0] * ring.ray_count
-        for rho in face:
-            exps[rho] = 1
-        if face:
-            for _ in range(rng.randint(0, ring.degree_cap - len(face))):
-                exps[rng.choice(face)] += 1
-        mono = tuple(exps)
-        poly[mono] = poly.get(mono, 0) + rng.randint(-5, 5)
-    for nonface in ring.nonfaces[:2]:
-        mono = tuple(2 if i in nonface else 0 for i in range(ring.ray_count))
-        poly[mono] = rng.randint(1, 5)
-    above = tuple(ring.degree_cap + 1 if i == 0 else 0
-                  for i in range(ring.ray_count))
-    poly[above] = 7
-    return poly
-
-
 @pytest.mark.parametrize("name,make_ring", CASES,
                          ids=[name for name, _ in CASES])
 def test_squarefree_columns_match_all_face_monomials(name, make_ring):
@@ -94,7 +71,7 @@ def test_squarefree_columns_match_all_face_monomials(name, make_ring):
     classes = []
     rewritten = 0
     for _ in range(12):
-        poly = random_poly(ring, rng)
+        poly = random_face_poly(ring, rng)
         rewritten += sum(
             1 for m in poly if max(m) > 1 and sum(m) <= ring.degree_cap
             and ring.is_face(i for i, e in enumerate(m) if e)

@@ -1,12 +1,13 @@
-"""Presented bases: the structure-constant product against the skeleton's.
+"""Presented bases: the product table against the summed basis products.
 
-``BasePresentation.multiply`` walks the table of basis-pair products the
-presentation fills at construction; ``GradedRing.multiply`` sums the basis
-products and brings them to normal form with one ``reduce_poly``.  The two
-must agree on every basis pair and on seeded random classes, over the fixed
-presentations in ``perfbench/bases/``, the hand presentations of P1 and P2
-and the presentations of the corpus fans.  The parse cache of presentation
-texts is checked here too.
+A presentation multiplies as every ring does, through a table of normal
+forms, which it keeps for its lifetime and fills on first read;
+``helpers.summed_product`` sums the basis products and reduces them by a
+walk over the pivots.  The two must agree on every basis pair and on
+seeded random classes, over the fixed presentations in
+``perfbench/bases/``, the hand presentations of P1 and P2 and the
+presentations of the corpus fans.  The parse cache of presentation texts
+is checked here too.
 """
 
 import random
@@ -19,13 +20,10 @@ from helpers import (
     P2_PRESENTATION,
     p1_presentation,
     p2_presentation,
+    summed_product,
 )
 from toricbundles import presentation_from_fan
-from toricbundles.cohomology import (
-    CohomologyClass,
-    GradedRing,
-    RingConsistencyError,
-)
+from toricbundles.cohomology import CohomologyClass, RingConsistencyError
 from toricbundles.corpus import corpus_fans
 from toricbundles.formats import ParseError, parse_base_presentation
 
@@ -69,7 +67,7 @@ def _check_products(pres, seed):
     ]
     for a in basis + randoms:
         for b in basis + randoms:
-            assert pres.multiply(a, b) == GradedRing.multiply(pres, a, b)
+            assert pres.multiply(a, b) == summed_product(pres, a, b)
 
 
 @pytest.mark.parametrize("label,text", PRESENTATIONS,
@@ -93,10 +91,16 @@ def test_hand_presentation_products_match_the_skeleton():
 
 def test_products_come_from_the_table():
     pres = parse_base_presentation(P2_PRESENTATION)
-    # one entry per product monomial of a basis pair, none for the rest
-    assert set(pres._products) == {
-        tuple(map(sum, zip(m1, m2))) for m1, m2 in basis_pairs(pres)
-    }
+    table = pres.normal_forms()
+    assert pres.normal_forms() is table
+    units = {m: pres.reduce_poly({m: 1}) for d in range(pres.half_top + 1)
+             for m in pres.basis_monomials(d)}
+    for m1, m2 in basis_pairs(pres):
+        product = pres.multiply(units[m1], units[m2])
+        # the table keeps each product monomial's normal form, flat
+        form = table[tuple(map(sum, zip(m1, m2)))]
+        flat = [c for part in product.parts for c in part]
+        assert {k: c for k, c in enumerate(flat) if c} == dict(form)
     h = pres.reduce_poly({(0, 0, 1): 1})
     assert pres.multiply(h, h) == pres.reduce_poly({(1, 0, 1): 1})
     with pytest.raises(ValueError, match="different rings"):
