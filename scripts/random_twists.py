@@ -9,7 +9,10 @@ localization on the twisted fan (the fourth, with no ring at all), checks
 Gauss-Bonnet, checks that the comparison's class arithmetic leaves the
 cached twisted ring's attribute set as it was (no table of normal forms
 outlives its call), and spot-checks invariance under a random unimodular
-change of fiber coordinates.  Each trial also takes a random star
+change of fiber coordinates.  The Masuda check must also see a corrupted
+class: with one x_rho added to the twisted pair's equivariant total Chern
+class, the public restriction must differ from the check's expected
+polynomial exactly at the fixed points whose cone holds rho.  Each trial also takes a random star
 subdivision of a smooth complete threefold that is not projective: its
 ring must certify, its ring-route Chern numbers must equal the localized
 ones, and its Todd genus c1c2/24 must be 1.  Everything is exact; a
@@ -35,6 +38,7 @@ from toricbundles import (
     make_fan,
     masuda_check,
     presentation_from_fan,
+    restrict_to_fixed_point,
     total_chern_general,
     total_chern_intrinsic,
     twisting_from_principal,
@@ -71,6 +75,19 @@ def moved_pair_holds(pair: CharacteristicPair, u) -> bool:
     return masuda_check(moved).passed and forget(
         moved, equivariant_total_chern(moved)
     ) == total_chern_intrinsic(ring)
+
+
+def corruption_detected(pair: CharacteristicPair, rho: int) -> bool:
+    """With x_rho added to the pair's equivariant total Chern class, the
+    restriction differs from the Masuda check's expected polynomial
+    exactly at the cones through rho."""
+    total = equivariant_total_chern(pair)
+    corrupted = total + total.ring.generator(rho)
+    return all(
+        (restrict_to_fixed_point(pair, corrupted, check.cone)
+         != check.expected) == (rho in check.cone)
+        for check in masuda_check(pair).checks
+    )
 
 
 def nonprojective_threefold() -> Fan:
@@ -122,6 +139,7 @@ def star_subdivision_holds(fan: Fan) -> bool:
 def main(trials: int = 25, seed: int = 7, max_entry: int = 3) -> int:
     rng = random.Random(seed)
     moves = random.Random(f"charmap moves {seed}")
+    corruptions = random.Random(f"corrupted classes {seed}")
     stars = random.Random(f"star subdivisions {seed}")
     threefold = nonprojective_threefold()
     bases = [("P1", projective_line()), ("P2", projective_plane()),
@@ -166,10 +184,13 @@ def main(trials: int = 25, seed: int = 7, max_entry: int = 3) -> int:
         quasitoric = moved_pair_holds(
             pair, random_unimodular(pair.complex.dim, moves)
         )
+        detected = corruption_detected(
+            pair, corruptions.randrange(pair.complex.ray_count)
+        )
         star = random_star_subdivision(threefold, stars, stars.randint(1, 3))
         nonprojective = star_subdivision_holds(star)
         ok = (report.equal and presented and localized and gauss and kept
-              and invariant and quasitoric and nonprojective)
+              and invariant and quasitoric and detected and nonprojective)
         mark = "ok" if ok else "FAIL"
         print(f"[{mark}] {name}  chi={report.euler_intrinsic}  "
               f"star subdivision: {star.ray_count} rays")

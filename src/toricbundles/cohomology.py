@@ -72,7 +72,8 @@ x_{S-rho+rho'} (rho' not in sigma) lies in V(S-rho), and S-rho's home is
 sigma, so its home's fixed point is in the closure of sigma's
 Bialynicki-Birula cell, an order acyclic on every projective fan.  A face
 ring has no relations, squarefree monomials do not span it, and every
-face monomial is a column.
+face monomial is a column; the columns of all degrees are made in one
+pass (``_face_monomials``), and its face set only when it is read.
 """
 
 from __future__ import annotations
@@ -149,31 +150,41 @@ def face_monomial_sum(faces, ray_count: int) -> Poly:
     return {_squarefree(face, ray_count): 1 for face in faces}
 
 
-def _face_monomials(ray_count: int, faces, degree: int) -> list[Monomial]:
-    """All degree-d monomials whose support is a face.
+def _face_monomials(ray_count: int, max_cones,
+                    cap: int) -> list[tuple[Monomial, ...]]:
+    """All degree-d monomials whose support is a face, for d = 0..cap.
 
-    Ordered with x_0-heavy monomials first, so elimination pivots prefer
-    low ray indices and basis monomials gravitate to high ones.
+    Each degree-d monomial is a degree-(d-1) one times its last ray or a
+    later ray, kept when its support bitmask is a face (a submask of a
+    maximal cone's), so every monomial is made exactly once.  Each degree
+    is ordered with x_0-heavy monomials first, so elimination pivots
+    prefer low ray indices and basis monomials gravitate to high ones.
     """
-    if degree == 0:
-        return [(0,) * ray_count]
-    out = []
-
-    def grow(start: int, left: int, exps: list[int], support: frozenset):
-        if left == 0:
-            out.append(tuple(exps))
-            return
-        for i in range(start, ray_count):
-            new_support = support | {i}
-            if new_support not in faces:
-                continue
-            for k in range(1, left + 1):
-                exps[i] = k
-                grow(i + 1, left - k, exps, new_support)
-            exps[i] = 0
-
-    grow(0, degree, [0] * ray_count, frozenset())
-    return sorted(out, reverse=True)
+    later = {0: []}  # face mask: [(ray past its last, the wider face)]
+    for cone in max_cones:
+        top = sub = sum(1 << r for r in cone)
+        while sub:
+            later[sub] = []
+            sub = (sub - 1) & top
+    for face in later:
+        if face:
+            last = face.bit_length() - 1
+            later[face ^ 1 << last].append((last, face))
+    level = [((0,) * ray_count, 0, 0)]  # (monomial, support mask, last ray)
+    out = [(level[0][0],)]
+    for _ in range(cap):
+        grown = []
+        for mono, mask, last in level:
+            if mask:
+                grown.append((mono[:last] + (mono[last] + 1,) + mono[last + 1:],
+                              mask, last))
+            for i, wider in later[mask]:
+                grown.append((mono[:i] + (mono[i] + 1,) + mono[i + 1:],
+                              wider, i))
+        grown.sort(reverse=True)
+        out.append(tuple(mono for mono, _, _ in grown))
+        level = grown
+    return out
 
 
 def fixed_point_basis_plan(f: Fan):
@@ -568,7 +579,8 @@ class GradedQuotientRing(GradedRing):
     docstring); without, they are all face monomials.  Instances are
     immutable after construction, apart from caches filled on first use,
     and safe to share between threads.  ``faces`` is the face set of
-    ``max_cones`` where the caller has it already, and ``kind`` names the
+    ``max_cones`` where the caller has it already (a face ring makes it
+    only when read), and ``kind`` names the
     ring (fan, pair, bundle or face ring) in elimination errors.  A ring
     with relations gets, per maximal cone in ``max_cones`` order, its
     plan's frozenset bad(sigma) and in ``inverses`` the inverse of its
@@ -596,14 +608,21 @@ class GradedQuotientRing(GradedRing):
                 "a ring with linear relations needs their inverse on every "
                 "maximal cone"
             )
-        self.faces = _faces(self.max_cones) if faces is None else faces
+        if faces is not None:
+            self.faces = faces
         self.kind = kind
         self._degrees = []
         self._point = None
         self._rewrites: dict[frozenset, dict] = {}
-        columns = self._interval_columns() if self.relations else None
+        columns = (self._interval_columns() if self.relations
+                   else _face_monomials(ray_count, self.max_cones, degree_cap))
         for d in range(degree_cap + 1):
             self._degrees.append(self._build_degree(d, columns))
+
+    @cached_property
+    def faces(self) -> set[frozenset[int]]:
+        """The face set of ``max_cones``, on first use if not given."""
+        return _faces(self.max_cones)
 
     @cached_property
     def nonfaces(self) -> list[frozenset[int]]:
@@ -639,8 +658,8 @@ class GradedQuotientRing(GradedRing):
 
     def _build_degree(self, d: int, columns) -> GradedPiece:
         label = f"{self.kind}, degree {d}"
-        if columns is None:  # every face monomial is a basis column
-            monomials = tuple(_face_monomials(self.ray_count, self.faces, d))
+        if not self.relations:  # every face monomial is a basis column
+            monomials = columns[d]
             return GradedPiece(monomials, {m: i for i, m in enumerate(monomials)},
                                {}, {}, tuple(range(len(monomials))), monomials)
         entries = sorted(columns.get(d, ()), reverse=True)

@@ -6,12 +6,19 @@ classes restrict at the fixed points of maximal cones to products over
 dual-basis weights, which is the content of the Masuda-formula check.
 The weight convention: u_i is dual to the charmap values of the cone,
 <u_i, Lambda(rho_j)> = delta_ij.
+
+The check computes each side once per fixed point, by its own code.  The
+class's terms are indexed by support bitmask once; a cone reads only the
+submasks of its own mask, packs those terms in its variables and makes
+one ``WeightPolynomial.substitute`` call (Horner's rule, which reuses a
+repeated cofactor's image).  The expected product of (1 + u_i) is
+expanded from the weights alone, on packed keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from types import MappingProxyType
 
 from .cohomology import (
@@ -157,39 +164,43 @@ class WeightPolynomial:
     def substitute(self, forms: list[IntVector]) -> "WeightPolynomial":
         """Replace each t_k by an integer linear form in new variables.
 
-        The one expansion of products of linear forms.  Each monomial is
-        expanded from its memoised prefix: x^e = x^(e - e_k) t_k for the
-        last variable t_k of x^e, the field of the key's lowest set bit,
-        costs one product with a linear form.
+        Exact for every polynomial, by Horner's rule in one variable at a
+        time: P = sum_e t_1^e P_e is ((P_top L_1 + ...) L_1 + P_0) for the
+        form L_1 of t_1, and each cofactor P_e is substituted the same way
+        in t_2, ..., t_n.  A cofactor equal to the one substituted just
+        before it reuses that image, so 1 + t_1 times anything costs one
+        substitution and one product with a linear form.
         """
         n = self.nvars
         if len(forms) != n:
             raise ValueError("need one linear form per variable")
-        nvars = len(forms[0]) if forms else 0
-        target = _units(nvars)
+        target = _units(len(forms[0]) if forms else 0)
         linear = [[(target[j], c) for j, c in enumerate(f) if c] for f in forms]
         unit = _units(n)
-        memo = {0: {0: 1}}
 
-        def expand(key):
-            product = memo.get(key)
-            if product is None:
-                k = n - 1 - ((key & -key).bit_length() - 1) // FIELD_BITS
-                product = {}
-                get = product.get
-                for m, v in expand(key - unit[k]).items():
-                    for u, c in linear[k]:
+        def horner(terms: dict, k: int) -> dict:
+            if k == n:  # only the constant key is left
+                return terms
+            shift = FIELD_BITS * (n - 1 - k)
+            cofactors = {}
+            for key, v in terms.items():
+                e = key >> shift & _FIELD_MAX
+                cofactors.setdefault(e, {})[key - e * unit[k]] = v
+            out, last, image, form = {}, None, {}, linear[k]
+            for e in range(max(cofactors, default=-1), -1, -1):
+                cofactor = cofactors.get(e)
+                if cofactor and cofactor != last:
+                    last, image = cofactor, horner(cofactor, k + 1)
+                grown = image.copy() if cofactor else {}
+                get = grown.get
+                for m, v in out.items():
+                    for u, c in form:
                         q = m + u
-                        product[q] = get(q, 0) + v * c
-                memo[key] = product
-            return product
+                        grown[q] = get(q, 0) + v * c
+                out = grown
+            return out
 
-        out = {}
-        get = out.get
-        for key, coeff in self._terms.items():
-            for m, v in expand(key).items():
-                out[m] = get(m, 0) + coeff * v
-        return WeightPolynomial._packed(nvars, out)
+        return WeightPolynomial._packed(len(target), horner(self._terms, 0))
 
     def __repr__(self, memo=None):
         """Terms in render order, through the shared joiner.
@@ -276,27 +287,31 @@ def restrict_to_fixed_point(p: CharacteristicPair, cls: CohomologyClass,
     return _restrict(_supported_terms(cls), sigma, weights)
 
 
-def _supported_terms(cls: CohomologyClass) -> list:
-    """Each term of a class as (support bitmask, [(ray, exponent)], coeff)."""
+def _supported_terms(cls: CohomologyClass) -> dict:
+    """The terms of a class by support bitmask: {mask: [([(ray, exponent)],
+    coeff)]}."""
     _degree_limit(len(cls.parts) - 1)
-    out = []
+    out = {}
     for mono, coeff in cls.to_poly().items():
         sparse = [(r, e) for r, e in enumerate(mono) if e]
-        out.append((sum(1 << r for r, _ in sparse), sparse, coeff))
+        mask = sum(1 << r for r, _ in sparse)
+        out.setdefault(mask, []).append((sparse, coeff))
     return out
 
 
-def _restrict(terms: list, sigma, weights) -> WeightPolynomial:
-    # The terms whose support lies in the cone, packed in its variables;
-    # one substitution.
+def _restrict(terms: dict, sigma, weights) -> WeightPolynomial:
+    # The terms whose support is a submask of the cone's, packed in its
+    # variables; one substitution.
     rays = sorted(sigma)
     slot = dict(zip(rays, _units(len(rays))))
-    cone = sum(1 << r for r in rays)
-    local = {
-        sum(e * slot[r] for r, e in sparse): coeff
-        for mask, sparse, coeff in terms
-        if mask & cone == mask
-    }
+    cone = sub = sum(1 << r for r in rays)
+    local = {}
+    while True:
+        for sparse, coeff in terms.get(sub, ()):
+            local[sum(e * slot[r] for r, e in sparse)] = coeff
+        if not sub:
+            break
+        sub = (sub - 1) & cone
     return WeightPolynomial._packed(len(rays), local).substitute(weights)
 
 
@@ -307,7 +322,7 @@ class FixedPointCheck:
     restricted: WeightPolynomial
     expected: WeightPolynomial
 
-    @property
+    @cached_property
     def passed(self) -> bool:
         return self.restricted == self.expected
 
@@ -364,16 +379,25 @@ def masuda_check(p: CharacteristicPair) -> MasudaReport:
     integer weight polynomials.
     """
     table = weight_table(p)
-    one = WeightPolynomial.constant(p.complex.dim, 1)
+    n = p.complex.dim
+    units = _units(n)
     total = equivariant_total_chern(p)
     terms = _supported_terms(total)
     checks = []
     for sigma, weights in zip(p.complex.max_cones, table.rows):
-        rhs = one
-        for w in weights:
-            rhs = rhs * (one + WeightPolynomial.linear(w))
+        expected = {0: 1}
+        for w in weights:  # times (1 + u_i), on packed keys
+            factor = expected.copy()
+            get = factor.get
+            linear = [(u, c) for u, c in zip(units, w) if c]
+            for m, v in expected.items():
+                for u, c in linear:
+                    q = m + u
+                    factor[q] = get(q, 0) + v * c
+            expected = factor
         checks.append(FixedPointCheck(
-            tuple(sorted(sigma)), weights, _restrict(terms, sigma, weights), rhs
+            tuple(sorted(sigma)), weights, _restrict(terms, sigma, weights),
+            WeightPolynomial._packed(n, expected),
         ))
     return MasudaReport(checks=tuple(checks), total=total)
 

@@ -15,7 +15,11 @@ the bundle ring ran on the fiber ring's squarefree columns.
 rescans every column in passes, defers a column whose residual gcd is
 not a unit, and pushes each new pivot into the earlier pivot rows, as
 the library did before it certified each graded piece in one pass; both
-reference rings eliminate with it.
+reference rings eliminate with it.  ``grown_face_monomials`` is the
+reference for a face ring's columns and gives both reference rings
+theirs: it regrows each degree's face monomials by recursion over
+frozenset supports, as the library did before it made every degree in
+one pass.
 ``subset_minimal_nonfaces`` is the reference for minimal non-faces: it
 tries every subset of the rays, as the library did before it grew them
 from the faces.
@@ -105,7 +109,6 @@ from toricbundles.cohomology import (
     GradedPiece,
     GradedQuotientRing,
     RingConsistencyError,
-    _face_monomials,
     basis_products,
     face_monomial_sum,
     linear_relations,
@@ -495,36 +498,49 @@ def multipass_eliminate(rows, allowed):
     residual gcd is not a unit is deferred, and scanning repeats until a
     pass makes no progress.  Each new pivot is pushed into every earlier
     pivot row at once.  Raises RingConsistencyError if nonzero rows remain;
-    a column left without a pivot is the caller's to detect.
+    a column left without a pivot is the caller's to detect.  Rows are
+    indexed by the columns they have reached, so a column reads only the
+    active rows (in row order) and pivot rows that may be nonzero there.
     """
+    by_col = {}  # column: ids of the rows that have been nonzero there
 
     def axpy(target, source, factor):
         """Row target += factor * row source, payload included."""
-        for part, add_part in zip(target, source):
-            if add_part is None:
-                continue
-            for k, v in add_part.items():
-                new = part.get(k, 0) + factor * v
+        vec, payload, rid = target
+        for k, v in source[0].items():
+            new = vec.get(k, 0) + factor * v
+            if new:
+                if k not in vec:
+                    by_col.setdefault(k, set()).add(rid)
+                vec[k] = new
+            else:
+                vec.pop(k, None)
+        if source[1] is not None:
+            for k, v in source[1].items():
+                new = payload.get(k, 0) + factor * v
                 if new:
-                    part[k] = new
+                    payload[k] = new
                 else:
-                    part.pop(k, None)
+                    payload.pop(k, None)
 
-    active = [
-        (dict(vec), None if payload is None else dict(payload))
-        for vec, payload in rows
-        if vec
-    ]
+    active = {}  # row id: (vec, payload, row id), in row order
+    for rid, (vec, payload) in enumerate(rows):
+        if vec:
+            active[rid] = (dict(vec), None if payload is None else dict(payload),
+                           rid)
+            for k in vec:
+                by_col.setdefault(k, set()).add(rid)
     candidates = sorted(allowed)
-    pivots = []
-    pivot_cols = set()
+    pivots = {}  # row id: pivot row, each 1 at its column, 0 at the others
+    pivot_cols = {}  # column: the id of its pivot row
     progress = True
     while progress and active:
         progress = False
         for col in candidates:
             if col in pivot_cols:
                 continue
-            hits = [r for r in active if col in r[0]]
+            hits = [active[r] for r in sorted(by_col.get(col, ()))
+                    if r in active and col in active[r][0]]
             if not hits:
                 continue
             # Combine rows pairwise until one alone is nonzero at this column.
@@ -538,30 +554,35 @@ def multipass_eliminate(rows, allowed):
                     axpy(other, lead, -(b // a))
                     if col in other[0]:
                         lead, other = other, lead
+            for r in hits:
+                if not r[0]:
+                    del active[r[2]]
             g = lead[0][col]
             if g not in (1, -1):
                 continue  # deferred until a later pass; may join the basis
             if g == -1:
-                for part in lead:
+                for part in lead[:2]:
                     for k in part or ():
                         part[k] = -part[k]
-            for r in active:
+            for r in hits:
                 if r is not lead and col in r[0]:
                     axpy(r, lead, -r[0][col])
-            for _, vec, payload in pivots:
-                if col in vec:
-                    axpy((vec, payload), lead, -vec[col])
-            active = [r for r in active if r is not lead and r[0]]
-            pivots.append((col, lead[0], lead[1]))
-            pivot_cols.add(col)
+                    if not r[0]:
+                        del active[r[2]]
+            for r in by_col[col]:
+                pivot = pivots.get(r)
+                if pivot is not None and col in pivot[0]:
+                    axpy(pivot, lead, -pivot[0][col])
+            del active[lead[2]]
+            pivots[lead[2]] = lead
+            pivot_cols[col] = lead[2]
             progress = True
-    if any(r[0] for r in active):
+    if any(r[0] for r in active.values()):
         raise RingConsistencyError(
             "graded piece has no unit-pivot monomial basis on the chosen "
             "columns (unexpected torsion or a wrong prescribed basis)"
         )
-    pivots.sort(key=lambda p: p[0])
-    return pivots
+    return [(col, *pivots[rid][:2]) for col, rid in sorted(pivot_cols.items())]
 
 
 def permutation_determinant(m):
@@ -633,6 +654,30 @@ def surface_c1_squared(fan):
     return total_self + 2 * len(cones)
 
 
+def grown_face_monomials(ray_count, faces, degree):
+    """All degree-d monomials whose support is a face, x_0-heavy first,
+    grown by recursion over frozenset supports for one degree at a time."""
+    if degree == 0:
+        return [(0,) * ray_count]
+    out = []
+
+    def grow(start, left, exps, support):
+        if left == 0:
+            out.append(tuple(exps))
+            return
+        for i in range(start, ray_count):
+            new_support = support | {i}
+            if new_support not in faces:
+                continue
+            for k in range(1, left + 1):
+                exps[i] = k
+                grow(i + 1, left - k, exps, new_support)
+            exps[i] = 0
+
+    grow(0, degree, [0] * ray_count, frozenset())
+    return sorted(out, reverse=True)
+
+
 class AllFaceMonomialRing:
     """Reference elimination over every face monomial of each degree.
 
@@ -646,7 +691,7 @@ class AllFaceMonomialRing:
         self.ring = ring
         self.degrees = []
         for d in range(ring.degree_cap + 1):
-            monomials = _face_monomials(ring.ray_count, ring.faces, d)
+            monomials = grown_face_monomials(ring.ray_count, ring.faces, d)
             index = {m: i for i, m in enumerate(monomials)}
             rows = []
             if d >= 1:
@@ -684,20 +729,23 @@ class AllFaceMonomialRing:
                     work[index[mono]] = work.get(index[mono], 0) + coeff
             for col, row, _ in pivots:
                 c = work.get(col, 0)
-                for k, v in row.items():
-                    work[k] = work.get(k, 0) - c * v
+                if c:
+                    for k, v in row.items():
+                        work[k] = work.get(k, 0) - c * v
             parts.append(tuple(work.get(i, 0) for i in basis))
         return tuple(parts)
 
     def multiply(self, a_parts, b_parts):
         """Product of two classes given by coefficient tuples."""
+        bases = [self.basis_monomials(d) for d in range(len(self.degrees))]
         poly = {}
         for d1, part1 in enumerate(a_parts):
-            for m1, c1 in zip(self.basis_monomials(d1), part1):
+            for m1, c1 in zip(bases[d1], part1):
                 for d2, part2 in enumerate(b_parts):
-                    for m2, c2 in zip(self.basis_monomials(d2), part2):
-                        prod = tuple(x + y for x, y in zip(m1, m2))
-                        poly[prod] = poly.get(prod, 0) + c1 * c2
+                    for m2, c2 in zip(bases[d2], part2):
+                        if c1 and c2:
+                            prod = tuple(map(add, m1, m2))
+                            poly[prod] = poly.get(prod, 0) + c1 * c2
         return self.reduce(poly)
 
 
@@ -722,7 +770,7 @@ class AllFaceMonomialBundleRing:
         relations = linear_relations(fiber)
         self.degrees = []
         for d in range(2 * self.n + 1):
-            monomials = _face_monomials(
+            monomials = grown_face_monomials(
                 fiber.ray_count, self.fiber_ring.faces, d
             )
             index = {m: i for i, m in enumerate(monomials)}
@@ -1131,7 +1179,7 @@ def congruent_mod_form(a: WeightPolynomial, b: WeightPolynomial,
 
 
 def squarefree_monomials(ray_count, faces, degree):
-    """The degree-d squarefree face monomials, in _face_monomials order,
+    """The degree-d squarefree face monomials, in grown_face_monomials order,
     by a scan of every face."""
     return sorted(
         (
@@ -1158,7 +1206,7 @@ class _RewrittenProductRows:
 
     def _build_degree(self, d: int, columns) -> GradedPiece:
         enumerate_columns = (
-            squarefree_monomials if self.relations else _face_monomials
+            squarefree_monomials if self.relations else grown_face_monomials
         )
         monomials = enumerate_columns(self.ray_count, self.faces, d)
         index = {m: i for i, m in enumerate(monomials)}

@@ -43,6 +43,19 @@ def test_random_twists_script_fails_on_a_wrong_forgetful_route(capsys,
     assert "0/2 random twists verified" in capsys.readouterr().out
 
 
+def test_random_twists_script_fails_on_a_blind_restriction(capsys,
+                                                          monkeypatch):
+    module = _load()
+    real = module.restrict_to_fixed_point
+
+    def blind(pair, cls, sigma):
+        return real(pair, module.equivariant_total_chern(pair), sigma)
+
+    monkeypatch.setattr(module, "restrict_to_fixed_point", blind)
+    assert module.main(2, 7, 3) == 2
+    assert "0/2 random twists verified" in capsys.readouterr().out
+
+
 def test_random_twists_script_fails_when_a_ring_keeps_an_attribute(
         capsys, monkeypatch):
     module = _load()

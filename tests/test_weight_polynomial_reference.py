@@ -3,16 +3,29 @@
 ``helpers.TupleWeightPolynomial`` is the arithmetic on exponent tuples;
 the library packs each monomial into one integer.  Every operation must
 give the same terms, equality, hash and text: on seeded polynomials in
-0-6 variables, and on every restricted and expected polynomial of the
-Masuda check over the corpus pairs and seeded twisted pairs.
+0-6 variables, on seeded substitutions whose Horner cofactors repeat or
+differ in one coefficient, and on every restricted and expected
+polynomial of the Masuda check over the corpus pairs and seeded twisted
+pairs.  The check's power to detect is pinned on corrupted total
+classes: x_rho, x_rho^2 added or x_tau taken away must fail exactly at
+the fixed points whose cone holds the support, and every restriction,
+passed or not, must equal the reference's.
 """
 
 import random
 
 import pytest
 
-from helpers import TupleWeightPolynomial
-from toricbundles import WeightPolynomial, masuda_check
+from helpers import (
+    TupleWeightPolynomial,
+    charmap_pair_cases,
+    nonprojective_threefold,
+)
+from toricbundles import (
+    WeightPolynomial,
+    masuda_check,
+    restrict_to_fixed_point,
+)
 from toricbundles.corpus import (
     corpus_pairs,
     projective_line,
@@ -67,6 +80,38 @@ def test_arithmetic_matches_reference(n):
         if all(sum(exps) <= 6 for exps in ra.terms):
             square = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n)]
             assert_same(a.substitute(square), ra.substitute(square))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_substitution_with_repeated_cofactors_matches_reference(n):
+    # sum_e t_1^e C_e with each C_e the previous one, or it with one
+    # coefficient moved: a reused image must be the image of an equal
+    # cofactor; products of (1 + t_k) repeat at every variable
+    rng = random.Random(f"repeated cofactors {n}")
+    product = {(0,) * n: 1}
+    for k in range(n):
+        product.update({exps[:k] + (1,) + exps[k + 1:]: c
+                        for exps, c in product.items()})
+    samples = [product]
+    for _ in range(10):
+        cofactor = random_terms(n - 1, rng) or {(0,) * (n - 1): 1}
+        terms = {}
+        for e in range(rng.randint(2, 4)):
+            if rng.random() < 0.5:
+                cofactor = dict(cofactor)
+                exps = rng.choice(sorted(cofactor))
+                cofactor[exps] += rng.choice([-1, 1])
+            terms.update({(e,) + exps: c for exps, c in cofactor.items()})
+        samples.append(terms)
+    nudged = dict(product)
+    nudged[rng.choice(sorted(product))] += 1
+    samples.append(nudged)
+    for terms in samples:
+        a, ra = both(n, terms)
+        for m in range(3):
+            forms = [tuple(rng.randint(-2, 2) for _ in range(m))
+                     for _ in range(n)]
+            assert_same(a.substitute(forms), ra.substitute(forms))
 
 
 def test_constant_and_linear_match_reference():
@@ -125,6 +170,46 @@ def test_masuda_polynomials_match_reference():
             )
             assert_same(check.restricted, restricted)
             assert_same(check.expected, expected)
+
+
+DETECTION_PAIRS = (
+    list(corpus_pairs()) + charmap_pair_cases()
+    + [("non-projective threefold",
+        tautological_pair(nonprojective_threefold()))]
+)
+
+
+@pytest.mark.parametrize("name,pair", DETECTION_PAIRS,
+                         ids=[name for name, _ in DETECTION_PAIRS])
+def test_corrupted_totals_fail_exactly_at_cones_holding_the_support(name,
+                                                                    pair):
+    f = pair.complex
+    rng = random.Random(f"corrupted totals {name}")
+    # a degree bound with room for x_rho^2 when n = 1
+    total = equivariant_total_chern(pair, 2 * max(f.dim, 2))
+    ring = total.ring
+    rho = rng.randrange(f.ray_count)
+    cone = sorted(rng.choice(f.max_cones))
+    tau = rng.sample(cone, rng.randint(min(2, f.dim), f.dim))
+    x = [0] * f.ray_count
+    x[rho] = 1
+    rho_squared = list(x)
+    rho_squared[rho] = 2
+    x_tau = [int(r in tau) for r in range(f.ray_count)]
+    report = masuda_check(pair)
+    assert report.passed
+    for mono, sign, support in ((x, 1, {rho}), (rho_squared, 1, {rho}),
+                                (x_tau, -1, set(tau))):
+        corrupted = total + ring.reduce_poly({tuple(mono): sign})
+        poly = corrupted.to_poly()
+        for check in report.checks:
+            restricted = restrict_to_fixed_point(pair, corrupted, check.cone)
+            assert (restricted != check.expected) == support.issubset(
+                check.cone), (mono, check.cone)
+            reference, _ = reference_check(
+                pair, poly, check.cone, check.weights
+            )
+            assert_same(restricted, reference)
 
 
 def test_field_overflow_names_the_limit():
