@@ -78,9 +78,9 @@ from .cohomology import (
     NormalForms,
     RingConsistencyError,
     build_ring,
-    face_monomial_sum,
     linear_relations,
 )
+from .faces import face_monomial_sum
 from .fan import Fan, require_smooth_complete
 
 
@@ -274,7 +274,7 @@ class BundleRing(GradedQuotientRing):
         super().__init__(
             fiber.ray_count, fiber.dim, linear_relations(fiber),
             fiber.max_cones, fiber.dim, self.fiber_ring.basis_plan,
-            self.fiber_ring.faces, "bundle ring", self.fiber_ring.inverses,
+            self.fiber_ring.face_masks, "bundle ring", self.fiber_ring.inverses,
         )
         self.dim = self.monomial_cap = base.half_top + fiber.dim
 
@@ -420,7 +420,7 @@ def presentation_from_fan(f: Fan, name: str = "") -> BasePresentation:
         basis=basis,
         top_degree=2 * f.dim,
         integration=ring._point_data(),
-        chern=face_monomial_sum(ring.faces, f.ray_count),
+        chern=face_monomial_sum(ring.face_masks, f.ray_count),
     )
 
 

@@ -31,10 +31,9 @@ from .cohomology import (
     CohomologyClass,
     GradedQuotientRing,
     RingConsistencyError,
-    _faces,
     build_ring,
-    face_monomial_sum,
 )
+from .faces import face_monomial_sum, mask_rays, ray_mask
 from .fan import (
     GENERIC_DIRECTION_BUDGET,
     Fan,
@@ -89,11 +88,10 @@ def pullback(decomp: TwistDecomposition, base_ring: GradedQuotientRing,
 
 def _fiber_factor(decomp: TwistDecomposition, fiber: Fan,
                   twisted_ring: GradedQuotientRing) -> CohomologyClass:
-    """Product of (1 + x_tau) over the embedded fiber rays."""
-    embedded = {
-        frozenset(decomp.fiber_ray_of[tau] for tau in face)
-        for face in _faces(fiber.max_cones)
-    }
+    """Product of (1 + x_tau) over the embedded fiber rays: the cached
+    fiber ring's face masks, each fiber ray moved to its twisted ray."""
+    embedded = [ray_mask(decomp.fiber_ray_of[tau] for tau in mask_rays(face))
+                for face in build_ring(fiber).face_masks]
     return twisted_ring.reduce_poly(
         face_monomial_sum(embedded, twisted_ring.ray_count)
     )

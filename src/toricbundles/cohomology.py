@@ -17,10 +17,10 @@ the basis monomials), and reduce_poly, multiply, integrate, the pairing
 ring reads it off an integer form) and the ranks are written once.  Rings differ in three hooks: the degree of a
 monomial, its normal form (the cone rewrite here, the column itself on a
 presentation) and the sign of the top basis monomial's integral.
-CohomologyClass is the one class type, and face_monomial_sum is the one
-expansion of prod (1 + x_rho).  The bundle ring is a GradedQuotientRing
+CohomologyClass is the one class type, and ``faces.face_monomial_sum`` is
+the one expansion of prod (1 + x_rho).  The bundle ring is a GradedQuotientRing
 whose relations have the twisting classes as constants (see
-``bundlering``).  Minimal non-faces are grown from the face set, and a
+``bundlering``).  Minimal non-faces are grown from the face masks, and a
 ring computes them only when they are read.
 
 Products go through one table of normal forms, NormalForms: {monomial:
@@ -55,16 +55,21 @@ or a pair's ``weight_table``.  Each cone's rewrite checks that the rows
 invert the relations on its rays and is solved once per ring, in
 ``_rewrites``.
 
-The plan gives each maximal cone sigma a set bad(sigma), and each face
-S lies in exactly one interval [bad(sigma), sigma], its home (see
-fixed_point_basis_plan); the constructor walks the intervals once,
+A face is a ray bitmask (bit rho for each ray rho of it; see ``faces``),
+and a ring's faces come from one walk of each maximal cone's submasks,
+which also gives the h-vector by popcount and the face ring its columns.  The plan gives each maximal cone sigma a set
+bad(sigma), and each face S lies in exactly one interval [bad(sigma),
+sigma], its home (see fixed_point_basis_plan); the constructor walks the
+intervals once, each as the submasks of sigma - bad(sigma) by size,
 checking this and listing each degree's columns.  Degree d has one row
 per face S of size d but bad(sigma): x_{S-rho} * (x_rho - rewrite of
 x_rho on sigma), rho the greatest ray of S outside bad(sigma) (any would
 do; this one keeps a bundle ring's lambda payloads sparse), so f_d - h_d
-rows for as many allowed columns.  The rows lie in the ideal, so when
-unit-pivot elimination certifies the quotient by them free on the plan,
-of rank h_d, it maps onto H^{2d}, free of the same rank, isomorphically:
+rows for as many allowed columns, each addressed by masks: S - rho is S
+with bit rho cleared, and its neighbours S - rho + rho' add one bit.
+The rows lie in the ideal, so when unit-pivot elimination certifies the
+quotient by them free on the plan, of rank h_d, it maps onto H^{2d},
+free of the same rank, isomorphically:
 bases and coefficients are those of elimination over all face monomials,
 and rows that fall short fail elimination, naming the column.  On a
 projective fan the system is unit-triangular: each other term
@@ -73,7 +78,7 @@ sigma, so its home's fixed point is in the closure of sigma's
 Bialynicki-Birula cell, an order acyclic on every projective fan.  A face
 ring has no relations, squarefree monomials do not span it, and every
 face monomial is a column; the columns of all degrees are made in one
-pass (``_face_monomials``), and its face set only when it is read.
+pass over the face masks (``faces.face_monomials``).
 """
 
 from __future__ import annotations
@@ -81,8 +86,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
-from math import comb
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import NamedTuple
 
 from .fan import (
@@ -92,6 +96,15 @@ from .fan import (
     first_generic_coordinates,
     require_smooth_complete,
 )
+from .faces import (
+    face_monomials,
+    h_vector_of,
+    mask_rays,
+    nonfaces_of,
+    ray_mask,
+    squarefree,
+    walk_faces,
+)
 from .lattice import IntVector, RingConsistencyError, graded_eliminate
 
 Monomial = tuple[int, ...]
@@ -100,91 +113,12 @@ Poly = dict[Monomial, int]
 
 def minimal_nonfaces(f: Fan) -> list[frozenset[int]]:
     """Inclusion-minimal ray sets contained in no maximal cone."""
-    return _minimal_nonfaces(_faces(f.max_cones), f.ray_count)
-
-
-def _minimal_nonfaces(faces, ray_count: int) -> list[frozenset[int]]:
-    """Minimal non-faces of a face set, by size, then lexicographically.
-
-    A minimal non-face is a non-face tau + {rho} (tau a face) whose facets
-    are all faces, so only face-sized candidates are tried, never every
-    subset of the rays.
-    """
-    found = set()
-    for tau in faces:
-        for rho in range(ray_count):
-            if rho in tau:
-                continue
-            s = tau | {rho}
-            if s not in faces and all(s - {x} in faces for x in tau):
-                found.add(s)
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
+    return nonfaces_of(walk_faces(f.max_cones), f.ray_count)
 
 
 def linear_relations(f: Fan) -> list[IntVector]:
     """One relation per lattice coordinate: entry at ray rho is rho's coordinate."""
     return [tuple(ray[i] for ray in f.rays) for i in range(f.dim)]
-
-
-def _faces(max_cones) -> set[frozenset[int]]:
-    faces = {frozenset()}
-    for cone in max_cones:
-        cone = tuple(sorted(cone))
-        for size in range(1, len(cone) + 1):
-            for subset in itertools.combinations(cone, size):
-                faces.add(frozenset(subset))
-    return faces
-
-
-def _squarefree(face, ray_count: int) -> Monomial:
-    """The squarefree monomial x_face."""
-    return tuple(1 if i in face else 0 for i in range(ray_count))
-
-
-def face_monomial_sum(faces, ray_count: int) -> Poly:
-    """The sum of x_tau over the faces tau: prod_rho (1 + x_rho) expanded.
-
-    Every other squarefree monomial of the expansion has a non-face support
-    and vanishes in the Stanley-Reisner quotient.
-    """
-    return {_squarefree(face, ray_count): 1 for face in faces}
-
-
-def _face_monomials(ray_count: int, max_cones,
-                    cap: int) -> list[tuple[Monomial, ...]]:
-    """All degree-d monomials whose support is a face, for d = 0..cap.
-
-    Each degree-d monomial is a degree-(d-1) one times its last ray or a
-    later ray, kept when its support bitmask is a face (a submask of a
-    maximal cone's), so every monomial is made exactly once.  Each degree
-    is ordered with x_0-heavy monomials first, so elimination pivots
-    prefer low ray indices and basis monomials gravitate to high ones.
-    """
-    later = {0: []}  # face mask: [(ray past its last, the wider face)]
-    for cone in max_cones:
-        top = sub = sum(1 << r for r in cone)
-        while sub:
-            later[sub] = []
-            sub = (sub - 1) & top
-    for face in later:
-        if face:
-            last = face.bit_length() - 1
-            later[face ^ 1 << last].append((last, face))
-    level = [((0,) * ray_count, 0, 0)]  # (monomial, support mask, last ray)
-    out = [(level[0][0],)]
-    for _ in range(cap):
-        grown = []
-        for mono, mask, last in level:
-            if mask:
-                grown.append((mono[:last] + (mono[last] + 1,) + mono[last + 1:],
-                              mask, last))
-            for i, wider in later[mask]:
-                grown.append((mono[:i] + (mono[i] + 1,) + mono[i + 1:],
-                              wider, i))
-        grown.sort(reverse=True)
-        out.append(tuple(mono for mono, _, _ in grown))
-        level = grown
-    return out
 
 
 def fixed_point_basis_plan(f: Fan):
@@ -578,9 +512,10 @@ class GradedQuotientRing(GradedRing):
     every other monomial is rewritten into them (see the module
     docstring); without, they are all face monomials.  Instances are
     immutable after construction, apart from caches filled on first use,
-    and safe to share between threads.  ``faces`` is the face set of
-    ``max_cones`` where the caller has it already (a face ring makes it
-    only when read), and ``kind`` names the
+    and safe to share between threads.  ``face_masks`` is every face of
+    ``max_cones`` as a ray bitmask, where the caller has it already (else
+    the ring walks the cones' submasks once); ``faces`` is the same set as
+    frozensets, made on each read.  ``kind`` names the
     ring (fan, pair, bundle or face ring) in elimination errors.  A ring
     with relations gets, per maximal cone in ``max_cones`` order, its
     plan's frozenset bad(sigma) and in ``inverses`` the inverse of its
@@ -593,11 +528,13 @@ class GradedQuotientRing(GradedRing):
     """
 
     def __init__(self, ray_count, dim, relations, max_cones, degree_cap,
-                 basis_plan=None, faces=None, kind="fan ring", inverses=None):
+                 basis_plan=None, face_masks=None, kind="fan ring",
+                 inverses=None):
         self.ray_count = self._nvars = ray_count
         self.dim = dim
         self.relations = tuple(tuple(r) for r in relations)
         self.max_cones = tuple(frozenset(c) for c in max_cones)
+        self._cone_masks = tuple(map(ray_mask, self.max_cones))
         self.degree_cap = self.monomial_cap = degree_cap
         self.basis_plan = basis_plan
         self.inverses = inverses
@@ -608,53 +545,63 @@ class GradedQuotientRing(GradedRing):
                 "a ring with linear relations needs their inverse on every "
                 "maximal cone"
             )
-        if faces is not None:
-            self.faces = faces
+        self.face_masks = (walk_faces(self.max_cones) if face_masks is None
+                           else face_masks)
         self.kind = kind
         self._degrees = []
         self._point = None
         self._rewrites: dict[frozenset, dict] = {}
         columns = (self._interval_columns() if self.relations
-                   else _face_monomials(ray_count, self.max_cones, degree_cap))
+                   else face_monomials(ray_count, self.face_masks, degree_cap))
         for d in range(degree_cap + 1):
             self._degrees.append(self._build_degree(d, columns))
 
-    @cached_property
+    @property
     def faces(self) -> set[frozenset[int]]:
-        """The face set of ``max_cones``, on first use if not given."""
-        return _faces(self.max_cones)
+        """The faces as ray sets, made from ``face_masks`` on each read."""
+        return set(map(frozenset, map(mask_rays, self.face_masks)))
 
     @cached_property
     def nonfaces(self) -> list[frozenset[int]]:
         """Minimal non-faces (Stanley-Reisner generators), on first use."""
-        return _minimal_nonfaces(self.faces, self.ray_count)
+        return nonfaces_of(self.face_masks, self.ray_count)
 
-    def _interval_columns(self) -> dict[int, list]:
-        """(monomial, home cone, greatest ray outside bad(home) or None) per
-        face, by size, from one walk of the plan's intervals [bad(sigma),
-        sigma]; a face no interval or two hold raises RingConsistencyError."""
-        seen, columns = set(), {}
+    def _interval_columns(self) -> tuple[dict, dict]:
+        """{degree: its columns (monomial, face mask, home cone, greatest ray
+        outside bad(home) or None) in column order}, and {face mask: its
+        position in its degree}, from one walk of the plan's intervals
+        [bad(sigma), sigma], each the submasks of sigma - bad(sigma) by size,
+        then in combinations order; a face no interval or two hold raises
+        RingConsistencyError, of the missed faces the one whose sorted rays
+        come first."""
+        n, faces, seen, columns = self.ray_count, self.face_masks, set(), {}
         for cone, bad in zip(self.max_cones, self.basis_plan):
-            free = sorted(cone - bad)
+            low = ray_mask(bad)
+            free = [1 << r for r in sorted(cone - bad)]
             for size in range(len(free) + 1):
+                column = columns.setdefault(len(bad) + size, [])
                 for extra in itertools.combinations(free, size):
-                    face = bad.union(extra)
-                    mono = _squarefree(face, self.ray_count)
-                    if face in seen or face not in self.faces:
+                    face = low | sum(extra)
+                    if face in seen or face not in faces:
                         raise RingConsistencyError(
-                            f"{self.kind}, degree {len(face)}: column {mono} "
-                            f"lies in the interval of cone {sorted(cone)} and "
+                            f"{self.kind}, degree {len(bad) + size}: column "
+                            f"{squarefree(face, n)} lies in the interval of "
+                            f"cone {sorted(cone)} and "
                             + ("in another" if face in seen else "is no face")
                         )
                     seen.add(face)
-                    columns.setdefault(len(face), []).append(
-                        (mono, cone, extra[-1] if extra else None))
-        for face in self.faces - seen:
+                    column.append((squarefree(face, n), face, cone,
+                                   extra[-1].bit_length() - 1 if extra else None))
+        for face in sorted(faces - seen, key=mask_rays):
             raise RingConsistencyError(
-                f"{self.kind}, degree {len(face)}: column "
-                f"{_squarefree(face, self.ray_count)} lies in no interval"
+                f"{self.kind}, degree {face.bit_count()}: column "
+                f"{squarefree(face, n)} lies in no interval"
             )
-        return columns
+        where = {}
+        for column in columns.values():
+            column.sort(key=itemgetter(0), reverse=True)
+            where.update((e[1], i) for i, e in enumerate(column))
+        return columns, where
 
     def _build_degree(self, d: int, columns) -> GradedPiece:
         label = f"{self.kind}, degree {d}"
@@ -662,27 +609,26 @@ class GradedQuotientRing(GradedRing):
             monomials = columns[d]
             return GradedPiece(monomials, {m: i for i, m in enumerate(monomials)},
                                {}, {}, tuple(range(len(monomials))), monomials)
-        entries = sorted(columns.get(d, ()), reverse=True)
+        entries, where = columns[0].get(d, ()), columns[1]
         monomials = [mono for mono, *_ in entries]
-        index = {m: i for i, m in enumerate(monomials)}
         rows, planned = [], []
-        for mono, cone, rho in entries:
+        for pos, (mono, face, cone, rho) in enumerate(entries):
             if rho is None:
                 planned.append(mono)
                 continue
             # S's row x_{S-rho} * (x_rho - its rewrite on the home): 1 at
             # x_S, -row[rho'] at each x_{S-rho+rho'}, payload from inverse_row
-            tau = mono[:rho] + (0,) + mono[rho + 1:]
+            tau = face ^ 1 << rho
             row, inverse_row = self._cone_rewrite(cone)[rho]
-            vec = {index[mono]: 1}
+            vec = {pos: 1}
             for other, a in enumerate(row):
                 if a:
-                    pos = index.get(tau[:other] + (1,) + tau[other + 1:])
-                    if pos is not None:
-                        vec[pos] = -a
-            tau_pos = self._degrees[d - 1].index[tau]
-            rows.append((vec, self._row_payload(tau_pos, inverse_row)))
-        return GradedPiece.build(monomials, index, rows, planned, label)
+                    wider = where.get(tau | 1 << other)
+                    if wider is not None:
+                        vec[wider] = -a
+            rows.append((vec, self._row_payload(where[tau], inverse_row)))
+        return GradedPiece.build(monomials, {m: i for i, m in enumerate(monomials)},
+                                 rows, planned, label)
 
     def _row_payload(self, tau_pos: int, inverse_row):
         """What the dual row of inverse_row carries besides columns: nothing."""
@@ -748,15 +694,16 @@ class GradedQuotientRing(GradedRing):
                 return self._column_form(table, d, pos)
         if not self.relations:
             return {}
-        support = frozenset(i for i, e in enumerate(mono) if e)
-        if len(support) == d or support not in self.faces:
+        support = sum(1 << i for i, e in enumerate(mono) if e)
+        if support.bit_count() == d or support not in self.face_masks:
             return {}
         rho = next(i for i, e in enumerate(mono) if e > 1)
         lowered = mono[:rho] + (mono[rho] - 1,) + mono[rho + 1:]
-        cone = next(c for c in self.max_cones if support <= c)
+        cone = next(c for c, m in zip(self.max_cones, self._cone_masks)
+                    if not support & ~m)
         form: dict = {}
         for other, a in enumerate(self._cone_rewrite(cone)[rho][0]):
-            if a and (support | {other}) in self.faces:
+            if a and (support | 1 << other) in self.face_masks:
                 bumped = lowered[:other] + (1,) + lowered[other + 1:]
                 for k, v in table[bumped]:
                     _add_term(form, k, a * v)
@@ -782,13 +729,9 @@ class GradedQuotientRing(GradedRing):
                         flat[k] = flat[k] + v * self._one
         return self._class_type(self, table.split(flat))
 
-    def is_face(self, support) -> bool:
-        return frozenset(support) in self.faces
-
     def generator(self, rho: int) -> "CohomologyClass":
         """The degree-2 class of the divisor attached to ray rho."""
-        mono = tuple(1 if i == rho else 0 for i in range(self.ray_count))
-        return self.reduce_poly({mono: self._one})
+        return self.reduce_poly({squarefree(1 << rho, self.ray_count): self._one})
 
     # -- integration -------------------------------------------------------
 
@@ -803,8 +746,8 @@ class GradedQuotientRing(GradedRing):
             forms = self.normal_forms()
             top = forms.offsets[n]
             reduced = None
-            for cone in self.max_cones:
-                form = dict(forms[_squarefree(cone, self.ray_count)])
+            for cone in self._cone_masks:
+                form = dict(forms[squarefree(cone, self.ray_count)])
                 this = tuple(form.get(top + i, 0) for i in range(self.rank(n)))
                 if reduced is None:
                     reduced = this
@@ -842,14 +785,15 @@ def _certified_ring(f: Fan, relations, kind: str,
 
     ``inverses`` are the relations' inverses on the maximal cones (see
     GradedQuotientRing).  The basis plan is read at the fan's first
-    generic point, and one face set feeds the ring and the h-vector its
-    ranks must match.  The rank invariants
-    (Betti equals h-vector, Betti sum equals the number of maximal cones,
-    degree-2 rank equals rays minus dimension, Poincare symmetry) are
-    checked at build time and violations raise RingConsistencyError.
+    generic point, and one walk of the cones' submasks gives the face
+    masks that feed the ring and the h-vector its ranks must match.  The
+    rank invariants (Betti equals h-vector, Betti sum equals the number of
+    maximal cones, degree-2 rank equals rays minus dimension, Poincare
+    symmetry) are checked at build time and violations raise
+    RingConsistencyError.
     """
-    faces = _faces(f.max_cones)
-    hv = _h_vector(faces, f.dim)
+    faces = walk_faces(f.max_cones)
+    hv = h_vector_of(faces, f.dim)
     ring = GradedQuotientRing(
         ray_count=f.ray_count,
         dim=f.dim,
@@ -857,7 +801,7 @@ def _certified_ring(f: Fan, relations, kind: str,
         max_cones=f.max_cones,
         degree_cap=f.dim,
         basis_plan=fixed_point_basis_plan(f),
-        faces=faces,
+        face_masks=faces,
         kind=kind,
         inverses=inverses,
     )
@@ -875,17 +819,5 @@ def _certified_ring(f: Fan, relations, kind: str,
 
 def h_vector(f: Fan) -> list[int]:
     """h-vector of the maximal-cone complex, from face counts alone."""
-    return _h_vector(_faces(f.max_cones), f.dim)
+    return h_vector_of(walk_faces(f.max_cones), f.dim)
 
-
-def _h_vector(faces, n: int) -> list[int]:
-    counts = [0] * (n + 1)  # counts[s] = number of faces with s vertices
-    for face in faces:
-        counts[len(face)] += 1
-    return [
-        sum(
-            (-1) ** (k - i) * comb(n - i, k - i) * counts[i]
-            for i in range(k + 1)
-        )
-        for k in range(n + 1)
-    ]

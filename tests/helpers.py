@@ -23,6 +23,14 @@ one pass.
 ``subset_minimal_nonfaces`` is the reference for minimal non-faces: it
 tries every subset of the rays, as the library did before it grew them
 from the faces.
+``subset_faces`` is the reference for the face set: every subset of every
+maximal cone as a frozenset, as the library kept faces before they became
+ray bitmasks from one submask walk.  ``FrozensetWalkRing`` and
+``FrozensetWalkBundleRing`` are the references for the interval walk and
+the relation rows on those bitmasks: they walk each interval [bad(sigma),
+sigma] as frozenset unions, build a monomial per face, test faces against
+``subset_faces`` and address each row's terms by monomial, as the library
+did before.
 ``naive_restrict`` and ``naive_substitute`` are the references for
 fixed-point localization: they expand every monomial as a fresh product
 of linear forms, as the library did before one memoised substitution per
@@ -110,10 +118,10 @@ from toricbundles.cohomology import (
     GradedQuotientRing,
     RingConsistencyError,
     basis_products,
-    face_monomial_sum,
     linear_relations,
 )
 from toricbundles.corpus import corpus_instances
+from toricbundles.faces import face_monomial_sum
 from toricbundles.equivariant import WeightPolynomial, fixed_point_weights
 from toricbundles.fan import (
     ValidationReport,
@@ -476,6 +484,23 @@ def fiber_restriction(ring, cls):
     return CohomologyClass(ring.fiber_ring, tuple(parts))
 
 
+def subset_faces(max_cones):
+    """Every face as a frozenset: each subset of each maximal cone."""
+    faces = {frozenset()}
+    for cone in max_cones:
+        cone = tuple(sorted(cone))
+        for size in range(1, len(cone) + 1):
+            for subset in itertools.combinations(cone, size):
+                faces.add(frozenset(subset))
+    return faces
+
+
+def supported_on_a_face(ring, mono):
+    """Whether the support of mono lies in one maximal cone of the ring."""
+    support = {i for i, e in enumerate(mono) if e}
+    return any(support <= cone for cone in ring.max_cones)
+
+
 def subset_minimal_nonfaces(fan):
     """Minimal non-faces by trying all 2^rays subsets, smallest first."""
     nonfaces = []
@@ -808,7 +833,7 @@ class AllFaceMonomialBundleRing:
         work = [{} for _ in self.degrees]
         for mono, cls in poly.items():
             d = sum(mono)
-            if not self.fiber_ring.is_face(i for i, e in enumerate(mono) if e):
+            if not supported_on_a_face(self.fiber_ring, mono):
                 continue  # a Stanley-Reisner monomial
             assert d < len(self.degrees), "reference columns stop at 2n"
             pos = self.degrees[d][1][mono]
@@ -856,7 +881,8 @@ class AllFaceMonomialBundleRing:
     def total_chern(self):
         """c(TB) times the sum of the fiber face monomials."""
         unit = self.base.unit()
-        fiber_sum = face_monomial_sum(self.fiber_ring.faces, self.ray_count)
+        fiber_sum = face_monomial_sum(self.fiber_ring.face_masks,
+                                      self.ray_count)
         pulled = self.reduce_poly({(0,) * self.ray_count: self.base.chern})
         return pulled * self.reduce_poly(dict.fromkeys(fiber_sum, unit))
 
@@ -1253,7 +1279,7 @@ class RewrittenProductRing(_RewrittenProductRows, GradedQuotientRing):
     @classmethod
     def of(cls, ring):
         return cls(ring.ray_count, ring.dim, ring.relations, ring.max_cones,
-                   ring.degree_cap, ring.basis_plan, ring.faces, ring.kind,
+                   ring.degree_cap, ring.basis_plan, ring.face_masks, ring.kind,
                    ring.inverses)
 
     def _row_payload(self, tau_pos, tau, i, rewrite):
@@ -1273,6 +1299,81 @@ class RewrittenProductBundleRing(_RewrittenProductRows, BundleRing):
                 for j, inv in enumerate(rewrite[rho][1]):
                     cofactors[j] -= rel[rho] * inv
         return {(j, tau_pos): c for j, c in enumerate(cofactors) if c}
+
+
+class _FrozensetWalk:
+    """The interval walk and relation rows over frozenset faces.
+
+    ``_interval_columns`` returns {size: [(monomial, home cone, greatest ray
+    outside bad(home) or None)]} in walk order: each interval by size, then
+    in combinations order, each face a frozenset union tested against
+    ``subset_faces``.  ``_build_degree`` sorts each degree's columns and
+    builds each row x_{S-rho} * (x_rho - its rewrite), addressing x_tau and
+    its neighbours by monomial.
+    """
+
+    def _interval_columns(self):
+        faces = subset_faces(self.max_cones)
+        seen, columns = set(), {}
+        for cone, bad in zip(self.max_cones, self.basis_plan):
+            free = sorted(cone - bad)
+            for size in range(len(free) + 1):
+                for extra in combinations(free, size):
+                    face = bad.union(extra)
+                    mono = tuple(1 if i in face else 0
+                                 for i in range(self.ray_count))
+                    if face in seen or face not in faces:
+                        raise RingConsistencyError(
+                            f"{self.kind}, degree {len(face)}: column {mono} "
+                            f"lies in the interval of cone {sorted(cone)} and "
+                            + ("in another" if face in seen else "is no face")
+                        )
+                    seen.add(face)
+                    columns.setdefault(len(face), []).append(
+                        (mono, cone, extra[-1] if extra else None))
+        for face in sorted(faces - seen, key=lambda f: (len(f), sorted(f))):
+            mono = tuple(1 if i in face else 0 for i in range(self.ray_count))
+            raise RingConsistencyError(
+                f"{self.kind}, degree {len(face)}: column {mono} lies in no "
+                "interval"
+            )
+        return columns
+
+    def _build_degree(self, d: int, columns) -> GradedPiece:
+        entries = sorted(columns.get(d, ()), reverse=True)
+        monomials = [mono for mono, *_ in entries]
+        index = {m: i for i, m in enumerate(monomials)}
+        rows, planned = [], []
+        for mono, cone, rho in entries:
+            if rho is None:
+                planned.append(mono)
+                continue
+            tau = mono[:rho] + (0,) + mono[rho + 1:]
+            row, inverse_row = self._cone_rewrite(cone)[rho]
+            vec = {index[mono]: 1}
+            for other, a in enumerate(row):
+                if a:
+                    pos = index.get(tau[:other] + (1,) + tau[other + 1:])
+                    if pos is not None:
+                        vec[pos] = -a
+            tau_pos = self._degrees[d - 1].index[tau]
+            rows.append((vec, self._row_payload(tau_pos, inverse_row)))
+        return GradedPiece.build(monomials, index, rows, planned,
+                                 f"{self.kind}, degree {d}")
+
+
+class FrozensetWalkRing(_FrozensetWalk, GradedQuotientRing):
+    """A fan or pair ring rebuilt by the frozenset walk."""
+
+    @classmethod
+    def of(cls, ring):
+        return cls(ring.ray_count, ring.dim, ring.relations, ring.max_cones,
+                   ring.degree_cap, ring.basis_plan, ring.face_masks,
+                   ring.kind, ring.inverses)
+
+
+class FrozensetWalkBundleRing(_FrozensetWalk, BundleRing):
+    """A bundle ring rebuilt by the frozenset walk."""
 
 
 def bundle_cases():

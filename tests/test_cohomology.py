@@ -12,11 +12,13 @@ from helpers import (
     projective_space,
     square_fan,
     star_surface,
+    subset_faces,
     subset_minimal_nonfaces,
 )
 from toricbundles import (
     RingConsistencyError,
     build_ring,
+    compare,
     h_vector,
     linear_relations,
     make_fan,
@@ -293,17 +295,79 @@ def test_a_plan_with_a_repeated_set_names_the_face_two_intervals_hold():
         )
 
 
-def test_a_certified_ring_builds_its_face_set_once(monkeypatch):
-    from toricbundles import cohomology
+def _ring_on_plan(f, plan):
+    from toricbundles.cohomology import GradedQuotientRing
+
+    return GradedQuotientRing(
+        ray_count=f.ray_count, dim=f.dim, relations=linear_relations(f),
+        max_cones=f.max_cones, degree_cap=f.dim, basis_plan=plan,
+        inverses=cone_duals(f).rows,
+    )
+
+
+def test_a_plan_that_misses_a_face_names_it():
+    # the intervals [{0}, {0}] and [{1}, {1}] of P1 leave out the empty face
+    with pytest.raises(RingConsistencyError,
+                       match=r"^fan ring, degree 0: column \(0, 0\) lies in "
+                             r"no interval$"):
+        _ring_on_plan(p1(), [frozenset({0}), frozenset({1})])
+
+
+def test_a_plan_that_misses_faces_names_the_first_by_sorted_rays():
+    # bad(sigma) = sigma on the square: every face but the cones is missed,
+    # and the empty face's rays, (), sort first
+    f = square_fan()
+    with pytest.raises(RingConsistencyError,
+                       match=r"^fan ring, degree 0: column \(0, 0, 0, 0\) "
+                             r"lies in no interval$"):
+        _ring_on_plan(f, list(f.max_cones))
+
+
+def test_a_bad_set_that_is_no_face_is_named():
+    with pytest.raises(RingConsistencyError,
+                       match=r"^fan ring, degree 3: column \(1, 1, 1\) lies "
+                             r"in the interval of cone \[0, 1\] and is no "
+                             r"face$"):
+        _ring_on_plan(p2(), [frozenset({0, 1, 2}), frozenset(), frozenset()])
+
+
+def _counting_face_walks(monkeypatch):
+    """Record the maximal cones of every submask walk of the face masks,
+    wherever a module of the package binds the walk."""
+    import sys
+
+    from toricbundles import faces
 
     calls = []
-    real = cohomology._faces
+    real = faces.walk_faces
 
     def counting(max_cones):
-        calls.append(max_cones)
+        calls.append(tuple(max_cones))
         return real(max_cones)
 
-    monkeypatch.setattr(cohomology, "_faces", counting)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("toricbundles") and vars(module).get(
+                "walk_faces") is real:
+            monkeypatch.setattr(module, "walk_faces", counting)
+    return calls
+
+
+def test_a_certified_ring_builds_its_face_set_once(monkeypatch):
+    calls = _counting_face_walks(monkeypatch)
     ring = build_ring.__wrapped__(dp6())
     assert len(calls) == 1
-    assert ring.faces == real(dp6().max_cones)
+    assert ring.faces == subset_faces(dp6().max_cones)
+    assert ring.nonfaces == subset_minimal_nonfaces(dp6())
+    assert len(calls) == 1  # the minimal non-faces read the same masks
+
+
+def test_a_warm_compare_walks_the_faces_of_the_twisted_fan_only(monkeypatch):
+    # the base and fiber rings are warm; the fiber factor reads the fiber
+    # ring's masks, so the one walk left is the new twisted fan's
+    base, fiber = p2(), p1()
+    compare(base, fiber, make_plmap(1, [[0], [1], [2]]))
+    phi = make_plmap(1, [[5], [-3], [11]])
+    twisted = twisted_fan(base, fiber, phi).twisted
+    calls = _counting_face_walks(monkeypatch)
+    assert compare(base, fiber, phi).equal
+    assert calls == [twisted.max_cones]

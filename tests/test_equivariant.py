@@ -16,7 +16,7 @@ from toricbundles import (
     total_chern_intrinsic,
     twisted_pair,
 )
-from toricbundles.cohomology import face_monomial_sum
+from toricbundles.faces import face_monomial_sum
 from toricbundles.corpus import corpus_pairs
 from toricbundles.equivariant import fixed_point_weights, ordinary_ring
 from toricbundles.fan import walls
@@ -93,7 +93,7 @@ def test_equivariant_total_chern_matches_the_reduce_poly_route(name, pair):
         cls = equivariant_total_chern(pair, bound)
         ring = cls.ring
         assert cls == ring.reduce_poly(
-            face_monomial_sum(ring.faces, ring.ray_count)
+            face_monomial_sum(ring.face_masks, ring.ray_count)
         ), bound
 
 

@@ -44,12 +44,9 @@ from toricbundles import (
     twisted_fan,
 )
 from toricbundles.bundlering import BundleClass
-from toricbundles.cohomology import (
-    GradedQuotientRing,
-    NormalForms,
-    face_monomial_sum,
-)
+from toricbundles.cohomology import GradedQuotientRing, NormalForms
 from toricbundles.corpus import corpus_fans
+from toricbundles.faces import face_monomial_sum
 from toricbundles.equivariant import ordinary_ring
 
 RING_CASES = (
@@ -72,7 +69,7 @@ def test_table_products_match_all_face_monomials(name, make_ring):
     ref = AllFaceMonomialRing(ring)
     total = total_chern_intrinsic(ring)
     assert total.parts == ref.reduce(
-        face_monomial_sum(ring.faces, ring.ray_count))
+        face_monomial_sum(ring.face_masks, ring.ray_count))
     table = ring.normal_forms()
     rng = random.Random(f"product table {name}")
     randoms = []
@@ -101,8 +98,8 @@ def test_bundle_table_products_match_all_face_monomials(name, base, lam,
     ring = build_bundle_ring(base, lam, fiber)
     ref = AllFaceMonomialBundleRing(base, lam, fiber)
     unit = base.unit()
-    fiber_sum = dict.fromkeys(face_monomial_sum(ring.faces, ring.ray_count),
-                              unit)
+    fiber_sum = dict.fromkeys(
+        face_monomial_sum(ring.face_masks, ring.ray_count), unit)
     assert ring.face_sum().parts == ref.reduce_poly(fiber_sum).parts
     assert total_chern_general(ring).parts == ref.total_chern().parts
     table = ring.normal_forms()
