@@ -50,7 +50,6 @@ from .fan import Fan, ValidationReport, make_fan, product_fan, validate, walls
 from .lattice import (
     IntMatrix,
     IntVector,
-    determinant,
     is_primitive,
 )
 from .twist import (

@@ -273,7 +273,7 @@ class BundleRing(GradedQuotientRing):
         self._constants: dict = {}
         super().__init__(
             fiber.ray_count, fiber.dim, linear_relations(fiber),
-            fiber.max_cones, fiber.dim, self.fiber_ring.basis_plan,
+            fiber.max_cones, self.fiber_ring.basis_plan,
             self.fiber_ring.face_masks, "bundle ring", self.fiber_ring.inverses,
         )
         self.dim = self.monomial_cap = base.half_top + fiber.dim
@@ -283,8 +283,13 @@ class BundleRing(GradedQuotientRing):
         key = cone, rho
         if key not in self._constants:
             self._constants[key] = self._rewrite_constant(
-                self._cone_rewrite(cone)[rho][1])
+                self._rewrites[cone][rho][1])
         return self._constants[key]
+
+    def _solve_rewrites(self) -> dict:
+        """The fiber ring's rewrites: the relations and inverse rows are
+        the fiber ring's, and the constants come apart (``_constant``)."""
+        return self.fiber_ring._rewrites
 
     def _rewrite_constant(self, inverse_row) -> CohomologyClass:
         """mu_k = -sum_j inv[k][j] lambda_j, from inverse_row = inv[k]."""

@@ -15,7 +15,8 @@ import sys
 from functools import cache
 
 from . import bundlering, chern, corpus, equivariant
-from .cohomology import RingConsistencyError, build_ring, h_vector
+from .cohomology import RingConsistencyError, build_ring
+from .faces import h_vector_of
 from .fan import validate
 from .formats import (
     ParseError,
@@ -125,7 +126,7 @@ def cmd_cohomology(args) -> int:
     fan = parse_fan(_read(args.fan))
     ring = build_ring(fan)
     ranks = ring.betti()
-    hv = h_vector(fan)
+    hv = h_vector_of(ring.face_masks, fan.dim)
     payload = {
         "betti": ranks,
         "h_vector": hv,

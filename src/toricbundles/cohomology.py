@@ -10,18 +10,20 @@ smaller ray indices first, and the elimination walks columns left to
 right, so bases and coefficient vectors are bit-stable across runs.
 
 GradedRing is the one ring skeleton, also of the presented base and the
-bundle ring in ``bundlering``: every ring stores one GradedPiece per
-degree (columns, unit pivots keyed by column certifying a planned basis,
-the basis monomials), and reduce_poly, multiply, integrate, the pairing
-``integrate_product`` (the top-degree integral of a product; the bundle
-ring reads it off an integer form) and the ranks are written once.  Rings differ in three hooks: the degree of a
-monomial, its normal form (the cone rewrite here, the column itself on a
-presentation) and the sign of the top basis monomial's integral.
-CohomologyClass is the one class type, and ``faces.face_monomial_sum`` is
-the one expansion of prod (1 + x_rho).  The bundle ring is a GradedQuotientRing
-whose relations have the twisting classes as constants (see
-``bundlering``).  Minimal non-faces are grown from the face masks, and a
-ring computes them only when they are read.
+bundle ring in ``bundlering`` and of the face ring in ``equivariant``:
+every ring stores one GradedPiece per degree (columns, unit pivots keyed
+by column certifying a planned basis, the basis monomials), and
+reduce_poly, multiply, integrate, the pairing ``integrate_product`` (the
+top-degree integral of a product; the bundle ring reads it off an
+integer form) and the ranks are written once.  Rings differ in three
+hooks: the degree of a monomial, its normal form (the cone rewrite here,
+the column itself on a presentation) and the sign of the top basis
+monomial's integral.  CohomologyClass is the one class type, and
+``faces.face_monomial_sum`` is the one expansion of prod (1 + x_rho).
+The bundle ring is a GradedQuotientRing whose relations have the
+twisting classes as constants (see ``bundlering``).  Minimal non-faces
+are grown from the face masks, and a ring computes them only when they
+are read.
 
 Products go through one table of normal forms, NormalForms: {monomial:
 its coordinates over the basis, numbered across degrees}.  multiply is
@@ -41,44 +43,44 @@ reads the pivot rows of the columns it reaches.  Every face is a column,
 so face_sum, the total class, sums the column forms of each degree, with
 no monomial built or rewritten.
 
-A ring with linear relations eliminates over the squarefree face
-monomials of each degree, one column per face of that size.  A monomial
-with a repeated exponent is first rewritten into them: on the first
-maximal cone sigma containing its support the relations solve for each
-x_rho of sigma as an integer combination of the x_rho' outside sigma,
-and trading one repeated factor lowers (degree - support size), so the
-rewrite terminates.  The solve reads the inverse of the relation matrix
+A quotient ring eliminates over the squarefree face monomials of each
+degree, one column per face of that size.  A monomial with a repeated
+exponent is first rewritten into them: on the first maximal cone sigma
+containing its support the relations solve for each x_rho of sigma as
+an integer combination of the x_rho' outside sigma, and trading one
+repeated factor lowers (degree - support size), so the rewrite
+terminates.  The solve reads the inverse of the relation matrix
 on sigma's rays, given to the ring as its basis plan is: the dual rows
 of the fan's ``cone_duals`` table (the one Bareiss pass per cone that
 validation and the plan read too), of the fiber fan's for a bundle ring,
 or a pair's ``weight_table``.  Each cone's rewrite checks that the rows
-invert the relations on its rays and is solved once per ring, in
-``_rewrites``.
+invert the relations on its rays and is solved once, when the ring is
+built, in ``_rewrites``; a bundle ring takes its fiber ring's, solved on
+the same relations and rows.
 
 A face is a ray bitmask (bit rho for each ray rho of it; see ``faces``),
 and a ring's faces come from one walk of each maximal cone's submasks,
-which also gives the h-vector by popcount and the face ring its columns.  The plan gives each maximal cone sigma a set
-bad(sigma), and each face S lies in exactly one interval [bad(sigma),
-sigma], its home (see fixed_point_basis_plan); the constructor walks the
-intervals once, each as the submasks of sigma - bad(sigma) by size,
-checking this and listing each degree's columns.  Degree d has one row
-per face S of size d but bad(sigma): x_{S-rho} * (x_rho - rewrite of
-x_rho on sigma), rho the greatest ray of S outside bad(sigma) (any would
-do; this one keeps a bundle ring's lambda payloads sparse), so f_d - h_d
-rows for as many allowed columns, each addressed by masks: S - rho is S
-with bit rho cleared, and its neighbours S - rho + rho' add one bit.
-The rows lie in the ideal, so when unit-pivot elimination certifies the
-quotient by them free on the plan, of rank h_d, it maps onto H^{2d},
-free of the same rank, isomorphically:
-bases and coefficients are those of elimination over all face monomials,
-and rows that fall short fail elimination, naming the column.  On a
+which also gives the h-vector by popcount.  The plan gives each maximal
+cone sigma a set bad(sigma), and each face S lies in exactly one
+interval [bad(sigma), sigma], its home (see fixed_point_basis_plan); the
+constructor walks the intervals once, each as the submasks of sigma -
+bad(sigma) by size, checking this and listing each degree's columns.
+Degree d has one row per face S of size d but bad(sigma): x_{S-rho} *
+(x_rho - rewrite of x_rho on sigma), rho the greatest ray of S outside
+bad(sigma) (any would do; this one keeps a bundle ring's lambda payloads
+sparse), so f_d - h_d rows for as many allowed columns, each addressed
+by masks: S - rho is S with bit rho cleared, and its neighbours S - rho
++ rho' add one bit.  The rows lie in the ideal, so when unit-pivot
+elimination certifies the quotient by them free on the plan, of rank
+h_d, it maps onto H^{2d}, free of the same rank, isomorphically: bases
+and coefficients are those of elimination over all face monomials, and
+rows that fall short fail elimination, naming the column.  On a
 projective fan the system is unit-triangular: each other term
 x_{S-rho+rho'} (rho' not in sigma) lies in V(S-rho), and S-rho's home is
 sigma, so its home's fixed point is in the closure of sigma's
-Bialynicki-Birula cell, an order acyclic on every projective fan.  A face
-ring has no relations, squarefree monomials do not span it, and every
-face monomial is a column; the columns of all degrees are made in one
-pass over the face masks (``faces.face_monomials``).
+Bialynicki-Birula cell, an order acyclic on every projective fan.  The
+face ring itself, with no relations, is ``equivariant.FaceRing``: there
+every face monomial is a basis column and nothing is eliminated.
 """
 
 from __future__ import annotations
@@ -97,7 +99,6 @@ from .fan import (
     require_smooth_complete,
 )
 from .faces import (
-    face_monomials,
     h_vector_of,
     mask_rays,
     nonfaces_of,
@@ -367,14 +368,15 @@ class GradedRing:
     """The one ring skeleton: reduce, multiply, integrate, pair and ranks.
 
     A ring stores one GradedPiece per degree in ``_degrees``, its variable
-    count ``_nvars``, its complex dimension ``dim`` and ``monomial_cap``,
-    the degree above which monomials vanish.  Subclasses differ in three
-    hooks: ``_degree`` of a monomial, ``_solve`` (a monomial's normal form,
-    here every monomial is a column) and ``_point_data``, the integral
-    (+-1) of the top basis monomial.  Coefficients are ``_zero``/``_one``,
-    classes ``_class_type``, and ``_lam`` are the twisting classes the
-    bundle ring's pivots carry.  Reduction and products sum normal forms
-    read from a NormalForms table, which ``normal_forms`` hands out.
+    count ``_nvars``, its complex dimension ``dim`` and
+    ``monomial_cap``, the degree above which monomials vanish.
+    Subclasses differ in three hooks: ``_degree`` of a monomial,
+    ``_solve`` (a monomial's normal form, here its column's, and zero if
+    it is no column) and ``_point_data``, the integral (+-1) of the top
+    basis monomial.  Coefficients are ``_zero``/``_one``, classes
+    ``_class_type``, and ``_lam`` are the twisting classes the bundle
+    ring's pivots carry.  Reduction and products sum normal forms read
+    from a NormalForms table, which ``normal_forms`` hands out.
     """
 
     _zero = 0
@@ -391,9 +393,10 @@ class GradedRing:
         return NormalForms(self)
 
     def _solve(self, table: NormalForms, mono: Monomial) -> dict:
-        """The normal form of mono: every monomial is a column."""
+        """The normal form of mono: its column's, or zero if it is none."""
         d = self._degree(mono)
-        return self._column_form(table, d, self._degrees[d].index[mono])
+        pos = self._degrees[d].index.get(mono)
+        return {} if pos is None else self._column_form(table, d, pos)
 
     def _column_form(self, table: NormalForms, d: int, pos: int) -> dict:
         """The normal form of column pos of degree d, read off its pivot row.
@@ -466,6 +469,10 @@ class GradedRing:
     def unit(self) -> "CohomologyClass":
         return self.reduce_poly({(0,) * self._nvars: self._one})
 
+    def generator(self, rho: int) -> "CohomologyClass":
+        """The class of variable rho, on a fan the divisor of ray rho."""
+        return self.reduce_poly({squarefree(1 << rho, self._nvars): self._one})
+
     def multiply(self, a: "CohomologyClass", b: "CohomologyClass",
                  table=None) -> "CohomologyClass":
         """sum c1 * c2 * NF(m1 * m2) over the basis terms of a and b, with
@@ -493,6 +500,15 @@ class GradedRing:
         sign = self._point_data()
         return cls.parts[self.dim][0] * sign if cls.parts[self.dim] else 0
 
+    def point_class(self) -> "CohomologyClass":
+        """The class of a point, on a fan the product of the rays of any
+        maximal cone: the top basis monomial times its integral."""
+        sign = self._point_data()
+        return CohomologyClass(self, tuple(
+            (sign,) if d == self.dim else (0,) * rank
+            for d, rank in enumerate(self.betti())
+        ))
+
     def integrate_product(self, a: "CohomologyClass", b: "CohomologyClass",
                           table=None) -> int:
         """The integral of the top-degree component of a * b."""
@@ -502,45 +518,40 @@ class GradedRing:
 class GradedQuotientRing(GradedRing):
     """Z[x_rho]/(Stanley-Reisner ideal + integer linear relations).
 
-    ``degree_cap`` bounds the monomial degree of the graded pieces that are
-    materialized; for rings of smooth complete fans the cap is the lattice
-    rank and everything above it vanishes, for face rings (no linear
-    relations) pieces are nonzero in every degree and the cap is a
-    truncation requested by the caller.  ``monomial_cap`` is the degree
-    above which monomials are dropped, here the same.  With relations, the
-    columns of each graded piece are its squarefree face monomials and
-    every other monomial is rewritten into them (see the module
-    docstring); without, they are all face monomials.  Instances are
-    immutable after construction, apart from caches filled on first use,
-    and safe to share between threads.  ``face_masks`` is every face of
-    ``max_cones`` as a ray bitmask, where the caller has it already (else
-    the ring walks the cones' submasks once); ``faces`` is the same set as
-    frozensets, made on each read.  ``kind`` names the
-    ring (fan, pair, bundle or face ring) in elimination errors.  A ring
-    with relations gets, per maximal cone in ``max_cones`` order, its
-    plan's frozenset bad(sigma) and in ``inverses`` the inverse of its
-    relation matrix on the cone's sorted rays (the fan's ``cone_duals``
-    rows, or a pair's weight table), which the cone rewrites check and read.
+    The face ring's quotient by one linear relation per lattice
+    coordinate, ``dim`` of them: pieces are materialized up to degree
+    ``dim``, the lattice rank, above which everything vanishes, so
+    ``degree_cap`` and ``monomial_cap`` are ``dim``.  The columns of each
+    graded piece are its squarefree face monomials and every other
+    monomial is rewritten into them (see the module docstring).  Instances
+    are immutable after construction, apart from caches filled on first
+    use, and safe to share between threads.  ``face_masks`` is every face
+    of ``max_cones`` as a ray bitmask, where the caller has it already
+    (else the ring walks the cones' submasks once); ``faces`` is the same
+    set as frozensets, made on each read.  ``kind`` names the ring (fan,
+    pair or bundle ring) in elimination errors.  The ring gets, per maximal
+    cone in ``max_cones`` order, its plan's frozenset bad(sigma) and in
+    ``inverses`` the inverse of its relation matrix on the cone's sorted
+    rays (the fan's ``cone_duals`` rows, or a pair's weight table), which
+    the cone rewrites check and read, each once, at construction.
 
     Its hooks: the plain degree, the cone rewrite as normal form and the
     point class's sign.  The bundle ring subclasses it, and its twisting
     classes enter through ``_constant`` and ``_row_payload``.
     """
 
-    def __init__(self, ray_count, dim, relations, max_cones, degree_cap,
-                 basis_plan=None, face_masks=None, kind="fan ring",
-                 inverses=None):
+    def __init__(self, ray_count, dim, relations, max_cones, basis_plan=None,
+                 face_masks=None, kind="fan ring", inverses=None):
         self.ray_count = self._nvars = ray_count
-        self.dim = dim
+        self.dim = self.degree_cap = self.monomial_cap = dim
         self.relations = tuple(tuple(r) for r in relations)
         self.max_cones = tuple(frozenset(c) for c in max_cones)
         self._cone_masks = tuple(map(ray_mask, self.max_cones))
-        self.degree_cap = self.monomial_cap = degree_cap
         self.basis_plan = basis_plan
         self.inverses = inverses
-        if self.relations and basis_plan is None:
+        if basis_plan is None:
             raise ValueError("a ring with linear relations needs a basis plan")
-        if self.relations and inverses is None:
+        if inverses is None:
             raise ValueError(
                 "a ring with linear relations needs their inverse on every "
                 "maximal cone"
@@ -548,12 +559,11 @@ class GradedQuotientRing(GradedRing):
         self.face_masks = (walk_faces(self.max_cones) if face_masks is None
                            else face_masks)
         self.kind = kind
-        self._degrees = []
         self._point = None
-        self._rewrites: dict[frozenset, dict] = {}
-        columns = (self._interval_columns() if self.relations
-                   else face_monomials(ray_count, self.face_masks, degree_cap))
-        for d in range(degree_cap + 1):
+        columns = self._interval_columns()
+        self._rewrites = self._solve_rewrites()
+        self._degrees = []
+        for d in range(dim + 1):
             self._degrees.append(self._build_degree(d, columns))
 
     @property
@@ -605,10 +615,6 @@ class GradedQuotientRing(GradedRing):
 
     def _build_degree(self, d: int, columns) -> GradedPiece:
         label = f"{self.kind}, degree {d}"
-        if not self.relations:  # every face monomial is a basis column
-            monomials = columns[d]
-            return GradedPiece(monomials, {m: i for i, m in enumerate(monomials)},
-                               {}, {}, tuple(range(len(monomials))), monomials)
         entries, where = columns[0].get(d, ()), columns[1]
         monomials = [mono for mono, *_ in entries]
         rows, planned = [], []
@@ -619,7 +625,7 @@ class GradedQuotientRing(GradedRing):
             # S's row x_{S-rho} * (x_rho - its rewrite on the home): 1 at
             # x_S, -row[rho'] at each x_{S-rho+rho'}, payload from inverse_row
             tau = face ^ 1 << rho
-            row, inverse_row = self._cone_rewrite(cone)[rho]
+            row, inverse_row = self._rewrites[cone][rho]
             vec = {pos: 1}
             for other, a in enumerate(row):
                 if a:
@@ -636,41 +642,43 @@ class GradedQuotientRing(GradedRing):
 
     # -- rewriting into columns ----------------------------------------------
 
-    def _cone_rewrite(self, cone: frozenset) -> dict:
+    def _solve_rewrites(self) -> dict:
+        """{maximal cone: its rewrite (see ``_solve_cone``)}, from one
+        transpose of the relations."""
+        transposed = tuple(zip(*self.relations))
+        return {cone: self._solve_cone(cone, inverse, transposed)
+                for cone, inverse in zip(self.max_cones, self.inverses)}
+
+    def _solve_cone(self, cone: frozenset, inverse, transposed) -> dict:
         """Solve the relations on a maximal cone.
 
         Returns {rho in the cone: (row, inverse_row)}: x_rho is the sum of
         row[rho'] * x_rho' over the rays rho' (row is dense and zero on the
         cone), plus ``_constant(cone, rho)``, which a bundle ring makes from
-        inverse_row, rho's row of the inverse relation matrix.  The inverse
-        rows are the ring's ``inverses`` of the cone, kept as given; they
-        must pair to the identity with the relations on the cone's rays.
-        Each cone's rewrite is solved once and kept by the ring.
+        inverse_row, rho's row of the inverse relation matrix.  ``inverse``
+        is the ring's ``inverses`` entry of the cone, kept as given; its
+        rows must pair to the identity with the relations on the cone's
+        rays, read off ``transposed``, the relations' columns.
         """
-        rewrite = self._rewrites.get(cone)
-        if rewrite is None:
-            rays = sorted(cone)
-            inverse = self.inverses[self.max_cones.index(cone)]
-            if len(self.relations) != len(rays) or len(inverse) != len(rays):
+        rays = sorted(cone)
+        if len(self.relations) != len(rays) or len(inverse) != len(rays):
+            raise RingConsistencyError(
+                f"{len(self.relations)} linear relations cannot be solved "
+                f"on the {len(rays)} rays of cone {rays}"
+            )
+        rewrite = {}
+        for inverse_row, rho in zip(inverse, rays):
+            pairing = [sum(map(mul, inverse_row, column))
+                       for column in transposed]
+            if any(pairing[other] != (other == rho) for other in rays):
                 raise RingConsistencyError(
-                    f"{len(self.relations)} linear relations cannot be solved "
-                    f"on the {len(rays)} rays of cone {rays}"
+                    f"the inverse rows given for cone {rays} do not "
+                    "invert its linear relations"
                 )
-            columns = tuple(zip(*self.relations))
-            rewrite = {}
-            for inverse_row, rho in zip(inverse, rays):
-                pairing = [sum(map(mul, inverse_row, column))
-                           for column in columns]
-                if any(pairing[other] != (other == rho) for other in rays):
-                    raise RingConsistencyError(
-                        f"the inverse rows given for cone {rays} do not "
-                        "invert its linear relations"
-                    )
-                rewrite[rho] = (tuple(
-                    0 if other in cone else -value
-                    for other, value in enumerate(pairing)
-                ), inverse_row)
-            self._rewrites[cone] = rewrite
+            rewrite[rho] = (tuple(
+                0 if other in cone else -value
+                for other, value in enumerate(pairing)
+            ), inverse_row)
         return rewrite
 
     def _constant(self, cone: frozenset, rho: int):
@@ -682,18 +690,15 @@ class GradedQuotientRing(GradedRing):
         """The normal form of mono, in basis coordinates.
 
         Columns are read off their pivot rows.  Every other monomial
-        vanishes unless it has relations to rewrite it, a repeated
-        exponent and a face as support: then one repeated x_rho is traded
-        through its cone rewrite, and the monomials that step reaches are
-        read from the table.
+        vanishes unless it has a repeated exponent and a face as support:
+        then one repeated x_rho is traded through its cone rewrite, and the
+        monomials that step reaches are read from the table.
         """
         d = self._degree(mono)
         if d < len(self._degrees):
             pos = self._degrees[d].index.get(mono)
             if pos is not None:
                 return self._column_form(table, d, pos)
-        if not self.relations:
-            return {}
         support = sum(1 << i for i, e in enumerate(mono) if e)
         if support.bit_count() == d or support not in self.face_masks:
             return {}
@@ -702,7 +707,7 @@ class GradedQuotientRing(GradedRing):
         cone = next(c for c, m in zip(self.max_cones, self._cone_masks)
                     if not support & ~m)
         form: dict = {}
-        for other, a in enumerate(self._cone_rewrite(cone)[rho][0]):
+        for other, a in enumerate(self._rewrites[cone][rho][0]):
             if a and (support | 1 << other) in self.face_masks:
                 bumped = lowered[:other] + (1,) + lowered[other + 1:]
                 for k, v in table[bumped]:
@@ -716,33 +721,23 @@ class GradedQuotientRing(GradedRing):
     def face_sum(self) -> "CohomologyClass":
         """The class of the sum of x_tau over the faces tau, prod (1 + x_rho).
 
-        With relations every face monomial is a column and every column a
-        face monomial (without, the squarefree columns are), so the sum is
-        that of the columns' forms, with no monomial built or rewritten.
+        Every face monomial is a column and every column a face monomial,
+        so the sum is that of the columns' forms, with no monomial built or
+        rewritten.
         """
         table = self.normal_forms()
         flat = [self._zero] * table.size
         for d, piece in enumerate(self._degrees):
-            for pos, mono in enumerate(piece.monomials):
-                if self.relations or max(mono, default=0) <= 1:
-                    for k, v in self._column_form(table, d, pos).items():
-                        flat[k] = flat[k] + v * self._one
+            for pos in range(len(piece.monomials)):
+                for k, v in self._column_form(table, d, pos).items():
+                    flat[k] = flat[k] + v * self._one
         return self._class_type(self, table.split(flat))
-
-    def generator(self, rho: int) -> "CohomologyClass":
-        """The degree-2 class of the divisor attached to ray rho."""
-        return self.reduce_poly({squarefree(1 << rho, self.ray_count): self._one})
 
     # -- integration -------------------------------------------------------
 
     def _point_data(self):
         if self._point is None:
             n = self.dim
-            if n > self.degree_cap:
-                raise ValueError(
-                    f"ring is truncated at degree {2 * self.degree_cap}, "
-                    f"below its top degree {2 * n}: it has no point class"
-                )
             forms = self.normal_forms()
             top = forms.offsets[n]
             reduced = None
@@ -761,14 +756,6 @@ class GradedQuotientRing(GradedRing):
                 )
             self._point = reduced[0]
         return self._point
-
-    def point_class(self) -> "CohomologyClass":
-        """The class of a point: product of the rays of any maximal cone."""
-        sign = self._point_data()
-        return CohomologyClass(self, tuple(
-            (sign,) if d == self.dim else (0,) * rank
-            for d, rank in enumerate(self.betti())
-        ))
 
 
 @cache
@@ -799,7 +786,6 @@ def _certified_ring(f: Fan, relations, kind: str,
         dim=f.dim,
         relations=relations,
         max_cones=f.max_cones,
-        degree_cap=f.dim,
         basis_plan=fixed_point_basis_plan(f),
         face_masks=faces,
         kind=kind,

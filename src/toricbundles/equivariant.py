@@ -1,9 +1,14 @@
 """Equivariant cohomology of characteristic pairs.
 
-The model is the face ring (Stanley-Reisner quotient with no linear
-relations), truncated at a caller-chosen degree; equivariant total Chern
-classes restrict at the fixed points of maximal cones to products over
-dual-basis weights, which is the content of the Masuda-formula check.
+The model is the face ring Z[x_rho]/I_Sigma, ``FaceRing``, truncated at a
+caller-chosen degree: a GradedRing whose columns are the face monomials
+of each degree, every one a basis monomial, so nothing is eliminated and
+its total Chern class prod (1 + x_rho) is 1 on every squarefree column.
+The ordinary rings (fan, pair, bundle) are its quotients by linear
+relations, ``cohomology.GradedQuotientRing``, and ``forget`` passes to
+the pair's.  Equivariant total Chern classes restrict at the fixed
+points of maximal cones to products over dual-basis weights, which is
+the content of the Masuda-formula check.
 The weight convention: u_i is dual to the charmap values of the cone,
 <u_i, Lambda(rho_j)> = delta_ij.
 
@@ -23,12 +28,15 @@ from types import MappingProxyType
 
 from .cohomology import (
     CohomologyClass,
+    GradedPiece,
     GradedQuotientRing,
+    GradedRing,
     _certified_ring,
     build_ring,
 )
+from .faces import face_monomials, walk_faces
 from .formats import join_terms, monomial_to_text
-from .lattice import IntVector
+from .lattice import IntVector, RingConsistencyError
 from .twist import CharacteristicPair, weight_table
 
 DEGREE_BOUND_LIMIT = 4
@@ -221,8 +229,42 @@ class WeightPolynomial:
         return join_terms(terms)
 
 
-def face_ring(p: CharacteristicPair, degree_bound=None) -> GradedQuotientRing:
-    """Stanley-Reisner quotient with no linear relations, truncated.
+class FaceRing(GradedRing):
+    """The face ring Z[x_rho]/I_Sigma, truncated above ``degree_cap``.
+
+    Its columns are the face monomials of each degree, made in one pass
+    over the face masks (``faces.face_monomials``), and every column is a
+    basis column: nothing is eliminated, and any other monomial is zero.
+    It has no point class: its pieces go on past the complex dimension.
+    """
+
+    def __init__(self, ray_count, dim, max_cones, degree_cap):
+        self.ray_count = self._nvars = ray_count
+        self.dim = dim
+        self.degree_cap = self.monomial_cap = degree_cap
+        self.face_masks = walk_faces(max_cones)
+        columns = face_monomials(ray_count, self.face_masks, degree_cap)
+        self._degrees = [GradedPiece(m, {c: i for i, c in enumerate(m)}, {},
+                                     {}, range(len(m)), m) for m in columns]
+
+    def face_sum(self) -> CohomologyClass:
+        """prod (1 + x_rho): 1 on every squarefree column, 0 elsewhere.  A
+        monomial of degree d is squarefree when it has d nonzero exponents."""
+        return CohomologyClass(self, tuple(
+            tuple(int(m.count(0) == self.ray_count - d) for m in piece.basis)
+            for d, piece in enumerate(self._degrees)))
+
+    def _point_data(self):
+        cap, top = 2 * self.degree_cap, 2 * self.dim
+        if top > cap:
+            raise ValueError(f"ring is truncated at degree {cap}, below its "
+                             f"top degree {top}: it has no point class")
+        raise RingConsistencyError("face ring has no point class: its top "
+                                   "face monomials are independent")
+
+
+def face_ring(p: CharacteristicPair, degree_bound=None) -> FaceRing:
+    """The face ring of a pair's complex, truncated.
 
     ``degree_bound`` is cohomological (even, at most DEGREE_BOUND_LIMIT
     times n); the default 2n keeps every degree the downstream checks
@@ -239,27 +281,13 @@ def face_ring(p: CharacteristicPair, degree_bound=None) -> GradedQuotientRing:
             f"degree bound {bound} exceeds the limit DEGREE_BOUND_LIMIT * dim "
             f"= {DEGREE_BOUND_LIMIT} * {f.dim} = {DEGREE_BOUND_LIMIT * f.dim}"
         )
-    return GradedQuotientRing(
-        ray_count=f.ray_count,
-        dim=f.dim,
-        relations=(),
-        max_cones=f.max_cones,
-        degree_cap=bound // 2,
-        kind="face ring",
-    )
+    return FaceRing(f.ray_count, f.dim, f.max_cones, bound // 2)
 
 
 def equivariant_total_chern(p: CharacteristicPair,
                             degree_bound=None) -> CohomologyClass:
-    """Product of (1 + x_rho) in the relation-free (truncated) face ring:
-    1 on every squarefree basis monomial, 0 elsewhere.  A monomial of
-    degree d is squarefree when it has d nonzero exponents."""
-    ring = face_ring(p, degree_bound)
-    return CohomologyClass(ring, tuple(
-        tuple(int(mono.count(0) == ring.ray_count - d)
-              for mono in ring.basis_monomials(d))
-        for d in range(ring.degree_cap + 1)
-    ))
+    """Product of (1 + x_rho) in the (truncated) face ring."""
+    return face_ring(p, degree_bound).face_sum()
 
 
 def fixed_point_weights(p: CharacteristicPair, sigma) -> tuple[IntVector, ...]:

@@ -29,26 +29,8 @@ def vector(entries) -> IntVector:
     return tuple(int(e) for e in entries)
 
 
-def matrix(rows) -> IntMatrix:
-    m = tuple(vector(r) for r in rows)
-    if m and any(len(r) != len(m[0]) for r in m):
-        raise ValueError("matrix rows must have equal length")
-    return m
-
-
 def identity(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def transpose(m: IntMatrix) -> IntMatrix:
-    return tuple(zip(*m)) if m else ()
-
-
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("inner dimensions do not match")
-    bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
 def mat_vec(a: IntMatrix, v: IntVector) -> IntVector:
@@ -61,33 +43,6 @@ def is_primitive(v: IntVector) -> bool:
     for e in v:
         g = gcd(g, e)
     return g == 1
-
-
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant via fraction-free Bareiss elimination."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant requires a square matrix")
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def det_adjugate(m: IntMatrix) -> tuple[int, IntMatrix | None]:

@@ -87,6 +87,9 @@ to zero, which gives the fiber fan's class.
 gives, the one input where the plan's interval argument (which needs
 completeness only) and a shelling argument (which needs a polytope)
 part ways.
+``matrix``, ``transpose``, ``mat_mul`` and the Bareiss ``determinant`` are
+the suite's dense-matrix references; the library reads determinants off
+``det_adjugate`` alone and no longer carries them.
 """
 
 import importlib.util
@@ -134,11 +137,9 @@ from toricbundles.formats import polynomial_to_text
 from toricbundles.lattice import (
     IntMatrix,
     IntVector,
-    determinant,
     identity,
     is_primitive,
-    matrix,
-    transpose,
+    vector,
 )
 
 
@@ -608,6 +609,51 @@ def multipass_eliminate(rows, allowed):
             "columns (unexpected torsion or a wrong prescribed basis)"
         )
     return [(col, *pivots[rid][:2]) for col, rid in sorted(pivot_cols.items())]
+
+
+def matrix(rows) -> IntMatrix:
+    m = tuple(vector(r) for r in rows)
+    if m and any(len(r) != len(m[0]) for r in m):
+        raise ValueError("matrix rows must have equal length")
+    return m
+
+
+def transpose(m: IntMatrix) -> IntMatrix:
+    return tuple(zip(*m)) if m else ()
+
+
+def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    if a and b and len(a[0]) != len(b):
+        raise ValueError("inner dimensions do not match")
+    bt = transpose(b)
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def determinant(m: IntMatrix) -> int:
+    """Exact determinant via fraction-free Bareiss elimination."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("determinant requires a square matrix")
+    if n == 0:
+        return 1
+    a = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def permutation_determinant(m):
@@ -1245,8 +1291,8 @@ class _RewrittenProductRows:
             # times x_tau, which only the row payload sees.
             for tau_pos, tau in enumerate(self._degrees[d - 1].monomials):
                 support = frozenset(i for i, e in enumerate(tau) if e)
-                rewrite = self._cone_rewrite(
-                    next(c for c in self.max_cones if support <= c))
+                rewrite = self._rewrites[
+                    next(c for c in self.max_cones if support <= c)]
                 wider = {}
                 for rho, e in enumerate(tau):
                     if not e:
@@ -1279,8 +1325,7 @@ class RewrittenProductRing(_RewrittenProductRows, GradedQuotientRing):
     @classmethod
     def of(cls, ring):
         return cls(ring.ray_count, ring.dim, ring.relations, ring.max_cones,
-                   ring.degree_cap, ring.basis_plan, ring.face_masks, ring.kind,
-                   ring.inverses)
+                   ring.basis_plan, ring.face_masks, ring.kind, ring.inverses)
 
     def _row_payload(self, tau_pos, tau, i, rewrite):
         """What row (tau, relation i) carries besides its columns: nothing."""
@@ -1349,7 +1394,7 @@ class _FrozensetWalk:
                 planned.append(mono)
                 continue
             tau = mono[:rho] + (0,) + mono[rho + 1:]
-            row, inverse_row = self._cone_rewrite(cone)[rho]
+            row, inverse_row = self._rewrites[cone][rho]
             vec = {index[mono]: 1}
             for other, a in enumerate(row):
                 if a:
@@ -1368,8 +1413,7 @@ class FrozensetWalkRing(_FrozensetWalk, GradedQuotientRing):
     @classmethod
     def of(cls, ring):
         return cls(ring.ray_count, ring.dim, ring.relations, ring.max_cones,
-                   ring.degree_cap, ring.basis_plan, ring.face_masks,
-                   ring.kind, ring.inverses)
+                   ring.basis_plan, ring.face_masks, ring.kind, ring.inverses)
 
 
 class FrozensetWalkBundleRing(_FrozensetWalk, BundleRing):

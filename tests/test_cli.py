@@ -8,6 +8,7 @@ from helpers import (
     P1_PRESENTATION,
     P2_PRESENTATION,
     cone_vectors,
+    determinant,
     p1,
     p2,
     star_surface,
@@ -15,7 +16,6 @@ from helpers import (
 from toricbundles import (
     chern,
     equivariant,
-    lattice,
     make_plmap,
     tautological_pair,
     twist,
@@ -331,6 +331,30 @@ def test_cmd_cohomology_and_chern_of_the_point(tmp_path, capsys):
     assert payload["gauss_bonnet"] is True
 
 
+def test_cmd_cohomology_walks_the_faces_once(tmp_path, capsys, monkeypatch):
+    # the ring's face masks give the h-vector too, so a request on a
+    # fresh fan walks the maximal cones' submasks once
+    from toricbundles import cohomology, corpus, faces
+
+    walks = []
+    walk_faces = faces.walk_faces
+
+    def counting(max_cones):
+        walks.append(max_cones)
+        return walk_faces(max_cones)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("toricbundles")
+                and getattr(module, "walk_faces", None) is walk_faces):
+            monkeypatch.setattr(module, "walk_faces", counting)
+    cohomology.build_ring.cache_clear()
+    fan = write(tmp_path, "dp6.fan", fan_to_text(corpus.del_pezzo_6()))
+    assert run_cli(tmp_path, "--format", "machine", "cohomology", fan) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["betti"] == payload["h_vector"] == [1, 4, 1]
+    assert len(walks) == 1
+
+
 def test_cmd_equivariant(tmp_path, capsys):
     pair_path = write(tmp_path, "p2.pair", pair_to_text(tautological_pair(p2())))
     assert run_cli(tmp_path, "equivariant", pair_path) == 0
@@ -370,7 +394,7 @@ def test_cmd_equivariant_validates_the_pair_once(tmp_path, capsys,
     )))
     pair_path = write(tmp_path, "twist.pair", pair_to_text(pair))
     passes, determinants = [], []
-    det_adjugate, determinant = fan_module.det_adjugate, lattice.determinant
+    det_adjugate = fan_module.det_adjugate
 
     def counting_pass(m):
         passes.append(m)
@@ -662,7 +686,7 @@ def test_cmd_equivariant_refuses_a_degree_bound_past_the_limit(
         tmp_path, capsys, monkeypatch):
     pair_path = write(tmp_path, "p2.pair", pair_to_text(tautological_pair(p2())))
     built = []
-    monkeypatch.setattr(equivariant, "GradedQuotientRing",
+    monkeypatch.setattr(equivariant, "FaceRing",
                         lambda *args, **kwargs: built.append(args))
     limit = equivariant.DEGREE_BOUND_LIMIT * 2
     assert main(["equivariant", "--degree-bound", str(limit + 2),

@@ -228,17 +228,62 @@ def test_sign_symmetry_of_elementary_pieces():
 
 
 def test_point_class_consistency_error_detection():
-    # a face ring has no linear relations: maximal-cone monomials stay
-    # distinct, which point_class must flag
-    from toricbundles.cohomology import GradedQuotientRing
+    # the face ring has no linear relations: its top-degree face monomials
+    # stay independent, so even untruncated it has no point class
+    from toricbundles import face_ring, tautological_pair
+
+    ring = face_ring(tautological_pair(p2()))
+    with pytest.raises(RingConsistencyError, match="no point class"):
+        ring.point_class()
+    with pytest.raises(RingConsistencyError, match="no point class"):
+        ring.integrate(ring.zero())
+
+
+def _p2_ring_with_cone_forms(forms):
+    # a fresh P2 quotient ring whose normal-form table holds the given
+    # forms for the monomials of its maximal cones, in cone order
+    from toricbundles.cohomology import fixed_point_basis_plan
 
     f = p2()
-    ring = GradedQuotientRing(
-        ray_count=3, dim=2, relations=(),
-        max_cones=f.max_cones, degree_cap=2,
-    )
-    with pytest.raises(RingConsistencyError):
+    ring = _ring_on_plan(f, fixed_point_basis_plan(f))
+    table = ring.normal_forms()
+    top = table.offsets[f.dim]
+    for cone, form in zip(ring.max_cones, forms(table, top)):
+        table[tuple(int(rho in cone) for rho in range(f.ray_count))] = form
+    ring.normal_forms = lambda: table
+    return ring
+
+
+def test_point_class_needs_one_class_from_every_maximal_cone():
+    ring = _p2_ring_with_cone_forms(
+        lambda table, top: [((top, 1),), ((top, 1),), ((top, -1),)])
+    with pytest.raises(RingConsistencyError,
+                       match="maximal cones yield different point classes"):
         ring.point_class()
+
+
+def test_point_class_must_generate_the_top_degree():
+    ring = _p2_ring_with_cone_forms(lambda table, top: [((top, 2),)] * 3)
+    with pytest.raises(RingConsistencyError,
+                       match=r"top degree is not generated by the point "
+                             r"class: \(2,\)"):
+        ring.integrate(ring.zero())
+
+
+def test_the_point_fan_ring_takes_the_interval_walk():
+    # no relations and one maximal cone, the empty one: its interval
+    # [{}, {}] is the only column, a planned basis column
+    from toricbundles import chern_numbers, chern_numbers_localized
+    from toricbundles.chern import total_chern_intrinsic
+
+    point = make_fan(0, [], [[]])
+    ring = build_ring(point)
+    assert ring.relations == ()
+    assert ring.basis_plan == [frozenset()]
+    assert ring.betti() == [1]
+    assert ring.integrate(ring.unit()) == 1
+    numbers = chern_numbers(ring, total_chern_intrinsic(ring))
+    assert numbers == chern_numbers_localized(point) == {(): 1}
 
 
 def test_torsion_relations_fail_certification():
@@ -250,7 +295,7 @@ def test_torsion_relations_fail_certification():
     with pytest.raises(RingConsistencyError):
         GradedQuotientRing(
             ray_count=3, dim=2, relations=doubled,
-            max_cones=f.max_cones, degree_cap=2,
+            max_cones=f.max_cones,
             basis_plan=fixed_point_basis_plan(f),
             inverses=cone_duals(f).rows,
         )
@@ -264,7 +309,7 @@ def test_relations_need_a_basis_plan():
     with pytest.raises(ValueError, match="basis plan"):
         GradedQuotientRing(
             ray_count=3, dim=2, relations=linear_relations(f),
-            max_cones=f.max_cones, degree_cap=2,
+            max_cones=f.max_cones,
         )
 
 
@@ -290,7 +335,7 @@ def test_a_plan_with_a_repeated_set_names_the_face_two_intervals_hold():
                              r"another"):
         GradedQuotientRing(
             ray_count=3, dim=2, relations=linear_relations(f),
-            max_cones=f.max_cones, degree_cap=2,
+            max_cones=f.max_cones,
             basis_plan=[frozenset()] * 3, inverses=cone_duals(f).rows,
         )
 
@@ -300,7 +345,7 @@ def _ring_on_plan(f, plan):
 
     return GradedQuotientRing(
         ray_count=f.ray_count, dim=f.dim, relations=linear_relations(f),
-        max_cones=f.max_cones, degree_cap=f.dim, basis_plan=plan,
+        max_cones=f.max_cones, basis_plan=plan,
         inverses=cone_duals(f).rows,
     )
 

@@ -29,6 +29,7 @@ from helpers import (
     charmap_pair_cases,
     cone_vectors,
     cp2_sharp_cp2,
+    determinant,
     dp6,
     hnf_inverse,
     p1_power,
@@ -54,7 +55,6 @@ from toricbundles.cohomology import h_vector, linear_relations
 from toricbundles.corpus import corpus_fans, corpus_pairs, random_unimodular
 from toricbundles.equivariant import ordinary_ring
 from toricbundles.fan import cone_duals
-from toricbundles.lattice import determinant
 from toricbundles.twist import weight_table
 
 
@@ -208,8 +208,6 @@ def test_bundle_degree_d_builds_one_row_per_non_basis_face(monkeypatch):
 
 def _assert_inverse_rows(ring):
     """Each cone's rewrite reads the inverse of the relations on its rays."""
-    for cone in ring.max_cones:
-        ring._cone_rewrite(cone)
     assert set(ring._rewrites) == set(ring.max_cones)
     for cone, rewrite in ring._rewrites.items():
         rays = sorted(cone)
@@ -234,15 +232,17 @@ def test_bundle_cone_rewrites_read_the_inverse_of_the_relations():
 
 def test_rings_share_the_dual_rows_of_one_table():
     # a fan ring's inverse rows are the fan's cone_duals rows, a bundle
-    # ring's are its fiber ring's, and the rewrites keep those same tuples
+    # ring's are its fiber ring's, whose rewrites it reads, and the rewrites
+    # keep those same tuples
     _, base, lam, fiber = BUNDLE_CASES[-1]
     ring = build_ring(fiber)
     rows = cone_duals(fiber).rows
     assert ring.inverses is rows
     bundle = build_bundle_ring(base, lam, fiber)
     assert bundle.inverses is rows
+    assert bundle._rewrites is ring._rewrites
     for cone, dual in zip(fiber.max_cones, rows):
-        rewrite = bundle._cone_rewrite(cone)
+        rewrite = bundle._rewrites[cone]
         assert all(rewrite[rho][1] is row
                    for rho, row in zip(sorted(cone), dual))
 

@@ -144,7 +144,7 @@ def _square_ring(bad_sets):
     return GradedQuotientRing(
         ray_count=fan.ray_count, dim=fan.dim,
         relations=linear_relations(fan), max_cones=fan.max_cones,
-        degree_cap=fan.dim, basis_plan=_square_plan(bad_sets, fan),
+        basis_plan=_square_plan(bad_sets, fan),
         inverses=cone_duals(fan).rows,
     )
 

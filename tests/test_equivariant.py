@@ -36,6 +36,24 @@ def test_face_ring_ranks():
     assert face_ring(tautological_pair(p2()), degree_bound=0).betti() == [1]
 
 
+def test_the_face_ring_is_no_quotient_ring():
+    # every face monomial is a basis column: nothing is eliminated, and a
+    # monomial whose support is no face is zero
+    from toricbundles.cohomology import GradedQuotientRing, GradedRing
+    from toricbundles.equivariant import FaceRing
+
+    ring = face_ring(tautological_pair(p2()))
+    assert isinstance(ring, FaceRing) and isinstance(ring, GradedRing)
+    assert not isinstance(ring, GradedQuotientRing)
+    assert all(piece.pivots == {} for piece in ring._degrees)
+    assert ring.reduce_poly({(1, 1, 1): 1}).is_zero()
+    x0 = ring.generator(0)
+    assert (x0 * x0).to_poly() == {(2, 0, 0): 1}
+    total = equivariant_total_chern(tautological_pair(p2()))
+    assert total.parts == ring.face_sum().parts == ((1,), (1, 1, 1),
+                                                     (0, 1, 1, 0, 1, 0))
+
+
 def test_truncated_face_ring_has_no_point_class():
     ring = face_ring(tautological_pair(p2()), degree_bound=0)
     with pytest.raises(ValueError, match="truncated at degree 0.*top degree 4"):

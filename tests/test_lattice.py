@@ -2,14 +2,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
-from helpers import hermite_normal_form, permutation_determinant
-from toricbundles.lattice import (
+from helpers import (
     determinant,
-    identity,
-    is_primitive,
+    hermite_normal_form,
     mat_mul,
     matrix,
+    permutation_determinant,
 )
+from toricbundles.lattice import identity, is_primitive
 
 small_entries = st.integers(min_value=-7, max_value=7)
 

@@ -12,10 +12,10 @@ import random
 
 import pytest
 
-from helpers import naive_restrict, naive_substitute
+from helpers import determinant, naive_restrict, naive_substitute
 from toricbundles import WeightPolynomial, face_ring, restrict_to_fixed_point
 from toricbundles.corpus import corpus_pairs
-from toricbundles.lattice import determinant, identity
+from toricbundles.lattice import identity
 
 
 def random_class(ring, rng, terms=5):

@@ -1,7 +1,11 @@
 """Smoke tests for the stand-alone scripts, so they keep running."""
 
 import random
+import shutil
+import subprocess
+from pathlib import Path
 
+import pytest
 from helpers import load_script, nonprojective_threefold
 from toricbundles import RingConsistencyError, validate
 
@@ -126,3 +130,52 @@ def test_src_lines_counts_every_module(capsys):
                 for p in module.PACKAGE.glob("*.py"))
     assert rows[-1][:2] == ["total", str(total)]
     assert int(rows[-1][2]) == sum(int(row[2]) for row in rows[1:-1])
+
+
+def test_src_lines_deltas_against_a_base(capsys, monkeypatch):
+    module = _load("src_lines")
+    now = {"a.py": '"""Doc."""\nx = 1\ny = 2\n', "b.py": "z = 3\n"}
+    base = {"a.py": "x = 1  # one\n\n", "c.py": "w = 1\nv = 2\n"}
+    assert module.deltas(now, base) == [
+        ("a.py", 1, 2, 1), ("b.py", 0, 1, 1), ("c.py", 2, 0, -2),
+    ]
+    # against the working tree itself every delta is 0
+    monkeypatch.setattr(module, "base_sources",
+                        lambda rev: module.current_sources())
+    assert module.main(["--base", "REV"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows[0] == ["module", "base", "code", "delta"]
+    modules = sorted(p.name for p in module.PACKAGE.glob("*.py"))
+    assert [row[0] for row in rows[1:-1]] == modules
+    assert all(row[1] == row[2] and row[3] == "+0" for row in rows[1:])
+
+
+def _git_tree(module):
+    if shutil.which("git") is None or not (module.ROOT / ".git").exists():
+        pytest.skip("needs git and the repository's own git tree")
+
+
+def test_src_lines_reads_the_package_at_a_git_revision():
+    module = _load("src_lines")
+    _git_tree(module)
+    sources = module.base_sources("HEAD")
+    listed = subprocess.run(
+        ["git", "ls-tree", "--name-only", "HEAD", "src/toricbundles/"],
+        cwd=module.ROOT, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert sorted(sources) == sorted(
+        Path(p).name for p in listed if p.endswith(".py"))
+    assert sources["fan.py"] == subprocess.run(
+        ["git", "show", "HEAD:src/toricbundles/fan.py"],
+        cwd=module.ROOT, capture_output=True, text=True, check=True,
+    ).stdout
+
+
+def test_src_lines_refuses_an_unknown_revision(capsys):
+    module = _load("src_lines")
+    _git_tree(module)
+    assert module.main(["--base", "no-such-revision"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: cannot read revision no-such-revision: ")

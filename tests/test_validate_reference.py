@@ -14,7 +14,9 @@ import random
 import pytest
 
 from helpers import (
+    determinant,
     hnf_inverse,
+    mat_mul,
     p1_power,
     pairwise_validate,
     projective_space,
@@ -24,7 +26,7 @@ from toricbundles import fan as fan_module
 from toricbundles import make_plmap, product_fan, twisted_fan, validate
 from toricbundles.corpus import corpus_fans
 from toricbundles.fan import Fan
-from toricbundles.lattice import det_adjugate, determinant, identity, mat_mul
+from toricbundles.lattice import det_adjugate, identity
 
 
 def _bases_and_fibers():
