@@ -6,8 +6,11 @@ compares the intrinsic and bundle-formula Chern classes, checks the Chern
 numbers of the bundle ring over the base's presentation (the third route,
 whose normal form carries the twisting classes) and by fixed-point
 localization on the twisted fan (the fourth, with no ring at all), checks
-Gauss-Bonnet, checks that the comparison's class arithmetic leaves the
-cached twisted ring's attribute set as it was (no table of normal forms
+Gauss-Bonnet, checks that the pairing ``integrate_product`` of seeded
+classes of the twisted fan ring and of the presented bundle ring equals
+the integral of their product's top component, checks that the
+comparison's class arithmetic and those pairings leave the cached
+twisted ring's attribute set as it was (no table of normal forms
 outlives its call), and spot-checks invariance under a random unimodular
 change of fiber coordinates.  The Masuda check must also see a corrupted
 class: with one x_rho added to the twisted pair's equivariant total Chern
@@ -60,6 +63,23 @@ from toricbundles.twist import (
     twisted_fan,
     twisted_pair,
 )
+
+
+def random_class(ring, coefficient):
+    """Every basis monomial of the ring with a ``coefficient()``: an integer,
+    or over a bundle ring a base class."""
+    return ring.reduce_poly({
+        mono: coefficient()
+        for d in range(len(ring.betti())) for mono in ring.basis_monomials(d)
+    })
+
+
+def pairs_as_it_multiplies(ring, coefficient) -> bool:
+    """integrate_product(a, b) == integrate((a*b).component(dim)) on two
+    random classes of the ring."""
+    a, b = random_class(ring, coefficient), random_class(ring, coefficient)
+    return ring.integrate_product(a, b) == ring.integrate(
+        (a * b).component(ring.dim))
 
 
 def moved_pair_holds(pair: CharacteristicPair, u) -> bool:
@@ -141,6 +161,11 @@ def main(trials: int = 25, seed: int = 7, max_entry: int = 3) -> int:
     moves = random.Random(f"charmap moves {seed}")
     corruptions = random.Random(f"corrupted classes {seed}")
     stars = random.Random(f"star subdivisions {seed}")
+    pairings = random.Random(f"pairings {seed}")
+
+    def integer():
+        return pairings.randint(-3, 3)
+
     threefold = nonprojective_threefold()
     bases = [("P1", projective_line()), ("P2", projective_plane()),
              ("P1xP1", quadric_surface())]
@@ -159,12 +184,15 @@ def main(trials: int = 25, seed: int = 7, max_entry: int = 3) -> int:
         ring = build_ring(twisted)
         attributes = set(vars(ring))
         report = compare(base, fiber, phi, name)
-        kept = set(vars(ring)) == attributes
-        gauss = report.euler_intrinsic == report.euler_expected
         pres = presentation_from_fan(base)
         bundle = build_bundle_ring(
             pres, twisting_from_principal(pres, principal_classes(phi)), fiber
         )
+        paired = (pairs_as_it_multiplies(ring, integer)
+                  and pairs_as_it_multiplies(
+                      bundle, lambda: random_class(pres, integer)))
+        kept = set(vars(ring)) == attributes
+        gauss = report.euler_intrinsic == report.euler_expected
         presented = chern_numbers(
             bundle, total_chern_general(bundle)
         ) == report.intrinsic_numbers
@@ -189,8 +217,9 @@ def main(trials: int = 25, seed: int = 7, max_entry: int = 3) -> int:
         )
         star = random_star_subdivision(threefold, stars, stars.randint(1, 3))
         nonprojective = star_subdivision_holds(star)
-        ok = (report.equal and presented and localized and gauss and kept
-              and invariant and quasitoric and detected and nonprojective)
+        ok = (report.equal and presented and localized and gauss and paired
+              and kept and invariant and quasitoric and detected
+              and nonprojective)
         mark = "ok" if ok else "FAIL"
         print(f"[{mark}] {name}  chi={report.euler_intrinsic}  "
               f"star subdivision: {star.ray_count} rays")

@@ -33,38 +33,16 @@ are CohomologyClass instances, and a BundleClass is a CohomologyClass
 whose coefficients are base classes; it differs only in taking
 components by total degree.
 
-Chern numbers pair two classes on an integer intersection form instead of
-multiplying them.  Let m_i be the fiber basis monomials (fiber degree
-d_i, the top one m_top of degree n_f) and e_p the base basis classes.
-The ring is a free H*(B)-module on the m_i, its relations are
-H*(B)-linear, so the normal form is too: for a = sum a_i m_i and
-b = sum b_j m_j,
-
-    NF(a b) = sum_ij a_i b_j NF(m_i m_j),   NF(m_i m_j) = sum_k T^k_ij m_k.
-
-Integration is fiber-first: pi_* keeps only the coefficient of m_top,
-with the fiber's point sign s_F, and the base functional int_B reads the
-top base degree (zero elsewhere).  Write T_ij = T^top_ij, nonzero only
-when d_i + d_j >= n_f since the normal form keeps total degree and
-lowers fiber degree, and K[p,q,r] = int_B e_p e_q e_r.  Then
-
-    int_E a b = s_F int_B sum_ij a_i b_j T_ij
-              = sum_ij sum_pq a_i[p] b_j[q] M_ij[p][q],
-    M_ij[p][q] = s_F sum_r T_ij[r] K[p,q,r].
-
-K is nonzero only in total base degree top, so the sum reads exactly the
-top total-degree component of a b, as integrate((a*b).component(dim))
-does.  Each T_ij is one read of a table held while M is built, K is
-read once per presentation off its table, and M, an integer matrix per
-fiber-basis pair, is built once per bundle ring on first use: the
-pairing is then integer arithmetic only.
+Chern numbers pair two classes on the integer form of ``cohomology``
+(GradedRing.integrate_product): the bundle ring is a free H*(B)-module
+on the fiber basis monomials, its coefficient triples are the base's
+``triple_intersections`` and its point sign is the fiber's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from operator import add, mul
 
 from .chern import chern_numbers
@@ -306,16 +284,20 @@ class BundleRing(GradedQuotientRing):
         raise ValueError("the bundle ring has no point class: pair classes "
                          "with integrate")
 
-    def integrate(self, cls: BundleClass) -> int:
-        """Fiber-first integration of a class of top total degree.
+    def _point_data(self) -> int:
+        """The fiber's point sign: fiber-first integration keeps only the
+        top fiber basis monomial's coefficient, with this sign."""
+        return self.fiber_ring._point_data()
 
-        Pushes forward along the fiber (only the top fiber basis monomial
-        survives, weighted by the fiber's point sign) and applies the base
-        integration functional.  Raises on any off-degree component.
-        """
+    @property
+    def _coefficient_triples(self) -> tuple:
+        return self.base.triple_intersections
+
+    def integrate(self, cls: BundleClass) -> int:
+        """Fiber-first integration of a class of top total degree: its
+        pairing with the unit.  Raises on any off-degree component."""
         if cls.ring is not self:
             raise ValueError("class lives in a different bundle ring")
-        n = self.fiber.dim
         for d, part in enumerate(cls.parts):
             for c in part:
                 for k, base_part in enumerate(c.parts):
@@ -325,61 +307,7 @@ class BundleRing(GradedQuotientRing):
                             f"{2 * self.dim}, found a component in degree "
                             f"{2 * (d + k)}"
                         )
-        return self.fiber_ring._point_data() * self.base.integrate(
-            cls.parts[n][0]
-        )
-
-    @cached_property
-    def _intersection_form(self) -> dict:
-        """{(i, j): the nonzero entries (p, q, M_ij[p][q])} (module docstring).
-
-        Fiber basis monomials m_i are numbered across fiber degrees, base
-        basis classes e_p as in ``triple_intersections``.  M_ij = M_ji, as
-        m_i m_j = m_j m_i and K is symmetric, so each unordered pair is
-        reduced once.
-        """
-        n = self.fiber.dim
-        sign = self.fiber_ring._point_data()
-        triples = self.base.triple_intersections
-        numbered = [(d, m) for d, piece in enumerate(self._degrees)
-                    for m in piece.basis]
-        forms = self.normal_forms()
-        form = {}
-        for i, (di, mi) in enumerate(numbered):
-            for j in range(i, len(numbered)):
-                dj, mj = numbered[j]
-                if di + dj < n:
-                    continue
-                top = self.reduce_poly({tuple(map(add, mi, mj)): self._one},
-                                       forms)
-                t = _flat(top.parts[n][0])
-                entries = {}
-                for p, q, r, k in triples:
-                    if t[r]:
-                        entries[p, q] = entries.get((p, q), 0) + sign * t[r] * k
-                entries = tuple((p, q, v) for (p, q), v in entries.items() if v)
-                if entries:
-                    form[i, j] = form[j, i] = entries
-        return form
-
-    def integrate_product(self, a: BundleClass, b: BundleClass,
-                          table=None) -> int:
-        """int_E a * b = sum a_i[p] b_j[q] M_ij[p][q], in integers only;
-        no normal form is read, so ``table`` is not."""
-        if a.ring is not self or b.ring is not self:
-            raise ValueError("classes live in different rings")
-        av = [_flat(c) for part in a.parts for c in part]
-        bv = [_flat(c) for part in b.parts for c in part]
-        total = 0
-        for (i, j), entries in self._intersection_form.items():
-            ai, bj = av[i], bv[j]
-            total += sum(ai[p] * bj[q] * v for p, q, v in entries)
-        return total
-
-
-def _flat(cls: CohomologyClass) -> tuple[int, ...]:
-    """A base class's coefficients over the base basis, lowest degree first."""
-    return tuple(chain.from_iterable(cls.parts))
+        return self.integrate_product(cls, self.unit())
 
 
 def build_bundle_ring(base: BasePresentation, lam: TwistingClasses,

@@ -10,7 +10,8 @@ in the twisted ring's ideal.
 
 Chern numbers have two routes.  The ring route, ``chern_numbers``, works
 in any ring, the bundle ring included: a balanced product tree of ring
-products, paired by the ring's ``integrate_product``.  Fixed-point
+products, paired on the ring's integer form by ``integrate_product``,
+with no product formed for the pairing.  Fixed-point
 localization, ``chern_numbers_localized``, needs only the fan: one exact
 sum over the maximal cones of products of elementary symmetric functions
 of each cone's dual rows, read from the fan's ``cone_duals`` table at
@@ -137,13 +138,14 @@ def chern_numbers(ring, total: CohomologyClass) -> dict[tuple[int, ...], int]:
     parts, largest first, go to the half A or B of smaller degree, ties
     to A.  Sub-products are memoised by their descending tuples, as
     product(mu) = product(mu[1:]) * c_mu[0] (a single part is c_k
-    itself), and the number is ``ring.integrate_product(product(A),
-    product(B))``, or the integral of product(A) when B is empty.  A
-    bundle ring makes 3 ring products at n = 5 and 4 at n = 6, where a
-    left-to-right walk makes 13 and 24; a fan ring's pairing is one more
-    product, 9 in all at n = 5.  Every product and pairing reads one
-    table of normal forms, held for this call only, so each product
-    monomial is solved once.  The result keeps ``partitions(n)`` order.
+    itself, and the empty product the unit), and the number is
+    ``ring.integrate_product(product(A), product(B))``.  Every ring, fan
+    or bundle, makes 3 ring products at n = 5 and 4 at n = 6, where a
+    left-to-right walk makes 13 and 24: the pairing reads the ring's
+    integer form and makes no product.  Every product and the form read
+    one table of normal forms, held for this call only, so each product
+    monomial is solved once and the form is built once.  The result
+    keeps ``partitions(n)`` order.
     """
     n = ring.dim
     components = [total.component(k) for k in range(n + 1)]
@@ -166,8 +168,7 @@ def chern_numbers(ring, total: CohomologyClass) -> dict[tuple[int, ...], int]:
                 a += (k,)
             else:
                 b += (k,)
-        out[part] = (ring.integrate_product(product(a), product(b), table)
-                     if b else ring.integrate(product(a).component(n)))
+        out[part] = ring.integrate_product(product(a), product(b), table)
     return out
 
 

@@ -14,11 +14,12 @@ bundle ring in ``bundlering`` and of the face ring in ``equivariant``:
 every ring stores one GradedPiece per degree (columns, unit pivots keyed
 by column certifying a planned basis, the basis monomials), and
 reduce_poly, multiply, integrate, the pairing ``integrate_product`` (the
-top-degree integral of a product; the bundle ring reads it off an
-integer form) and the ranks are written once.  Rings differ in three
-hooks: the degree of a monomial, its normal form (the cone rewrite here,
-the column itself on a presentation) and the sign of the top basis
-monomial's integral.  CohomologyClass is the one class type, and
+top-degree integral of a product, read off an integer form) and the
+ranks are written once.  Rings differ in three hooks: the degree of a
+monomial, its normal form (the cone rewrite here, the column itself on a
+presentation) and the sign of the top basis monomial's integral, and in
+their coefficient ring: Z, or the base classes of a bundle ring.
+CohomologyClass is the one class type, and
 ``faces.face_monomial_sum`` is the one expansion of prod (1 + x_rho).
 The bundle ring is a GradedQuotientRing whose relations have the
 twisting classes as constants (see ``bundlering``).  Minimal non-faces
@@ -42,6 +43,34 @@ its lifetime.  No reduction walks the pivots: a normal form only ever
 reads the pivot rows of the columns it reaches.  Every face is a column,
 so face_sum, the total class, sums the column forms of each degree, with
 no monomial built or rewritten.
+
+Every ring pairs two classes on one integer form instead of multiplying
+them.  A ring is a free module over its coefficient ring R on its basis
+monomials m_i (degree d_i, the top one m_top of degree n): R is Z for a
+fan ring or a presentation, a bundle over a point, and H*(B) for a
+bundle ring over the base B.  Let e_p be R's basis classes (e_0 = 1 for
+Z).  The relations are R-linear, so the normal form is too: for
+a = sum a_i m_i and b = sum b_j m_j,
+
+    NF(a b) = sum_ij a_i b_j NF(m_i m_j),   NF(m_i m_j) = sum_k T^k_ij m_k.
+
+Integration is fiber-first: pi_* keeps only the coefficient of m_top,
+with the point sign s of m_top, and int_R reads the top degree of R
+(all of Z) and is zero elsewhere.  Write T_ij = T^top_ij, nonzero only
+when n <= d_i + d_j, since the normal form keeps total degree and lowers
+the degree over R, and K[p,q,r] = int_R e_p e_q e_r (K = 1 at p = q = r = 0
+on Z).  Then
+
+    int a b = s int_R sum_ij a_i b_j T_ij
+            = sum_ij sum_pq a_i[p] b_j[q] M_ij[p][q],
+    M_ij[p][q] = s sum_r T_ij[r] K[p,q,r].
+
+K is nonzero only in total degree top of R, so the sum reads exactly the
+top total-degree component of a b, as integrate((a*b).component(dim))
+does.  Each T_ij is the top entry of one read of the call's table of
+normal forms, K is read once per presentation off its table, and M, an
+integer matrix per basis pair, is built once per table, on first use by
+``integrate_product``: the pairing is then integer arithmetic only.
 
 A quotient ring eliminates over the squarefree face monomials of each
 degree, one column per face of that size.  A monomial with a repeated
@@ -264,7 +293,8 @@ class NormalForms(dict):
     read, and that reads the entries of the monomials it reaches, so every
     intermediate monomial is solved once too.  Fan, pair and bundle rings
     hand out a new table per call, so none outlives it; a presentation
-    keeps one for its lifetime.
+    keeps one for its lifetime.  ``pairing`` is the ring's integer form
+    read off this table, built on first use.
     """
 
     def __init__(self, ring):
@@ -283,6 +313,11 @@ class NormalForms(dict):
     def __missing__(self, mono: Monomial) -> tuple:
         form = self[mono] = tuple(self.ring._solve(self, mono).items())
         return form
+
+    @cached_property
+    def pairing(self) -> dict:
+        """The ring's integer form on this table (``GradedRing._pairing``)."""
+        return self.ring._pairing(self)
 
     def split(self, flat: list) -> tuple[tuple, ...]:
         """Flat basis coefficients as per-degree parts."""
@@ -373,14 +408,19 @@ class GradedRing:
     Subclasses differ in three hooks: ``_degree`` of a monomial,
     ``_solve`` (a monomial's normal form, here its column's, and zero if
     it is no column) and ``_point_data``, the integral (+-1) of the top
-    basis monomial.  Coefficients are ``_zero``/``_one``, classes
+    basis monomial.  Coefficients are ``_zero``/``_one``, over the
+    coefficient ring whose classes ``_coefficients`` flattens and whose
+    triple integrals are ``_coefficient_triples``; classes are
     ``_class_type``, and ``_lam`` are the twisting classes the bundle
     ring's pivots carry.  Reduction and products sum normal forms read
-    from a NormalForms table, which ``normal_forms`` hands out.
+    from a NormalForms table, which ``normal_forms`` hands out, and the
+    pairing reads the integer form the table holds.
     """
 
     _zero = 0
     _one = 1
+    # K[p,q,r] = int e_p e_q e_r as (p, q, r, K): on Z, int 1 = 1
+    _coefficient_triples: tuple = ((0, 0, 0, 1),)
     _lam: tuple = ()
     _class_type = CohomologyClass
     _degrees: list[GradedPiece]
@@ -509,10 +549,55 @@ class GradedRing:
             for d, rank in enumerate(self.betti())
         ))
 
+    @staticmethod
+    def _coefficients(c) -> tuple[int, ...]:
+        """A coefficient over the coefficient ring's basis e_p: an integer c
+        is c e_0 = (c,), also in a bundle ring's table, where e_0 is the
+        base's unit, and a base class its flattened parts, lowest degree
+        first."""
+        return (c,) if isinstance(c, int) else sum(c.parts, ())
+
+    def _pairing(self, forms: NormalForms) -> dict:
+        """{(i, j): the nonzero entries (p, q, M_ij[p][q])} (module docstring).
+
+        Basis monomials m_i are numbered across degrees, as in ``forms``,
+        and T_ij is the top entry of forms[m_i * m_j], for the pairs with
+        n <= d_i + d_j <= ``monomial_cap``, n the top piece.  M_ij = M_ji,
+        as m_i m_j = m_j m_i and K is symmetric, so each unordered pair is
+        read once.
+        """
+        sign, n = self._point_data(), len(self._degrees) - 1
+        top, pairing = forms.offsets[n], {}
+        numbered = enumerate((d, m) for d, piece in enumerate(self._degrees)
+                             for m in piece.basis)
+        pairs = itertools.combinations_with_replacement(numbered, 2)
+        for (i, (di, mi)), (j, (dj, mj)) in pairs:
+            if not n <= di + dj <= self.monomial_cap:
+                continue
+            product = forms[tuple(map(add, mi, mj))]
+            t = self._coefficients(next((v for k, v in product if k == top), 0))
+            entries: dict = {}
+            for p, q, r, k in self._coefficient_triples:
+                if r < len(t) and t[r]:
+                    _add_term(entries, (p, q), sign * t[r] * k)
+            if entries:
+                pairing[i, j] = pairing[j, i] = tuple(
+                    (p, q, v) for (p, q), v in entries.items())
+        return pairing
+
     def integrate_product(self, a: "CohomologyClass", b: "CohomologyClass",
                           table=None) -> int:
-        """The integral of the top-degree component of a * b."""
-        return self.integrate(self.multiply(a, b, table).component(self.dim))
+        """int a * b = sum a_i[p] b_j[q] M_ij[p][q], in integers only, on the
+        form ``table`` holds (a NormalForms of this ring, by default a new
+        one); no product is formed."""
+        if a.ring is not self or b.ring is not self:
+            raise ValueError("classes live in different rings")
+        if table is None:
+            table = self.normal_forms()
+        av = [self._coefficients(c) for part in a.parts for c in part]
+        bv = [self._coefficients(c) for part in b.parts for c in part]
+        return sum(av[i][p] * bv[j][q] * v for (i, j), entries
+                   in table.pairing.items() for p, q, v in entries)
 
 
 class GradedQuotientRing(GradedRing):

@@ -1,16 +1,18 @@
 """Chern numbers from the product tree against the left-to-right walk.
 
 ``chern_numbers`` splits each partition into two halves, memoises the
-sub-products and pairs the halves with ``integrate_product``; a bundle
-ring pairs them on its integer intersection form.  The reference
+sub-products and pairs the halves with ``integrate_product``, on the
+one integer form every ring reads off its table.  The reference
 ``left_to_right_chern_numbers`` multiplies every partition left to right
 and integrates the top component.  The two must agree exactly on fan
 rings (the corpus fans, P1-P6, (P1)^1-(P1)^5, star surfaces and seeded
 dim-5 twists) and on bundle rings over the corpus presentations and the
 fixed presentations in ``perfbench/bases/``, a point and P1 (also with
 integration -1).  The
-pairing itself is checked against the product route on seeded classes,
-and the number of ring products per call is pinned.
+pairing itself is checked against the product route on seeded classes
+of all these fan, presented and bundle rings, a bundle ring's integral
+against the fiber-first formula, and the number of ring products and
+forms per call is pinned.
 """
 
 import random
@@ -27,6 +29,7 @@ from helpers import (
     p1_presentation,
     projective_space,
     random_base_class,
+    random_face_poly,
     random_fiber_poly,
     star_surface,
 )
@@ -143,6 +146,63 @@ def test_integrate_product_matches_the_product_route(name, make):
                 )
 
 
+INTEGER_RINGS = (
+    [(name, lambda fan=fan: build_ring(fan)) for name, fan in _fan_cases()]
+    + [(f"dim-5 twist {k}", lambda fan=fan: build_ring(fan))
+       for k, fan in enumerate(dim5_twists(7, 17))]
+    + [(f"presentation {name}", make) for name, make in _presentations()]
+)
+
+
+@pytest.mark.parametrize("name,make", INTEGER_RINGS,
+                         ids=[name for name, _ in INTEGER_RINGS])
+def test_integrate_product_over_z_matches_the_product_route(name, make):
+    # fan rings and presentations pair on the form with K = 1, as bundle
+    # rings over a point; seeded classes and the total class, of mixed
+    # degrees
+    ring = make()
+    rng = random.Random(f"chern numbers/pairing over Z/{name}")
+    if isinstance(ring, BasePresentation):
+        classes = [random_base_class(ring, rng) for _ in range(4)]
+        classes.append(ring.chern)
+    else:
+        classes = [ring.reduce_poly(random_face_poly(ring, rng))
+                   for _ in range(4)]
+        classes.append(total_chern_intrinsic(ring))
+    table = ring.normal_forms()
+    values = []
+    for a in classes:
+        for b in classes:
+            expected = ring.integrate((a * b).component(ring.dim))
+            assert ring.integrate_product(a, b) == expected
+            assert ring.integrate_product(a, b, table) == expected
+            values.append(expected)
+    assert any(values)
+
+
+@pytest.mark.parametrize("name,make", _presentations(),
+                         ids=[name for name, _ in _presentations()])
+def test_bundle_ring_integrates_fiber_first(name, make):
+    base = make()
+    rng = random.Random(f"chern numbers/integrate/{name}")
+    for fiber in FIBERS.values():
+        ring = build_bundle_ring(base, _twisting(base, fiber(), rng), fiber())
+        n = ring.fiber.dim
+        sign = build_ring(ring.fiber).point_class().parts[n][0]
+        for _ in range(3):
+            cls = ring.reduce_poly(random_fiber_poly(ring, rng))
+            top = cls.component(ring.dim)
+            assert ring.integrate(top) == sign * base.integrate(
+                top.parts[n][0])
+            for d in range(ring.dim):
+                if cls.component(d):
+                    with pytest.raises(ValueError, match="found a component "
+                                       f"in degree {2 * d}$"):
+                        ring.integrate(cls.component(d))
+        with pytest.raises(ValueError, match="found a component in degree 0$"):
+            ring.integrate(ring.unit())
+
+
 def _top_fiber_coefficients(ring):
     """T_ij, the top-fiber coefficient of every fiber-basis pair product."""
     n = ring.fiber.dim
@@ -205,7 +265,7 @@ def test_bundle_ring_products_per_call(monkeypatch, base_fan, n, products):
     assert ring.dim == n
     total = total_chern_general(ring)
     multiplies = _count_calls(monkeypatch, BundleRing, "multiply")
-    forms = _count_builds(monkeypatch, BundleRing, "_intersection_form")
+    forms = _count_calls(monkeypatch, BundleRing, "_pairing")
     triples = _count_builds(monkeypatch, BasePresentation,
                             "triple_intersections")
     numbers = chern_numbers(ring, total)
@@ -214,10 +274,10 @@ def test_bundle_ring_products_per_call(monkeypatch, base_fan, n, products):
     again = chern_numbers(ring, total)
     assert again == numbers
     assert len(multiplies) == 2 * products
-    assert forms == [ring]
+    assert forms == [ring, ring]
     other = build_bundle_ring(base, _twisting(base, fiber_fan, rng), fiber_fan)
     chern_numbers(other, total_chern_general(other))
-    assert forms == [ring, other]
+    assert forms == [ring, ring, other]
     assert triples == [base]
 
 
@@ -225,6 +285,8 @@ def test_fan_ring_products_per_call(monkeypatch):
     ring = build_ring(projective_space(5))
     total = total_chern_intrinsic(ring)
     multiplies = _count_calls(monkeypatch, type(ring), "multiply")
+    forms = _count_calls(monkeypatch, type(ring), "_pairing")
     numbers = chern_numbers(ring, total)
-    assert len(multiplies) == 9
+    assert len(multiplies) == 3
+    assert forms == [ring]
     assert list(numbers) == partitions(5)

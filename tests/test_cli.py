@@ -355,6 +355,33 @@ def test_cmd_cohomology_walks_the_faces_once(tmp_path, capsys, monkeypatch):
     assert len(walks) == 1
 
 
+def test_corpus_ring_sanity_walks_no_faces(monkeypatch):
+    # ring sanity reads the h-vector off each ring's face masks, so with
+    # no twist instances or pairs a corpus run walks the maximal cones'
+    # submasks once per ring it builds, and no more
+    from toricbundles import cohomology, corpus, faces
+
+    walks = []
+    walk_faces = faces.walk_faces
+
+    def counting(max_cones):
+        walks.append(max_cones)
+        return walk_faces(max_cones)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("toricbundles")
+                and getattr(module, "walk_faces", None) is walk_faces):
+            monkeypatch.setattr(module, "walk_faces", counting)
+    monkeypatch.setattr(corpus, "corpus_instances", lambda: [])
+    monkeypatch.setattr(corpus, "corpus_pairs", lambda: [])
+    cohomology.build_ring.cache_clear()
+    checks = corpus.run_corpus()
+    assert {c.criterion for c in checks} == {
+        "chern-numbers", "gauss-bonnet", "ring-sanity"}
+    assert all(c.passed for c in checks)
+    assert len(walks) == cohomology.build_ring.cache_info().currsize == 8
+
+
 def test_cmd_equivariant(tmp_path, capsys):
     pair_path = write(tmp_path, "p2.pair", pair_to_text(tautological_pair(p2())))
     assert run_cli(tmp_path, "equivariant", pair_path) == 0

@@ -16,6 +16,7 @@ from toricbundles import (
     total_chern_intrinsic,
     twisted_pair,
 )
+from toricbundles.cohomology import RingConsistencyError
 from toricbundles.faces import face_monomial_sum
 from toricbundles.corpus import corpus_pairs
 from toricbundles.equivariant import fixed_point_weights, ordinary_ring
@@ -60,6 +61,19 @@ def test_truncated_face_ring_has_no_point_class():
         ring.point_class()
     with pytest.raises(ValueError, match="truncated at degree 0.*top degree 4"):
         ring.integrate(ring.zero())
+
+
+@pytest.mark.parametrize("bound", [None, 0, 8])
+def test_face_ring_pairs_as_it_integrates(bound):
+    # no point class, so the pairing raises the error integrate raises
+    ring = face_ring(tautological_pair(p2()), degree_bound=bound)
+    a, b = ring.face_sum(), ring.unit()
+    with pytest.raises((ValueError, RingConsistencyError),
+                       match="no point class") as integrated:
+        ring.integrate((a * b).component(ring.dim))
+    with pytest.raises(type(integrated.value)) as paired:
+        ring.integrate_product(a, b)
+    assert str(paired.value) == str(integrated.value)
 
 
 def test_face_ring_rejects_odd_bound():
