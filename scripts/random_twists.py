@@ -8,11 +8,13 @@ whose normal form carries the twisting classes) and by fixed-point
 localization on the twisted fan (the fourth, with no ring at all), checks
 Gauss-Bonnet, checks that the pairing ``integrate_product`` of seeded
 classes of the twisted fan ring and of the presented bundle ring equals
-the integral of their product's top component, checks that the
-comparison's class arithmetic and those pairings leave the cached
-twisted ring's attribute set as it was (no table of normal forms
-outlives its call), and spot-checks invariance under a random unimodular
-change of fiber coordinates.  The Masuda check must also see a corrupted
+the integral of their product's top component (two independent routes
+on both rings: ``integrate`` reads the top basis coefficient times the
+point sign, through the base's integral on the bundle ring, and builds
+no pairing form), checks that the comparison's class arithmetic and
+those pairings leave the cached twisted ring's attribute set as it was
+(no table of normal forms outlives its call), and spot-checks
+invariance under a random unimodular change of fiber coordinates.  The Masuda check must also see a corrupted
 class: with one x_rho added to the twisted pair's equivariant total Chern
 class, the public restriction must differ from the check's expected
 polynomial exactly at the fixed points whose cone holds rho.  Each trial also takes a random star
@@ -76,7 +78,8 @@ def random_class(ring, coefficient):
 
 def pairs_as_it_multiplies(ring, coefficient) -> bool:
     """integrate_product(a, b) == integrate((a*b).component(dim)) on two
-    random classes of the ring."""
+    random classes of the ring: the pairing form against the product and
+    its top basis coefficient."""
     a, b = random_class(ring, coefficient), random_class(ring, coefficient)
     return ring.integrate_product(a, b) == ring.integrate(
         (a * b).component(ring.dim))

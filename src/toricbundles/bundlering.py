@@ -28,15 +28,16 @@ constant mu_rho = -sum_j inv[rho][j] lambda_j (solved for a cone and ray
 on first need and kept by the ring), and the same column forms, whose
 pivots carry the lambda cofactors of their rows one fiber degree down.
 Its table entries hold integers in the monomial's own fiber degree and
-base classes below, and it hands out a new table per call.  Base classes
-are CohomologyClass instances, and a BundleClass is a CohomologyClass
-whose coefficients are base classes; it differs only in taking
-components by total degree.
+base classes below, and it hands out a new table per call.  Its classes
+are CohomologyClass instances, as the base's are, with base classes as
+coefficients, so their components are taken by total degree.
 
 Chern numbers pair two classes on the integer form of ``cohomology``
 (GradedRing.integrate_product): the bundle ring is a free H*(B)-module
 on the fiber basis monomials, its coefficient triples are the base's
-``triple_intersections`` and its point sign is the fiber's.
+``triple_intersections`` and its point sign is the fiber's, set when
+the ring is built.  ``integrate`` is GradedRing's: the fiber's point
+sign times the base integral of the top fiber basis coefficient.
 """
 
 from __future__ import annotations
@@ -203,21 +204,6 @@ class TwistingClasses:
             raise ValueError("twisting classes must be pure degree 2")
 
 
-class BundleClass(CohomologyClass):
-    """Element of a BundleRing: base classes indexed by the fiber basis."""
-
-    def component(self, k: int) -> "BundleClass":
-        """Homogeneous piece of total cohomological degree 2k."""
-        half_top = self.ring.base.half_top
-        return BundleClass(self.ring, tuple(
-            tuple(
-                c.component(k - d) if 0 <= k - d <= half_top else 0 * c
-                for c in part
-            )
-            for d, part in enumerate(self.parts)
-        ))
-
-
 class BundleRing(GradedQuotientRing):
     """Cohomology of a toric variety bundle over a presented base.
 
@@ -230,8 +216,6 @@ class BundleRing(GradedQuotientRing):
     cofactors c_j = inv[k][j] of lambda_j x_tau.  ``dim`` is the complex
     dimension of the total space; fiber monomials of higher degree vanish.
     """
-
-    _class_type = BundleClass
 
     def __init__(self, base: BasePresentation, lam: TwistingClasses, fiber: Fan):
         require_smooth_complete(fiber, "build_bundle_ring fiber")
@@ -255,6 +239,9 @@ class BundleRing(GradedQuotientRing):
             self.fiber_ring.face_masks, "bundle ring", self.fiber_ring.inverses,
         )
         self.dim = self.monomial_cap = base.half_top + fiber.dim
+        # fiber-first integration keeps the top fiber basis monomial's
+        # coefficient, with the fiber's point sign
+        self._point = self.fiber_ring._point_data()
 
     def _constant(self, cone: frozenset, rho: int) -> CohomologyClass:
         """mu_rho on the cone, solved on first need and kept by the ring."""
@@ -284,30 +271,9 @@ class BundleRing(GradedQuotientRing):
         raise ValueError("the bundle ring has no point class: pair classes "
                          "with integrate")
 
-    def _point_data(self) -> int:
-        """The fiber's point sign: fiber-first integration keeps only the
-        top fiber basis monomial's coefficient, with this sign."""
-        return self.fiber_ring._point_data()
-
     @property
     def _coefficient_triples(self) -> tuple:
         return self.base.triple_intersections
-
-    def integrate(self, cls: BundleClass) -> int:
-        """Fiber-first integration of a class of top total degree: its
-        pairing with the unit.  Raises on any off-degree component."""
-        if cls.ring is not self:
-            raise ValueError("class lives in a different bundle ring")
-        for d, part in enumerate(cls.parts):
-            for c in part:
-                for k, base_part in enumerate(c.parts):
-                    if any(base_part) and d + k != self.dim:
-                        raise ValueError(
-                            "integrate expects a class of top total degree "
-                            f"{2 * self.dim}, found a component in degree "
-                            f"{2 * (d + k)}"
-                        )
-        return self.integrate_product(cls, self.unit())
 
 
 def build_bundle_ring(base: BasePresentation, lam: TwistingClasses,
@@ -315,14 +281,14 @@ def build_bundle_ring(base: BasePresentation, lam: TwistingClasses,
     return BundleRing(base, lam, fiber)
 
 
-def total_chern_general(ring: BundleRing) -> BundleClass:
+def total_chern_general(ring: BundleRing) -> CohomologyClass:
     """Image of c(TB) times the product of (1 + x_tau) over fiber rays."""
     pulled = ring.reduce_poly({(0,) * ring.ray_count: ring.base.chern})
     return pulled * ring.face_sum()
 
 
 def chern_numbers_bundle(ring: BundleRing,
-                         total: BundleClass) -> dict[tuple[int, ...], int]:
+                         total: CohomologyClass) -> dict[tuple[int, ...], int]:
     """Chern numbers of the total space via the presented-base route."""
     return chern_numbers(ring, total)
 

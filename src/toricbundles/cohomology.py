@@ -19,7 +19,8 @@ ranks are written once.  Rings differ in three hooks: the degree of a
 monomial, its normal form (the cone rewrite here, the column itself on a
 presentation) and the sign of the top basis monomial's integral, and in
 their coefficient ring: Z, or the base classes of a bundle ring.
-CohomologyClass is the one class type, and
+CohomologyClass is the one class type of every ring, its components
+taken by total degree (a base class coefficient by its own), and
 ``faces.face_monomial_sum`` is the one expansion of prod (1 + x_rho).
 The bundle ring is a GradedQuotientRing whose relations have the
 twisting classes as constants (see ``bundlering``).  Minimal non-faces
@@ -74,18 +75,18 @@ integer matrix per basis pair, is built once per table, on first use by
 
 A quotient ring eliminates over the squarefree face monomials of each
 degree, one column per face of that size.  A monomial with a repeated
-exponent is first rewritten into them: on the first maximal cone sigma
-containing its support the relations solve for each x_rho of sigma as
-an integer combination of the x_rho' outside sigma, and trading one
-repeated factor lowers (degree - support size), so the rewrite
-terminates.  The solve reads the inverse of the relation matrix
-on sigma's rays, given to the ring as its basis plan is: the dual rows
-of the fan's ``cone_duals`` table (the one Bareiss pass per cone that
-validation and the plan read too), of the fiber fan's for a bundle ring,
-or a pair's ``weight_table``.  Each cone's rewrite checks that the rows
-invert the relations on its rays and is solved once, when the ring is
-built, in ``_rewrites``; a bundle ring takes its fiber ring's, solved on
-the same relations and rows.
+exponent is first rewritten into them: on sigma, the home cone of its
+support (below; ``face_masks`` maps each face to it), the relations
+solve for each x_rho of sigma as an integer combination of the x_rho'
+outside sigma, and trading one repeated factor lowers (degree - support
+size), so the rewrite terminates.  The solve reads the inverse of the
+relation matrix on sigma's rays, given to the ring as its basis plan is:
+the dual rows of the fan's ``cone_duals`` table (the one Bareiss pass
+per cone that validation and the plan read too), of the fiber fan's for
+a bundle ring, or a pair's ``weight_table``.  Each cone's rewrite checks
+that the rows invert the relations on its rays and is solved once, when
+the ring is built, in ``_rewrites``; a bundle ring takes its fiber
+ring's, solved on the same relations and rows.
 
 A face is a ray bitmask (bit rho for each ray rho of it; see ``faces``),
 and a ring's faces come from one walk of each maximal cone's submasks,
@@ -93,7 +94,8 @@ which also gives the h-vector by popcount.  The plan gives each maximal
 cone sigma a set bad(sigma), and each face S lies in exactly one
 interval [bad(sigma), sigma], its home (see fixed_point_basis_plan); the
 constructor walks the intervals once, each as the submasks of sigma -
-bad(sigma) by size, checking this and listing each degree's columns.
+bad(sigma) by size, checking this, listing each degree's columns and
+keeping each face's home cone in ``face_masks``, which the rewrite reads.
 Degree d has one row per face S of size d but bad(sigma): x_{S-rho} *
 (x_rho - rewrite of x_rho on sigma), rho the greatest ray of S outside
 bad(sigma) (any would do; this one keeps a bundle ring's lambda payloads
@@ -330,22 +332,24 @@ class CohomologyClass:
     """Per-degree coefficients over a ring's basis monomials.
 
     The ring is any GradedRing: a GradedQuotientRing or a BasePresentation,
-    with integer coefficients, or a BundleRing (see BundleClass), whose
-    coefficients are classes over its base.  Products and integrals go
-    through the ring's one skeleton.  A class is falsy exactly when it is
-    zero.
+    with integer coefficients, or a BundleRing, whose coefficients are
+    classes over its base, so its degrees are total ones.  It is the one
+    class type: products and integrals go through the ring's one
+    skeleton.  A class is falsy exactly when it is zero.
     """
 
     ring: object
     parts: tuple[tuple, ...]
 
     def component(self, k: int) -> "CohomologyClass":
-        """The homogeneous piece in cohomological degree 2k."""
-        parts = tuple(
-            part if d == k else (0,) * len(part)
-            for d, part in enumerate(self.parts)
-        )
-        return CohomologyClass(self.ring, parts)
+        """The homogeneous piece in total cohomological degree 2k: a part of
+        integers is kept whole in degree k, and a part of base classes, in
+        fiber degree d, keeps each coefficient's component in degree k - d."""
+        return CohomologyClass(self.ring, tuple(
+            tuple(c.component(k - d) for c in part)
+            if part and not isinstance(part[0], int)
+            else part if d == k else (0,) * len(part)
+            for d, part in enumerate(self.parts)))
 
     def coefficients(self, k: int) -> tuple[int, ...]:
         return self.parts[k]
@@ -368,7 +372,7 @@ class CohomologyClass:
     def __add__(self, other: "CohomologyClass") -> "CohomologyClass":
         if self.ring is not other.ring:
             raise ValueError("classes live in different rings")
-        return type(self)(
+        return CohomologyClass(
             self.ring,
             tuple(
                 tuple(x + y for x, y in zip(p, q))
@@ -380,7 +384,7 @@ class CohomologyClass:
         return self + (-1) * other
 
     def __rmul__(self, scalar: int) -> "CohomologyClass":
-        return type(self)(
+        return CohomologyClass(
             self.ring,
             tuple(tuple(scalar * x for x in p) for p in self.parts),
         )
@@ -410,11 +414,13 @@ class GradedRing:
     it is no column) and ``_point_data``, the integral (+-1) of the top
     basis monomial.  Coefficients are ``_zero``/``_one``, over the
     coefficient ring whose classes ``_coefficients`` flattens and whose
-    triple integrals are ``_coefficient_triples``; classes are
-    ``_class_type``, and ``_lam`` are the twisting classes the bundle
-    ring's pivots carry.  Reduction and products sum normal forms read
+    triple integrals are ``_coefficient_triples``, and ``_lam`` are the
+    twisting classes the bundle ring's pivots carry.  Every ring's classes
+    are CohomologyClass.  Reduction and products sum normal forms read
     from a NormalForms table, which ``normal_forms`` hands out, and the
-    pairing reads the integer form the table holds.
+    pairing reads the integer form the table holds.  ``integrate`` is
+    written once: the point sign times the top basis coefficient, an
+    integer or, through the base's integral, a base class.
     """
 
     _zero = 0
@@ -422,7 +428,6 @@ class GradedRing:
     # K[p,q,r] = int e_p e_q e_r as (p, q, r, K): on Z, int 1 = 1
     _coefficient_triples: tuple = ((0, 0, 0, 1),)
     _lam: tuple = ()
-    _class_type = CohomologyClass
     _degrees: list[GradedPiece]
 
     def _degree(self, mono: Monomial) -> int:
@@ -482,7 +487,7 @@ class GradedRing:
         for mono, coeff in terms.items():
             for k, v in table[mono]:
                 flat[k] = flat[k] + v * coeff
-        return self._class_type(self, table.split(flat))
+        return CohomologyClass(self, table.split(flat))
 
     def reduce_poly(self, poly: dict, table=None) -> "CohomologyClass":
         """Normal form of a polynomial in the ring's variables.
@@ -528,17 +533,24 @@ class GradedRing:
         return self._combine(terms, table)
 
     def integrate(self, cls: "CohomologyClass") -> int:
-        """Pair a homogeneous top-degree class with the fundamental class."""
+        """Fiber-first integral of a class of top total degree: the point
+        sign times its top basis coefficient, through the base's integral
+        when that is a base class.  Raises on a component in any other
+        total degree, naming the lowest; take component(dim) first."""
         if cls.ring is not self:
             raise ValueError("class lives in a different ring")
-        for d, part in enumerate(cls.parts):
-            if d != self.dim and any(part):
-                raise ValueError(
-                    "integrate expects a class concentrated in the top degree; "
-                    "take component(dim) of a total class first"
-                )
-        sign = self._point_data()
-        return cls.parts[self.dim][0] * sign if cls.parts[self.dim] else 0
+        # total degrees d + k of the nonzero terms: k is 0 for an integer
+        # coefficient and a base class coefficient's own degree
+        off = sorted({d + k for d, part in enumerate(cls.parts) for c in part
+                      for k, p in enumerate((c,) if isinstance(c, int)
+                                            else map(any, c.parts)) if p}
+                     - {self.dim})
+        if off:
+            raise ValueError("integrate expects a class of top total degree "
+                             f"{2 * self.dim}, found a component in degree "
+                             f"{2 * off[0]}")
+        sign, top = self._point_data(), cls.parts[-1][0]
+        return sign * (top if isinstance(top, int) else top.ring.integrate(top))
 
     def point_class(self) -> "CohomologyClass":
         """The class of a point, on a fan the product of the rays of any
@@ -610,15 +622,17 @@ class GradedQuotientRing(GradedRing):
     graded piece are its squarefree face monomials and every other
     monomial is rewritten into them (see the module docstring).  Instances
     are immutable after construction, apart from caches filled on first
-    use, and safe to share between threads.  ``face_masks`` is every face
-    of ``max_cones`` as a ray bitmask, where the caller has it already
-    (else the ring walks the cones' submasks once); ``faces`` is the same
-    set as frozensets, made on each read.  ``kind`` names the ring (fan,
-    pair or bundle ring) in elimination errors.  The ring gets, per maximal
-    cone in ``max_cones`` order, its plan's frozenset bad(sigma) and in
-    ``inverses`` the inverse of its relation matrix on the cone's sorted
-    rays (the fan's ``cone_duals`` rows, or a pair's weight table), which
-    the cone rewrites check and read, each once, at construction.
+    use, and safe to share between threads.  The ``face_masks`` argument
+    is every face of ``max_cones`` as a ray bitmask, where the caller has
+    it already (else the ring walks the cones' submasks once); the ring's
+    ``face_masks`` maps each of them to its home cone, the cone whose
+    interval holds it, and ``faces`` is the same set as frozensets, made
+    on each read.  ``kind`` names the ring (fan, pair or bundle ring) in
+    elimination errors.  The ring gets, per maximal cone in ``max_cones``
+    order, its plan's frozenset bad(sigma) and in ``inverses`` the inverse
+    of its relation matrix on the cone's sorted rays (the fan's
+    ``cone_duals`` rows, or a pair's weight table), which the cone
+    rewrites check and read, each once, at construction.
 
     Its hooks: the plain degree, the cone rewrite as normal form and the
     point class's sign.  The bundle ring subclasses it, and its twisting
@@ -631,7 +645,6 @@ class GradedQuotientRing(GradedRing):
         self.dim = self.degree_cap = self.monomial_cap = dim
         self.relations = tuple(tuple(r) for r in relations)
         self.max_cones = tuple(frozenset(c) for c in max_cones)
-        self._cone_masks = tuple(map(ray_mask, self.max_cones))
         self.basis_plan = basis_plan
         self.inverses = inverses
         if basis_plan is None:
@@ -666,10 +679,11 @@ class GradedQuotientRing(GradedRing):
         outside bad(home) or None) in column order}, and {face mask: its
         position in its degree}, from one walk of the plan's intervals
         [bad(sigma), sigma], each the submasks of sigma - bad(sigma) by size,
-        then in combinations order; a face no interval or two hold raises
+        then in combinations order, and makes ``face_masks`` {face mask: its
+        home cone}; a face no interval or two hold raises
         RingConsistencyError, of the missed faces the one whose sorted rays
         come first."""
-        n, faces, seen, columns = self.ray_count, self.face_masks, set(), {}
+        n, faces, homes, columns = self.ray_count, self.face_masks, {}, {}
         for cone, bad in zip(self.max_cones, self.basis_plan):
             low = ray_mask(bad)
             free = [1 << r for r in sorted(cone - bad)]
@@ -677,17 +691,18 @@ class GradedQuotientRing(GradedRing):
                 column = columns.setdefault(len(bad) + size, [])
                 for extra in itertools.combinations(free, size):
                     face = low | sum(extra)
-                    if face in seen or face not in faces:
+                    if face in homes or face not in faces:
                         raise RingConsistencyError(
                             f"{self.kind}, degree {len(bad) + size}: column "
                             f"{squarefree(face, n)} lies in the interval of "
                             f"cone {sorted(cone)} and "
-                            + ("in another" if face in seen else "is no face")
+                            + ("in another" if face in homes else "is no face")
                         )
-                    seen.add(face)
+                    homes[face] = cone
                     column.append((squarefree(face, n), face, cone,
                                    extra[-1].bit_length() - 1 if extra else None))
-        for face in sorted(faces - seen, key=mask_rays):
+        self.face_masks = homes
+        for face in sorted(set(faces).difference(homes), key=mask_rays):
             raise RingConsistencyError(
                 f"{self.kind}, degree {face.bit_count()}: column "
                 f"{squarefree(face, n)} lies in no interval"
@@ -785,12 +800,11 @@ class GradedQuotientRing(GradedRing):
             if pos is not None:
                 return self._column_form(table, d, pos)
         support = sum(1 << i for i, e in enumerate(mono) if e)
-        if support.bit_count() == d or support not in self.face_masks:
+        cone = self.face_masks.get(support)  # the support's home cone
+        if cone is None or support.bit_count() == d:
             return {}
         rho = next(i for i, e in enumerate(mono) if e > 1)
         lowered = mono[:rho] + (mono[rho] - 1,) + mono[rho + 1:]
-        cone = next(c for c, m in zip(self.max_cones, self._cone_masks)
-                    if not support & ~m)
         form: dict = {}
         for other, a in enumerate(self._rewrites[cone][rho][0]):
             if a and (support | 1 << other) in self.face_masks:
@@ -816,7 +830,7 @@ class GradedQuotientRing(GradedRing):
             for pos in range(len(piece.monomials)):
                 for k, v in self._column_form(table, d, pos).items():
                     flat[k] = flat[k] + v * self._one
-        return self._class_type(self, table.split(flat))
+        return CohomologyClass(self, table.split(flat))
 
     # -- integration -------------------------------------------------------
 
@@ -826,8 +840,8 @@ class GradedQuotientRing(GradedRing):
             forms = self.normal_forms()
             top = forms.offsets[n]
             reduced = None
-            for cone in self._cone_masks:
-                form = dict(forms[squarefree(cone, self.ray_count)])
+            for cone in self.max_cones:
+                form = dict(forms[squarefree(ray_mask(cone), self.ray_count)])
                 this = tuple(form.get(top + i, 0) for i in range(self.rank(n)))
                 if reduced is None:
                     reduced = this

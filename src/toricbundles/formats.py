@@ -16,6 +16,7 @@ Twisting classes:    classes / one degree-2 polynomial per fiber coordinate
 
 from __future__ import annotations
 
+import re
 from functools import cache
 
 from .bundlering import BasePresentation, TwistingClasses
@@ -207,7 +208,15 @@ def plmap_to_text(phi: PiecewiseLinearMap, header: str = "") -> str:
 
 def parse_polynomial(s: str, generators: dict[str, int], nvars: int,
                      lineno: int = 1) -> Poly:
-    """Parse '3*h^2 - 2*h*k + 1' style integer polynomials."""
+    """Parse '3*h^2 - 2*h*k + 1' style integer polynomials.
+
+    An exponent is an unsigned integer: '^' followed by a sign or by
+    nothing raises ParseError (the terms are split at signs, so 'h^-1'
+    would otherwise read as 'h - 1').
+    """
+    if re.search(r"\^(?!\s*\d)", s):
+        raise ParseError(lineno, "exponent after '^' must be an unsigned "
+                                 f"integer in {s!r}")
     poly: Poly = {}
     normalized = s.replace("-", "+-")
     for chunk in normalized.split("+"):
@@ -237,8 +246,6 @@ def parse_polynomial(s: str, generators: dict[str, int], nvars: int,
                     e = int(power) if power else 1
                 except ValueError:
                     raise ParseError(lineno, f"bad exponent {power!r}") from None
-                if e < 0:
-                    raise ParseError(lineno, "negative exponents not allowed")
                 exps[generators[name]] += e
         key = tuple(exps)
         poly[key] = poly.get(key, 0) + coeff

@@ -113,7 +113,7 @@ from toricbundles import (
     twisted_fan,
     twisting_from_principal,
 )
-from toricbundles.bundlering import BundleClass, BundleRing
+from toricbundles.bundlering import BundleRing
 from toricbundles.chern import partitions
 from toricbundles.cohomology import (
     CohomologyClass,
@@ -827,8 +827,10 @@ class AllFaceMonomialBundleRing:
     that pair; the sum of a row and lambda_i * mono is zero in the ring.
     Reduction walks the fiber degrees top-down, and using row (mono, i)
     with coefficient c carries -c * lambda_i onto mono one degree lower.
-    Classes are the library's BundleClass, so ``left_to_right_chern_numbers``
-    and class arithmetic run on it unchanged.
+    Classes are the library's CohomologyClass, with base classes as
+    coefficients and components by total degree, as in every ring, so
+    ``left_to_right_chern_numbers`` and class arithmetic run on it
+    unchanged.
     """
 
     def __init__(self, base, lam, fiber):
@@ -896,7 +898,7 @@ class AllFaceMonomialBundleRing:
                     pos = lower_index[mono]
                     carry = (-mult) * (self.lam[i] * c)
                     work[d - 1][pos] = work[d - 1].get(pos, zero) + carry
-        return BundleClass(self, tuple(
+        return CohomologyClass(self, tuple(
             tuple(work[d].get(i, zero) for i in self.degrees[d][3])
             for d in range(self.n + 1)
         ))

@@ -23,8 +23,10 @@ from toricbundles import (
     total_chern_intrinsic,
     twisting_from_principal,
 )
-from toricbundles.cohomology import RingConsistencyError
+from toricbundles.cohomology import CohomologyClass, RingConsistencyError
 from toricbundles.corpus import corpus_fans, corpus_instances
+from toricbundles.equivariant import face_ring
+from toricbundles.twist import tautological_pair
 
 
 def test_presentation_rejects_wrong_basis_claim():
@@ -260,3 +262,41 @@ def test_presentation_from_fan_matches_fan_ring(name, fan):
     assert chern_numbers(pres, pres.chern) == chern_numbers(
         ring, total_chern_intrinsic(ring)
     )
+
+
+def _bundle_ring_over_p1():
+    base = p1_presentation()
+    h = base.reduce_poly({(1,): 1})
+    lam = TwistingClasses(classes=(2 * h, -1 * h))
+    return build_bundle_ring(base, lam, p2())
+
+
+ONE_CLASS_TYPE_RINGS = [
+    ("fan ring", lambda: build_ring(p2())),
+    ("presentation", p2_presentation),
+    ("bundle ring", _bundle_ring_over_p1),
+    ("face ring", lambda: face_ring(tautological_pair(p2()))),
+]
+
+
+@pytest.mark.parametrize("name,make", ONE_CLASS_TYPE_RINGS,
+                         ids=[name for name, _ in ONE_CLASS_TYPE_RINGS])
+def test_every_ring_makes_plain_cohomology_classes(name, make):
+    # one class type: whatever makes a class, of whatever ring, makes a
+    # CohomologyClass, and a bundle ring's coefficients are the base's
+    ring = make()
+    g = ring.generator(0)
+    classes = [ring.unit(), ring.zero(), g, g * g, g + g, g - g, 3 * g,
+               (g + ring.unit()).component(1), ring.reduce_poly({})]
+    if hasattr(ring, "face_sum"):
+        classes.append(ring.face_sum())
+    if name in ("fan ring", "presentation"):
+        classes.append(ring.point_class())
+    if name == "bundle ring":
+        classes.append(total_chern_general(ring))
+    for cls in classes:
+        assert type(cls) is CohomologyClass
+        assert cls.ring is ring
+        if name == "bundle ring":
+            for c in (c for part in cls.parts for c in part):
+                assert type(c) is CohomologyClass and c.ring is ring.base

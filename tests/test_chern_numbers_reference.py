@@ -203,6 +203,29 @@ def test_bundle_ring_integrates_fiber_first(name, make):
             ring.integrate(ring.unit())
 
 
+@pytest.mark.parametrize("name,make", _presentations(),
+                         ids=[name for name, _ in _presentations()])
+def test_bundle_ring_integrate_builds_no_pairing(monkeypatch, name, make):
+    # integrate reads the top fiber coefficient through the base's
+    # integral, and no form; the pairing with the unit is another route
+    base = make()
+    rng = random.Random(f"chern numbers/integrate without a form/{name}")
+    forms = _count_calls(monkeypatch, BundleRing, "_pairing")
+    values = []
+    for fiber in FIBERS.values():
+        ring = build_bundle_ring(base, _twisting(base, fiber(), rng), fiber())
+        tops = [ring.reduce_poly(random_fiber_poly(ring, rng)).component(
+            ring.dim) for _ in range(3)]
+        integrated = [ring.integrate(top) for top in tops]
+        assert forms == []
+        assert integrated == [ring.integrate_product(top, ring.unit())
+                              for top in tops]
+        assert forms == [ring] * 3
+        forms.clear()
+        values += integrated
+    assert any(values)
+
+
 def _top_fiber_coefficients(ring):
     """T_ij, the top-fiber coefficient of every fiber-basis pair product."""
     n = ring.fiber.dim

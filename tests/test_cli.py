@@ -118,6 +118,29 @@ def test_polynomial_parsing():
         parse_polynomial("z", gens, 2)
 
 
+@pytest.mark.parametrize("text", ["h^-1", "h^+1", "h^", "2*k - h^-2*k"])
+def test_polynomial_parsing_rejects_signed_and_empty_exponents(text):
+    # terms are split at signs, so these once read as h - 1, h + 1 and h
+    with pytest.raises(ParseError, match=r"^line 7: exponent after '\^' "
+                       "must be an unsigned integer in "):
+        parse_polynomial(text, {"h": 0, "k": 1}, 2, 7)
+
+
+@pytest.mark.parametrize("exponent", ["-1", "+1", ""])
+def test_cmd_bundle_rejects_a_signed_or_empty_exponent(tmp_path, capsys,
+                                                       exponent):
+    pres = write(tmp_path, "p2.pres", P2_H_PRESENTATION)
+    lam = write(tmp_path, "lam.tw", f"classes\nh^{exponent}\n")
+    fan = write(tmp_path, "p1.fan", P1_FAN)
+    assert run_cli(tmp_path, "bundle", pres, lam, fan) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "parse error: line 2: exponent after '^' must be an unsigned "
+        f"integer in 'h^{exponent}'\n"
+    )
+
+
 def test_monomial_text():
     names = ["x0", "x1", "x2"]
     assert monomial_to_text((0, 0, 0), names) == "1"

@@ -43,8 +43,11 @@ from toricbundles import (
     total_chern_intrinsic,
     twisted_fan,
 )
-from toricbundles.bundlering import BundleClass
-from toricbundles.cohomology import GradedQuotientRing, NormalForms
+from toricbundles.cohomology import (
+    CohomologyClass,
+    GradedQuotientRing,
+    NormalForms,
+)
 from toricbundles.corpus import corpus_fans
 from toricbundles.faces import face_monomial_sum
 from toricbundles.equivariant import ordinary_ring
@@ -119,7 +122,7 @@ def test_bundle_table_products_match_all_face_monomials(name, base, lam,
         assert cls.parts == expected.parts
         other = ring.reduce_poly(random_fiber_poly(ring, rng), table)
         assert ring.multiply(cls, other, table).parts == ref.multiply(
-            expected, BundleClass(ref, other.parts)).parts
+            expected, CohomologyClass(ref, other.parts)).parts
 
 
 def test_class_arithmetic_keeps_nothing_on_cached_rings():

@@ -36,7 +36,7 @@ from toricbundles import (
     product_fan,
     total_chern_general,
 )
-from toricbundles.bundlering import BundleClass
+from toricbundles.cohomology import CohomologyClass
 from toricbundles.corpus import corpus_fans, hirzebruch
 from toricbundles.equivariant import ordinary_ring
 
@@ -119,7 +119,7 @@ def test_bundle_ring_matches_all_face_monomial_reference(name, base, lam,
         assert cls.parts == expected.parts
         other = ring.reduce_poly(random_fiber_poly(ring, rng))
         assert (cls * other).parts == ref.multiply(
-            expected, BundleClass(ref, other.parts)
+            expected, CohomologyClass(ref, other.parts)
         ).parts
     assert rewritten > 0
     total = total_chern_general(ring)
