@@ -14,7 +14,10 @@ point sign, through the base's integral on the bundle ring, and builds
 no pairing form), checks that the comparison's class arithmetic and
 those pairings leave the cached twisted ring's attribute set as it was
 (no table of normal forms outlives its call), and spot-checks
-invariance under a random unimodular change of fiber coordinates.  The Masuda check must also see a corrupted
+invariance under a random unimodular change of fiber coordinates.  It
+checks that the twisted ring's faces inside the fiber rays are exactly
+the fiber fan's faces, moved to the twisted rays, which the bundle
+formula's fiber factor reads.  The Masuda check must also see a corrupted
 class: with one x_rho added to the twisted pair's equivariant total Chern
 class, the public restriction must differ from the check's expected
 polynomial exactly at the fixed points whose cone holds rho.  Each trial also takes a random star
@@ -159,6 +162,17 @@ def star_subdivision_holds(fan: Fan) -> bool:
             and numbers[(2, 1)] == 24)
 
 
+def fiber_faces_embed(decomp, ring, fiber: Fan) -> bool:
+    """The twisted ring's faces that lie inside the fiber rays are exactly
+    the fiber fan's faces, each fiber ray moved to its twisted ray (the
+    bundle formula's fiber factor reads them off the twisted ring)."""
+    rays = frozenset(decomp.fiber_ray_of)
+    return {face for face in ring.faces if face <= rays} == {
+        frozenset(decomp.fiber_ray_of[tau] for tau in face)
+        for face in build_ring(fiber).faces
+    }
+
+
 def main(trials: int = 25, seed: int = 7, max_entry: int = 3) -> int:
     rng = random.Random(seed)
     moves = random.Random(f"charmap moves {seed}")
@@ -183,8 +197,10 @@ def main(trials: int = 25, seed: int = 7, max_entry: int = 3) -> int:
         ]
         phi = make_plmap(fiber.dim, values)
         name = f"trial {trial}: base {bname}, fiber {fname}, phi {values}"
-        twisted = twisted_fan(base, fiber, phi).twisted
+        decomp = twisted_fan(base, fiber, phi)
+        twisted = decomp.twisted
         ring = build_ring(twisted)
+        embedded = fiber_faces_embed(decomp, ring, fiber)
         attributes = set(vars(ring))
         report = compare(base, fiber, phi, name)
         pres = presentation_from_fan(base)
@@ -222,7 +238,7 @@ def main(trials: int = 25, seed: int = 7, max_entry: int = 3) -> int:
         nonprojective = star_subdivision_holds(star)
         ok = (report.equal and presented and localized and gauss and paired
               and kept and invariant and quasitoric and detected
-              and nonprojective)
+              and nonprojective and embedded)
         mark = "ok" if ok else "FAIL"
         print(f"[{mark}] {name}  chi={report.euler_intrinsic}  "
               f"star subdivision: {star.ray_count} rays")

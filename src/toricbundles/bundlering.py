@@ -215,6 +215,8 @@ class BundleRing(GradedQuotientRing):
     x_tau times sum_j inv[k][j] relation_j (tau = S - {k}), carries the
     cofactors c_j = inv[k][j] of lambda_j x_tau.  ``dim`` is the complex
     dimension of the total space; fiber monomials of higher degree vanish.
+    It is set after GradedQuotientRing's constructor, whose rank checks
+    read the fiber's dimension and the fiber ring's face masks.
     """
 
     def __init__(self, base: BasePresentation, lam: TwistingClasses, fiber: Fan):

@@ -34,7 +34,7 @@ from .cohomology import (
     RingConsistencyError,
     build_ring,
 )
-from .faces import face_monomial_sum, mask_rays, ray_mask
+from .faces import face_monomial_sum, ray_mask
 from .fan import (
     GENERIC_DIRECTION_BUDGET,
     Fan,
@@ -87,19 +87,21 @@ def pullback(decomp: TwistDecomposition, base_ring: GradedQuotientRing,
     return image(cls.to_poly())
 
 
-def _fiber_factor(decomp: TwistDecomposition, fiber: Fan,
+def _fiber_factor(decomp: TwistDecomposition,
                   twisted_ring: GradedQuotientRing) -> CohomologyClass:
-    """Product of (1 + x_tau) over the embedded fiber rays: the cached
-    fiber ring's face masks, each fiber ray moved to its twisted ray."""
-    embedded = [ray_mask(decomp.fiber_ray_of[tau] for tau in mask_rays(face))
-                for face in build_ring(fiber).face_masks]
+    """Product of (1 + x_tau) over the embedded fiber rays: the twisted
+    ring's faces that lie inside the fiber rays, which are the fiber fan's
+    faces moved to their twisted rays, as every twisted cone is a lifted
+    base cone joined to a fiber cone."""
+    fiber_rays = ray_mask(decomp.fiber_ray_of)
+    embedded = [m for m in twisted_ring.face_masks if m & fiber_rays == m]
     return twisted_ring.reduce_poly(
         face_monomial_sum(embedded, twisted_ring.ray_count)
     )
 
 
-def total_chern_bundle_formula(decomp: TwistDecomposition, base: Fan,
-                               fiber: Fan) -> CohomologyClass:
+def total_chern_bundle_formula(decomp: TwistDecomposition,
+                               base: Fan) -> CohomologyClass:
     """Main-formula route: pullback of the base class times the fiber product.
 
     Never touches the twisted fan's full ray product, so comparing it with
@@ -109,7 +111,7 @@ def total_chern_bundle_formula(decomp: TwistDecomposition, base: Fan,
     twisted_ring = build_ring(decomp.twisted)
     pulled = pullback(decomp, base_ring, twisted_ring,
                       total_chern_intrinsic(base_ring))
-    return pulled * _fiber_factor(decomp, fiber, twisted_ring)
+    return pulled * _fiber_factor(decomp, twisted_ring)
 
 
 def partitions(n: int) -> list[tuple[int, ...]]:
@@ -325,7 +327,7 @@ def compare(base: Fan, fiber: Fan, phi: PiecewiseLinearMap,
     decomp = twisted_fan(base, fiber, phi)
     twisted_ring = build_ring(decomp.twisted)
     intrinsic = total_chern_intrinsic(twisted_ring)
-    bundle = total_chern_bundle_formula(decomp, base, fiber)
+    bundle = total_chern_bundle_formula(decomp, base)
     degrees = tuple(
         DegreeComparison(2 * d, intrinsic.parts[d], bundle.parts[d])
         for d in range(twisted_ring.degree_cap + 1)

@@ -20,8 +20,11 @@ monomial, its normal form (the cone rewrite here, the column itself on a
 presentation) and the sign of the top basis monomial's integral, and in
 their coefficient ring: Z, or the base classes of a bundle ring.
 CohomologyClass is the one class type of every ring, its components
-taken by total degree (a base class coefficient by its own), and
-``faces.face_monomial_sum`` is the one expansion of prod (1 + x_rho).
+taken by total degree (a base class coefficient by its own).  A quotient
+ring's face_sum, its class of prod (1 + x_rho), sums its columns' forms,
+as every face is a column; ``faces.face_monomial_sum`` writes the same
+expansion as a polynomial, for a presentation's Chern class and the
+fiber factor of the bundle formula.
 The bundle ring is a GradedQuotientRing whose relations have the
 twisting classes as constants (see ``bundlering``).  Minimal non-faces
 are grown from the face masks, and a ring computes them only when they
@@ -380,8 +383,11 @@ class CohomologyClass:
             ),
         )
 
+    def __neg__(self) -> "CohomologyClass":
+        return (-1) * self
+
     def __sub__(self, other: "CohomologyClass") -> "CohomologyClass":
-        return self + (-1) * other
+        return self + -other
 
     def __rmul__(self, scalar: int) -> "CohomologyClass":
         return CohomologyClass(
@@ -622,40 +628,37 @@ class GradedQuotientRing(GradedRing):
     graded piece are its squarefree face monomials and every other
     monomial is rewritten into them (see the module docstring).  Instances
     are immutable after construction, apart from caches filled on first
-    use, and safe to share between threads.  The ``face_masks`` argument
-    is every face of ``max_cones`` as a ray bitmask, where the caller has
-    it already (else the ring walks the cones' submasks once); the ring's
-    ``face_masks`` maps each of them to its home cone, the cone whose
-    interval holds it, and ``faces`` is the same set as frozensets, made
-    on each read.  ``kind`` names the ring (fan, pair or bundle ring) in
-    elimination errors.  The ring gets, per maximal cone in ``max_cones``
-    order, its plan's frozenset bad(sigma) and in ``inverses`` the inverse
-    of its relation matrix on the cone's sorted rays (the fan's
-    ``cone_duals`` rows, or a pair's weight table), which the cone
-    rewrites check and read, each once, at construction.
+    use, and safe to share between threads.  Every argument is required.
+    ``face_masks`` is every face of ``max_cones`` as a ray bitmask (one
+    ``faces.walk_faces``); the ring's ``face_masks`` maps each of them to
+    its home cone, the cone whose interval holds it, and ``faces`` is the
+    same set as frozensets, made on each read.  ``kind`` names the ring
+    (fan, pair or bundle ring) in elimination errors.  The ring gets, per
+    maximal cone in ``max_cones`` order, its plan's frozenset bad(sigma)
+    and in ``inverses`` the inverse of its relation matrix on the cone's
+    sorted rays (the fan's ``cone_duals`` rows, or a pair's weight table),
+    which the cone rewrites check and read, each once, at construction.
+
+    The constructor certifies the ring, whoever builds it: after
+    elimination it checks the rank invariants (Betti ranks equal the
+    h-vector of its own ``face_masks``, their sum the number of maximal
+    cones, the degree-2 rank rays minus ``dim``, and Poincare symmetry),
+    and a violation raises RingConsistencyError.
 
     Its hooks: the plain degree, the cone rewrite as normal form and the
     point class's sign.  The bundle ring subclasses it, and its twisting
     classes enter through ``_constant`` and ``_row_payload``.
     """
 
-    def __init__(self, ray_count, dim, relations, max_cones, basis_plan=None,
-                 face_masks=None, kind="fan ring", inverses=None):
+    def __init__(self, ray_count, dim, relations, max_cones, basis_plan,
+                 face_masks, kind, inverses):
         self.ray_count = self._nvars = ray_count
         self.dim = self.degree_cap = self.monomial_cap = dim
         self.relations = tuple(tuple(r) for r in relations)
         self.max_cones = tuple(frozenset(c) for c in max_cones)
         self.basis_plan = basis_plan
         self.inverses = inverses
-        if basis_plan is None:
-            raise ValueError("a ring with linear relations needs a basis plan")
-        if inverses is None:
-            raise ValueError(
-                "a ring with linear relations needs their inverse on every "
-                "maximal cone"
-            )
-        self.face_masks = (walk_faces(self.max_cones) if face_masks is None
-                           else face_masks)
+        self.face_masks = face_masks
         self.kind = kind
         self._point = None
         columns = self._interval_columns()
@@ -663,6 +666,15 @@ class GradedQuotientRing(GradedRing):
         self._degrees = []
         for d in range(dim + 1):
             self._degrees.append(self._build_degree(d, columns))
+        ranks, hv = self.betti(), h_vector_of(self.face_masks, dim)
+        if ranks != hv:
+            raise RingConsistencyError(f"Betti ranks {ranks} differ from h-vector {hv}")
+        if sum(ranks) != len(self.max_cones):
+            raise RingConsistencyError("total rank differs from maximal-cone count")
+        if dim >= 1 and ranks[1] != ray_count - dim:
+            raise RingConsistencyError("degree-2 rank differs from Picard rank")
+        if ranks != ranks[::-1]:
+            raise RingConsistencyError(f"Betti ranks {ranks} are not symmetric")
 
     @property
     def faces(self) -> set[frozenset[int]]:
@@ -870,36 +882,14 @@ def _certified_ring(f: Fan, relations, kind: str,
     """The quotient of the face ring of f by the given linear relations.
 
     ``inverses`` are the relations' inverses on the maximal cones (see
-    GradedQuotientRing).  The basis plan is read at the fan's first
-    generic point, and one walk of the cones' submasks gives the face
-    masks that feed the ring and the h-vector its ranks must match.  The
-    rank invariants (Betti equals h-vector, Betti sum equals the number of
-    maximal cones, degree-2 rank equals rays minus dimension, Poincare
-    symmetry) are checked at build time and violations raise
-    RingConsistencyError.
+    GradedQuotientRing).  This supplies the fan's part: the basis plan,
+    read at the fan's first generic point, and the face masks of one walk
+    of the cones' submasks.  The ring's constructor certifies it.
     """
-    faces = walk_faces(f.max_cones)
-    hv = h_vector_of(faces, f.dim)
-    ring = GradedQuotientRing(
-        ray_count=f.ray_count,
-        dim=f.dim,
-        relations=relations,
-        max_cones=f.max_cones,
-        basis_plan=fixed_point_basis_plan(f),
-        face_masks=faces,
-        kind=kind,
-        inverses=inverses,
+    return GradedQuotientRing(
+        f.ray_count, f.dim, relations, f.max_cones, fixed_point_basis_plan(f),
+        walk_faces(f.max_cones), kind, inverses,
     )
-    ranks = ring.betti()
-    if ranks != hv:
-        raise RingConsistencyError(f"Betti ranks {ranks} differ from h-vector {hv}")
-    if sum(ranks) != len(f.max_cones):
-        raise RingConsistencyError("total rank differs from maximal-cone count")
-    if f.dim >= 1 and ranks[1] != f.ray_count - f.dim:
-        raise RingConsistencyError("degree-2 rank differs from Picard rank")
-    if ranks != ranks[::-1]:
-        raise RingConsistencyError(f"Betti ranks {ranks} are not symmetric")
-    return ring
 
 
 def h_vector(f: Fan) -> list[int]:

@@ -102,25 +102,29 @@ class ValidationReport:
         return self.simplicial and self.smooth and self.complete and self.well_formed
 
 
+def _wall_map(f: Fan) -> dict[frozenset, list[tuple[int, int, int]]]:
+    """{wall: [(cone index, apex position, apex)]}, from one pass over the
+    maximal cones: each cone minus one ray, its apex, is a wall, and the
+    apex's position is in the cone's sorted rays.  A cone of a fan of
+    dimension 0 has no rays and so no walls."""
+    sides: dict[frozenset, list] = {}
+    for k, cone in enumerate(f.max_cones):
+        for pos, apex in enumerate(sorted(cone)):
+            sides.setdefault(cone - {apex}, []).append((k, pos, apex))
+    return sides
+
+
 def walls(f: Fan) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Codimension-1 ray subsets of maximal cones with their containing cones.
 
     Returns (wall ray indices, indices of maximal cones containing the wall),
-    both sorted.  In dimension 1 the single wall is the empty ray set.
+    both sorted, read off ``_wall_map``: a simplicial cone contains a wall
+    exactly when the wall is the cone minus one ray.  In dimension 1 the
+    single wall is the empty ray set.
     """
-    if f.dim == 0:
-        return []
-    wall_set = set()
-    for cone in f.max_cones:
-        for i in cone:
-            wall_set.add(cone - {i})
-    out = []
-    for wall in sorted(wall_set, key=sorted):
-        containing = tuple(
-            k for k, cone in enumerate(f.max_cones) if wall <= cone
-        )
-        out.append((tuple(sorted(wall)), containing))
-    return out
+    return [(tuple(sorted(wall)), tuple(k for k, _, _ in sides))
+            for wall, sides in sorted(_wall_map(f).items(),
+                                      key=lambda item: sorted(item[0]))]
 
 
 def _fm_feasible(rows: list[tuple[list[int], int]], nvars: int) -> bool:
@@ -328,13 +332,11 @@ def validate(f: Fan) -> ValidationReport:
 
 
 def _certified_complete(f: Fan) -> bool:
-    """Conditions (a) and (b) of :func:`validate`, from the cones' dual rows."""
+    """Conditions (a) and (b) of :func:`validate`, from the cones' dual rows:
+    (a) reads ``_wall_map``, as ``walls`` does, and pairs each wall's apex
+    in its first cone with the other cone's apex."""
     duals = cone_duals(f).rows
-    sides: dict[frozenset, list] = {}
-    for k, cone in enumerate(f.max_cones):
-        for pos, apex in enumerate(sorted(cone)):
-            sides.setdefault(cone - {apex}, []).append((k, pos, apex))
-    for pair in sides.values():
+    for pair in _wall_map(f).values():
         if len(pair) != 2:
             return False
         (k, pos, _), (_, _, other) = pair

@@ -40,11 +40,20 @@ def _lines(text: str):
     return out
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(token: str, lineno: int, message: str) -> int:
+    """An ASCII integer token, [+-]?[0-9]+, else ParseError(message): int()
+    alone would also read '1_0' as 10 and non-ASCII digits."""
+    if _INTEGER.fullmatch(token) is None:
+        raise ParseError(lineno, message)
+    return int(token)
+
+
 def _ints(line: str, lineno: int) -> list[int]:
-    try:
-        return [int(tok) for tok in line.split()]
-    except ValueError:
-        raise ParseError(lineno, f"expected integers, got {line!r}") from None
+    return [_integer(tok, lineno, f"expected integers, got {line!r}")
+            for tok in line.split()]
 
 
 class _Cursor:
@@ -210,11 +219,12 @@ def parse_polynomial(s: str, generators: dict[str, int], nvars: int,
                      lineno: int = 1) -> Poly:
     """Parse '3*h^2 - 2*h*k + 1' style integer polynomials.
 
-    An exponent is an unsigned integer: '^' followed by a sign or by
-    nothing raises ParseError (the terms are split at signs, so 'h^-1'
-    would otherwise read as 'h - 1').
+    Coefficients and exponents are ASCII digits.  An exponent is an
+    unsigned integer: '^' followed by a sign or by nothing raises
+    ParseError (the terms are split at signs, so 'h^-1' would otherwise
+    read as 'h - 1').
     """
-    if re.search(r"\^(?!\s*\d)", s):
+    if re.search(r"\^(?!\s*[0-9])", s):
         raise ParseError(lineno, "exponent after '^' must be an unsigned "
                                  f"integer in {s!r}")
     poly: Poly = {}
@@ -234,19 +244,14 @@ def parse_polynomial(s: str, generators: dict[str, int], nvars: int,
             if not factor:
                 raise ParseError(lineno, f"empty factor in {s!r}")
             if factor[0].isdigit():
-                try:
-                    coeff *= int(factor)
-                except ValueError:
-                    raise ParseError(lineno, f"bad coefficient {factor!r}") from None
+                coeff *= _integer(factor, lineno, f"bad coefficient {factor!r}")
             else:
                 name, _, power = factor.partition("^")
                 if name not in generators:
                     raise ParseError(lineno, f"unknown generator {name!r}")
-                try:
-                    e = int(power) if power else 1
-                except ValueError:
-                    raise ParseError(lineno, f"bad exponent {power!r}") from None
-                exps[generators[name]] += e
+                exps[generators[name]] += _integer(
+                    power.strip(), lineno, f"bad exponent {power!r}"
+                ) if power else 1
         key = tuple(exps)
         poly[key] = poly.get(key, 0) + coeff
     return {k: v for k, v in poly.items() if v}

@@ -131,7 +131,6 @@ from toricbundles.fan import (
     _meet_in_face,
     cone_duals,
     moment_curve,
-    walls,
 )
 from toricbundles.formats import polynomial_to_text
 from toricbundles.lattice import (
@@ -970,6 +969,24 @@ def naive_restrict(pair, cls, sigma):
     return out
 
 
+def scan_walls(f):
+    """``fan.walls`` by a scan: every cone minus one ray is a wall, and each
+    wall is tested against every maximal cone for the cones that hold it."""
+    if f.dim == 0:
+        return []
+    wall_set = set()
+    for cone in f.max_cones:
+        for i in cone:
+            wall_set.add(cone - {i})
+    out = []
+    for wall in sorted(wall_set, key=sorted):
+        containing = tuple(
+            k for k, cone in enumerate(f.max_cones) if wall <= cone
+        )
+        out.append((tuple(sorted(wall)), containing))
+    return out
+
+
 def pairwise_validate(f):
     """The flags and diagnostics of ``validate``, all by the pairwise check."""
     diagnostics = []
@@ -1017,7 +1034,7 @@ def pairwise_validate(f):
     if not complete:
         diagnostics.append("fan has no maximal cones")
     adjacency = {k: set() for k in range(len(f.max_cones))}
-    for wall, containing in walls(f):
+    for wall, containing in scan_walls(f):
         if len(containing) != 2:
             if complete:
                 diagnostics.append(

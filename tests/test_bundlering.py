@@ -23,6 +23,7 @@ from toricbundles import (
     total_chern_intrinsic,
     twisting_from_principal,
 )
+from toricbundles import cohomology
 from toricbundles.cohomology import CohomologyClass, RingConsistencyError
 from toricbundles.corpus import corpus_fans, corpus_instances
 from toricbundles.equivariant import face_ring
@@ -300,3 +301,31 @@ def test_every_ring_makes_plain_cohomology_classes(name, make):
         if name == "bundle ring":
             for c in (c for part in cls.parts for c in part):
                 assert type(c) is CohomologyClass and c.ring is ring.base
+
+
+def test_a_bundle_ring_runs_the_rank_certificate(monkeypatch):
+    # the fiber ring is built (and cached) first, so the wrong h-vector is
+    # read by the bundle ring's own constructor only
+    base = p1_presentation()
+    h = base.reduce_poly({(1,): 1})
+    lam = TwistingClasses(classes=(h, 2 * h))
+    build_ring(p2())
+    monkeypatch.setattr(cohomology, "h_vector_of", lambda faces, n: [1, 2, 1])
+    with pytest.raises(RingConsistencyError,
+                       match=r"^Betti ranks \[1, 1, 1\] differ from "
+                             r"h-vector \[1, 2, 1\]$"):
+        BundleRing(base, lam, p2())
+
+
+@pytest.mark.parametrize("make", [lambda: build_ring(p2()),
+                                  _bundle_ring_over_p1],
+                         ids=["fan ring", "bundle ring"])
+def test_a_class_negates(make):
+    # a bundle ring's coefficients are base classes, negated in turn
+    ring = make()
+    g = ring.generator(0) + ring.unit()
+    assert type(-g) is CohomologyClass and (-g).ring is ring
+    assert -g == (-1) * g != g
+    assert -(-g) == g
+    assert g + -g == g - g == ring.zero()
+    assert ring.unit() - g == -ring.generator(0)

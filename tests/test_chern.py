@@ -122,7 +122,7 @@ def test_bundle_formula_equals_intrinsic_zero_twist():
     base = fiber = p1()
     phi = make_plmap(1, [[0], [0]])
     decomp = twisted_fan(base, fiber, phi)
-    assert total_chern_bundle_formula(decomp, base, fiber) == (
+    assert total_chern_bundle_formula(decomp, base) == (
         total_chern_intrinsic(build_ring(decomp.twisted))
     )
 
@@ -149,11 +149,33 @@ def test_compare_computes_the_numbers_once_when_the_routes_agree(monkeypatch):
     assert len(calls) == 1
     decomp = twisted_fan(base, fiber, phi)
     ring = build_ring(decomp.twisted)
-    bundle = total_chern_bundle_formula(decomp, base, fiber)
+    bundle = total_chern_bundle_formula(decomp, base)
     assert report.bundle_numbers == chern_numbers(ring, bundle)
     assert report.intrinsic_numbers == chern_numbers(
         ring, total_chern_intrinsic(ring)
     )
+
+
+def test_a_cold_compare_certifies_the_base_and_twisted_fans_only(monkeypatch):
+    # the fiber factor reads the twisted ring's faces inside the fiber rays,
+    # so compare builds no fiber ring
+    from functools import cache
+
+    from toricbundles import cohomology
+
+    certified = []
+    real = cohomology._certified_ring
+
+    def counting(f, *args):
+        certified.append(f)
+        return real(f, *args)
+
+    monkeypatch.setattr(cohomology, "_certified_ring", counting)
+    monkeypatch.setattr(chern, "build_ring", cache(build_ring.__wrapped__))
+    base, fiber = p2(), p1()
+    phi = make_plmap(1, [[1], [0], [2]])
+    assert compare(base, fiber, phi).equal
+    assert certified == [twisted_fan(base, fiber, phi).twisted, base]
 
 
 def test_compare_p2_p1_twist_euler():

@@ -749,3 +749,59 @@ def test_cmd_equivariant_refuses_a_degree_bound_past_the_limit(
         f"= {limit}\n"
     )
     assert built == []
+
+
+P1_PAIR = P1_FAN + "charmap\n1\n-1\n"
+
+# (grammar, file text, line of the bad token); on the old int() reader every
+# text read as a valid file: '0_1' as 1, and non-ASCII digits as their value
+NON_ASCII_INTEGERS = [
+    ("fan", P1_FAN.replace("rays\n1\n", "rays\n0_1\n"), 4),
+    ("fan", P1_FAN.replace("dim 1", "dim \u0661"), 2),
+    ("fan", P1_FAN.replace("max_cones\n0\n", "max_cones\n\uff10\n"), 7),
+    ("pair", P1_PAIR.replace("charmap\n1\n", "charmap\n0_1\n"), 10),
+    ("pair", P1_PAIR.replace("charmap\n1\n", "charmap\n\u0661\n"), 10),
+    ("phi", PHI_A1.replace("0 1\n", "0 0_1\n"), 3),
+    ("phi", PHI_A1.replace("1 0\n", "\u0661 0\n"), 4),
+    ("phi", PHI_A1.replace("fiber_rank 1", "fiber_rank \uff11"), 1),
+    ("presentation", P2_H_PRESENTATION.replace("top_degree 4",
+                                               "top_degree \u0664"), 2),
+    ("presentation", P2_H_PRESENTATION.replace("h 2\n", "h 0_2\n"), 4),
+    ("presentation", P2_H_PRESENTATION.replace("h^3", "h^\u0663"), 6),
+    ("presentation", P2_H_PRESENTATION.replace("2 : h", "\u0662 : h"), 9),
+    ("presentation", P2_H_PRESENTATION.replace("4 : h^2", "4 : h^0_2"), 10),
+    ("presentation", P2_H_PRESENTATION.replace("integration 1",
+                                               "integration \uff11"), 11),
+    ("presentation", P2_H_PRESENTATION.replace("3*h^2", "0_3*h^2"), 13),
+    ("presentation", P2_H_PRESENTATION.replace("3*h +", "\u0663*h +"), 13),
+    ("twisting", "classes\n0_2*h\n", 2),
+    ("twisting", "classes\n\u0662*h\n", 2),
+    ("twisting", "classes\nh^\u0661\n", 2),
+]
+
+
+@pytest.mark.parametrize("grammar,text,lineno", NON_ASCII_INTEGERS,
+                         ids=[f"{grammar}-line-{lineno}" for grammar, _, lineno
+                              in NON_ASCII_INTEGERS])
+def test_integers_are_ascii_digits_in_every_grammar(tmp_path, capsys,
+                                                    grammar, text, lineno):
+    files = {"fan": P1_FAN, "pair": P1_PAIR, "phi": PHI_A1,
+             "presentation": P2_H_PRESENTATION, "twisting": LAMBDA_2H}
+    files[grammar] = text
+    paths = {name: write(tmp_path, name, body) for name, body in files.items()}
+    command = {
+        "fan": ["validate", paths["fan"]],
+        "pair": ["equivariant", paths["pair"]],
+        "phi": ["compare", paths["fan"], paths["fan"], paths["phi"]],
+        "presentation": ["bundle", paths["presentation"], paths["twisting"],
+                         paths["fan"]],
+    }
+    command["twisting"] = command["presentation"]
+    assert run_cli(tmp_path, *command[grammar]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"parse error: line {lineno}: ")
+
+
+def test_a_leading_plus_still_reads():
+    assert parse_fan(P1_FAN.replace("rays\n1\n", "rays\n+1\n")) == p1()

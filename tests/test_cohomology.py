@@ -26,6 +26,7 @@ from toricbundles import (
     product_fan,
 )
 from toricbundles.corpus import corpus_fans
+from toricbundles.faces import walk_faces
 from toricbundles.fan import cone_duals
 from toricbundles.twist import make_plmap, twisted_fan
 
@@ -297,20 +298,27 @@ def test_torsion_relations_fail_certification():
             ray_count=3, dim=2, relations=doubled,
             max_cones=f.max_cones,
             basis_plan=fixed_point_basis_plan(f),
+            face_masks=walk_faces(f.max_cones), kind="fan ring",
             inverses=cone_duals(f).rows,
         )
 
 
 def test_relations_need_a_basis_plan():
-    # without a plan the relation rows would be silently ignored
-    from toricbundles.cohomology import GradedQuotientRing
+    # without a plan the relation rows would be silently ignored, and
+    # without the inverses no cone could be rewritten: neither has a default
+    from toricbundles.cohomology import GradedQuotientRing, fixed_point_basis_plan
 
     f = p2()
-    with pytest.raises(ValueError, match="basis plan"):
-        GradedQuotientRing(
+    for missing in ("basis_plan", "inverses"):
+        arguments = dict(
             ray_count=3, dim=2, relations=linear_relations(f),
-            max_cones=f.max_cones,
+            max_cones=f.max_cones, basis_plan=fixed_point_basis_plan(f),
+            face_masks=walk_faces(f.max_cones), kind="fan ring",
+            inverses=cone_duals(f).rows,
         )
+        del arguments[missing]
+        with pytest.raises(TypeError, match=missing):
+            GradedQuotientRing(**arguments)
 
 
 def test_a_sweep_without_a_generic_direction_names_its_budget(monkeypatch):
@@ -336,7 +344,8 @@ def test_a_plan_with_a_repeated_set_names_the_face_two_intervals_hold():
         GradedQuotientRing(
             ray_count=3, dim=2, relations=linear_relations(f),
             max_cones=f.max_cones,
-            basis_plan=[frozenset()] * 3, inverses=cone_duals(f).rows,
+            basis_plan=[frozenset()] * 3, face_masks=walk_faces(f.max_cones),
+            kind="fan ring", inverses=cone_duals(f).rows,
         )
 
 
@@ -346,6 +355,7 @@ def _ring_on_plan(f, plan):
     return GradedQuotientRing(
         ray_count=f.ray_count, dim=f.dim, relations=linear_relations(f),
         max_cones=f.max_cones, basis_plan=plan,
+        face_masks=walk_faces(f.max_cones), kind="fan ring",
         inverses=cone_duals(f).rows,
     )
 
@@ -407,8 +417,8 @@ def test_a_certified_ring_builds_its_face_set_once(monkeypatch):
 
 
 def test_a_warm_compare_walks_the_faces_of_the_twisted_fan_only(monkeypatch):
-    # the base and fiber rings are warm; the fiber factor reads the fiber
-    # ring's masks, so the one walk left is the new twisted fan's
+    # the base ring is warm, and the fiber factor reads the twisted ring's
+    # masks inside the fiber rays, so the one walk is the new twisted fan's
     base, fiber = p2(), p1()
     compare(base, fiber, make_plmap(1, [[0], [1], [2]]))
     phi = make_plmap(1, [[5], [-3], [11]])

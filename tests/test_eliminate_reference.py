@@ -40,6 +40,7 @@ from toricbundles.cohomology import (
 )
 from toricbundles.corpus import corpus_fans
 from toricbundles.equivariant import ordinary_ring
+from toricbundles.faces import walk_faces
 from toricbundles.fan import cone_duals
 from toricbundles.formats import parse_base_presentation
 
@@ -145,6 +146,7 @@ def _square_ring(bad_sets):
         ray_count=fan.ray_count, dim=fan.dim,
         relations=linear_relations(fan), max_cones=fan.max_cones,
         basis_plan=_square_plan(bad_sets, fan),
+        face_masks=walk_faces(fan.max_cones), kind="fan ring",
         inverses=cone_duals(fan).rows,
     )
 

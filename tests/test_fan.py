@@ -1,7 +1,8 @@
 import pytest
 
-from helpers import dp6, p1, p2, square_fan
+from helpers import dp6, p1, p2, scan_walls, square_fan
 from toricbundles import Fan, make_fan, product_fan, validate, walls
+from toricbundles.corpus import corpus_fans
 
 
 def test_p1_validates():
@@ -119,6 +120,25 @@ def test_walls_p2():
 
 def test_walls_square_fan():
     assert len(walls(square_fan())) == 4
+
+
+WALL_CASES = [
+    *(fan for _, fan in corpus_fans()),
+    Fan(0, (), (frozenset(),)),
+    Fan(0, (), ()),
+    p1(),
+    make_fan(1, [[1], [-1]], [[0]]),
+    # the wall {0} lies in three cones
+    make_fan(2, [[1, 0], [0, 1], [-1, -1], [0, -1]], [[0, 1], [0, 2], [0, 3]]),
+    # cone(e1, e2) overlaps cone(e1, e1 + 2e2): the wall {0} lies in both,
+    # with both apexes on one side of it
+    make_fan(2, [[1, 0], [0, 1], [1, 2]], [[0, 1], [0, 2]]),
+]
+
+
+@pytest.mark.parametrize("fan", WALL_CASES)
+def test_walls_match_the_scan_reference(fan):
+    assert walls(fan) == scan_walls(fan)
 
 
 def test_completeness_criterion_matches_wall_pairing():
