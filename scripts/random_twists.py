@@ -23,12 +23,16 @@ class, the public restriction must differ from the check's expected
 polynomial exactly at the fixed points whose cone holds rho.  Each trial also takes a random star
 subdivision of a smooth complete threefold that is not projective: its
 ring must certify, its ring-route Chern numbers must equal the localized
-ones, and its Todd genus c1c2/24 must be 1.  Everything is exact; a
-single disagreement exits nonzero.
+ones, and its Todd genus c1c2/24 must be 1.  The machine-report writer
+``report_json`` must give the text of ``json.dumps(..., indent=2,
+sort_keys=True)`` on the comparison's payload and on the Masuda
+report's, with its class payload.  Everything is exact; a single
+disagreement exits nonzero.
 
 Usage: python scripts/random_twists.py [trials] [seed] [max_entry]
 """
 
+import json
 import random
 import sys
 
@@ -51,6 +55,7 @@ from toricbundles import (
     total_chern_intrinsic,
     twisting_from_principal,
 )
+from toricbundles.cli import _class_payload
 from toricbundles.corpus import (
     projective_line,
     projective_plane,
@@ -60,6 +65,7 @@ from toricbundles.corpus import (
     TwistInstance,
 )
 from toricbundles.equivariant import ordinary_ring
+from toricbundles.formats import report_json
 from toricbundles.lattice import mat_vec
 from toricbundles.twist import (
     make_plmap,
@@ -114,6 +120,14 @@ def corruption_detected(pair: CharacteristicPair, rho: int) -> bool:
          != check.expected) == (rho in check.cone)
         for check in masuda_check(pair).checks
     )
+
+
+def written_as_json(payloads) -> bool:
+    """``report_json`` gives the text of ``json.dumps(..., indent=2,
+    sort_keys=True)`` on every payload."""
+    return all(report_json(payload) == json.dumps(payload, indent=2,
+                                                  sort_keys=True)
+               for payload in payloads)
 
 
 def nonprojective_threefold() -> Fan:
@@ -234,11 +248,15 @@ def main(trials: int = 25, seed: int = 7, max_entry: int = 3) -> int:
         detected = corruption_detected(
             pair, corruptions.randrange(pair.complex.ray_count)
         )
+        masuda = masuda_check(pair).to_dict()
+        masuda["equivariant_total_chern"] = _class_payload(
+            equivariant_total_chern(pair))
+        written = written_as_json([report.to_dict(), masuda])
         star = random_star_subdivision(threefold, stars, stars.randint(1, 3))
         nonprojective = star_subdivision_holds(star)
         ok = (report.equal and presented and localized and gauss and paired
               and kept and invariant and quasitoric and detected
-              and nonprojective and embedded)
+              and nonprojective and embedded and written)
         mark = "ok" if ok else "FAIL"
         print(f"[{mark}] {name}  chi={report.euler_intrinsic}  "
               f"star subdivision: {star.ray_count} rays")

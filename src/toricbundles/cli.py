@@ -4,13 +4,15 @@ Exit codes: 0 success, 1 parse/validation error, 2 mathematical
 inconsistency (a failed comparison or corpus finding, or a
 RingConsistencyError such as a base presentation whose claimed basis
 does not hold).  Reports are deterministic; ``--format machine`` emits
-JSON with a schema tag, ``--format human`` a plain-text summary.
+JSON with a schema tag, written by ``formats.report_json``, and
+``--format human`` a plain-text summary.  Every monomial text of a
+report comes from ``formats.monomial_texts``, a class's basis in one
+batch per degree.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
 
@@ -21,12 +23,13 @@ from .fan import validate
 from .formats import (
     ParseError,
     fan_to_text,
-    monomial_to_text,
+    monomial_texts,
     parse_base_presentation,
     parse_fan,
     parse_pair,
     parse_plmap,
     parse_twisting,
+    report_json,
 )
 from .twist import twisted_fan
 
@@ -53,7 +56,7 @@ def _emit(args, command: str, payload: dict, human_lines: list[str]) -> None:
     if args.format == "machine":
         body = {"schema": SCHEMA, "command": command}
         body.update(payload)
-        _write(args, json.dumps(body, indent=2, sort_keys=True) + "\n")
+        _write(args, report_json(body) + "\n")
     else:
         _write(args, "\n".join(human_lines) + "\n")
 
@@ -64,7 +67,7 @@ def _class_payload(cls) -> dict:
     out = {}
     for d, part in enumerate(cls.parts):
         out[str(2 * d)] = {
-            "basis": [monomial_to_text(m, names) for m in ring.basis_monomials(d)],
+            "basis": monomial_texts(ring.basis_monomials(d), names),
             "coefficients": list(part),
         }
     return out
@@ -75,13 +78,11 @@ def _class_lines(cls, label: str) -> list[str]:
     ring = cls.ring
     names = [f"x{i}" for i in range(ring.ray_count)]
     for d, part in enumerate(cls.parts):
-        terms = [
-            (f"{c}*" if c not in (1,) else "")
-            + monomial_to_text(m, names)
-            for m, c in zip(ring.basis_monomials(d), part)
-            if c
-        ]
-        lines.append(f"  degree {2 * d}: " + (" + ".join(terms) if terms else "0"))
+        terms = [(m, c) for m, c in zip(ring.basis_monomials(d), part) if c]
+        texts = monomial_texts([m for m, _ in terms], names)
+        line = " + ".join(("" if c == 1 else f"{c}*") + text
+                          for (_, c), text in zip(terms, texts))
+        lines.append(f"  degree {2 * d}: " + (line or "0"))
     return lines
 
 

@@ -35,7 +35,7 @@ from .cohomology import (
     build_ring,
 )
 from .faces import face_monomials, walk_faces
-from .formats import join_terms, monomial_to_text
+from .formats import join_terms, monomial_texts
 from .lattice import IntVector, RingConsistencyError
 from .twist import CharacteristicPair, weight_table
 
@@ -57,6 +57,14 @@ def _units(nvars: int) -> tuple[int, ...]:
     """The packed keys of t_1, ..., t_n: degree 1, exponent 1 in one field."""
     degree = 1 << FIELD_BITS * nvars
     return tuple(degree | 1 << FIELD_BITS * (nvars - 1 - k) for k in range(nvars))
+
+
+@cache
+def _key_texts(nvars: int) -> dict[int, str]:
+    """{packed key: monomial text} in t1..tn, filled as polynomials render.
+    A packed key means a monomial only for its number of variables, so
+    each number has its own table."""
+    return {}
 
 
 def _exponents(key: int, nvars: int) -> tuple[int, ...]:
@@ -210,23 +218,18 @@ class WeightPolynomial:
 
         return WeightPolynomial._packed(len(target), horner(self._terms, 0))
 
-    def __repr__(self, memo=None):
-        """Terms in render order, through the shared joiner.
-
-        ``memo`` maps packed keys to monomial texts; a report passes one
-        memo to all its polynomials, which share their number of variables.
-        """
-        if memo is None:
-            memo = {}
-        names = [f"t{k + 1}" for k in range(self.nvars)]
-        terms = []
-        for key in sorted(self._terms):
-            mono = memo.get(key)
-            if mono is None:
-                exps = _exponents(key, self.nvars)
-                mono = memo[key] = monomial_to_text(exps, names)
-            terms.append((self._terms[key], mono))
-        return join_terms(terms)
+    def __repr__(self):
+        """Terms in render order, through the shared joiner; monomial
+        texts come from the table of this number of variables."""
+        texts, terms = _key_texts(self.nvars), self._terms
+        missing = [key for key in terms if key not in texts]
+        if missing:
+            names = [f"t{k + 1}" for k in range(self.nvars)]
+            texts.update(zip(missing, monomial_texts(
+                [_exponents(key, self.nvars) for key in missing], names)))
+        keys = sorted(terms)
+        return join_terms(zip(map(terms.__getitem__, keys),
+                              map(texts.__getitem__, keys)))
 
 
 class FaceRing(GradedRing):
@@ -374,14 +377,12 @@ class MasudaReport:
         """(check, restricted text, expected text) per fixed point.
 
         Equal polynomials print identically, so a passed point's
-        polynomial is rendered once; monomial texts are shared by the
-        whole report.
+        polynomial is rendered once.
         """
-        memo = {}
         out = []
         for c in self.checks:
-            restricted = c.restricted.__repr__(memo)
-            expected = restricted if c.passed else c.expected.__repr__(memo)
+            restricted = repr(c.restricted)
+            expected = restricted if c.passed else repr(c.expected)
             out.append((c, restricted, expected))
         return out
 

@@ -122,9 +122,14 @@ def walls(f: Fan) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     exactly when the wall is the cone minus one ray.  In dimension 1 the
     single wall is the empty ray set.
     """
-    return [(tuple(sorted(wall)), tuple(k for k, _, _ in sides))
-            for wall, sides in sorted(_wall_map(f).items(),
-                                      key=lambda item: sorted(item[0]))]
+    return _sorted_walls(_wall_map(f))
+
+
+def _sorted_walls(sides: dict) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """``walls`` from a ``_wall_map``."""
+    return [(tuple(sorted(wall)), tuple(k for k, _, _ in pair))
+            for wall, pair in sorted(sides.items(),
+                                     key=lambda item: sorted(item[0]))]
 
 
 def _fm_feasible(rows: list[tuple[list[int], int]], nvars: int) -> bool:
@@ -311,10 +316,12 @@ def validate(f: Fan) -> ValidationReport:
         well_formed = False
         smooth = False
 
-    if well_formed and _certified_complete(f):
+    sides = _wall_map(f)
+    if well_formed and _certified_complete(f, sides):
         complete = True
     else:
-        well_formed, complete = _pairwise_checks(f, well_formed, diagnostics)
+        well_formed, complete = _pairwise_checks(f, sides, well_formed,
+                                                 diagnostics)
     if complete:
         used = frozenset().union(*f.max_cones)
         for i, ray in enumerate(f.rays):
@@ -331,12 +338,12 @@ def validate(f: Fan) -> ValidationReport:
     )
 
 
-def _certified_complete(f: Fan) -> bool:
+def _certified_complete(f: Fan, sides: dict) -> bool:
     """Conditions (a) and (b) of :func:`validate`, from the cones' dual rows:
-    (a) reads ``_wall_map``, as ``walls`` does, and pairs each wall's apex
-    in its first cone with the other cone's apex."""
+    (a) reads the fan's ``_wall_map`` and pairs each wall's apex in its
+    first cone with the other cone's apex."""
     duals = cone_duals(f).rows
-    for pair in _wall_map(f).values():
+    for pair in sides.values():
         if len(pair) != 2:
             return False
         (k, pos, _), (_, _, other) = pair
@@ -348,11 +355,13 @@ def _certified_complete(f: Fan) -> bool:
     ) == 1
 
 
-def _pairwise_checks(f: Fan, well_formed: bool, diagnostics: list):
+def _pairwise_checks(f: Fan, sides: dict, well_formed: bool,
+                     diagnostics: list):
     """(well_formed, complete) from cone pairs, walls and adjacency.
 
-    Appends its diagnostics; ``well_formed`` says whether the cone pairs
-    are still to be checked.
+    Appends its diagnostics; ``sides`` is the fan's ``_wall_map``, read
+    in the order of ``walls``, and ``well_formed`` says whether the cone
+    pairs are still to be checked.
     """
     if well_formed:
         for (a, sigma), (b, tau) in itertools.combinations(
@@ -369,7 +378,7 @@ def _pairwise_checks(f: Fan, well_formed: bool, diagnostics: list):
     if not complete:
         diagnostics.append("fan has no maximal cones")
     adjacency = {k: set() for k in range(len(f.max_cones))}
-    for wall, containing in walls(f):
+    for wall, containing in _sorted_walls(sides):
         if len(containing) != 2:
             if complete:
                 diagnostics.append(

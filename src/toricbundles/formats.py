@@ -12,12 +12,21 @@ Base presentation:   name / top_degree / generators (name degree) /
                      relations (one polynomial per line) / basis
                      (degree : monomial list) / integration +-1 / chern poly
 Twisting classes:    classes / one degree-2 polynomial per fiber coordinate
+
+Reports are written here too.  ``monomial_texts`` renders a batch of
+monomials from one table of factor texts ('x3', 'x3^2', ...), and every
+monomial text of a report comes from it.  ``report_json`` writes a
+machine report: exactly the text ``json.dumps`` gives with an indent of 2
+and sorted keys, with a list of plain ints or of strs joined in one pass
+instead of encoded item by item.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from .bundlering import BasePresentation, TwistingClasses
 from .cohomology import Poly
@@ -257,19 +266,31 @@ def parse_polynomial(s: str, generators: dict[str, int], nvars: int,
     return {k: v for k, v in poly.items() if v}
 
 
+def monomial_texts(monomials, names) -> list[str]:
+    """Each monomial of a sequence as 'x0^2*x3', or '1' when every exponent
+    is 0.
+
+    One table of factor texts serves the batch: row i holds '', names[i],
+    names[i]^2, ... up to the batch's largest exponent, and a monomial
+    joins its nonempty factors.
+    """
+    top = max(map(max, filter(None, monomials)), default=0)
+    table = [["", name] + [f"{name}^{e}" for e in range(2, top + 1)]
+             for name in names]
+    return ["*".join(filter(None, map(list.__getitem__, table, exps))) or "1"
+            for exps in monomials]
+
+
 def monomial_to_text(exps, names) -> str:
-    """A monomial as 'x0^2*x3', or '1' when every exponent is 0."""
-    return "*".join(
-        names[i] + (f"^{e}" if e > 1 else "") for i, e in enumerate(exps) if e
-    ) or "1"
+    """One monomial's text, by ``monomial_texts``."""
+    return monomial_texts([exps], names)[0]
 
 
 def polynomial_to_text(poly: Poly, names) -> str:
     """Terms by total degree, then exponents; '0' for the zero polynomial."""
-    return join_terms(
-        (coeff, monomial_to_text(exps, names))
-        for exps, coeff in sorted(poly.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-    )
+    terms = sorted(poly.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+    texts = monomial_texts([exps for exps, _ in terms], names)
+    return join_terms(zip([coeff for _, coeff in terms], texts))
 
 
 def join_terms(terms) -> str:
@@ -283,6 +304,43 @@ def join_terms(terms) -> str:
         return "0"
     parts[0] = "-" if parts[0] == " - " else ""
     return "".join(parts)
+
+
+def report_json(obj) -> str:
+    """The text of ``json.dumps`` with an indent of 2 and sorted keys,
+    byte for byte.
+
+    Dicts (str keys), lists and tuples nest; a list whose items are all
+    ints, or all strs, is joined in one pass; any other scalar is
+    ``json.dumps(scalar)``.
+    """
+    return _json(obj, "\n")
+
+
+def _json(obj, newline: str) -> str:
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(key) + ": " + _json(value, inner)
+            for key, value in sorted(obj.items())
+        ]) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        kinds = set(map(type, obj))
+        if kinds == {int}:
+            items = map(int.__repr__, obj)
+        elif kinds == {str}:
+            items = map(encode_basestring_ascii, obj)
+        else:
+            items = [_json(item, inner) for item in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(obj)
 
 
 @cache

@@ -49,7 +49,11 @@ tests call them: the GKM wall check restricts at the two cones of a wall
 and compares modulo the weight of the missing ray.
 ``TupleWeightPolynomial`` is the reference for ``WeightPolynomial``: the
 same arithmetic on tuple-keyed terms, as the library stored weight
-polynomials before it packed each monomial into one integer.
+polynomials before it packed each monomial into one integer, and the
+same text, each monomial by ``reference_monomial_text``.
+``reference_monomial_text`` is the reference for ``monomial_texts``: one
+monomial at a time, each factor's text formatted anew, as the library
+rendered monomials before a batch shared one table of factor texts.
 ``RewrittenProductRing`` and ``RewrittenProductBundleRing`` are the
 references for the relation rows: they build n rows per squarefree face
 monomial x_tau, the normal forms of x_tau times each relation, and carry
@@ -132,7 +136,7 @@ from toricbundles.fan import (
     cone_duals,
     moment_curve,
 )
-from toricbundles.formats import polynomial_to_text
+from toricbundles.formats import join_terms
 from toricbundles.lattice import (
     IntMatrix,
     IntVector,
@@ -1247,9 +1251,19 @@ class TupleWeightPolynomial:
         return TupleWeightPolynomial(nvars, out)
 
     def __repr__(self):
-        return polynomial_to_text(
-            self.terms, [f"t{k + 1}" for k in range(self.nvars)]
+        names = [f"t{k + 1}" for k in range(self.nvars)]
+        return join_terms(
+            (coeff, reference_monomial_text(exps, names))
+            for exps, coeff in sorted(self.terms.items(),
+                                      key=lambda kv: (sum(kv[0]), kv[0]))
         )
+
+
+def reference_monomial_text(exps, names) -> str:
+    """A monomial as 'x0^2*x3', or '1' when every exponent is 0."""
+    return "*".join(
+        names[i] + (f"^{e}" if e > 1 else "") for i, e in enumerate(exps) if e
+    ) or "1"
 
 
 def congruent_mod_form(a: WeightPolynomial, b: WeightPolynomial,

@@ -1,7 +1,8 @@
 import pytest
 
-from helpers import dp6, p1, p2, scan_walls, square_fan
+from helpers import dp6, p1, p2, pairwise_validate, scan_walls, square_fan
 from toricbundles import Fan, make_fan, product_fan, validate, walls
+from toricbundles import fan as fan_module
 from toricbundles.corpus import corpus_fans
 
 
@@ -39,6 +40,28 @@ def test_cones_not_meeting_in_faces_detected():
     report = validate(f)
     assert not report.well_formed
     assert any("do not meet in a face" in d for d in report.diagnostics)
+
+
+@pytest.mark.parametrize("fan", [
+    # cone(e1, e1+2e2) lies inside cone(e1, e2)
+    make_fan(2, [[1, 0], [0, 1], [1, 2]], [[0, 1], [0, 2]]),
+    make_fan(1, [[1], [-1]], [[0]]),  # incomplete P1
+], ids=["overlapping", "incomplete-p1"])
+def test_a_rejected_fan_builds_one_wall_map(fan, monkeypatch):
+    """The certificate rejects both fans, and the pairwise check reads the
+    wall map the certificate built."""
+    real = fan_module._wall_map
+    built = []
+
+    def counting(f):
+        built.append(f)
+        return real(f)
+
+    monkeypatch.setattr(fan_module, "_wall_map", counting)
+    report = validate.__wrapped__(fan)
+    assert built == [fan]
+    assert not report.all_good
+    assert report == pairwise_validate(fan)
 
 
 def test_proper_two_cone_fan_is_well_formed():

@@ -84,6 +84,16 @@ def test_random_twists_script_fails_on_a_failing_star_subdivision(
     assert "0/2 random twists verified" in capsys.readouterr().out
 
 
+def test_random_twists_script_fails_on_a_wrong_report_writer(capsys,
+                                                            monkeypatch):
+    module = _load()
+    real = module.report_json
+    monkeypatch.setattr(module, "report_json",
+                        lambda payload: real(payload).replace("\n  ", "\n "))
+    assert module.main(2, 7, 3) == 2
+    assert "0/2 random twists verified" in capsys.readouterr().out
+
+
 def test_star_subdivision_check_needs_every_route(monkeypatch):
     module = _load()
     threefold = module.nonprojective_threefold()
