@@ -30,11 +30,17 @@ report's, with its class payload.  Everything is exact; a single
 disagreement exits nonzero.
 
 Usage: python scripts/random_twists.py [trials] [seed] [max_entry]
+
+The script imports the package from the ``src`` of its own checkout, so it
+runs from a checkout with no PYTHONPATH set.
 """
 
 import json
 import random
 import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from toricbundles import (
     CharacteristicPair,

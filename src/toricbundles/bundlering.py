@@ -139,16 +139,16 @@ class BasePresentation(GradedRing):
                 monomials, index, rows, self.basis.get(k, ()),
                 f"base presentation {name!r}, degree {2 * k}",
             ))
+        self._lay_out()
         if self.basis_monomials(0) != ((0,) * self._nvars,):
             raise RingConsistencyError("degree 0 basis must be the unit")
         if self.rank(self.half_top) != 1:
             raise RingConsistencyError("top degree must have rank one")
         self._forms = NormalForms(self)
         self.chern = self.reduce_poly(chern)
-        if self.chern.parts[0] != (1,):
+        if self.chern.flat[0] != 1:
             raise RingConsistencyError(
-                "total Chern class must start with 1, not "
-                f"{self.chern.parts[0][0]}"
+                f"total Chern class must start with 1, not {self.chern.flat[0]}"
             )
 
     def _degree(self, mono: Monomial) -> int:
@@ -167,13 +167,12 @@ class BasePresentation(GradedRing):
     def triple_intersections(self) -> tuple[tuple[int, int, int, int], ...]:
         """The nonzero integrals K[p,q,r] = int_B e_p e_q e_r, as (p, q, r, K).
 
-        The basis classes e_p are numbered across degrees, lowest first, in
-        the order of a class's flattened parts, as in the product table.
-        Read off it: e_p e_q = sum_s c_s e_s, and each e_s e_r of top
-        degree is a multiple of the top basis monomial.
+        The basis classes e_p are numbered across degrees, lowest first, as
+        a class's ``flat`` runs and as in the product table.  Read off it:
+        e_p e_q = sum_s c_s e_s, and each e_s e_r of top degree is a
+        multiple of the top basis monomial.
         """
-        numbered = [(k, m) for k, piece in enumerate(self._degrees)
-                    for m in piece.basis]
+        numbered = list(zip(self._basis_degrees, self._basis))
         forms = self._forms
         out = []
         for p, (kp, mp) in enumerate(numbered):

@@ -150,16 +150,19 @@ def cmd_chern(args) -> int:
     total = chern.total_chern_intrinsic(ring)
     numbers = chern.chern_numbers_localized(fan)
     euler = chern.euler_characteristic(fan)
-    payload = {
-        "total_chern": _class_payload(total),
-        "chern_numbers": chern.numbers_payload(numbers),
-        "euler_characteristic": euler,
-        "gauss_bonnet": ring.integrate(total.component(fan.dim)) == euler,
-    }
-    lines = _class_lines(total, "total Chern class:")
-    lines.append("Chern numbers:")
-    lines += _numbers_lines(numbers)
-    lines.append(f"euler characteristic: {euler}")
+    payload, lines = {}, []
+    if args.format == "machine":
+        payload = {
+            "total_chern": _class_payload(total),
+            "chern_numbers": chern.numbers_payload(numbers),
+            "euler_characteristic": euler,
+            "gauss_bonnet": ring.integrate(total.component(fan.dim)) == euler,
+        }
+    else:
+        lines = _class_lines(total, "total Chern class:")
+        lines.append("Chern numbers:")
+        lines += _numbers_lines(numbers)
+        lines.append(f"euler characteristic: {euler}")
     _emit(args, "chern", payload, lines)
     return EXIT_OK
 

@@ -18,11 +18,16 @@ top-degree integral of a product, read off an integer form) and the
 ranks are written once.  Rings differ in three hooks: the degree of a
 monomial, its normal form (the cone rewrite here, the column itself on a
 presentation) and the sign of the top basis monomial's integral, and in
-their coefficient ring: Z, or the base classes of a bundle ring.
-CohomologyClass is the one class type of every ring, its components
-taken by total degree (a base class coefficient by its own).  A quotient
-ring's face_sum, its class of prod (1 + x_rho), sums its columns' forms,
-as every face is a column; ``faces.face_monomial_sum`` writes the same
+their coefficient ring: Z, or the base classes of a bundle ring.  When a
+ring is built, its basis monomials are numbered across degrees, lowest
+first, and fixed.  CohomologyClass is the one class type of every ring:
+one flat tuple of coefficients over that numbering, so a sum, a scalar
+multiple, a test for zero or equality is one tuple operation, also on
+the base classes a bundle class holds as coefficients; its per-degree
+parts are a view for reports, and its components are taken by total
+degree (a base class coefficient by its own).  A quotient ring's
+face_sum, its class of prod (1 + x_rho), sums its columns' forms, as
+every face is a column; ``faces.face_monomial_sum`` writes the same
 expansion as a polynomial, for a presentation's Chern class and the
 fiber factor of the bundle formula.
 The bundle ring is a GradedQuotientRing whose relations have the
@@ -31,10 +36,11 @@ are grown from the face masks, and a ring computes them only when they
 are read.
 
 Products go through one table of normal forms, NormalForms: {monomial:
-its coordinates over the basis, numbered across degrees}.  multiply is
-sum c1 * c2 * NF(m1 * m2) over the nonzero basis terms of its factors
-(``basis_products``, the one product loop), the coefficients of each
-product monomial summed first, and reduce_poly is sum c * NF(m).  An
+its coordinates over the numbered basis}.  multiply is sum c1 * c2 *
+NF(m1 * m2) over the nonzero terms of its factors' flat tuples, walked
+against the numbered basis (the one product loop), the coefficients of
+each product monomial summed first, and reduce_poly is sum c * NF(m);
+both add the entries of each form straight into one flat tuple.  An
 entry is solved on first read: the cone rewrite below trades one
 repeated exponent and reads the entries of the monomials it reaches, so
 each is solved once, down to columns, whose forms come straight off
@@ -46,7 +52,9 @@ table outlives its call on a cached ring; a presentation keeps one for
 its lifetime.  No reduction walks the pivots: a normal form only ever
 reads the pivot rows of the columns it reaches.  Every face is a column,
 so face_sum, the total class, sums the column forms of each degree, with
-no monomial built or rewritten.
+no monomial built or rewritten, and it forms no product of its own: an
+integer entry is lifted through the coefficient ring's unit, and a base
+class entry added as it is.
 
 Every ring pairs two classes on one integer form instead of multiplying
 them.  A ring is a free module over its coefficient ring R on its basis
@@ -120,9 +128,8 @@ every face monomial is a basis column and nothing is eliminated.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache, cached_property
-from operator import add, itemgetter, mul
+from operator import add, itemgetter, mul, neg, sub
 from typing import NamedTuple
 
 from .fan import (
@@ -144,6 +151,8 @@ from .lattice import IntVector, RingConsistencyError, graded_eliminate
 
 Monomial = tuple[int, ...]
 Poly = dict[Monomial, int]
+
+_new, _set = object.__new__, object.__setattr__
 
 
 def minimal_nonfaces(f: Fan) -> list[frozenset[int]]:
@@ -269,31 +278,12 @@ def _add_term(terms: dict, key, value) -> None:
         terms.pop(key, None)
 
 
-def basis_products(pieces, a_parts, b_parts, cap: int):
-    """Yield (m1*m2, c1, c2) over the nonzero basis terms of a and b.
-
-    Coefficients are integers or classes; zero ones are falsy and skipped.
-    Products of degree above ``cap`` vanish (or are truncated away) and are
-    skipped.
-    """
-    for d1, part1 in enumerate(a_parts):
-        if not any(part1):
-            continue
-        for m1, c1 in zip(pieces[d1].basis, part1):
-            if not c1:
-                continue
-            for d2 in range(min(cap - d1, len(pieces) - 1) + 1):
-                for m2, c2 in zip(pieces[d2].basis, b_parts[d2]):
-                    if c2:
-                        yield tuple(map(add, m1, m2)), c1, c2
-
-
 class NormalForms(dict):
     """A ring's product table: {monomial: its normal form}, each solved once.
 
     An entry is the normal form's nonzero (flat basis position,
-    coefficient) pairs: basis monomials are numbered across degrees,
-    lowest first, as a class's flattened parts.  A missing entry is solved
+    coefficient) pairs, over the ring's basis numbered across degrees,
+    lowest first, as a class's ``flat`` runs.  A missing entry is solved
     by the ring's ``_solve``, as a {position: coefficient} dict, on first
     read, and that reads the entries of the monomials it reaches, so every
     intermediate monomial is solved once too.  Fan, pair and bundle rings
@@ -305,15 +295,6 @@ class NormalForms(dict):
     def __init__(self, ring):
         super().__init__()
         self.ring = ring
-        self.ranks = [piece.rank for piece in ring._degrees]
-        self.offsets, self.slots, flat = [], [], 0
-        for piece in ring._degrees:
-            self.offsets.append(flat)
-            # {basis column position: flat basis position} of each degree
-            self.slots.append({pos: flat + i for i, pos
-                               in enumerate(piece.basis_positions)})
-            flat += piece.rank
-        self.size = flat
 
     def __missing__(self, mono: Monomial) -> tuple:
         form = self[mono] = tuple(self.ring._solve(self, mono).items())
@@ -324,76 +305,97 @@ class NormalForms(dict):
         """The ring's integer form on this table (``GradedRing._pairing``)."""
         return self.ring._pairing(self)
 
-    def split(self, flat: list) -> tuple[tuple, ...]:
-        """Flat basis coefficients as per-degree parts."""
-        return tuple(tuple(flat[o:o + r])
-                     for o, r in zip(self.offsets, self.ranks))
 
-
-@dataclass(frozen=True)
 class CohomologyClass:
-    """Per-degree coefficients over a ring's basis monomials.
+    """A class of a ring: one flat tuple of coefficients over its basis.
 
-    The ring is any GradedRing: a GradedQuotientRing or a BasePresentation,
-    with integer coefficients, or a BundleRing, whose coefficients are
-    classes over its base, so its degrees are total ones.  It is the one
-    class type: products and integrals go through the ring's one
-    skeleton.  A class is falsy exactly when it is zero.
+    ``flat`` runs over the ring's basis monomials numbered across degrees,
+    lowest degree first, as its table of normal forms numbers them, so
+    sums, scalar multiples, truth, equality and hashing are each one tuple
+    operation.  ``parts`` is the per-degree view, which reports read, and
+    ``CohomologyClass(ring, parts)`` builds a class from it.  The ring is
+    any GradedRing: a GradedQuotientRing or a BasePresentation, with
+    integer coefficients, or a BundleRing, whose coefficients are classes
+    over its base, so its degrees are total ones.  It is the one class
+    type: products and integrals go through the ring's one skeleton.  A
+    class is falsy exactly when it is zero, and immutable.
     """
 
-    ring: object
-    parts: tuple[tuple, ...]
+    __slots__ = ("ring", "flat")
+
+    def __init__(self, ring, parts):
+        _set(self, "ring", ring)
+        _set(self, "flat", tuple(itertools.chain.from_iterable(parts)))
+
+    @staticmethod
+    def _of(ring, flat: tuple) -> "CohomologyClass":
+        """The class of ``flat``, a tuple over the ring's numbered basis."""
+        cls = _new(CohomologyClass)
+        _set(cls, "ring", ring)
+        _set(cls, "flat", flat)
+        return cls
+
+    def __setattr__(self, name, value):
+        raise AttributeError("classes are immutable")
+
+    @property
+    def parts(self) -> tuple[tuple, ...]:
+        """The coefficients of each degree, lowest first."""
+        flat, offsets = self.flat, self.ring._offsets
+        return tuple(flat[lo:hi] for lo, hi in zip(offsets, offsets[1:]))
 
     def component(self, k: int) -> "CohomologyClass":
-        """The homogeneous piece in total cohomological degree 2k: a part of
-        integers is kept whole in degree k, and a part of base classes, in
-        fiber degree d, keeps each coefficient's component in degree k - d."""
-        return CohomologyClass(self.ring, tuple(
-            tuple(c.component(k - d) for c in part)
-            if part and not isinstance(part[0], int)
-            else part if d == k else (0,) * len(part)
-            for d, part in enumerate(self.parts)))
+        """The homogeneous piece in total cohomological degree 2k: integer
+        coefficients of degree k are kept whole, and a base class
+        coefficient, in fiber degree d, keeps its component in degree
+        k - d."""
+        ring, flat = self.ring, self.flat
+        if not isinstance(flat[0], int):
+            return CohomologyClass._of(ring, tuple(
+                c.component(k - d) for c, d in zip(flat, ring._basis_degrees)))
+        offsets = ring._offsets
+        lo, hi = offsets[k:k + 2] if 0 <= k < len(offsets) - 1 else (0, 0)
+        return CohomologyClass._of(
+            ring, (0,) * lo + flat[lo:hi] + (0,) * (len(flat) - hi))
 
     def coefficients(self, k: int) -> tuple[int, ...]:
         return self.parts[k]
 
     def to_poly(self) -> dict:
         """The nonzero terms, as {basis monomial: coefficient}."""
-        return {
-            mono: coeff
-            for d, part in enumerate(self.parts)
-            for mono, coeff in zip(self.ring.basis_monomials(d), part)
-            if coeff
-        }
+        return {mono: coeff for mono, coeff in zip(self.ring._basis, self.flat)
+                if coeff}
+
+    def _total_degrees(self) -> set[int]:
+        """The total degrees of the nonzero terms: a base class
+        coefficient adds its own to its basis monomial's."""
+        return {d + k for d, c in zip(self.ring._basis_degrees, self.flat) if c
+                for k in ((0,) if isinstance(c, int) else c._total_degrees())}
 
     def is_zero(self) -> bool:
         return not self
 
     def __bool__(self) -> bool:
-        return any(map(any, self.parts))
+        return any(self.flat)
 
-    def __add__(self, other: "CohomologyClass") -> "CohomologyClass":
+    def _check(self, other: "CohomologyClass") -> None:
         if self.ring is not other.ring:
             raise ValueError("classes live in different rings")
-        return CohomologyClass(
-            self.ring,
-            tuple(
-                tuple(x + y for x, y in zip(p, q))
-                for p, q in zip(self.parts, other.parts)
-            ),
-        )
 
-    def __neg__(self) -> "CohomologyClass":
-        return (-1) * self
+    def __add__(self, other: "CohomologyClass") -> "CohomologyClass":
+        self._check(other)
+        return CohomologyClass._of(self.ring, tuple(map(add, self.flat, other.flat)))
 
     def __sub__(self, other: "CohomologyClass") -> "CohomologyClass":
-        return self + -other
+        self._check(other)
+        return CohomologyClass._of(self.ring, tuple(map(sub, self.flat, other.flat)))
+
+    def __neg__(self) -> "CohomologyClass":
+        return CohomologyClass._of(self.ring, tuple(map(neg, self.flat)))
 
     def __rmul__(self, scalar: int) -> "CohomologyClass":
-        return CohomologyClass(
-            self.ring,
-            tuple(tuple(scalar * x for x in p) for p in self.parts),
-        )
+        flat = tuple(map(mul, itertools.repeat(scalar), self.flat))
+        return CohomologyClass._of(self.ring, flat)
 
     def __mul__(self, other: "CohomologyClass") -> "CohomologyClass":
         return self.ring.multiply(self, other)
@@ -402,11 +404,14 @@ class CohomologyClass:
         return (
             isinstance(other, CohomologyClass)
             and self.ring is other.ring
-            and self.parts == other.parts
+            and self.flat == other.flat
         )
 
     def __hash__(self):
-        return hash((id(self.ring), self.parts))
+        return hash((id(self.ring), self.flat))
+
+    def __repr__(self):
+        return f"CohomologyClass({self.ring!r}, {self.parts!r})"
 
 
 class GradedRing:
@@ -414,19 +419,20 @@ class GradedRing:
 
     A ring stores one GradedPiece per degree in ``_degrees``, its variable
     count ``_nvars``, its complex dimension ``dim`` and
-    ``monomial_cap``, the degree above which monomials vanish.
-    Subclasses differ in three hooks: ``_degree`` of a monomial,
-    ``_solve`` (a monomial's normal form, here its column's, and zero if
-    it is no column) and ``_point_data``, the integral (+-1) of the top
-    basis monomial.  Coefficients are ``_zero``/``_one``, over the
-    coefficient ring whose classes ``_coefficients`` flattens and whose
-    triple integrals are ``_coefficient_triples``, and ``_lam`` are the
-    twisting classes the bundle ring's pivots carry.  Every ring's classes
-    are CohomologyClass.  Reduction and products sum normal forms read
-    from a NormalForms table, which ``normal_forms`` hands out, and the
-    pairing reads the integer form the table holds.  ``integrate`` is
-    written once: the point sign times the top basis coefficient, an
-    integer or, through the base's integral, a base class.
+    ``monomial_cap``, the degree above which monomials vanish; once its
+    pieces are built, ``_lay_out`` numbers their basis monomials across
+    degrees, the numbering every class's ``flat`` and every table entry
+    runs over.  Subclasses differ in three hooks: ``_degree`` of a
+    monomial, ``_solve`` (a monomial's normal form, here its column's, and
+    zero if it is no column) and ``_point_data``, the integral (+-1) of
+    the top basis monomial.  Coefficients are ``_zero``/``_one``, over the
+    coefficient ring whose triple integrals are ``_coefficient_triples``,
+    and ``_lam`` are the twisting classes the bundle ring's pivots carry.
+    Every ring's classes are CohomologyClass.  Reduction and products sum
+    normal forms read from a NormalForms table, which ``normal_forms``
+    hands out, and the pairing reads the integer form the table holds.
+    ``integrate`` is written once: the point sign times the top basis
+    coefficient, an integer or, through the base's integral, a base class.
     """
 
     _zero = 0
@@ -438,6 +444,20 @@ class GradedRing:
 
     def _degree(self, mono: Monomial) -> int:
         return sum(mono)
+
+    def _lay_out(self) -> None:
+        """Number the basis monomials of ``_degrees`` across degrees, lowest
+        first: ``_basis`` lists them, ``_basis_degrees`` their degrees,
+        ``_offsets`` where each degree starts and then their count, and
+        ``_slots`` maps each degree's basis column positions to numbers."""
+        pieces = self._degrees
+        self._basis = tuple(m for piece in pieces for m in piece.basis)
+        self._basis_degrees = tuple(d for d, piece in enumerate(pieces)
+                                    for _ in piece.basis)
+        self._offsets = tuple(itertools.accumulate(
+            (piece.rank for piece in pieces), initial=0))
+        self._slots = [dict(zip(piece.basis_positions, itertools.count(start)))
+                       for piece, start in zip(pieces, self._offsets)]
 
     def normal_forms(self) -> NormalForms:
         """A new table of normal forms, to be held for one call."""
@@ -457,7 +477,7 @@ class GradedRing:
         column one degree down that a bundle pivot's payload names.  Entries
         in the column's own degree are integers, those below base classes.
         """
-        slots = table.slots[d]
+        slots = self._slots[d]
         if pos in slots:
             return {slots[pos]: 1}
         piece = self._degrees[d]
@@ -489,11 +509,11 @@ class GradedRing:
         """The class of sum c * NF(m) over terms {monomial m: c}."""
         if table is None:
             table = self.normal_forms()
-        flat = [self._zero] * table.size
+        flat = [self._zero] * self._offsets[-1]
         for mono, coeff in terms.items():
             for k, v in table[mono]:
                 flat[k] = flat[k] + v * coeff
-        return CohomologyClass(self, table.split(flat))
+        return CohomologyClass._of(self, tuple(flat))
 
     def reduce_poly(self, poly: dict, table=None) -> "CohomologyClass":
         """Normal form of a polynomial in the ring's variables.
@@ -526,16 +546,21 @@ class GradedRing:
 
     def multiply(self, a: "CohomologyClass", b: "CohomologyClass",
                  table=None) -> "CohomologyClass":
-        """sum c1 * c2 * NF(m1 * m2) over the basis terms of a and b, with
-        each product monomial's coefficients summed first; ``table`` as in
-        ``reduce_poly``."""
+        """sum c1 * c2 * NF(m1 * m2) over the nonzero basis terms of a and b
+        (the one product loop), with each product monomial's coefficients
+        summed first; products above ``monomial_cap`` vanish, or are
+        truncated away, and are skipped.  ``table`` as in ``reduce_poly``."""
         if a.ring is not self or b.ring is not self:
             raise ValueError("classes live in different rings")
+        basis, degrees, cap = self._basis, self._basis_degrees, self.monomial_cap
+        right = [term for term in zip(basis, degrees, b.flat) if term[2]]
         terms: dict = {}
-        for prod, c1, c2 in basis_products(
-            self._degrees, a.parts, b.parts, self.monomial_cap
-        ):
-            _add_term(terms, prod, c1 * c2)
+        for m1, d1, c1 in zip(basis, degrees, a.flat):
+            if c1:
+                for m2, d2, c2 in right:  # in degree order
+                    if d1 + d2 > cap:
+                        break
+                    _add_term(terms, tuple(map(add, m1, m2)), c1 * c2)
         return self._combine(terms, table)
 
     def integrate(self, cls: "CohomologyClass") -> int:
@@ -545,49 +570,39 @@ class GradedRing:
         total degree, naming the lowest; take component(dim) first."""
         if cls.ring is not self:
             raise ValueError("class lives in a different ring")
-        # total degrees d + k of the nonzero terms: k is 0 for an integer
-        # coefficient and a base class coefficient's own degree
-        off = sorted({d + k for d, part in enumerate(cls.parts) for c in part
-                      for k, p in enumerate((c,) if isinstance(c, int)
-                                            else map(any, c.parts)) if p}
-                     - {self.dim})
+        off = sorted(cls._total_degrees() - {self.dim})
         if off:
             raise ValueError("integrate expects a class of top total degree "
                              f"{2 * self.dim}, found a component in degree "
                              f"{2 * off[0]}")
-        sign, top = self._point_data(), cls.parts[-1][0]
+        sign, top = self._point_data(), cls.flat[-1]
         return sign * (top if isinstance(top, int) else top.ring.integrate(top))
 
     def point_class(self) -> "CohomologyClass":
         """The class of a point, on a fan the product of the rays of any
         maximal cone: the top basis monomial times its integral."""
         sign = self._point_data()
-        return CohomologyClass(self, tuple(
-            (sign,) if d == self.dim else (0,) * rank
-            for d, rank in enumerate(self.betti())
-        ))
+        return CohomologyClass._of(self, (0,) * (self._offsets[-1] - 1) + (sign,))
 
     @staticmethod
     def _coefficients(c) -> tuple[int, ...]:
         """A coefficient over the coefficient ring's basis e_p: an integer c
         is c e_0 = (c,), also in a bundle ring's table, where e_0 is the
-        base's unit, and a base class its flattened parts, lowest degree
-        first."""
-        return (c,) if isinstance(c, int) else sum(c.parts, ())
+        base's unit, and a base class its ``flat``."""
+        return (c,) if isinstance(c, int) else c.flat
 
     def _pairing(self, forms: NormalForms) -> dict:
         """{(i, j): the nonzero entries (p, q, M_ij[p][q])} (module docstring).
 
-        Basis monomials m_i are numbered across degrees, as in ``forms``,
+        Basis monomials m_i are numbered across degrees (``_lay_out``),
         and T_ij is the top entry of forms[m_i * m_j], for the pairs with
         n <= d_i + d_j <= ``monomial_cap``, n the top piece.  M_ij = M_ji,
         as m_i m_j = m_j m_i and K is symmetric, so each unordered pair is
         read once.
         """
         sign, n = self._point_data(), len(self._degrees) - 1
-        top, pairing = forms.offsets[n], {}
-        numbered = enumerate((d, m) for d, piece in enumerate(self._degrees)
-                             for m in piece.basis)
+        top, pairing = self._offsets[n], {}
+        numbered = enumerate(zip(self._basis_degrees, self._basis))
         pairs = itertools.combinations_with_replacement(numbered, 2)
         for (i, (di, mi)), (j, (dj, mj)) in pairs:
             if not n <= di + dj <= self.monomial_cap:
@@ -612,8 +627,8 @@ class GradedRing:
             raise ValueError("classes live in different rings")
         if table is None:
             table = self.normal_forms()
-        av = [self._coefficients(c) for part in a.parts for c in part]
-        bv = [self._coefficients(c) for part in b.parts for c in part]
+        av = list(map(self._coefficients, a.flat))
+        bv = list(map(self._coefficients, b.flat))
         return sum(av[i][p] * bv[j][q] * v for (i, j), entries
                    in table.pairing.items() for p, q, v in entries)
 
@@ -666,6 +681,7 @@ class GradedQuotientRing(GradedRing):
         self._degrees = []
         for d in range(dim + 1):
             self._degrees.append(self._build_degree(d, columns))
+        self._lay_out()
         ranks, hv = self.betti(), h_vector_of(self.face_masks, dim)
         if ranks != hv:
             raise RingConsistencyError(f"Betti ranks {ranks} differ from h-vector {hv}")
@@ -834,15 +850,16 @@ class GradedQuotientRing(GradedRing):
 
         Every face monomial is a column and every column a face monomial,
         so the sum is that of the columns' forms, with no monomial built or
-        rewritten.
+        rewritten; an integer entry is lifted through ``_one`` and a base
+        class entry added as it is, with no product by the unit.
         """
-        table = self.normal_forms()
-        flat = [self._zero] * table.size
+        table, one = self.normal_forms(), self._one
+        flat = [self._zero] * self._offsets[-1]
         for d, piece in enumerate(self._degrees):
             for pos in range(len(piece.monomials)):
                 for k, v in self._column_form(table, d, pos).items():
-                    flat[k] = flat[k] + v * self._one
-        return CohomologyClass(self, table.split(flat))
+                    flat[k] = flat[k] + (v * one if isinstance(v, int) else v)
+        return CohomologyClass._of(self, tuple(flat))
 
     # -- integration -------------------------------------------------------
 
@@ -850,7 +867,7 @@ class GradedQuotientRing(GradedRing):
         if self._point is None:
             n = self.dim
             forms = self.normal_forms()
-            top = forms.offsets[n]
+            top = self._offsets[n]
             reduced = None
             for cone in self.max_cones:
                 form = dict(forms[squarefree(ray_mask(cone), self.ray_count)])

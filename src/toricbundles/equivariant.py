@@ -249,13 +249,14 @@ class FaceRing(GradedRing):
         columns = face_monomials(ray_count, self.face_masks, degree_cap)
         self._degrees = [GradedPiece(m, {c: i for i, c in enumerate(m)}, {},
                                      {}, range(len(m)), m) for m in columns]
+        self._lay_out()
 
     def face_sum(self) -> CohomologyClass:
         """prod (1 + x_rho): 1 on every squarefree column, 0 elsewhere.  A
         monomial of degree d is squarefree when it has d nonzero exponents."""
-        return CohomologyClass(self, tuple(
-            tuple(int(m.count(0) == self.ray_count - d) for m in piece.basis)
-            for d, piece in enumerate(self._degrees)))
+        return CohomologyClass._of(self, tuple(
+            int(m.count(0) == self.ray_count - d)
+            for m, d in zip(self._basis, self._basis_degrees)))
 
     def _point_data(self):
         cap, top = 2 * self.degree_cap, 2 * self.dim
@@ -321,7 +322,7 @@ def restrict_to_fixed_point(p: CharacteristicPair, cls: CohomologyClass,
 def _supported_terms(cls: CohomologyClass) -> dict:
     """The terms of a class by support bitmask: {mask: [([(ray, exponent)],
     coeff)]}."""
-    _degree_limit(len(cls.parts) - 1)
+    _degree_limit(len(cls.ring.betti()) - 1)
     out = {}
     for mono, coeff in cls.to_poly().items():
         sparse = [(r, e) for r, e in enumerate(mono) if e]

@@ -281,18 +281,6 @@ def monomial_texts(monomials, names) -> list[str]:
             for exps in monomials]
 
 
-def monomial_to_text(exps, names) -> str:
-    """One monomial's text, by ``monomial_texts``."""
-    return monomial_texts([exps], names)[0]
-
-
-def polynomial_to_text(poly: Poly, names) -> str:
-    """Terms by total degree, then exponents; '0' for the zero polynomial."""
-    terms = sorted(poly.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-    texts = monomial_texts([exps for exps, _ in terms], names)
-    return join_terms(zip([coeff for _, coeff in terms], texts))
-
-
 def join_terms(terms) -> str:
     """'1 + 2*h - h*k' from (coefficient, monomial text) pairs in order."""
     parts = []

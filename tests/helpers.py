@@ -54,6 +54,9 @@ same text, each monomial by ``reference_monomial_text``.
 ``reference_monomial_text`` is the reference for ``monomial_texts``: one
 monomial at a time, each factor's text formatted anew, as the library
 rendered monomials before a batch shared one table of factor texts.
+``monomial_to_text`` and ``polynomial_to_text`` render one monomial and
+one polynomial through ``monomial_texts``, for the tests that parse
+polynomial text back; the library renders only batches.
 ``RewrittenProductRing`` and ``RewrittenProductBundleRing`` are the
 references for the relation rows: they build n rows per squarefree face
 monomial x_tau, the normal forms of x_tau times each relation, and carry
@@ -83,8 +86,14 @@ the plan at the fan's cached first generic point; ``generic_coordinates``
 is its sweep, every point off the walls in turn, where the library stops
 at the first.
 ``summed_product`` is the reference for a presentation's products: it
-sums the basis products and reduces them by the pivots, as the library
-did before every product read one table of normal forms.
+sums the basis products of ``basis_products`` and reduces them by the
+pivots, as the library did before every product read one table of
+normal forms.
+``PerDegreeClass`` is the reference for a class's own arithmetic (sums,
+scalar multiples, components, truth, equality, hashing and terms): one
+tuple of coefficients per degree, each operation rebuilding every
+degree's tuple, as the library's classes did before they held one flat
+tuple over the numbered basis.
 ``fiber_restriction`` sets a bundle class's positive-degree base classes
 to zero, which gives the fiber fan's class.
 ``nonprojective_threefold`` is a smooth complete fan that no polytope
@@ -99,6 +108,7 @@ the suite's dense-matrix references; the library reads determinants off
 import importlib.util
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from operator import add, mul
@@ -124,7 +134,6 @@ from toricbundles.cohomology import (
     GradedPiece,
     GradedQuotientRing,
     RingConsistencyError,
-    basis_products,
     linear_relations,
 )
 from toricbundles.corpus import corpus_instances
@@ -136,7 +145,7 @@ from toricbundles.fan import (
     cone_duals,
     moment_curve,
 )
-from toricbundles.formats import join_terms
+from toricbundles.formats import join_terms, monomial_texts
 from toricbundles.lattice import (
     IntMatrix,
     IntVector,
@@ -438,6 +447,78 @@ def generic_coordinates(duals, dim):
             coordinates.append(coords)
         else:
             yield coordinates
+
+
+def basis_products(pieces, a_parts, b_parts, cap: int):
+    """Yield (m1*m2, c1, c2) over the nonzero basis terms of per-degree
+    parts a and b, skipping products of degree above ``cap``."""
+    for d1, part1 in enumerate(a_parts):
+        if not any(part1):
+            continue
+        for m1, c1 in zip(pieces[d1].basis, part1):
+            if not c1:
+                continue
+            for d2 in range(min(cap - d1, len(pieces) - 1) + 1):
+                for m2, c2 in zip(pieces[d2].basis, b_parts[d2]):
+                    if c2:
+                        yield tuple(map(add, m1, m2)), c1, c2
+
+
+@dataclass(frozen=True)
+class PerDegreeClass:
+    """Per-degree coefficients over a ring's basis monomials; a bundle
+    class's coefficients are PerDegreeClass over the base."""
+
+    ring: object
+    parts: tuple
+
+    @classmethod
+    def of(cls, c):
+        """The reference class of a library class, its coefficients too."""
+        return cls(c.ring, tuple(
+            tuple(x if isinstance(x, int) else cls.of(x) for x in part)
+            for part in c.parts))
+
+    def component(self, k):
+        return PerDegreeClass(self.ring, tuple(
+            tuple(c.component(k - d) for c in part)
+            if part and not isinstance(part[0], int)
+            else part if d == k else (0,) * len(part)
+            for d, part in enumerate(self.parts)))
+
+    def to_poly(self):
+        return {
+            mono: coeff
+            for d, part in enumerate(self.parts)
+            for mono, coeff in zip(self.ring.basis_monomials(d), part)
+            if coeff
+        }
+
+    def __bool__(self):
+        return any(map(any, self.parts))
+
+    def __add__(self, other):
+        assert self.ring is other.ring
+        return PerDegreeClass(self.ring, tuple(
+            tuple(x + y for x, y in zip(p, q))
+            for p, q in zip(self.parts, other.parts)))
+
+    def __neg__(self):
+        return (-1) * self
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rmul__(self, scalar):
+        return PerDegreeClass(self.ring, tuple(
+            tuple(scalar * x for x in p) for p in self.parts))
+
+    def __eq__(self, other):
+        return (isinstance(other, PerDegreeClass)
+                and self.ring is other.ring and self.parts == other.parts)
+
+    def __hash__(self):
+        return hash((id(self.ring), self.parts))
 
 
 def summed_product(ring, a, b):
@@ -870,6 +951,12 @@ class AllFaceMonomialBundleRing:
             pivots = multipass_eliminate(rows, allowed)
             assert len(pivots) == len(allowed)
             self.degrees.append((monomials, index, pivots, sorted(planned)))
+        # the numbered basis a class's flat runs over, as a ring lays it out
+        bases = [self.basis_monomials(d) for d in range(self.n + 1)]
+        self._basis = sum(bases, ())
+        self._basis_degrees = tuple(d for d, basis in enumerate(bases)
+                                    for _ in basis)
+        self._offsets = tuple(itertools.accumulate(map(len, bases), initial=0))
 
     def rank(self, d):
         return len(self.degrees[d][3])
@@ -1264,6 +1351,18 @@ def reference_monomial_text(exps, names) -> str:
     return "*".join(
         names[i] + (f"^{e}" if e > 1 else "") for i, e in enumerate(exps) if e
     ) or "1"
+
+
+def monomial_to_text(exps, names) -> str:
+    """One monomial's text, by ``monomial_texts``."""
+    return monomial_texts([exps], names)[0]
+
+
+def polynomial_to_text(poly, names) -> str:
+    """Terms by total degree, then exponents; '0' for the zero polynomial."""
+    terms = sorted(poly.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+    texts = monomial_texts([exps for exps, _ in terms], names)
+    return join_terms(zip([coeff for _, coeff in terms], texts))
 
 
 def congruent_mod_form(a: WeightPolynomial, b: WeightPolynomial,

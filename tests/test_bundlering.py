@@ -1,6 +1,7 @@
 import pytest
 
 from helpers import (
+    bundle_cases,
     fiber_restriction,
     p1,
     p1_presentation,
@@ -24,9 +25,14 @@ from toricbundles import (
     twisting_from_principal,
 )
 from toricbundles import cohomology
-from toricbundles.cohomology import CohomologyClass, RingConsistencyError
+from toricbundles.cohomology import (
+    CohomologyClass,
+    GradedRing,
+    RingConsistencyError,
+)
 from toricbundles.corpus import corpus_fans, corpus_instances
 from toricbundles.equivariant import face_ring
+from toricbundles.faces import face_monomial_sum
 from toricbundles.twist import tautological_pair
 
 
@@ -329,3 +335,36 @@ def test_a_class_negates(make):
     assert -(-g) == g
     assert g + -g == g - g == ring.zero()
     assert ring.unit() - g == -ring.generator(0)
+
+
+@pytest.mark.parametrize("name,base,lam,fiber", bundle_cases(),
+                         ids=[case[0] for case in bundle_cases()])
+def test_face_sum_forms_no_base_product_of_its_own(monkeypatch, name, base,
+                                                   lam, fiber):
+    # the face sum adds the column forms: integer entries are lifted
+    # through the base's unit, class entries added as they are, so its
+    # only base products are the lambda carries the column forms make,
+    # none over a P1 fiber, and none with the unit as a factor
+    ring = BundleRing(base, lam, fiber)
+    products = []
+    real = GradedRing.multiply
+
+    def counting(self, a, b, table=None):
+        if self is base:
+            products.append((a, b))
+        return real(self, a, b, table)
+
+    monkeypatch.setattr(GradedRing, "multiply", counting)
+    total = ring.face_sum()
+    summed, products[:] = products[:], []
+    table = ring.normal_forms()
+    for d, piece in enumerate(ring._degrees):
+        for pos in range(len(piece.monomials)):
+            ring._column_form(table, d, pos)
+    assert len(summed) == len(products)
+    assert not any(base.unit() in pair for pair in summed)
+    if fiber.dim == 1:
+        assert summed == []
+    monkeypatch.undo()
+    fiber_sum = face_monomial_sum(ring.face_masks, ring.ray_count)
+    assert total == ring.reduce_poly(dict.fromkeys(fiber_sum, base.unit()))

@@ -9,12 +9,15 @@ from helpers import (
     P2_PRESENTATION,
     cone_vectors,
     determinant,
+    monomial_to_text,
     p1,
     p2,
+    polynomial_to_text,
     star_surface,
 )
 from toricbundles import (
     chern,
+    cli,
     equivariant,
     make_plmap,
     tautological_pair,
@@ -29,7 +32,6 @@ from toricbundles.fan import Fan, ValidationReport
 from toricbundles.formats import (
     ParseError,
     fan_to_text,
-    monomial_to_text,
     pair_to_text,
     parse_base_presentation,
     parse_fan,
@@ -38,7 +40,6 @@ from toricbundles.formats import (
     parse_polynomial,
     parse_twisting,
     plmap_to_text,
-    polynomial_to_text,
 )
 
 P1_FAN = """\
@@ -332,6 +333,24 @@ def test_cmd_chern_machine_output_stable(tmp_path, capsys):
     assert payload["chern_numbers"] == {"1": 2}
     assert main(["--format", "machine", "chern", str(fan)]) == 0
     assert capsys.readouterr().out == first  # byte stable
+
+
+@pytest.mark.parametrize("fmt,calls", [("machine", 0), ("human", 1)])
+def test_cmd_chern_renders_human_lines_only_for_human_format(
+        tmp_path, capsys, monkeypatch, fmt, calls):
+    fan = write(tmp_path, "p2.fan", fan_to_text(p2()))
+    rendered = []
+    real = cli._class_lines
+
+    def counting(cls, label):
+        rendered.append(label)
+        return real(cls, label)
+
+    monkeypatch.setattr(cli, "_class_lines", counting)
+    assert main(["--format", fmt, "chern", str(fan)]) == 0
+    assert len(rendered) == calls
+    out = capsys.readouterr().out
+    assert ("total Chern class:" in out) == (fmt == "human")
 
 
 def test_cmd_cohomology(tmp_path, capsys):

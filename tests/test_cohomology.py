@@ -248,7 +248,7 @@ def _p2_ring_with_cone_forms(forms):
     f = p2()
     ring = _ring_on_plan(f, fixed_point_basis_plan(f))
     table = ring.normal_forms()
-    top = table.offsets[f.dim]
+    top = ring._offsets[f.dim]
     for cone, form in zip(ring.max_cones, forms(table, top)):
         table[tuple(int(rho in cone) for rho in range(f.ray_count))] = form
     ring.normal_forms = lambda: table

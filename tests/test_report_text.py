@@ -15,10 +15,14 @@ from pathlib import Path
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import TupleWeightPolynomial, reference_monomial_text
+from helpers import (
+    TupleWeightPolynomial,
+    monomial_to_text,
+    reference_monomial_text,
+)
 from toricbundles import WeightPolynomial
 from toricbundles.equivariant import _exponents, _key_texts
-from toricbundles.formats import monomial_texts, monomial_to_text, report_json
+from toricbundles.formats import monomial_texts, report_json
 
 GOLDEN = Path(__file__).parent / "golden"
 

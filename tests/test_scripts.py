@@ -1,8 +1,10 @@
 """Smoke tests for the stand-alone scripts, so they keep running."""
 
+import os
 import random
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,19 @@ def _load(name="random_twists"):
 def test_random_twists_script(capsys):
     assert _load().main(3, 7, 3) == 0
     assert "3/3 random twists verified" in capsys.readouterr().out
+
+
+def test_random_twists_script_runs_without_pythonpath(tmp_path):
+    # as README runs it: from a checkout, with no PYTHONPATH set, here
+    # from another directory too
+    script = Path(__file__).resolve().parents[1] / "scripts" / "random_twists.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, str(script), "1", "7", "3"], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "1/1 random twists verified" in done.stdout
 
 
 def test_random_twists_script_fails_on_a_wrong_localized_route(capsys,
