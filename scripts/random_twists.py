@@ -71,6 +71,7 @@ from toricbundles.corpus import (
     TwistInstance,
 )
 from toricbundles.equivariant import ordinary_ring
+from toricbundles.faces import mask_rays, ray_mask
 from toricbundles.formats import report_json
 from toricbundles.lattice import mat_vec
 from toricbundles.twist import (
@@ -186,10 +187,10 @@ def fiber_faces_embed(decomp, ring, fiber: Fan) -> bool:
     """The twisted ring's faces that lie inside the fiber rays are exactly
     the fiber fan's faces, each fiber ray moved to its twisted ray (the
     bundle formula's fiber factor reads them off the twisted ring)."""
-    rays = frozenset(decomp.fiber_ray_of)
-    return {face for face in ring.faces if face <= rays} == {
-        frozenset(decomp.fiber_ray_of[tau] for tau in face)
-        for face in build_ring(fiber).faces
+    rays = ray_mask(decomp.fiber_ray_of)
+    return {face for face in ring.face_masks if face & rays == face} == {
+        ray_mask(decomp.fiber_ray_of[tau] for tau in mask_rays(face))
+        for face in build_ring(fiber).face_masks
     }
 
 

@@ -33,7 +33,6 @@ from .cohomology import (
     GradedQuotientRing,
     RingConsistencyError,
     build_ring,
-    h_vector,
     linear_relations,
     minimal_nonfaces,
 )

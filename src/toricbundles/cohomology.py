@@ -646,8 +646,7 @@ class GradedQuotientRing(GradedRing):
     use, and safe to share between threads.  Every argument is required.
     ``face_masks`` is every face of ``max_cones`` as a ray bitmask (one
     ``faces.walk_faces``); the ring's ``face_masks`` maps each of them to
-    its home cone, the cone whose interval holds it, and ``faces`` is the
-    same set as frozensets, made on each read.  ``kind`` names the ring
+    its home cone, the cone whose interval holds it.  ``kind`` names the ring
     (fan, pair or bundle ring) in elimination errors.  The ring gets, per
     maximal cone in ``max_cones`` order, its plan's frozenset bad(sigma)
     and in ``inverses`` the inverse of its relation matrix on the cone's
@@ -691,11 +690,6 @@ class GradedQuotientRing(GradedRing):
             raise RingConsistencyError("degree-2 rank differs from Picard rank")
         if ranks != ranks[::-1]:
             raise RingConsistencyError(f"Betti ranks {ranks} are not symmetric")
-
-    @property
-    def faces(self) -> set[frozenset[int]]:
-        """The faces as ray sets, made from ``face_masks`` on each read."""
-        return set(map(frozenset, map(mask_rays, self.face_masks)))
 
     @cached_property
     def nonfaces(self) -> list[frozenset[int]]:
@@ -907,9 +901,3 @@ def _certified_ring(f: Fan, relations, kind: str,
         f.ray_count, f.dim, relations, f.max_cones, fixed_point_basis_plan(f),
         walk_faces(f.max_cones), kind, inverses,
     )
-
-
-def h_vector(f: Fan) -> list[int]:
-    """h-vector of the maximal-cone complex, from face counts alone."""
-    return h_vector_of(walk_faces(f.max_cones), f.dim)
-

@@ -86,7 +86,8 @@ class WeightPolynomial:
     """Integer polynomial in the degree-2 generators t_1..t_n of H*(BT).
 
     Terms are kept under packed monomial keys (see FIELD_BITS); ``terms``
-    is the read-only view by exponent tuples.
+    is the read-only view by exponent tuples.  It has no arithmetic: the
+    Masuda check reads only terms, equality, ``substitute`` and the text.
     """
 
     __slots__ = ("nvars", "_terms")
@@ -119,50 +120,6 @@ class WeightPolynomial:
             _exponents(key, self.nvars): coeff
             for key, coeff in self._terms.items()
         })
-
-    @staticmethod
-    def constant(nvars: int, value: int) -> "WeightPolynomial":
-        return WeightPolynomial._packed(nvars, {0: value})
-
-    @staticmethod
-    def linear(coeffs: IntVector) -> "WeightPolynomial":
-        return WeightPolynomial._packed(
-            len(coeffs), dict(zip(_units(len(coeffs)), coeffs))
-        )
-
-    def _check(self, other):
-        if not isinstance(other, WeightPolynomial) or other.nvars != self.nvars:
-            raise ValueError("weight polynomials live in different rings")
-
-    def __add__(self, other):
-        self._check(other)
-        terms = self._terms.copy()
-        for k, v in other._terms.items():
-            terms[k] = terms.get(k, 0) + v
-        return WeightPolynomial._packed(self.nvars, terms)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return WeightPolynomial._packed(
-                self.nvars, {k: other * v for k, v in self._terms.items()}
-            )
-        self._check(other)
-        a, b = self._terms, other._terms
-        if a and b:
-            # the largest key has the largest degree, in the top field
-            _degree_limit((max(a) + max(b)) >> FIELD_BITS * self.nvars)
-        terms = {}
-        get = terms.get
-        for k1, v1 in a.items():
-            for k2, v2 in b.items():
-                k = k1 + k2
-                terms[k] = get(k, 0) + v1 * v2
-        return WeightPolynomial._packed(self.nvars, terms)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         return (

@@ -92,6 +92,13 @@ class _Cursor:
             raise ParseError(lineno, f"expected {keyword!r}, got {parts[0]!r}")
         return lineno, parts[1:]
 
+    def expect_integer(self, keyword: str):
+        """A ``keyword <integer>`` line: its line number and the integer."""
+        lineno, rest = self.expect_keyword(keyword)
+        if len(rest) != 1:
+            raise ParseError(lineno, f"{keyword} takes exactly one integer")
+        return lineno, _ints(rest[0], lineno)[0]
+
     def block_until(self, keywords):
         """All lines up to the next line starting with one of the keywords."""
         rows = []
@@ -104,10 +111,7 @@ class _Cursor:
 
 
 def _parse_fan_sections(cur: _Cursor, stop_keywords=()):
-    lineno, rest = cur.expect_keyword("dim")
-    if len(rest) != 1:
-        raise ParseError(lineno, "dim takes exactly one integer")
-    dim = _ints(rest[0], lineno)[0]
+    lineno, dim = cur.expect_integer("dim")
     if dim < 0:
         raise ParseError(lineno, "fan dimension must be >= 0")
     cur.expect_keyword("rays")
@@ -158,17 +162,16 @@ def fan_to_text(f: Fan, header: str = "") -> str:
 def parse_pair(text: str) -> CharacteristicPair:
     cur = _Cursor(text)
     fan = _parse_fan_sections(cur, stop_keywords=("charmap",))
-    cur.expect_keyword("charmap")
-    rows = cur.block_until(set())
+    lineno, _ = cur.expect_keyword("charmap")
     charmap = []
-    for lineno, line in rows:
+    for lineno, line in cur.block_until(set()):
         entries = _ints(line, lineno)
         if len(entries) != fan.dim:
             raise ParseError(lineno, f"charmap value needs {fan.dim} coordinates")
         charmap.append(tuple(entries))
     if len(charmap) != fan.ray_count:
-        raise ParseError(
-            rows[-1][0] if rows else 1,
+        raise ParseError(  # the last value line, or 'charmap' if none
+            lineno,
             f"charmap has {len(charmap)} values for {fan.ray_count} rays",
         )
     pair = CharacteristicPair(complex=fan, charmap=tuple(charmap))
@@ -186,11 +189,8 @@ def pair_to_text(p: CharacteristicPair, header: str = "") -> str:
 
 def parse_plmap(text: str, base: Fan) -> PiecewiseLinearMap:
     cur = _Cursor(text)
-    lineno, rest = cur.expect_keyword("fiber_rank")
-    if len(rest) != 1:
-        raise ParseError(lineno, "fiber_rank takes exactly one integer")
-    rank = _ints(rest[0], lineno)[0]
-    cur.expect_keyword("values")
+    _, rank = cur.expect_integer("fiber_rank")
+    lineno, _ = cur.expect_keyword("values")
     values: dict[int, tuple] = {}
     while not cur.done():
         lineno, line = cur.take()
@@ -206,7 +206,8 @@ def parse_plmap(text: str, base: Fan) -> PiecewiseLinearMap:
             raise ParseError(lineno, f"duplicate value for ray {idx}")
         values[idx] = tuple(entries[1:])
     if len(values) != base.ray_count:
-        raise ParseError(1, f"phi must assign a value to all {base.ray_count} rays")
+        raise ParseError(  # the last value line, or 'values' if none
+            lineno, f"phi must assign a value to all {base.ray_count} rays")
     return PiecewiseLinearMap(
         fiber_rank=rank,
         values=tuple(values[i] for i in range(base.ray_count)),
@@ -337,10 +338,7 @@ def parse_base_presentation(text: str) -> BasePresentation:
     cur = _Cursor(text)
     lineno, rest = cur.expect_keyword("name")
     name = " ".join(rest) if rest else ""
-    lineno, rest = cur.expect_keyword("top_degree")
-    if len(rest) != 1:
-        raise ParseError(lineno, "top_degree takes exactly one integer")
-    top = _ints(rest[0], lineno)[0]
+    _, top = cur.expect_integer("top_degree")
     cur.expect_keyword("generators")
     generators = []
     gen_index: dict[str, int] = {}
@@ -383,10 +381,7 @@ def parse_base_presentation(text: str) -> BasePresentation:
                 raise ParseError(lineno, f"{token!r} is not of degree {degree}")
             monos.append(mono)
         basis[degree // 2] = monos
-    lineno, rest = cur.expect_keyword("integration")
-    if len(rest) != 1:
-        raise ParseError(lineno, "integration takes exactly one integer")
-    integration = _ints(rest[0], lineno)[0]
+    _, integration = cur.expect_integer("integration")
     cur.expect_keyword("chern")
     chern: Poly = {}
     for lineno, line in cur.block_until(set()):

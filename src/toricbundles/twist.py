@@ -39,12 +39,6 @@ class PiecewiseLinearMap:
                     f"value {v} does not lie in a rank-{self.fiber_rank} lattice"
                 )
 
-    @staticmethod
-    def zero(base_ray_count: int, fiber_rank: int) -> "PiecewiseLinearMap":
-        return PiecewiseLinearMap(
-            fiber_rank, tuple((0,) * fiber_rank for _ in range(base_ray_count))
-        )
-
 
 def make_plmap(fiber_rank, values) -> PiecewiseLinearMap:
     return PiecewiseLinearMap(int(fiber_rank), tuple(vector(v) for v in values))

@@ -25,7 +25,8 @@ tries every subset of the rays, as the library did before it grew them
 from the faces.
 ``subset_faces`` is the reference for the face set: every subset of every
 maximal cone as a frozenset, as the library kept faces before they became
-ray bitmasks from one submask walk.  ``FrozensetWalkRing`` and
+ray bitmasks from one submask walk; ``ray_sets`` turns a ring's
+``face_masks`` into those frozensets.  ``FrozensetWalkRing`` and
 ``FrozensetWalkBundleRing`` are the references for the interval walk and
 the relation rows on those bitmasks: they walk each interval [bad(sigma),
 sigma] as frozenset unions, build a monomial per face, test faces against
@@ -34,7 +35,8 @@ did before.
 ``naive_restrict`` and ``naive_substitute`` are the references for
 fixed-point localization: they expand every monomial as a fresh product
 of linear forms, as the library did before one memoised substitution per
-cone.
+cone, in ``TupleWeightPolynomial`` arithmetic; ``reference_of`` reads a
+library polynomial's terms into that reference to compare.
 ``pairwise_validate`` is the reference for ``validate``: it decides
 well-formedness by a Fourier-Motzkin search for a separating hyperplane
 between every two maximal cones and completeness by wall counts and
@@ -48,9 +50,12 @@ computed the inverse before it read it off the adjugate.
 tests call them: the GKM wall check restricts at the two cones of a wall
 and compares modulo the weight of the missing ray.
 ``TupleWeightPolynomial`` is the reference for ``WeightPolynomial``: the
-same arithmetic on tuple-keyed terms, as the library stored weight
-polynomials before it packed each monomial into one integer, and the
-same text, each monomial by ``reference_monomial_text``.
+same terms, equality, hash and substitution on tuple-keyed terms, as the
+library stored weight polynomials before it packed each monomial into
+one integer, and the same text, each monomial by
+``reference_monomial_text``.  It keeps the sums, products, constants and
+linear forms the library's class no longer has, and every reference
+polynomial is built with them.
 ``reference_monomial_text`` is the reference for ``monomial_texts``: one
 monomial at a time, each factor's text formatted anew, as the library
 rendered monomials before a batch shared one table of factor texts.
@@ -103,6 +108,8 @@ part ways.
 ``matrix``, ``transpose``, ``mat_mul`` and the Bareiss ``determinant`` are
 the suite's dense-matrix references; the library reads determinants off
 ``det_adjugate`` alone and no longer carries them.
+``clear_fan_caches`` empties every per-fan cache at once, for the tests
+that count work on a cold fan.
 """
 
 import importlib.util
@@ -137,13 +144,15 @@ from toricbundles.cohomology import (
     linear_relations,
 )
 from toricbundles.corpus import corpus_instances
-from toricbundles.faces import face_monomial_sum
-from toricbundles.equivariant import WeightPolynomial, fixed_point_weights
+from toricbundles.faces import face_monomial_sum, mask_rays
+from toricbundles.equivariant import fixed_point_weights, ordinary_ring
 from toricbundles.fan import (
     ValidationReport,
     _meet_in_face,
     cone_duals,
+    first_generic_coordinates,
     moment_curve,
+    validate,
 )
 from toricbundles.formats import join_terms, monomial_texts
 from toricbundles.lattice import (
@@ -153,6 +162,17 @@ from toricbundles.lattice import (
     is_primitive,
     vector,
 )
+from toricbundles.twist import weight_table
+
+
+def clear_fan_caches():
+    """Empty every per-fan cache together: fan validation, the cone duals
+    and first generic point, the fan and pair rings, and the weight
+    tables.  A ring keeps the dual rows it was built with, so clearing one
+    of these alone leaves the others holding stale objects."""
+    for cached in (validate, cone_duals, first_generic_coordinates,
+                   build_ring, ordinary_ring, weight_table):
+        cached.cache_clear()
 
 
 def p1():
@@ -580,6 +600,11 @@ def subset_faces(max_cones):
     return faces
 
 
+def ray_sets(face_masks):
+    """Each face mask as the frozenset of its rays."""
+    return {frozenset(mask_rays(mask)) for mask in face_masks}
+
+
 def supported_on_a_face(ring, mono):
     """Whether the support of mono lies in one maximal cone of the ring."""
     support = {i for i, e in enumerate(mono) if e}
@@ -846,7 +871,8 @@ class AllFaceMonomialRing:
         self.ring = ring
         self.degrees = []
         for d in range(ring.degree_cap + 1):
-            monomials = grown_face_monomials(ring.ray_count, ring.faces, d)
+            monomials = grown_face_monomials(ring.ray_count,
+                                             ray_sets(ring.face_masks), d)
             index = {m: i for i, m in enumerate(monomials)}
             rows = []
             if d >= 1:
@@ -928,7 +954,7 @@ class AllFaceMonomialBundleRing:
         self.degrees = []
         for d in range(2 * self.n + 1):
             monomials = grown_face_monomials(
-                fiber.ray_count, self.fiber_ring.faces, d
+                fiber.ray_count, ray_sets(self.fiber_ring.face_masks), d
             )
             index = {m: i for i, m in enumerate(monomials)}
             rows = []
@@ -1025,14 +1051,20 @@ class AllFaceMonomialBundleRing:
         return pulled * self.reduce_poly(dict.fromkeys(fiber_sum, unit))
 
 
+def reference_of(poly) -> "TupleWeightPolynomial":
+    """A weight polynomial's terms as the tuple-keyed reference."""
+    return TupleWeightPolynomial(poly.nvars, dict(poly.terms))
+
+
 def naive_substitute(poly, forms):
-    """Replace each t_k of a WeightPolynomial by a linear form, term by term."""
+    """Replace each t_k of a weight polynomial by a linear form, term by
+    term, in the tuple-keyed reference."""
     nvars = len(forms[0]) if forms else 0
-    out = WeightPolynomial(nvars)
+    out = TupleWeightPolynomial(nvars)
     for exps, coeff in poly.terms.items():
-        term = WeightPolynomial.constant(nvars, coeff)
+        term = TupleWeightPolynomial.constant(nvars, coeff)
         for k, e in enumerate(exps):
-            linear = WeightPolynomial.linear(forms[k])
+            linear = TupleWeightPolynomial.linear(forms[k])
             for _ in range(e):
                 term = term * linear
         out = out + term
@@ -1041,19 +1073,20 @@ def naive_substitute(poly, forms):
 
 def naive_restrict(pair, cls, sigma):
     """Restriction of a face-ring class to the fixed point of a cone,
-    one fresh product of dual-basis weights per basis monomial."""
+    one fresh product of dual-basis weights per basis monomial, in the
+    tuple-keyed reference."""
     sigma = frozenset(sigma)
     ray_to_weight = dict(zip(sorted(sigma), fixed_point_weights(pair, sigma)))
     n = pair.complex.dim
-    out = WeightPolynomial(n)
+    out = TupleWeightPolynomial(n)
     for d, part in enumerate(cls.parts):
         for mono, coeff in zip(cls.ring.basis_monomials(d), part):
             support = [i for i, e in enumerate(mono) if e]
             if coeff == 0 or any(i not in sigma for i in support):
                 continue
-            term = WeightPolynomial.constant(n, coeff)
+            term = TupleWeightPolynomial.constant(n, coeff)
             for i in support:
-                linear = WeightPolynomial.linear(ray_to_weight[i])
+                linear = TupleWeightPolynomial.linear(ray_to_weight[i])
                 for _ in range(mono[i]):
                     term = term * linear
             out = out + term
@@ -1365,8 +1398,7 @@ def polynomial_to_text(poly, names) -> str:
     return join_terms(zip([coeff for _, coeff in terms], texts))
 
 
-def congruent_mod_form(a: WeightPolynomial, b: WeightPolynomial,
-                       form: IntVector) -> bool:
+def congruent_mod_form(a, b, form: IntVector) -> bool:
     """Whether two weight polynomials agree modulo a primitive linear form.
 
     Used for the GKM-style wall consistency of fixed-point restrictions:
@@ -1378,7 +1410,7 @@ def congruent_mod_form(a: WeightPolynomial, b: WeightPolynomial,
     if h[0] != (1,):
         raise ValueError(f"linear form {form} is not primitive")
     # t_k -> sum_j u[j][k] y_j turns the form into y_1.
-    image = (a - b).substitute(transpose(u))
+    image = (reference_of(a) - reference_of(b)).substitute(transpose(u))
     return all(exps[0] > 0 for exps in image.terms)
 
 
@@ -1412,7 +1444,8 @@ class _RewrittenProductRows:
         enumerate_columns = (
             squarefree_monomials if self.relations else grown_face_monomials
         )
-        monomials = enumerate_columns(self.ray_count, self.faces, d)
+        monomials = enumerate_columns(self.ray_count,
+                                      ray_sets(self.face_masks), d)
         index = {m: i for i, m in enumerate(monomials)}
         rows = []
         if d >= 1 and self.relations:
@@ -1584,7 +1617,8 @@ def random_base_class(base, rng):
 
 def random_face_poly(ring, rng, terms=8):
     """Face monomials with repeated exponents, plus terms that must vanish."""
-    faces = sorted((f for f in ring.faces if len(f) <= ring.degree_cap),
+    faces = sorted((f for f in ray_sets(ring.face_masks)
+                    if len(f) <= ring.degree_cap),
                    key=lambda f: (len(f), sorted(f)))
     poly = {}
     for _ in range(terms):
@@ -1609,7 +1643,8 @@ def random_face_poly(ring, rng, terms=8):
 def random_fiber_poly(ring, rng, terms=6):
     """Fiber monomials up to degree 2n, repeated exponents, base coefficients."""
     n = ring.fiber.dim
-    faces = sorted(ring.faces, key=lambda f: (len(f), sorted(f)))
+    faces = sorted(ray_sets(ring.face_masks),
+                   key=lambda f: (len(f), sorted(f)))
     poly = {}
     for _ in range(terms):
         face = sorted(rng.choice(faces))

@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     P1_PRESENTATION,
     P2_PRESENTATION,
+    clear_fan_caches,
     cone_vectors,
     determinant,
     monomial_to_text,
@@ -108,6 +109,66 @@ def test_parse_errors_carry_line_numbers():
         parse_plmap("fiber_rank 1\nvalues\n0 1 2\n1 0\n", p1())
     with pytest.raises(ParseError, match="duplicate"):
         parse_plmap("fiber_rank 1\nvalues\n0 1\n0 2\n", p1())
+
+
+INTEGER_HEADERS = [
+    # (keyword, parse of a text whose header line reads 'keyword value',
+    # the header's line number)
+    ("dim", lambda value: parse_fan(P1_FAN.replace("dim 1", f"dim {value}")),
+     2),
+    ("fiber_rank", lambda value: parse_plmap(
+        "# phi\n" + PHI_A1.replace("fiber_rank 1", f"fiber_rank {value}"),
+        p1()), 2),
+    ("top_degree", lambda value: parse_base_presentation(
+        P1_PRESENTATION.replace("top_degree 2", f"top_degree {value}")), 2),
+    ("integration", lambda value: parse_base_presentation(
+        P1_PRESENTATION.replace("integration 1", f"integration {value}")), 10),
+]
+
+
+@pytest.mark.parametrize("keyword,parse,line", INTEGER_HEADERS,
+                         ids=[keyword for keyword, _, _ in INTEGER_HEADERS])
+@pytest.mark.parametrize("value,message", [
+    ("1 2", "{keyword} takes exactly one integer"),
+    ("", "{keyword} takes exactly one integer"),
+    ("x", "expected integers, got 'x'"),
+], ids=["two tokens", "no token", "not an integer"])
+def test_integer_headers_take_exactly_one_integer(keyword, parse, line,
+                                                  value, message):
+    with pytest.raises(ParseError) as error:
+        parse(value)
+    assert str(error.value) == f"line {line}: " + message.format(
+        keyword=keyword)
+
+
+@pytest.mark.parametrize("values,line", [("0 1\n", 3), ("", 2)],
+                         ids=["one value", "no value"])
+def test_cmd_twist_names_the_line_of_a_missing_value(tmp_path, capsys,
+                                                     values, line):
+    # the last value line, or the 'values' line when the block is empty
+    base = write(tmp_path, "p1.fan", P1_FAN)
+    phi = write(tmp_path, "phi.plm", "fiber_rank 1\nvalues\n" + values)
+    assert run_cli(tmp_path, "twist", base, base, phi) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"parse error: line {line}: phi must assign a value to all 2 rays\n")
+
+
+@pytest.mark.parametrize("values,line", [("1 0\n", 11), ("", 10)],
+                         ids=["one value", "no value"])
+def test_cmd_equivariant_names_the_line_of_a_short_charmap(tmp_path, capsys,
+                                                           values, line):
+    # the last value line, or the 'charmap' line (line 10) when it is empty
+    text = pair_to_text(tautological_pair(p2()))
+    text = text[:text.index("charmap\n") + len("charmap\n")] + values
+    pair = write(tmp_path, "p2.pair", text)
+    assert run_cli(tmp_path, "equivariant", pair) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    count = len(values.split("\n")) - 1
+    assert captured.err == (
+        f"parse error: line {line}: charmap has {count} values for 3 rays\n")
 
 
 def test_polynomial_parsing():
@@ -376,7 +437,7 @@ def test_cmd_cohomology_and_chern_of_the_point(tmp_path, capsys):
 def test_cmd_cohomology_walks_the_faces_once(tmp_path, capsys, monkeypatch):
     # the ring's face masks give the h-vector too, so a request on a
     # fresh fan walks the maximal cones' submasks once
-    from toricbundles import cohomology, corpus, faces
+    from toricbundles import corpus, faces
 
     walks = []
     walk_faces = faces.walk_faces
@@ -389,7 +450,7 @@ def test_cmd_cohomology_walks_the_faces_once(tmp_path, capsys, monkeypatch):
         if (getattr(module, "__name__", "").startswith("toricbundles")
                 and getattr(module, "walk_faces", None) is walk_faces):
             monkeypatch.setattr(module, "walk_faces", counting)
-    cohomology.build_ring.cache_clear()
+    clear_fan_caches()
     fan = write(tmp_path, "dp6.fan", fan_to_text(corpus.del_pezzo_6()))
     assert run_cli(tmp_path, "--format", "machine", "cohomology", fan) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -416,7 +477,7 @@ def test_corpus_ring_sanity_walks_no_faces(monkeypatch):
             monkeypatch.setattr(module, "walk_faces", counting)
     monkeypatch.setattr(corpus, "corpus_instances", lambda: [])
     monkeypatch.setattr(corpus, "corpus_pairs", lambda: [])
-    cohomology.build_ring.cache_clear()
+    clear_fan_caches()
     checks = corpus.run_corpus()
     assert {c.criterion for c in checks} == {
         "chern-numbers", "gauss-bonnet", "ring-sanity"}
@@ -478,7 +539,7 @@ def test_cmd_equivariant_validates_the_pair_once(tmp_path, capsys,
         if (getattr(module, "__name__", "").startswith("toricbundles")
                 and getattr(module, "determinant", None) is determinant):
             monkeypatch.setattr(module, "determinant", counting_determinant)
-    twist.weight_table.cache_clear()
+    clear_fan_caches()
     assert main(["--format", "machine", "equivariant", str(pair_path)]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
     assert determinants == []

@@ -27,6 +27,7 @@ from helpers import (
     RewrittenProductRing,
     bundle_cases,
     charmap_pair_cases,
+    clear_fan_caches,
     cone_vectors,
     cp2_sharp_cp2,
     determinant,
@@ -36,6 +37,7 @@ from helpers import (
     projective_space,
     quasitoric_pairs,
     random_fiber_poly,
+    ray_sets,
     star_subdivision_cases,
     star_surface,
 )
@@ -47,13 +49,15 @@ from toricbundles import (
     chern_numbers_bundle,
     make_plmap,
     product_fan,
+    tautological_pair,
     total_chern_general,
     twisted_fan,
 )
 from toricbundles import cohomology
-from toricbundles.cohomology import h_vector, linear_relations
+from toricbundles.cohomology import linear_relations
 from toricbundles.corpus import corpus_fans, corpus_pairs, random_unimodular
 from toricbundles.equivariant import ordinary_ring
+from toricbundles.faces import h_vector_of, walk_faces
 from toricbundles.fan import cone_duals
 from toricbundles.twist import weight_table
 
@@ -179,9 +183,9 @@ def _row_counts(monkeypatch, build):
 
 def _expected_counts(ring, fan):
     """Degree d: f_d - h_d rows, the faces of size d less the basis sets."""
-    hv = h_vector(fan)
+    hv = h_vector_of(walk_faces(fan.max_cones), fan.dim)
     return [
-        sum(1 for face in ring.faces if len(face) == d) - hv[d]
+        sum(1 for face in ray_sets(ring.face_masks) if len(face) == d) - hv[d]
         for d in range(ring.degree_cap + 1)
     ]
 
@@ -247,6 +251,21 @@ def test_rings_share_the_dual_rows_of_one_table():
                    for rho, row in zip(sorted(cone), dual))
 
 
+def test_cleared_caches_rebuild_every_ring_on_the_new_dual_rows():
+    # clearing the per-fan caches together leaves no ring on the old rows:
+    # the rebuilt fan ring, a bundle ring over that fan and the fan's
+    # tautological pair ring all read the new cone_duals rows
+    _, base, lam, fiber = BUNDLE_CASES[-1]
+    old = build_ring(fiber)
+    clear_fan_caches()
+    rows = cone_duals(fiber).rows
+    ring = build_ring(fiber)
+    assert ring is not old and old.inverses is not rows
+    assert ring.inverses is rows
+    assert build_bundle_ring(base, lam, fiber).inverses is rows
+    assert ordinary_ring(tautological_pair(fiber)) is ring
+
+
 def test_weight_table_determinants_are_the_charmap_determinants():
     pairs = list(corpus_pairs()) + quasitoric_pairs()
     pairs.append(("CP2#CP2", cp2_sharp_cp2()))
@@ -262,8 +281,7 @@ def test_a_pair_ring_reads_the_weight_table_rows():
     # a pair whose charmap is not its rays gets its own ring, whose cone
     # inverses are the weight table's rows, kept as given
     pair = cp2_sharp_cp2()
-    ordinary_ring.cache_clear()
-    weight_table.cache_clear()
+    clear_fan_caches()
     ring = ordinary_ring(pair)
     assert ring.inverses is weight_table(pair).rows
     assert ring.betti() == [1, 2, 1]

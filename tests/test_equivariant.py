@@ -1,13 +1,19 @@
 import pytest
 
-from helpers import congruent_mod_form, p1, p2, square_fan
+from helpers import (
+    TupleWeightPolynomial,
+    congruent_mod_form,
+    p1,
+    p2,
+    reference_of,
+    square_fan,
+)
 from toricbundles import (
     WeightPolynomial,
     build_ring,
     equivariant_total_chern,
     face_ring,
     forget,
-    make_fan,
     make_plmap,
     masuda_check,
     product_fan,
@@ -24,11 +30,17 @@ from toricbundles.fan import walls
 
 
 def t(n, k):
-    return WeightPolynomial.linear(tuple(1 if i == k else 0 for i in range(n)))
+    return TupleWeightPolynomial.linear(
+        tuple(1 if i == k else 0 for i in range(n)))
 
 
 def one(n):
-    return WeightPolynomial.constant(n, 1)
+    return TupleWeightPolynomial.constant(n, 1)
+
+
+def restricted(pair, cls, sigma):
+    """The library's restriction, as the tuple-keyed reference."""
+    return reference_of(restrict_to_fixed_point(pair, cls, sigma))
 
 
 def test_face_ring_ranks():
@@ -132,22 +144,22 @@ def test_equivariant_total_chern_matches_the_reduce_poly_route(name, pair):
 def test_restriction_p1_classical_weights():
     pair = tautological_pair(p1())
     c = equivariant_total_chern(pair)
-    assert restrict_to_fixed_point(pair, c, {0}) == one(1) + t(1, 0)
-    assert restrict_to_fixed_point(pair, c, {1}) == one(1) - t(1, 0)
+    assert restricted(pair, c, {0}) == one(1) + t(1, 0)
+    assert restricted(pair, c, {1}) == one(1) - t(1, 0)
 
 
 def test_restriction_of_unit_is_unit():
     pair = tautological_pair(p2())
     ring = face_ring(pair)
     for sigma in pair.complex.max_cones:
-        assert restrict_to_fixed_point(pair, ring.unit(), sigma) == one(2)
+        assert restricted(pair, ring.unit(), sigma) == one(2)
 
 
 def test_restriction_p2_standard_cone():
     pair = tautological_pair(p2())
     c = equivariant_total_chern(pair)
     expected = (one(2) + t(2, 0)) * (one(2) + t(2, 1))
-    assert restrict_to_fixed_point(pair, c, {0, 1}) == expected
+    assert restricted(pair, c, {0, 1}) == expected
 
 
 def test_restriction_is_ring_hom_on_samples():
@@ -156,10 +168,8 @@ def test_restriction_is_ring_hom_on_samples():
     a = ring.reduce_poly({(1, 0, 0): 2, (0, 1, 0): 1})
     b = ring.reduce_poly({(0, 1, 0): 1, (0, 0, 1): -3})
     for sigma in pair.complex.max_cones:
-        lhs = restrict_to_fixed_point(pair, a * b, sigma)
-        rhs = restrict_to_fixed_point(pair, a, sigma) * restrict_to_fixed_point(
-            pair, b, sigma
-        )
+        lhs = restricted(pair, a * b, sigma)
+        rhs = restricted(pair, a, sigma) * restricted(pair, b, sigma)
         assert lhs == rhs
 
 
@@ -264,5 +274,5 @@ def test_congruent_mod_form_basics():
 
 
 def test_weight_polynomial_repr_stable():
-    p = one(2) + t(2, 1) - 2 * t(2, 0) * t(2, 0)
+    p = WeightPolynomial(2, {(0, 0): 1, (0, 1): 1, (2, 0): -2})
     assert repr(p) == "1 + t2 - 2*t1^2"

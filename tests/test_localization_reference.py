@@ -3,16 +3,17 @@
 ``restrict_to_fixed_point`` collects a class's terms supported in a cone
 and makes one memoised ``WeightPolynomial.substitute`` call;
 ``helpers.naive_restrict`` and ``helpers.naive_substitute`` expand every
-monomial as a fresh product of linear forms.  The classes are seeded
-random face-ring classes with negative coefficients, and products of them,
-whose face monomials carry repeated exponents.
+monomial as a fresh product of linear forms, in the tuple-keyed
+``helpers.TupleWeightPolynomial``.  The classes are seeded random
+face-ring classes with negative coefficients, and products of them, whose
+face monomials carry repeated exponents.
 """
 
 import random
 
 import pytest
 
-from helpers import determinant, naive_restrict, naive_substitute
+from helpers import determinant, naive_restrict, naive_substitute, reference_of
 from toricbundles import WeightPolynomial, face_ring, restrict_to_fixed_point
 from toricbundles.corpus import corpus_pairs
 from toricbundles.lattice import identity
@@ -36,9 +37,9 @@ def test_restriction_matches_reference_on_corpus(degree_bound):
         a, b = random_class(ring, rng), random_class(ring, rng)
         for cls in (a, b, a * b, a * a * b):
             for sigma in pair.complex.max_cones:
-                assert restrict_to_fixed_point(pair, cls, sigma) == (
-                    naive_restrict(pair, cls, sigma)
-                ), (name, degree_bound, sorted(sigma))
+                assert reference_of(restrict_to_fixed_point(
+                    pair, cls, sigma)) == naive_restrict(pair, cls, sigma), (
+                    name, degree_bound, sorted(sigma))
 
 
 def random_unimodular(n, rng):
@@ -66,6 +67,5 @@ def test_substitute_matches_reference_under_unimodular_forms():
         }
         poly = WeightPolynomial(n, terms)
         forms = random_unimodular(n, rng)
-        assert poly.substitute(forms) == naive_substitute(poly, forms), (
-            terms, forms
-        )
+        assert reference_of(poly.substitute(forms)) == naive_substitute(
+            poly, forms), (terms, forms)

@@ -15,6 +15,7 @@ import random
 import pytest
 
 from helpers import (
+    clear_fan_caches,
     cone_vectors,
     dim5_twists,
     generic_coordinates,
@@ -40,7 +41,6 @@ from toricbundles import (
 from toricbundles import chern, fan as fan_module
 from toricbundles.cli import main
 from toricbundles.corpus import corpus_fans
-from toricbundles.equivariant import ordinary_ring
 from toricbundles.formats import fan_to_text, plmap_to_text
 
 
@@ -164,9 +164,7 @@ def bareiss_passes(monkeypatch):
 
     monkeypatch.setattr(lattice, "det_adjugate", counting)
     monkeypatch.setattr(fan_module, "det_adjugate", counting)
-    for cached in (fan_module.validate, fan_module.cone_duals, build_ring,
-                   ordinary_ring):
-        cached.cache_clear()
+    clear_fan_caches()
     return calls
 
 

@@ -1,15 +1,16 @@
 """Packed ``WeightPolynomial`` against its tuple-keyed reference.
 
-``helpers.TupleWeightPolynomial`` is the arithmetic on exponent tuples;
-the library packs each monomial into one integer.  Every operation must
-give the same terms, equality, hash and text: on seeded polynomials in
-0-6 variables, on seeded substitutions whose Horner cofactors repeat or
-differ in one coefficient, and on every restricted and expected
-polynomial of the Masuda check over the corpus pairs and seeded twisted
-pairs.  The check's power to detect is pinned on corrupted total
-classes: x_rho, x_rho^2 added or x_tau taken away must fail exactly at
-the fixed points whose cone holds the support, and every restriction,
-passed or not, must equal the reference's.
+``helpers.TupleWeightPolynomial`` keeps terms by exponent tuples; the
+library packs each monomial into one integer and keeps only what the
+Masuda check reads: terms, equality, hash, substitution and text.  These
+must agree with the reference on seeded polynomials in 0-6 variables, on
+seeded substitutions whose Horner cofactors repeat or differ in one
+coefficient, and on every restricted and expected polynomial of the
+Masuda check over the corpus pairs and seeded twisted pairs.  The
+check's power to detect is pinned on corrupted total classes: x_rho,
+x_rho^2 added or x_tau taken away must fail exactly at the fixed points
+whose cone holds the support, and every restriction, passed or not, must
+equal the reference's.
 """
 
 import random
@@ -59,19 +60,13 @@ def assert_same(packed, reference):
 
 
 @pytest.mark.parametrize("n", range(7))
-def test_arithmetic_matches_reference(n):
+def test_terms_equality_and_substitution_match_reference(n):
     rng = random.Random(f"weight polynomials {n}")
     samples = [both(n, {}), both(n, {(0,) * n: 1}), both(n, {(0,) * n: -4})]
     samples += [both(n, random_terms(n, rng)) for _ in range(12)]
     for a, ra in samples:
         assert_same(a, ra)
-        for k in (0, 1, -1, 3):
-            assert_same(a * k, ra * k)
-            assert_same(k * a, k * ra)
         for b, rb in samples:
-            assert_same(a + b, ra + rb)
-            assert_same(a - b, ra - rb)
-            assert_same(a * b, ra * rb)
             assert (a == b) == (ra == rb)
         # degrees reach 2n^2: two target variables keep the expansion small
         m = rng.randint(0, 2)
@@ -112,17 +107,6 @@ def test_substitution_with_repeated_cofactors_matches_reference(n):
             forms = [tuple(rng.randint(-2, 2) for _ in range(m))
                      for _ in range(n)]
             assert_same(a.substitute(forms), ra.substitute(forms))
-
-
-def test_constant_and_linear_match_reference():
-    for n in range(7):
-        assert_same(WeightPolynomial.constant(n, 5),
-                    TupleWeightPolynomial.constant(n, 5))
-        assert_same(WeightPolynomial.constant(n, 0),
-                    TupleWeightPolynomial.constant(n, 0))
-        coeffs = tuple(range(-2, n - 2))
-        assert_same(WeightPolynomial.linear(coeffs),
-                    TupleWeightPolynomial.linear(coeffs))
 
 
 def seeded_twisted_pairs(count=20):
@@ -214,16 +198,11 @@ def test_corrupted_totals_fail_exactly_at_cones_holding_the_support(name,
 
 def test_field_overflow_names_the_limit():
     limit = 2 ** FIELD_BITS - 1
-    t = WeightPolynomial.linear((1, 0))
     top = WeightPolynomial(2, {(limit, 0): 1})
-    assert top == WeightPolynomial(2, {(limit - 1, 0): 1}) * t
+    assert dict(top.terms) == {(limit, 0): 1}
     message = f"2\\*\\*FIELD_BITS - 1 = {limit}"
     with pytest.raises(ValueError, match=message):
         WeightPolynomial(2, {(limit, 1): 1})
-    with pytest.raises(ValueError, match=message):
-        top * t
-    with pytest.raises(ValueError, match=message):
-        t * top
     with pytest.raises(ValueError, match="not an exponent vector"):
         WeightPolynomial(2, {(1, -1): 1})
     with pytest.raises(ValueError, match="not an exponent vector"):
