@@ -20,7 +20,10 @@ the fiber fan's faces, moved to the twisted rays, which the bundle
 formula's fiber factor reads.  The Masuda check must also see a corrupted
 class: with one x_rho added to the twisted pair's equivariant total Chern
 class, the public restriction must differ from the check's expected
-polynomial exactly at the fixed points whose cone holds rho.  Each trial also takes a random star
+polynomial exactly at the fixed points whose cone holds rho.  The
+twisted fan's ``cone_duals``, which it takes from the base's and
+fiber's tables by the block inverse, must equal a fresh Bareiss
+``dual_table`` of its rays, determinants and rows.  Each trial also takes a random star
 subdivision of a smooth complete threefold that is not projective: its
 ring must certify, its ring-route Chern numbers must equal the localized
 ones, and its Todd genus c1c2/24 must be 1.  The machine-report writer
@@ -72,6 +75,7 @@ from toricbundles.corpus import (
 )
 from toricbundles.equivariant import ordinary_ring
 from toricbundles.faces import mask_rays, ray_mask
+from toricbundles.fan import cone_duals, dual_table
 from toricbundles.formats import report_json
 from toricbundles.lattice import mat_vec
 from toricbundles.twist import (
@@ -220,6 +224,8 @@ def main(trials: int = 25, seed: int = 7, max_entry: int = 3) -> int:
         name = f"trial {trial}: base {bname}, fiber {fname}, phi {values}"
         decomp = twisted_fan(base, fiber, phi)
         twisted = decomp.twisted
+        derived = cone_duals(twisted) == dual_table(twisted.rays,
+                                                    twisted.max_cones)
         ring = build_ring(twisted)
         embedded = fiber_faces_embed(decomp, ring, fiber)
         attributes = set(vars(ring))
@@ -263,7 +269,7 @@ def main(trials: int = 25, seed: int = 7, max_entry: int = 3) -> int:
         nonprojective = star_subdivision_holds(star)
         ok = (report.equal and presented and localized and gauss and paired
               and kept and invariant and quasitoric and detected
-              and nonprojective and embedded and written)
+              and nonprojective and embedded and written and derived)
         mark = "ok" if ok else "FAIL"
         print(f"[{mark}] {name}  chi={report.euler_intrinsic}  "
               f"star subdivision: {star.ray_count} rays")

@@ -92,12 +92,15 @@ solve for each x_rho of sigma as an integer combination of the x_rho'
 outside sigma, and trading one repeated factor lowers (degree - support
 size), so the rewrite terminates.  The solve reads the inverse of the
 relation matrix on sigma's rays, given to the ring as its basis plan is:
-the dual rows of the fan's ``cone_duals`` table (the one Bareiss pass
-per cone that validation and the plan read too), of the fiber fan's for
-a bundle ring, or a pair's ``weight_table``.  Each cone's rewrite checks
-that the rows invert the relations on its rays and is solved once, when
-the ring is built, in ``_rewrites``; a bundle ring takes its fiber
-ring's, solved on the same relations and rows.
+the dual rows of the fan's ``cone_duals`` table (which validation and
+the plan read too: one Bareiss pass per cone of a parsed fan, and on a
+twisted fan the block inverse of its base's and fiber's tables), of the
+fiber fan's for a bundle ring, or a pair's ``weight_table``.  Each
+cone's rewrite checks that the rows invert the relations on its rays,
+pairing a row with every ray as the sum of the relation rows its
+nonzero entries select, and is solved once, when the ring is built, in
+``_rewrites``; a bundle ring takes its fiber ring's, solved on the same
+relations and rows.
 
 A face is a ray bitmask (bit rho for each ray rho of it; see ``faces``),
 and a ring's faces come from one walk of each maximal cone's submasks,
@@ -765,13 +768,11 @@ class GradedQuotientRing(GradedRing):
     # -- rewriting into columns ----------------------------------------------
 
     def _solve_rewrites(self) -> dict:
-        """{maximal cone: its rewrite (see ``_solve_cone``)}, from one
-        transpose of the relations."""
-        transposed = tuple(zip(*self.relations))
-        return {cone: self._solve_cone(cone, inverse, transposed)
+        """{maximal cone: its rewrite (see ``_solve_cone``)}."""
+        return {cone: self._solve_cone(cone, inverse)
                 for cone, inverse in zip(self.max_cones, self.inverses)}
 
-    def _solve_cone(self, cone: frozenset, inverse, transposed) -> dict:
+    def _solve_cone(self, cone: frozenset, inverse) -> dict:
         """Solve the relations on a maximal cone.
 
         Returns {rho in the cone: (row, inverse_row)}: x_rho is the sum of
@@ -780,7 +781,9 @@ class GradedQuotientRing(GradedRing):
         inverse_row, rho's row of the inverse relation matrix.  ``inverse``
         is the ring's ``inverses`` entry of the cone, kept as given; its
         rows must pair to the identity with the relations on the cone's
-        rays, read off ``transposed``, the relations' columns.
+        rays.  A row's pairing with every ray is the sum of the relation
+        rows its nonzero entries select, each scaled by its entry (an
+        entry 1 adds the row as it is).
         """
         rays = sorted(cone)
         if len(self.relations) != len(rays) or len(inverse) != len(rays):
@@ -790,8 +793,9 @@ class GradedQuotientRing(GradedRing):
             )
         rewrite = {}
         for inverse_row, rho in zip(inverse, rays):
-            pairing = [sum(map(mul, inverse_row, column))
-                       for column in transposed]
+            pairing = [0] * self.ray_count
+            for a, r in filter(itemgetter(0), zip(inverse_row, self.relations)):
+                pairing = list(map(add, pairing, r if a == 1 else [a * x for x in r]))
             if any(pairing[other] != (other == rho) for other in rays):
                 raise RingConsistencyError(
                     f"the inverse rows given for cone {rays} do not "

@@ -3,18 +3,20 @@
 Only simplicial fans whose maximal cones are full-dimensional are
 representable; cones are recorded as sets of ray indices.  Smoothness,
 completeness and the cones-meet-in-faces condition are decided exactly
-from one dual basis per maximal cone (``dual_table``, which also gives a
-characteristic pair its weights): a complete well-formed fan is
-certified by wall pairing plus one generic point covered once, and any
-fan that certificate rejects is decided by the pairwise check (wall
-counts, adjacency, and a Fourier-Motzkin search for a separating
-hyperplane between every two cones).
+from one dual basis per maximal cone (``cone_duals``: ``dual_table``, a
+Bareiss pass per cone, which also gives a characteristic pair its
+weights, or on a twisted fan ``twisted_duals``, the block inverse of its
+base's and fiber's tables): a complete well-formed fan is certified by
+wall pairing plus one generic point covered once, and any fan that
+certificate rejects is decided by the pairwise check (wall counts,
+adjacency, and a Fourier-Motzkin search for a separating hyperplane
+between every two cones).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from math import gcd
 from operator import mul
@@ -39,11 +41,16 @@ class Fan:
 
     Immutable and hashable; all validation beyond basic shape checks is done
     by :func:`validate`, which reports problems instead of raising.
+    ``parts`` is (base, fiber, lifts) on a twisted fan of smooth fans (see
+    ``twist.twisted_fan``), lifts holding phi(v) of each base ray v, and
+    None otherwise; ``cone_duals`` reads it.  It is left out of equality,
+    hashing and repr, so a twisted fan equals its parsed copy.
     """
 
     dim: int
     rays: tuple[IntVector, ...]
     max_cones: tuple[frozenset[int], ...]
+    parts: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.dim < 0:
@@ -195,7 +202,8 @@ class ConeDuals(NamedTuple):
 
 
 def dual_table(vectors, max_cones) -> ConeDuals:
-    """Each cone's determinant and dual rows, one ``det_adjugate`` each.
+    """Each cone's determinant and dual rows, one ``det_adjugate`` (one
+    Bareiss pass) each.
 
     ``vectors`` (a fan's rays or a pair's charmap values) are indexed by
     ray, in sorted ray order per cone.  Dual row i is the adjugate's
@@ -218,8 +226,43 @@ def dual_table(vectors, max_cones) -> ConeDuals:
 @cache
 def cone_duals(f: Fan) -> ConeDuals:
     """The ``dual_table`` of the fan's rays, once per fan: validation, the
-    basis plan, the fan ring's cone rewrites and localization read it."""
+    basis plan, the fan ring's cone rewrites and localization read it.  A
+    fan with ``parts`` takes it from its base's and fiber's tables
+    (``twisted_duals``), with no Bareiss pass; any other fan runs one pass
+    per cone."""
+    if f.parts is not None:
+        return twisted_duals(*f.parts)
     return dual_table(f.rays, f.max_cones)
+
+
+def twisted_duals(base: Fan, fiber: Fan, lifts) -> ConeDuals:
+    """The ``dual_table`` of the twisted fan of smooth fans base and fiber,
+    base ray i lifted to (v_i, lifts[i]), from their ``cone_duals``.
+
+    The cone of base cone sigma and fiber cone tau lists sigma's lifted
+    rays first, then tau's rays (0, w_j), so its matrix is block
+    triangular: its determinant is det_sigma * det_tau, base ray i's row
+    is sigma's u_i followed by zeros, and fiber ray j's row is
+    (-sum_i <lifts[i], f_j> u_i, f_j), i over sigma, with f_j tau's row
+    of w_j.  Both determinants are +-1, so each row pairs to 1 = |det|
+    with its own ray, as ``dual_table``'s rows do.
+    """
+    base_duals, fiber_duals = cone_duals(base), cone_duals(fiber)
+    pad = (0,) * fiber.dim
+    determinants, rows = [], []
+    for sigma, d, us in zip(base.max_cones, *base_duals):
+        lifted = [lifts[i] for i in sorted(sigma)]
+        columns = tuple(zip(*us))
+        padded = tuple(u + pad for u in us)
+        for e, fs in zip(*fiber_duals):
+            determinants.append(d * e)
+            cone_rows = list(padded)
+            for f in fs:
+                weights = [sum(map(mul, lift, f)) for lift in lifted]
+                cone_rows.append(tuple(-sum(map(mul, weights, column))
+                                       for column in columns) + f)
+            rows.append(tuple(cone_rows))
+    return ConeDuals(tuple(determinants), tuple(rows))
 
 
 @cache

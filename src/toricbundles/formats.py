@@ -1,9 +1,11 @@
 """Text file grammars for fans, piecewise-linear maps, pairs, presentations.
 
 All formats are line based: '#' starts a comment, blank lines are ignored,
-fields are whitespace separated.  Parse problems raise ParseError with the
-1-based line number.  The grammars are stable; serializers below emit
-byte-stable output for identical input.
+fields are whitespace separated.  A section keyword ('rays', 'values',
+'basis', ...) stands alone on its line; only 'name' takes the rest of
+its line.  Parse problems raise ParseError with the 1-based line number.
+The grammars are stable; serializers below emit byte-stable output for
+identical input.
 
 Fan file:            dim N / rays / <ints per line> / max_cones / <indices>
 Pair file:           fan file + charmap / <ints per line, one per ray>
@@ -85,16 +87,26 @@ class _Cursor:
         self.pos += 1
         return item
 
-    def expect_keyword(self, keyword: str):
+    def expect_line(self, keyword: str):
+        """A line starting with keyword: its line number and its other
+        tokens."""
         lineno, line = self.take()
         parts = line.split()
         if parts[0] != keyword:
             raise ParseError(lineno, f"expected {keyword!r}, got {parts[0]!r}")
         return lineno, parts[1:]
 
+    def expect_keyword(self, keyword: str) -> int:
+        """A line holding keyword alone, a section header: its line number."""
+        lineno, rest = self.expect_line(keyword)
+        if rest:
+            raise ParseError(
+                lineno, f"unexpected {' '.join(rest)!r} after {keyword!r}")
+        return lineno
+
     def expect_integer(self, keyword: str):
         """A ``keyword <integer>`` line: its line number and the integer."""
-        lineno, rest = self.expect_keyword(keyword)
+        lineno, rest = self.expect_line(keyword)
         if len(rest) != 1:
             raise ParseError(lineno, f"{keyword} takes exactly one integer")
         return lineno, _ints(rest[0], lineno)[0]
@@ -162,7 +174,7 @@ def fan_to_text(f: Fan, header: str = "") -> str:
 def parse_pair(text: str) -> CharacteristicPair:
     cur = _Cursor(text)
     fan = _parse_fan_sections(cur, stop_keywords=("charmap",))
-    lineno, _ = cur.expect_keyword("charmap")
+    lineno = cur.expect_keyword("charmap")
     charmap = []
     for lineno, line in cur.block_until(set()):
         entries = _ints(line, lineno)
@@ -190,7 +202,7 @@ def pair_to_text(p: CharacteristicPair, header: str = "") -> str:
 def parse_plmap(text: str, base: Fan) -> PiecewiseLinearMap:
     cur = _Cursor(text)
     _, rank = cur.expect_integer("fiber_rank")
-    lineno, _ = cur.expect_keyword("values")
+    lineno = cur.expect_keyword("values")
     values: dict[int, tuple] = {}
     while not cur.done():
         lineno, line = cur.take()
@@ -336,7 +348,7 @@ def _json(obj, newline: str) -> str:
 def parse_base_presentation(text: str) -> BasePresentation:
     """Parse and certify a presentation once per text; failures re-raise."""
     cur = _Cursor(text)
-    lineno, rest = cur.expect_keyword("name")
+    lineno, rest = cur.expect_line("name")
     name = " ".join(rest) if rest else ""
     _, top = cur.expect_integer("top_degree")
     cur.expect_keyword("generators")

@@ -5,9 +5,13 @@ base cones are lifted to the graphs of an integral piecewise-linear map
 into the fiber lattice and summed with the fiber cones.  Coordinates in
 the total lattice are ordered (base, fiber) throughout the repo, and the
 twisted rays list the lifted base rays first, then the fiber rays, so all
-downstream indices are deterministic.  A characteristic pair's charmap
-need not be its rays (a quasitoric manifold); its weight table is
-``fan.dual_table`` on the charmap values.
+downstream indices are deterministic.  Each twisted cone's ray matrix is
+block triangular, so its dual rows are the base cone's, padded with
+zeros, and the fiber cone's, corrected by the twist: the twisted fan's
+``cone_duals`` are built from the base's and fiber's tables, with no
+Bareiss pass of their own.  A characteristic pair's charmap need not be
+its rays (a quasitoric manifold); its weight table is ``fan.dual_table``
+on the charmap values, one Bareiss pass per cone.
 """
 
 from __future__ import annotations
@@ -64,7 +68,9 @@ def twisted_fan(base: Fan, fiber: Fan, phi: PiecewiseLinearMap) -> TwistDecompos
     Rays are the graphs (v, phi(v)) of the base rays followed by the
     embedded fiber rays (0, w); maximal cones are all unions of a lifted
     base cone with a fiber cone.  Smoothness and completeness of the
-    inputs transfer to the output, which is validated.
+    inputs transfer to the output, which is validated.  The output
+    records its parts, so its ``cone_duals`` come from the base's and
+    fiber's by the block inverse (``fan.twisted_duals``).
     """
     require_smooth_complete(base, "twisted_fan base")
     require_smooth_complete(fiber, "twisted_fan fiber")
@@ -84,7 +90,8 @@ def twisted_fan(base: Fan, fiber: Fan, phi: PiecewiseLinearMap) -> TwistDecompos
         for sigma in base.max_cones
         for tau in fiber.max_cones
     ]
-    twisted = Fan(dim=base.dim + fiber.dim, rays=tuple(rays), max_cones=tuple(cones))
+    twisted = Fan(dim=base.dim + fiber.dim, rays=tuple(rays),
+                  max_cones=tuple(cones), parts=(base, fiber, phi.values))
     report = validate(twisted)
     if not report.all_good:
         raise RingConsistencyError(

@@ -141,6 +141,52 @@ def test_integer_headers_take_exactly_one_integer(keyword, parse, line,
         keyword=keyword)
 
 
+def _with_header(text: str, keyword: str) -> str:
+    """text with its ``keyword`` line followed by a stray token."""
+    return text.replace(f"\n{keyword}\n", f"\n{keyword} junk\n", 1)
+
+
+SECTION_HEADERS = [
+    # (keyword, parse of a text whose header line reads 'keyword junk',
+    # the header's line number), every section header of every grammar
+    ("rays", lambda: parse_fan(_with_header(P1_FAN, "rays")), 3),
+    ("max_cones", lambda: parse_fan(_with_header(P1_FAN, "max_cones")), 6),
+    ("charmap", lambda: parse_pair(_with_header(
+        pair_to_text(tautological_pair(p1())), "charmap")), 8),
+    ("values", lambda: parse_plmap(_with_header(PHI_A1, "values"), p1()), 2),
+    ("generators", lambda: parse_base_presentation(
+        _with_header(P1_PRESENTATION, "generators")), 3),
+    ("relations", lambda: parse_base_presentation(
+        _with_header(P1_PRESENTATION, "relations")), 5),
+    ("basis", lambda: parse_base_presentation(
+        _with_header(P1_PRESENTATION, "basis")), 7),
+    ("chern", lambda: parse_base_presentation(
+        _with_header(P1_PRESENTATION, "chern")), 11),
+    ("classes", lambda: parse_twisting(
+        _with_header("\n" + LAMBDA_2H, "classes"),
+        parse_base_presentation(P2_H_PRESENTATION)), 2),
+]
+
+
+@pytest.mark.parametrize("keyword,parse,line", SECTION_HEADERS,
+                         ids=[keyword for keyword, _, _ in SECTION_HEADERS])
+def test_section_headers_take_no_tokens(keyword, parse, line):
+    # these once ignored the rest of their line
+    with pytest.raises(ParseError) as error:
+        parse()
+    assert str(error.value) == f"line {line}: unexpected 'junk' after {keyword!r}"
+
+
+def test_stray_tokens_on_a_fan_header_name_the_first_line():
+    with pytest.raises(ParseError, match="^line 2: unexpected 'junk' after "):
+        parse_fan("dim 1\nrays junk\n1\n-1\nmax_cones 7\n0\n1\n")
+
+
+def test_name_keeps_the_rest_of_its_line():
+    text = P1_PRESENTATION.replace("name P1", "name  P1  over a point")
+    assert parse_base_presentation(text).name == "P1 over a point"
+
+
 @pytest.mark.parametrize("values,line", [("0 1\n", 3), ("", 2)],
                          ids=["one value", "no value"])
 def test_cmd_twist_names_the_line_of_a_missing_value(tmp_path, capsys,

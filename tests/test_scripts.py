@@ -109,6 +109,24 @@ def test_random_twists_script_fails_on_a_wrong_report_writer(capsys,
     assert "0/2 random twists verified" in capsys.readouterr().out
 
 
+def test_random_twists_script_fails_on_a_wrong_twisted_dual_table(
+        capsys, monkeypatch):
+    # the script's fresh Bareiss table differs from the derived one in one
+    # entry of one row
+    module = _load()
+    real = module.dual_table
+
+    def one_off(vectors, max_cones):
+        table = real(vectors, max_cones)
+        (first, *rest), *others = table.rows
+        return table._replace(rows=(((first[0] + 1,) + first[1:], *rest),
+                                    *others))
+
+    monkeypatch.setattr(module, "dual_table", one_off)
+    assert module.main(2, 7, 3) == 2
+    assert "0/2 random twists verified" in capsys.readouterr().out
+
+
 def test_star_subdivision_check_needs_every_route(monkeypatch):
     module = _load()
     threefold = module.nonprojective_threefold()
