@@ -15,12 +15,14 @@ no pairing form), checks that the comparison's class arithmetic and
 those pairings leave the cached twisted ring's attribute set as it was
 (no table of normal forms outlives its call), and spot-checks
 invariance under a random unimodular change of fiber coordinates.  It
-checks that the twisted ring's faces inside the fiber rays are exactly
-the fiber fan's faces, moved to the twisted rays, which the bundle
-formula's fiber factor reads.  The Masuda check must also see a corrupted
-class: with one x_rho added to the twisted pair's equivariant total Chern
-class, the public restriction must differ from the check's expected
-polynomial exactly at the fixed points whose cone holds rho.  The
+checks that the twisted rays are the lifted base rays, in base order,
+then the fiber rays, the order the bundle formula reads, and that the
+twisted ring's faces inside the fiber rays are exactly the fiber fan's
+faces, moved to the twisted rays, which its fiber factor reads.  The
+Masuda check must also see a corrupted class: with one x_rho added to
+the twisted pair's equivariant total Chern class, the public
+restriction must differ from the check's expected polynomial exactly
+at the fixed points whose cone holds rho.  The
 twisted fan's ``cone_duals``, which it takes from the base's and
 fiber's tables by the block inverse, must equal a fresh Bareiss
 ``dual_table`` of its rays, determinants and rows.  Each trial also takes a random star
@@ -74,7 +76,7 @@ from toricbundles.corpus import (
     TwistInstance,
 )
 from toricbundles.equivariant import ordinary_ring
-from toricbundles.faces import mask_rays, ray_mask
+from toricbundles.faces import ray_mask
 from toricbundles.fan import cone_duals, dual_table
 from toricbundles.formats import report_json
 from toricbundles.lattice import mat_vec
@@ -187,14 +189,26 @@ def star_subdivision_holds(fan: Fan) -> bool:
             and numbers[(2, 1)] == 24)
 
 
-def fiber_faces_embed(decomp, ring, fiber: Fan) -> bool:
-    """The twisted ring's faces that lie inside the fiber rays are exactly
-    the fiber fan's faces, each fiber ray moved to its twisted ray (the
-    bundle formula's fiber factor reads them off the twisted ring)."""
-    rays = ray_mask(decomp.fiber_ray_of)
+def rays_in_order(twisted: Fan, base: Fan, fiber: Fan, phi) -> bool:
+    """The twisted rays are the lifts (v, phi(v)) of the base rays, in base
+    order, then the fiber rays (0, w), and the fan records (base, fiber,
+    phi.values) as its parts: the order the bundle formula's pullback and
+    fiber factor read."""
+    lifts = [v + lift for v, lift in zip(base.rays, phi.values)]
+    embedded = [(0,) * base.dim + w for w in fiber.rays]
+    return (twisted.rays == tuple(lifts + embedded)
+            and twisted.parts == (base, fiber, phi.values))
+
+
+def fiber_faces_embed(twisted: Fan, ring, fiber: Fan) -> bool:
+    """The twisted ring's faces that lie inside the fiber rays, the last
+    ``fiber.ray_count`` rays of the twisted fan, are exactly the fiber
+    fan's faces, each fiber ray moved to its twisted ray (the bundle
+    formula's fiber factor reads them off the twisted ring)."""
+    shift = twisted.ray_count - fiber.ray_count
+    rays = ray_mask(range(shift, twisted.ray_count))
     return {face for face in ring.face_masks if face & rays == face} == {
-        ray_mask(decomp.fiber_ray_of[tau] for tau in mask_rays(face))
-        for face in build_ring(fiber).face_masks
+        face << shift for face in build_ring(fiber).face_masks
     }
 
 
@@ -222,12 +236,12 @@ def main(trials: int = 25, seed: int = 7, max_entry: int = 3) -> int:
         ]
         phi = make_plmap(fiber.dim, values)
         name = f"trial {trial}: base {bname}, fiber {fname}, phi {values}"
-        decomp = twisted_fan(base, fiber, phi)
-        twisted = decomp.twisted
+        twisted = twisted_fan(base, fiber, phi)
+        ordered = rays_in_order(twisted, base, fiber, phi)
         derived = cone_duals(twisted) == dual_table(twisted.rays,
                                                     twisted.max_cones)
         ring = build_ring(twisted)
-        embedded = fiber_faces_embed(decomp, ring, fiber)
+        embedded = fiber_faces_embed(twisted, ring, fiber)
         attributes = set(vars(ring))
         report = compare(base, fiber, phi, name)
         pres = presentation_from_fan(base)
@@ -247,7 +261,7 @@ def main(trials: int = 25, seed: int = 7, max_entry: int = 3) -> int:
         inst = TwistInstance(name, base, fiber, phi)
         moved = transform_instance(inst, random_unimodular(fiber.dim, rng))
         moved_ring = build_ring(
-            twisted_fan(moved.base, moved.fiber, moved.phi).twisted
+            twisted_fan(moved.base, moved.fiber, moved.phi)
         )
         invariant = chern_numbers(
             moved_ring, total_chern_intrinsic(moved_ring)
@@ -269,7 +283,8 @@ def main(trials: int = 25, seed: int = 7, max_entry: int = 3) -> int:
         nonprojective = star_subdivision_holds(star)
         ok = (report.equal and presented and localized and gauss and paired
               and kept and invariant and quasitoric and detected
-              and nonprojective and embedded and written and derived)
+              and nonprojective and embedded and written and derived
+              and ordered)
         mark = "ok" if ok else "FAIL"
         print(f"[{mark}] {name}  chi={report.euler_intrinsic}  "
               f"star subdivision: {star.ray_count} rays")

@@ -54,7 +54,6 @@ from .lattice import (
 from .twist import (
     CharacteristicPair,
     PiecewiseLinearMap,
-    TwistDecomposition,
     make_plmap,
     principal_classes,
     tautological_pair,

@@ -4,9 +4,11 @@ Two independent routes to the total Chern class of a fibered toric
 variety are implemented: the intrinsic ray product on the twisted fan,
 and the bundle formula (pullback of the base class times the fiber ray
 product).  ``compare`` checks their exact per-degree equality; the formula
-holds, so a disagreement falsifies the implementation.  ``pullback`` maps
-a base class only after checking that every base linear relation lands
-in the twisted ring's ideal.
+holds, so a disagreement falsifies the implementation.  Both read the
+twisted ``Fan`` alone: its parts give the base and fiber, and its ray
+order (lifted base rays, then fiber rays) the map of base rays and the
+fiber rays.  ``pullback`` maps a base class only after checking that
+every base linear relation lands in the twisted ring's ideal.
 
 Chern numbers have two routes.  The ring route, ``chern_numbers``, works
 in any ring, the bundle ring included: a balanced product tree of ring
@@ -34,14 +36,9 @@ from .cohomology import (
     RingConsistencyError,
     build_ring,
 )
-from .faces import face_monomial_sum, ray_mask
-from .fan import (
-    GENERIC_DIRECTION_BUDGET,
-    Fan,
-    first_generic_coordinates,
-    require_smooth_complete,
-)
-from .twist import PiecewiseLinearMap, TwistDecomposition, twisted_fan
+from .faces import face_monomial_sum
+from .fan import Fan, first_generic_coordinates, require_smooth_complete
+from .twist import PiecewiseLinearMap, twisted_fan
 
 
 def total_chern_intrinsic(ring: GradedQuotientRing) -> CohomologyClass:
@@ -49,37 +46,42 @@ def total_chern_intrinsic(ring: GradedQuotientRing) -> CohomologyClass:
     return ring.face_sum()
 
 
-def pullback(decomp: TwistDecomposition, base_ring: GradedQuotientRing,
-             twisted_ring: GradedQuotientRing,
-             cls: CohomologyClass) -> CohomologyClass:
+def _parts(twisted: Fan) -> tuple:
+    """The twisted fan's (base, fiber, lifts); a fan that does not record
+    them (a parsed copy) raises ValueError."""
+    if twisted.parts is None:
+        raise ValueError(
+            "the bundle formula needs a fan built by twisted_fan, which "
+            "records its base and fiber"
+        )
+    return twisted.parts
+
+
+def pullback(twisted: Fan, cls: CohomologyClass) -> CohomologyClass:
     """Image of a base class under the projection of a twisted fan.
 
     The ring map sends the base generator of ray sigma to the generator
-    of its lifted ray.  Every base linear relation is first checked to
-    land in the twisted ring's ideal (RingConsistencyError otherwise), so
-    inconsistent bookkeeping fails fast and the bundle-formula route
-    keeps its own check.
+    of its lifted ray, which ``twisted_fan`` lists first, in base order:
+    a base monomial is padded with a zero exponent per fiber ray.  Every
+    base linear relation is first checked to land in the twisted ring's
+    ideal (RingConsistencyError otherwise), so a fan whose rays are not
+    in that order fails fast and the bundle-formula route keeps its own
+    check.
     """
-    if base_ring.ray_count != len(decomp.graph_ray_of):
-        raise ValueError("base ring does not match the decomposition")
-    if twisted_ring.ray_count != decomp.twisted.ray_count:
-        raise ValueError("twisted ring does not match the decomposition")
-    if cls.ring is not base_ring:
+    base, fiber, _ = _parts(twisted)
+    if cls.ring is not build_ring(base):
         raise ValueError("class does not live on the base ring")
+    twisted_ring = build_ring(twisted)
     forms = twisted_ring.normal_forms()
+    pad = (0,) * fiber.ray_count
 
     def image(poly):
-        mapped = {}
-        for mono, coeff in poly.items():
-            lifted = [0] * twisted_ring.ray_count
-            for rho, e in enumerate(mono):
-                lifted[decomp.graph_ray_of[rho]] = e
-            mapped[tuple(lifted)] = mapped.get(tuple(lifted), 0) + coeff
-        return twisted_ring.reduce_poly(mapped, forms)
+        return twisted_ring.reduce_poly(
+            {mono + pad: coeff for mono, coeff in poly.items()}, forms)
 
-    units = [tuple(int(i == rho) for i in range(base_ring.ray_count))
-             for rho in range(base_ring.ray_count)]
-    for rel in base_ring.relations:
+    units = [tuple(int(i == rho) for i in range(base.ray_count))
+             for rho in range(base.ray_count)]
+    for rel in cls.ring.relations:
         if not image(dict(zip(units, rel))).is_zero():
             raise RingConsistencyError(
                 "base linear relation does not map into the twisted ideal"
@@ -87,31 +89,32 @@ def pullback(decomp: TwistDecomposition, base_ring: GradedQuotientRing,
     return image(cls.to_poly())
 
 
-def _fiber_factor(decomp: TwistDecomposition,
+def _fiber_factor(fiber: Fan,
                   twisted_ring: GradedQuotientRing) -> CohomologyClass:
-    """Product of (1 + x_tau) over the embedded fiber rays: the twisted
-    ring's faces that lie inside the fiber rays, which are the fiber fan's
-    faces moved to their twisted rays, as every twisted cone is a lifted
-    base cone joined to a fiber cone."""
-    fiber_rays = ray_mask(decomp.fiber_ray_of)
+    """Product of (1 + x_tau) over the embedded fiber rays, the last
+    ``fiber.ray_count`` rays: the twisted ring's faces that lie inside
+    them, which are the fiber fan's faces moved to their twisted rays, as
+    every twisted cone is a lifted base cone joined to a fiber cone."""
+    fiber_rays = ((1 << fiber.ray_count) - 1) << (
+        twisted_ring.ray_count - fiber.ray_count)
     embedded = [m for m in twisted_ring.face_masks if m & fiber_rays == m]
     return twisted_ring.reduce_poly(
         face_monomial_sum(embedded, twisted_ring.ray_count)
     )
 
 
-def total_chern_bundle_formula(decomp: TwistDecomposition,
-                               base: Fan) -> CohomologyClass:
+def total_chern_bundle_formula(twisted: Fan) -> CohomologyClass:
     """Main-formula route: pullback of the base class times the fiber product.
 
-    Never touches the twisted fan's full ray product, so comparing it with
-    the intrinsic route is a genuine two-route check.
+    The base and fiber are the twisted fan's parts.  Never touches the
+    twisted fan's full ray product, so comparing it with the intrinsic
+    route is a genuine two-route check.
     """
+    base, fiber, _ = _parts(twisted)
     base_ring = build_ring(base)
-    twisted_ring = build_ring(decomp.twisted)
-    pulled = pullback(decomp, base_ring, twisted_ring,
-                      total_chern_intrinsic(base_ring))
-    return pulled * _fiber_factor(decomp, twisted_ring)
+    twisted_ring = build_ring(twisted)
+    pulled = pullback(twisted, total_chern_intrinsic(base_ring))
+    return pulled * _fiber_factor(fiber, twisted_ring)
 
 
 def partitions(n: int) -> list[tuple[int, ...]]:
@@ -205,20 +208,14 @@ def chern_numbers_localized(f: Fan) -> dict[tuple[int, ...], int]:
     by (-1)^n, so the numbers do not depend on it.
 
     t0 is the first moment-curve point (1, t, t^2, ...) with no zero
-    weight at any cone, within ``GENERIC_DIRECTION_BUDGET`` points.  The
-    sum is exact, over the common denominator lcm_sigma e_n(w); a
+    weight at any cone, which ``first_generic_coordinates`` always finds.
+    The sum is exact, over the common denominator lcm_sigma e_n(w); a
     remainder raises RingConsistencyError naming the partition.  The
     result keeps ``partitions(n)`` order.
     """
     require_smooth_complete(f, "chern_numbers_localized")
     n = f.dim
     weights = first_generic_coordinates(f)
-    if weights is None:
-        raise RingConsistencyError(
-            "no generic direction gives every fixed point nonzero weights "
-            f"among the first {GENERIC_DIRECTION_BUDGET} moment-curve points "
-            "(1, t, t^2, ...)"
-        )
     # symmetric[k][i] = e_k of the weights of cone i, one list per k,
     # multiplied out one weight of every cone at a time
     symmetric = [[1] * len(weights)]
@@ -324,16 +321,16 @@ def compare(base: Fan, fiber: Fan, phi: PiecewiseLinearMap,
     must equal fixed-point localization on the twisted fan; a difference
     raises RingConsistencyError naming the partition.
     """
-    decomp = twisted_fan(base, fiber, phi)
-    twisted_ring = build_ring(decomp.twisted)
+    twisted = twisted_fan(base, fiber, phi)
+    twisted_ring = build_ring(twisted)
     intrinsic = total_chern_intrinsic(twisted_ring)
-    bundle = total_chern_bundle_formula(decomp, base)
+    bundle = total_chern_bundle_formula(twisted)
     degrees = tuple(
         DegreeComparison(2 * d, intrinsic.parts[d], bundle.parts[d])
         for d in range(twisted_ring.degree_cap + 1)
     )
     numbers = chern_numbers(twisted_ring, intrinsic)
-    localized = chern_numbers_localized(decomp.twisted)
+    localized = chern_numbers_localized(twisted)
     for part, value in numbers.items():
         if localized[part] != value:
             raise RingConsistencyError(
@@ -347,7 +344,7 @@ def compare(base: Fan, fiber: Fan, phi: PiecewiseLinearMap,
         intrinsic_numbers=numbers,
         bundle_numbers=(numbers if bundle == intrinsic
                         else chern_numbers(twisted_ring, bundle)),
-        euler_expected=euler_characteristic(decomp.twisted),
+        euler_expected=euler_characteristic(twisted),
         euler_intrinsic=twisted_ring.integrate(
             intrinsic.component(twisted_ring.dim)
         ),

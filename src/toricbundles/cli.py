@@ -118,8 +118,7 @@ def cmd_twist(args) -> int:
     base = parse_fan(_read(args.base))
     fiber = parse_fan(_read(args.fiber))
     phi = parse_plmap(_read(args.phi), base)
-    decomp = twisted_fan(base, fiber, phi)
-    _write(args, fan_to_text(decomp.twisted, "twisted fan"))
+    _write(args, fan_to_text(twisted_fan(base, fiber, phi), "twisted fan"))
     return EXIT_OK
 
 

@@ -136,7 +136,6 @@ from operator import add, itemgetter, mul, neg, sub
 from typing import NamedTuple
 
 from .fan import (
-    GENERIC_DIRECTION_BUDGET,
     Fan,
     cone_duals,
     first_generic_coordinates,
@@ -204,15 +203,9 @@ def fixed_point_basis_plan(f: Fan):
             raise RingConsistencyError(
                 f"cone {cone_sorted} has linearly dependent rays"
             )
-    coordinates = first_generic_coordinates(f)
-    if coordinates is None:
-        raise RingConsistencyError(
-            "no generic direction yields a fixed-point basis plan among the "
-            f"first {GENERIC_DIRECTION_BUDGET} moment-curve points (1, t, t^2, ...)"
-        )
     return [
         frozenset(rho for rho, c in zip(cone_sorted, coords) if c < 0)
-        for cone_sorted, coords in zip(cones, coordinates)
+        for cone_sorted, coords in zip(cones, first_generic_coordinates(f))
     ]
 
 
@@ -492,11 +485,6 @@ class GradedRing:
                 for k, v in table[below[lower]]:
                     _add_term(form, k, (-c * v) * self._lam[j])
         return form
-
-    @property
-    def top_degree(self) -> int:
-        """Top cohomological degree 2*dim."""
-        return 2 * self.dim
 
     def rank(self, d: int) -> int:
         return self._degrees[d].rank

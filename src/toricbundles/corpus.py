@@ -55,7 +55,7 @@ def del_pezzo_6() -> Fan:
 def hirzebruch(a: int) -> Fan:
     """The twisted fan of the degree-a Hirzebruch-type surface."""
     phi = make_plmap(1, [[a], [0]])
-    return twisted_fan(projective_line(), projective_line(), phi).twisted
+    return twisted_fan(projective_line(), projective_line(), phi)
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,8 @@ def corpus_fans() -> tuple[tuple[str, Fan], ...]:
         ("dP6", del_pezzo_6()),
     ]
     for inst in corpus_instances():
-        decomp = twisted_fan(inst.base, inst.fiber, inst.phi)
-        out.append((f"twisted[{inst.name}]", decomp.twisted))
+        out.append((f"twisted[{inst.name}]",
+                    twisted_fan(inst.base, inst.fiber, inst.phi)))
     return tuple(out)
 
 
@@ -244,8 +244,7 @@ def run_corpus() -> list[CorpusCheck]:
         for _ in range(ISOMORPHISM_TRIALS):
             u = random_unimodular(inst.fiber.dim, rng)
             moved = transform_instance(inst, u)
-            decomp = twisted_fan(moved.base, moved.fiber, moved.phi)
-            ring = build_ring(decomp.twisted)
+            ring = build_ring(twisted_fan(moved.base, moved.fiber, moved.phi))
             numbers = chern.chern_numbers(
                 ring, chern.total_chern_intrinsic(ring)
             )

@@ -7,8 +7,9 @@ from one dual basis per maximal cone (``cone_duals``: ``dual_table``, a
 Bareiss pass per cone, which also gives a characteristic pair its
 weights, or on a twisted fan ``twisted_duals``, the block inverse of its
 base's and fiber's tables): a complete well-formed fan is certified by
-wall pairing plus one generic point covered once, and any fan that
-certificate rejects is decided by the pairwise check (wall counts,
+wall pairing plus one generic point covered once (the first
+moment-curve point off every wall, which always exists), and any fan
+that certificate rejects is decided by the pairwise check (wall counts,
 adjacency, and a Fourier-Motzkin search for a separating hyperplane
 between every two cones).
 """
@@ -24,14 +25,10 @@ from typing import NamedTuple
 
 from .lattice import IntVector, det_adjugate, is_primitive, vector
 
-GENERIC_DIRECTION_BUDGET = 999
-"""How many moment-curve points (1, t, t^2, ...), t = 1, 2, ..., a search
-for a generic direction tries before it gives up."""
-
 
 def moment_curve(dim: int):
-    """The candidate generic directions (1, t, ..., t^(dim-1)), in order of t."""
-    for t in range(1, GENERIC_DIRECTION_BUDGET + 1):
+    """The candidate generic directions (1, t, ..., t^(dim-1)), t = 1, 2, ..."""
+    for t in itertools.count(1):
         yield tuple(t ** k for k in range(dim))
 
 
@@ -43,8 +40,11 @@ class Fan:
     by :func:`validate`, which reports problems instead of raising.
     ``parts`` is (base, fiber, lifts) on a twisted fan of smooth fans (see
     ``twist.twisted_fan``), lifts holding phi(v) of each base ray v, and
-    None otherwise; ``cone_duals`` reads it.  It is left out of equality,
-    hashing and repr, so a twisted fan equals its parsed copy.
+    None otherwise.  Such a fan lists the lifted base rays (v, phi(v)),
+    in base order, then the fiber rays (0, w); ``cone_duals`` and the
+    bundle formula read its parts and that order.  ``parts`` is left out
+    of equality, hashing and repr, so a twisted fan equals its parsed
+    copy, which has no parts.
     """
 
     dim: int
@@ -266,15 +266,20 @@ def twisted_duals(base: Fan, fiber: Fan, lifts) -> ConeDuals:
 
 
 @cache
-def first_generic_coordinates(f: Fan) -> list[list[int]] | None:
+def first_generic_coordinates(f: Fan) -> list[list[int]]:
     """The pairings <dual row, point> of each cone, one list per cone, at
-    the first moment-curve point off every wall, once per fan, or None
-    when the budget runs out.
+    the first moment-curve point off every wall, once per fan.
 
     A point lies on a wall of a cone exactly when it pairs to 0 with one
     of the cone's dual rows.  Read by the completeness certificate, the
     basis plan and fixed-point localization.  Every maximal cone must
     have its dual rows (none degenerate).
+
+    The search always ends.  A nondegenerate cone's dual rows are
+    nonzero, so each row u gives a nonzero polynomial sum_k u_k t^k of
+    degree at most n - 1, which has at most n - 1 roots.  With R dual
+    rows in all, at most R(n - 1) values of t put the point on a wall,
+    so one of t = 1, ..., R(n - 1) + 1 does not.
     """
     duals = cone_duals(f).rows
     for point in moment_curve(f.dim):
@@ -286,7 +291,6 @@ def first_generic_coordinates(f: Fan) -> list[list[int]] | None:
             coordinates.append(coords)
         else:
             return coordinates
-    return None
 
 
 @cache
@@ -392,10 +396,8 @@ def _certified_complete(f: Fan, sides: dict) -> bool:
         (k, pos, _), (_, _, other) = pair
         if sum(map(mul, duals[k][pos], f.rays[other])) >= 0:
             return False
-    coordinates = first_generic_coordinates(f)
-    return coordinates is not None and sum(
-        min(coords, default=1) > 0 for coords in coordinates
-    ) == 1
+    return sum(min(coords, default=1) > 0
+               for coords in first_generic_coordinates(f)) == 1
 
 
 def _pairwise_checks(f: Fan, sides: dict, well_formed: bool,

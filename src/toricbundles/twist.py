@@ -4,12 +4,13 @@ A fibered toric variety over a toric base is cut out by a twisted fan: the
 base cones are lifted to the graphs of an integral piecewise-linear map
 into the fiber lattice and summed with the fiber cones.  Coordinates in
 the total lattice are ordered (base, fiber) throughout the repo, and the
-twisted rays list the lifted base rays first, then the fiber rays, so all
-downstream indices are deterministic.  Each twisted cone's ray matrix is
-block triangular, so its dual rows are the base cone's, padded with
-zeros, and the fiber cone's, corrected by the twist: the twisted fan's
-``cone_duals`` are built from the base's and fiber's tables, with no
-Bareiss pass of their own.  A characteristic pair's charmap need not be
+twisted rays list the lifted base rays first, then the fiber rays.  The
+twisted ``Fan`` records its parts (base, fiber, lifts), and with that ray
+order they are all the bundle formula needs.  Each twisted cone's ray
+matrix is block triangular, so its dual rows are the base cone's, padded
+with zeros, and the fiber cone's, corrected by the twist: the twisted
+fan's ``cone_duals`` are built from the base's and fiber's tables, with
+no Bareiss pass of their own.  A characteristic pair's charmap need not be
 its rays (a quasitoric manifold); its weight table is ``fan.dual_table``
 on the charmap values, one Bareiss pass per cone.
 """
@@ -48,29 +49,17 @@ def make_plmap(fiber_rank, values) -> PiecewiseLinearMap:
     return PiecewiseLinearMap(int(fiber_rank), tuple(vector(v) for v in values))
 
 
-@dataclass(frozen=True)
-class TwistDecomposition:
-    """A twisted fan plus the bookkeeping of where each input ray went."""
-
-    twisted: Fan
-    graph_ray_of: tuple[int, ...]  # base ray index -> twisted ray index
-    fiber_ray_of: tuple[int, ...]  # fiber ray index -> twisted ray index
-
-    def __post_init__(self):
-        images = list(self.graph_ray_of) + list(self.fiber_ray_of)
-        if sorted(images) != list(range(self.twisted.ray_count)):
-            raise ValueError("ray associations must partition the twisted rays")
-
-
-def twisted_fan(base: Fan, fiber: Fan, phi: PiecewiseLinearMap) -> TwistDecomposition:
+def twisted_fan(base: Fan, fiber: Fan, phi: PiecewiseLinearMap) -> Fan:
     """Build the twisted fan of (base, fiber, phi).
 
     Rays are the graphs (v, phi(v)) of the base rays followed by the
-    embedded fiber rays (0, w); maximal cones are all unions of a lifted
-    base cone with a fiber cone.  Smoothness and completeness of the
-    inputs transfer to the output, which is validated.  The output
-    records its parts, so its ``cone_duals`` come from the base's and
-    fiber's by the block inverse (``fan.twisted_duals``).
+    embedded fiber rays (0, w), so base ray i is twisted ray i and fiber
+    ray j is twisted ray base.ray_count + j; maximal cones are all unions
+    of a lifted base cone with a fiber cone.  Smoothness and completeness
+    of the inputs transfer to the output, which is validated.  The output
+    records its parts (base, fiber, phi.values), so its ``cone_duals``
+    come from the base's and fiber's by the block inverse
+    (``fan.twisted_duals``) and the bundle formula finds its base there.
     """
     require_smooth_complete(base, "twisted_fan base")
     require_smooth_complete(fiber, "twisted_fan fiber")
@@ -98,11 +87,7 @@ def twisted_fan(base: Fan, fiber: Fan, phi: PiecewiseLinearMap) -> TwistDecompos
             "twisted fan of smooth complete data failed validation: "
             + "; ".join(report.diagnostics)
         )
-    return TwistDecomposition(
-        twisted=twisted,
-        graph_ray_of=tuple(range(base.ray_count)),
-        fiber_ray_of=tuple(range(shift, shift + fiber.ray_count)),
-    )
+    return twisted
 
 
 def principal_classes(phi: PiecewiseLinearMap) -> list[IntVector]:
@@ -193,7 +178,7 @@ def twisted_pair(
     """
     validate_pair(base_pair)
     validate_pair(fiber_pair)
-    decomp = twisted_fan(base_pair.complex, fiber_pair.complex, phi)
+    twisted = twisted_fan(base_pair.complex, fiber_pair.complex, phi)
     m = base_pair.complex.dim
     n = fiber_pair.complex.dim
     charmap = [
@@ -201,6 +186,6 @@ def twisted_pair(
         for i in range(base_pair.complex.ray_count)
     ]
     charmap += [(0,) * m + lam for lam in fiber_pair.charmap]
-    pair = CharacteristicPair(complex=decomp.twisted, charmap=tuple(charmap))
+    pair = CharacteristicPair(complex=twisted, charmap=tuple(charmap))
     validate_pair(pair)
     return pair

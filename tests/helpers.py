@@ -79,7 +79,7 @@ the library's rows on.  ``bundle_cases``,
 seeded coefficients both bundle-ring references run on, and
 ``random_face_poly`` the seeded polynomials of the fan-ring reference.
 ``dim5_twists`` are the seeded twisted fans both Chern-number reference
-tests run on.
+tests run on, and ``dim5_twist_data`` their (base, fiber, phi).
 ``left_to_right_chern_numbers`` is the reference for ``chern_numbers``:
 it multiplies the Chern classes of each partition left to right and
 integrates the top component, as the library did before it split each
@@ -89,7 +89,7 @@ it sweeps the moment curve for the first point whose restriction sets
 are distinct and count the h-vector, as the library did before it read
 the plan at the fan's cached first generic point; ``generic_coordinates``
 is its sweep, every point off the walls in turn, where the library stops
-at the first.
+at the first, and it gives up after ``SWEEP_POINTS`` of them.
 ``summed_product`` is the reference for a presentation's products: it
 sums the basis products of ``basis_products`` and reduces them by the
 pivots, as the library did before every product read one table of
@@ -336,6 +336,12 @@ def quasitoric_pairs():
 
 def dim5_twists(count, seed):
     """Seeded twisted fans of dimension 5 over P2..P4, P1xP1 and P2xP1."""
+    for base, fiber, phi in dim5_twist_data(count, seed):
+        yield twisted_fan(base, fiber, phi)
+
+
+def dim5_twist_data(count, seed):
+    """The (base, fiber, phi) of each of ``dim5_twists(count, seed)``."""
     shapes = [
         (projective_space(2), projective_space(3)),
         (projective_space(3), projective_space(2)),
@@ -353,7 +359,7 @@ def dim5_twists(count, seed):
             [rng.randint(-2, 2) for _ in range(fiber.dim)]
             for _ in range(base.ray_count)
         ])
-        yield twisted_fan(base, fiber, phi).twisted
+        yield base, fiber, phi
 
 
 def star_surface(ray_count, rng):
@@ -456,7 +462,8 @@ def generic_coordinates(duals, dim):
     of t, the pairings <dual row, point> of each cone, one list per cone.
 
     A point lies on a wall of a cone exactly when it pairs to 0 with one
-    of the cone's dual rows.  The search ends after the budget's points.
+    of the cone's dual rows.  The sweep does not end: on nondegenerate
+    cones all but finitely many points are off the walls.
     """
     for point in moment_curve(dim):
         coordinates = []
@@ -563,12 +570,18 @@ def summed_product(ring, a, b):
     return CohomologyClass(ring, tuple(parts))
 
 
+SWEEP_POINTS = 999
+"""How many generic moment-curve points ``sweeping_basis_plan`` tries."""
+
+
 def sweeping_basis_plan(f, h_expected):
     """The fixed-point basis plan from the first moment-curve point whose
     negative-coordinate ray sets are distinct and count ``h_expected``:
-    those sets, in ``max_cones`` order."""
+    those sets, in ``max_cones`` order.  Only the first ``SWEEP_POINTS``
+    generic points are tried."""
     cones = [sorted(cone) for cone in f.max_cones]
-    for coordinates in generic_coordinates(cone_duals(f).rows, f.dim):
+    sweep = generic_coordinates(cone_duals(f).rows, f.dim)
+    for coordinates in itertools.islice(sweep, SWEEP_POINTS):
         sets = [
             frozenset(rho for rho, c in zip(cone_sorted, coords) if c < 0)
             for cone_sorted, coords in zip(cones, coordinates)
@@ -578,7 +591,9 @@ def sweeping_basis_plan(f, h_expected):
             counts[len(tau)] += 1
         if len(set(sets)) == len(sets) and counts == list(h_expected):
             return sets
-    raise RingConsistencyError("no moment-curve point gives a basis plan")
+    raise RingConsistencyError(
+        f"none of the first {SWEEP_POINTS} generic moment-curve points gives "
+        "a basis plan")
 
 
 def fiber_restriction(ring, cls):

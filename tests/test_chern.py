@@ -14,7 +14,6 @@ from helpers import (
 from toricbundles import (
     Fan,
     RingConsistencyError,
-    TwistDecomposition,
     build_ring,
     chern_numbers,
     compare,
@@ -30,6 +29,7 @@ from toricbundles import (
 from toricbundles import chern
 from toricbundles.chern import partitions
 from toricbundles.corpus import corpus_fans, corpus_instances
+from toricbundles.formats import fan_to_text, parse_fan
 
 
 def test_total_chern_p1():
@@ -73,31 +73,22 @@ def test_total_chern_p1xp1_multiplicative():
 def test_pullback_unit_and_generator():
     base, fiber = p1(), p1()
     phi = make_plmap(1, [[2], [0]])
-    decomp = twisted_fan(base, fiber, phi)
+    twisted = twisted_fan(base, fiber, phi)
     base_ring = build_ring(base)
-    twisted_ring = build_ring(decomp.twisted)
-    assert pullback(decomp, base_ring, twisted_ring, base_ring.unit()) == (
-        twisted_ring.unit()
-    )
-    image = pullback(
-        decomp, base_ring, twisted_ring,
-        base_ring.reduce_poly({(1, 0): 1}),
-    )
+    twisted_ring = build_ring(twisted)
+    assert pullback(twisted, base_ring.unit()) == twisted_ring.unit()
+    image = pullback(twisted, base_ring.reduce_poly({(1, 0): 1}))
     assert image == twisted_ring.reduce_poly({(1, 0, 0, 0): 1})
 
 
 def test_pullback_point_times_fiber_point_integrates_to_one():
     base, fiber = p2(), p1()
     phi = make_plmap(1, [[0], [0], [0]])
-    decomp = twisted_fan(base, fiber, phi)
-    base_ring = build_ring(base)
-    twisted_ring = build_ring(decomp.twisted)
-    pulled_point = pullback(decomp, base_ring, twisted_ring,
-                            base_ring.point_class())
-    fiber_point = twisted_ring.reduce_poly(
-        {tuple(1 if i == decomp.fiber_ray_of[0] else 0
-               for i in range(twisted_ring.ray_count)): 1}
-    )
+    twisted = twisted_fan(base, fiber, phi)
+    twisted_ring = build_ring(twisted)
+    pulled_point = pullback(twisted, build_ring(base).point_class())
+    # the first fiber ray follows the three lifted base rays
+    fiber_point = twisted_ring.reduce_poly({(0, 0, 0, 1, 0): 1})
     assert twisted_ring.integrate(
         (pulled_point * fiber_point).component(3)
     ) == 1
@@ -106,24 +97,20 @@ def test_pullback_point_times_fiber_point_integrates_to_one():
 def test_pullback_is_multiplicative_on_samples():
     base, fiber = p2(), p1()
     phi = make_plmap(1, [[1], [2], [0]])
-    decomp = twisted_fan(base, fiber, phi)
+    twisted = twisted_fan(base, fiber, phi)
     base_ring = build_ring(base)
-    twisted_ring = build_ring(decomp.twisted)
     a = base_ring.reduce_poly({(1, 0, 0): 2, (0, 1, 0): -1})
     b = base_ring.reduce_poly({(0, 0, 1): 3})
-
-    def pulled(cls):
-        return pullback(decomp, base_ring, twisted_ring, cls)
-
-    assert pulled(a * b) == pulled(a) * pulled(b)
+    assert pullback(twisted, a * b) == (
+        pullback(twisted, a) * pullback(twisted, b))
 
 
 def test_bundle_formula_equals_intrinsic_zero_twist():
     base = fiber = p1()
     phi = make_plmap(1, [[0], [0]])
-    decomp = twisted_fan(base, fiber, phi)
-    assert total_chern_bundle_formula(decomp, base) == (
-        total_chern_intrinsic(build_ring(decomp.twisted))
+    twisted = twisted_fan(base, fiber, phi)
+    assert total_chern_bundle_formula(twisted) == (
+        total_chern_intrinsic(build_ring(twisted))
     )
 
 
@@ -147,9 +134,9 @@ def test_compare_computes_the_numbers_once_when_the_routes_agree(monkeypatch):
     report = compare(base, fiber, phi)
     assert report.equal
     assert len(calls) == 1
-    decomp = twisted_fan(base, fiber, phi)
-    ring = build_ring(decomp.twisted)
-    bundle = total_chern_bundle_formula(decomp, base)
+    twisted = twisted_fan(base, fiber, phi)
+    ring = build_ring(twisted)
+    bundle = total_chern_bundle_formula(twisted)
     assert report.bundle_numbers == chern_numbers(ring, bundle)
     assert report.intrinsic_numbers == chern_numbers(
         ring, total_chern_intrinsic(ring)
@@ -175,7 +162,7 @@ def test_a_cold_compare_certifies_the_base_and_twisted_fans_only(monkeypatch):
     base, fiber = p2(), p1()
     phi = make_plmap(1, [[1], [0], [2]])
     assert compare(base, fiber, phi).equal
-    assert certified == [twisted_fan(base, fiber, phi).twisted, base]
+    assert certified == [twisted_fan(base, fiber, phi), base]
 
 
 def test_compare_p2_p1_twist_euler():
@@ -193,8 +180,7 @@ def test_chern_numbers_p2():
 
 def test_chern_numbers_hirzebruch_family():
     for a in range(4):
-        decomp = twisted_fan(p1(), p1(), make_plmap(1, [[a], [0]]))
-        ring = build_ring(decomp.twisted)
+        ring = build_ring(twisted_fan(p1(), p1(), make_plmap(1, [[a], [0]])))
         numbers = chern_numbers(ring, total_chern_intrinsic(ring))
         assert numbers == {(1, 1): 8, (2,): 4}
 
@@ -236,8 +222,7 @@ def test_kunneth_euler_multiplicativity():
     for base, fiber in [(p1(), p2()), (p2(), p1()), (square_fan(), p1())]:
         phi = make_plmap(fiber.dim,
                          [[0] * fiber.dim for _ in range(base.ray_count)])
-        decomp = twisted_fan(base, fiber, phi)
-        ring = build_ring(decomp.twisted)
+        ring = build_ring(twisted_fan(base, fiber, phi))
         top = total_chern_intrinsic(ring).component(ring.dim)
         assert ring.integrate(top) == (
             euler_characteristic(base) * euler_characteristic(fiber)
@@ -246,9 +231,9 @@ def test_kunneth_euler_multiplicativity():
 
 def test_degree_two_part_is_anticanonical():
     for inst in corpus_instances():
-        decomp = twisted_fan(inst.base, inst.fiber, inst.phi)
+        twisted = twisted_fan(inst.base, inst.fiber, inst.phi)
         base_ring = build_ring(inst.base)
-        ring = build_ring(decomp.twisted)
+        ring = build_ring(twisted)
         total = total_chern_intrinsic(ring)
         divisor_sum = ring.reduce_poly({
             tuple(1 if i == rho else 0 for i in range(ring.ray_count)): 1
@@ -256,11 +241,9 @@ def test_degree_two_part_is_anticanonical():
         })
         assert total.component(1) == divisor_sum.component(1)
         pulled_c1 = pullback(
-            decomp, base_ring, ring,
-            total_chern_intrinsic(base_ring).component(1),
-        )
+            twisted, total_chern_intrinsic(base_ring).component(1))
         fiber_sum = ring.reduce_poly({
-            tuple(1 if i == decomp.fiber_ray_of[tau] else 0
+            tuple(1 if i == inst.base.ray_count + tau else 0
                   for i in range(ring.ray_count)): 1
             for tau in range(inst.fiber.ray_count)
         })
@@ -273,22 +256,34 @@ def test_partitions_canonical():
 
 
 def test_pullback_rejects_mismatched_rings():
-    decomp = twisted_fan(p1(), p1(), make_plmap(1, [[1], [0]]))
-    base_ring = build_ring(p2())
-    twisted_ring = build_ring(decomp.twisted)
-    with pytest.raises(ValueError):
-        pullback(decomp, base_ring, twisted_ring, base_ring.unit())
+    twisted = twisted_fan(p1(), p1(), make_plmap(1, [[1], [0]]))
+    with pytest.raises(ValueError, match="base ring"):
+        pullback(twisted, build_ring(p2()).unit())
 
 
 def test_pullback_checks_the_base_relations_in_the_twisted_ideal():
-    # base rays sent to the fiber rays: the base relation x0 - x1 lands on
-    # x2 - x3, which is -x0 in the twisted ring, not 0
-    decomp = twisted_fan(p1(), p1(), make_plmap(1, [[1], [0]]))
-    swapped = TwistDecomposition(decomp.twisted, (2, 3), (0, 1))
-    base_ring = build_ring(p1())
-    twisted_ring = build_ring(decomp.twisted)
+    # the fiber rays listed first: the base relation x0 - x1 lands on
+    # x0 - x1, which is -x2 in this fan's ring, not 0
+    twisted = twisted_fan(p1(), p1(), make_plmap(1, [[1], [0]]))
+    rays = twisted.rays[2:] + twisted.rays[:2]
+    cones = tuple(frozenset((i + 2) % 4 for i in cone)
+                  for cone in twisted.max_cones)
+    # the parts-less fan's ring is built from its rays; the fan with parts
+    # equals it, so it reads that ring rather than duals from its parts
+    build_ring(Fan(2, rays, cones))
+    swapped = Fan(2, rays, cones, parts=twisted.parts)
     with pytest.raises(RingConsistencyError, match="twisted ideal"):
-        pullback(swapped, base_ring, twisted_ring, base_ring.unit())
+        pullback(swapped, build_ring(p1()).unit())
+
+
+def test_a_fan_without_parts_names_twisted_fan():
+    twisted = twisted_fan(p2(), p1(), make_plmap(1, [[1], [0], [2]]))
+    copy = parse_fan(fan_to_text(twisted))
+    assert copy == twisted and copy.parts is None
+    with pytest.raises(ValueError, match="twisted_fan"):
+        total_chern_bundle_formula(copy)
+    with pytest.raises(ValueError, match="twisted_fan"):
+        pullback(copy, build_ring(p2()).unit())
 
 
 def test_chern_numbers_of_the_point():

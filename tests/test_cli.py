@@ -362,7 +362,7 @@ def test_cmd_twist_writes_fan_file(tmp_path, capsys):
                  str(phi)])
     assert code == 0
     twisted = parse_fan(out_path.read_text())
-    expected = twisted_fan(p1(), p1(), make_plmap(1, [[1], [0]])).twisted
+    expected = twisted_fan(p1(), p1(), make_plmap(1, [[1], [0]]))
     assert twisted == expected
 
 

@@ -32,7 +32,7 @@ from toricbundles.twist import make_plmap, twisted_fan
 
 
 def hirzebruch_fan(a):
-    return twisted_fan(p1(), p1(), make_plmap(1, [[a], [0]])).twisted
+    return twisted_fan(p1(), p1(), make_plmap(1, [[a], [0]]))
 
 
 def all_sample_fans():
@@ -320,17 +320,6 @@ def test_relations_need_a_basis_plan():
             GradedQuotientRing(**arguments)
 
 
-def test_a_sweep_without_a_generic_direction_names_its_budget(monkeypatch):
-    from toricbundles import cohomology
-    from toricbundles.fan import GENERIC_DIRECTION_BUDGET
-
-    monkeypatch.setattr(cohomology, "first_generic_coordinates",
-                        lambda _: None)
-    with pytest.raises(RingConsistencyError,
-                       match=f"first {GENERIC_DIRECTION_BUDGET} moment-curve"):
-        cohomology.fixed_point_basis_plan(p2())
-
-
 def test_a_plan_with_a_repeated_set_names_the_face_two_intervals_hold():
     # with bad set {} on every cone of P2, each interval holds the empty face
     from toricbundles.cohomology import GradedQuotientRing
@@ -421,7 +410,7 @@ def test_a_warm_compare_walks_the_faces_of_the_twisted_fan_only(monkeypatch):
     base, fiber = p2(), p1()
     compare(base, fiber, make_plmap(1, [[0], [1], [2]]))
     phi = make_plmap(1, [[5], [-3], [11]])
-    twisted = twisted_fan(base, fiber, phi).twisted
+    twisted = twisted_fan(base, fiber, phi)
     calls = _counting_face_walks(monkeypatch)
     assert compare(base, fiber, phi).equal
     assert calls == [twisted.max_cones]

@@ -80,7 +80,7 @@ def _seeded_twists(count=40, seed=12):
             for _ in range(base.ray_count)
         ])
         out.append((f"twist {k} {fname} over {bname}",
-                    twisted_fan(base, fiber, phi).twisted))
+                    twisted_fan(base, fiber, phi)))
     return out
 
 

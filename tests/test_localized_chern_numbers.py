@@ -12,6 +12,7 @@ fan, and none on a twisted fan, whose table comes from its base's and
 fiber's.
 """
 
+import json
 import random
 
 import pytest
@@ -103,7 +104,7 @@ def test_compare_checks_the_ring_route_against_localization(monkeypatch):
     base, fiber = p2(), p1()
     phi = make_plmap(1, [[1], [0], [0]])
     assert compare(base, fiber, phi).intrinsic_numbers == (
-        chern_numbers_localized(twisted_fan(base, fiber, phi).twisted)
+        chern_numbers_localized(twisted_fan(base, fiber, phi))
     )
     real = chern.chern_numbers_localized
 
@@ -152,6 +153,31 @@ def test_cmd_chern_takes_no_ring_products_for_its_numbers(tmp_path, capsys,
     path.write_text(fan_to_text(p1_power(2)))
     assert main(["--format", "machine", "chern", str(path)]) == 0
     assert '"1+1": 8' in capsys.readouterr().out
+
+
+def test_cmd_chern_finds_a_generic_point_past_a_thousand_walls(tmp_path,
+                                                               capsys,
+                                                               monkeypatch):
+    # rays (1, 0), (1, k) for k = 1..999, (0, 1), (-1, 0), (0, -1): the
+    # cone of (1, k - 1) and (1, k) has the dual rows (k, -1) and
+    # (1 - k, 1), so (1, t) lies on a wall for every t <= 999 and the
+    # first generic point is t = 1000.  A smooth complete surface with r
+    # rays has c2 = r and c1^2 = 12 - r.
+    def refused(*args):
+        raise AssertionError("pairwise fallback called")
+
+    monkeypatch.setattr(fan_module, "_pairwise_checks", refused)
+    rays = [[1, 0]] + [[1, k] for k in range(1, 1000)]
+    rays += [[0, 1], [-1, 0], [0, -1]]
+    r = len(rays)
+    f = make_fan(2, rays, [[i, (i + 1) % r] for i in range(r)])
+    path = tmp_path / "wide.fan"
+    path.write_text(fan_to_text(f))
+    assert main(["--format", "machine", "chern", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["chern_numbers"] == {"1+1": 12 - r, "2": r} == {
+        "1+1": -991, "2": 1003}
+    assert payload["gauss_bonnet"] is True
 
 
 @pytest.fixture

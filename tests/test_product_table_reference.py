@@ -128,7 +128,7 @@ def test_bundle_table_products_match_all_face_monomials(name, base, lam,
 def test_class_arithmetic_keeps_nothing_on_cached_rings():
     base, fiber = projective_space(2), projective_space(2)
     phi = make_plmap(2, [[0, 0], [1, -1], [2, 1]])
-    rings = [build_ring(twisted_fan(base, fiber, phi).twisted),
+    rings = [build_ring(twisted_fan(base, fiber, phi)),
              build_ring(base), build_ring(fiber)]
     before = [set(vars(ring)) for ring in rings]
     chern_numbers(rings[0], total_chern_intrinsic(rings[0]))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 from helpers import load_script, nonprojective_threefold
-from toricbundles import RingConsistencyError, validate
+from toricbundles import Fan, RingConsistencyError, make_plmap, validate
 
 
 def _load(name="random_twists"):
@@ -82,7 +82,7 @@ def test_random_twists_script_fails_when_a_ring_keeps_an_attribute(
 
     def keeping(base, fiber, phi, name):
         report = real(base, fiber, phi, name)
-        ring = module.build_ring(module.twisted_fan(base, fiber, phi).twisted)
+        ring = module.build_ring(module.twisted_fan(base, fiber, phi))
         monkeypatch.setattr(ring, "_products", {}, raising=False)
         return report
 
@@ -125,6 +125,44 @@ def test_random_twists_script_fails_on_a_wrong_twisted_dual_table(
     monkeypatch.setattr(module, "dual_table", one_off)
     assert module.main(2, 7, 3) == 2
     assert "0/2 random twists verified" in capsys.readouterr().out
+
+
+def _fiber_first(twisted):
+    """The twisted fan with its fiber rays listed first, without parts."""
+    fiber = twisted.parts[1]
+    shift = twisted.ray_count - fiber.ray_count
+    rays = twisted.rays[shift:] + twisted.rays[:shift]
+    cones = tuple(frozenset((i + fiber.ray_count) % twisted.ray_count
+                            for i in cone) for cone in twisted.max_cones)
+    return Fan(twisted.dim, rays, cones)
+
+
+def test_random_twists_script_fails_on_a_fiber_first_ray_order(capsys,
+                                                               monkeypatch):
+    module = _load()
+    real = module.twisted_fan
+    monkeypatch.setattr(module, "twisted_fan",
+                        lambda *args: _fiber_first(real(*args)))
+    assert module.main(2, 7, 3) == 2
+    assert "0/2 random twists verified" in capsys.readouterr().out
+
+
+def test_ray_order_check_reads_the_rays_and_the_parts():
+    module = _load()
+    base, fiber = module.projective_plane(), module.projective_line()
+    phi = make_plmap(1, [[1], [0], [2]])
+    twisted = module.twisted_fan(base, fiber, phi)
+    assert module.rays_in_order(twisted, base, fiber, phi)
+    swapped = _fiber_first(twisted)
+    assert validate(swapped).all_good
+    assert not module.rays_in_order(swapped, base, fiber, phi)
+    assert not module.rays_in_order(
+        Fan(swapped.dim, swapped.rays, swapped.max_cones, twisted.parts),
+        base, fiber, phi)
+    # equal to the twisted fan, but it does not record its parts
+    copy = Fan(twisted.dim, twisted.rays, twisted.max_cones)
+    assert copy == twisted
+    assert not module.rays_in_order(copy, base, fiber, phi)
 
 
 def test_star_subdivision_check_needs_every_route(monkeypatch):

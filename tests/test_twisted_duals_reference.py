@@ -36,7 +36,7 @@ def _twist(base, fiber, rng):
         [rng.randint(-3, 3) for _ in range(fiber.dim)]
         for _ in range(base.ray_count)
     ])
-    return twisted_fan(base, fiber, phi).twisted
+    return twisted_fan(base, fiber, phi)
 
 
 def _cases():

@@ -48,7 +48,7 @@ def seeded_twists(seed, count):
             [rng.randint(-3, 3) for _ in range(fiber.dim)] for _ in base.rays
         ]
         phi = make_plmap(fiber.dim, values)
-        out.append(twisted_fan(base, fiber, phi).twisted)
+        out.append(twisted_fan(base, fiber, phi))
     return out
 
 
