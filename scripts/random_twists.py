@@ -23,9 +23,13 @@ Masuda check must also see a corrupted class: with one x_rho added to
 the twisted pair's equivariant total Chern class, the public
 restriction must differ from the check's expected polynomial exactly
 at the fixed points whose cone holds rho.  The
-twisted fan's ``cone_duals``, which it takes from the base's and
-fiber's tables by the block inverse, must equal a fresh Bareiss
-``dual_table`` of its rays, determinants and rows.  Each trial also takes a random star
+twisted fan's dual table, ``tables(twisted).duals``, which its record
+takes from the base's and fiber's tables by the block inverse, must
+equal a fresh Bareiss ``dual_table`` of its rays, determinants and rows,
+and its generic point, ``tables(twisted).generic``, which tries each
+point first on the cone that rejected the last, must equal the pairings
+of a sweep that tries every point on the cones from the first one on.
+Each trial also takes a random star
 subdivision of a smooth complete threefold that is not projective: its
 ring must certify, its ring-route Chern numbers must equal the localized
 ones, and its Todd genus c1c2/24 must be 1.  The machine-report writer
@@ -43,6 +47,7 @@ runs from a checkout with no PYTHONPATH set.
 import json
 import random
 import sys
+from operator import mul
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -77,7 +82,7 @@ from toricbundles.corpus import (
 )
 from toricbundles.equivariant import ordinary_ring
 from toricbundles.faces import ray_mask
-from toricbundles.fan import cone_duals, dual_table
+from toricbundles.fan import dual_table, moment_curve, tables
 from toricbundles.formats import report_json
 from toricbundles.lattice import mat_vec
 from toricbundles.twist import (
@@ -189,6 +194,24 @@ def star_subdivision_holds(fan: Fan) -> bool:
             and numbers[(2, 1)] == 24)
 
 
+def generic_by_restarts(f: Fan) -> list[list[int]]:
+    """The pairings <dual row, point> of each cone at the first
+    moment-curve point off every wall, each point tried on the cones from
+    the first one on: the order of the test differs from the record's,
+    which starts each point at the cone that rejected the last, and the
+    point found must not."""
+    duals = tables(f).duals.rows
+    for point in moment_curve(f.dim):
+        coordinates = []
+        for dual in duals:
+            coords = [sum(map(mul, row, point)) for row in dual]
+            if 0 in coords:
+                break
+            coordinates.append(coords)
+        else:
+            return coordinates
+
+
 def rays_in_order(twisted: Fan, base: Fan, fiber: Fan, phi) -> bool:
     """The twisted rays are the lifts (v, phi(v)) of the base rays, in base
     order, then the fiber rays (0, w), and the fan records (base, fiber,
@@ -238,8 +261,9 @@ def main(trials: int = 25, seed: int = 7, max_entry: int = 3) -> int:
         name = f"trial {trial}: base {bname}, fiber {fname}, phi {values}"
         twisted = twisted_fan(base, fiber, phi)
         ordered = rays_in_order(twisted, base, fiber, phi)
-        derived = cone_duals(twisted) == dual_table(twisted.rays,
-                                                    twisted.max_cones)
+        derived = tables(twisted).duals == dual_table(twisted.rays,
+                                                      twisted.max_cones)
+        generic = tables(twisted).generic == generic_by_restarts(twisted)
         ring = build_ring(twisted)
         embedded = fiber_faces_embed(twisted, ring, fiber)
         attributes = set(vars(ring))
@@ -284,7 +308,7 @@ def main(trials: int = 25, seed: int = 7, max_entry: int = 3) -> int:
         ok = (report.equal and presented and localized and gauss and paired
               and kept and invariant and quasitoric and detected
               and nonprojective and embedded and written and derived
-              and ordered)
+              and generic and ordered)
         mark = "ok" if ok else "FAIL"
         print(f"[{mark}] {name}  chi={report.euler_intrinsic}  "
               f"star subdivision: {star.ray_count} rays")

@@ -16,8 +16,8 @@ products, paired on the ring's integer form by ``integrate_product``,
 with no product formed for the pairing.  Fixed-point
 localization, ``chern_numbers_localized``, needs only the fan: one exact
 sum over the maximal cones of products of elementary symmetric functions
-of each cone's dual rows, read from the fan's ``cone_duals`` table at
-the generic point the completeness certificate found.  The
+of each cone's dual rows, read from the fan's ``tables`` record at the
+generic point the completeness certificate found.  The
 ``chern`` command takes its numbers by localization; ``compare`` takes
 them by the ring route and checks them against localization on the
 twisted fan; ``bundle`` has only the ring route.
@@ -37,7 +37,7 @@ from .cohomology import (
     build_ring,
 )
 from .faces import face_monomial_sum
-from .fan import Fan, first_generic_coordinates, require_smooth_complete
+from .fan import Fan, require_smooth_complete, tables
 from .twist import PiecewiseLinearMap, twisted_fan
 
 
@@ -106,15 +106,15 @@ def _fiber_factor(fiber: Fan,
 def total_chern_bundle_formula(twisted: Fan) -> CohomologyClass:
     """Main-formula route: pullback of the base class times the fiber product.
 
-    The base and fiber are the twisted fan's parts.  Never touches the
-    twisted fan's full ray product, so comparing it with the intrinsic
-    route is a genuine two-route check.
+    The base and fiber are the twisted fan's parts; the base's total class
+    is computed once per base, and kept in its ``tables`` record with its
+    ring.  Never touches the twisted fan's full ray product, so comparing
+    it with the intrinsic route is a genuine two-route check.
     """
     base, fiber, _ = _parts(twisted)
-    base_ring = build_ring(base)
-    twisted_ring = build_ring(twisted)
-    pulled = pullback(twisted, total_chern_intrinsic(base_ring))
-    return pulled * _fiber_factor(fiber, twisted_ring)
+    build_ring(base)
+    pulled = pullback(twisted, tables(base).total)
+    return pulled * _fiber_factor(fiber, build_ring(twisted))
 
 
 def partitions(n: int) -> list[tuple[int, ...]]:
@@ -188,13 +188,13 @@ def chern_numbers_localized(f: Fan) -> dict[tuple[int, ...], int]:
     sends x_rho to 0 for rho outside sigma (D_rho misses x_sigma).  So
     sum_{rho in sigma} <m, v_rho> x_rho|sigma = m for every m, and
     x_rho|sigma = u_rho, where <u_rho, v_rho'> = delta_{rho rho'} on
-    sigma: u_rho is sigma's dual row of rho in ``cone_duals``.  The total
-    Chern class is prod (1 + x_rho), so c_k|sigma = e_k(u), the k-th
-    elementary symmetric function of sigma's dual rows, and the Euler
-    class of the tangent space at x_sigma is its top Chern class e_n(u).
-    The point class prod_{rho in sigma} x_rho restricts to e_n(u) at
-    sigma and to 0 at every other fixed point, so the sum below gives it
-    1, as ``integrate`` does.  Atiyah-Bott localization,
+    sigma: u_rho is sigma's dual row of rho in ``tables(f).duals``.  The
+    total Chern class is prod (1 + x_rho), so c_k|sigma = e_k(u), the
+    k-th elementary symmetric function of sigma's dual rows, and the
+    Euler class of the tangent space at x_sigma is its top Chern class
+    e_n(u).  The point class prod_{rho in sigma} x_rho restricts to
+    e_n(u) at sigma and to 0 at every other fixed point, so the sum below
+    gives it 1, as ``integrate`` does.  Atiyah-Bott localization,
 
         int_X alpha = sum_sigma alpha|sigma / e_n(u at sigma),
 
@@ -208,14 +208,14 @@ def chern_numbers_localized(f: Fan) -> dict[tuple[int, ...], int]:
     by (-1)^n, so the numbers do not depend on it.
 
     t0 is the first moment-curve point (1, t, t^2, ...) with no zero
-    weight at any cone, which ``first_generic_coordinates`` always finds.
+    weight at any cone, which ``tables(f).generic`` always finds.
     The sum is exact, over the common denominator lcm_sigma e_n(w); a
     remainder raises RingConsistencyError naming the partition.  The
     result keeps ``partitions(n)`` order.
     """
     require_smooth_complete(f, "chern_numbers_localized")
     n = f.dim
-    weights = first_generic_coordinates(f)
+    weights = tables(f).generic
     # symmetric[k][i] = e_k of the weights of cone i, one list per k,
     # multiplied out one weight of every cone at a time
     symmetric = [[1] * len(weights)]

@@ -92,15 +92,15 @@ solve for each x_rho of sigma as an integer combination of the x_rho'
 outside sigma, and trading one repeated factor lowers (degree - support
 size), so the rewrite terminates.  The solve reads the inverse of the
 relation matrix on sigma's rays, given to the ring as its basis plan is:
-the dual rows of the fan's ``cone_duals`` table (which validation and
-the plan read too: one Bareiss pass per cone of a parsed fan, and on a
-twisted fan the block inverse of its base's and fiber's tables), of the
-fiber fan's for a bundle ring, or a pair's ``weight_table``.  Each
-cone's rewrite checks that the rows invert the relations on its rays,
-pairing a row with every ray as the sum of the relation rows its
-nonzero entries select, and is solved once, when the ring is built, in
-``_rewrites``; a bundle ring takes its fiber ring's, solved on the same
-relations and rows.
+the dual rows of the fan's dual table, ``tables(f).duals`` (which
+validation and the plan read too: one Bareiss pass per cone of a parsed
+fan, and on a twisted fan the block inverse of its base's and fiber's
+tables), of the fiber fan's for a bundle ring, or a pair's
+``weight_table``.  Each cone's rewrite checks that the rows invert the
+relations on its rays, pairing a row with every ray as the sum of the
+relation rows its nonzero entries select, and is solved once, when the
+ring is built, in ``_rewrites``; a bundle ring takes its fiber ring's,
+solved on the same relations and rows.
 
 A face is a ray bitmask (bit rho for each ray rho of it; see ``faces``),
 and a ring's faces come from one walk of each maximal cone's submasks,
@@ -131,16 +131,11 @@ every face monomial is a basis column and nothing is eliminated.
 from __future__ import annotations
 
 import itertools
-from functools import cache, cached_property
+from functools import cached_property
 from operator import add, itemgetter, mul, neg, sub
 from typing import NamedTuple
 
-from .fan import (
-    Fan,
-    cone_duals,
-    first_generic_coordinates,
-    require_smooth_complete,
-)
+from .fan import Fan, require_smooth_complete, tables
 from .faces import (
     h_vector_of,
     mask_rays,
@@ -173,12 +168,12 @@ def fixed_point_basis_plan(f: Fan):
     For each maximal cone take tau(sigma), the rays whose coordinate of
     the generic direction v (in the cone's ray basis) is negative; the
     squarefree monomials x_tau(sigma) are the classical per-degree basis
-    of the quotient ring.  v is the point whose pairings
-    ``first_generic_coordinates`` caches for the completeness certificate
-    and localization: the first moment-curve point (1, t, t^2, ...) that
-    pairs to nonzero with every cone's dual row in ``cone_duals``, so the
-    sign of a coordinate is the sign Cramer's rule gives and the plan is
-    deterministic.
+    of the quotient ring.  v is the point whose pairings the fan's
+    ``tables`` record keeps as ``generic`` for the completeness
+    certificate and localization: the first moment-curve point (1, t,
+    t^2, ...) that pairs to nonzero with every cone's dual row in its
+    ``duals``, so the sign of a coordinate is the sign Cramer's rule
+    gives and the plan is deterministic.
 
     On any complete simplicial fan, projective or not, each face tau lies
     in exactly one interval [tau(sigma), sigma] (Fulton, *Introduction to
@@ -198,14 +193,14 @@ def fixed_point_basis_plan(f: Fan):
     relations the ring carries.
     """
     cones = [sorted(cone) for cone in f.max_cones]
-    for cone_sorted, dual in zip(cones, cone_duals(f).rows):
+    for cone_sorted, dual in zip(cones, tables(f).duals.rows):
         if dual is None:
             raise RingConsistencyError(
                 f"cone {cone_sorted} has linearly dependent rays"
             )
     return [
         frozenset(rho for rho, c in zip(cone_sorted, coords) if c < 0)
-        for cone_sorted, coords in zip(cones, first_generic_coordinates(f))
+        for cone_sorted, coords in zip(cones, tables(f).generic)
     ]
 
 
@@ -641,8 +636,9 @@ class GradedQuotientRing(GradedRing):
     (fan, pair or bundle ring) in elimination errors.  The ring gets, per
     maximal cone in ``max_cones`` order, its plan's frozenset bad(sigma)
     and in ``inverses`` the inverse of its relation matrix on the cone's
-    sorted rays (the fan's ``cone_duals`` rows, or a pair's weight table),
-    which the cone rewrites check and read, each once, at construction.
+    sorted rays (the fan's ``tables(f).duals`` rows, or a pair's weight
+    table), which the cone rewrites check and read, each once, at
+    construction.
 
     The constructor certifies the ring, whoever builds it: after
     elimination it checks the rank invariants (Betti ranks equal the
@@ -872,12 +868,15 @@ class GradedQuotientRing(GradedRing):
         return self._point
 
 
-@cache
 def build_ring(f: Fan) -> GradedQuotientRing:
-    """Integral cohomology ring of a smooth complete fan; other fans are rejected."""
-    require_smooth_complete(f, "build_ring")
-    return _certified_ring(f, linear_relations(f), "fan ring",
-                           cone_duals(f).rows)
+    """Integral cohomology ring of a smooth complete fan, built once and
+    stored in the fan's ``tables`` record; other fans are rejected."""
+    record = tables(f)
+    if record.ring is None:
+        require_smooth_complete(f, "build_ring")
+        record.ring = _certified_ring(f, linear_relations(f), "fan ring",
+                                      record.duals.rows)
+    return record.ring
 
 
 def _certified_ring(f: Fan, relations, kind: str,

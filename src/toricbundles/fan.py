@@ -3,22 +3,28 @@
 Only simplicial fans whose maximal cones are full-dimensional are
 representable; cones are recorded as sets of ray indices.  Smoothness,
 completeness and the cones-meet-in-faces condition are decided exactly
-from one dual basis per maximal cone (``cone_duals``: ``dual_table``, a
-Bareiss pass per cone, which also gives a characteristic pair its
-weights, or on a twisted fan ``twisted_duals``, the block inverse of its
-base's and fiber's tables): a complete well-formed fan is certified by
-wall pairing plus one generic point covered once (the first
-moment-curve point off every wall, which always exists), and any fan
-that certificate rejects is decided by the pairwise check (wall counts,
-adjacency, and a Fourier-Motzkin search for a separating hyperplane
-between every two cones).
+from one dual basis per maximal cone (``dual_table``, a Bareiss pass per
+cone, which also gives a characteristic pair its weights, or on a
+twisted fan ``twisted_duals``, the block inverse of its base's and
+fiber's tables): a complete well-formed fan is certified by wall pairing
+plus one generic point covered once (the first moment-curve point off
+every wall, which always exists), and any fan that certificate rejects
+is decided by the pairwise check (wall counts, adjacency, and a
+Fourier-Motzkin search for a separating hyperplane between every two
+cones).
+
+Everything derived from a fan's rays and cones lives in one record,
+``FanTables``, kept once per fan by ``tables``: the dual table, the
+generic point, the validation report, and the fan ring and its total
+class, which ``cohomology.build_ring`` stores there.  Each is built on
+first read, and ``tables.cache_clear()`` drops them all together.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from math import gcd
 from operator import mul
 from typing import NamedTuple
@@ -38,19 +44,22 @@ class Fan:
 
     Immutable and hashable; all validation beyond basic shape checks is done
     by :func:`validate`, which reports problems instead of raising.
-    ``parts`` is (base, fiber, lifts) on a twisted fan of smooth fans (see
-    ``twist.twisted_fan``), lifts holding phi(v) of each base ray v, and
-    None otherwise.  Such a fan lists the lifted base rays (v, phi(v)),
-    in base order, then the fiber rays (0, w); ``cone_duals`` and the
-    bundle formula read its parts and that order.  ``parts`` is left out
-    of equality, hashing and repr, so a twisted fan equals its parsed
-    copy, which has no parts.
+    ``parts`` is (base, fiber, lifts) on a twisted fan of smooth fans,
+    lifts holding phi(v) of each base ray v, and None otherwise.  It is
+    no constructor argument: only ``twist.twisted_fan`` sets it, on the
+    ``stacked_fan`` it assembled from those parts after checking both
+    smooth and complete, so the parts always agree with the rays (the
+    lifted base rays (v, phi(v)), in base order, then the fiber rays
+    (0, w)) and the cones.  ``tables(f).duals`` and the bundle formula
+    read them.  ``parts`` is left out of equality, hashing and repr, so a
+    twisted fan equals its parsed copy, which has no parts.
     """
 
     dim: int
     rays: tuple[IntVector, ...]
     max_cones: tuple[frozenset[int], ...]
-    parts: tuple | None = field(default=None, compare=False, repr=False)
+    parts: tuple | None = field(default=None, init=False, compare=False,
+                                repr=False)
 
     def __post_init__(self):
         if self.dim < 0:
@@ -223,21 +232,9 @@ def dual_table(vectors, max_cones) -> ConeDuals:
     return ConeDuals(tuple(determinants), tuple(rows))
 
 
-@cache
-def cone_duals(f: Fan) -> ConeDuals:
-    """The ``dual_table`` of the fan's rays, once per fan: validation, the
-    basis plan, the fan ring's cone rewrites and localization read it.  A
-    fan with ``parts`` takes it from its base's and fiber's tables
-    (``twisted_duals``), with no Bareiss pass; any other fan runs one pass
-    per cone."""
-    if f.parts is not None:
-        return twisted_duals(*f.parts)
-    return dual_table(f.rays, f.max_cones)
-
-
 def twisted_duals(base: Fan, fiber: Fan, lifts) -> ConeDuals:
     """The ``dual_table`` of the twisted fan of smooth fans base and fiber,
-    base ray i lifted to (v_i, lifts[i]), from their ``cone_duals``.
+    base ray i lifted to (v_i, lifts[i]), from their ``tables`` duals.
 
     The cone of base cone sigma and fiber cone tau lists sigma's lifted
     rays first, then tau's rays (0, w_j), so its matrix is block
@@ -247,7 +244,7 @@ def twisted_duals(base: Fan, fiber: Fan, lifts) -> ConeDuals:
     of w_j.  Both determinants are +-1, so each row pairs to 1 = |det|
     with its own ray, as ``dual_table``'s rows do.
     """
-    base_duals, fiber_duals = cone_duals(base), cone_duals(fiber)
+    base_duals, fiber_duals = tables(base).duals, tables(fiber).duals
     pad = (0,) * fiber.dim
     determinants, rows = [], []
     for sigma, d, us in zip(base.max_cones, *base_duals):
@@ -265,139 +262,188 @@ def twisted_duals(base: Fan, fiber: Fan, lifts) -> ConeDuals:
     return ConeDuals(tuple(determinants), tuple(rows))
 
 
-@cache
-def first_generic_coordinates(f: Fan) -> list[list[int]]:
-    """The pairings <dual row, point> of each cone, one list per cone, at
-    the first moment-curve point off every wall, once per fan.
+class FanTables:
+    """What a fan's rays and cones determine, each built on first read.
 
-    A point lies on a wall of a cone exactly when it pairs to 0 with one
-    of the cone's dual rows.  Read by the completeness certificate, the
-    basis plan and fixed-point localization.  Every maximal cone must
-    have its dual rows (none degenerate).
-
-    The search always ends.  A nondegenerate cone's dual rows are
-    nonzero, so each row u gives a nonzero polynomial sum_k u_k t^k of
-    degree at most n - 1, which has at most n - 1 roots.  With R dual
-    rows in all, at most R(n - 1) values of t put the point on a wall,
-    so one of t = 1, ..., R(n - 1) + 1 does not.
+    ``tables`` keeps one record per fan, keyed by fan equality, so a
+    twisted fan and its parsed copy share one; their tables agree, as a
+    twisted fan's parts agree with its rays.  ``FanTables(f)`` builds a
+    fresh record, past that cache.  ``ring`` is the fan ring, None until
+    ``cohomology.build_ring`` stores it, and ``total`` its total Chern
+    class, its ``face_sum``, read only once the ring is stored: the
+    bundle formula reads the base's on every request.
     """
-    duals = cone_duals(f).rows
-    for point in moment_curve(f.dim):
-        coordinates = []
-        for dual in duals:
-            coords = [sum(map(mul, row, point)) for row in dual]
-            if 0 in coords:
-                break
-            coordinates.append(coords)
-        else:
-            return coordinates
 
+    def __init__(self, fan: Fan):
+        self.fan = fan
+        self.ring = None
 
-@cache
-def validate(f: Fan) -> ValidationReport:
-    """Compute the smooth/complete/well-formed flags with diagnostics.
+    @cached_property
+    def duals(self) -> ConeDuals:
+        """The ``dual_table`` of the fan's rays: validation, the basis plan,
+        the fan ring's cone rewrites and localization read it.  A fan with
+        ``parts`` takes it from its base's and fiber's tables
+        (``twisted_duals``), with no Bareiss pass; any other fan runs one
+        pass per cone."""
+        f = self.fan
+        if f.parts is not None:
+            return twisted_duals(*f.parts)
+        return dual_table(f.rays, f.max_cones)
 
-    Problems are reported, never raised.  One dual basis per maximal cone
-    (``cone_duals``) gives its determinant (smoothness, degeneracy) and,
-    when the rays are primitive and distinct and no cone is degenerate, a
-    certificate that the fan is complete and its cones meet in faces:
+    @cached_property
+    def generic(self) -> list[list[int]]:
+        """The pairings <dual row, point> of each cone, one list per cone in
+        ``max_cones`` order, at the first moment-curve point off every wall.
 
-    (a) every wall (a cone minus one ray) lies in exactly two maximal
-        cones, whose remaining rays lie strictly on opposite sides of it;
-    (b) the first moment-curve point off every cone's walls lies in
-        exactly one maximal cone.
+        A point lies on a wall of a cone exactly when it pairs to 0 with one
+        of the cone's dual rows.  Read by the completeness certificate, the
+        basis plan and fixed-point localization.  Every maximal cone must
+        have its dual rows (none degenerate).  Each point is tried first on
+        the cone that rejected the one before, then on the others in
+        cyclic order: where the cones reject successive points in turn,
+        as on a surface with many rays in one quadrant, the pairings grow
+        with the cones plus the points tried, not with their product.
+        The point found is the same in any test order: the first one that
+        no cone rejects.
 
-    Proof.  Off the walls, let N(x) count the cones containing x.  Take a
-    path that avoids the (n-2)-dimensional faces and the pairwise
-    intersections of distinct wall hyperplanes: where it crosses a
-    hyperplane H, every cone with the crossing point on its boundary has
-    it inside exactly one facet, a wall in H, and by (a) that wall pairs
-    the cone with one cone on the other side; so N is the same on both
-    sides.  Such paths connect any two points off the walls (a finite
-    union of codimension-2 subspaces does not disconnect R^n for n >= 2;
-    for n = 1 the one wall is the origin), so N = 1 off the walls by (b):
-    the cones cover a dense set, hence everything, and no two interiors
-    meet.  Near a point y in the relative interior of a face A, the walls
-    through y are those containing A, and (a) pairs them among the cones
-    containing A, so the count made with those cones alone is constant
-    near y, and positive.  If relint A and relint B met at y for faces
-    A != B, the cones containing them would share one (else N >= 2 near
-    y), and distinct faces of one simplicial cone have disjoint relative
-    interiors.  So every point of two cones lies in a common face: the
-    cones meet in faces.
+        The search always ends.  A nondegenerate cone's dual rows are
+        nonzero, so each row u gives a nonzero polynomial sum_k u_k t^k of
+        degree at most n - 1, which has at most n - 1 roots.  With R dual
+        rows in all, at most R(n - 1) values of t put the point on a wall,
+        so one of t = 1, ..., R(n - 1) + 1 does not.
+        """
+        duals = self.duals.rows
+        coordinates = [None] * len(duals)
+        start = 0
+        for point in moment_curve(self.fan.dim):
+            for k in itertools.chain(range(start, len(duals)), range(start)):
+                coordinates[k] = [sum(map(mul, row, point)) for row in duals[k]]
+                if 0 in coordinates[k]:
+                    start = k
+                    break
+            else:
+                return coordinates
 
-    A fan the certificate rejects goes to the pairwise check: every wall
-    in exactly two maximal cones and a connected adjacency graph (only
-    conclusive for well-formed fans), and a separating hyperplane for
-    each two cones.  Every ray of a complete fan lies in a maximal cone,
-    so a listed ray that lies in none makes a complete fan ill-formed; an
-    incomplete fan may list rays its cones do not use yet.
-    """
-    diagnostics = []
-    well_formed = True
+    @cached_property
+    def report(self) -> ValidationReport:
+        """The smooth/complete/well-formed flags with diagnostics.
 
-    seen = {}
-    for i, ray in enumerate(f.rays):
-        if not is_primitive(ray):
-            diagnostics.append(f"ray {i} = {ray} is not primitive")
-            well_formed = False
-        if ray in seen:
-            diagnostics.append(f"rays {seen[ray]} and {i} coincide")
-            well_formed = False
-        seen[ray] = i
+        Problems are reported, never raised.  One dual basis per maximal
+        cone (``duals``) gives its determinant (smoothness, degeneracy)
+        and, when the rays are primitive and distinct and no cone is
+        degenerate, a certificate that the fan is complete and its cones
+        meet in faces:
 
-    smooth = True
-    degenerate = False
-    duals = cone_duals(f)
-    for cone, d in zip(f.max_cones, duals.determinants):
-        if d == 0:
-            diagnostics.append(f"cone {sorted(cone)} is degenerate (determinant 0)")
-            degenerate = True
-        elif d not in (1, -1):
-            if smooth:
-                diagnostics.append(
-                    f"cone {sorted(cone)} is not smooth (determinant {d})"
-                )
-            smooth = False
-    if degenerate:
-        well_formed = False
-        smooth = False
+        (a) every wall (a cone minus one ray) lies in exactly two maximal
+            cones, whose remaining rays lie strictly on opposite sides of it;
+        (b) the first moment-curve point off every cone's walls
+            (``generic``) lies in exactly one maximal cone.
 
-    sides = _wall_map(f)
-    if well_formed and _certified_complete(f, sides):
-        complete = True
-    else:
-        well_formed, complete = _pairwise_checks(f, sides, well_formed,
-                                                 diagnostics)
-    if complete:
-        used = frozenset().union(*f.max_cones)
+        Proof.  Off the walls, let N(x) count the cones containing x.  Take
+        a path that avoids the (n-2)-dimensional faces and the pairwise
+        intersections of distinct wall hyperplanes: where it crosses a
+        hyperplane H, every cone with the crossing point on its boundary
+        has it inside exactly one facet, a wall in H, and by (a) that wall
+        pairs the cone with one cone on the other side; so N is the same
+        on both sides.  Such paths connect any two points off the walls (a
+        finite union of codimension-2 subspaces does not disconnect R^n
+        for n >= 2; for n = 1 the one wall is the origin), so N = 1 off
+        the walls by (b): the cones cover a dense set, hence everything,
+        and no two interiors meet.  Near a point y in the relative
+        interior of a face A, the walls through y are those containing A,
+        and (a) pairs them among the cones containing A, so the count made
+        with those cones alone is constant near y, and positive.  If
+        relint A and relint B met at y for faces A != B, the cones
+        containing them would share one (else N >= 2 near y), and distinct
+        faces of one simplicial cone have disjoint relative interiors.  So
+        every point of two cones lies in a common face: the cones meet in
+        faces.
+
+        A fan the certificate rejects goes to the pairwise check: every
+        wall in exactly two maximal cones and a connected adjacency graph
+        (only conclusive for well-formed fans), and a separating
+        hyperplane for each two cones.  Every ray of a complete fan lies
+        in a maximal cone, so a listed ray that lies in none makes a
+        complete fan ill-formed; an incomplete fan may list rays its cones
+        do not use yet.
+        """
+        f = self.fan
+        diagnostics = []
+        well_formed = True
+
+        seen = {}
         for i, ray in enumerate(f.rays):
-            if i not in used:
-                diagnostics.append(f"ray {i} = {ray} lies in no maximal cone")
+            if not is_primitive(ray):
+                diagnostics.append(f"ray {i} = {ray} is not primitive")
                 well_formed = False
+            if ray in seen:
+                diagnostics.append(f"rays {seen[ray]} and {i} coincide")
+                well_formed = False
+            seen[ray] = i
 
-    return ValidationReport(
-        simplicial=True,
-        smooth=smooth,
-        complete=complete,
-        well_formed=well_formed,
-        diagnostics=tuple(diagnostics),
-    )
+        smooth = True
+        degenerate = False
+        for cone, d in zip(f.max_cones, self.duals.determinants):
+            if d == 0:
+                diagnostics.append(f"cone {sorted(cone)} is degenerate (determinant 0)")
+                degenerate = True
+            elif d not in (1, -1):
+                if smooth:
+                    diagnostics.append(
+                        f"cone {sorted(cone)} is not smooth (determinant {d})"
+                    )
+                smooth = False
+        if degenerate:
+            well_formed = False
+            smooth = False
+
+        sides = _wall_map(f)
+        if well_formed and self._certified_complete(sides):
+            complete = True
+        else:
+            well_formed, complete = _pairwise_checks(f, sides, well_formed,
+                                                     diagnostics)
+        if complete:
+            used = frozenset().union(*f.max_cones)
+            for i, ray in enumerate(f.rays):
+                if i not in used:
+                    diagnostics.append(f"ray {i} = {ray} lies in no maximal cone")
+                    well_formed = False
+
+        return ValidationReport(
+            simplicial=True,
+            smooth=smooth,
+            complete=complete,
+            well_formed=well_formed,
+            diagnostics=tuple(diagnostics),
+        )
+
+    def _certified_complete(self, sides: dict) -> bool:
+        """Conditions (a) and (b) of ``report``, from the cones' dual rows:
+        (a) reads the fan's ``_wall_map`` and pairs each wall's apex in its
+        first cone with the other cone's apex."""
+        duals, rays = self.duals.rows, self.fan.rays
+        for pair in sides.values():
+            if len(pair) != 2:
+                return False
+            (k, pos, _), (_, _, other) = pair
+            if sum(map(mul, duals[k][pos], rays[other])) >= 0:
+                return False
+        return sum(min(coords, default=1) > 0 for coords in self.generic) == 1
+
+    @cached_property
+    def total(self):
+        """The stored ``ring``'s total Chern class, its ``face_sum``."""
+        return self.ring.face_sum()
 
 
-def _certified_complete(f: Fan, sides: dict) -> bool:
-    """Conditions (a) and (b) of :func:`validate`, from the cones' dual rows:
-    (a) reads the fan's ``_wall_map`` and pairs each wall's apex in its
-    first cone with the other cone's apex."""
-    duals = cone_duals(f).rows
-    for pair in sides.values():
-        if len(pair) != 2:
-            return False
-        (k, pos, _), (_, _, other) = pair
-        if sum(map(mul, duals[k][pos], f.rays[other])) >= 0:
-            return False
-    return sum(min(coords, default=1) > 0
-               for coords in first_generic_coordinates(f)) == 1
+tables = cache(FanTables)
+
+
+def validate(f: Fan) -> ValidationReport:
+    """The fan's validation report, ``tables(f).report``: problems are
+    reported, never raised (see ``FanTables.report``)."""
+    return tables(f).report
 
 
 def _pairwise_checks(f: Fan, sides: dict, well_formed: bool,
@@ -451,15 +497,21 @@ def _pairwise_checks(f: Fan, sides: dict, well_formed: bool,
 
 def product_fan(f: Fan, g: Fan) -> Fan:
     """Product fan: embedded rays of f then g, cones all unions."""
-    rays = [r + (0,) * g.dim for r in f.rays]
-    rays += [(0,) * f.dim + r for r in g.rays]
-    shift = f.ray_count
-    cones = [
-        sigma | frozenset(i + shift for i in tau)
-        for sigma in f.max_cones
-        for tau in g.max_cones
-    ]
-    return Fan(dim=f.dim + g.dim, rays=tuple(rays), max_cones=tuple(cones))
+    return stacked_fan(f, g, ((0,) * g.dim,) * f.ray_count)
+
+
+def stacked_fan(base: Fan, fiber: Fan, lifts) -> Fan:
+    """The fan of the rays (v_i, lifts[i]) over the base rays v_i, then
+    (0, w) over the fiber rays w, and of the cones sigma | (tau moved past
+    the base rays), base cone sigma by fiber cone tau, base-major.  With
+    every lift 0 it is the product fan; ``twist.twisted_fan`` builds the
+    twisted fan with it and records the parts on it."""
+    rays = [v + lift for v, lift in zip(base.rays, lifts)]
+    rays += [(0,) * base.dim + w for w in fiber.rays]
+    shift = base.ray_count
+    cones = [sigma | frozenset(i + shift for i in tau)
+             for sigma in base.max_cones for tau in fiber.max_cones]
+    return Fan(base.dim + fiber.dim, tuple(rays), tuple(cones))
 
 
 def require_smooth_complete(f: Fan, context: str) -> None:

@@ -191,14 +191,6 @@ def parse_pair(text: str) -> CharacteristicPair:
     return pair
 
 
-def pair_to_text(p: CharacteristicPair, header: str = "") -> str:
-    out = fan_to_text(p.complex, header).rstrip("\n")
-    lines = [out, "charmap"]
-    for value in p.charmap:
-        lines.append(" ".join(str(e) for e in value))
-    return "\n".join(lines) + "\n"
-
-
 def parse_plmap(text: str, base: Fan) -> PiecewiseLinearMap:
     cur = _Cursor(text)
     _, rank = cur.expect_integer("fiber_rank")
@@ -224,17 +216,6 @@ def parse_plmap(text: str, base: Fan) -> PiecewiseLinearMap:
         fiber_rank=rank,
         values=tuple(values[i] for i in range(base.ray_count)),
     )
-
-
-def plmap_to_text(phi: PiecewiseLinearMap, header: str = "") -> str:
-    out = []
-    if header:
-        out.append(f"# {header}")
-    out.append(f"fiber_rank {phi.fiber_rank}")
-    out.append("values")
-    for i, value in enumerate(phi.values):
-        out.append(" ".join([str(i)] + [str(e) for e in value]))
-    return "\n".join(out) + "\n"
 
 
 def parse_polynomial(s: str, generators: dict[str, int], nvars: int,

@@ -9,10 +9,10 @@ twisted ``Fan`` records its parts (base, fiber, lifts), and with that ray
 order they are all the bundle formula needs.  Each twisted cone's ray
 matrix is block triangular, so its dual rows are the base cone's, padded
 with zeros, and the fiber cone's, corrected by the twist: the twisted
-fan's ``cone_duals`` are built from the base's and fiber's tables, with
-no Bareiss pass of their own.  A characteristic pair's charmap need not be
-its rays (a quasitoric manifold); its weight table is ``fan.dual_table``
-on the charmap values, one Bareiss pass per cone.
+fan's ``fan.tables`` record builds its dual table from the base's and
+fiber's, with no Bareiss pass of its own.  A characteristic pair's
+charmap need not be its rays (a quasitoric manifold); its weight table
+is ``fan.dual_table`` on the charmap values, one Bareiss pass per cone.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cohomology import RingConsistencyError
-from .fan import ConeDuals, Fan, dual_table, require_smooth_complete, validate
+from .fan import (ConeDuals, Fan, dual_table, require_smooth_complete,
+                  stacked_fan, validate)
 from .lattice import IntVector, vector
 
 
@@ -57,9 +58,11 @@ def twisted_fan(base: Fan, fiber: Fan, phi: PiecewiseLinearMap) -> Fan:
     ray j is twisted ray base.ray_count + j; maximal cones are all unions
     of a lifted base cone with a fiber cone.  Smoothness and completeness
     of the inputs transfer to the output, which is validated.  The output
-    records its parts (base, fiber, phi.values), so its ``cone_duals``
-    come from the base's and fiber's by the block inverse
-    (``fan.twisted_duals``) and the bundle formula finds its base there.
+    is ``fan.stacked_fan`` of the parts, and only here, once both parts
+    are checked smooth and complete, does a fan get its ``parts`` (base,
+    fiber, phi.values): its dual table then comes from the base's and
+    fiber's by the block inverse (``fan.twisted_duals``), and the bundle
+    formula finds its base there.
     """
     require_smooth_complete(base, "twisted_fan base")
     require_smooth_complete(fiber, "twisted_fan fiber")
@@ -71,16 +74,8 @@ def twisted_fan(base: Fan, fiber: Fan, phi: PiecewiseLinearMap) -> Fan:
         raise ValueError(
             f"phi maps into rank {phi.fiber_rank} but the fiber has rank {fiber.dim}"
         )
-    rays = [v + phi.values[i] for i, v in enumerate(base.rays)]
-    rays += [(0,) * base.dim + w for w in fiber.rays]
-    shift = base.ray_count
-    cones = [
-        sigma | frozenset(i + shift for i in tau)
-        for sigma in base.max_cones
-        for tau in fiber.max_cones
-    ]
-    twisted = Fan(dim=base.dim + fiber.dim, rays=tuple(rays),
-                  max_cones=tuple(cones), parts=(base, fiber, phi.values))
+    twisted = stacked_fan(base, fiber, phi.values)
+    object.__setattr__(twisted, "parts", (base, fiber, phi.values))
     report = validate(twisted)
     if not report.all_good:
         raise RingConsistencyError(

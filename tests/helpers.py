@@ -62,6 +62,10 @@ rendered monomials before a batch shared one table of factor texts.
 ``monomial_to_text`` and ``polynomial_to_text`` render one monomial and
 one polynomial through ``monomial_texts``, for the tests that parse
 polynomial text back; the library renders only batches.
+``pair_to_text`` and ``plmap_to_text`` write a characteristic pair and a
+piecewise-linear map in the pair and phi file grammars, for the tests
+that run the CLI on them or parse them back; the library only parses
+those files.
 ``RewrittenProductRing`` and ``RewrittenProductBundleRing`` are the
 references for the relation rows: they build n rows per squarefree face
 monomial x_tau, the normal forms of x_tau times each relation, and carry
@@ -108,8 +112,9 @@ part ways.
 ``matrix``, ``transpose``, ``mat_mul`` and the Bareiss ``determinant`` are
 the suite's dense-matrix references; the library reads determinants off
 ``det_adjugate`` alone and no longer carries them.
-``clear_fan_caches`` empties every per-fan cache at once, for the tests
-that count work on a cold fan.
+``clear_fan_caches`` empties the per-fan record ``fan.tables`` and the
+two per-pair caches at once, for the tests that count work on a cold
+fan, and ``fresh_ring`` builds a fan's ring past them.
 """
 
 import importlib.util
@@ -149,12 +154,10 @@ from toricbundles.equivariant import fixed_point_weights, ordinary_ring
 from toricbundles.fan import (
     ValidationReport,
     _meet_in_face,
-    cone_duals,
-    first_generic_coordinates,
     moment_curve,
-    validate,
+    tables,
 )
-from toricbundles.formats import join_terms, monomial_texts
+from toricbundles.formats import fan_to_text, join_terms, monomial_texts
 from toricbundles.lattice import (
     IntMatrix,
     IntVector,
@@ -166,13 +169,21 @@ from toricbundles.twist import weight_table
 
 
 def clear_fan_caches():
-    """Empty every per-fan cache together: fan validation, the cone duals
-    and first generic point, the fan and pair rings, and the weight
-    tables.  A ring keeps the dual rows it was built with, so clearing one
-    of these alone leaves the others holding stale objects."""
-    for cached in (validate, cone_duals, first_generic_coordinates,
-                   build_ring, ordinary_ring, weight_table):
+    """Empty the per-fan caches together: the ``tables`` record of every
+    fan (its dual table, generic point, validation report, ring and total
+    class), the pair rings and the weight tables.  A pair ring may be a
+    fan's ring, and a ring keeps the dual rows it was built with, so
+    clearing one of these alone leaves the others holding stale
+    objects."""
+    for cached in (tables, ordinary_ring, weight_table):
         cached.cache_clear()
+
+
+def fresh_ring(f):
+    """``build_ring(f)`` built anew, after ``clear_fan_caches``: every
+    piece is eliminated again, on the fan's tables built again."""
+    clear_fan_caches()
+    return build_ring(f)
 
 
 def p1():
@@ -360,6 +371,18 @@ def dim5_twist_data(count, seed):
             for _ in range(base.ray_count)
         ])
         yield base, fiber, phi
+
+
+def thousand_wall_surface():
+    """The 1003-ray surface: rays (1, 0), (1, k) for k = 1..999, (0, 1),
+    (-1, 0) and (0, -1), in cyclic order, and consecutive cones.  The cone
+    of (1, k - 1) and (1, k) has the dual rows (k, -1) and (1 - k, 1), so
+    the moment-curve point (1, t) lies on a wall for every t <= 999, and
+    the first generic point is t = 1000."""
+    rays = [[1, 0]] + [[1, k] for k in range(1, 1000)]
+    rays += [[0, 1], [-1, 0], [0, -1]]
+    r = len(rays)
+    return make_fan(2, rays, [[i, (i + 1) % r] for i in range(r)])
 
 
 def star_surface(ray_count, rng):
@@ -580,7 +603,7 @@ def sweeping_basis_plan(f, h_expected):
     those sets, in ``max_cones`` order.  Only the first ``SWEEP_POINTS``
     generic points are tried."""
     cones = [sorted(cone) for cone in f.max_cones]
-    sweep = generic_coordinates(cone_duals(f).rows, f.dim)
+    sweep = generic_coordinates(tables(f).duals.rows, f.dim)
     for coordinates in itertools.islice(sweep, SWEEP_POINTS):
         sets = [
             frozenset(rho for rho, c in zip(cone_sorted, coords) if c < 0)
@@ -1411,6 +1434,24 @@ def polynomial_to_text(poly, names) -> str:
     terms = sorted(poly.items(), key=lambda kv: (sum(kv[0]), kv[0]))
     texts = monomial_texts([exps for exps, _ in terms], names)
     return join_terms(zip([coeff for _, coeff in terms], texts))
+
+
+def pair_to_text(p, header: str = "") -> str:
+    """The pair file of a characteristic pair: its fan file, then its
+    charmap values, one line per ray."""
+    lines = [fan_to_text(p.complex, header).rstrip("\n"), "charmap"]
+    lines += [" ".join(str(e) for e in value) for value in p.charmap]
+    return "\n".join(lines) + "\n"
+
+
+def plmap_to_text(phi, header: str = "") -> str:
+    """The phi file of a piecewise-linear map: its fiber rank, then one
+    line per base ray, the ray index followed by its value."""
+    out = [f"# {header}"] if header else []
+    out += [f"fiber_rank {phi.fiber_rank}", "values"]
+    out += [" ".join([str(i)] + [str(e) for e in value])
+            for i, value in enumerate(phi.values)]
+    return "\n".join(out) + "\n"
 
 
 def congruent_mod_form(a, b, form: IntVector) -> bool:

@@ -1,7 +1,7 @@
 """The fixed-point basis plan, read at the fan's first generic point.
 
 ``fixed_point_basis_plan`` takes each maximal cone's negative-coordinate
-ray set at ``first_generic_coordinates``, the point validation and
+ray set at the fan's ``tables(f).generic``, the point validation and
 localization already read, so a request sweeps the moment curve once per
 fan.  ``sweeping_basis_plan`` searches the moment curve for the first
 point whose sets are distinct and count the h-vector; on every complete
@@ -18,13 +18,16 @@ from helpers import (
     clear_fan_caches,
     cp2_sharp_cp2,
     dim5_twists,
+    generic_coordinates,
     nonprojective_threefold,
     p1,
     p1_power,
     p2,
+    plmap_to_text,
     projective_space,
     star_surface,
     sweeping_basis_plan,
+    thousand_wall_surface,
 )
 from toricbundles import (
     build_ring,
@@ -40,7 +43,8 @@ from toricbundles.cli import main
 from toricbundles.cohomology import fixed_point_basis_plan
 from toricbundles.corpus import corpus_fans
 from toricbundles.faces import h_vector_of, walk_faces
-from toricbundles.formats import fan_to_text, plmap_to_text
+from toricbundles.fan import FanTables, tables
+from toricbundles.formats import fan_to_text
 
 
 def _plan_cases():
@@ -65,6 +69,49 @@ PLAN_CASES = _plan_cases()
 def test_the_first_generic_point_gives_the_sweeping_plan(name, fan):
     hv = h_vector_of(walk_faces(fan.max_cones), fan.dim)
     assert fixed_point_basis_plan(fan) == sweeping_basis_plan(fan, hv)
+
+
+SWEEP_CASES = list(corpus_fans()) + [
+    ("1003-ray surface", thousand_wall_surface()),
+    ("non-projective threefold", nonprojective_threefold()),
+]
+
+
+@pytest.mark.parametrize("name,fan", SWEEP_CASES,
+                         ids=[name for name, _ in SWEEP_CASES])
+def test_the_generic_point_is_the_restarting_sweeps(name, fan):
+    # each point tried first on the cone that rejected the last finds the
+    # point, and the pairings, that restarting at the first cone finds
+    record = tables(fan)
+    assert record.generic == next(
+        generic_coordinates(record.duals.rows, fan.dim))
+
+
+def test_the_generic_sweep_is_linear_in_the_cones(monkeypatch):
+    # on the 1003-ray surface every t <= 999 lies on a wall of a cone next
+    # to the one that rejected t - 1: restarting at the first cone pairs
+    # about 500k rows, starting at the last rejecting cone about 6k
+    f = thousand_wall_surface()
+    record = FanTables(f)
+    record.duals
+    products, points = [], []
+    real_curve, real_mul = fan_module.moment_curve, fan_module.mul
+
+    def counting_curve(dim):
+        for point in real_curve(dim):
+            points.append(point)
+            yield point
+
+    def counting_mul(a, b):
+        products.append(a)
+        return real_mul(a, b)
+
+    monkeypatch.setattr(fan_module, "moment_curve", counting_curve)
+    monkeypatch.setattr(fan_module, "mul", counting_mul)
+    record.generic
+    pairings = len(products) // f.dim
+    assert len(points) == 1000
+    assert pairings <= 2 * f.dim * (len(f.max_cones) + len(points))
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ from math import comb, factorial
 import pytest
 
 from helpers import (
+    clear_fan_caches,
     dp6,
     p1,
     p1_power,
@@ -29,6 +30,7 @@ from toricbundles import (
 from toricbundles import chern
 from toricbundles.chern import partitions
 from toricbundles.corpus import corpus_fans, corpus_instances
+from toricbundles.fan import dual_table, tables
 from toricbundles.formats import fan_to_text, parse_fan
 
 
@@ -146,8 +148,6 @@ def test_compare_computes_the_numbers_once_when_the_routes_agree(monkeypatch):
 def test_a_cold_compare_certifies_the_base_and_twisted_fans_only(monkeypatch):
     # the fiber factor reads the twisted ring's faces inside the fiber rays,
     # so compare builds no fiber ring
-    from functools import cache
-
     from toricbundles import cohomology
 
     certified = []
@@ -158,7 +158,7 @@ def test_a_cold_compare_certifies_the_base_and_twisted_fans_only(monkeypatch):
         return real(f, *args)
 
     monkeypatch.setattr(cohomology, "_certified_ring", counting)
-    monkeypatch.setattr(chern, "build_ring", cache(build_ring.__wrapped__))
+    clear_fan_caches()
     base, fiber = p2(), p1()
     phi = make_plmap(1, [[1], [0], [2]])
     assert compare(base, fiber, phi).equal
@@ -261,19 +261,76 @@ def test_pullback_rejects_mismatched_rings():
         pullback(twisted, build_ring(p2()).unit())
 
 
-def test_pullback_checks_the_base_relations_in_the_twisted_ideal():
-    # the fiber rays listed first: the base relation x0 - x1 lands on
-    # x0 - x1, which is -x2 in this fan's ring, not 0
+def test_pullback_checks_the_base_relations_in_the_twisted_ideal(
+        monkeypatch):
+    # the base ring's relation x0 - x1 perturbed to x0: its image X0 is
+    # no relation of the twisted ring, whose linear relations are
+    # X0 - X1 and X0 + X2 - X3, so it is not 0 there
     twisted = twisted_fan(p1(), p1(), make_plmap(1, [[1], [0]]))
-    rays = twisted.rays[2:] + twisted.rays[:2]
+    base_ring = build_ring(p1())
+    pullback(twisted, base_ring.unit())  # the true relations map to 0
+    monkeypatch.setattr(base_ring, "relations", ((1, 0),))
+    with pytest.raises(RingConsistencyError, match="twisted ideal"):
+        pullback(twisted, base_ring.unit())
+
+
+def test_parts_are_no_constructor_argument():
+    # only twisted_fan records parts, so they always agree with the rays
+    twisted = twisted_fan(p1(), p1(), make_plmap(1, [[1], [0]]))
+    rays = twisted.rays[2:] + twisted.rays[:2]  # fiber rays first
     cones = tuple(frozenset((i + 2) % 4 for i in cone)
                   for cone in twisted.max_cones)
-    # the parts-less fan's ring is built from its rays; the fan with parts
-    # equals it, so it reads that ring rather than duals from its parts
-    build_ring(Fan(2, rays, cones))
-    swapped = Fan(2, rays, cones, parts=twisted.parts)
-    with pytest.raises(RingConsistencyError, match="twisted ideal"):
-        pullback(swapped, build_ring(p1()).unit())
+    with pytest.raises(TypeError):
+        Fan(2, rays, cones, parts=twisted.parts)
+    with pytest.raises(TypeError):
+        Fan(2, rays, cones, twisted.parts)
+    assert Fan(2, rays, cones).parts is None
+
+
+def _built_in_order(twisted, copy, twisted_first):
+    """With the per-fan caches cleared, build the ring of one of the two
+    equal fans and then read the other's record and ring: the record, its
+    duals, the Betti numbers and the total class, by both routes."""
+    clear_fan_caches()
+    first, second = (twisted, copy) if twisted_first else (copy, twisted)
+    ring = build_ring(first)
+    record = tables(second)
+    assert record is tables(first) and build_ring(second) is ring
+    assert ring.inverses is record.duals.rows
+    return (record.duals, ring.betti(), total_chern_intrinsic(ring).flat,
+            total_chern_bundle_formula(twisted).flat)
+
+
+@pytest.mark.parametrize("phi", [[[1], [0], [2]], [[-2], [3], [1]]])
+def test_a_twisted_fan_and_its_parsed_copy_agree_in_either_order(phi):
+    twisted = twisted_fan(p2(), p1(), make_plmap(1, phi))
+    copy = parse_fan(fan_to_text(twisted))
+    assert copy == twisted and copy.parts is None
+    results = [_built_in_order(twisted, copy, first) for first in (True, False)]
+    assert results[0] == results[1]
+    duals, _, intrinsic, bundle = results[0]
+    assert duals == dual_table(twisted.rays, twisted.max_cones)
+    assert intrinsic == bundle
+
+
+def test_a_second_compare_walks_no_base_ring_columns(monkeypatch):
+    # the base ring's total class is kept in its fan's record, so a
+    # compare over a warm base reads it without walking the base ring
+    base, fiber = p2(), p1()
+    assert compare(base, fiber, make_plmap(1, [[1], [0], [2]])).equal
+    base_ring = build_ring(base)
+    walked = []
+    real = base_ring._column_form
+
+    def counting(table, d, pos):
+        walked.append((d, pos))
+        return real(table, d, pos)
+
+    monkeypatch.setattr(base_ring, "_column_form", counting)
+    assert compare(base, fiber, make_plmap(1, [[0], [2], [-1]])).equal
+    assert walked == []
+    assert tables(base).total == total_chern_intrinsic(base_ring)
+    assert walked  # the counter sees a walk of the base ring
 
 
 def test_a_fan_without_parts_names_twisted_fan():

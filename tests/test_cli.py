@@ -13,6 +13,8 @@ from helpers import (
     monomial_to_text,
     p1,
     p2,
+    pair_to_text,
+    plmap_to_text,
     polynomial_to_text,
     star_surface,
 )
@@ -29,18 +31,16 @@ from toricbundles import (
 from toricbundles.cli import build_parser, main
 from toricbundles.cohomology import RingConsistencyError
 from toricbundles import fan as fan_module
-from toricbundles.fan import Fan, ValidationReport
+from toricbundles.fan import Fan, ValidationReport, tables
 from toricbundles.formats import (
     ParseError,
     fan_to_text,
-    pair_to_text,
     parse_base_presentation,
     parse_fan,
     parse_pair,
     parse_plmap,
     parse_polynomial,
     parse_twisting,
-    plmap_to_text,
 )
 
 P1_FAN = """\
@@ -508,7 +508,7 @@ def test_corpus_ring_sanity_walks_no_faces(monkeypatch):
     # ring sanity reads the h-vector off each ring's face masks, so with
     # no twist instances or pairs a corpus run walks the maximal cones'
     # submasks once per ring it builds, and no more
-    from toricbundles import cohomology, corpus, faces
+    from toricbundles import corpus, faces
 
     walks = []
     walk_faces = faces.walk_faces
@@ -528,7 +528,7 @@ def test_corpus_ring_sanity_walks_no_faces(monkeypatch):
     assert {c.criterion for c in checks} == {
         "chern-numbers", "gauss-bonnet", "ring-sanity"}
     assert all(c.passed for c in checks)
-    assert len(walks) == cohomology.build_ring.cache_info().currsize == 8
+    assert len(walks) == tables.cache_info().currsize == 8
 
 
 def test_cmd_equivariant(tmp_path, capsys):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     dp6,
+    fresh_ring,
     p1,
     p1_power,
     p2,
@@ -27,7 +28,7 @@ from toricbundles import (
 )
 from toricbundles.corpus import corpus_fans
 from toricbundles.faces import h_vector_of, walk_faces
-from toricbundles.fan import cone_duals
+from toricbundles.fan import tables
 from toricbundles.twist import make_plmap, twisted_fan
 
 
@@ -298,7 +299,7 @@ def test_torsion_relations_fail_certification():
             max_cones=f.max_cones,
             basis_plan=fixed_point_basis_plan(f),
             face_masks=walk_faces(f.max_cones), kind="fan ring",
-            inverses=cone_duals(f).rows,
+            inverses=tables(f).duals.rows,
         )
 
 
@@ -313,7 +314,7 @@ def test_relations_need_a_basis_plan():
             ray_count=3, dim=2, relations=linear_relations(f),
             max_cones=f.max_cones, basis_plan=fixed_point_basis_plan(f),
             face_masks=walk_faces(f.max_cones), kind="fan ring",
-            inverses=cone_duals(f).rows,
+            inverses=tables(f).duals.rows,
         )
         del arguments[missing]
         with pytest.raises(TypeError, match=missing):
@@ -333,7 +334,7 @@ def test_a_plan_with_a_repeated_set_names_the_face_two_intervals_hold():
             ray_count=3, dim=2, relations=linear_relations(f),
             max_cones=f.max_cones,
             basis_plan=[frozenset()] * 3, face_masks=walk_faces(f.max_cones),
-            kind="fan ring", inverses=cone_duals(f).rows,
+            kind="fan ring", inverses=tables(f).duals.rows,
         )
 
 
@@ -344,7 +345,7 @@ def _ring_on_plan(f, plan):
         ray_count=f.ray_count, dim=f.dim, relations=linear_relations(f),
         max_cones=f.max_cones, basis_plan=plan,
         face_masks=walk_faces(f.max_cones), kind="fan ring",
-        inverses=cone_duals(f).rows,
+        inverses=tables(f).duals.rows,
     )
 
 
@@ -397,7 +398,7 @@ def _counting_face_walks(monkeypatch):
 
 def test_a_certified_ring_builds_its_face_set_once(monkeypatch):
     calls = _counting_face_walks(monkeypatch)
-    ring = build_ring.__wrapped__(dp6())
+    ring = fresh_ring(dp6())
     assert len(calls) == 1
     assert ray_sets(ring.face_masks) == subset_faces(dp6().max_cones)
     assert ring.nonfaces == subset_minimal_nonfaces(dp6())

@@ -58,7 +58,7 @@ from toricbundles.cohomology import linear_relations
 from toricbundles.corpus import corpus_fans, corpus_pairs, random_unimodular
 from toricbundles.equivariant import ordinary_ring
 from toricbundles.faces import h_vector_of, walk_faces
-from toricbundles.fan import cone_duals
+from toricbundles.fan import tables
 from toricbundles.twist import weight_table
 
 
@@ -195,7 +195,7 @@ def _expected_counts(ring, fan):
     ("P5", projective_space(5)),
 ] + [(name, f) for name, f in corpus_fans()])
 def test_degree_d_builds_one_row_per_non_basis_face(name, fan, monkeypatch):
-    inverses = cone_duals(fan).rows
+    inverses = tables(fan).duals.rows
     ring, counts = _row_counts(monkeypatch, lambda: cohomology._certified_ring(
         fan, linear_relations(fan), "fan ring", inverses))
     assert counts == _expected_counts(ring, fan)
@@ -235,12 +235,12 @@ def test_bundle_cone_rewrites_read_the_inverse_of_the_relations():
 
 
 def test_rings_share_the_dual_rows_of_one_table():
-    # a fan ring's inverse rows are the fan's cone_duals rows, a bundle
+    # a fan ring's inverse rows are its tables record's dual rows, a bundle
     # ring's are its fiber ring's, whose rewrites it reads, and the rewrites
     # keep those same tuples
     _, base, lam, fiber = BUNDLE_CASES[-1]
     ring = build_ring(fiber)
-    rows = cone_duals(fiber).rows
+    rows = tables(fiber).duals.rows
     assert ring.inverses is rows
     bundle = build_bundle_ring(base, lam, fiber)
     assert bundle.inverses is rows
@@ -254,11 +254,11 @@ def test_rings_share_the_dual_rows_of_one_table():
 def test_cleared_caches_rebuild_every_ring_on_the_new_dual_rows():
     # clearing the per-fan caches together leaves no ring on the old rows:
     # the rebuilt fan ring, a bundle ring over that fan and the fan's
-    # tautological pair ring all read the new cone_duals rows
+    # tautological pair ring all read the new record's dual rows
     _, base, lam, fiber = BUNDLE_CASES[-1]
     old = build_ring(fiber)
     clear_fan_caches()
-    rows = cone_duals(fiber).rows
+    rows = tables(fiber).duals.rows
     ring = build_ring(fiber)
     assert ring is not old and old.inverses is not rows
     assert ring.inverses is rows

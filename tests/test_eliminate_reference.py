@@ -15,6 +15,7 @@ import pytest
 
 from helpers import (
     charmap_pair_cases,
+    fresh_ring,
     multipass_eliminate,
     p1_power,
     p2,
@@ -27,7 +28,6 @@ from toricbundles import (
     CharacteristicPair,
     TwistingClasses,
     build_bundle_ring,
-    build_ring,
     bundlering,
     cohomology,
 )
@@ -41,7 +41,7 @@ from toricbundles.cohomology import (
 from toricbundles.corpus import corpus_fans
 from toricbundles.equivariant import ordinary_ring
 from toricbundles.faces import walk_faces
-from toricbundles.fan import cone_duals
+from toricbundles.fan import tables
 from toricbundles.formats import parse_base_presentation
 
 BASES = os.path.join(os.path.dirname(__file__), "..", "perfbench", "bases")
@@ -75,7 +75,7 @@ FANS = list(corpus_fans()) + [
 
 @pytest.mark.parametrize("name,fan", FANS, ids=[name for name, _ in FANS])
 def test_fan_rings_match_the_reference(compared, name, fan):
-    build_ring.__wrapped__(fan)  # past the cache: every piece is eliminated
+    fresh_ring(fan)  # past the cache: every piece is eliminated
     assert compared
 
 
@@ -85,7 +85,7 @@ STAR_SUBDIVISIONS = star_subdivision_cases()
 @pytest.mark.parametrize("name,fan", STAR_SUBDIVISIONS,
                          ids=[name for name, _ in STAR_SUBDIVISIONS])
 def test_star_subdivisions_match_the_reference(compared, name, fan):
-    build_ring.__wrapped__(fan)
+    fresh_ring(fan)
     assert compared
 
 
@@ -147,7 +147,7 @@ def _square_ring(bad_sets):
         relations=linear_relations(fan), max_cones=fan.max_cones,
         basis_plan=_square_plan(bad_sets, fan),
         face_masks=walk_faces(fan.max_cones), kind="fan ring",
-        inverses=cone_duals(fan).rows,
+        inverses=tables(fan).duals.rows,
     )
 
 
@@ -213,7 +213,7 @@ def plan_without_x3(monkeypatch):
 def test_a_failing_fan_ring_plan_names_the_fan_ring(plan_without_x3):
     with pytest.raises(RingConsistencyError,
                        match=r"^fan ring, degree 1: .*\(0, 0, 0, 1\)"):
-        build_ring.__wrapped__(square_fan())
+        fresh_ring(square_fan())
 
 
 def test_a_failing_pair_ring_plan_names_the_pair_ring(plan_without_x3):
@@ -227,7 +227,9 @@ def test_a_failing_pair_ring_plan_names_the_pair_ring(plan_without_x3):
 
 
 def test_a_failing_bundle_ring_plan_names_the_bundle_ring(monkeypatch):
-    fiber_ring = build_ring.__wrapped__(square_fan())
+    fiber = square_fan()  # a ring of its own, not the cached one
+    fiber_ring = cohomology._certified_ring(
+        fiber, linear_relations(fiber), "fan ring", tables(fiber).duals.rows)
     fiber_ring.basis_plan = _square_plan(SQUARE_WITHOUT_X3, square_fan())
     monkeypatch.setattr(bundlering, "build_ring", lambda fiber: fiber_ring)
     base = p2_presentation()

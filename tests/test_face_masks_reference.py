@@ -25,6 +25,7 @@ from helpers import (
     FrozensetWalkRing,
     cp2_sharp_cp2,
     dim5_twists,
+    fresh_ring,
     nonprojective_threefold,
     p1_power,
     projective_space,
@@ -105,7 +106,7 @@ def _assert_same_walk(monkeypatch, build, build_reference):
 def _assert_fan_ring(monkeypatch, fan):
     cached = build_ring(fan)  # its arguments rebuild the reference
     ring = _assert_same_walk(
-        monkeypatch, lambda: build_ring.__wrapped__(fan),
+        monkeypatch, lambda: fresh_ring(fan),
         lambda: FrozensetWalkRing.of(cached))
     assert ray_sets(ring.face_masks) == subset_faces(fan.max_cones)
     assert ring.betti() == h_vector_of(walk_faces(fan.max_cones), fan.dim)

@@ -19,13 +19,15 @@ from helpers import (
     P2_PRESENTATION,
     cp2_sharp_cp2,
     p1_power,
+    pair_to_text,
+    plmap_to_text,
     projective_space,
     star_surface,
 )
 from toricbundles import corpus
 from toricbundles.cli import main
 from toricbundles.fan import product_fan
-from toricbundles.formats import fan_to_text, pair_to_text, plmap_to_text
+from toricbundles.formats import fan_to_text
 from toricbundles.twist import make_plmap, tautological_pair, twisted_pair
 
 GOLDEN = Path(__file__).parent / "golden"

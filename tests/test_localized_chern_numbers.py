@@ -25,8 +25,10 @@ from helpers import (
     p1,
     p1_power,
     p2,
+    plmap_to_text,
     projective_space,
     star_surface,
+    thousand_wall_surface,
 )
 from toricbundles import (
     RingConsistencyError,
@@ -44,7 +46,8 @@ from toricbundles import (
 from toricbundles import chern, fan as fan_module
 from toricbundles.cli import main
 from toricbundles.corpus import corpus_fans
-from toricbundles.formats import fan_to_text, plmap_to_text
+from toricbundles.fan import tables
+from toricbundles.formats import fan_to_text
 
 
 def _fan_cases():
@@ -87,13 +90,13 @@ def test_a_fractional_localization_sum_names_the_partition(monkeypatch):
     # doubling the second dual row of the cone [0, 1] turns its term
     # (1 + 2)^2 / (1 * 2) into (1 + 4)^2 / (1 * 4), so c1^2 sums to 9 + 7/4
     f = p2()
-    rows = list(fan_module.cone_duals(f).rows)
+    record = tables(f)
+    assert record.report.all_good  # validated on the true rows
+    rows = list(record.duals.rows)
     u, v = rows[0]
     rows[0] = (u, tuple(2 * x for x in v))
-    monkeypatch.setattr(
-        chern, "first_generic_coordinates",
-        lambda _: next(generic_coordinates(rows, f.dim)),
-    )
+    monkeypatch.setattr(record, "generic",
+                        next(generic_coordinates(rows, f.dim)))
     with pytest.raises(RingConsistencyError,
                        match=r"Chern number 1\+1: fixed-point localization "
                              r"sums to 43/4, not an integer"):
@@ -158,19 +161,14 @@ def test_cmd_chern_takes_no_ring_products_for_its_numbers(tmp_path, capsys,
 def test_cmd_chern_finds_a_generic_point_past_a_thousand_walls(tmp_path,
                                                                capsys,
                                                                monkeypatch):
-    # rays (1, 0), (1, k) for k = 1..999, (0, 1), (-1, 0), (0, -1): the
-    # cone of (1, k - 1) and (1, k) has the dual rows (k, -1) and
-    # (1 - k, 1), so (1, t) lies on a wall for every t <= 999 and the
-    # first generic point is t = 1000.  A smooth complete surface with r
-    # rays has c2 = r and c1^2 = 12 - r.
+    # the first generic point of this surface is t = 1000.  A smooth
+    # complete surface with r rays has c2 = r and c1^2 = 12 - r.
     def refused(*args):
         raise AssertionError("pairwise fallback called")
 
     monkeypatch.setattr(fan_module, "_pairwise_checks", refused)
-    rays = [[1, 0]] + [[1, k] for k in range(1, 1000)]
-    rays += [[0, 1], [-1, 0], [0, -1]]
-    r = len(rays)
-    f = make_fan(2, rays, [[i, (i + 1) % r] for i in range(r)])
+    f = thousand_wall_surface()
+    r = f.ray_count
     path = tmp_path / "wide.fan"
     path.write_text(fan_to_text(f))
     assert main(["--format", "machine", "chern", str(path)]) == 0

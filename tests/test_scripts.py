@@ -8,8 +8,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import load_script, nonprojective_threefold
+from helpers import generic_coordinates, load_script, nonprojective_threefold
 from toricbundles import Fan, RingConsistencyError, make_plmap, validate
+from toricbundles.fan import FanTables
 
 
 def _load(name="random_twists"):
@@ -127,6 +128,23 @@ def test_random_twists_script_fails_on_a_wrong_twisted_dual_table(
     assert "0/2 random twists verified" in capsys.readouterr().out
 
 
+def test_random_twists_script_fails_on_a_later_generic_point(capsys,
+                                                            monkeypatch):
+    # the second point off every wall gives a plan, a certificate and
+    # localization as valid as the first, so only the script's own sweep
+    # sees that the record did not take the first
+    module = _load()
+
+    def second_point(record):
+        sweep = generic_coordinates(record.duals.rows, record.fan.dim)
+        next(sweep)
+        return next(sweep)
+
+    monkeypatch.setattr(FanTables, "generic", property(second_point))
+    assert module.main(2, 7, 3) == 2
+    assert "0/2 random twists verified" in capsys.readouterr().out
+
+
 def _fiber_first(twisted):
     """The twisted fan with its fiber rays listed first, without parts."""
     fiber = twisted.parts[1]
@@ -156,9 +174,10 @@ def test_ray_order_check_reads_the_rays_and_the_parts():
     swapped = _fiber_first(twisted)
     assert validate(swapped).all_good
     assert not module.rays_in_order(swapped, base, fiber, phi)
-    assert not module.rays_in_order(
-        Fan(swapped.dim, swapped.rays, swapped.max_cones, twisted.parts),
-        base, fiber, phi)
+    # no constructor takes parts, so give the fiber-first fan the twisted
+    # fan's by hand: the check still reads the rays
+    object.__setattr__(swapped, "parts", twisted.parts)
+    assert not module.rays_in_order(swapped, base, fiber, phi)
     # equal to the twisted fan, but it does not record its parts
     copy = Fan(twisted.dim, twisted.rays, twisted.max_cones)
     assert copy == twisted

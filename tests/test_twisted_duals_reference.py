@@ -1,13 +1,13 @@
 """A twisted fan's dual rows from its parts against a Bareiss pass per cone.
 
 ``twist.twisted_fan`` records the base fan, the fiber fan and the base
-rays' lifts on the twisted fan, and ``fan.cone_duals`` builds its table
-from the base's and fiber's tables by the block inverse.  That table must
-equal ``dual_table`` of the twisted rays exactly, in determinants and
-rows, on seeded twists over P^n and products and with the non-projective
-threefold as base and as fiber.  A parsed copy of the twisted fan has no
+rays' lifts on the twisted fan, and its ``fan.tables`` record builds its
+dual table from the base's and fiber's tables by the block inverse.
+That table must equal ``dual_table`` of the twisted rays exactly, in
+determinants and rows, on seeded twists over P^n and products and with
+the non-projective threefold as base and as fiber.  A parsed copy of the twisted fan has no
 parts, so it runs the Bareiss passes, and must get the same table; a ring
-rebuilt after the caches are cleared reads the derived rows.  The cone
+rebuilt after the record is cleared reads the derived rows.  The cone
 rewrites check the rows a ring is given: a corrupted or an all-zero
 inverse row raises, naming its cone.
 """
@@ -27,7 +27,7 @@ from toricbundles import build_ring, make_plmap, product_fan, twisted_fan
 from toricbundles import cohomology
 from toricbundles import fan as fan_module
 from toricbundles.cohomology import RingConsistencyError, linear_relations
-from toricbundles.fan import cone_duals, dual_table
+from toricbundles.fan import dual_table, tables
 from toricbundles.formats import fan_to_text, parse_fan
 
 
@@ -67,7 +67,7 @@ CASES = _cases()
                          ids=[name for name, _ in CASES])
 def test_derived_table_is_the_bareiss_table(name, twisted):
     assert twisted.parts is not None
-    derived = cone_duals(twisted)
+    derived = tables(twisted).duals
     bareiss = dual_table(twisted.rays, twisted.max_cones)
     assert derived.determinants == bareiss.determinants
     assert derived.rows == bareiss.rows
@@ -80,16 +80,16 @@ def test_a_parsed_copy_gets_the_same_table_by_bareiss(name, twisted,
     clear_fan_caches()
     parsed = parse_fan(fan_to_text(twisted))
     assert parsed == twisted and parsed.parts is None
-    table = cone_duals(parsed)
+    table = tables(parsed).duals
     clear_fan_caches()
     base, fiber, _ = twisted.parts
-    cone_duals(base), cone_duals(fiber)
+    tables(base).duals, tables(fiber).duals
 
     def no_bareiss(m):
         raise AssertionError(f"Bareiss pass on {m}")
 
     monkeypatch.setattr(fan_module, "det_adjugate", no_bareiss)
-    assert cone_duals(twisted) == table
+    assert tables(twisted).duals == table
 
 
 def test_a_rebuilt_twisted_ring_reads_the_derived_rows():
@@ -98,7 +98,7 @@ def test_a_rebuilt_twisted_ring_reads_the_derived_rows():
     clear_fan_caches()
     ring = build_ring(twisted)
     assert ring is not old
-    assert ring.inverses is cone_duals(twisted).rows
+    assert ring.inverses is tables(twisted).duals.rows
 
 
 def _corrupted(row):
@@ -114,7 +114,7 @@ def _zero(row):
 @pytest.mark.parametrize("name,twisted", [CASES[0], CASES[-1]],
                          ids=[CASES[0][0], CASES[-1][0]])
 def test_a_wrong_inverse_row_fails_its_cone_rewrite(name, twisted, spoil):
-    rows = list(cone_duals(twisted).rows)
+    rows = list(tables(twisted).duals.rows)
     k = len(rows) // 2
     cone = sorted(twisted.max_cones[k])
     spoiled = list(rows[k])

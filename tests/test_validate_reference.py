@@ -4,7 +4,9 @@
 maximal cone (wall pairing plus one generic point covered once) and
 sends every fan the certificate rejects to the pairwise check, so its
 whole report must equal ``pairwise_validate``'s on valid fans, invalid
-fans and fans the certificate alone can reject.  The linear algebra it
+fans and fans the certificate alone can reject.  Each report is a fresh
+record's, ``FanTables(f).report``, past the per-fan cache.  The linear
+algebra it
 reads (``det_adjugate``) is checked here too, and so is ``hnf_inverse``,
 the reference for the dual rows of a unimodular cone.
 """
@@ -23,9 +25,9 @@ from helpers import (
     star_surface,
 )
 from toricbundles import fan as fan_module
-from toricbundles import make_plmap, product_fan, twisted_fan, validate
+from toricbundles import make_plmap, product_fan, twisted_fan
 from toricbundles.corpus import corpus_fans
-from toricbundles.fan import Fan
+from toricbundles.fan import Fan, FanTables
 from toricbundles.lattice import det_adjugate, identity
 
 
@@ -92,7 +94,7 @@ def double_cover_of_the_circle():
 
 def test_valid_fans_match_the_reference():
     for fan in valid_fans():
-        report = validate.__wrapped__(fan)
+        report = FanTables(fan).report
         assert report == pairwise_validate(fan)
         assert report.all_good
 
@@ -104,7 +106,7 @@ def test_corrupted_fans_match_the_reference():
         if fan.ray_count > 40:
             continue  # the reference is quadratic in the cones
         for bad in corrupted(fan, rng):
-            report = validate.__wrapped__(bad)
+            report = FanTables(bad).report
             assert report == pairwise_validate(bad), bad
             invalid += not report.all_good
     assert invalid > 100
@@ -112,7 +114,7 @@ def test_corrupted_fans_match_the_reference():
 
 def test_only_the_point_count_rejects_the_double_cover():
     fan = double_cover_of_the_circle()
-    report = validate.__wrapped__(fan)
+    report = FanTables(fan).report
     assert report == pairwise_validate(fan)
     assert report.smooth and report.complete and not report.well_formed
     assert any("do not meet in a face" in d for d in report.diagnostics)
@@ -128,16 +130,16 @@ def test_a_certified_fan_makes_no_pairwise_calls(monkeypatch):
 
     monkeypatch.setattr(fan_module, "_meet_in_face", counting)
     for fan in valid_fans():
-        assert validate.__wrapped__(fan).all_good
+        assert FanTables(fan).report.all_good
     assert calls == []
-    assert not validate.__wrapped__(double_cover_of_the_circle()).well_formed
+    assert not FanTables(double_cover_of_the_circle()).report.well_formed
     assert calls
 
 
 def test_a_ray_outside_every_cone_still_spoils_a_certified_fan():
     p2 = projective_space(2)
     fan = Fan(2, p2.rays + ((1, 1),), p2.max_cones)
-    report = validate.__wrapped__(fan)
+    report = FanTables(fan).report
     assert report == pairwise_validate(fan)
     assert report.complete and not report.well_formed
     assert report.diagnostics == ("ray 3 = (1, 1) lies in no maximal cone",)
