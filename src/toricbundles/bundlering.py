@@ -42,6 +42,7 @@ sign times the base integral of the top fiber basis coefficient.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add, mul
@@ -168,27 +169,18 @@ class BasePresentation(GradedRing):
         """The nonzero integrals K[p,q,r] = int_B e_p e_q e_r, as (p, q, r, K).
 
         The basis classes e_p are numbered across degrees, lowest first, as
-        a class's ``flat`` runs and as in the product table.  Read off it:
-        e_p e_q = sum_s c_s e_s, and each e_s e_r of top degree is a
-        multiple of the top basis monomial.
+        a class's ``flat`` runs and as in the product table; the triples run
+        in (p, q, r) order over those whose degrees sum to the top.
         """
-        numbered = list(zip(self._basis_degrees, self._basis))
-        forms = self._forms
+        size, degrees = self._offsets[-1], self._basis_degrees
+        e = [CohomologyClass._of(self, tuple(int(i == p) for i in range(size)))
+             for p in range(size)]
         out = []
-        for p, (kp, mp) in enumerate(numbered):
-            for q, (kq, mq) in enumerate(numbered):
-                if kp + kq > self.half_top:
-                    continue
-                entries = forms[tuple(map(add, mp, mq))]
-                for r, (kr, mr) in enumerate(numbered):
-                    if kp + kq + kr != self.half_top:
-                        continue
-                    value = 0
-                    for s, c in entries:
-                        top = forms[tuple(map(add, numbered[s][1], mr))]
-                        value += sum(c * v for _, v in top)
-                    if value:
-                        out.append((p, q, r, self.integration_value * value))
+        for p, q, r in itertools.product(range(size), repeat=3):
+            if degrees[p] + degrees[q] + degrees[r] == self.half_top:
+                value = self.integrate(e[p] * e[q] * e[r])
+                if value:
+                    out.append((p, q, r, value))
         return tuple(out)
 
 
@@ -212,10 +204,12 @@ class BundleRing(GradedQuotientRing):
     x_rho + lambda_i = 0, so on a cone the rewrite of its k-th ray gains the
     constant mu_k = -sum_j inv[k][j] lambda_j, and the row of a face S,
     x_tau times sum_j inv[k][j] relation_j (tau = S - {k}), carries the
-    cofactors c_j = inv[k][j] of lambda_j x_tau.  ``dim`` is the complex
+    cofactors c_j = inv[k][j] of lambda_j x_tau.  Both come from the
+    twisting classes, ``_lam``, in GradedQuotientRing, which keeps each
+    mu_k, solved on first need, in ``_constants``.  ``dim`` is the complex
     dimension of the total space; fiber monomials of higher degree vanish.
     It is set after GradedQuotientRing's constructor, whose rank checks
-    read the fiber's dimension and the fiber ring's face masks.
+    read the fiber's dimension.
     """
 
     def __init__(self, base: BasePresentation, lam: TwistingClasses, fiber: Fan):
@@ -234,39 +228,18 @@ class BundleRing(GradedQuotientRing):
         self._one = base.unit()
         self._lam = lam.classes
         self._constants: dict = {}
-        super().__init__(
-            fiber.ray_count, fiber.dim, linear_relations(fiber),
-            fiber.max_cones, self.fiber_ring.basis_plan,
-            self.fiber_ring.face_masks, "bundle ring", self.fiber_ring.inverses,
-        )
+        super().__init__(linear_relations(fiber), fiber.max_cones,
+                         self.fiber_ring.basis_plan, "bundle ring",
+                         self.fiber_ring.inverses)
         self.dim = self.monomial_cap = base.half_top + fiber.dim
         # fiber-first integration keeps the top fiber basis monomial's
         # coefficient, with the fiber's point sign
         self._point = self.fiber_ring._point_data()
 
-    def _constant(self, cone: frozenset, rho: int) -> CohomologyClass:
-        """mu_rho on the cone, solved on first need and kept by the ring."""
-        key = cone, rho
-        if key not in self._constants:
-            self._constants[key] = self._rewrite_constant(
-                self._rewrites[cone][rho][1])
-        return self._constants[key]
-
     def _solve_rewrites(self) -> dict:
         """The fiber ring's rewrites: the relations and inverse rows are
-        the fiber ring's, and the constants come apart (``_constant``)."""
+        the fiber ring's, and the constants mu come apart (``_solve``)."""
         return self.fiber_ring._rewrites
-
-    def _rewrite_constant(self, inverse_row) -> CohomologyClass:
-        """mu_k = -sum_j inv[k][j] lambda_j, from inverse_row = inv[k]."""
-        mu = self._zero
-        for inv, lam in zip(inverse_row, self._lam):
-            mu = mu - inv * lam
-        return mu
-
-    def _row_payload(self, tau_pos, inverse_row) -> dict:
-        """The row's lambda cofactors, {(j, position of tau): inv[k][j]}."""
-        return {(j, tau_pos): c for j, c in enumerate(inverse_row) if c}
 
     def point_class(self):
         raise ValueError("the bundle ring has no point class: pair classes "

@@ -112,7 +112,6 @@ def total_chern_bundle_formula(twisted: Fan) -> CohomologyClass:
     it with the intrinsic route is a genuine two-route check.
     """
     base, fiber, _ = _parts(twisted)
-    build_ring(base)
     pulled = pullback(twisted, tables(base).total)
     return pulled * _fiber_factor(fiber, build_ring(twisted))
 
@@ -143,7 +142,9 @@ def chern_numbers(ring, total: CohomologyClass) -> dict[tuple[int, ...], int]:
     parts, largest first, go to the half A or B of smaller degree, ties
     to A.  Sub-products are memoised by their descending tuples, as
     product(mu) = product(mu[1:]) * c_mu[0] (a single part is c_k
-    itself, and the empty product the unit), and the number is
+    itself, and the empty product the unit), each half's suffixes built
+    shortest first by a plain loop, so nothing holds the call's table
+    once it returns, and the number is
     ``ring.integrate_product(product(A), product(B))``.  Every ring, fan
     or bundle, makes 3 ring products at n = 5 and 4 at n = 6, where a
     left-to-right walk makes 13 and 24: the pairing reads the ring's
@@ -155,16 +156,7 @@ def chern_numbers(ring, total: CohomologyClass) -> dict[tuple[int, ...], int]:
     n = ring.dim
     components = [total.component(k) for k in range(n + 1)]
     table = ring.normal_forms()
-    products = {}
-
-    def product(mu):
-        if mu not in products:
-            products[mu] = (ring.multiply(product(mu[1:]), components[mu[0]],
-                                          table)
-                            if len(mu) > 1
-                            else components[mu[0]] if mu else ring.unit())
-        return products[mu]
-
+    products = {(): ring.unit(), **{(k,): c for k, c in enumerate(components)}}
     out = {}
     for part in _partitions(n):
         a, b = (), ()
@@ -173,7 +165,12 @@ def chern_numbers(ring, total: CohomologyClass) -> dict[tuple[int, ...], int]:
                 a += (k,)
             else:
                 b += (k,)
-        out[part] = ring.integrate_product(product(a), product(b), table)
+        for half in (a, b):
+            for mu in (half[i:] for i in reversed(range(len(half) - 1))):
+                if mu not in products:
+                    products[mu] = ring.multiply(products[mu[1:]],
+                                                 components[mu[0]], table)
+        out[part] = ring.integrate_product(products[a], products[b], table)
     return out
 
 

@@ -431,6 +431,7 @@ class GradedRing:
     # K[p,q,r] = int e_p e_q e_r as (p, q, r, K): on Z, int 1 = 1
     _coefficient_triples: tuple = ((0, 0, 0, 1),)
     _lam: tuple = ()
+    face_masks = None  # a ring of faces has them; a presentation none
     _degrees: list[GradedPiece]
 
     def _degree(self, mono: Monomial) -> int:
@@ -584,14 +585,17 @@ class GradedRing:
         and T_ij is the top entry of forms[m_i * m_j], for the pairs with
         n <= d_i + d_j <= ``monomial_cap``, n the top piece.  M_ij = M_ji,
         as m_i m_j = m_j m_i and K is symmetric, so each unordered pair is
-        read once.
+        read once.  On a ring with ``face_masks``, a pair whose joint
+        support is no face is zero in the Stanley-Reisner ideal and skipped.
         """
         sign, n = self._point_data(), len(self._degrees) - 1
-        top, pairing = self._offsets[n], {}
+        top, pairing, faces = self._offsets[n], {}, self.face_masks
+        supports = [sum(1 << i for i, e in enumerate(m) if e) for m in self._basis]
         numbered = enumerate(zip(self._basis_degrees, self._basis))
         pairs = itertools.combinations_with_replacement(numbered, 2)
         for (i, (di, mi)), (j, (dj, mj)) in pairs:
-            if not n <= di + dj <= self.monomial_cap:
+            if not n <= di + dj <= self.monomial_cap or (
+                    faces is not None and supports[i] | supports[j] not in faces):
                 continue
             product = forms[tuple(map(add, mi, mj))]
             t = self._coefficients(next((v for k, v in product if k == top), 0))
@@ -629,16 +633,17 @@ class GradedQuotientRing(GradedRing):
     graded piece are its squarefree face monomials and every other
     monomial is rewritten into them (see the module docstring).  Instances
     are immutable after construction, apart from caches filled on first
-    use, and safe to share between threads.  Every argument is required.
-    ``face_masks`` is every face of ``max_cones`` as a ray bitmask (one
-    ``faces.walk_faces``); the ring's ``face_masks`` maps each of them to
-    its home cone, the cone whose interval holds it.  ``kind`` names the ring
-    (fan, pair or bundle ring) in elimination errors.  The ring gets, per
-    maximal cone in ``max_cones`` order, its plan's frozenset bad(sigma)
-    and in ``inverses`` the inverse of its relation matrix on the cone's
-    sorted rays (the fan's ``tables(f).duals`` rows, or a pair's weight
-    table), which the cone rewrites check and read, each once, at
-    construction.
+    use, and safe to share between threads.  Every argument is required,
+    and what they determine is worked out: ``dim`` is the number of
+    relations, ``ray_count`` their length (0 for the point fan), and
+    ``face_masks`` maps every face of ``max_cones``, a ray bitmask of one
+    ``faces.walk_faces``, to its home cone, the cone whose interval holds
+    it.  ``kind`` names the ring (fan, pair or bundle ring) in elimination
+    errors.  The ring gets, per maximal cone in ``max_cones`` order, its
+    plan's frozenset bad(sigma) and in ``inverses`` the inverse of its
+    relation matrix on the cone's sorted rays (the fan's ``tables(f).duals``
+    rows, or a pair's weight table), which the cone rewrites check and
+    read, each once, at construction.
 
     The constructor certifies the ring, whoever builds it: after
     elimination it checks the rank invariants (Betti ranks equal the
@@ -648,18 +653,20 @@ class GradedQuotientRing(GradedRing):
 
     Its hooks: the plain degree, the cone rewrite as normal form and the
     point class's sign.  The bundle ring subclasses it, and its twisting
-    classes enter through ``_constant`` and ``_row_payload``.
+    classes are data here, ``_lam``: when they are given, each relation row
+    of a face S carries the cofactors of its lambdas, and a rewrite of x_rho
+    on a cone gains the constant mu_rho = -sum_j inv[rho][j] lambda_j,
+    solved on first need into the ring's ``_constants``.
     """
 
-    def __init__(self, ray_count, dim, relations, max_cones, basis_plan,
-                 face_masks, kind, inverses):
-        self.ray_count = self._nvars = ray_count
-        self.dim = self.degree_cap = self.monomial_cap = dim
+    def __init__(self, relations, max_cones, basis_plan, kind, inverses):
         self.relations = tuple(tuple(r) for r in relations)
+        self.dim = self.degree_cap = self.monomial_cap = dim = len(self.relations)
+        self.ray_count = self._nvars = len(self.relations[0]) if dim else 0
         self.max_cones = tuple(frozenset(c) for c in max_cones)
         self.basis_plan = basis_plan
         self.inverses = inverses
-        self.face_masks = face_masks
+        self.face_masks = walk_faces(self.max_cones)
         self.kind = kind
         self._point = None
         columns = self._interval_columns()
@@ -673,7 +680,7 @@ class GradedQuotientRing(GradedRing):
             raise RingConsistencyError(f"Betti ranks {ranks} differ from h-vector {hv}")
         if sum(ranks) != len(self.max_cones):
             raise RingConsistencyError("total rank differs from maximal-cone count")
-        if dim >= 1 and ranks[1] != ray_count - dim:
+        if dim >= 1 and ranks[1] != self.ray_count - dim:
             raise RingConsistencyError("degree-2 rank differs from Picard rank")
         if ranks != ranks[::-1]:
             raise RingConsistencyError(f"Betti ranks {ranks} are not symmetric")
@@ -741,13 +748,10 @@ class GradedQuotientRing(GradedRing):
                     wider = where.get(tau | 1 << other)
                     if wider is not None:
                         vec[wider] = -a
-            rows.append((vec, self._row_payload(where[tau], inverse_row)))
+            rows.append((vec, {(j, where[tau]): c for j, c in enumerate(inverse_row)
+                               if c} if self._lam else None))
         return GradedPiece.build(monomials, {m: i for i, m in enumerate(monomials)},
                                  rows, planned, label)
-
-    def _row_payload(self, tau_pos: int, inverse_row):
-        """What the dual row of inverse_row carries besides columns: nothing."""
-        return None
 
     # -- rewriting into columns ----------------------------------------------
 
@@ -761,11 +765,11 @@ class GradedQuotientRing(GradedRing):
 
         Returns {rho in the cone: (row, inverse_row)}: x_rho is the sum of
         row[rho'] * x_rho' over the rays rho' (row is dense and zero on the
-        cone), plus ``_constant(cone, rho)``, which a bundle ring makes from
-        inverse_row, rho's row of the inverse relation matrix.  ``inverse``
-        is the ring's ``inverses`` entry of the cone, kept as given; its
-        rows must pair to the identity with the relations on the cone's
-        rays.  A row's pairing with every ray is the sum of the relation
+        cone), plus, in a bundle ring, the constant mu_rho that ``_solve``
+        makes from inverse_row, rho's row of the inverse relation matrix.
+        ``inverse`` is the ring's ``inverses`` entry of the cone, kept as
+        given; its rows must pair to the identity with the relations on the
+        cone's rays.  A row's pairing with every ray is the sum of the relation
         rows its nonzero entries select, each scaled by its entry (an
         entry 1 adds the row as it is).
         """
@@ -791,18 +795,14 @@ class GradedQuotientRing(GradedRing):
             ), inverse_row)
         return rewrite
 
-    def _constant(self, cone: frozenset, rho: int):
-        """The constant of rho's rewrite on cone: None, as the relations
-        have none."""
-        return None
-
     def _solve(self, table: NormalForms, mono: Monomial) -> dict:
         """The normal form of mono, in basis coordinates.
 
         Columns are read off their pivot rows.  Every other monomial
         vanishes unless it has a repeated exponent and a face as support:
         then one repeated x_rho is traded through its cone rewrite, and the
-        monomials that step reaches are read from the table.
+        monomials that step reaches are read from the table; a bundle
+        ring's rewrite adds mu_rho times the monomial with x_rho removed.
         """
         d = self._degree(mono)
         if d < len(self._degrees):
@@ -821,10 +821,15 @@ class GradedQuotientRing(GradedRing):
                 bumped = lowered[:other] + (1,) + lowered[other + 1:]
                 for k, v in table[bumped]:
                     _add_term(form, k, a * v)
-        constant = self._constant(cone, rho)
-        if constant:
-            for k, v in table[lowered]:
-                _add_term(form, k, v * constant)
+        if self._lam:
+            mu = self._constants.get((cone, rho))
+            if mu is None:
+                mu = self._constants[cone, rho] = sum(
+                    (-c * lam for c, lam in zip(self._rewrites[cone][rho][1],
+                                                self._lam)), self._zero)
+            if mu:
+                for k, v in table[lowered]:
+                    _add_term(form, k, v * mu)
         return form
 
     def face_sum(self) -> "CohomologyClass":
@@ -884,11 +889,9 @@ def _certified_ring(f: Fan, relations, kind: str,
     """The quotient of the face ring of f by the given linear relations.
 
     ``inverses`` are the relations' inverses on the maximal cones (see
-    GradedQuotientRing).  This supplies the fan's part: the basis plan,
-    read at the fan's first generic point, and the face masks of one walk
-    of the cones' submasks.  The ring's constructor certifies it.
+    GradedQuotientRing).  This supplies the fan's part: its maximal cones
+    and the basis plan, read at the fan's first generic point.  The ring's
+    constructor walks the faces and certifies it.
     """
-    return GradedQuotientRing(
-        f.ray_count, f.dim, relations, f.max_cones, fixed_point_basis_plan(f),
-        walk_faces(f.max_cones), kind, inverses,
-    )
+    return GradedQuotientRing(relations, f.max_cones,
+                              fixed_point_basis_plan(f), kind, inverses)

@@ -270,7 +270,7 @@ class FanTables:
     twisted fan's parts agree with its rays.  ``FanTables(f)`` builds a
     fresh record, past that cache.  ``ring`` is the fan ring, None until
     ``cohomology.build_ring`` stores it, and ``total`` its total Chern
-    class, its ``face_sum``, read only once the ring is stored: the
+    class, its ``face_sum``, which builds the ring first if need be: the
     bundle formula reads the base's on every request.
     """
 
@@ -433,8 +433,11 @@ class FanTables:
 
     @cached_property
     def total(self):
-        """The stored ``ring``'s total Chern class, its ``face_sum``."""
-        return self.ring.face_sum()
+        """The fan ring's total Chern class, its ``face_sum``; the ring is
+        built (``cohomology.build_ring``) if it is not yet."""
+        from .cohomology import build_ring  # cohomology imports this module
+
+        return build_ring(self.fan).face_sum()
 
 
 tables = cache(FanTables)

@@ -399,6 +399,19 @@ def star_surface(ray_count, rng):
     return make_fan(2, rays, [[i, (i + 1) % n] for i in range(n)])
 
 
+def blow_up(fan, cone):
+    """The star subdivision of the maximal cone ``cone``, the blow-up at its
+    fixed point: one new ray, the sum of the cone's rays, and the cone
+    replaced by the cones cone - {rho} + {new ray}, rho in the cone."""
+    new = len(fan.rays)
+    ray = [sum(fan.rays[rho][i] for rho in cone) for i in range(fan.dim)]
+    cones = []
+    for other in fan.max_cones:
+        cones += ([sorted(cone - {rho}) + [new] for rho in sorted(cone)]
+                  if other == cone else [sorted(other)])
+    return make_fan(fan.dim, [list(r) for r in fan.rays] + [ray], cones)
+
+
 def p1_presentation():
     """Z[h]/(h^2) with c(TB) = 1 + 2h."""
     return BasePresentation(
@@ -1545,8 +1558,8 @@ class RewrittenProductRing(_RewrittenProductRows, GradedQuotientRing):
 
     @classmethod
     def of(cls, ring):
-        return cls(ring.ray_count, ring.dim, ring.relations, ring.max_cones,
-                   ring.basis_plan, ring.face_masks, ring.kind, ring.inverses)
+        return cls(ring.relations, ring.max_cones, ring.basis_plan, ring.kind,
+                   ring.inverses)
 
     def _row_payload(self, tau_pos, tau, i, rewrite):
         """What row (tau, relation i) carries besides its columns: nothing."""
@@ -1623,7 +1636,8 @@ class _FrozensetWalk:
                     if pos is not None:
                         vec[pos] = -a
             tau_pos = self._degrees[d - 1].index[tau]
-            rows.append((vec, self._row_payload(tau_pos, inverse_row)))
+            rows.append((vec, {(j, tau_pos): c for j, c in enumerate(inverse_row)
+                               if c} if self._lam else None))
         return GradedPiece.build(monomials, index, rows, planned,
                                  f"{self.kind}, degree {d}")
 
@@ -1633,8 +1647,8 @@ class FrozensetWalkRing(_FrozensetWalk, GradedQuotientRing):
 
     @classmethod
     def of(cls, ring):
-        return cls(ring.ray_count, ring.dim, ring.relations, ring.max_cones,
-                   ring.basis_plan, ring.face_masks, ring.kind, ring.inverses)
+        return cls(ring.relations, ring.max_cones, ring.basis_plan, ring.kind,
+                   ring.inverses)
 
 
 class FrozensetWalkBundleRing(_FrozensetWalk, BundleRing):

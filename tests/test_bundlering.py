@@ -222,21 +222,29 @@ def test_presentation_rejects_chern_class_not_starting_with_one(constant):
         )
 
 
-def test_cone_rewrites_are_solved_once_per_ring(monkeypatch):
-    calls = []
-    original = BundleRing._rewrite_constant
+class _CountingStores(dict):
+    """A dict that records the key of every store."""
 
-    def counting(self, inverse_row):
-        calls.append(inverse_row)
-        return original(self, inverse_row)
+    def __init__(self):
+        super().__init__()
+        self.stores = []
 
-    monkeypatch.setattr(BundleRing, "_rewrite_constant", counting)
+    def __setitem__(self, key, value):
+        self.stores.append(key)
+        super().__setitem__(key, value)
+
+
+def test_cone_rewrites_are_solved_once_per_ring():
     fiber = p2()
     base = presentation_from_fan(p2())
     x2 = base.reduce_poly({(0, 0, 1): 1})
     ring = build_bundle_ring(base, TwistingClasses((x2, 2 * x2)), fiber)
+    assert ring._rewrites is ring.fiber_ring._rewrites
+    assert ring._constants == {}  # every mu is solved on first need
+    ring._constants = calls = _CountingStores()
     numbers = chern_numbers_bundle(ring, total_chern_general(ring))
-    assert len(calls) <= fiber.dim * len(fiber.max_cones)
+    assert calls.stores
+    assert len(calls.stores) <= fiber.dim * len(fiber.max_cones)
     phi = make_plmap(2, [[0, 0], [0, 0], [1, 2]])
     assert numbers == compare(p2(), fiber, phi).intrinsic_numbers
 

@@ -1,15 +1,21 @@
+import gc
+import random
+import weakref
 from math import comb, factorial
 
 import pytest
 
 from helpers import (
+    blow_up,
     clear_fan_caches,
     dp6,
+    nonprojective_threefold,
     p1,
     p1_power,
     p2,
     projective_space,
     square_fan,
+    star_surface,
     surface_c1_squared,
 )
 from toricbundles import (
@@ -347,3 +353,85 @@ def test_chern_numbers_of_the_point():
     # the empty partition of a dimension-0 ring integrates the unit
     ring = build_ring(Fan(0, (), (frozenset(),)))
     assert chern_numbers(ring, total_chern_intrinsic(ring)) == {(): 1}
+
+
+def _recording_tables(monkeypatch, ring):
+    """Record every table of normal forms the ring hands out."""
+    handed, real = [], ring.normal_forms
+
+    def recording():
+        handed.append(real())
+        return handed[-1]
+
+    monkeypatch.setattr(ring, "normal_forms", recording)
+    return handed
+
+
+def test_chern_numbers_pair_only_basis_monomials_on_a_face(monkeypatch):
+    # a pair whose joint support is no face pairs to zero and is never
+    # solved: on an r-ray surface the table keeps O(r) entries, not O(r^2)
+    surface = star_surface(200, random.Random("200-ray surface"))
+    ring = build_ring(surface)
+    total = total_chern_intrinsic(ring)
+    handed = _recording_tables(monkeypatch, ring)
+    assert chern_numbers(ring, total) == {(1, 1): 12 - 200, (2,): 200}
+    assert max(map(len, handed)) <= 2 * surface.ray_count
+
+
+def test_chern_numbers_frees_its_table_on_return(monkeypatch):
+    ring = build_ring(dp6())
+    total = total_chern_intrinsic(ring)
+    handed = _recording_tables(monkeypatch, ring)
+    gc.disable()
+    try:
+        assert chern_numbers(ring, total) == {(1, 1): 6, (2,): 6}
+        refs = [weakref.ref(table) for table in handed]
+        handed.clear()
+        alive = [ref for ref in refs if ref() is not None]
+    finally:
+        gc.enable()
+    assert refs and not alive
+
+
+def test_the_total_class_of_a_fresh_record_builds_its_ring():
+    clear_fan_caches()
+    record = tables(p2())
+    assert record.ring is None
+    assert record.total.parts == ((1,), (3,), (3,))
+    assert record.ring is build_ring(p2())
+
+
+def _ring_numbers(f):
+    ring = build_ring(f)
+    return chern_numbers(ring, total_chern_intrinsic(ring))
+
+
+def _shift(blown, f):
+    """c_mu(Bl X) - c_mu(X) per partition mu, by the ring route."""
+    before = _ring_numbers(f)
+    return {mu: value - before[mu] for mu, value in _ring_numbers(blown).items()}
+
+
+@pytest.mark.parametrize("n,shift", [
+    (2, {(1, 1): -1, (2,): 1}),
+    (3, {(1, 1, 1): -8, (2, 1): 0, (3,): 2}),
+])
+def test_blowing_up_a_point_of_pn_shifts_the_chern_numbers(n, shift):
+    pn = projective_space(n)
+    assert _shift(blow_up(pn, pn.max_cones[0]), pn) == shift
+
+
+@pytest.mark.parametrize("name,fan", [
+    ("P2", p2()), ("dP6", dp6()), ("P3", projective_space(3)),
+    ("(P1)^3", p1_power(3)), ("non-projective threefold",
+                               nonprojective_threefold()),
+    ("P4", projective_space(4)),
+])
+def test_a_point_blow_up_shifts_the_chern_numbers_as_on_pn(name, fan):
+    # by localization the shift is the new fixed points' terms minus the
+    # old one's, which depend only on the cone, unimodularly one of P^n's
+    pn = projective_space(fan.dim)
+    expected = _shift(blow_up(pn, pn.max_cones[0]), pn)
+    rng = random.Random(name)
+    for cone in rng.sample(fan.max_cones, min(4, len(fan.max_cones))):
+        assert _shift(blow_up(fan, cone), fan) == expected, sorted(cone)

@@ -295,10 +295,8 @@ def test_torsion_relations_fail_certification():
     doubled = [tuple(2 * c for c in rel) for rel in linear_relations(f)]
     with pytest.raises(RingConsistencyError):
         GradedQuotientRing(
-            ray_count=3, dim=2, relations=doubled,
-            max_cones=f.max_cones,
-            basis_plan=fixed_point_basis_plan(f),
-            face_masks=walk_faces(f.max_cones), kind="fan ring",
+            relations=doubled, max_cones=f.max_cones,
+            basis_plan=fixed_point_basis_plan(f), kind="fan ring",
             inverses=tables(f).duals.rows,
         )
 
@@ -311,9 +309,8 @@ def test_relations_need_a_basis_plan():
     f = p2()
     for missing in ("basis_plan", "inverses"):
         arguments = dict(
-            ray_count=3, dim=2, relations=linear_relations(f),
-            max_cones=f.max_cones, basis_plan=fixed_point_basis_plan(f),
-            face_masks=walk_faces(f.max_cones), kind="fan ring",
+            relations=linear_relations(f), max_cones=f.max_cones,
+            basis_plan=fixed_point_basis_plan(f), kind="fan ring",
             inverses=tables(f).duals.rows,
         )
         del arguments[missing]
@@ -331,10 +328,9 @@ def test_a_plan_with_a_repeated_set_names_the_face_two_intervals_hold():
                              r"in the interval of cone \[0, 2\] and in "
                              r"another"):
         GradedQuotientRing(
-            ray_count=3, dim=2, relations=linear_relations(f),
-            max_cones=f.max_cones,
-            basis_plan=[frozenset()] * 3, face_masks=walk_faces(f.max_cones),
-            kind="fan ring", inverses=tables(f).duals.rows,
+            relations=linear_relations(f), max_cones=f.max_cones,
+            basis_plan=[frozenset()] * 3, kind="fan ring",
+            inverses=tables(f).duals.rows,
         )
 
 
@@ -342,10 +338,8 @@ def _ring_on_plan(f, plan):
     from toricbundles.cohomology import GradedQuotientRing
 
     return GradedQuotientRing(
-        ray_count=f.ray_count, dim=f.dim, relations=linear_relations(f),
-        max_cones=f.max_cones, basis_plan=plan,
-        face_masks=walk_faces(f.max_cones), kind="fan ring",
-        inverses=tables(f).duals.rows,
+        relations=linear_relations(f), max_cones=f.max_cones,
+        basis_plan=plan, kind="fan ring", inverses=tables(f).duals.rows,
     )
 
 

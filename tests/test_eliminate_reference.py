@@ -40,7 +40,6 @@ from toricbundles.cohomology import (
 )
 from toricbundles.corpus import corpus_fans
 from toricbundles.equivariant import ordinary_ring
-from toricbundles.faces import walk_faces
 from toricbundles.fan import tables
 from toricbundles.formats import parse_base_presentation
 
@@ -143,10 +142,8 @@ def _square_plan(bad_sets, fan):
 def _square_ring(bad_sets):
     fan = square_fan()
     return GradedQuotientRing(
-        ray_count=fan.ray_count, dim=fan.dim,
         relations=linear_relations(fan), max_cones=fan.max_cones,
-        basis_plan=_square_plan(bad_sets, fan),
-        face_masks=walk_faces(fan.max_cones), kind="fan ring",
+        basis_plan=_square_plan(bad_sets, fan), kind="fan ring",
         inverses=tables(fan).duals.rows,
     )
 
