@@ -32,7 +32,10 @@ of a sweep that tries every point on the cones from the first one on.
 Each trial also takes a random star
 subdivision of a smooth complete threefold that is not projective: its
 ring must certify, its ring-route Chern numbers must equal the localized
-ones, and its Todd genus c1c2/24 must be 1.  The machine-report writer
+ones, and its Todd genus c1c2/24 must be 1.  It also star-subdivides one
+seeded maximal cone of that threefold, the blow-up at the cone's fixed
+point, which must shift the ring-route c1^3 by -8, c1c2 by 0 and c3 by
++2, as on P3.  The machine-report writer
 ``report_json`` must give the text of ``json.dumps(..., indent=2,
 sort_keys=True)`` on the comparison's payload and on the Masuda
 report's, with its class payload.  Everything is exact; a single
@@ -162,23 +165,28 @@ def nonprojective_threefold() -> Fan:
     return make_fan(3, rays, cones)
 
 
+def star_subdivision(fan: Fan, tau: frozenset) -> Fan:
+    """The star subdivision of the fan at its face tau: one new ray, the
+    sum of tau's rays, and each maximal cone sigma containing tau replaced
+    by the cones sigma - {rho} + {new ray}, rho in tau."""
+    new = len(fan.rays)
+    ray = [sum(fan.rays[rho][i] for rho in tau) for i in range(fan.dim)]
+    cones = []
+    for cone in fan.max_cones:
+        if tau <= cone:
+            cones += [sorted(cone - {rho}) + [new] for rho in sorted(tau)]
+        else:
+            cones.append(sorted(cone))
+    return make_fan(fan.dim, [list(r) for r in fan.rays] + [ray], cones)
+
+
 def random_star_subdivision(fan: Fan, rng: random.Random, steps: int) -> Fan:
     """``steps`` star subdivisions, each at a random face tau of dimension
-    at least 2 of a random maximal cone: one new ray, the sum of tau's
-    rays, and each maximal cone sigma containing tau replaced by the cones
-    sigma - {rho} + {new ray}, rho in tau."""
+    at least 2 of a random maximal cone."""
     for _ in range(steps):
         sigma = sorted(rng.choice(fan.max_cones))
         tau = frozenset(rng.sample(sigma, rng.randint(2, len(sigma))))
-        new = len(fan.rays)
-        ray = [sum(fan.rays[rho][i] for rho in tau) for i in range(fan.dim)]
-        cones = []
-        for cone in fan.max_cones:
-            if tau <= cone:
-                cones += [sorted(cone - {rho}) + [new] for rho in sorted(tau)]
-            else:
-                cones.append(sorted(cone))
-        fan = make_fan(fan.dim, [list(r) for r in fan.rays] + [ray], cones)
+        fan = star_subdivision(fan, tau)
     return fan
 
 
@@ -192,6 +200,25 @@ def star_subdivision_holds(fan: Fan) -> bool:
     numbers = chern_numbers(ring, total_chern_intrinsic(ring))
     return (numbers == chern_numbers_localized(fan)
             and numbers[(2, 1)] == 24)
+
+
+# c_mu(Bl_p X) - c_mu(X) for a point p of any smooth complete threefold X
+POINT_BLOW_UP_SHIFT = {(1, 1, 1): -8, (2, 1): 0, (3,): 2}
+
+
+def point_blow_up_holds(fan: Fan, cone: frozenset) -> bool:
+    """Star-subdividing the maximal cone ``cone`` of a smooth complete
+    threefold, its blow-up at the cone's fixed point, shifts the ring-route
+    Chern numbers by ``POINT_BLOW_UP_SHIFT``: by localization the shift is
+    the new fixed points' terms minus the old one's, which depend only on
+    the cone, unimodularly one of P3's."""
+    try:
+        rings = [build_ring(f) for f in (fan, star_subdivision(fan, cone))]
+    except RingConsistencyError:
+        return False
+    before, after = (chern_numbers(ring, total_chern_intrinsic(ring))
+                     for ring in rings)
+    return {mu: after[mu] - before[mu] for mu in after} == POINT_BLOW_UP_SHIFT
 
 
 def generic_by_restarts(f: Fan) -> list[list[int]]:
@@ -240,6 +267,7 @@ def main(trials: int = 25, seed: int = 7, max_entry: int = 3) -> int:
     moves = random.Random(f"charmap moves {seed}")
     corruptions = random.Random(f"corrupted classes {seed}")
     stars = random.Random(f"star subdivisions {seed}")
+    blow_ups = random.Random(f"point blow-ups {seed}")
     pairings = random.Random(f"pairings {seed}")
 
     def integer():
@@ -305,10 +333,12 @@ def main(trials: int = 25, seed: int = 7, max_entry: int = 3) -> int:
         written = written_as_json([report.to_dict(), masuda])
         star = random_star_subdivision(threefold, stars, stars.randint(1, 3))
         nonprojective = star_subdivision_holds(star)
+        blown_up = point_blow_up_holds(threefold,
+                                       blow_ups.choice(threefold.max_cones))
         ok = (report.equal and presented and localized and gauss and paired
               and kept and invariant and quasitoric and detected
               and nonprojective and embedded and written and derived
-              and generic and ordered)
+              and generic and ordered and blown_up)
         mark = "ok" if ok else "FAIL"
         print(f"[{mark}] {name}  chi={report.euler_intrinsic}  "
               f"star subdivision: {star.ray_count} rays")

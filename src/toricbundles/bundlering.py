@@ -200,16 +200,17 @@ class BundleRing(GradedQuotientRing):
 
     The fiber ring with base-class coefficients, certified against the fiber
     ring's basis plan and solved on its cones with the fiber ring's
-    inverses, the fiber fan's dual rows.  Relation i is sum_rho rel_i[rho]
-    x_rho + lambda_i = 0, so on a cone the rewrite of its k-th ray gains the
-    constant mu_k = -sum_j inv[k][j] lambda_j, and the row of a face S,
-    x_tau times sum_j inv[k][j] relation_j (tau = S - {k}), carries the
-    cofactors c_j = inv[k][j] of lambda_j x_tau.  Both come from the
-    twisting classes, ``_lam``, in GradedQuotientRing, which keeps each
-    mu_k, solved on first need, in ``_constants``.  ``dim`` is the complex
-    dimension of the total space; fiber monomials of higher degree vanish.
-    It is set after GradedQuotientRing's constructor, whose rank checks
-    read the fiber's dimension.
+    inverses, the fiber fan's dual rows; its faces are the fiber ring's
+    ``face_masks``, with no walk of its own.  Relation i is sum_rho
+    rel_i[rho] x_rho + lambda_i = 0, so on a cone the rewrite of its k-th
+    ray gains the constant mu_k = -sum_j inv[k][j] lambda_j, and the row
+    of a face S, x_tau times sum_j inv[k][j] relation_j (tau = S - {k}),
+    carries the cofactors c_j = inv[k][j] of lambda_j x_tau.  Both come
+    from the twisting classes, ``_lam``, in GradedQuotientRing, which keeps
+    each mu_k, solved on first need, in ``_constants``.  ``dim`` is the
+    complex dimension of the total space; fiber monomials of higher degree
+    vanish.  It is set after GradedQuotientRing's constructor, whose rank
+    checks read the fiber's dimension.
     """
 
     def __init__(self, base: BasePresentation, lam: TwistingClasses, fiber: Fan):
@@ -224,6 +225,7 @@ class BundleRing(GradedQuotientRing):
         self.base = base
         self.fiber = fiber
         self.fiber_ring = build_ring(fiber)
+        self.face_masks = self.fiber_ring.face_masks
         self._zero = base.zero()
         self._one = base.unit()
         self._lam = lam.classes

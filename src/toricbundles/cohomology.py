@@ -637,13 +637,14 @@ class GradedQuotientRing(GradedRing):
     and what they determine is worked out: ``dim`` is the number of
     relations, ``ray_count`` their length (0 for the point fan), and
     ``face_masks`` maps every face of ``max_cones``, a ray bitmask of one
-    ``faces.walk_faces``, to its home cone, the cone whose interval holds
-    it.  ``kind`` names the ring (fan, pair or bundle ring) in elimination
-    errors.  The ring gets, per maximal cone in ``max_cones`` order, its
-    plan's frozenset bad(sigma) and in ``inverses`` the inverse of its
-    relation matrix on the cone's sorted rays (the fan's ``tables(f).duals``
-    rows, or a pair's weight table), which the cone rewrites check and
-    read, each once, at construction.
+    ``faces.walk_faces`` (unless a subclass set them first: the bundle
+    ring takes its fiber ring's), to its home cone, the cone whose
+    interval holds it.  ``kind`` names the ring (fan, pair or bundle
+    ring) in elimination errors.  The ring gets, per maximal cone in
+    ``max_cones`` order, its plan's frozenset bad(sigma) and in
+    ``inverses`` the inverse of its relation matrix on the cone's sorted
+    rays (the fan's ``tables(f).duals`` rows, or a pair's weight table),
+    which the cone rewrites check and read, each once, at construction.
 
     The constructor certifies the ring, whoever builds it: after
     elimination it checks the rank invariants (Betti ranks equal the
@@ -666,7 +667,8 @@ class GradedQuotientRing(GradedRing):
         self.max_cones = tuple(frozenset(c) for c in max_cones)
         self.basis_plan = basis_plan
         self.inverses = inverses
-        self.face_masks = walk_faces(self.max_cones)
+        if self.face_masks is None:  # a bundle ring has its fiber ring's
+            self.face_masks = walk_faces(self.max_cones)
         self.kind = kind
         self._point = None
         columns = self._interval_columns()

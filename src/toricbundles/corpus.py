@@ -162,13 +162,19 @@ ISOMORPHISM_SEED = 20240331
 
 
 def run_corpus() -> list[CorpusCheck]:
-    """Run the full acceptance sweep; one check record per finding."""
+    """Run the full acceptance sweep; one check record per finding.
+
+    The corpus fans and pairs are built once and held for the sweep: a
+    twisted fan's ``fan.tables`` record, its ring included, lives only
+    while a twisted fan equal to it does, so the comparisons, the known
+    Chern numbers and every later section share the rings they build."""
     checks: list[CorpusCheck] = []
 
     def record(criterion, subject, passed, detail=""):
         checks.append(CorpusCheck(criterion, subject, bool(passed), detail))
 
     instances = corpus_instances()
+    fans, pairs = corpus_fans(), corpus_pairs()
 
     # 1. Two-route verification: intrinsic vs bundle formula.
     reports = {}
@@ -194,11 +200,11 @@ def run_corpus() -> list[CorpusCheck]:
         record("chern-numbers", name, ok, f"{numbers}")
 
     # 3. Gauss-Bonnet on every corpus fan.
-    for name, f in corpus_fans():
+    for name, f in fans:
         record("gauss-bonnet", name, chern.verify_gauss_bonnet(f))
 
     # 4. Ring sanity: Betti = h-vector, Poincare symmetry, Picard rank.
-    for name, f in corpus_fans():
+    for name, f in fans:
         ring = build_ring(f)
         ranks = ring.betti()
         ok = (
@@ -209,7 +215,7 @@ def run_corpus() -> list[CorpusCheck]:
         record("ring-sanity", name, ok, f"betti={ranks}")
 
     # 5. Masuda verification and the forgetful comparison.
-    for name, pair in corpus_pairs():
+    for name, pair in pairs:
         rep = equivariant.masuda_check(pair)
         record("masuda", name, rep.passed)
         forgot = equivariant.forget(
@@ -238,13 +244,15 @@ def run_corpus() -> list[CorpusCheck]:
 
     # 7. Isomorphism invariance under fiber-coordinate changes.
     rng = random.Random(ISOMORPHISM_SEED)
+    moved_fans = []  # held too: a change of coordinates may come back
     for inst in instances:
         expected = reports[inst.name].intrinsic_numbers
         ok = True
         for _ in range(ISOMORPHISM_TRIALS):
             u = random_unimodular(inst.fiber.dim, rng)
             moved = transform_instance(inst, u)
-            ring = build_ring(twisted_fan(moved.base, moved.fiber, moved.phi))
+            moved_fans.append(twisted_fan(moved.base, moved.fiber, moved.phi))
+            ring = build_ring(moved_fans[-1])
             numbers = chern.chern_numbers(
                 ring, chern.total_chern_intrinsic(ring)
             )

@@ -14,17 +14,22 @@ Fourier-Motzkin search for a separating hyperplane between every two
 cones).
 
 Everything derived from a fan's rays and cones lives in one record,
-``FanTables``, kept once per fan by ``tables``: the dual table, the
-generic point, the validation report, and the fan ring and its total
-class, which ``cohomology.build_ring`` stores there.  Each is built on
-first read, and ``tables.cache_clear()`` drops them all together.
+``FanTables``, read through ``tables``, one per fan: the dual table, the
+generic point, the validation report, and the fan ring and its total class,
+which ``cohomology.build_ring`` stores there.  Each is built on first
+read.  A record lives as long as the traffic it serves: one that a fan
+without ``parts`` has read (a base, a fiber, a parsed fan) is kept for
+the life of the process, and one that only twisted fans have read lives
+while one of those ``Fan`` objects does, which holds it, and is freed
+with the last of them.  ``tables.cache_clear()`` drops every record.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from math import gcd
 from operator import mul
 from typing import NamedTuple
@@ -52,7 +57,9 @@ class Fan:
     lifted base rays (v, phi(v)), in base order, then the fiber rays
     (0, w)) and the cones.  ``tables(f).duals`` and the bundle formula
     read them.  ``parts`` is left out of equality, hashing and repr, so a
-    twisted fan equals its parsed copy, which has no parts.
+    twisted fan equals its parsed copy, which has no parts.  A fan with
+    parts holds its ``tables`` record, once read, in ``_tables``, and so
+    keeps it alive (see ``tables``).
     """
 
     dim: int
@@ -120,7 +127,8 @@ class ValidationReport:
 
 def _wall_map(f: Fan) -> dict[frozenset, list[tuple[int, int, int]]]:
     """{wall: [(cone index, apex position, apex)]}, from one pass over the
-    maximal cones: each cone minus one ray, its apex, is a wall, and the
+    maximal cones of f (a fan or its ``FanTables`` record, which keeps its
+    cones): each cone minus one ray, its apex, is a wall, and the
     apex's position is in the cone's sorted rays.  A cone of a fan of
     dimension 0 has no rays and so no walls."""
     sides: dict[frozenset, list] = {}
@@ -268,14 +276,18 @@ class FanTables:
     ``tables`` keeps one record per fan, keyed by fan equality, so a
     twisted fan and its parsed copy share one; their tables agree, as a
     twisted fan's parts agree with its rays.  ``FanTables(f)`` builds a
-    fresh record, past that cache.  ``ring`` is the fan ring, None until
-    ``cohomology.build_ring`` stores it, and ``total`` its total Chern
-    class, its ``face_sum``, which builds the ring first if need be: the
-    bundle formula reads the base's on every request.
+    fresh record, past that cache.  A record keeps the fan's ``dim``,
+    ``rays``, ``max_cones`` and ``parts``, not the ``Fan``: a twisted fan
+    holds its record, and a record that held the fan back would live
+    until the cyclic garbage collector ran.  ``ring`` is the fan ring,
+    None until ``cohomology.build_ring`` stores it, and ``total`` its
+    total Chern class, its ``face_sum``, which builds the ring first if
+    need be: the bundle formula reads the base's on every request.
     """
 
     def __init__(self, fan: Fan):
-        self.fan = fan
+        self.dim, self.rays, self.max_cones = fan.dim, fan.rays, fan.max_cones
+        self.parts = fan.parts
         self.ring = None
 
     @cached_property
@@ -285,10 +297,9 @@ class FanTables:
         ``parts`` takes it from its base's and fiber's tables
         (``twisted_duals``), with no Bareiss pass; any other fan runs one
         pass per cone."""
-        f = self.fan
-        if f.parts is not None:
-            return twisted_duals(*f.parts)
-        return dual_table(f.rays, f.max_cones)
+        if self.parts is not None:
+            return twisted_duals(*self.parts)
+        return dual_table(self.rays, self.max_cones)
 
     @cached_property
     def generic(self) -> list[list[int]]:
@@ -315,7 +326,7 @@ class FanTables:
         duals = self.duals.rows
         coordinates = [None] * len(duals)
         start = 0
-        for point in moment_curve(self.fan.dim):
+        for point in moment_curve(self.dim):
             for k in itertools.chain(range(start, len(duals)), range(start)):
                 coordinates[k] = [sum(map(mul, row, point)) for row in duals[k]]
                 if 0 in coordinates[k]:
@@ -367,12 +378,11 @@ class FanTables:
         complete fan ill-formed; an incomplete fan may list rays its cones
         do not use yet.
         """
-        f = self.fan
         diagnostics = []
         well_formed = True
 
         seen = {}
-        for i, ray in enumerate(f.rays):
+        for i, ray in enumerate(self.rays):
             if not is_primitive(ray):
                 diagnostics.append(f"ray {i} = {ray} is not primitive")
                 well_formed = False
@@ -383,7 +393,7 @@ class FanTables:
 
         smooth = True
         degenerate = False
-        for cone, d in zip(f.max_cones, self.duals.determinants):
+        for cone, d in zip(self.max_cones, self.duals.determinants):
             if d == 0:
                 diagnostics.append(f"cone {sorted(cone)} is degenerate (determinant 0)")
                 degenerate = True
@@ -397,15 +407,15 @@ class FanTables:
             well_formed = False
             smooth = False
 
-        sides = _wall_map(f)
+        sides = _wall_map(self)
         if well_formed and self._certified_complete(sides):
             complete = True
         else:
-            well_formed, complete = _pairwise_checks(f, sides, well_formed,
+            well_formed, complete = _pairwise_checks(self, sides, well_formed,
                                                      diagnostics)
         if complete:
-            used = frozenset().union(*f.max_cones)
-            for i, ray in enumerate(f.rays):
+            used = frozenset().union(*self.max_cones)
+            for i, ray in enumerate(self.rays):
                 if i not in used:
                     diagnostics.append(f"ray {i} = {ray} lies in no maximal cone")
                     well_formed = False
@@ -422,7 +432,7 @@ class FanTables:
         """Conditions (a) and (b) of ``report``, from the cones' dual rows:
         (a) reads the fan's ``_wall_map`` and pairs each wall's apex in its
         first cone with the other cone's apex."""
-        duals, rays = self.duals.rows, self.fan.rays
+        duals, rays = self.duals.rows, self.rays
         for pair in sides.values():
             if len(pair) != 2:
                 return False
@@ -434,13 +444,53 @@ class FanTables:
     @cached_property
     def total(self):
         """The fan ring's total Chern class, its ``face_sum``; the ring is
-        built (``cohomology.build_ring``) if it is not yet."""
+        built (``cohomology.build_ring``) if it is not yet, on a fan equal
+        to the record's, with its parts, that lives only as long as the
+        call."""
         from .cohomology import build_ring  # cohomology imports this module
 
-        return build_ring(self.fan).face_sum()
+        fan = Fan(self.dim, self.rays, self.max_cones)
+        object.__setattr__(fan, "parts", self.parts)
+        return build_ring(fan).face_sum()
 
 
-tables = cache(FanTables)
+_kept: dict = {}  # the records that fans without parts read
+_live = weakref.WeakValueDictionary()  # every record while it lives
+
+
+def tables(f: Fan) -> FanTables:
+    """The fan's record, one per fan equality at any moment: built on the
+    first read, and kept while the traffic it serves lasts.
+
+    A fan without ``parts`` (a base, a fiber, a parsed fan) keeps its
+    record for the life of the process, as it may come back with the
+    next request.  A twisted fan (``parts`` set by ``twist.twisted_fan``)
+    holds its record in ``_tables`` instead, so a record that only
+    twisted fans read is freed, by reference counting, with the last of
+    them: no later request builds the same twist.  A parsed copy that
+    reads such a record while it lives adopts it, which is then kept.
+    ``tables.cache_clear()`` drops every record.  Two threads that build
+    a record at once may each get their own, with equal tables; only
+    one is kept.
+    """
+    key = (f.dim, f.rays, f.max_cones)
+    record = _kept.get(key)
+    if record is None:
+        record = _live.get(key) or _live.setdefault(key, FanTables(f))
+        if f.parts is None:
+            record = _kept.setdefault(key, record)
+        else:
+            object.__setattr__(f, "_tables", record)
+    return record
+
+
+def _drop_all_records() -> None:
+    """``tables.cache_clear()``: every record is built again on next read."""
+    _kept.clear()
+    _live.clear()
+
+
+tables.cache_clear = _drop_all_records
 
 
 def validate(f: Fan) -> ValidationReport:
@@ -453,9 +503,10 @@ def _pairwise_checks(f: Fan, sides: dict, well_formed: bool,
                      diagnostics: list):
     """(well_formed, complete) from cone pairs, walls and adjacency.
 
-    Appends its diagnostics; ``sides`` is the fan's ``_wall_map``, read
-    in the order of ``walls``, and ``well_formed`` says whether the cone
-    pairs are still to be checked.
+    f is a fan or its ``FanTables`` record, which keeps its rays and
+    cones.  Appends its diagnostics; ``sides`` is the fan's
+    ``_wall_map``, read in the order of ``walls``, and ``well_formed``
+    says whether the cone pairs are still to be checked.
     """
     if well_formed:
         for (a, sigma), (b, tau) in itertools.combinations(

@@ -10,7 +10,10 @@ order they are all the bundle formula needs.  Each twisted cone's ray
 matrix is block triangular, so its dual rows are the base cone's, padded
 with zeros, and the fiber cone's, corrected by the twist: the twisted
 fan's ``fan.tables`` record builds its dual table from the base's and
-fiber's, with no Bareiss pass of its own.  A characteristic pair's
+fiber's, with no Bareiss pass of its own.  That record, its ring
+included, lives while a twisted ``Fan`` equal to it does, and is freed
+with the last of them, while the base's and fiber's records are kept for
+later requests (see ``fan.tables``).  A characteristic pair's
 charmap need not be its rays (a quasitoric manifold); its weight table
 is ``fan.dual_table`` on the charmap values, one Bareiss pass per cone.
 """
@@ -130,9 +133,9 @@ def weight_table(p: CharacteristicPair) -> ConeDuals:
     restricted to the cone.  Building it is the pair's validation, and
     the first cone whose determinant is not +-1 raises a ValueError
     naming it and that determinant.  Only the last pair's table is kept
-    (pairs stay out of the fans' unbounded cache), so parsing, the face
-    ring, the Masuda check and the restrictions of one request take one
-    Bareiss pass per cone.
+    (pairs stay out of the per-fan records, which keep every parsed
+    fan), so parsing, the face ring, the Masuda check and the
+    restrictions of one request take one Bareiss pass per cone.
     """
     table = dual_table(p.charmap, p.complex.max_cones)
     for cone, d in zip(p.complex.max_cones, table.determinants):

@@ -1,5 +1,7 @@
 import gc
 import random
+import sys
+import threading
 import weakref
 from math import comb, factorial
 
@@ -36,7 +38,7 @@ from toricbundles import (
 from toricbundles import chern
 from toricbundles.chern import partitions
 from toricbundles.corpus import corpus_fans, corpus_instances
-from toricbundles.fan import dual_table, tables
+from toricbundles.fan import FanTables, dual_table, tables
 from toricbundles.formats import fan_to_text, parse_fan
 
 
@@ -317,6 +319,111 @@ def test_a_twisted_fan_and_its_parsed_copy_agree_in_either_order(phi):
     duals, _, intrinsic, bundle = results[0]
     assert duals == dual_table(twisted.rays, twisted.max_cones)
     assert intrinsic == bundle
+
+
+def _live_records():
+    """How many ``FanTables`` exist, unreachable ones in cycles included
+    (with the cyclic collector off they stay)."""
+    return sum(isinstance(o, FanTables) for o in gc.get_objects())
+
+
+def test_memory_per_compare_is_bounded(monkeypatch):
+    # a twisted fan's record, its ring included, dies with the fan when
+    # compare returns, by reference counting alone, while the base's and
+    # the fiber's records stay warm
+    base, fiber = p2(), p1()
+    assert compare(base, fiber, make_plmap(1, [[1], [0], [2]])).equal
+    warm = tables(base), tables(fiber)
+    built, build_record = [], FanTables.__init__
+
+    def recording(record, fan):
+        built.append(weakref.ref(record))
+        build_record(record, fan)
+
+    monkeypatch.setattr(FanTables, "__init__", recording)
+    rng = random.Random("bounded compares")
+    gc.disable()
+    try:
+        live = _live_records()
+        for _ in range(50):
+            phi = [[rng.randint(-3, 3)] for _ in range(3)]
+            assert compare(base, fiber, make_plmap(1, phi)).equal
+        assert _live_records() == live
+    finally:
+        gc.enable()
+    assert len(built) == 50 and all(ref() is None for ref in built)
+    assert tables(base) is warm[0] and tables(fiber) is warm[1]
+
+
+def test_a_parsed_copy_adopts_a_live_twisted_record():
+    clear_fan_caches()
+    gc.disable()
+    try:
+        twisted = twisted_fan(p2(), p1(), make_plmap(1, [[1], [0], [2]]))
+        ring = build_ring(twisted)
+        copy = parse_fan(fan_to_text(twisted))
+        record = tables(copy)
+        assert record is tables(twisted)
+        del twisted
+        assert tables(copy) is record and build_ring(copy) is ring
+    finally:
+        gc.enable()
+
+
+def test_a_twisted_fan_rebuilt_after_its_record_died_agrees():
+    def built():
+        twisted = twisted_fan(p2(), p1(), make_plmap(1, [[-2], [3], [1]]))
+        record = tables(twisted)
+        ring = build_ring(twisted)
+        return weakref.ref(record), (
+            record.duals, ring.betti(), total_chern_intrinsic(ring).flat,
+            total_chern_bundle_formula(twisted).flat)
+
+    clear_fan_caches()
+    gc.disable()
+    try:
+        first, results = built()
+        assert first() is None
+        second, again = built()
+        assert second() is None
+    finally:
+        gc.enable()
+    assert again == results
+
+
+def test_threads_that_read_one_fan_at_once_keep_one_record():
+    # threads that build one fan's record at once, half of them through
+    # parsed copies and half through twisted_fan, all read one record
+    # afterwards: the parsed copies keep one, which the twisted fans find
+    clear_fan_caches()
+    phi = make_plmap(1, [[2], [-1], [3]])
+    text = fan_to_text(twisted_fan(p2(), p1(), phi))  # its record dies here
+    count = 12
+    barrier = threading.Barrier(count)
+    fans, records = [None] * count, [None] * count
+
+    def read(i):
+        barrier.wait(timeout=30)
+        fans[i] = (parse_fan(text) if i % 2
+                   else twisted_fan(p2(), p1(), phi))
+        records[i] = tables(fans[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(i,))
+                   for i in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    kept = records[1]
+    assert all(record is kept for record in records[1::2])
+    assert all(tables(f) is kept for f in fans)
+    assert all(record.report == kept.report for record in records)
 
 
 def test_a_second_compare_walks_no_base_ring_columns(monkeypatch):

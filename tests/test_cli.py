@@ -31,7 +31,7 @@ from toricbundles import (
 from toricbundles.cli import build_parser, main
 from toricbundles.cohomology import RingConsistencyError
 from toricbundles import fan as fan_module
-from toricbundles.fan import Fan, ValidationReport, tables
+from toricbundles.fan import Fan, FanTables, ValidationReport, tables
 from toricbundles.formats import (
     ParseError,
     fan_to_text,
@@ -507,15 +507,20 @@ def test_cmd_cohomology_walks_the_faces_once(tmp_path, capsys, monkeypatch):
 def test_corpus_ring_sanity_walks_no_faces(monkeypatch):
     # ring sanity reads the h-vector off each ring's face masks, so with
     # no twist instances or pairs a corpus run walks the maximal cones'
-    # submasks once per ring it builds, and no more
+    # submasks once per ring it builds, one ring per record, and no more
     from toricbundles import corpus, faces
 
-    walks = []
+    walks, records = [], []
     walk_faces = faces.walk_faces
+    build_record = FanTables.__init__
 
     def counting(max_cones):
         walks.append(max_cones)
         return walk_faces(max_cones)
+
+    def counting_records(record, fan):
+        records.append(fan)
+        build_record(record, fan)
 
     for module in list(sys.modules.values()):
         if (getattr(module, "__name__", "").startswith("toricbundles")
@@ -523,12 +528,13 @@ def test_corpus_ring_sanity_walks_no_faces(monkeypatch):
             monkeypatch.setattr(module, "walk_faces", counting)
     monkeypatch.setattr(corpus, "corpus_instances", lambda: [])
     monkeypatch.setattr(corpus, "corpus_pairs", lambda: [])
+    monkeypatch.setattr(FanTables, "__init__", counting_records)
     clear_fan_caches()
     checks = corpus.run_corpus()
     assert {c.criterion for c in checks} == {
         "chern-numbers", "gauss-bonnet", "ring-sanity"}
     assert all(c.passed for c in checks)
-    assert len(walks) == tables.cache_info().currsize == 8
+    assert len(walks) == len(records) == 8
 
 
 def test_cmd_equivariant(tmp_path, capsys):

@@ -100,6 +100,27 @@ def test_random_twists_script_fails_on_a_failing_star_subdivision(
     assert "0/2 random twists verified" in capsys.readouterr().out
 
 
+def test_random_twists_script_fails_on_a_wrong_point_blow_up_shift(
+        capsys, monkeypatch):
+    module = _load()
+    monkeypatch.setattr(module, "point_blow_up_holds", lambda fan, cone: False)
+    assert module.main(2, 7, 3) == 2
+    assert "0/2 random twists verified" in capsys.readouterr().out
+
+
+def test_point_blow_up_check_needs_a_point(monkeypatch):
+    module = _load()
+    threefold = module.nonprojective_threefold()
+    cone = threefold.max_cones[0]
+    assert module.point_blow_up_holds(threefold, cone)
+    # the star subdivision of a 2-face is the blow-up along a curve,
+    # which moves c1^3 by -4 here: c1c2 and c3 move as at a point
+    real = module.star_subdivision
+    monkeypatch.setattr(module, "star_subdivision", lambda fan, tau: real(
+        fan, frozenset(sorted(tau)[:2])))
+    assert not module.point_blow_up_holds(threefold, cone)
+
+
 def test_random_twists_script_fails_on_a_wrong_report_writer(capsys,
                                                             monkeypatch):
     module = _load()
@@ -136,7 +157,7 @@ def test_random_twists_script_fails_on_a_later_generic_point(capsys,
     module = _load()
 
     def second_point(record):
-        sweep = generic_coordinates(record.duals.rows, record.fan.dim)
+        sweep = generic_coordinates(record.duals.rows, record.dim)
         next(sweep)
         return next(sweep)
 
